@@ -353,6 +353,7 @@ class _Invocation:
 
 
 def _cmd_simulate(inv: _Invocation) -> bool:
+    """Simulate paths; dump jump times and the martingale gap N_T - Lambda_T."""
     model = inv.config.model()
     batch = inv.batch(model)
     dump = []
@@ -399,6 +400,7 @@ def _cmd_simulate(inv: _Invocation) -> bool:
 
 
 def _cmd_density_check(inv: _Invocation) -> bool:
+    """Check k_1 closure and KS fits of the jump-time densities to the paths."""
     model = inv.config.model()
     T = inv.config.horizon
     batch = inv.batch(model)
@@ -432,6 +434,7 @@ def _cmd_density_check(inv: _Invocation) -> bool:
 
 
 def _cmd_mean_intensity(inv: _Invocation) -> bool:
+    """Compare the MC mean intensity with the Volterra solution."""
     cfg = inv.config
     model = cfg.model()
     batch = inv.batch(model)
@@ -450,6 +453,7 @@ def _cmd_mean_intensity(inv: _Invocation) -> bool:
 
 
 def _cmd_unit_mass(inv: _Invocation) -> bool:
+    """Check E[Z^eps] = 1 for the Radon-Nikodym weights."""
     cfg = inv.config
     model = cfg.model()
     batch = inv.batch(model)
@@ -462,6 +466,7 @@ def _cmd_unit_mass(inv: _Invocation) -> bool:
 
 
 def _cmd_ibp_check(inv: _Invocation) -> bool:
+    """Check the integration-by-parts identity per catalog functional."""
     cfg = inv.config
     model = cfg.model()
     batch = inv.batch(model)
@@ -495,6 +500,7 @@ def _cmd_ibp_check(inv: _Invocation) -> bool:
 
 
 def _cmd_sde_density(inv: _Invocation) -> bool:
+    """Evaluate the absolute-continuity criteria of a preset jump SDE."""
     cfg = inv.config
     model = cfg.model()
     sde = sde_preset(cfg[("sde", "preset")])
@@ -574,6 +580,7 @@ def _greeks_row(label: str, payoff: Payoff, est: GreekEstimate) -> tuple:
 
 
 def _cmd_greeks(inv: _Invocation) -> bool:
+    """Estimate delta by Malliavin weights, finite differences and pathwise."""
     cfg = inv.config
     model = cfg.model()
     asset = AssetModel(

@@ -262,6 +262,7 @@ class NonlinearitySpec:
     derivative: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     monotone: bool = True
+    params: tuple = ()
 
     @staticmethod
     def linear() -> "NonlinearitySpec":
@@ -283,6 +284,7 @@ class NonlinearitySpec:
             value=lambda x: cap * np.tanh(np.asarray(x, dtype=float) / cap),
             derivative=lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float) / cap) ** 2,
             lipschitz=1.0,
+            params=(cap,),
         )
 
     def is_linear(self) -> bool:
@@ -344,7 +346,9 @@ class HawkesModel:
         return intensity(self, jump_times, s)
 
     def digest_key(self) -> tuple:
-        """Hashable identity for caches (normalization constants etc.)."""
+        """Hashable identity for caches (normalization constants etc.) and
+        report digests; it ends with the nonlinearity's parameters (none
+        for the linear family)."""
         return (
             self.baseline.family,
             self.baseline.params,
@@ -354,6 +358,7 @@ class HawkesModel:
             self.kernel.l1_norm,
             self.nonlinearity.family,
             self.nonlinearity.lipschitz,
+            *self.nonlinearity.params,
         )
 
 

@@ -282,9 +282,30 @@ def _rk4_run(fun, s: float, span: float, y, n: int):
     return y
 
 
-def _segment_steps(span: float, horizon: float) -> int:
-    h = min(_STEP_FRACTION * horizon, span / _MIN_SEGMENT_STEPS)
-    return max(1, math.ceil(span / h))
+def _segment_steps(span, horizon: float) -> np.ndarray:
+    """RK4 steps over jump-free spans, elementwise: h <= min(1e-3 * horizon,
+    span / 16), and no step over an empty span."""
+    span = np.asarray(span, dtype=float)
+    live = span > 0.0
+    h = np.minimum(_STEP_FRACTION * horizon, span[live] / _MIN_SEGMENT_STEPS)
+    # a subnormal span underflows span / 16 to 0; it still takes 16 steps
+    ratio = np.divide(
+        span[live], h, out=np.full(h.shape, float(_MIN_SEGMENT_STEPS)), where=h > 0.0
+    )
+    steps = np.zeros(span.shape, dtype=np.int64)
+    steps[live] = np.maximum(1, np.ceil(ratio))
+    return steps
+
+
+def _segments(batch: PathBatch):
+    """Every path's jump-free segments in CSR order: path i owns segments
+    seg_offsets[i]:seg_offsets[i+1], one per jump plus the last one, which
+    ends at T.  Returns (seg_offsets, starts, ends)."""
+    offsets = batch.offsets
+    seg_offsets = offsets + np.arange(offsets.size)
+    starts = np.insert(batch.flat_times, offsets[:-1], 0.0)
+    ends = np.insert(batch.flat_times, offsets[1:], batch.horizon)
+    return seg_offsets, starts, ends
 
 
 def solve_flow(
@@ -301,7 +322,7 @@ def solve_flow(
     H = horizon if horizon is not None else t
     if H <= 0.0:
         raise ValueError("horizon must be positive")
-    n = _segment_steps(span, H)
+    n = int(_segment_steps(span, H))
     coarse = _rk4_run(sde.drift, s, span, x, n)
     fine = _rk4_run(sde.drift, s, span, x, 2 * n)
     if not np.all(np.isfinite(fine)):
@@ -387,7 +408,7 @@ def _tangent_sweep(sde: JumpSde, path: HawkesPath):
         span = e - s
         if span <= 0.0:
             return x, K, Kt
-        steps = _segment_steps(span, T)
+        steps = int(_segment_steps(span, T))
         h = span / steps
         t = s
         for k in range(steps):
@@ -480,14 +501,21 @@ def grad_and_gamma_XT(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
 
 # ---- exact linear engine ----
 
-def _linear_propagators(lin: LinearCoeffs, span: float, d: int):
-    """(state map, K factor) over a jump-free interval of length `span`:
-    x -> E x + c with E = expm(A span), via the augmented-matrix trick."""
+def _linear_propagators(lin: LinearCoeffs, span, d: int):
+    """(state map, K factor) over jump-free intervals of length `span` (a
+    scalar or an array of them): x -> E x + c with E = expm(A span), via the
+    augmented-matrix trick and one stacked expm call."""
     aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = lin.A
     aug[:d, d] = lin.b
-    big = expm(aug * span)
-    return big[:d, :d], big[:d, d]
+    big = expm(aug * np.asarray(span, dtype=float)[..., None, None])
+    return big[..., :d, :d], big[..., :d, d]
+
+
+def _linear_phi(lin: LinearCoeffs):
+    """phi(x) = phi0 + C x for linear coefficients: phi0 = A beta - M b and
+    C = A M - M A, which vanishes when A and M commute."""
+    return lin.A @ lin.beta - lin.M @ lin.b, lin.A @ lin.M - lin.M @ lin.A
 
 
 def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
@@ -504,7 +532,8 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
     if abs(det_j) < _DET_FLOOR:
         raise AssumptionError("det(I + M) vanished in the linear jump map")
     J_inv = np.linalg.solve(J, eye)
-    phi = lin.A @ lin.beta - lin.M @ lin.b
+    phi0, comm = _linear_phi(lin)
+    phi = np.empty((n, d))
     x = sde.x0.copy()
     K = eye.copy()
     Kt = eye.copy()
@@ -515,6 +544,7 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
         x = E @ x + c
         K = E @ K
         Kt = Kt @ np.linalg.solve(E, eye)
+        phi[i] = phi0 + comm @ x
         x = J @ x + lin.beta
         K = J @ K
         Kt = Kt @ J_inv
@@ -526,7 +556,7 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
     Kt = Kt @ np.linalg.solve(E, eye)
     v = np.zeros((n, d))
     for i in range(n):
-        v[i] = -(K @ ktil_post[i]) @ phi
+        v[i] = -(K @ ktil_post[i]) @ phi[i]
     if n:
         xi = np.minimum.outer(t, t) - np.outer(t, t) / T
         gamma = v.T @ xi @ v
@@ -547,11 +577,88 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
     )
 
 
+def _linear_batch(sde: JumpSde, batch: PathBatch):
+    """Exact flow, tangents and Gamma of a constant-coefficient linear system
+    over a whole batch.
+
+    The segment propagators come from one stacked expm over the real
+    (path, segment) pairs, in the CSR order of `_segments`.  x, K and K~
+    then advance one ordinal at a time, vectorized over the paths that reach
+    it, and v_i = -K_T K~_{T_i} phi(X_{T_i-}).  Gamma[X_T] uses the
+    running-sum Gram identity of `_scalar_batch_sweep` on the v_i:
+    sum_j (A_j v_j^T + v_j A_j^T + t_j v_j v_j^T) - a a^T / T, with A_j the
+    running sum of t_i v_i over i < j and a the full sum.  (Summing in
+    K~-space and mapping by K_T would amplify rounding by cond(K_T)^2.)
+
+    Returns (terminal (P, d), vectors (J, d) in flat_times order,
+    gamma (P, d, d), product_drift).
+    """
+    lin = sde.linear
+    d = sde.dim
+    T = batch.horizon
+    P = batch.n_paths
+    counts = batch.counts()
+    n_max = int(counts.max()) if P else 0
+    eye = np.eye(d)
+    J = eye + lin.M
+    if abs(float(np.linalg.det(J))) < _DET_FLOOR:
+        raise AssumptionError("det(I + M) vanished in the linear jump map")
+    J_inv = np.linalg.solve(J, eye)
+    phi0, comm = _linear_phi(lin)
+    seg_offsets, starts, ends = _segments(batch)
+    E, c = _linear_propagators(lin, ends - starts, d)
+    E_inv = np.linalg.solve(E, eye)
+    x = np.tile(sde.x0, (P, 1))
+    K = np.tile(eye, (P, 1, 1))
+    Kt = K.copy()
+    w = np.empty((batch.flat_times.size, d))   # K~_{T_i} phi(X_{T_i-})
+    for j in range(n_max + 1):
+        idx = np.flatnonzero(counts >= j)
+        s = seg_offsets[idx] + j
+        x[idx] = (E[s] @ x[idx, :, None])[:, :, 0] + c[s]
+        K[idx] = E[s] @ K[idx]
+        Kt[idx] = Kt[idx] @ E_inv[s]
+        idx = idx[counts[idx] > j]
+        if not idx.size:
+            continue
+        phi = phi0 + x[idx] @ comm.T
+        x[idx] = x[idx] @ J.T + lin.beta
+        K[idx] = J @ K[idx]
+        Kt[idx] = Kt[idx] @ J_inv
+        w[batch.offsets[idx] + j] = (Kt[idx] @ phi[:, :, None])[:, :, 0]
+    path_of_jump = np.repeat(np.arange(P), counts)
+    vectors = -(K[path_of_jump] @ w[:, :, None])[:, :, 0]
+    gamma = np.zeros((P, d, d))
+    acc = np.zeros((P, d))
+    for j in range(n_max):
+        idx = np.flatnonzero(counts > j)
+        flat = batch.offsets[idx] + j
+        tj = batch.flat_times[flat][:, None]
+        vj = vectors[flat]
+        cross = acc[idx, :, None] * vj[:, None, :]
+        gamma[idx] += (
+            cross + cross.transpose(0, 2, 1) + tj[:, :, None] * vj[:, :, None] * vj[:, None, :]
+        )
+        acc[idx] += vj * tj
+    gamma -= acc[:, :, None] * acc[:, None, :] / T
+    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    drift = float(np.max(np.abs(K @ Kt - eye))) if P else 0.0
+    return x, vectors, gamma, drift
+
+
 # ---- vectorized scalar engine ----
 
 def _scalar_batch_sweep(sde: JumpSde, batch: PathBatch):
-    """All-paths lockstep integration for d = 1 systems built from
+    """Time-major lockstep integration for d = 1 systems built from
     elementwise coefficients.
+
+    Each path walks its own segment schedule: `_segment_steps` steps of
+    h = span / steps per jump-free segment, at t = t_start + k h.  One
+    lockstep iteration advances every unfinished path by one step, so the
+    iteration count is the largest per-path step total, not a sum of
+    per-ordinal maxima.  A path that reaches a segment end gets the
+    K K~ = 1 check (K~ is reset to 1 / K past 1e-10) and, if a jump ends the
+    segment, the jump map.
 
     Returns (terminal (P,), gamma (P,), product_drift).  Per path the
     quadratic form uses w_i = K_tilde_{T_i} phi_i and, with jump times
@@ -560,83 +667,94 @@ def _scalar_batch_sweep(sde: JumpSde, batch: PathBatch):
     """
     ew = sde.elementwise
     T = batch.horizon
-    counts = batch.counts()
     P = batch.n_paths
-    starts = batch.offsets[:-1]
+    seg_offsets, starts, ends = _segments(batch)
+    span = ends - starts
+    steps = _segment_steps(span, T)
+    h_seg = span / np.maximum(steps, 1)
+    last = seg_offsets[1:] - 1
+    seg = seg_offsets[:-1].copy()     # current segment of every path
+    t0 = starts[seg]
+    h = h_seg[seg]
+    n = steps[seg]                    # -1 once a path has finished
+    k = np.zeros(P, dtype=np.int64)   # steps taken in the current segment
     x = np.full(P, sde.x0[0])
     K = np.ones(P)
     Kt = np.ones(P)
     q = np.zeros(P)        # sum_j w_j (2 A_j + w_j t_j)
     acc = np.zeros(P)      # running sum of w_i t_i
-    t_cur = np.zeros(P)
     drift_max = 0.0
 
-    def advance(target):
-        nonlocal x, K, Kt, drift_max
-        span = target - t_cur
-        live = span > 0.0
-        if not np.any(live):
-            return
-        steps = np.zeros(P, dtype=np.int64)
-        caps = np.minimum(_STEP_FRACTION * T, span[live] / _MIN_SEGMENT_STEPS)
-        steps[live] = np.maximum(1, np.ceil(span[live] / caps)).astype(np.int64)
-        h_full = np.where(live, span / np.maximum(steps, 1), 0.0)
-        for k in range(int(steps.max())):
-            h = np.where(k < steps, h_full, 0.0)
-            t = t_cur + k * h_full
-            f1 = ew.f(t, x)
-            j1 = ew.f_x(t, x)
-            k1x, k1k, k1t = f1, j1 * K, -Kt * j1
-            xm = x + 0.5 * h * k1x
-            f2 = ew.f(t + 0.5 * h, xm)
-            j2 = ew.f_x(t + 0.5 * h, xm)
-            k2x, k2k, k2t = f2, j2 * (K + 0.5 * h * k1k), -(Kt + 0.5 * h * k1t) * j2
-            xm = x + 0.5 * h * k2x
-            j3 = ew.f_x(t + 0.5 * h, xm)
-            k3x = ew.f(t + 0.5 * h, xm)
-            k3k, k3t = j3 * (K + 0.5 * h * k2k), -(Kt + 0.5 * h * k2t) * j3
-            xm = x + h * k3x
-            j4 = ew.f_x(t + h, xm)
-            k4x = ew.f(t + h, xm)
-            k4k, k4t = j4 * (K + h * k3k), -(Kt + h * k3t) * j4
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            K = K + (h / 6.0) * (k1k + 2.0 * k2k + 2.0 * k3k + k4k)
-            Kt = Kt + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        t_cur[live] = target[live]
-        drift = float(np.max(np.abs(K * Kt - 1.0)))
-        drift_max = max(drift_max, drift)
-        bad = np.abs(K * Kt - 1.0) > _PRODUCT_RESET
+    def close(idx):
+        """Segment ends of paths `idx`; returns the paths whose next
+        segment is empty and so ends at once."""
+        nonlocal drift_max
+        dev = np.abs(K[idx] * Kt[idx] - 1.0)
+        drift_max = max(drift_max, float(dev.max()))
+        bad = dev > _PRODUCT_RESET
         if np.any(bad):
-            Kt = np.where(bad, 1.0 / K, Kt)
+            Kt[idx[bad]] = 1.0 / K[idx[bad]]
+        jump = idx[seg[idx] < last[idx]]
+        if jump.size:
+            tj = ends[seg[jump]]
+            xj = x[jump]
+            gx = ew.g_x(tj, xj)
+            jfac = 1.0 + np.asarray(gx, dtype=float)
+            if np.any(np.abs(jfac) < _DET_FLOOR):
+                raise AssumptionError(
+                    "det(I + grad_x g) vanished at a jump in the batch"
+                )
+            gval = np.asarray(ew.g(tj, xj), dtype=float)
+            f_here = np.asarray(ew.f(tj, xj), dtype=float)
+            f_shift = np.asarray(ew.f(tj, xj + gval), dtype=float)
+            dgdt = np.asarray(ew.g_t(tj, xj), dtype=float)
+            phi = f_shift - f_here - gx * f_here - dgdt
+            K[jump] *= jfac
+            Kt[jump] /= jfac
+            w = Kt[jump] * phi
+            q[jump] += w * (2.0 * acc[jump] + w * tj)
+            acc[jump] += w * tj
+            x[jump] = xj + gval
+        seg[idx] += 1
+        done = seg[idx] > last[idx]
+        n[idx[done]] = -1
+        h[idx[done]] = 0.0
+        idx = idx[~done]
+        s = seg[idx]
+        t0[idx] = starts[s]
+        h[idx] = h_seg[s]
+        n[idx] = steps[s]
+        k[idx] = 0
+        return idx[n[idx] == 0]
 
-    max_n = int(counts.max()) if P else 0
-    for j in range(max_n):
-        has = counts > j
-        tj = np.where(has, T, t_cur)
-        tj[has] = batch.flat_times[starts[has] + j]
-        advance(np.where(has, tj, t_cur))
-        # jump application on the active paths
-        idx = np.flatnonzero(has)
-        tj_a = tj[idx]
-        x_a = x[idx]
-        gx = ew.g_x(tj_a, x_a)
-        jfac = 1.0 + np.asarray(gx, dtype=float)
-        if np.any(np.abs(jfac) < _DET_FLOOR):
-            raise AssumptionError(
-                "det(I + grad_x g) vanished at a jump in the batch"
-            )
-        gval = np.asarray(ew.g(tj_a, x_a), dtype=float)
-        f_here = np.asarray(ew.f(tj_a, x_a), dtype=float)
-        f_shift = np.asarray(ew.f(tj_a, x_a + gval), dtype=float)
-        dgdt = np.asarray(ew.g_t(tj_a, x_a), dtype=float)
-        phi = f_shift - f_here - gx * f_here - dgdt
-        K[idx] *= jfac
-        Kt[idx] /= jfac
-        w = Kt[idx] * phi
-        q[idx] += w * (2.0 * acc[idx] + w * tj_a)
-        acc[idx] += w * tj_a
-        x[idx] = x_a + gval
-    advance(np.full(P, T))
+    idx = np.flatnonzero(n == 0)
+    while idx.size:
+        idx = close(idx)
+    # finished paths take steps of h = 0
+    for _ in range(int(np.add.reduceat(steps, seg_offsets[:-1]).max()) if P else 0):
+        t = t0 + k * h
+        f1 = ew.f(t, x)
+        j1 = ew.f_x(t, x)
+        k1x, k1k, k1t = f1, j1 * K, -Kt * j1
+        xm = x + 0.5 * h * k1x
+        f2 = ew.f(t + 0.5 * h, xm)
+        j2 = ew.f_x(t + 0.5 * h, xm)
+        k2x, k2k, k2t = f2, j2 * (K + 0.5 * h * k1k), -(Kt + 0.5 * h * k1t) * j2
+        xm = x + 0.5 * h * k2x
+        j3 = ew.f_x(t + 0.5 * h, xm)
+        k3x = ew.f(t + 0.5 * h, xm)
+        k3k, k3t = j3 * (K + 0.5 * h * k2k), -(Kt + 0.5 * h * k2t) * j3
+        xm = x + h * k3x
+        j4 = ew.f_x(t + h, xm)
+        k4x = ew.f(t + h, xm)
+        k4k, k4t = j4 * (K + h * k3k), -(Kt + h * k3t) * j4
+        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        K = K + (h / 6.0) * (k1k + 2.0 * k2k + 2.0 * k3k + k4k)
+        Kt = Kt + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        k += 1
+        idx = np.flatnonzero(k == n)
+        while idx.size:
+            idx = close(idx)
     gamma = K * K * (q - acc * acc / T)
     if not np.all(np.isfinite(x)):
         raise RuntimeError("batch flow integration produced non-finite state")
@@ -676,6 +794,30 @@ class DensityCriteria:
     passed: bool
 
 
+def _per_path(sde: JumpSde, batch: PathBatch):
+    """`grad_and_gamma_XT` on every path, in the `_linear_batch` layout."""
+    reps = [grad_and_gamma_XT(sde, path) for path in batch]
+    d = sde.dim
+    terminal = np.array([rep.terminal for rep in reps]).reshape(-1, d)
+    vectors = np.concatenate([rep.vectors for rep in reps] + [np.empty((0, d))])
+    gamma = np.array([rep.gamma for rep in reps]).reshape(-1, d, d)
+    drift = max((rep.product_drift for rep in reps), default=0.0)
+    return terminal, vectors, gamma, drift
+
+
+def _spanning_ranks(vectors: np.ndarray, batch: PathBatch, min_jumps: int) -> np.ndarray:
+    """Rank of each path's (n_i, d) matrix of per-jump vectors, -1 below
+    `min_jumps` jumps.  Paths are grouped by jump count, so every rank comes
+    from `np.linalg.matrix_rank` on that path's own matrix and tolerance."""
+    counts = batch.counts()
+    ranks = np.full(counts.size, -1, dtype=np.int64)
+    for n in np.unique(counts[counts >= max(min_jumps, 1)]):
+        paths = np.flatnonzero(counts == n)
+        rows = batch.offsets[paths][:, None] + np.arange(n)
+        ranks[paths] = np.linalg.matrix_rank(vectors[rows])
+    return ranks
+
+
 def density_criteria(
     sde: JumpSde, batch: PathBatch, min_jumps: int = None
 ) -> DensityCriteria:
@@ -683,23 +825,25 @@ def density_criteria(
 
     `min_jumps` is the conditioning threshold (how many jumps the spanning
     argument needs); it defaults to 1 for scalar systems and to the
-    dimension for linear d-dim ones.
+    dimension for d-dim ones.  Linear systems, d = 1 included, take the
+    exact batched engine; other d = 1 systems with elementwise coefficients
+    take the time-major RK4 sweep; the rest are solved path by path.
     """
     counts = batch.counts()
     P = batch.n_paths
-    if sde.dim == 1:
+    d = sde.dim
+    if sde.linear is not None:
+        terminal, vectors, gamma, drift = _linear_batch(sde, batch)
+    elif d == 1 and sde.elementwise is not None:
+        terminal, gamma, drift = _scalar_batch_sweep(sde, batch)
+        terminal = terminal.reshape(P, 1)
+        gamma = gamma.reshape(P, 1, 1)
+    else:
+        terminal, vectors, gamma, drift = _per_path(sde, batch)
+
+    if d == 1:
         ell = 1 if min_jumps is None else int(min_jumps)
-        if sde.elementwise is not None:
-            terminal, gamma, drift = _scalar_batch_sweep(sde, batch)
-        else:
-            terminal = np.empty(P)
-            gamma = np.empty(P)
-            drift = 0.0
-            for i, path in enumerate(batch):
-                rep = grad_and_gamma_XT(sde, path)
-                terminal[i] = rep.terminal[0]
-                gamma[i] = rep.gamma[0, 0]
-                drift = max(drift, rep.product_drift)
+        gamma = gamma[:, 0, 0]
         cond = counts >= ell
         flags = gamma > 0.0
         cond_gamma = gamma[cond]
@@ -721,7 +865,7 @@ def density_criteria(
             n_conditioned=int(cond.sum()),
             min_jumps=ell,
             counts=counts,
-            terminal=terminal.reshape(P, 1),
+            terminal=terminal,
             per_path_det=gamma,
             per_path_min_eig=gamma,
             per_path_flag=flags,
@@ -737,24 +881,13 @@ def density_criteria(
         )
 
     # d-dimensional: spanning rank of the per-jump vectors
-    d = sde.dim
     ell = d if min_jumps is None else int(min_jumps)
-    terminal = np.empty((P, d))
-    dets = np.empty(P)
-    min_eigs = np.empty(P)
-    ranks = np.full(P, -1, dtype=np.int64)
-    flags = np.zeros(P, dtype=bool)
-    drift = 0.0
-    solver = _linear_sensitivity if sde.linear is not None else grad_and_gamma_XT
-    for i, path in enumerate(batch):
-        rep = solver(sde, path)
-        terminal[i] = rep.terminal
-        dets[i] = rep.det
-        min_eigs[i] = rep.min_eig
-        drift = max(drift, rep.product_drift)
-        if path.count >= ell:
-            ranks[i] = int(np.linalg.matrix_rank(rep.vectors))
-            flags[i] = ranks[i] == d
+    has = counts > 0
+    dets = np.where(has, np.linalg.det(gamma), 0.0)
+    min_eigs = np.zeros(P)
+    min_eigs[has] = np.linalg.eigvalsh(gamma[has])[:, 0]
+    ranks = _spanning_ranks(vectors, batch, ell)
+    flags = ranks == d
     cond = counts >= ell
     n_cond = int(cond.sum())
     cond_ranks = ranks[cond]

@@ -421,7 +421,13 @@ def compensator(model: HawkesModel, path: HawkesPath, t: Optional[float] = None)
         t = T
     if not (0.0 <= t <= T):
         raise ValueError(f"t must lie in [0, {T}], got {t}")
-    times = path.jump_times
+    return compensator_times(model, path.jump_times, t)
+
+
+def compensator_times(model: HawkesModel, times: np.ndarray, t: float) -> float:
+    """`compensator` over sorted jump times taken as given, without the
+    checks of `HawkesPath`: a jump at 0 is allowed and acts as the limit of
+    jumps at 0+."""
     if model.nonlinearity.is_linear():
         base_part = float(model.baseline.integral(np.float64(t)))
         prior = times[times < t]

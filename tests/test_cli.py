@@ -82,6 +82,35 @@ def test_config_error_exit_codes(tmp_path):
     assert run_cli("simulate", "--config", str(missing), "--out", str(tmp_path)) == 2
 
 
+def test_help_describes_every_command(capsys):
+    from hawkmal.cli import _COMMANDS
+
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    text = "".join(capsys.readouterr().out.split())
+    for name, fn in _COMMANDS.items():
+        assert fn.__doc__ and "\n" not in fn.__doc__.strip(), name
+        assert name + "".join(fn.__doc__.split()) in text, name
+
+
+def test_density_check_on_tanh_model(tmp_path):
+    ini = tmp_path / "tanh.ini"
+    ini.write_text(
+        "[run]\nhorizon = 1.0\npaths = 200\n"
+        "[model]\nnonlinearity = tanh\ncap = 2\n"
+        "[density]\nmax_n = 1\nmin_conditioned = 5\n"
+    )
+    out = tmp_path / "out"
+    code = run_cli(
+        "density-check", "--config", str(ini), "--seed", "3", "--out", str(out), "--no-timestamp"
+    )
+    assert code in (0, 1)
+    _, header, rows = read_csv(out / "density_report.csv")
+    assert rows[0][1] == "k1_mass_minus_one"
+    assert abs(float(rows[0][2])) <= 1e-6
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

@@ -256,3 +256,38 @@ def test_fit_refuses_thin_conditioning(hawkes_batch):
         density_vs_empirical(reference_model(), 5.0, 25, hawkes_batch)
     with pytest.raises(NormalizationError, match="n <= 2"):
         density_vs_empirical(reference_model(), 5.0, 5, hawkes_batch)
+
+
+def test_digest_key_separates_tanh_caps():
+    # the cap is part of the model: two caps must not share cached constants
+    def tanh_model(cap):
+        return HawkesModel(
+            baseline=BaselineSpec.constant(1.0),
+            kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
+            nonlinearity=NonlinearitySpec.saturating_tanh(cap=cap),
+        )
+
+    small, large = tanh_model(0.05), tanh_model(5.0)
+    assert small.digest_key() != large.digest_key()
+    assert tanh_model(5.0).digest_key() == large.digest_key()
+    z_small, _ = normalization_constant(small, 2.0, 1, method="quadrature")
+    z_large, _ = normalization_constant(large, 2.0, 1, method="quadrature")
+    from hawkmal.density import _simplex_quadrature_mass
+
+    assert z_large == _simplex_quadrature_mass(large, 2.0, 1)
+    assert z_small == _simplex_quadrature_mass(small, 2.0, 1)
+    assert z_large != pytest.approx(z_small, rel=1e-3)
+
+
+def test_log_kappa_rows_nonlinear_accepts_time_zero():
+    # density-check evaluates k_1 on a grid that starts at t = 0; the
+    # nonlinear compensator there is the t -> 0+ limit
+    model = HawkesModel(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
+        nonlinearity=NonlinearitySpec.saturating_tanh(cap=0.7),
+    )
+    rows = np.array([[0.0], [1e-9], [0.5]])
+    vals = log_kappa_rows(model, 2.0, rows)
+    assert np.all(np.isfinite(vals))
+    assert vals[0] == pytest.approx(vals[1], rel=1e-7)

@@ -1,10 +1,13 @@
 """Jump-SDE checks: flow accuracy against closed forms and an independent
 Euler scheme, tangent closed forms, FD oracles for the per-jump vectors,
 and the absolute-continuity criteria."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hawkmal.malliavin import carre_du_champ
 from hawkmal.model import (
@@ -23,10 +26,12 @@ from hawkmal.sde import (
     solve_flow,
     solve_path,
     tangents,
+    _linear_batch,
     _linear_sensitivity,
     _scalar_batch_sweep,
+    _spanning_ranks,
 )
-from hawkmal.simulate import HawkesPath, simulate_batch
+from hawkmal.simulate import HawkesPath, PathBatch, simulate_batch
 
 
 def reference_model():
@@ -348,3 +353,158 @@ def test_density_criteria_min_jumps_override():
 def test_unknown_preset():
     with pytest.raises(ValueError, match="preset"):
         sde_preset("heston")
+
+
+# ---- batched engines against the per-path oracles ----
+
+def batch_of(paths, T):
+    """PathBatch holding the given sorted jump-time lists."""
+    counts = [len(t) for t in paths]
+    return PathBatch(
+        horizon=T,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate([np.asarray(t, dtype=float) for t in paths] + [np.empty(0)]),
+    )
+
+
+@st.composite
+def jump_sets(draw, T, max_jumps, min_gap=0.0):
+    """Strictly increasing jump times in (0, T], at least `min_gap` apart."""
+    raw = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=max_jumps))
+    times = np.unique(np.asarray(raw) * T)
+    if min_gap > 0.0 and times.size:
+        keep = np.concatenate([[True], np.diff(times) >= min_gap])
+        times = times[keep & (times >= min_gap) & (times <= T - min_gap)]
+    return times.tolist()
+
+
+def gram_scale(vectors, t):
+    """sum_ij |v_i| |v_j| (t_i ^ t_j): the size of the terms the Gram sums
+    cancel, and so the scale of their rounding error."""
+    a = np.abs(vectors)
+    return float(np.max(a.T @ np.minimum.outer(t, t) @ a, initial=0.0))
+
+
+def time_dependent_scalar(x0):
+    """f and g depend on t, so the step times and jump times matter."""
+    return JumpSde.scalar(
+        f=lambda t, x: np.cos(x) + 0.5 * np.sin(3.0 * t),
+        f_x=lambda t, x: -np.sin(x),
+        g=lambda t, x: 0.3 * np.sin(x) + 0.1 * t,
+        g_x=lambda t, x: 0.3 * np.cos(x),
+        g_t=lambda t, x: 0.1 * np.ones_like(np.asarray(x, dtype=float)),
+        x0=x0,
+    )
+
+
+_SWEEP_T = 1.0
+_TINY = np.finfo(float).tiny  # subnormal results are rounding noise
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    paths=st.lists(jump_sets(_SWEEP_T, 8), min_size=1, max_size=2),
+    near_T=st.floats(1e-4, 1e-2),
+    outlier=jump_sets(_SWEEP_T, 60),
+    x0=st.floats(-2.0, 2.0),
+    timed=st.booleans(),
+)
+# a subnormal first span, whose span / 16 underflows to 0
+@example(paths=[[5e-324]], near_T=1e-3, outlier=[], x0=0.0, timed=False)
+def test_time_major_sweep_matches_per_path(paths, near_T, outlier, x0, timed):
+    # always one path with no jump, one with a jump just before T, and one
+    # with an outlying jump count next to the drawn ones
+    T = _SWEEP_T
+    paths = paths + [[], [T - near_T], outlier]
+    batch = batch_of(paths, T)
+    sde = time_dependent_scalar(x0) if timed else JumpSde.cos_sin(x0=x0)
+    terminal, gamma, drift = _scalar_batch_sweep(sde, batch)
+    assert drift <= 1e-8
+    for i, path in enumerate(batch):
+        rep = grad_and_gamma_XT(sde, path)
+        assert terminal[i] == pytest.approx(rep.terminal[0], rel=1e-9, abs=1e-12)
+        scale = gram_scale(rep.vectors, path.jump_times)
+        assert gamma[i] == pytest.approx(
+            rep.gamma[0, 0], rel=1e-9, abs=1e-9 * scale + _TINY
+        )
+
+
+def random_stable_3d(seed):
+    rng = np.random.default_rng(seed)
+    A = -np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    M = 0.3 * rng.standard_normal((3, 3))
+    return JumpSde.linear_dd(
+        A=A,
+        b=rng.standard_normal(3),
+        M=M,
+        beta=rng.standard_normal(3),
+        x0=rng.standard_normal(3),
+        label="random-3d",
+    )
+
+
+_LINEAR_T = 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=st.one_of(
+        st.just(sde_preset("linear-scalar")),
+        st.just(sde_preset("linear-d2")),
+        st.integers(0, 2**32 - 1).map(random_stable_3d),
+    ),
+    paths=st.lists(jump_sets(_LINEAR_T, 7, min_gap=0.05), min_size=1, max_size=6),
+)
+def test_batched_linear_engine_matches_per_path(system, paths):
+    """rtol 1e-9 throughout; det and min_eig also get an absolute floor of
+    1e-9 of the matching power of |Gamma|, since below d jumps Gamma is
+    singular and both values are rounding noise."""
+    T = _LINEAR_T
+    d = system.dim
+    batch = batch_of(paths + [[]], T)
+    terminal, vectors, gamma, drift = _linear_batch(system, batch)
+    crit = density_criteria(system, batch)
+    ranks = _spanning_ranks(vectors, batch, d)
+    assert drift <= 1e-10
+    for i, path in enumerate(batch):
+        rep = _linear_sensitivity(system, path)
+        norm = float(np.max(np.abs(rep.gamma)))
+        np.testing.assert_allclose(terminal[i], rep.terminal, rtol=1e-9)
+        np.testing.assert_allclose(gamma[i], rep.gamma, rtol=1e-9, atol=1e-9 * norm)
+        det = crit.per_path_det[i]
+        min_eig = crit.per_path_min_eig[i]
+        assert det == pytest.approx(rep.det, rel=1e-9, abs=1e-9 * norm**d)
+        assert min_eig == pytest.approx(rep.min_eig, rel=1e-9, abs=1e-9 * norm)
+        if path.count >= d:
+            assert ranks[i] == np.linalg.matrix_rank(rep.vectors)
+        else:
+            assert ranks[i] == -1
+
+
+def test_linear_engines_noncommuting_match_rk4():
+    # when A M != M A, phi depends on the pre-jump state: phi = [A, M] x + phi0
+    sde = random_stable_3d(4418260)
+    assert np.max(np.abs(sde.linear.A @ sde.linear.M - sde.linear.M @ sde.linear.A)) > 0.1
+    t = [0.5, 1.0, 1.5, 1.75, 1.875]
+    batch = batch_of([t], _LINEAR_T)
+    generic = grad_and_gamma_XT(sde, batch.path(0))
+    exact = _linear_sensitivity(sde, batch.path(0))
+    terminal, vectors, gamma, _ = _linear_batch(sde, batch)
+    for vec, gam in ((exact.vectors, exact.gamma), (vectors, gamma[0])):
+        np.testing.assert_allclose(vec, generic.vectors, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(gam, generic.gamma, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(terminal[0], generic.terminal, rtol=1e-9)
+
+
+def test_cos_sin_sweep_known_answer():
+    """sha256 of the sweep's bytes on a fixed batch, as the ordinal-major
+    sweep produced them: the time-major order must not move a bit.  (numpy's
+    vectorized cos/sin may round differently on other CPU families.)"""
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=2024, n_paths=200)
+    terminal, gamma, drift = _scalar_batch_sweep(JumpSde.cos_sin(x0=0.0), batch)
+    digest = hashlib.sha256(
+        terminal.tobytes() + gamma.tobytes() + np.float64(drift).tobytes()
+    ).hexdigest()
+    assert digest == "02edf30bbe18df2386dae37b2427b39050d1dd77c0c77e7bb5760d61e34c537e"
