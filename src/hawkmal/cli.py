@@ -6,8 +6,8 @@ into it, and stamps a 12-hex digest of the resulting effective settings
 into the first header line of every CSV written.  A second
 ``# generated=...`` line carries the wall clock and is suppressed by
 ``--no-timestamp``, so a rerun with the same config and seed produces
-byte-identical files.  ``--workers`` is an execution detail: it never
-enters the digest and never changes a single output byte.
+byte-identical files.  ``--workers`` is accepted for compatibility and
+ignored: it never enters the digest and never changes an output byte.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 config or command line, 3 a model or estimator assumption was violated.
@@ -333,7 +333,6 @@ def _echo_report(report: ExperimentReport) -> None:
 class _Invocation:
     config: RunConfig
     out_dir: str
-    workers: int
     timestamp: Optional[str]
 
     def batch(self, model, n_paths=None, first_index=0):
@@ -342,7 +341,6 @@ class _Invocation:
             self.config.horizon,
             self.config.seed,
             self.config.n_paths if n_paths is None else n_paths,
-            n_workers=self.workers,
             first_index=first_index,
         )
 
@@ -695,7 +693,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="<n>",
-            help="simulation worker count (never affects output bytes)",
+            help="accepted for compatibility and ignored (must be >= 1)",
         )
     return parser
 
@@ -712,9 +710,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.no_timestamp
             else datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         )
-        inv = _Invocation(
-            config=config, out_dir=args.out, workers=args.workers, timestamp=timestamp
-        )
+        inv = _Invocation(config=config, out_dir=args.out, timestamp=timestamp)
         print(f"digest {config.digest}")
         passed = _COMMANDS[args.command](inv)
     except ConfigError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 from scipy.integrate import cumulative_trapezoid
 
-from .model import HawkesModel
+from .model import HawkesModel, strict_lags
 from .simulate import PathBatch, compensator_times, simulate_batch
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator
 
@@ -97,9 +97,7 @@ def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be (n_points, n) shaped")
-    lags = rows[:, :, None] - rows[:, None, :]
-    before = lags > 0.0  # j strictly earlier than i
-    exc = np.where(before, model.kernel.mu(np.maximum(lags, 0.0)), 0.0).sum(axis=2)
+    exc = strict_lags(model.kernel.mu, rows[:, None, :], rows).sum(axis=2)
     lam = model.baseline.value(rows) + model.nonlinearity.value(exc)
     log_prod = np.log(lam).sum(axis=1)
     if model.nonlinearity.is_linear():
@@ -124,13 +122,12 @@ def count_distribution(
     T: float,
     n_mc: int = DEFAULT_NORMALIZATION_PATHS,
     master_seed: int = DEFAULT_NORMALIZATION_SEED,
-    n_workers: int = 1,
 ) -> np.ndarray:
     """Histogram of N_T over n_mc simulated paths (cached per model/T)."""
     key = (model.digest_key(), float(T), int(n_mc), int(master_seed))
     hist = _count_cache.get(key)
     if hist is None:
-        batch = simulate_batch(model, T, master_seed, n_mc, n_workers=n_workers)
+        batch = simulate_batch(model, T, master_seed, n_mc)
         hist = np.bincount(batch.counts())
         _count_cache[key] = hist
     return hist
@@ -143,7 +140,6 @@ def normalization_constant(
     method: str = "mc",
     n_mc: int = DEFAULT_NORMALIZATION_PATHS,
     master_seed: int = DEFAULT_NORMALIZATION_SEED,
-    n_workers: int = 1,
 ) -> Tuple[float, float]:
     """Estimate Z_n = P(N_T = n); returns (value, standard error).
 
@@ -154,7 +150,7 @@ def normalization_constant(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if method == "mc":
-        hist = count_distribution(model, T, n_mc, master_seed, n_workers)
+        hist = count_distribution(model, T, n_mc, master_seed)
         hits = float(hist[n]) if n < hist.size else 0.0
         p = hits / n_mc
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n_mc)

@@ -23,7 +23,7 @@ from .malliavin import (
     product_smooth,
     z_eps_batch,
 )
-from .model import HawkesModel
+from .model import HawkesModel, strict_lags
 from .simulate import PathBatch
 
 _Z_THRESHOLD = 3.0
@@ -138,11 +138,8 @@ def mean_intensity_batch(model: HawkesModel, batch: PathBatch, grid) -> np.ndarr
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size, batch.n_paths))
     for i, s in enumerate(grid):
-        earlier = times < s  # padding equals the horizon, so it never counts
-        exc = np.sum(
-            np.where(earlier, model.kernel.mu(np.maximum(s - times, 0.0)), 0.0),
-            axis=1,
-        )
+        # padding equals the horizon, so it never counts
+        exc = strict_lags(model.kernel.mu, times, s).sum(axis=1)
         out[i] = float(model.baseline.value(np.float64(s))) + np.asarray(
             model.nonlinearity.value(exc), dtype=float
         )

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .model import HawkesModel
+from .model import HawkesModel, strict_lags
 from .simulate import HawkesPath, PathBatch, _adaptive_simpson
 
 __all__ = [
@@ -300,7 +300,7 @@ def carre_du_champ(gF: MalliavinGradient, gG: MalliavinGradient) -> float:
     t = gF.jump_times
     if t.size == 0:
         return 0.0
-    xi = np.minimum(t[:, None], t[None, :]) - np.outer(t, t) / gF.horizon
+    xi = xi_kernel(gF.horizon, t[:, None], t)
     return float(gF.partials @ xi @ gG.partials)
 
 
@@ -314,7 +314,7 @@ def condition2_slack(T: float, times: np.ndarray, coeffs: np.ndarray) -> float:
         raise ValueError("times and coeffs must have the same length")
     if t.size == 0:
         return 0.0
-    xi = np.minimum(t[:, None], t[None, :]) - np.outer(t, t) / T
+    xi = xi_kernel(T, t[:, None], t)
     quad = float(c @ xi @ c)
     padded = np.concatenate([[0.0], t, [T]])
     gaps_prev = np.diff(padded)[:-1]   # t_k - t_{k-1}
@@ -363,11 +363,8 @@ def _weight_core(model: HawkesModel, t: np.ndarray, T: float, val_fn, anti_fn):
         z = np.empty(0)
         return z, z, z, z, z
 
-    lags = t[:, None] - t[None, :]
-    before = lags > 0.0
-    safe = np.maximum(lags, 0.0)
-    S = np.where(before, kernel.mu(safe), 0.0).sum(axis=1)  # pre-jump excitation
-    mup = np.where(before, kernel.mu_prime(safe), 0.0)
+    S = model.excitation(t, t)  # pre-jump excitation
+    mup = strict_lags(kernel.mu_prime, t, t)
     anti_t = np.asarray(anti_fn(t), dtype=float)
     val_t = np.asarray(val_fn(t), dtype=float)
     cross = ((anti_t[:, None] - anti_t[None, :]) * mup).sum(axis=1)

@@ -30,12 +30,15 @@ __all__ = [
     "ValidationReport",
     "validate_assumptions",
     "intensity",
+    "strict_lags",
     "kernel_tail_mass",
 ]
 
 # Grid used to certify sup bounds of custom/oscillatory families.
 _SUP_GRID_POINTS = 10_000
 _SUP_SAFETY = 1.01
+# Lags at which a custom kernel's mu and mu_hat fingerprint its shape.
+_KERNEL_PROBE = np.array([0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
 
 
 class AssumptionError(ValueError):
@@ -335,12 +338,9 @@ class HawkesModel:
     def excitation(self, jump_times: np.ndarray, s) -> np.ndarray:
         """sum_{t_i < s} mu(s - t_i), vectorized in s (strict inequality)."""
         s = np.asarray(s, dtype=float)
-        t = np.asarray(jump_times, dtype=float)
-        if t.size == 0:
+        if np.size(jump_times) == 0:
             return np.zeros_like(s)
-        lag = s[..., None] - t
-        vals = np.where(lag > 0, self.kernel.mu(np.maximum(lag, 0.0)), 0.0)
-        return vals.sum(axis=-1)
+        return strict_lags(self.kernel.mu, jump_times, s).sum(axis=-1)
 
     def intensity(self, jump_times, s):
         return intensity(self, jump_times, s)
@@ -348,8 +348,9 @@ class HawkesModel:
     def digest_key(self) -> tuple:
         """Hashable identity for caches (normalization constants etc.) and
         report digests; it ends with the nonlinearity's parameters (none
-        for the linear family)."""
-        return (
+        for the linear family) and, for a custom kernel, with mu and mu_hat
+        sampled on a fixed probe grid."""
+        key = (
             self.baseline.family,
             self.baseline.params,
             self.kernel.family,
@@ -360,6 +361,13 @@ class HawkesModel:
             self.nonlinearity.lipschitz,
             *self.nonlinearity.params,
         )
+        if self.kernel.family == "custom":
+            key += tuple(
+                float(v)
+                for fn in (self.kernel.mu, self.kernel.mu_hat)
+                for v in np.asarray(fn(_KERNEL_PROBE), dtype=float)
+            )
+        return key
 
 
 def validate_assumptions(model: HawkesModel) -> ValidationReport:
@@ -400,6 +408,14 @@ def intensity(model: HawkesModel, jump_times, s):
         model.excitation(t, s_arr)
     )
     return float(lam) if np.isscalar(s) or np.ndim(s) == 0 else lam
+
+
+def strict_lags(fn, jump_times, s) -> np.ndarray:
+    """fn(s - t_i) where t_i < s and 0 elsewhere, shaped s.shape + (n,) and
+    broadcast against `jump_times`: only strictly earlier jumps count, so
+    its sum over the last axis with fn = mu is the pre-jump excitation."""
+    lag = np.asarray(s, dtype=float)[..., None] - np.asarray(jump_times, dtype=float)
+    return np.where(lag > 0.0, fn(np.maximum(lag, 0.0)), 0.0)
 
 
 def kernel_tail_mass(model: HawkesModel, start: float) -> float:

@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from .malliavin import MalliavinGradient, xi_kernel
 from .model import AssumptionError
 from .simulate import HawkesPath, PathBatch
 
@@ -260,8 +261,6 @@ class SensitivityReport:
     def gradient_component(self, component: int = 0):
         """The scalar-component gradient in the shared jump-time
         representation (partials = v_i[component])."""
-        from .malliavin import MalliavinGradient
-
         return MalliavinGradient(
             self.jump_times, self.vectors[:, component].copy(), self.horizon
         )
@@ -269,16 +268,24 @@ class SensitivityReport:
 
 # ---- deterministic flow ----
 
-def _rk4_run(fun, s: float, span: float, y, n: int):
+def _rk4_step(rhs, t, h, y: tuple) -> tuple:
+    """One classical RK4 step of y' = rhs(t, y) for a tuple of arrays; `t`
+    and `h` may be per-path arrays that broadcast against them."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, tuple(a + 0.5 * h * k for a, k in zip(y, k1)))
+    k3 = rhs(t + 0.5 * h, tuple(a + 0.5 * h * k for a, k in zip(y, k2)))
+    k4 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k3)))
+    return tuple(
+        a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+
+
+def _rk4_run(rhs, s: float, span: float, y: tuple, n: int) -> tuple:
+    """n equal RK4 steps over [s, s + span], at t = s + k h."""
     h = span / n
-    t = s
     for k in range(n):
-        k1 = fun(t, y)
-        k2 = fun(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = fun(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = fun(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = s + (k + 1) * h
+        y = _rk4_step(rhs, s + k * h, h, y)
     return y
 
 
@@ -323,8 +330,9 @@ def solve_flow(
     if H <= 0.0:
         raise ValueError("horizon must be positive")
     n = int(_segment_steps(span, H))
-    coarse = _rk4_run(sde.drift, s, span, x, n)
-    fine = _rk4_run(sde.drift, s, span, x, 2 * n)
+    rhs = lambda t, y: (sde.drift(t, y[0]),)
+    (coarse,) = _rk4_run(rhs, s, span, (x,), n)
+    (fine,) = _rk4_run(rhs, s, span, (x,), 2 * n)
     if not np.all(np.isfinite(fine)):
         raise RuntimeError("flow integration produced non-finite state")
     err = float(np.max(np.abs(fine - coarse))) / 15.0
@@ -404,31 +412,13 @@ def _tangent_sweep(sde: JumpSde, path: HawkesPath):
     ktil_post = np.empty((n, d, d))
     dets = np.empty(n)
 
+    rhs = lambda t, y: _tangent_rhs(sde, t, y)
+
     def advance(s, e, x, K, Kt):
         span = e - s
         if span <= 0.0:
             return x, K, Kt
-        steps = int(_segment_steps(span, T))
-        h = span / steps
-        t = s
-        for k in range(steps):
-            x1, K1, Kt1 = _tangent_rhs(sde, t, x, K, Kt)
-            x2, K2, Kt2 = _tangent_rhs(
-                sde, t + 0.5 * h, x + 0.5 * h * x1, K + 0.5 * h * K1,
-                Kt + 0.5 * h * Kt1,
-            )
-            x3, K3, Kt3 = _tangent_rhs(
-                sde, t + 0.5 * h, x + 0.5 * h * x2, K + 0.5 * h * K2,
-                Kt + 0.5 * h * Kt2,
-            )
-            x4, K4, Kt4 = _tangent_rhs(
-                sde, t + h, x + h * x3, K + h * K3, Kt + h * Kt3
-            )
-            x = x + (h / 6.0) * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
-            K = K + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-            Kt = Kt + (h / 6.0) * (Kt1 + 2.0 * Kt2 + 2.0 * Kt3 + Kt4)
-            t = s + (k + 1) * h
-        return x, K, Kt
+        return _rk4_run(rhs, s, span, (x, K, Kt), int(_segment_steps(span, T)))
 
     prev = 0.0
     for i, tj in enumerate(path.jump_times):
@@ -451,7 +441,9 @@ def _tangent_sweep(sde: JumpSde, path: HawkesPath):
     return x, pre, K, Kt, ktil_post, dets, drift_max
 
 
-def _tangent_rhs(sde: JumpSde, t: float, x, K, Kt):
+def _tangent_rhs(sde: JumpSde, t: float, y: tuple) -> tuple:
+    """(f, (grad f) K, -K~ (grad f)) at the triple y = (x, K, K~)."""
+    x, K, Kt = y
     J = np.atleast_2d(np.asarray(sde.drift_jac(t, x), dtype=float))
     return np.atleast_1d(np.asarray(sde.drift(t, x), dtype=float)), J @ K, -Kt @ J
 
@@ -481,7 +473,7 @@ def grad_and_gamma_XT(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
         phi = phi_jump_sensitivity(sde, float(t[i]), pre[i])
         v[i] = -(K @ ktil_post[i]) @ phi
     if n:
-        xi = np.minimum.outer(t, t) - np.outer(t, t) / path.horizon
+        xi = xi_kernel(path.horizon, t[:, None], t)
         gamma = v.T @ xi @ v
         gamma = 0.5 * (gamma + gamma.T)
     else:
@@ -558,7 +550,7 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
     for i in range(n):
         v[i] = -(K @ ktil_post[i]) @ phi[i]
     if n:
-        xi = np.minimum.outer(t, t) - np.outer(t, t) / T
+        xi = xi_kernel(T, t[:, None], t)
         gamma = v.T @ xi @ v
         gamma = 0.5 * (gamma + gamma.T)
         eigs = np.linalg.eigvalsh(gamma)
@@ -685,6 +677,11 @@ def _scalar_batch_sweep(sde: JumpSde, batch: PathBatch):
     acc = np.zeros(P)      # running sum of w_i t_i
     drift_max = 0.0
 
+    def rhs(t, y):
+        """(f, f_x K, -K~ f_x), elementwise over the paths."""
+        j = ew.f_x(t, y[0])
+        return ew.f(t, y[0]), j * y[1], -y[2] * j
+
     def close(idx):
         """Segment ends of paths `idx`; returns the paths whose next
         segment is empty and so ends at once."""
@@ -732,25 +729,7 @@ def _scalar_batch_sweep(sde: JumpSde, batch: PathBatch):
         idx = close(idx)
     # finished paths take steps of h = 0
     for _ in range(int(np.add.reduceat(steps, seg_offsets[:-1]).max()) if P else 0):
-        t = t0 + k * h
-        f1 = ew.f(t, x)
-        j1 = ew.f_x(t, x)
-        k1x, k1k, k1t = f1, j1 * K, -Kt * j1
-        xm = x + 0.5 * h * k1x
-        f2 = ew.f(t + 0.5 * h, xm)
-        j2 = ew.f_x(t + 0.5 * h, xm)
-        k2x, k2k, k2t = f2, j2 * (K + 0.5 * h * k1k), -(Kt + 0.5 * h * k1t) * j2
-        xm = x + 0.5 * h * k2x
-        j3 = ew.f_x(t + 0.5 * h, xm)
-        k3x = ew.f(t + 0.5 * h, xm)
-        k3k, k3t = j3 * (K + 0.5 * h * k2k), -(Kt + 0.5 * h * k2t) * j3
-        xm = x + h * k3x
-        j4 = ew.f_x(t + h, xm)
-        k4x = ew.f(t + h, xm)
-        k4k, k4t = j4 * (K + h * k3k), -(Kt + h * k3t) * j4
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        K = K + (h / 6.0) * (k1k + 2.0 * k2k + 2.0 * k3k + k4k)
-        Kt = Kt + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        x, K, Kt = _rk4_step(rhs, t0 + k * h, h, (x, K, Kt))
         k += 1
         idx = np.flatnonzero(k == n)
         while idx.size:
@@ -882,7 +861,8 @@ def density_criteria(
 
     # d-dimensional: spanning rank of the per-jump vectors
     ell = d if min_jumps is None else int(min_jumps)
-    has = counts > 0
+    # below d jumps Gamma has rank < d: det and min_eig are exactly 0
+    has = counts >= d
     dets = np.where(has, np.linalg.det(gamma), 0.0)
     min_eigs = np.zeros(P)
     min_eigs[has] = np.linalg.eigvalsh(gamma[has])[:, 0]

@@ -14,13 +14,12 @@ non-monotone custom gamma or a bad baseline bound).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .model import AssumptionError, HawkesModel
+from .model import AssumptionError, HawkesModel, strict_lags
 
 __all__ = [
     "HawkesPath",
@@ -32,9 +31,8 @@ __all__ = [
     "compensator_batch",
 ]
 
-# Fixed chunk width for batch fan-out.  Chunk boundaries depend only on path
-# index, never on the worker count, so reductions downstream see identical
-# arrays no matter how the work was scheduled.
+# Fixed chunk width of `simulate_batch`: a memory bound on the lockstep
+# arrays.  The Markov engine is elementwise, so the width never changes bytes.
 _CHUNK = 4096
 _MAX_ROUNDS = 500_000  # lockstep safety cap (candidates per path)
 _ENVELOPE_SLACK = 1e-12
@@ -358,43 +356,28 @@ def simulate_batch(
 ) -> PathBatch:
     """n_paths independent paths with indices [first_index, first_index+n).
 
-    Bit-identical output for fixed (master_seed, first_index, n_paths)
-    regardless of `n_workers`: work is split into fixed-width chunks by path
-    index, each path owns its RNG substream, and chunks are reassembled in
-    index order.
+    Bit-identical output for fixed (master_seed, first_index, n_paths): each
+    path owns its RNG substream, and the paths are simulated in fixed-width
+    chunks by path index, which bound the lockstep arrays' memory.
+    `n_workers` is accepted for compatibility and ignored; threads only
+    slowed the GIL-bound chunks down.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     _check_simulable(model)
 
-    starts = list(range(0, n_paths, _CHUNK))
-    jobs = [(first_index + s, min(_CHUNK, n_paths - s)) for s in starts]
+    results = [
+        _simulate_chunk(model, T, master_seed, first_index + s, min(_CHUNK, n_paths - s))
+        for s in range(0, n_paths, _CHUNK)
+    ]
 
-    def run(job):
-        f, m = job
-        return _simulate_chunk(model, T, master_seed, f, m)
-
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-
-    sizes = [int(off[-1]) for off, _ in results]
-    flat = (
-        np.concatenate([t for _, t in results])
-        if sizes and sum(sizes) > 0
-        else np.empty(0, dtype=float)
-    )
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    pos = 0
-    shift = 0
-    for (off, _), (_, m) in zip(results, jobs):
-        offsets[pos + 1 : pos + m + 1] = off[1:] + shift
-        shift += int(off[-1])
-        pos += m
+    np.cumsum(np.concatenate([np.diff(off) for off, _ in results]), out=offsets[1:])
+    flat = np.concatenate([tms for _, tms in results])
     return PathBatch(
         horizon=float(T),
         master_seed=int(master_seed),
@@ -489,11 +472,7 @@ def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] =
         raise ValueError(f"t must lie in [0, {T}], got {t}")
     if model.nonlinearity.is_linear():
         base_part = float(model.baseline.integral(np.float64(t)))
-        vals = np.where(
-            batch.flat_times < t,
-            model.kernel.mu_hat(np.maximum(t - batch.flat_times, 0.0)),
-            0.0,
-        )
+        vals = strict_lags(model.kernel.mu_hat, batch.flat_times, t)
         csum = np.concatenate([[0.0], np.cumsum(vals)])
         seg = csum[batch.offsets[1:]] - csum[batch.offsets[:-1]]
         return base_part + seg

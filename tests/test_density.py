@@ -279,6 +279,38 @@ def test_digest_key_separates_tanh_caps():
     assert z_large != pytest.approx(z_small, rel=1e-3)
 
 
+def test_digest_key_separates_custom_kernel_shapes():
+    # equal L1 norms, different shapes: the quadrature cache must not hand
+    # the second model the first one's constant
+    def custom_exp_model(alpha, beta):
+        kernel = KernelSpec.custom(
+            mu=lambda t: alpha * np.exp(-beta * np.asarray(t, dtype=float)),
+            mu_prime=lambda t: -alpha * beta * np.exp(-beta * np.asarray(t, dtype=float)),
+            mu_hat=lambda t: (alpha / beta) * -np.expm1(-beta * np.asarray(t, dtype=float)),
+            l1_norm=alpha / beta,
+            sup_norm=alpha,
+            sup_deriv=alpha * beta,
+            nonincreasing=True,
+        )
+        return HawkesModel(BaselineSpec.constant(1.0), kernel, NonlinearitySpec.linear())
+
+    from hawkmal.density import _simplex_quadrature_mass
+
+    m1, m2 = custom_exp_model(0.5, 1.0), custom_exp_model(1.0, 2.0)
+    assert m1.digest_key() != m2.digest_key()
+    assert custom_exp_model(1.0, 2.0).digest_key() == m2.digest_key()
+    z1, _ = normalization_constant(m1, 5.0, 1, method="quadrature")
+    z2, _ = normalization_constant(m2, 5.0, 1, method="quadrature")
+    assert z1 == _simplex_quadrature_mass(m1, 5.0, 1)
+    assert z2 == _simplex_quadrature_mass(m2, 5.0, 1)
+    assert z2 != pytest.approx(z1, rel=1e-2)
+    # exponential keys keep their parent-commit form
+    exp_key = HawkesModel(
+        BaselineSpec.constant(1.0), KernelSpec.exponential(0.5, 1.0), NonlinearitySpec.linear()
+    ).digest_key()
+    assert exp_key == ("constant", (1.0,), "exponential", 0.5, 1.0, 0.5, "linear", 1.0)
+
+
 def test_log_kappa_rows_nonlinear_accepts_time_zero():
     # density-check evaluates k_1 on a grid that starts at t = 0; the
     # nonlinear compensator there is the t -> 0+ limit

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkmal.malliavin import (
     CameronMartinFunction,
@@ -19,8 +21,10 @@ from hawkmal.malliavin import (
     divergence_m,
     divergence_m_batch,
     divergence_predictable,
+    _excitation_recurrences,
     grad_smooth,
     jump_count,
+    padded_jumps,
     product_smooth,
     weight_terms,
     xi_kernel,
@@ -33,7 +37,7 @@ from hawkmal.model import (
     KernelSpec,
     NonlinearitySpec,
 )
-from hawkmal.simulate import HawkesPath, compensator, simulate_batch
+from hawkmal.simulate import HawkesPath, PathBatch, compensator, simulate_batch
 
 
 def reference_model():
@@ -667,3 +671,37 @@ def test_basis_projection_decreases_and_small_at_256():
         assert res <= prev + 1e-15
         prev = res
     assert basis_projection_check(g, 256) <= 0.05 * norm
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    paths=st.lists(
+        st.lists(st.floats(0.0, 5.0, exclude_min=True), max_size=12), min_size=1, max_size=5
+    ),
+    norm=st.floats(0.0, 0.9),
+    beta=st.floats(0.1, 5.0),
+)
+def test_excitation_recurrences_match_excitation(paths, norm, beta):
+    # the O(P K) recurrence on a padded batch against the pairwise sum;
+    # subnormal values (a subnormal alpha) are rounding noise
+    alpha = norm * beta
+    paths = [np.unique(p) for p in paths]
+    counts = [p.size for p in paths]
+    batch = PathBatch(
+        horizon=5.0,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate(paths + [np.empty(0)]),
+    )
+    model = HawkesModel(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=alpha, beta=beta),
+        nonlinearity=NonlinearitySpec.linear(),
+    )
+    times, mask = padded_jumps(batch)
+    S, _ = _excitation_recurrences(times, mask, alpha, beta, np.zeros_like(times))
+    for i, t in enumerate(paths):
+        np.testing.assert_allclose(
+            S[i, : t.size], model.excitation(t, t), rtol=1e-12, atol=np.finfo(float).tiny
+        )

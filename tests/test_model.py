@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkmal.model import (
     AssumptionError,
@@ -13,6 +15,7 @@ from hawkmal.model import (
     NonlinearitySpec,
     intensity,
     kernel_tail_mass,
+    strict_lags,
     validate_assumptions,
 )
 
@@ -196,3 +199,28 @@ def test_validation_is_fast():
         validate_assumptions(model)
     elapsed = (time.perf_counter() - start) / 100
     assert elapsed < 1e-3  # spec: validation under a millisecond
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    times=st.lists(st.floats(0.0, 5.0), max_size=8),
+    points=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6),
+    n_ties=st.integers(0, 3),
+)
+def test_strict_lags_matches_double_loop(times, points, n_ties):
+    # some evaluation points equal a jump time: t_i == s must not count
+    t = np.sort(np.asarray(times, dtype=float))
+    s = np.asarray(points + times[:n_ties], dtype=float)
+    mu = reference_model().kernel.mu
+    lags = strict_lags(mu, t, s)
+    assert lags.shape == (s.size, t.size)
+    brute = np.zeros((s.size, t.size))
+    for k, sk in enumerate(s):
+        for i, ti in enumerate(t):
+            if ti < sk:
+                brute[k, i] = float(mu(np.float64(sk - ti)))
+    np.testing.assert_array_equal(lags == 0.0, brute == 0.0)
+    np.testing.assert_allclose(lags, brute, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        reference_model().excitation(t, s), brute.sum(axis=1), rtol=1e-12, atol=0.0
+    )

@@ -457,19 +457,29 @@ _LINEAR_T = 2.0
     ),
     paths=st.lists(jump_sets(_LINEAR_T, 7, min_gap=0.05), min_size=1, max_size=6),
 )
+# I + M has an eigenvalue 0.129 here, and both exact engines give a product
+# drift of 1.35e-10: above the presets' bound, and not an engine disagreement
+@example(system=random_stable_3d(904), paths=[[0.25, 0.5, 0.75, 1.0, 1.25, 1.5]])
 def test_batched_linear_engine_matches_per_path(system, paths):
     """rtol 1e-9 throughout; det and min_eig also get an absolute floor of
     1e-9 of the matching power of |Gamma|, since below d jumps Gamma is
-    singular and both values are rounding noise."""
+    singular and the per-path values are rounding noise.  The presets keep
+    |K K~ - I| <= 1e-10; a random system's drift grows with cond(I + M), so
+    there it must match the per-path engine's."""
     T = _LINEAR_T
     d = system.dim
     batch = batch_of(paths + [[]], T)
     terminal, vectors, gamma, drift = _linear_batch(system, batch)
     crit = density_criteria(system, batch)
     ranks = _spanning_ranks(vectors, batch, d)
-    assert drift <= 1e-10
-    for i, path in enumerate(batch):
-        rep = _linear_sensitivity(system, path)
+    reps = [_linear_sensitivity(system, path) for path in batch]
+    if system.label == "random-3d":
+        assert drift == pytest.approx(
+            max(rep.product_drift for rep in reps), rel=1e-9, abs=0.0
+        )
+    else:
+        assert drift <= 1e-10
+    for i, (path, rep) in enumerate(zip(batch, reps)):
         norm = float(np.max(np.abs(rep.gamma)))
         np.testing.assert_allclose(terminal[i], rep.terminal, rtol=1e-9)
         np.testing.assert_allclose(gamma[i], rep.gamma, rtol=1e-9, atol=1e-9 * norm)
@@ -508,3 +518,55 @@ def test_cos_sin_sweep_known_answer():
         terminal.tobytes() + gamma.tobytes() + np.float64(drift).tobytes()
     ).hexdigest()
     assert digest == "02edf30bbe18df2386dae37b2427b39050d1dd77c0c77e7bb5760d61e34c537e"
+
+
+def _sha256_of(*values):
+    return hashlib.sha256(
+        b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+    ).hexdigest()
+
+
+def test_solve_flow_known_answer():
+    """sha256 of `solve_flow` on a cos-sin and a linear-d2 span, pinned so
+    that a change of the RK4 stepper cannot move a bit."""
+    r = solve_flow(JumpSde.cos_sin(x0=0.0), 0.3, 4.1, np.array([0.7]), horizon=5.0)
+    assert _sha256_of(r.state, r.error_estimate, r.n_steps) == (
+        "e7e5763ffbd5ee06627666a490ab43eb8547c5ebae958b983aa9f51aa0c6cb2a"
+    )
+    r = solve_flow(sde_preset("linear-d2"), 1.25, 2.0, np.array([1.0, -0.5]), horizon=5.0)
+    assert _sha256_of(r.state, r.error_estimate, r.n_steps) == (
+        "7cef2d985d01bf00f389931e12969a3b26120c8711b46d11d521c14979cfd4b5"
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, digest",
+    [
+        ("cos-sin", "625b67460fc09ac22d4720145f2b14ea71abc316706ebcc963f6c78d77e02841"),
+        ("linear-d2", "d1eb14ad1dad8527f2a541ac443bdb60847b3779545346eb02a2cf333f1dde28"),
+    ],
+)
+def test_grad_and_gamma_known_answer(preset, digest):
+    """sha256 of the per-path tangent engine's vectors, Gamma, terminal state
+    and product drift on a fixed multi-jump path (close jumps, one just
+    before T)."""
+    path = HawkesPath(np.array([0.4, 1.3, 1.35, 2.9, 4.6, 4.999]), horizon=5.0)
+    rep = grad_and_gamma_XT(sde_preset(preset), path)
+    assert _sha256_of(rep.vectors, rep.gamma, rep.terminal, rep.product_drift) == digest
+
+
+def test_density_criteria_exact_zero_below_dimension():
+    # on 0 < N_T < d, Gamma has rank N_T < d: det and the smallest
+    # eigenvalue are exactly 0, not the rounding noise of a computed value
+    sde = sde_preset("linear-d2")
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=11, n_paths=500)
+    counts = batch.counts()
+    crit = density_criteria(sde, batch)
+    few = (counts > 0) & (counts < 2)
+    assert few.any()
+    np.testing.assert_array_equal(crit.per_path_det[few], 0.0)
+    np.testing.assert_array_equal(crit.per_path_min_eig[few], 0.0)
+    full = counts >= 2
+    _, _, gamma, _ = _linear_batch(sde, batch)
+    np.testing.assert_array_equal(crit.per_path_det[full], np.linalg.det(gamma)[full])
+    assert crit.passed and crit.n_conditioned == int(full.sum())
