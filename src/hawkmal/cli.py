@@ -10,7 +10,8 @@ byte-identical files.  ``--workers`` is accepted for compatibility and
 ignored: it never enters the digest and never changes an output byte.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-config or command line, 3 a model or estimator assumption was violated.
+config or command line, 3 a model or estimator assumption was violated,
+4 an internal error (an invariant of the program failed).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from scipy import integrate
 
 from .density import (
-    NormalizationError,
     density_vs_empirical,
     log_kappa_rows,
     normalization_constant,
@@ -55,6 +55,7 @@ from .model import (
     AssumptionError,
     BaselineSpec,
     HawkesModel,
+    InternalError,
     KernelSpec,
     NonlinearitySpec,
 )
@@ -719,10 +720,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AssumptionError, UnsupportedModelError) as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 3
-    except NormalizationError as exc:
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except RuntimeError as exc:  # NormalizationError among them
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

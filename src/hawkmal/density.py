@@ -19,7 +19,7 @@ from scipy import stats
 from scipy.integrate import cumulative_trapezoid
 
 from .model import HawkesModel, strict_lags
-from .simulate import PathBatch, compensator_times, simulate_batch
+from .simulate import PathBatch, compensator_rows, simulate_batch
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator
 
 __all__ = [
@@ -100,13 +100,7 @@ def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray
     exc = strict_lags(model.kernel.mu, rows[:, None, :], rows).sum(axis=2)
     lam = model.baseline.value(rows) + model.nonlinearity.value(exc)
     log_prod = np.log(lam).sum(axis=1)
-    if model.nonlinearity.is_linear():
-        integral = float(model.baseline.integral(np.float64(T))) + model.kernel.mu_hat(
-            T - rows
-        ).sum(axis=1)
-    else:
-        integral = np.array([compensator_times(model, r, T) for r in rows])
-    return log_prod - integral
+    return log_prod - compensator_rows(model, rows, T)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .model import HawkesModel, strict_lags
-from .simulate import HawkesPath, PathBatch, _adaptive_simpson
+from .simulate import HawkesPath, PathBatch, _gauss_rule, _segment_quad, padded_jumps
 
 __all__ = [
     "CameronMartinFunction",
@@ -46,8 +46,6 @@ __all__ = [
     "divergence_m_batch",
     "z_eps_batch",
 ]
-
-_GAMMA2_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +138,13 @@ class CameronMartinFunction:
             sup_m_hat=float(sup_m_hat),
         )
         if check_quadrature:
-            total = _panel_gauss_integral(m, 0.0, T)
+            edges = np.linspace(0.0, T, 17)  # the segment engine's rule on 16 panels
+            total = float(_gauss_rule(lambda _, u: m(u), None, edges[:-1], edges[1:]).sum())
             if abs(total) > 1e-10:
                 raise ValueError(
                     f"int_0^T m = {total:.3g} exceeds the 1e-10 tolerance"
                 )
         return cm
-
-
-def _panel_gauss_integral(f, a, b, panels=16, order=32) -> float:
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes = lo + half * (x + 1.0)
-        total += half * float(np.sum(w * np.asarray(f(nodes), dtype=float)))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +364,22 @@ def _weight_core(model: HawkesModel, t: np.ndarray, T: float, val_fn, anti_fn):
     if gam.is_linear():
         gamma2 = kernel.mu(T - t) - mu0
     else:
-        gamma2 = np.array([_gamma2_integral(model, t, T, j) for j in range(n)])
+        gamma2 = _gamma2(model, t, T)
     return psi, gamma1, np.asarray(gamma2, dtype=float), val_t, anti_t
 
 
-def _gamma2_integral(model: HawkesModel, t: np.ndarray, T: float, j: int) -> float:
-    """Gamma2(T_j) = int_0^{T - T_j} gamma'(excitation at T_j + v) mu'(v) dv.
+def _gamma2(model: HawkesModel, t: np.ndarray, T: float) -> np.ndarray:
+    """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du for
+    every jump at once: one vector-valued integral over the segments
+    [T_k, T_{k+1}] (T_{n+1} = T), the component for T_j vanishing before T_j.
+    The integrand jumps at the jump times, which end the segments."""
+    mu, mu_prime, gprime = model.kernel.mu, model.kernel.mu_prime, model.nonlinearity.derivative
 
-    The excitation at u = T_j + v counts every jump before u, including T_j
-    itself; the integrand kinks at the later jump times, so integrate
-    segment by segment.
-    """
-    s = float(t[j])
-    mu = model.kernel.mu
-    mu_prime = model.kernel.mu_prime
-    gprime = model.nonlinearity.derivative
-    # segment in absolute time so the active-set comparison sees the exact
-    # stored jump values (s + (t_i - s) need not round-trip to t_i)
-    edges = np.unique(np.concatenate([[s], t[(t > s) & (t < T)], [T]]))
-    total = 0.0
-    for ua, ub in zip(edges[:-1], edges[1:]):
-        active = t[t <= ua]  # every jump at or before the segment start
+    def f(_, u):
+        exc = strict_lags(mu, t, u).sum(axis=-1)
+        return gprime(exc)[..., None] * strict_lags(mu_prime, t, u)
 
-        def f(u, active=active):
-            exc = float(np.sum(mu(u - active)))
-            return float(gprime(np.float64(exc))) * float(mu_prime(np.float64(u - s)))
-
-        total += _adaptive_simpson(f, float(ua), float(ub), _GAMMA2_TOL)
-    return total
+    return _segment_quad(f, t, np.append(t[1:], T)).sum(axis=0)
 
 
 def weight_terms(
@@ -582,18 +558,6 @@ def basis_projection_check(gradient: MalliavinGradient, K: int) -> float:
 # ---------------------------------------------------------------------------
 # batch fast paths (exponential kernel)
 # ---------------------------------------------------------------------------
-
-def padded_jumps(batch: PathBatch) -> Tuple[np.ndarray, np.ndarray]:
-    """(times, mask) as (n_paths, K) arrays, K = max jump count; padded
-    slots hold the horizon value and are masked out."""
-    counts = batch.counts()
-    P = batch.n_paths
-    K = int(counts.max()) if P else 0
-    mask = np.arange(K)[None, :] < counts[:, None]
-    times = np.full((P, K), batch.horizon, dtype=float)
-    times[mask] = batch.flat_times
-    return times, mask
-
 
 def _excitation_recurrences(times, mask, alpha, beta, anti_vals):
     """Per-jump sums for the exponential kernel via O(P K) recurrences:

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "AssumptionError",
+    "InternalError",
     "KernelSpec",
     "BaselineSpec",
     "NonlinearitySpec",
@@ -43,6 +44,11 @@ _KERNEL_PROBE = np.array([0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
 
 class AssumptionError(ValueError):
     """A model clause required by the standing assumptions fails."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a fault of the program, not of the
+    model, the config or the data."""
 
 
 # ---------------------------------------------------------------------------

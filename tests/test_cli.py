@@ -94,10 +94,11 @@ def test_help_describes_every_command(capsys):
         assert name + "".join(fn.__doc__.split()) in text, name
 
 
-def test_density_check_on_tanh_model(tmp_path):
+def run_tanh_density_check(tmp_path, horizon, paths):
+    """density-check on a tanh model: exit 0 or 1, and k_1 closes to 1e-6."""
     ini = tmp_path / "tanh.ini"
     ini.write_text(
-        "[run]\nhorizon = 1.0\npaths = 200\n"
+        f"[run]\nhorizon = {horizon}\npaths = {paths}\n"
         "[model]\nnonlinearity = tanh\ncap = 2\n"
         "[density]\nmax_n = 1\nmin_conditioned = 5\n"
     )
@@ -109,6 +110,17 @@ def test_density_check_on_tanh_model(tmp_path):
     _, header, rows = read_csv(out / "density_report.csv")
     assert rows[0][1] == "k1_mass_minus_one"
     assert abs(float(rows[0][2])) <= 1e-6
+    return rows
+
+
+def test_density_check_on_tanh_model(tmp_path):
+    run_tanh_density_check(tmp_path, 1.0, 200)
+
+
+def test_density_check_on_tanh_model_long_horizon(tmp_path):
+    # at T = 5 only a few percent of the paths have one jump
+    rows = run_tanh_density_check(tmp_path, 5.0, 400)
+    assert rows[1][1] == "ks_T1" and int(rows[1][4]) >= 5
 
 
 def test_unknown_command_is_usage_error():
@@ -124,6 +136,22 @@ def test_assumption_violation_exit_code(tmp_path):
         run_cli("simulate", "--config", str(unstable), "--paths", "10", "--out", str(tmp_path))
         == 3
     )
+
+
+def test_refused_estimate_exit_code(tmp_path, capsys):
+    # too few paths with N_T = 1 for the KS fit: a refusal, not a fault
+    ini = tmp_path / "few.ini"
+    ini.write_text("[run]\npaths = 20\n[density]\nmin_conditioned = 50\n")
+    assert run_cli("density-check", "--config", str(ini), "--out", str(tmp_path)) == 3
+    assert "assumption violation" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    import hawkmal.simulate
+
+    monkeypatch.setattr(hawkmal.simulate, "_MAX_ROUNDS", 0)
+    assert run_cli("simulate", "--paths", "10", "--out", str(tmp_path)) == 4
+    assert "internal error: thinning failed to terminate" in capsys.readouterr().err
 
 
 # ---- simulate ----

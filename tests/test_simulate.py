@@ -1,15 +1,22 @@
 """Simulation-layer checks: RNG known answers, determinism under
-parallelism, thinning reductions, compensator closed forms."""
+parallelism, thinning reductions, compensator closed forms, and the segment
+quadrature against scipy quad."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.integrate import quad
 
+import hawkmal.simulate
+from hawkmal.malliavin import CameronMartinFunction, weight_terms
 from hawkmal.model import (
     AssumptionError,
     BaselineSpec,
     HawkesModel,
+    InternalError,
     KernelSpec,
     NonlinearitySpec,
 )
@@ -262,8 +269,8 @@ def test_compensator_single_jump_closed_form():
 
 
 def test_compensator_nonlinear_matches_linear_when_unsaturated():
-    # a huge cap makes tanh effectively linear; Simpson should agree with
-    # the closed form to its tolerance
+    # a huge cap makes tanh effectively linear; the segment quadrature
+    # should agree with the closed form to its tolerance
     lin = reference_model()
     sat = HawkesModel(
         baseline=BaselineSpec.constant(1.0),
@@ -316,3 +323,145 @@ def test_martingale_property():
     diff = batch.counts().astype(float) - compensator_batch(model, batch)
     se = diff.std(ddof=1) / math.sqrt(diff.size)
     assert abs(diff.mean()) <= 3.0 * se, f"mean={diff.mean():.4g} se={se:.4g}"
+
+
+# ---------------------------------------------------------------- segment quadrature
+
+_QT = 3.0
+
+
+def tanh_model(alpha, beta, cap, kernel=None):
+    return HawkesModel(
+        baseline=BaselineSpec.sinusoidal(lam0=1.5, amp=0.4, period=2.5),
+        kernel=kernel or KernelSpec.exponential(alpha=alpha, beta=beta),
+        nonlinearity=NonlinearitySpec.saturating_tanh(cap=cap),
+    )
+
+
+@st.composite
+def tanh_paths(draw):
+    """Sorted jump times in (0, _QT], sometimes with a jump at _QT and with
+    pairs 1e-9 apart."""
+    raw = draw(st.lists(st.floats(0.0, _QT, exclude_min=True), max_size=8))
+    ties = draw(st.lists(st.sampled_from(raw), max_size=2)) if raw else []
+    extra = [_QT] if draw(st.booleans()) else []
+    times = np.unique(np.array(raw + [t + 1e-9 for t in ties] + extra, dtype=float))
+    return times[times <= _QT]
+
+
+def quad_segments(f, edges):
+    """Sum of scipy quad over the consecutive segments of `edges`."""
+    return sum(
+        quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+        if b > a
+    )
+
+
+def quad_compensator(model, times, t, kinks=()):
+    """Lambda_t by scipy quad on the inter-jump segments, split at `kinks`."""
+    mu, gam = model.kernel.mu, model.nonlinearity.value
+
+    def lam(s):
+        exc = float(np.sum(mu(s - times[times < s])))
+        return float(model.baseline.value(np.float64(s))) + float(gam(np.float64(exc)))
+
+    edges = np.unique(np.concatenate([[0.0, t], times[times < t], [k for k in kinks if k < t]]))
+    return quad_segments(lam, edges)
+
+
+def quad_gamma2(model, times, T, j, kinks=()):
+    """Gamma2(T_j) by scipy quad on [T_j, T], split at the later jumps and
+    at `kinks`."""
+    mu, mu_prime = model.kernel.mu, model.kernel.mu_prime
+    gprime = model.nonlinearity.derivative
+    s = times[j]
+
+    def f(u):
+        exc = float(np.sum(mu(u - times[times < u])))
+        return float(gprime(np.float64(exc))) * float(mu_prime(np.float64(u - s)))
+
+    edges = np.unique(np.concatenate([times[times >= s], [T], [k for k in kinks if k > s]]))
+    return quad_segments(f, edges[edges <= T])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    paths=st.lists(tanh_paths(), min_size=1, max_size=4),
+    beta=st.floats(0.5, 3.0),
+    ratio=st.floats(0.05, 0.9),
+    cap=st.floats(0.2, 3.0),
+    frac=st.sampled_from([1.0, 0.999, 0.6, 0.0]),
+)
+def test_compensator_batch_nonlinear_matches_scalar_and_quad(paths, beta, ratio, cap, frac):
+    model = tanh_model(ratio * beta, beta, cap)
+    counts = [p.size for p in paths]
+    batch = PathBatch(
+        horizon=_QT,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate(paths),
+    )
+    t = frac * _QT
+    vec = compensator_batch(model, batch, t)
+    for i, path in enumerate(batch):
+        scalar = compensator(model, path, t)
+        assert vec[i] == pytest.approx(scalar, rel=1e-13, abs=0.0)
+        assert scalar == pytest.approx(quad_compensator(model, path.jump_times, t), rel=0.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    times=tanh_paths(),
+    beta=st.floats(0.5, 3.0),
+    ratio=st.floats(0.05, 0.9),
+    cap=st.floats(0.2, 3.0),
+)
+def test_gamma2_nonlinear_matches_quad(times, beta, ratio, cap):
+    model = tanh_model(ratio * beta, beta, cap)
+    terms = weight_terms(model, HawkesPath(times, _QT), CameronMartinFunction.default(_QT))
+    for j in range(times.size):
+        assert terms.gamma2_at_jump[j] == pytest.approx(
+            quad_gamma2(model, times, _QT, j), rel=0.0, abs=1e-9
+        )
+
+
+def c1_kernel(a=0.6, c=0.8):
+    """a (1 - t/c)^2 on [0, c) and 0 after: C^1 at c but not C^2, so
+    gamma(excitation) is not smooth inside an inter-jump segment."""
+
+    def mu(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < c, a * (1.0 - t / c) ** 2, 0.0)
+
+    def mu_prime(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < c, -2.0 * a / c * (1.0 - t / c), 0.0)
+
+    def mu_hat(t):
+        t = np.minimum(np.asarray(t, dtype=float), c)
+        return a * c / 3.0 * (1.0 - (1.0 - t / c) ** 3)
+
+    return KernelSpec.custom(mu, mu_prime, mu_hat, a * c / 3.0, a, 2.0 * a / c, nonincreasing=True)
+
+
+def test_segment_quadrature_refines_on_c1_kernel(monkeypatch):
+    model = tanh_model(None, None, 0.8, kernel=c1_kernel())
+    batch = simulate_batch(model, T=_QT, master_seed=17, n_paths=8)
+    assert batch.counts().max() >= 3
+    m = CameronMartinFunction.default(_QT)
+    for path in batch:
+        t = path.jump_times
+        kinks = t + 0.8
+        assert compensator(model, path) == pytest.approx(
+            quad_compensator(model, t, _QT, kinks), rel=0.0, abs=1e-9
+        )
+        g2 = weight_terms(model, path, m).gamma2_at_jump
+        for j in range(t.size):
+            assert g2[j] == pytest.approx(quad_gamma2(model, t, _QT, j, kinks), rel=0.0, abs=1e-9)
+    # the kinks need more than one panel per segment: at a cap of one the
+    # engine reports an internal error
+    monkeypatch.setattr(hawkmal.simulate, "_QUAD_MAX_PANELS", 1)
+    with pytest.raises(InternalError):
+        compensator_batch(model, batch)
