@@ -276,6 +276,12 @@ def _cell(value) -> str:
     return str(value)
 
 
+# Exact types and their cell text, the same as `_cell` gives them: a lookup
+# that skips the isinstance chain for the common cells (a bool is not an int
+# here, so it still reaches `_cell`).
+_PLAIN_CELL = {int: str, float: repr, str: str}
+
+
 def _write_csv(
     out_dir: str,
     name: str,
@@ -294,8 +300,8 @@ def _write_csv(
             fh.write(f"# {key}={_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        plain = _PLAIN_CELL.get
+        writer.writerows([plain(type(v), _cell)(v) for v in row] for row in rows)
     return path
 
 
@@ -355,13 +361,14 @@ def _cmd_simulate(inv: _Invocation) -> bool:
     """Simulate paths; dump jump times and the martingale gap N_T - Lambda_T."""
     model = inv.config.model()
     batch = inv.batch(model)
-    dump = []
-    for i, path in enumerate(batch):
-        for j, t in enumerate(path.jump_times, start=1):
-            dump.append((batch.first_index + i, j, t))
+    counts = batch.counts()
+    path_index = np.repeat(batch.first_index + np.arange(batch.n_paths), counts)
+    # a jump's ordinal is its flat position past its path's offset, from 1
+    jump_ordinal = np.arange(1, counts.sum() + 1) - np.repeat(batch.offsets[:-1], counts)
+    dump = list(zip(path_index.tolist(), jump_ordinal.tolist(), batch.flat_times.tolist()))
     inv.write("simulate_paths.csv", ("path_index", "jump_ordinal", "jump_time"), dump)
 
-    counts = batch.counts().astype(float)
+    counts = counts.astype(float)
     comp = compensator_batch(model, batch)
     gap = counts - comp
     n = batch.n_paths

@@ -18,7 +18,7 @@ from .malliavin import (
     capped_jump_time,
     compose_smooth,
     divergence_m_batch,
-    grad_smooth,
+    grad_smooth,  # noqa: F401  bench/layers.py traces experiments.grad_smooth
     padded_jumps,
     product_smooth,
     z_eps_batch,
@@ -209,20 +209,55 @@ def unit_mass_check(
 # ---- integration by parts on the smooth catalog ----
 
 def smooth_catalog() -> Tuple[Tuple[str, SmoothFunctional], ...]:
-    """Functionals with exact gradients used by the duality check."""
+    """Functionals with exact gradients used by the duality check; each
+    takes one path's jump times or a padded block (see SmoothFunctional)."""
     one = SmoothFunctional(
-        value=lambda times, T: 1.0,
-        partials=lambda times, T: np.zeros(times.size),
+        value=lambda times, T: np.ones(times.shape[:-1])[()],
+        partials=lambda times, T: np.zeros(times.shape),
     )
     t1 = capped_jump_time(1)
     return (
         ("1", one),
         ("T1", t1),
-        ("exp(-T1)", compose_smooth(
-            lambda x: math.exp(-x), lambda x: -math.exp(-x), t1
-        )),
+        ("exp(-T1)", compose_smooth(lambda x: np.exp(-x), lambda x: -np.exp(-x), t1)),
         ("T1*T2", product_smooth(t1, capped_jump_time(2))),
     )
+
+
+def _ibp_differences(
+    model: HawkesModel, batch: PathBatch, m: CameronMartinFunction, catalog
+) -> np.ndarray:
+    """<DF, m> - F delta(m) per catalog entry and path, shaped (entries, P).
+
+    Each functional is evaluated once on the padded (P, K) jump-time block
+    (the block form of SmoothFunctional), and <DF, m> = -sum_j dF/dt_j
+    m_hat(T_j) is a masked row sum.  Raises ValueError for an entry without
+    exact partials, one whose `supports` rejects a jump count of the batch,
+    or one that breaks the block contract.
+    """
+    T = batch.horizon
+    times, mask = padded_jumps(batch)
+    P, K = times.shape
+    counts = np.unique(batch.counts()).tolist()
+    for label, functional in catalog:
+        if functional.partials is None:
+            raise ValueError(f"ibp_check needs exact partials; F={label} has none")
+        rejected = [n for n in counts if not functional.supports(n)]
+        if rejected:
+            raise ValueError(f"F={label} does not support N_T = {rejected[0]}")
+    delta = divergence_m_batch(model, batch, m)
+    m_hat = m.m_hat(times)
+    out = np.empty((len(catalog), P))
+    for row, (label, functional) in zip(out, catalog):
+        values = np.asarray(functional.value(times, T), dtype=float)
+        partials = np.asarray(functional.partials(times, T), dtype=float)
+        if values.shape != (P,) or partials.shape != (P, K):
+            raise ValueError(
+                f"F={label} gave values {values.shape} and partials {partials.shape} "
+                f"on a ({P}, {K}) block; expected ({P},) and ({P}, {K})"
+            )
+        row[:] = -np.where(mask, partials * m_hat, 0.0).sum(axis=1) - values * delta
+    return out
 
 
 def ibp_check(
@@ -231,18 +266,14 @@ def ibp_check(
     m: Optional[CameronMartinFunction] = None,
     catalog=None,
 ) -> ExperimentReport:
-    """Paired z-scores of E[D_m F - F delta(m)] = 0 per catalog entry."""
+    """Paired z-scores of E[D_m F - F delta(m)] = 0 per catalog entry; every
+    entry needs exact partials in the block form (see `_ibp_differences`)."""
     if m is None:
         m = CameronMartinFunction.default(batch.horizon)
     if catalog is None:
         catalog = smooth_catalog()
-    delta = divergence_m_batch(model, batch, m)
     rows = []
-    for label, functional in catalog:
-        diffs = np.empty(batch.n_paths)
-        for i, path in enumerate(batch):
-            dm = grad_smooth(functional, path).directional(m)
-            diffs[i] = dm - functional.value(path.jump_times, batch.horizon) * delta[i]
+    for (label, _), diffs in zip(catalog, _ibp_differences(model, batch, m, catalog)):
         mean, se, _ = mc_estimate(diffs)
         rows.append(_row(f"F={label}", mean, 0.0, se))
     digest = _batch_digest(

@@ -159,11 +159,25 @@ class SmoothFunctional:
     times; `supports` restricts the jump counts the functional is defined
     for.  Without exact partials, grad_smooth falls back to central
     differences and flags the result.
+
+    Block contract: `times` is either one path's 1-D jump times, giving a
+    float and partials shaped like `times`, or a padded (P, K) block (one
+    path per row, as from `padded_jumps`), giving values (P,) and partials
+    (P, K).  Padded slots hold the horizon T and their partials are
+    ignored.  With that padding T_j ^ T needs no jump count: a missing j-th
+    jump reads as T, and the partial 1{T_j < T} is exact.  The built-in
+    constructors honour both forms, apart from `jump_count`, which is 1-D
+    only (horizon padding hides a jump at T).
     """
 
     value: Callable[[np.ndarray, float], float]
     partials: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     supports: Callable[[int], bool] = lambda n: True
+
+
+def _trailing(x) -> np.ndarray:
+    """x with a trailing axis, to scale the partials of one path or a block."""
+    return np.asarray(x)[..., None]
 
 
 def capped_jump_time(j: int) -> SmoothFunctional:
@@ -172,32 +186,38 @@ def capped_jump_time(j: int) -> SmoothFunctional:
         raise ValueError("j must be >= 1")
 
     def value(times, T):
-        return float(times[j - 1]) if times.size >= j else float(T)
+        if times.shape[-1] < j:
+            return np.full(times.shape[:-1], float(T))[()]
+        return times[..., j - 1]
 
     def partials(times, T):
-        p = np.zeros(times.size)
-        if times.size >= j and times[j - 1] < T:
-            p[j - 1] = 1.0
+        p = np.zeros(times.shape)
+        if times.shape[-1] >= j:
+            p[..., j - 1] = times[..., j - 1] < T
         return p
 
     return SmoothFunctional(value=value, partials=partials)
 
 
 def jump_count() -> SmoothFunctional:
-    """N_T; constant in the jump positions, so DF = 0."""
-    return SmoothFunctional(
-        value=lambda times, T: float(times.size),
-        partials=lambda times, T: np.zeros(times.size),
-    )
+    """N_T; constant in the jump positions, so DF = 0.  1-D jump times only."""
+
+    def value(times, T):
+        if times.ndim != 1:
+            raise ValueError("jump_count needs one path's jump times: padding hides N_T")
+        return float(times.size)
+
+    return SmoothFunctional(value=value, partials=lambda times, T: np.zeros(times.shape))
 
 
 def compose_smooth(phi, phi_prime, F: SmoothFunctional) -> SmoothFunctional:
-    """phi(F) with chain-rule partials phi'(F) * dF/dt_j."""
+    """phi(F) with chain-rule partials phi'(F) * dF/dt_j; phi and phi_prime
+    must act elementwise on arrays for the block form."""
     if F.partials is None:
         raise ValueError("compose_smooth needs exact partials on the inner F")
     return SmoothFunctional(
-        value=lambda times, T: float(phi(F.value(times, T))),
-        partials=lambda times, T: phi_prime(F.value(times, T))
+        value=lambda times, T: phi(F.value(times, T)),
+        partials=lambda times, T: _trailing(phi_prime(F.value(times, T)))
         * F.partials(times, T),
         supports=F.supports,
     )
@@ -209,8 +229,8 @@ def product_smooth(F: SmoothFunctional, G: SmoothFunctional) -> SmoothFunctional
         raise ValueError("product_smooth needs exact partials on both factors")
     return SmoothFunctional(
         value=lambda times, T: F.value(times, T) * G.value(times, T),
-        partials=lambda times, T: F.partials(times, T) * G.value(times, T)
-        + F.value(times, T) * G.partials(times, T),
+        partials=lambda times, T: F.partials(times, T) * _trailing(G.value(times, T))
+        + _trailing(F.value(times, T)) * G.partials(times, T),
         supports=lambda n: F.supports(n) and G.supports(n),
     )
 

@@ -45,27 +45,40 @@ _ENVELOPE_SLACK = 1e-12
 # is the 2x32 key, the path index fills counter words 2-3 and the draw
 # counter words 0-1.  One double in (0,1) per tick, from output words 0-1.
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_BUMP0 = np.uint32(0x9E3779B9)
-_BUMP1 = np.uint32(0xBB67AE85)
-_U32 = np.uint64(0xFFFFFFFF)
+# Constants are 0-d uint64 arrays: numpy operates on them faster than on
+# numpy scalars.
+_M0 = np.array(0xD2511F53, dtype=np.uint64)
+_M1 = np.array(0xCD9E8D57, dtype=np.uint64)
+_BUMP0 = 0x9E3779B9
+_BUMP1 = 0xBB67AE85
+_U32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_S32 = np.array(32, dtype=np.uint64)
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
-    """Ten Philox rounds on uint32 arrays; returns the four output words."""
-    with np.errstate(over="ignore"):  # uint32 wrap-around is the algorithm
-        for rnd in range(10):
-            p0 = _M0 * c0.astype(np.uint64)
-            p1 = _M1 * c2.astype(np.uint64)
-            hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-            lo0 = (p0 & _U32).astype(np.uint32)
-            hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-            lo1 = (p1 & _U32).astype(np.uint32)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            if rnd < 9:
-                k0 = k0 + _BUMP0
-                k1 = k1 + _BUMP1
+    """Ten Philox rounds; returns the four output words as uint64 arrays.
+
+    The counter words are unsigned arrays holding values below 2**32 and
+    the keys are integers below 2**32.  A product of two 32-bit words fits
+    in uint64, so the rounds run in uint64 with no dtype conversion: the
+    high half is ``p >> 32`` and the low half ``p & 0xFFFFFFFF``.  The keys
+    are bumped as Python integers, modulo 2**32.
+    """
+    k0, k1 = int(k0), int(k1)
+    for _ in range(10):
+        p0 = c0 * _M0
+        p1 = c2 * _M1
+        c0 = p1 >> _S32
+        c0 ^= c1
+        c0 ^= np.array(k0, dtype=np.uint64)
+        c2 = p0 >> _S32
+        c2 ^= c3
+        c2 ^= np.array(k1, dtype=np.uint64)
+        p1 &= _U32
+        p0 &= _U32
+        c1, c3 = p1, p0
+        k0 = (k0 + _BUMP0) & 0xFFFFFFFF
+        k1 = (k1 + _BUMP1) & 0xFFFFFFFF
     return c0, c1, c2, c3
 
 
@@ -73,15 +86,11 @@ def _uniforms_at(master_seed: int, path_index: np.ndarray, draw: np.ndarray) -> 
     """Uniforms in (0,1), one per (path_index, draw) pair."""
     pi = np.asarray(path_index, dtype=np.uint64)
     dc = np.asarray(draw, dtype=np.uint64)
-    c0 = (dc & _U32).astype(np.uint32)
-    c1 = (dc >> np.uint64(32)).astype(np.uint32)
-    c2 = (pi & _U32).astype(np.uint32)
-    c3 = (pi >> np.uint64(32)).astype(np.uint32)
     seed = int(master_seed) & 0xFFFFFFFFFFFFFFFF
-    k0 = np.uint32(seed & 0xFFFFFFFF)
-    k1 = np.uint32(seed >> 32)
-    w0, w1, _, _ = _philox4x32(c0, c1, c2, c3, k0, k1)
-    bits = (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
+    w0, w1, _, _ = _philox4x32(
+        dc & _U32, dc >> _S32, pi & _U32, pi >> _S32, seed & 0xFFFFFFFF, seed >> 32
+    )
+    bits = (w0 << _S32) | w1
     # 53-bit mantissa, offset by half an ulp: strictly inside (0,1)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
@@ -163,10 +172,6 @@ class PathBatch:
     def path(self, i: int) -> HawkesPath:
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         return HawkesPath(self.flat_times[lo:hi], self.horizon)
-
-    @property
-    def paths(self) -> List[HawkesPath]:
-        return [self.path(i) for i in range(self.n_paths)]
 
     def __len__(self) -> int:
         return self.n_paths

@@ -4,12 +4,13 @@ and byte-identical output across worker counts."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
-from hawkmal.cli import ConfigError, load_config, main
+from hawkmal.cli import ConfigError, _cmd_simulate, _Invocation, load_config, main
 
 
 def run_cli(*argv: str) -> int:
@@ -175,6 +176,36 @@ def test_simulate_artifacts(tmp_path):
     assert 6.0 < float(summary["mean_count"]) < 10.0
     gap = float(summary["mean_martingale_gap"])
     assert abs(gap) <= 5.0 * float(summary["se_martingale_gap"])
+
+
+def test_simulate_paths_known_bytes(tmp_path):
+    # sha256 of the jump dump of a fixed small config, with the generated
+    # line and without it; pins every byte of simulate_paths.csv
+    ini = tmp_path / "small.ini"
+    ini.write_text("[run]\nseed = 4242\npaths = 40\nhorizon = 3.0\n")
+    expected = {
+        None: "5d4669ef187358ad967e4731968c4cc4f16c5542c95ada616220dee335f750cc",
+        "2026-01-02T03:04:05Z": "46c60b1838eaa03e49a223a23e5386de707045404ea871fa455cf719ce188a99",
+    }
+    for timestamp, digest in expected.items():
+        out = tmp_path / str(timestamp is None)
+        out.mkdir()
+        inv = _Invocation(config=load_config(str(ini)), out_dir=str(out), timestamp=timestamp)
+        assert _cmd_simulate(inv)
+        data = (out / "simulate_paths.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_simulate_zero_jump_batch_writes_header_only(tmp_path):
+    ini = tmp_path / "quiet.ini"
+    ini.write_text("[model]\nlambda0 = 1e-12\n[run]\nseed = 7\npaths = 3\nhorizon = 1.0\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(ini), "--out", str(out), "--no-timestamp") == 0
+    assert (out / "simulate_paths.csv").read_bytes() == (
+        b"# digest=c7e163e43a43\npath_index,jump_ordinal,jump_time\n"
+    )
+    _, header, rows = read_csv(out / "simulate_summary.csv")
+    assert dict(zip(header, rows[0]))["max_count"] == "0"
 
 
 def test_simulate_poisson_reduction(tmp_path):

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkmal.experiments import (
     ExperimentReport,
+    _ibp_differences,
     ibp_check,
     inputs_digest,
     mean_intensity_batch,
@@ -18,6 +21,16 @@ from hawkmal.experiments import (
     volterra_mean_intensity,
 )
 from hawkmal.greeks import UnsupportedModelError
+from hawkmal.malliavin import (
+    CameronMartinFunction,
+    SmoothFunctional,
+    capped_jump_time,
+    compose_smooth,
+    divergence_m_batch,
+    grad_smooth,
+    jump_count,
+    product_smooth,
+)
 from hawkmal.model import (
     BaselineSpec,
     HawkesModel,
@@ -25,7 +38,7 @@ from hawkmal.model import (
     NonlinearitySpec,
     intensity,
 )
-from hawkmal.simulate import simulate_batch
+from hawkmal.simulate import PathBatch, padded_jumps, simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +152,110 @@ def test_catalog_values():
     assert entries["T1*T2"].value(times, 5.0) == pytest.approx(0.625)
     # one jump: T2 caps at the horizon
     assert entries["T1*T2"].value(np.array([0.5]), 5.0) == pytest.approx(2.5)
+
+
+# ---- the batched IBP pass against the per-path gradients ----
+
+_T = 2.0
+
+
+def batch_of(paths, T=_T):
+    """PathBatch holding the given sorted jump-time lists."""
+    counts = [len(t) for t in paths]
+    return PathBatch(
+        horizon=T,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate([np.asarray(t, dtype=float) for t in paths] + [np.empty(0)]),
+    )
+
+
+@st.composite
+def hand_batches(draw):
+    """Drawn paths of up to 8 jumps, plus a path with no jump, one with a
+    single jump, one whose last jump is exactly at T and an outlier of up
+    to 60 jumps."""
+
+    def jumps(max_jumps):
+        raw = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=max_jumps))
+        return np.unique(np.asarray(raw) * _T).tolist()
+
+    paths = [jumps(8) for _ in range(draw(st.integers(0, 4)))]
+    at_T = [t for t in jumps(5) if t < _T] + [_T]
+    return batch_of(paths + [[], jumps(1) or [0.5 * _T], at_T, jumps(60)])
+
+
+def block_functionals():
+    t1, t2 = capped_jump_time(1), capped_jump_time(2)
+    return [
+        ("T1", t1),
+        ("T2", t2),
+        ("T3", capped_jump_time(3)),
+        ("exp(-T2)", compose_smooth(lambda x: np.exp(-x), lambda x: -np.exp(-x), t2)),
+        ("T1*T3", product_smooth(t1, capped_jump_time(3))),
+        ("tanh(T1*T2)", compose_smooth(
+            np.tanh, lambda v: 1.0 / np.cosh(v) ** 2, product_smooth(t1, t2)
+        )),
+    ] + list(smooth_catalog())
+
+
+_DIRECTIONS = (CameronMartinFunction.default(_T), CameronMartinFunction.cosine(_T, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=hand_batches(), m=st.sampled_from(_DIRECTIONS))
+def test_ibp_differences_match_grad_smooth_loop(model, batch, m):
+    catalog = smooth_catalog()
+    got = _ibp_differences(model, batch, m, catalog)
+    delta = divergence_m_batch(model, batch, m)
+    for (label, F), row in zip(catalog, got):
+        for i, path in enumerate(batch):
+            d_m = grad_smooth(F, path).directional(m)
+            f_delta = F.value(path.jump_times, _T) * delta[i]
+            # rtol 1e-13 on the size of the two terms, absolute floor 1e-15
+            tol = 1e-13 * max(abs(d_m), abs(f_delta)) + 1e-15
+            assert abs(row[i] - (d_m - f_delta)) <= tol, (label, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=hand_batches())
+def test_block_form_rows_match_one_path(batch):
+    times, mask = padded_jumps(batch)
+    for label, F in block_functionals():
+        values = F.value(times, _T)
+        partials = F.partials(times, _T)
+        assert values.shape == (batch.n_paths,) and partials.shape == times.shape, label
+        for i, path in enumerate(batch):
+            n = path.count
+            assert values[i] == F.value(path.jump_times, _T), (label, i)
+            np.testing.assert_array_equal(partials[i, :n], F.partials(path.jump_times, _T))
+
+
+def test_jump_count_refuses_a_block():
+    batch = batch_of([[0.5], [0.25, 1.0]])
+    assert jump_count().value(batch.path(1).jump_times, _T) == 2.0
+    with pytest.raises(ValueError, match="padding"):
+        jump_count().value(padded_jumps(batch)[0], _T)
+
+
+def test_ibp_check_refuses_unusable_entries(model):
+    batch = batch_of([[], [0.5], [0.25, 1.0]])
+    no_partials = SmoothFunctional(value=lambda times, T: np.ones(times.shape[:-1])[()])
+    with pytest.raises(ValueError, match="exact partials"):
+        ibp_check(model, batch, catalog=[("fd", no_partials)])
+    needs_a_jump = SmoothFunctional(
+        value=capped_jump_time(1).value,
+        partials=capped_jump_time(1).partials,
+        supports=lambda n: n >= 1,
+    )
+    with pytest.raises(ValueError, match="N_T = 0"):
+        ibp_check(model, batch, catalog=[("T1", needs_a_jump)])
+    scalar_only = SmoothFunctional(
+        value=lambda times, T: 1.0, partials=lambda times, T: np.zeros(times.shape)
+    )
+    with pytest.raises(ValueError, match="expected"):
+        ibp_check(model, batch, catalog=[("1", scalar_only)])
 
 
 # ---- reproducibility ----

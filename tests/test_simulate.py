@@ -1,6 +1,7 @@
 """Simulation-layer checks: RNG known answers, determinism under
 parallelism, thinning reductions, compensator closed forms, and the segment
 quadrature against scipy quad."""
+import hashlib
 import math
 
 import numpy as np
@@ -70,6 +71,22 @@ def test_philox_known_answers():
         (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
         (0xA4093822, 0x299F31D0),
     ) == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
+
+
+def test_uniforms_known_answer_digest():
+    # 4096 (seed, path, draw) triples from a PCG64 bit stream, whose raw
+    # output numpy keeps stable: 16 seeds, 0 and 2**64 - 1 among them, with
+    # 256 (path, draw) addresses each, the all-ones address and small draws
+    # included.  The digest pins every bit of the stream.
+    raw = np.random.PCG64(20261018).random_raw(16 + 2 * 4096).astype(np.uint64)
+    seeds = [2**64 - 1, 0] + [int(s) for s in raw[2:16]]
+    addr = raw[16:].reshape(2, 16, 256)
+    addr[:, 0, 0] = np.uint64(2**64 - 1)
+    addr[:, 1, :8] = np.arange(8, dtype=np.uint64)
+    h = hashlib.sha256()
+    for k, seed in enumerate(seeds):
+        h.update(_uniforms_at(seed, addr[0, k], addr[1, k]).astype("<f8").tobytes())
+    assert h.hexdigest() == "aefef1a0e1baaf7b96d038ec3547ac72bfde2c5077c4fad31d0c94c61096929e"
 
 
 def test_uniforms_open_interval_and_determinism():
