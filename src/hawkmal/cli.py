@@ -23,7 +23,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +50,8 @@ from .greeks import (
     malliavin_delta,
     pathwise_delta,
 )
-from .malliavin import CameronMartinFunction, weight_terms
+from .malliavin import CameronMartinFunction, weight_arrays
+from .malliavin import weight_terms  # noqa: F401  bench/layers.py traces cli.weight_terms
 from .model import (
     AssumptionError,
     BaselineSpec,
@@ -480,22 +481,17 @@ def _cmd_ibp_check(inv: _Invocation) -> bool:
     report = ibp_check(model, batch, m=m)
     inv.write("ibp_report.csv", _REPORT_HEADER, _report_rows(report))
 
-    dump = []
-    for i in range(min(_WEIGHT_DUMP_PATHS, batch.n_paths)):
-        terms = weight_terms(model, batch.path(i), m)
-        for j in range(terms.jump_times.size):
-            dump.append(
-                (
-                    batch.first_index + i,
-                    j + 1,
-                    terms.jump_times[j],
-                    terms.psi_at_jump[j],
-                    terms.gamma1_at_jump[j],
-                    terms.gamma2_at_jump[j],
-                    terms.m_at_jump[j],
-                    terms.m_hat_at_jump[j],
-                )
-            )
+    n = min(_WEIGHT_DUMP_PATHS, batch.n_paths)
+    head = replace(
+        batch, offsets=batch.offsets[:n + 1], flat_times=batch.flat_times[:batch.offsets[n]]
+    )
+    times, mask, *terms = weight_arrays(model, head, m)
+    rows, ordinal = np.nonzero(mask)  # row-major: by path, then by jump
+    dump = list(zip(
+        (batch.first_index + rows).tolist(),
+        (ordinal + 1).tolist(),
+        *(column[mask].tolist() for column in (times, *terms)),
+    ))
     inv.write(
         "ibp_weights.csv",
         ("path_index", "j", "T_j", "psi", "gamma1", "gamma2", "m", "m_hat"),

@@ -10,12 +10,12 @@ and the conditional density is k_n = kappa / P(N_T = n).
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 from scipy.integrate import cumulative_trapezoid
 
 from .model import HawkesModel, strict_lags
@@ -107,8 +107,28 @@ def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray
 # normalization  P(N_T = n)
 # ---------------------------------------------------------------------------
 
-_count_cache: Dict[tuple, np.ndarray] = {}
-_quad_cache: Dict[tuple, float] = {}
+# Entries each normalization cache keeps, least recently used dropped first:
+# far above the one or two (model, T) keys a run uses.
+_CACHE_SIZE = 64
+
+
+@dataclass(frozen=True)
+class _ModelKey:
+    """A model that caches compare and hash by its digest key alone, so
+    equal models built apart share entries."""
+
+    digest: tuple
+    model: HawkesModel = field(compare=False)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _count_histogram(key: _ModelKey, T: float, n_mc: int, master_seed: int) -> np.ndarray:
+    return np.bincount(simulate_batch(key.model, T, master_seed, n_mc).counts())
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _quadrature_mass(key: _ModelKey, T: float, n: int) -> float:
+    return _simplex_quadrature_mass(key.model, T, n)
 
 
 def count_distribution(
@@ -118,13 +138,8 @@ def count_distribution(
     master_seed: int = DEFAULT_NORMALIZATION_SEED,
 ) -> np.ndarray:
     """Histogram of N_T over n_mc simulated paths (cached per model/T)."""
-    key = (model.digest_key(), float(T), int(n_mc), int(master_seed))
-    hist = _count_cache.get(key)
-    if hist is None:
-        batch = simulate_batch(model, T, master_seed, n_mc)
-        hist = np.bincount(batch.counts())
-        _count_cache[key] = hist
-    return hist
+    key = _ModelKey(model.digest_key(), model)
+    return _count_histogram(key, float(T), int(n_mc), int(master_seed))
 
 
 def normalization_constant(
@@ -158,12 +173,7 @@ def normalization_constant(
             raise NormalizationError(
                 "nonlinear-gamma quadrature normalization supported for n<=2 only"
             )
-        key = (model.digest_key(), float(T), int(n))
-        z = _quad_cache.get(key)
-        if z is None:
-            z = _simplex_quadrature_mass(model, T, n)
-            _quad_cache[key] = z
-        return z, 0.0
+        return _quadrature_mass(_ModelKey(model.digest_key(), model), float(T), int(n)), 0.0
     raise ValueError(f"unknown normalization method {method!r}")
 
 
@@ -322,6 +332,8 @@ def density_vs_empirical(
         raise NormalizationError(
             f"only {m} paths with N_T={n}; need at least {min_conditioned}"
         )
+    from scipy import stats  # here, not at import: it doubles every command's start-up
+
     if n == 1:
         samples = batch.flat_times[batch.offsets[sel]]
         grid, cdf = _marginal_cdf_n1(model, T)

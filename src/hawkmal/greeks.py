@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .malliavin import CameronMartinFunction, divergence_m_batch, padded_jumps
+from .malliavin import CameronMartinFunction, _divergence_rows, weight_arrays
+from .malliavin import divergence_m_batch  # noqa: F401  bench/layers.py traces greeks.divergence_m_batch
 from .model import AssumptionError, HawkesModel
 from .simulate import HawkesPath, PathBatch, compensator, compensator_batch
 
@@ -275,18 +276,18 @@ def malliavin_delta(
     if m is None:
         m = CameronMartinFunction.default(T)
     counts = batch.counts()
-    times, mask = padded_jumps(batch)
+    times, mask, psi, g1, g2, m_at, mh_at = weight_arrays(model, batch, m)
     if times.shape[1] == 0:
         raise ValueError("batch contains no jumps; the weight is undefined")
+    delta_m = _divergence_rows(mask, psi, g1, g2, m_at, mh_at)
     lags = T - times
     mu_lag = np.where(mask, model.kernel.mu(lags), 0.0)
     mu_p_lag = np.where(mask, model.kernel.mu_prime(lags), 0.0)
-    m_at = np.where(mask, np.asarray(m.m(times), dtype=float), 0.0)
-    mh_at = np.where(mask, np.asarray(m.m_hat(times), dtype=float), 0.0)
+    m_at = np.where(mask, m_at, 0.0)
+    mh_at = np.where(mask, mh_at, 0.0)
     D = np.sum(mu_lag * mh_at, axis=1)
     s2 = np.sum(mu_p_lag * mh_at**2, axis=1)
     s3 = np.sum(mu_lag * m_at * mh_at, axis=1)
-    delta_m = divergence_m_batch(model, batch, m)
 
     positive = counts > 0
     floor = _DENOMINATOR_FLOOR_SCALE * model.kernel.sup_norm * T

@@ -20,7 +20,16 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .model import HawkesModel, strict_lags
-from .simulate import HawkesPath, PathBatch, _gauss_rule, _segment_quad, padded_jumps
+from .simulate import (
+    _GL32,
+    HawkesPath,
+    PathBatch,
+    _excitation_compensator,
+    _gauss_rule,
+    _row_blocks,
+    _segment_quad,
+    padded_jumps,
+)
 
 __all__ = [
     "CameronMartinFunction",
@@ -348,82 +357,19 @@ class WeightTerms:
     m_hat_at_jump: np.ndarray
     horizon: float
 
-    def divergence(self) -> float:
-        """delta = sum_j [psi + m_hat (Gamma1 + Gamma2) + m] at the jumps."""
-        if self.jump_times.size == 0:
-            return 0.0
-        return float(
-            np.sum(
-                self.psi_at_jump
-                + self.m_hat_at_jump * (self.gamma1_at_jump + self.gamma2_at_jump)
-                + self.m_at_jump
-            )
-        )
-
-
-def _weight_core(model: HawkesModel, t: np.ndarray, T: float, val_fn, anti_fn):
-    """Shared psi/Gamma1/Gamma2 assembly for a direction given by its value
-    and antiderivative callables (deterministic m or predictable step u)."""
-    n = t.size
-    kernel = model.kernel
-    gam = model.nonlinearity
-    if n == 0:
-        z = np.empty(0)
-        return z, z, z, z, z
-
-    S = model.excitation(t, t)  # pre-jump excitation
-    mup = strict_lags(kernel.mu_prime, t, t)
-    anti_t = np.asarray(anti_fn(t), dtype=float)
-    val_t = np.asarray(val_fn(t), dtype=float)
-    cross = ((anti_t[:, None] - anti_t[None, :]) * mup).sum(axis=1)
-    lam_star = model.baseline.value(t) + gam.value(S)
-    psi = (anti_t * model.baseline.derivative(t) + gam.derivative(S) * cross) / lam_star
-
-    mu0 = float(kernel.mu(np.float64(0.0)))
-    gamma1 = gam.value(mu0 + S) - gam.value(S)
-    if gam.is_linear():
-        gamma2 = kernel.mu(T - t) - mu0
-    else:
-        gamma2 = _gamma2(model, t, T)
-    return psi, gamma1, np.asarray(gamma2, dtype=float), val_t, anti_t
-
-
-def _gamma2(model: HawkesModel, t: np.ndarray, T: float) -> np.ndarray:
-    """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du for
-    every jump at once: one vector-valued integral over the segments
-    [T_k, T_{k+1}] (T_{n+1} = T), the component for T_j vanishing before T_j.
-    The integrand jumps at the jump times, which end the segments."""
-    mu, mu_prime, gprime = model.kernel.mu, model.kernel.mu_prime, model.nonlinearity.derivative
-
-    def f(_, u):
-        exc = strict_lags(mu, t, u).sum(axis=-1)
-        return gprime(exc)[..., None] * strict_lags(mu_prime, t, u)
-
-    return _segment_quad(f, t, np.append(t[1:], T)).sum(axis=0)
-
 
 def weight_terms(
     model: HawkesModel, path: HawkesPath, m: CameronMartinFunction
 ) -> WeightTerms:
     """psi(m, T_j), Gamma1(T_j), Gamma2(T_j) and the direction samples at
-    every jump of the path."""
-    psi, g1, g2, mv, mh = _weight_core(
-        model, path.jump_times, path.horizon, m.m, m.m_hat
-    )
-    return WeightTerms(
-        jump_times=path.jump_times,
-        psi_at_jump=psi,
-        gamma1_at_jump=g1,
-        gamma2_at_jump=g2,
-        m_at_jump=mv,
-        m_hat_at_jump=mh,
-        horizon=path.horizon,
-    )
+    every jump of the path: the one row of its `weight_arrays` block."""
+    _, _, psi, g1, g2, mv, mh = weight_arrays(model, _one_path(path), m)
+    return WeightTerms(path.jump_times, psi[0], g1[0], g2[0], mv[0], mh[0], path.horizon)
 
 
 def divergence_m(model: HawkesModel, path: HawkesPath, m: CameronMartinFunction) -> float:
     """delta(m) = sum_j [psi(m,T_j) + m_hat(T_j)(Gamma1+Gamma2)(T_j) + m(T_j)]."""
-    return weight_terms(model, path, m).divergence()
+    return float(divergence_m_batch(model, _one_path(path), m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +402,7 @@ class StepProcess:
     def value(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self.knots, t, side="left"), 1, self.values.size)
-        out = self.values[idx - 1]
-        return out
+        return self.values[idx - 1]
 
     def integral_to(self, t) -> np.ndarray:
         """u_hat(t) = int_0^t u, piecewise linear."""
@@ -478,54 +423,16 @@ def divergence_predictable(model: HawkesModel, path: HawkesPath, u: StepProcess)
     tot = u.total()
     if abs(tot) > 1e-9:
         raise ValueError(f"int_0^T u = {tot:.3g} violates the zero-mean contract")
-    psi, g1, g2, uv, uh = _weight_core(
-        model, path.jump_times, path.horizon, u.value, u.integral_to
-    )
-    if path.jump_times.size == 0:
-        return 0.0
-    return float(np.sum(psi + uh * (g1 + g2) + uv))
+    return float(divergence_m_batch(model, _one_path(path), (u.value, u.integral_to))[0])
 
 
 # ---------------------------------------------------------------------------
 # change of measure Z^eps
 # ---------------------------------------------------------------------------
 
-def z_eps(
-    model: HawkesModel,
-    path: HawkesPath,
-    m: CameronMartinFunction,
-    eps: float,
-) -> float:
-    """Z^eps along the path: the density ratio under the time shift
-    Phi_eps(u) = u + eps m_hat(u), times prod_i (1 + eps m(T_i)).
-
-    Bounded m requires eps sup|m| < 1/3 (no truncation needed); an
-    unbounded direction is clamped at +-1/(3 eps) and re-centered.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if m.bounded:
-        if eps * m.sup_m >= 1.0 / 3.0:
-            raise ValueError(
-                f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3"
-            )
-        m_val, m_hat = m.m, m.m_hat
-    else:
-        m_val, m_hat = _truncated_direction(m, eps)
-
-    t = path.jump_times
-    if t.size == 0:
-        return 1.0
-    T = path.horizon
-    from .density import log_kappa_rows  # local import: no cycle at load time
-
-    shifted = t + eps * np.asarray(m_hat(t), dtype=float)
-    log_ratio = float(
-        log_kappa_rows(model, T, shifted[None, :])[0]
-        - log_kappa_rows(model, T, t[None, :])[0]
-    )
-    log_prod = float(np.sum(np.log1p(eps * np.asarray(m_val(t), dtype=float))))
-    return math.exp(log_ratio + log_prod)
+def z_eps(model: HawkesModel, path: HawkesPath, m: CameronMartinFunction, eps: float) -> float:
+    """Z^eps along one path (see `z_eps_batch`)."""
+    return float(z_eps_batch(model, _one_path(path), m, eps)[0])
 
 
 def _truncated_direction(m: CameronMartinFunction, eps: float):
@@ -537,7 +444,6 @@ def _truncated_direction(m: CameronMartinFunction, eps: float):
     clipped = np.clip(np.asarray(m.m(grid), dtype=float), -cap, cap)
     cum = cumulative_trapezoid(clipped, grid, initial=0.0)
     shift = cum[-1] / T
-    centered = clipped - shift
 
     def m_val(t):
         return np.clip(np.asarray(m.m(t), dtype=float), -cap, cap) - shift
@@ -576,10 +482,16 @@ def basis_projection_check(gradient: MalliavinGradient, K: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batch fast paths (exponential kernel)
+# the block engine: every model, on the padded (P, K) block
 # ---------------------------------------------------------------------------
 
-def _excitation_recurrences(times, mask, alpha, beta, anti_vals):
+def _one_path(path: HawkesPath) -> PathBatch:
+    """A batch holding `path` alone, for the single-path wrappers."""
+    offsets = np.array([0, path.count], dtype=np.int64)
+    return PathBatch(path.horizon, 0, 0, offsets, path.jump_times)
+
+
+def _excitation_recurrences(times, alpha, beta, anti_vals):
     """Per-jump sums for the exponential kernel via O(P K) recurrences:
 
     S_j     = sum_{i<j} alpha e^{-beta (T_j - T_i)}        (pre-jump excitation)
@@ -595,90 +507,145 @@ def _excitation_recurrences(times, mask, alpha, beta, anti_vals):
     return S, C
 
 
-def weight_arrays(
-    model: HawkesModel, batch: PathBatch, m: CameronMartinFunction
-):
-    """Vectorized weight terms over a batch (exponential kernel required):
-    returns (times, mask, psi, gamma1, gamma2, m_at, m_hat_at) as padded
-    (n_paths, K) arrays.  Nonlinear gamma is supported except for Gamma2,
-    which is closed-form only in the linear case."""
+def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, anti=None):
+    """Sums over the strictly earlier jumps of each row of a padded (P, K)
+    block holding counts[p] jumps in row p:
+
+    S_j     = sum_{i<j} mu(T_j - T_i)                       (pre-jump excitation)
+    cross_j = sum_{i<j} (anti_j - anti_i) mu'(T_j - T_i)    (psi's cross sum)
+
+    cross is None when no `anti` is given.  The exponential kernel takes the
+    O(P K) recurrences; any other kernel takes pairwise `strict_lags` sums
+    over `_row_blocks`; padded slots then read 0.
+    """
     kernel = model.kernel
-    if kernel.family != "exponential":
-        raise ValueError("batch weight arrays require the exponential kernel")
-    if not model.nonlinearity.is_linear():
-        raise ValueError(
-            "batch weight arrays use the closed-form Gamma2; nonlinear "
-            "models need the per-path route"
-        )
-    alpha, beta = float(kernel.alpha), float(kernel.beta)
-    gam = model.nonlinearity
+    if kernel.family == "exponential":
+        alpha, beta = float(kernel.alpha), float(kernel.beta)
+        if anti is None:
+            return _excitation_recurrences(times, alpha, beta, np.zeros_like(times))[0], None
+        S, C = _excitation_recurrences(times, alpha, beta, anti)
+        # cross_j = -beta (anti_j S_j - alpha C_j)
+        return S, -beta * (anti * S - alpha * C)
+    S = np.zeros(times.shape)
+    cross = None if anti is None else np.zeros(times.shape)
+    for idx, K in _row_blocks(counts, lambda K: K * K):
+        at = times[idx, :K]
+        S[idx, :K] = strict_lags(kernel.mu, at[:, None, :], at).sum(axis=-1)
+        if anti is not None:
+            a = anti[idx, :K]
+            mup = strict_lags(kernel.mu_prime, at[:, None, :], at)
+            cross[idx, :K] = ((a[:, :, None] - a[:, None, :]) * mup).sum(axis=-1)
+    return S, cross
+
+
+def _gamma2_block(
+    model: HawkesModel, times: np.ndarray, counts: np.ndarray, T: float
+) -> np.ndarray:
+    """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du for
+    every cell of a padded (P, K) block holding counts[p] jumps in row p:
+    one integral over the flattened (path, segment) pairs [T_k, T_{k+1}]
+    (T_{n+1} = T) of each of the `_row_blocks`, the component for T_j
+    vanishing before T_j.  The integrand jumps at the jump times, which end
+    the segments.  Padded slots read 0."""
+    mu, mu_prime, gprime = model.kernel.mu, model.kernel.mu_prime, model.nonlinearity.derivative
+    out = np.zeros(times.shape)
+    for idx, K in _row_blocks(counts, lambda K: K * _GL32[0].size * K):
+        if K == 0:
+            break  # the remaining rows have no jumps
+        block = times[idx, :K]
+        ends = np.concatenate([block[:, 1:], np.full((idx.size, 1), T)], axis=1)
+
+        def f(seg, u):
+            rows = block[seg // K, None, :]
+            exc = strict_lags(mu, rows, u).sum(axis=-1)
+            return gprime(exc)[..., None] * strict_lags(mu_prime, rows, u)
+
+        quad = _segment_quad(f, block.ravel(), ends.ravel())
+        out[idx, :K] = quad.reshape(-1, K, K).sum(axis=1)
+    return out
+
+
+def weight_arrays(model: HawkesModel, batch: PathBatch, m):
+    """psi, Gamma1, Gamma2 and the direction samples at every jump of a
+    batch, for any kernel and nonlinearity: returns (times, mask, psi,
+    gamma1, gamma2, m_at, m_hat_at) as padded (n_paths, K) arrays whose
+    padded slots hold the horizon (mask them out).  `m` is a
+    CameronMartinFunction or a (value, antiderivative) pair of callables,
+    such as a StepProcess's (value, integral_to).
+
+    The kernel family picks the excitation sums (`_excitation_sums`); gamma's
+    linearity picks Gamma2: mu(T - T_j) - mu(0) in closed form for linear
+    gamma, one segment quadrature over the block (`_gamma2_block`) otherwise.
+    """
+    val_fn, anti_fn = (m.m, m.m_hat) if isinstance(m, CameronMartinFunction) else m
+    kernel, gam = model.kernel, model.nonlinearity
     T = batch.horizon
     times, mask = padded_jumps(batch)
     if times.shape[1] == 0:
         empty = np.zeros_like(times)
         return times, mask, empty, empty, empty, empty, empty
 
-    m_hat_at = np.asarray(m.m_hat(times), dtype=float)
-    m_at = np.asarray(m.m(times), dtype=float)
-    S, C = _excitation_recurrences(times, mask, alpha, beta, m_hat_at)
-    # cross_j = sum_{i<j} (m_hat_j - m_hat_i) mu'(T_j - T_i)
-    #         = -beta (m_hat_j S_j - alpha C_j)
-    cross = -beta * (m_hat_at * S - alpha * C)
+    m_hat_at = np.asarray(anti_fn(times), dtype=float)
+    m_at = np.asarray(val_fn(times), dtype=float)
+    counts = batch.counts()
+    S, cross = _excitation_sums(model, times, counts, m_hat_at)
     lam_star = model.baseline.value(times) + gam.value(S)
     psi = (m_hat_at * model.baseline.derivative(times) + gam.derivative(S) * cross) / lam_star
-    gamma1 = gam.value(alpha + S) - gam.value(S)
-    gamma2 = kernel.mu(T - times) - alpha
+    mu0 = float(kernel.mu(np.float64(0.0)))
+    gamma1 = gam.value(mu0 + S) - gam.value(S)
+    if gam.is_linear():
+        gamma2 = kernel.mu(T - times) - mu0
+    else:
+        gamma2 = _gamma2_block(model, times, counts, T)
     return times, mask, psi, gamma1, gamma2, m_at, m_hat_at
 
 
-def divergence_m_batch(
-    model: HawkesModel, batch: PathBatch, m: CameronMartinFunction
-) -> np.ndarray:
-    """delta(m) for every path of a batch.  Exponential-kernel linear models
-    go through O(P K) recurrences; anything else falls back per path."""
-    if model.kernel.family == "exponential" and model.nonlinearity.is_linear():
-        times, mask, psi, g1, g2, m_at, m_hat_at = weight_arrays(model, batch, m)
-        if times.shape[1] == 0:
-            return np.zeros(batch.n_paths)
-        summand = np.where(mask, psi + m_hat_at * (g1 + g2) + m_at, 0.0)
-        return summand.sum(axis=1)
-    return np.array([divergence_m(model, p, m) for p in batch])
+def _divergence_rows(mask, psi, gamma1, gamma2, m_at, m_hat_at) -> np.ndarray:
+    """delta = sum_j [psi + m_hat (Gamma1 + Gamma2) + m] per row of a
+    `weight_arrays` block."""
+    return np.where(mask, psi + m_hat_at * (gamma1 + gamma2) + m_at, 0.0).sum(axis=1)
+
+
+def divergence_m_batch(model: HawkesModel, batch: PathBatch, m) -> np.ndarray:
+    """delta(m) for every path of a batch, from one `weight_arrays` block
+    (`m` as there)."""
+    return _divergence_rows(*weight_arrays(model, batch, m)[1:])
 
 
 def z_eps_batch(
     model: HawkesModel, batch: PathBatch, m: CameronMartinFunction, eps: float
 ) -> np.ndarray:
-    """Z^eps for every path; recurrence fast path for exponential + linear
-    models, per-path fallback otherwise."""
+    """Z^eps for every path: the density ratio under the time shift
+    Phi_eps(u) = u + eps m_hat(u), times prod_i (1 + eps m(T_i)).
+
+    Bounded m requires eps sup|m| < 1/3 (no truncation needed); an
+    unbounded direction is clamped at +-1/(3 eps) and re-centered, once per
+    batch.  log kappa of the shifted and of the unshifted jumps comes from
+    one stacked (2P, K) block: the excitation sums of `weight_arrays`, a
+    masked sum of log-intensities and the excitation part of the
+    compensator.  The baseline integral is left out; it cancels in the ratio.
+    """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    fast = (
-        model.kernel.family == "exponential"
-        and model.nonlinearity.is_linear()
-        and m.bounded
-        and eps * m.sup_m < 1.0 / 3.0
-    )
-    if not fast:
-        return np.array([z_eps(model, p, m, eps) for p in batch])
+    if m.bounded:
+        if eps * m.sup_m >= 1.0 / 3.0:
+            raise ValueError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")
+        m_val, m_hat = m.m, m.m_hat
+    else:
+        m_val, m_hat = _truncated_direction(m, eps)
 
-    kernel = model.kernel
-    alpha, beta = float(kernel.alpha), float(kernel.beta)
     T = batch.horizon
+    P = batch.n_paths
     times, mask = padded_jumps(batch)
     if times.shape[1] == 0:
-        return np.ones(batch.n_paths)
-
-    def log_kappa_parts(tt):
-        zeros = np.zeros_like(tt)
-        S, _ = _excitation_recurrences(tt, mask, alpha, beta, zeros)
-        lam = model.baseline.value(tt) + S
-        log_prod = np.where(mask, np.log(lam), 0.0).sum(axis=1)
-        tail = np.where(mask, kernel.mu_hat(T - tt), 0.0).sum(axis=1)
-        return log_prod - tail  # baseline integral cancels in the ratio
-
-    shifted = times + eps * np.asarray(m.m_hat(times), dtype=float)
-    log_ratio = log_kappa_parts(shifted) - log_kappa_parts(times)
-    log_prod = np.where(
-        mask, np.log1p(eps * np.asarray(m.m(times), dtype=float)), 0.0
+        return np.ones(P)
+    shifted = np.where(mask, times + eps * np.asarray(m_hat(times), dtype=float), T)
+    rows = np.concatenate([shifted, times])
+    S, _ = _excitation_sums(model, rows, np.tile(batch.counts(), 2))
+    lam = model.baseline.value(rows) + model.nonlinearity.value(S)
+    log_prod = np.where(np.concatenate([mask, mask]), np.log(lam), 0.0).sum(axis=1)
+    log_kappa = log_prod - _excitation_compensator(model, rows, T)
+    log_jac = np.where(
+        mask, np.log1p(eps * np.asarray(m_val(times), dtype=float)), 0.0
     ).sum(axis=1)
-    return np.exp(log_ratio + log_prod)
+    return np.exp(log_kappa[:P] - log_kappa[P:] + log_jac)

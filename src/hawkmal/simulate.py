@@ -451,6 +451,20 @@ def _segment_quad(f, a, b):
     return out
 
 
+def _row_blocks(counts: np.ndarray, elems_per_row):
+    """Blocks (row indices, width) over the rows of a padded block, longest
+    rows first: a block is as wide as its first row's count and holds as
+    many rows as keep its elems_per_row(width) * rows within _BLOCK_ELEMS.
+    Rows sorted by count keep one long path from widening the short ones."""
+    order = np.argsort(-counts, kind="stable")
+    r = 0
+    while r < order.size:
+        width = int(counts[order[r]])
+        step = max(1, _BLOCK_ELEMS // max(elems_per_row(width), 1))
+        yield order[r:r + step], width
+        r += step
+
+
 def padded_jumps(batch: PathBatch) -> Tuple[np.ndarray, np.ndarray]:
     """(times, mask) as (n_paths, K) arrays, K = max jump count; padded
     slots hold the horizon value and are masked out."""
@@ -466,28 +480,32 @@ def padded_jumps(batch: PathBatch) -> Tuple[np.ndarray, np.ndarray]:
 def compensator_rows(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:
     """Lambda_t = int_0^t lambda*(s) ds for each row of sorted jump times,
     padded with any value >= t (such jumps never count; their segments are
-    empty).  A jump at 0 acts as the limit of jumps at 0+.  Linear gamma is
-    closed form; otherwise gamma(excitation) goes to `_segment_quad` per
-    inter-jump segment, in blocks of rows that bound the temporaries."""
+    empty).  A jump at 0 acts as the limit of jumps at 0+."""
     base = float(model.baseline.integral(np.float64(t)))
+    return base + _excitation_compensator(model, rows, t)
+
+
+def _excitation_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t gamma(excitation) ds per row of `compensator_rows`: Lambda_t
+    without the baseline integral.  Linear gamma is closed form; otherwise
+    gamma(excitation) goes to `_segment_quad` per inter-jump segment, over
+    the `_row_blocks` of the rows' counts of jumps before t."""
     if model.nonlinearity.is_linear():
-        return base + strict_lags(model.kernel.mu_hat, rows, t).sum(axis=-1)
+        return strict_lags(model.kernel.mu_hat, rows, t).sum(axis=-1)
     mu, gam = model.kernel.mu, model.nonlinearity.value
-    P, K = rows.shape
-    cuts = np.minimum(rows, t)
-    lo = np.concatenate([np.zeros((P, 1)), cuts], axis=1)
-    hi = np.concatenate([cuts, np.full((P, 1), t)], axis=1)
-    out = np.empty(P)
-    step = max(1, _BLOCK_ELEMS // ((K + 1) * _GL32[0].size * max(K, 1)))
-    for r in range(0, P, step):
-        block = rows[r:r + step]
+    out = np.empty(rows.shape[0])
+    counts = (rows < t).sum(axis=1)
+    for idx, K in _row_blocks(counts, lambda K: (K + 1) * _GL32[0].size * max(K, 1)):
+        block = rows[idx, :K]
+        cuts = np.minimum(block, t)
+        lo = np.concatenate([np.zeros((idx.size, 1)), cuts], axis=1)
+        hi = np.concatenate([cuts, np.full((idx.size, 1), t)], axis=1)
 
         def f(seg, u):
             return gam(strict_lags(mu, block[seg // (K + 1), None, :], u).sum(axis=-1))
 
-        quad = _segment_quad(f, lo[r:r + step].ravel(), hi[r:r + step].ravel())
-        out[r:r + step] = quad.reshape(-1, K + 1).sum(axis=1)
-    return base + out
+        out[idx] = _segment_quad(f, lo.ravel(), hi.ravel()).reshape(-1, K + 1).sum(axis=1)
+    return out
 
 
 def _window_time(t: Optional[float], T: float) -> float:

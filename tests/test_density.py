@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from hawkmal import density
 from hawkmal.density import (
     GoodnessOfFit,
     NormalizationError,
@@ -162,6 +163,32 @@ def test_normalization_monotone_sum():
     )
     assert zq <= 1.0
     assert n_mc == 200_000
+
+
+def test_normalization_caches_are_bounded_and_keyed_by_digest():
+    # one more key than the cache holds evicts the least recently used one;
+    # an equal model built apart is the same key
+    cached = density._quadrature_mass
+    cached.cache_clear()
+    horizons = [1.0 + 0.01 * k for k in range(density._CACHE_SIZE + 1)]
+    for T in horizons:
+        normalization_constant(reference_model(), T, 1, method="quadrature")
+    info = cached.cache_info()
+    assert info.maxsize == density._CACHE_SIZE
+    assert (info.currsize, info.misses, info.hits) == (density._CACHE_SIZE, len(horizons), 0)
+    normalization_constant(reference_model(), horizons[-1], 1, method="quadrature")
+    assert cached.cache_info().hits == 1
+    normalization_constant(reference_model(), horizons[0], 1, method="quadrature")
+    assert cached.cache_info().misses == len(horizons) + 1
+    normalization_constant(reference_model(alpha=0.4), horizons[0], 1, method="quadrature")
+    assert cached.cache_info().misses == len(horizons) + 2
+
+    counts = density._count_histogram
+    counts.cache_clear()
+    first = count_distribution(reference_model(), 1.0, n_mc=50, master_seed=3)
+    again = count_distribution(reference_model(), 1.0, n_mc=50, master_seed=3)
+    assert again is first
+    assert counts.cache_info().maxsize == density._CACHE_SIZE
 
 
 def test_normalization_refusals():

@@ -26,6 +26,7 @@ from hawkmal.malliavin import (
     jump_count,
     padded_jumps,
     product_smooth,
+    weight_arrays,
     weight_terms,
     xi_kernel,
     z_eps,
@@ -37,7 +38,9 @@ from hawkmal.model import (
     KernelSpec,
     NonlinearitySpec,
 )
+from hawkmal.density import log_kappa_rows
 from hawkmal.simulate import HawkesPath, PathBatch, compensator, simulate_batch
+from test_simulate import quad_gamma2
 
 
 def reference_model():
@@ -45,6 +48,15 @@ def reference_model():
         baseline=BaselineSpec.constant(1.0),
         kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
         nonlinearity=NonlinearitySpec.linear(),
+    )
+
+
+def exp_as_custom(alpha, beta):
+    """The exponential kernel wrapped as a custom kernel: the same mu, but
+    the block engine then takes pairwise strict_lags sums, not recurrences."""
+    k = KernelSpec.exponential(alpha=alpha, beta=beta)
+    return KernelSpec.custom(
+        k.mu, k.mu_prime, k.mu_hat, k.l1_norm, k.sup_norm, k.sup_deriv, nonincreasing=True
     )
 
 
@@ -429,11 +441,14 @@ def test_divergence_empty_path():
 
 
 def test_divergence_batch_matches_per_path(big_batch):
+    # the recurrences on the padded block against the same kernel wrapped as
+    # a custom one, one path at a time: pairwise sums over unpadded rows
     model = reference_model()
+    custom = HawkesModel(model.baseline, exp_as_custom(0.5, 1.0), model.nonlinearity)
     m = CameronMartinFunction.default(5.0)
     vec = divergence_m_batch(model, big_batch, m)
     for i in range(200):
-        solo = divergence_m(model, big_batch.path(i), m)
+        solo = divergence_m(custom, big_batch.path(i), m)
         assert vec[i] == pytest.approx(solo, rel=1e-11, abs=1e-13), f"path {i}"
 
 
@@ -589,6 +604,17 @@ def test_z_eps_derivative_is_divergence():
             assert b <= 0.75 * a + 1e-12, f"no first-order decay: {errs}"
 
 
+def kappa_ratio(model, path, m, eps):
+    """Z^eps of one path from `log_kappa_rows`: the jump density at the
+    shifted times over the density at the times, times prod (1 + eps m)."""
+    t = path.jump_times
+    if t.size == 0:
+        return 1.0
+    shifted = t + eps * np.asarray(m.m_hat(t))
+    lk = log_kappa_rows(model, path.horizon, np.stack([shifted, t]))
+    return math.exp(lk[0] - lk[1] + float(np.sum(np.log1p(eps * np.asarray(m.m(t))))))
+
+
 def test_z_eps_batch_matches_scalar(big_batch):
     model = reference_model()
     m = CameronMartinFunction.default(5.0)
@@ -596,7 +622,7 @@ def test_z_eps_batch_matches_scalar(big_batch):
         vec = z_eps_batch(model, big_batch, m, eps)
         for i in range(60):
             assert vec[i] == pytest.approx(
-                z_eps(model, big_batch.path(i), m, eps), rel=1e-11
+                kappa_ratio(model, big_batch.path(i), m, eps), rel=1e-11
             )
 
 
@@ -699,9 +725,160 @@ def test_excitation_recurrences_match_excitation(paths, norm, beta):
         kernel=KernelSpec.exponential(alpha=alpha, beta=beta),
         nonlinearity=NonlinearitySpec.linear(),
     )
-    times, mask = padded_jumps(batch)
-    S, _ = _excitation_recurrences(times, mask, alpha, beta, np.zeros_like(times))
+    times, _ = padded_jumps(batch)
+    S, _ = _excitation_recurrences(times, alpha, beta, np.zeros_like(times))
     for i, t in enumerate(paths):
         np.testing.assert_allclose(
             S[i, : t.size], model.excitation(t, t), rtol=1e-12, atol=np.finfo(float).tiny
         )
+
+
+# ------------------------------------------------------- block engine oracles
+
+_BT = 3.0
+
+
+def batch_of(paths, T=_BT):
+    counts = [len(t) for t in paths]
+    return PathBatch(
+        horizon=T,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate([np.asarray(t, dtype=float) for t in paths] + [np.empty(0)]),
+    )
+
+
+@st.composite
+def engine_batches(draw):
+    """Up to four drawn paths of up to 8 jumps, then a path with no jump,
+    one whose last jump is exactly at T and an outlier of up to 60 jumps,
+    which sets the padding of every other row."""
+
+    def jumps(max_jumps, min_jumps=0):
+        unit = st.floats(0.0, 1.0, exclude_min=True)
+        raw = draw(st.lists(unit, min_size=min_jumps, max_size=max_jumps))
+        t = np.unique(np.asarray(raw, dtype=float) * _BT)
+        return t[t < _BT]
+
+    paths = [jumps(8) for _ in range(draw(st.integers(0, 4)))]
+    return batch_of(paths + [np.empty(0), np.append(jumps(5), _BT), jumps(60, 20)])
+
+
+def power_law_kernel(a=0.4, c=0.7, p=2.5):
+    """a (1 + t/c)^-p: smooth, nonincreasing and not Markov."""
+
+    def mu(t):
+        return a * (1.0 + np.asarray(t, dtype=float) / c) ** -p
+
+    def mu_prime(t):
+        return -a * p / c * (1.0 + np.asarray(t, dtype=float) / c) ** (-p - 1.0)
+
+    def mu_hat(t):
+        return a * c / (p - 1.0) * (1.0 - (1.0 + np.asarray(t, dtype=float) / c) ** (1.0 - p))
+
+    l1, sup, sup_deriv = a * c / (p - 1.0), a, a * p / c
+    return KernelSpec.custom(mu, mu_prime, mu_hat, l1, sup, sup_deriv, nonincreasing=True)
+
+
+def engine_model(kernel, cap):
+    """Sinusoidal baseline, so psi's baseline term is live; linear gamma
+    when cap is None, c tanh(x / c) otherwise."""
+    return HawkesModel(
+        baseline=BaselineSpec.sinusoidal(lam0=1.5, amp=0.4, period=2.5),
+        kernel=kernel,
+        nonlinearity=NonlinearitySpec.linear()
+        if cap is None
+        else NonlinearitySpec.saturating_tanh(cap=cap),
+    )
+
+
+def scalar_psi_gamma1(model, t, m):
+    """psi and Gamma1 at each jump of one path by plain loops over the
+    strictly earlier jumps."""
+    k, g, b = model.kernel, model.nonlinearity, model.baseline
+
+    def at(fn, x):
+        return float(fn(np.float64(x)))
+
+    psi, gamma1 = [], []
+    for j, tj in enumerate(t):
+        S = math.fsum(at(k.mu, tj - ti) for ti in t[:j])
+        cross = math.fsum(
+            (at(m.m_hat, tj) - at(m.m_hat, ti)) * at(k.mu_prime, tj - ti) for ti in t[:j]
+        )
+        lam = at(b.value, tj) + at(g.value, S)
+        psi.append((at(m.m_hat, tj) * at(b.derivative, tj) + at(g.derivative, S) * cross) / lam)
+        gamma1.append(at(g.value, at(k.mu, 0.0) + S) - at(g.value, S))
+    return np.array(psi), np.array(gamma1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=engine_batches(),
+    beta=st.floats(0.5, 3.0),
+    ratio=st.floats(0.05, 0.9),
+    cap=st.sampled_from([None, 0.3, 2.0]),
+)
+def test_block_engine_recurrences_match_custom_wrapped_kernel(batch, beta, ratio, cap):
+    # the exponential family takes the recurrences, the wrapped copy the
+    # pairwise strict_lags sums; everything else is shared
+    fast_model = engine_model(KernelSpec.exponential(ratio * beta, beta), cap)
+    slow_model = engine_model(exp_as_custom(ratio * beta, beta), cap)
+    m = CameronMartinFunction.cosine(_BT)
+    fast = weight_arrays(fast_model, batch, m)
+    slow = weight_arrays(slow_model, batch, m)
+    mask = fast[1]
+    np.testing.assert_array_equal(fast[0], slow[0])
+    np.testing.assert_array_equal(mask, slow[1])
+    for name, a, b in zip(("psi", "gamma1", "gamma2", "m", "m_hat"), fast[2:], slow[2:]):
+        np.testing.assert_allclose(a[mask], b[mask], rtol=1e-12, atol=1e-14, err_msg=name)
+    np.testing.assert_allclose(
+        divergence_m_batch(fast_model, batch, m),
+        divergence_m_batch(slow_model, batch, m),
+        rtol=1e-12,
+        atol=1e-13,
+    )
+    for eps in (0.1, 1e-3):
+        np.testing.assert_allclose(
+            z_eps_batch(fast_model, batch, m, eps),
+            z_eps_batch(slow_model, batch, m, eps),
+            rtol=1e-12,
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    batch=engine_batches(),
+    family=st.sampled_from(["power-law", "exponential"]),
+    cap=st.sampled_from([None, 0.3, 2.0]),
+)
+def test_block_engine_matches_scalar_oracles(batch, family, cap):
+    # psi and Gamma1 against plain loops, Gamma2 against scipy quad and
+    # Z^eps against the log kappa ratio, one unpadded path at a time
+    kernel = power_law_kernel() if family == "power-law" else KernelSpec.exponential(0.6, 1.5)
+    model = engine_model(kernel, cap)
+    m = CameronMartinFunction.default(_BT)
+    times, mask, psi, g1, g2, m_at, m_hat_at = weight_arrays(model, batch, m)
+    delta = divergence_m_batch(model, batch, m)
+    z = z_eps_batch(model, batch, m, 0.1)
+    counts = batch.counts()
+    for i, path in enumerate(batch):
+        n, t = path.count, path.jump_times
+        np.testing.assert_array_equal(times[i, :n], t)
+        np.testing.assert_array_equal(mask[i], np.arange(mask.shape[1]) < n)
+        want_psi, want_g1 = scalar_psi_gamma1(model, t, m)
+        np.testing.assert_allclose(psi[i, :n], want_psi, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(g1[i, :n], want_g1, rtol=1e-12, atol=1e-14)
+        # the outlier row is checked at its last two jumps only: quad is slow
+        for j in range(n) if i < batch.n_paths - 1 else range(max(n - 2, 0), n):
+            want = (
+                float(kernel.mu(np.float64(_BT - t[j])) - kernel.mu(np.float64(0.0)))
+                if cap is None
+                else quad_gamma2(model, t, _BT, j)
+            )
+            assert g2[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9), f"path {i}, jump {j}"
+        w = psi[i, :n] + m_hat_at[i, :n] * (g1[i, :n] + g2[i, :n]) + m_at[i, :n]
+        assert delta[i] == pytest.approx(math.fsum(w), rel=1e-12, abs=1e-13)
+        assert z[i] == pytest.approx(kappa_ratio(model, path, m, 0.1), rel=1e-11)
+    assert counts[-3] == 0 and delta[-3] == 0.0 and z[-3] == 1.0

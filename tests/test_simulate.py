@@ -24,8 +24,10 @@ from hawkmal.model import (
 from hawkmal.simulate import (
     HawkesPath,
     PathBatch,
+    _BLOCK_ELEMS,
     RngStream,
     _philox4x32,
+    _row_blocks,
     _uniforms_at,
     compensator,
     compensator_batch,
@@ -400,6 +402,19 @@ def quad_gamma2(model, times, T, j, kinks=()):
 
     edges = np.unique(np.concatenate([times[times >= s], [T], [k for k in kinks if k > s]]))
     return quad_segments(f, edges[edges <= T])
+
+
+@given(counts=st.lists(st.integers(0, 60), max_size=300))
+def test_row_blocks_cover_each_row_once_longest_first(counts):
+    counts = np.array(counts, dtype=np.int64)
+    blocks = list(_row_blocks(counts, lambda K: K * 32 * K))
+    rows = np.concatenate([idx for idx, _ in blocks]) if blocks else np.empty(0, int)
+    assert sorted(rows.tolist()) == list(range(counts.size))
+    widths = [K for _, K in blocks]
+    assert widths == sorted(widths, reverse=True)
+    for idx, K in blocks:
+        assert counts[idx].max() == K
+        assert idx.size == 1 or idx.size * K * 32 * K <= _BLOCK_ELEMS
 
 
 @settings(max_examples=60, deadline=None)
