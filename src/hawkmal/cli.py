@@ -20,6 +20,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -279,7 +280,9 @@ def _cell(value) -> str:
 
 # Exact types and their cell text, the same as `_cell` gives them: a lookup
 # that skips the isinstance chain for the common cells (a bool is not an int
-# here, so it still reaches `_cell`).
+# here, so it still reaches `_cell`).  csv.writer itself writes these types
+# as str(v), and str(float) == repr(float), so a table of them alone goes to
+# it as it is.
 _PLAIN_CELL = {int: str, float: repr, str: str}
 
 
@@ -301,8 +304,11 @@ def _write_csv(
             fh.write(f"# {key}={_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        plain = _PLAIN_CELL.get
-        writer.writerows([plain(type(v), _cell)(v) for v in row] for row in rows)
+        if set(map(type, itertools.chain.from_iterable(rows))) <= _PLAIN_CELL.keys():
+            writer.writerows(rows)
+        else:
+            plain = _PLAIN_CELL.get
+            writer.writerows([plain(type(v), _cell)(v) for v in row] for row in rows)
     return path
 
 

@@ -491,20 +491,30 @@ def _one_path(path: HawkesPath) -> PathBatch:
     return PathBatch(path.horizon, 0, 0, offsets, path.jump_times)
 
 
-def _excitation_recurrences(times, alpha, beta, anti_vals):
+def _excitation_recurrences(times, alpha, beta, anti_vals=None):
     """Per-jump sums for the exponential kernel via O(P K) recurrences:
 
     S_j     = sum_{i<j} alpha e^{-beta (T_j - T_i)}        (pre-jump excitation)
     C_j     = sum_{i<j} anti(T_i) e^{-beta (T_j - T_i)}     (for psi's cross sum)
+
+    C is None when no anti_vals are given.  The recurrences step along the
+    contiguous rows of the (K, P) transposes; S and C come back as C-ordered
+    (P, K) arrays.
     """
-    P, K = times.shape
-    S = np.zeros((P, K))
-    C = np.zeros((P, K))
-    for j in range(1, K):
-        decay = np.exp(-beta * (times[:, j] - times[:, j - 1]))
-        S[:, j] = (S[:, j - 1] + alpha) * decay
-        C[:, j] = (C[:, j - 1] + anti_vals[:, j - 1]) * decay
-    return S, C
+    tt = np.ascontiguousarray(times.T)
+    decay = np.exp(-beta * np.diff(tt, axis=0))
+    S = np.zeros_like(tt)
+    for j in range(1, tt.shape[0]):
+        np.add(S[j - 1], alpha, out=S[j])
+        S[j] *= decay[j - 1]
+    if anti_vals is None:
+        return np.ascontiguousarray(S.T), None
+    at = np.ascontiguousarray(anti_vals.T)
+    C = np.zeros_like(tt)
+    for j in range(1, tt.shape[0]):
+        np.add(C[j - 1], at[j - 1], out=C[j])
+        C[j] *= decay[j - 1]
+    return np.ascontiguousarray(S.T), np.ascontiguousarray(C.T)
 
 
 def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, anti=None):
@@ -521,11 +531,9 @@ def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     kernel = model.kernel
     if kernel.family == "exponential":
         alpha, beta = float(kernel.alpha), float(kernel.beta)
-        if anti is None:
-            return _excitation_recurrences(times, alpha, beta, np.zeros_like(times))[0], None
         S, C = _excitation_recurrences(times, alpha, beta, anti)
         # cross_j = -beta (anti_j S_j - alpha C_j)
-        return S, -beta * (anti * S - alpha * C)
+        return S, None if anti is None else -beta * (anti * S - alpha * C)
     S = np.zeros(times.shape)
     cross = None if anti is None else np.zeros(times.shape)
     for idx, K in _row_blocks(counts, lambda K: K * K):

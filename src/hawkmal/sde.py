@@ -32,6 +32,7 @@ _STEP_FRACTION = 1e-3     # h <= 1e-3 * horizon
 _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
 _DET_FLOOR = 1e-12
 _PRODUCT_RESET = 1e-10    # renormalize K_tilde when |K K~ - I| exceeds this
+_RESCALE_EXPONENT = 256   # batch sweep: rescale once |K~| leaves [2^-256, 2^255)
 
 
 class LinearCoeffs(NamedTuple):
@@ -707,8 +708,19 @@ def _scalar_batch_sweep(sde: JumpSde, batch: PathBatch):
             dgdt = np.asarray(ew.g_t(tj, xj), dtype=float)
             phi = f_shift - f_here - gx * f_here - dgdt
             K[jump] *= jfac
-            Kt[jump] /= jfac
-            w = Kt[jump] * phi
+            kt = Kt[jump] / jfac
+            e = np.frexp(kt)[1]
+            if np.abs(e).max() >= _RESCALE_EXPONENT:
+                # jumps that contract (or expand) K hard drive K~ and w
+                # below out of range until w * w (or K * K) overflows; the
+                # map (K, K~, q, acc) -> (2^e K, 2^-e K~, 2^-2e q, 2^-e acc)
+                # leaves K K~ and gamma as they are: powers of two scale exactly
+                K[jump] = np.ldexp(K[jump], e)
+                kt = np.ldexp(kt, -e)
+                q[jump] = np.ldexp(q[jump], -2 * e)
+                acc[jump] = np.ldexp(acc[jump], -e)
+            Kt[jump] = kt
+            w = kt * phi
             q[jump] += w * (2.0 * acc[jump] + w * tj)
             acc[jump] += w * tj
             x[jump] = xj + gval

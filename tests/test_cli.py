@@ -9,8 +9,18 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hawkmal.cli import ConfigError, _cmd_simulate, _Invocation, load_config, main
+from hawkmal.cli import (
+    ConfigError,
+    _cell,
+    _cmd_simulate,
+    _Invocation,
+    _write_csv,
+    load_config,
+    main,
+)
 
 
 def run_cli(*argv: str) -> int:
@@ -194,6 +204,35 @@ def test_simulate_paths_known_bytes(tmp_path):
         assert _cmd_simulate(inv)
         data = (out / "simulate_paths.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+_CELLS = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(['a,b', 'q"q', "x\ny", " ", ""]),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-2**62, 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=4), max_size=6))
+def test_write_csv_bytes_match_cell_text(tmp_path_factory, rows):
+    # rows of plain cells skip `_cell`; every file must still read as if
+    # each cell went through it
+    out = tmp_path_factory.mktemp("csv")
+    path = _write_csv(str(out), "t.csv", "abc", ("x", "y"), rows, None, (("k", 1.5),))
+    ref = io.StringIO(newline="")
+    ref.write("# digest=abc\n# k=1.5\n")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(("x", "y"))
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    with open(path, newline="") as fh:
+        assert fh.read() == ref.getvalue()
 
 
 def test_simulate_zero_jump_batch_writes_header_only(tmp_path):

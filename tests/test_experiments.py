@@ -194,8 +194,10 @@ def block_functionals():
         ("T3", capped_jump_time(3)),
         ("exp(-T2)", compose_smooth(lambda x: np.exp(-x), lambda x: -np.exp(-x), t2)),
         ("T1*T3", product_smooth(t1, capped_jump_time(3))),
+        # np.square, not ** 2: numpy takes a float64 scalar's ** 2 to a pow
+        # that is not correctly rounded, an array's to an exact square
         ("tanh(T1*T2)", compose_smooth(
-            np.tanh, lambda v: 1.0 / np.cosh(v) ** 2, product_smooth(t1, t2)
+            np.tanh, lambda v: 1.0 / np.square(np.cosh(v)), product_smooth(t1, t2)
         )),
     ] + list(smooth_catalog())
 

@@ -418,6 +418,12 @@ _TINY = np.finfo(float).tiny  # subnormal results are rounding noise
     paths=[[]], near_T=1e-3, outlier=[5.4e-240, 1.9e-55, 6.5e-27, 5.2e-16, 1e-6],
     x0=1.0, timed=False,
 )
+# 50 jumps carry x towards pi, where 1 + cos x is small: K~ passes 1e178 and
+# w * w overflows unless the sweep rescales
+@example(
+    paths=[[]], near_T=1e-3, outlier=[_SWEEP_T * k / 51 for k in range(1, 51)],
+    x0=1.625, timed=False,
+)
 def test_time_major_sweep_matches_per_path(paths, near_T, outlier, x0, timed):
     # always one path with no jump, one with a jump just before T, and one
     # with an outlying jump count next to the drawn ones

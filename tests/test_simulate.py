@@ -3,6 +3,7 @@ parallelism, thinning reductions, compensator closed forms, and the segment
 quadrature against scipy quad."""
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,6 +158,99 @@ def test_parallelism_bit_identity():
     b = simulate_batch(model, T=5.0, master_seed=9, n_paths=10_000, n_workers=8)
     np.testing.assert_array_equal(a.offsets, b.offsets)
     np.testing.assert_array_equal(a.flat_times, b.flat_times)
+
+
+def _batch_digest(batch):
+    h = hashlib.sha256()
+    h.update(batch.offsets.astype("<i8").tobytes())
+    h.update(batch.flat_times.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_reference_batch_known_answer():
+    # 40 000 paths from index 1234 span several chunks at widths 4 096 and
+    # 16 384; the digest pins every offset and every bit of every jump time
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=20261018, n_paths=40_000,
+                           first_index=1234)
+    assert batch.flat_times.size == 326_628
+    assert _batch_digest(batch) == "df8e09bb5a78d31f13377fa14a96ec916845820fdb18024bab14825cfc46c44f"
+
+
+def test_tanh_batch_known_answer():
+    model = HawkesModel(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
+        nonlinearity=NonlinearitySpec.saturating_tanh(cap=2.0),
+    )
+    batch = simulate_batch(model, T=5.0, master_seed=7, n_paths=2_000, first_index=99)
+    assert batch.flat_times.size == 15_339
+    assert _batch_digest(batch) == "0a74519aec244fd15f01b1a35a9a767a66991df7c1db6e49c15875d43ebaf8af"
+
+
+def test_simulate_path_draw_counter_known_answer():
+    # a path takes one draw per candidate past T and two per candidate
+    # inside it; a second path on the same stream starts where the first ended
+    stream = RngStream(master_seed=31, path_index=5)
+    first = simulate_path(reference_model(), 5.0, stream)
+    assert (first.count, stream.draw_counter) == (19, 43)
+    second = simulate_path(reference_model(), 5.0, stream)
+    assert (second.count, stream.draw_counter) == (21, 90)
+
+
+def _joined(a, b):
+    """The bytes of batch `a` followed by batch `b`, as one batch's."""
+    offsets = np.concatenate([a.offsets, a.offsets[-1] + b.offsets[1:]])
+    return offsets.tobytes(), np.concatenate([a.flat_times, b.flat_times]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    first=st.one_of(
+        st.integers(0, 1000), st.integers(2**32 - 40, 2**32 + 40), st.integers(0, 2**64 - 41)
+    ),
+    n=st.integers(2, 40),
+    cut=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_batch_equals_its_split_at_any_chunk_width(first, n, cut, seed):
+    # substream independence: paths [first, first + n) are the same bytes
+    # whether simulated together or as two adjacent batches, at any width
+    model = reference_model()
+    split = min(n - 1, max(1, int(cut * n)))
+    ref = simulate_batch(model, 5.0, seed, n, first_index=first)
+    for width in (1, 7, hawkmal.simulate._CHUNK):
+        with mock.patch.object(hawkmal.simulate, "_CHUNK", width):
+            whole = simulate_batch(model, 5.0, seed, n, first_index=first)
+            a = simulate_batch(model, 5.0, seed, split, first_index=first)
+            b = simulate_batch(model, 5.0, seed, n - split, first_index=first + split)
+        assert (whole.offsets.tobytes(), whole.flat_times.tobytes()) == (
+            ref.offsets.tobytes(), ref.flat_times.tobytes()
+        )
+        assert _joined(a, b) == (ref.offsets.tobytes(), ref.flat_times.tobytes())
+
+
+def test_one_philox_call_per_lockstep_round(monkeypatch):
+    # every round calls the baseline's envelope once; u1 and u2 of all the
+    # live paths must come from one Philox call in that round
+    rounds, draws = [0], []
+    sup_on = BaselineSpec.sup_on
+    philox = hawkmal.simulate._philox_rounds
+
+    def counted_sup_on(self, a, b):
+        rounds[0] += 1
+        return sup_on(self, a, b)
+
+    def counted_philox(c0, c1, c2, c3, keys):
+        words = philox(c0, c1, c2, c3, keys)
+        draws.append((words[0].shape, np.shape(c2)))
+        return words
+
+    monkeypatch.setattr(BaselineSpec, "sup_on", counted_sup_on)
+    monkeypatch.setattr(hawkmal.simulate, "_philox_rounds", counted_philox)
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=8, n_paths=20_000)
+    assert batch.n_paths == 20_000
+    assert rounds[0] > 0 and len(draws) == rounds[0]
+    assert all(shape == (2,) + live for shape, live in draws)
 
 
 def test_disjoint_ranges_no_collisions():
