@@ -11,15 +11,15 @@ nonincreasing and gamma is nondecreasing, which the simulator requires.
 A guard raises if a proposal ever exceeds the envelope (symptom of a
 non-monotone custom gamma or a bad baseline bound).
 
-Exponential (and null) kernels run in lockstep over fixed-width chunks of
-paths: each round, every live path proposes one candidate, from one Philox
-call that draws u1 and u2 for all live paths at once, and the state arrays
-are then compressed to the paths whose candidate fell inside [0, T].  Other
-kernels are simulated one path at a time.
+Every kernel runs in lockstep over fixed-width chunks of paths: each round,
+every live path proposes one candidate, from one Philox call that draws u1
+and u2 for all live paths at once, and the state arrays are then compressed
+to the paths whose candidate fell inside [0, T].  Exponential (and null)
+kernels carry the excitation as one Markov sum; any other kernel sums mu
+over a padded history of each live path's jumps.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -38,9 +38,10 @@ __all__ = [
 ]
 
 # Fixed chunk width of `simulate_batch`: a memory bound on the lockstep
-# arrays, which hold only a chunk's live paths.  The Markov engine is
-# elementwise, so the width never changes bytes.  Each lockstep round has a
-# fixed cost of some 100 numpy calls, so wider chunks pay it for more paths;
+# arrays, which hold only a chunk's live paths.  Each path's arithmetic is
+# its own (see `_simulate_chunk` on the history's width), so the width never
+# changes bytes.  Each lockstep round has a fixed cost of some 100 numpy
+# calls, so wider chunks pay it for more paths;
 # a sweep of one 50 000-path reference batch (2 vCPU, median of 21) took
 # 179/144/129/136/144 ms at widths 4 096/8 192/16 384/32 768/65 536.
 _CHUNK = 16384
@@ -237,23 +238,30 @@ def _check_simulable(model: HawkesModel) -> None:
         )
 
 
-def _simulate_chunk_markov(model, T, seed, first, n, start_ctr=0):
-    """Lockstep thinning for exponential (or null) kernels.
+def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
+    """Lockstep thinning of the paths [first, first + n), for any kernel.
 
     Returns the chunk's (offsets, flat_times) and the draw counter one past
-    the last u1 of its longest-running path.  The excitation sum is
-    Markov: S decays by exp(-beta dt) and gains alpha = mu(0) at each jump.
-    The state arrays hold the live paths only and are compressed each round.
-    Every live path proposes once a round, so all of them share one draw
-    counter: u1 and u2 come from one Philox call at counters (ctr, ctr+1),
-    and a path that leaves discards its u2.  A path's draws thus depend on
-    its index alone, not on the chunk it runs in.
+    the last u1 of its longest-running path.  The state arrays hold the live
+    paths only and are compressed each round.  Every live path proposes once
+    a round, so all of them share one draw counter: u1 and u2 come from one
+    Philox call at counters (ctr, ctr+1), and a path that leaves discards
+    its u2.  A path's draws thus depend on its index alone, not on the chunk
+    it runs in.
+
+    S is the excitation at the last proposal, plus mu(0) if it was accepted.
+    Exponential (and null) kernels are Markov: S decays by exp(-beta dt).
+    Any other kernel sums mu over `hist`, each live path's accepted jumps
+    padded with +inf.  Its width stays a power of two of at least 8, so that
+    numpy's pairwise row sum adds the real lags in the same order at every
+    width: a path's bytes then do not depend on its chunk's longest path.
     """
     base = model.baseline
     gam = model.nonlinearity
     k = model.kernel
-    alpha = float(k.alpha) if k.alpha is not None else 0.0
+    jump = float(k.mu(0.0))  # a null custom kernel has no alpha
     beta = float(k.beta) if k.beta is not None else 1.0
+    markov = k.family == "exponential" or k.is_null()
     keys = _seed_keys(seed)
 
     # the smallest unsigned rows: `_assemble`'s stable argsort then radix-sorts
@@ -262,6 +270,9 @@ def _simulate_chunk_markov(model, T, seed, first, n, start_ctr=0):
     lo, hi = pidx & _U32, pidx >> _S32
     t = np.zeros(n)
     S = np.zeros(n)
+    if not markov:
+        hist = np.full((n, 8), np.inf)
+        filled = np.zeros(n, dtype=np.int64)
     ctr = int(start_ctr)
     rows_acc: List[np.ndarray] = []
     times_acc: List[np.ndarray] = []
@@ -282,10 +293,15 @@ def _simulate_chunk_markov(model, T, seed, first, n, start_ctr=0):
         if not keep.all():
             rows, lo, hi = rows[keep], lo[keep], hi[keep]
             t, S, t_prop, lam_bar, u2 = t[keep], S[keep], t_prop[keep], lam_bar[keep], u2[keep]
+            if not markov:
+                hist, filled = hist[keep], filled[keep]
             if not rows.size:
                 break
 
-        S_prop = S * np.exp(-beta * (t_prop - t))
+        if markov:
+            S_prop = S * np.exp(-beta * (t_prop - t))
+        else:
+            S_prop = strict_lags(k.mu, hist, t_prop).sum(axis=-1)
         lam_star = base.value(t_prop) + gam.value(S_prop)
         if np.any(lam_star > lam_bar * (1.0 + _ENVELOPE_SLACK)):
             raise InternalError("thinning envelope violated")
@@ -293,49 +309,17 @@ def _simulate_chunk_markov(model, T, seed, first, n, start_ctr=0):
         if accept.any():
             rows_acc.append(rows[accept])
             times_acc.append(t_prop[accept])
-            S_prop[accept] += alpha
+            S_prop[accept] += jump
+            if not markov:
+                lanes = np.nonzero(accept)[0]
+                col = filled[lanes]
+                if col.max() == hist.shape[1]:
+                    hist = np.concatenate([hist, np.full_like(hist, np.inf)], axis=1)
+                hist[lanes, col] = t_prop[lanes]
+                filled[lanes] = col + 1
         S, t = S_prop, t_prop
 
     return _assemble(rows_acc, times_acc, n), ctr - 1
-
-
-def _simulate_path_general(model, T, seed, path_index, start_ctr=0):
-    """Scalar thinning for custom kernels (excitation recomputed per step)."""
-    base = model.baseline
-    gam = model.nonlinearity
-    mu = model.kernel.mu
-
-    t = 0.0
-    ctr = int(start_ctr)
-    jumps: List[float] = []
-    rounds = 0
-    idx = np.array([path_index], dtype=np.uint64)
-    while True:
-        rounds += 1
-        if rounds > _MAX_ROUNDS:
-            raise InternalError("thinning failed to terminate")
-        arr = np.asarray(jumps, dtype=float)
-        S_now = float(np.sum(mu(t - arr))) if arr.size else 0.0
-        lam_bar = float(base.sup_on(np.array([t]), np.array([T]))[0]) + float(
-            gam.value(np.float64(S_now))
-        )
-        u1 = float(_uniforms_at(seed, idx, np.array([ctr], dtype=np.uint64))[0])
-        ctr += 1
-        tp = t - math.log(u1) / lam_bar
-        if tp > T:
-            break
-        u2 = float(_uniforms_at(seed, idx, np.array([ctr], dtype=np.uint64))[0])
-        ctr += 1
-        S_prop = float(np.sum(mu(tp - arr))) if arr.size else 0.0
-        lam_star = float(base.value(np.float64(tp))) + float(
-            gam.value(np.float64(S_prop))
-        )
-        if lam_star > lam_bar * (1.0 + _ENVELOPE_SLACK):
-            raise InternalError("thinning envelope violated")
-        if u2 * lam_bar <= lam_star:
-            jumps.append(tp)
-        t = tp
-    return jumps, ctr
 
 
 def _assemble(rows_acc, times_acc, n):
@@ -353,20 +337,6 @@ def _assemble(rows_acc, times_acc, n):
     return offsets, tms
 
 
-def _simulate_chunk(model, T, seed, first, n):
-    k = model.kernel
-    if k.family == "exponential" or k.is_null():
-        (offsets, tms), _ = _simulate_chunk_markov(model, T, seed, first, n)
-        return offsets, tms
-    rows_acc, times_acc = [], []
-    for i in range(n):
-        jumps, _ = _simulate_path_general(model, T, seed, first + i)
-        if jumps:
-            rows_acc.append(np.full(len(jumps), i, dtype=np.int64))
-            times_acc.append(np.asarray(jumps))
-    return _assemble(rows_acc, times_acc, n)
-
-
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
@@ -376,20 +346,11 @@ def simulate_path(model: HawkesModel, T: float, stream: RngStream) -> HawkesPath
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     _check_simulable(model)
-    k = model.kernel
-    if k.family == "exponential" or k.is_null():
-        (offsets, tms), ctr = _simulate_chunk_markov(
-            model, T, stream.master_seed, stream.path_index, 1,
-            start_ctr=stream.draw_counter,
-        )
-        stream.draw_counter = ctr
-        return HawkesPath(tms, T)
-    jumps, ctr = _simulate_path_general(
-        model, T, stream.master_seed, stream.path_index,
-        start_ctr=stream.draw_counter,
+    (_, tms), ctr = _simulate_chunk(
+        model, T, stream.master_seed, stream.path_index, 1, start_ctr=stream.draw_counter
     )
     stream.draw_counter = ctr
-    return HawkesPath(np.asarray(jumps), T)
+    return HawkesPath(tms, T)
 
 
 def simulate_batch(
@@ -417,7 +378,7 @@ def simulate_batch(
     _check_simulable(model)
 
     results = [
-        _simulate_chunk(model, T, master_seed, first_index + s, min(_CHUNK, n_paths - s))
+        _simulate_chunk(model, T, master_seed, first_index + s, min(_CHUNK, n_paths - s))[0]
         for s in range(0, n_paths, _CHUNK)
     ]
 

@@ -40,7 +40,7 @@ from hawkmal.model import (
 )
 from hawkmal.density import log_kappa_rows
 from hawkmal.simulate import HawkesPath, PathBatch, compensator, simulate_batch
-from test_simulate import quad_gamma2
+from test_simulate import exp_as_custom, power_law_kernel, quad_gamma2
 
 
 def reference_model():
@@ -48,15 +48,6 @@ def reference_model():
         baseline=BaselineSpec.constant(1.0),
         kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
         nonlinearity=NonlinearitySpec.linear(),
-    )
-
-
-def exp_as_custom(alpha, beta):
-    """The exponential kernel wrapped as a custom kernel: the same mu, but
-    the block engine then takes pairwise strict_lags sums, not recurrences."""
-    k = KernelSpec.exponential(alpha=alpha, beta=beta)
-    return KernelSpec.custom(
-        k.mu, k.mu_prime, k.mu_hat, k.l1_norm, k.sup_norm, k.sup_deriv, nonincreasing=True
     )
 
 
@@ -322,6 +313,33 @@ def test_condition2_lower_bound(big_batch):
         slack = condition2_slack(5.0, path.jump_times, c)
         assert slack >= -1e-12, f"path {i}: slack {slack:.3g}"
         checked += 1
+
+
+@st.composite
+def slack_inputs(draw):
+    """(T, times, coeffs): sorted times in (0, T], some only ulps apart, some
+    tied, maybe one at T."""
+    T = draw(st.floats(0.01, 100.0))
+    frac = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=16))
+    t = np.asarray(frac) * T
+    near = draw(st.lists(st.sampled_from(t.tolist()), max_size=6))
+    ulps = draw(st.lists(st.integers(0, 4), min_size=len(near), max_size=len(near)))
+    t = np.concatenate([t, [np.nextafter(s, np.inf) + k * np.spacing(s)
+                            for s, k in zip(near, ulps)]])
+    if draw(st.booleans()):
+        t = np.append(t, T)
+    t = np.sort(t[(t > 0.0) & (t <= T)])
+    c = draw(st.lists(st.floats(-1e3, 1e3), min_size=t.size, max_size=t.size))
+    return T, t, np.asarray(c, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slack_inputs())
+def test_condition2_slack_nonnegative(args):
+    # c' Xi c is a sum of terms no larger than (T / 4) |c_i| |c_j|, so
+    # rounding moves it by a few ulps of T (sum |c|)^2
+    T, t, c = args
+    assert condition2_slack(T, t, c) >= -1e-13 * T * np.sum(np.abs(c)) ** 2
 
 
 def test_condition2_tight_for_single_jump():
@@ -763,22 +781,6 @@ def engine_batches(draw):
 
     paths = [jumps(8) for _ in range(draw(st.integers(0, 4)))]
     return batch_of(paths + [np.empty(0), np.append(jumps(5), _BT), jumps(60, 20)])
-
-
-def power_law_kernel(a=0.4, c=0.7, p=2.5):
-    """a (1 + t/c)^-p: smooth, nonincreasing and not Markov."""
-
-    def mu(t):
-        return a * (1.0 + np.asarray(t, dtype=float) / c) ** -p
-
-    def mu_prime(t):
-        return -a * p / c * (1.0 + np.asarray(t, dtype=float) / c) ** (-p - 1.0)
-
-    def mu_hat(t):
-        return a * c / (p - 1.0) * (1.0 - (1.0 + np.asarray(t, dtype=float) / c) ** (1.0 - p))
-
-    l1, sup, sup_deriv = a * c / (p - 1.0), a, a * p / c
-    return KernelSpec.custom(mu, mu_prime, mu_hat, l1, sup, sup_deriv, nonincreasing=True)
 
 
 def engine_model(kernel, cap):

@@ -53,6 +53,54 @@ def poisson_model(lam=1.0):
     )
 
 
+def triangular_kernel():
+    """0.6 (1 - t)^+: compact support, so the excitation is not Markov."""
+    return KernelSpec.custom(
+        mu=lambda t: 0.6 * np.clip(1.0 - np.asarray(t, dtype=float), 0.0, None),
+        mu_prime=lambda t: np.where(np.asarray(t, dtype=float) < 1.0, -0.6, 0.0),
+        mu_hat=lambda t: 0.6
+        * (np.minimum(np.asarray(t, dtype=float), 1.0)
+           - 0.5 * np.minimum(np.asarray(t, dtype=float), 1.0) ** 2),
+        l1_norm=0.3,
+        sup_norm=0.6,
+        sup_deriv=0.6,
+        nonincreasing=True,
+    )
+
+
+def power_law_kernel(a=0.4, c=0.7, p=2.5):
+    """a (1 + t/c)^-p: smooth, nonincreasing and not Markov."""
+
+    def mu(t):
+        return a * (1.0 + np.asarray(t, dtype=float) / c) ** -p
+
+    def mu_prime(t):
+        return -a * p / c * (1.0 + np.asarray(t, dtype=float) / c) ** (-p - 1.0)
+
+    def mu_hat(t):
+        return a * c / (p - 1.0) * (1.0 - (1.0 + np.asarray(t, dtype=float) / c) ** (1.0 - p))
+
+    l1, sup, sup_deriv = a * c / (p - 1.0), a, a * p / c
+    return KernelSpec.custom(mu, mu_prime, mu_hat, l1, sup, sup_deriv, nonincreasing=True)
+
+
+def exp_as_custom(alpha, beta):
+    """The exponential kernel wrapped as a custom kernel: the same mu, but
+    the engines then take strict_lags sums, not recurrences."""
+    k = KernelSpec.exponential(alpha=alpha, beta=beta)
+    return KernelSpec.custom(
+        k.mu, k.mu_prime, k.mu_hat, k.l1_norm, k.sup_norm, k.sup_deriv, nonincreasing=True
+    )
+
+
+def linear_model(kernel, lam=1.0):
+    return HawkesModel(
+        baseline=BaselineSpec.constant(lam),
+        kernel=kernel,
+        nonlinearity=NonlinearitySpec.linear(),
+    )
+
+
 # ---------------------------------------------------------------- RNG core
 
 def _run_kat(ctr, key):
@@ -195,6 +243,11 @@ def test_simulate_path_draw_counter_known_answer():
     assert (first.count, stream.draw_counter) == (19, 43)
     second = simulate_path(reference_model(), 5.0, stream)
     assert (second.count, stream.draw_counter) == (21, 90)
+    # the same holds for a kernel summed over the jump history
+    stream = RngStream(master_seed=4242, path_index=7)
+    first = simulate_path(linear_model(triangular_kernel()), 4.0, stream)
+    second = simulate_path(linear_model(triangular_kernel()), 4.0, stream)
+    assert (first.count, second.count, stream.draw_counter) == (5, 8, 34)
 
 
 def _joined(a, b):
@@ -203,8 +256,16 @@ def _joined(a, b):
     return offsets.tobytes(), np.concatenate([a.flat_times, b.flat_times]).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+SPLIT_MODELS = {
+    "reference": reference_model(),
+    # about 14 jumps a path at T = 5, so the history outgrows its first width
+    "triangular": linear_model(triangular_kernel(), lam=2.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
 @given(
+    name=st.sampled_from(sorted(SPLIT_MODELS)),
     first=st.one_of(
         st.integers(0, 1000), st.integers(2**32 - 40, 2**32 + 40), st.integers(0, 2**64 - 41)
     ),
@@ -212,10 +273,11 @@ def _joined(a, b):
     cut=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_batch_equals_its_split_at_any_chunk_width(first, n, cut, seed):
+def test_batch_equals_its_split_at_any_chunk_width(name, first, n, cut, seed):
     # substream independence: paths [first, first + n) are the same bytes
-    # whether simulated together or as two adjacent batches, at any width
-    model = reference_model()
+    # whether simulated together, as two adjacent batches or one by one, at
+    # any width
+    model = SPLIT_MODELS[name]
     split = min(n - 1, max(1, int(cut * n)))
     ref = simulate_batch(model, 5.0, seed, n, first_index=first)
     for width in (1, 7, hawkmal.simulate._CHUNK):
@@ -227,30 +289,38 @@ def test_batch_equals_its_split_at_any_chunk_width(first, n, cut, seed):
             ref.offsets.tobytes(), ref.flat_times.tobytes()
         )
         assert _joined(a, b) == (ref.offsets.tobytes(), ref.flat_times.tobytes())
+    for i in range(n):
+        solo = simulate_path(model, 5.0, RngStream(master_seed=seed, path_index=first + i))
+        assert solo.jump_times.tobytes() == ref.path(i).jump_times.tobytes()
 
 
 def test_one_philox_call_per_lockstep_round(monkeypatch):
     # every round calls the baseline's envelope once; u1 and u2 of all the
-    # live paths must come from one Philox call in that round
-    rounds, draws = [0], []
+    # live paths must come from one Philox call in that round, for a Markov
+    # kernel and for one that sums over the jump history
     sup_on = BaselineSpec.sup_on
     philox = hawkmal.simulate._philox_rounds
+    for kernel, n_paths in [
+        (KernelSpec.exponential(alpha=0.5, beta=1.0), 20_000),
+        (power_law_kernel(), 2_000),
+    ]:
+        rounds, draws = [0], []
 
-    def counted_sup_on(self, a, b):
-        rounds[0] += 1
-        return sup_on(self, a, b)
+        def counted_sup_on(self, a, b):
+            rounds[0] += 1
+            return sup_on(self, a, b)
 
-    def counted_philox(c0, c1, c2, c3, keys):
-        words = philox(c0, c1, c2, c3, keys)
-        draws.append((words[0].shape, np.shape(c2)))
-        return words
+        def counted_philox(c0, c1, c2, c3, keys):
+            words = philox(c0, c1, c2, c3, keys)
+            draws.append((words[0].shape, np.shape(c2)))
+            return words
 
-    monkeypatch.setattr(BaselineSpec, "sup_on", counted_sup_on)
-    monkeypatch.setattr(hawkmal.simulate, "_philox_rounds", counted_philox)
-    batch = simulate_batch(reference_model(), T=5.0, master_seed=8, n_paths=20_000)
-    assert batch.n_paths == 20_000
-    assert rounds[0] > 0 and len(draws) == rounds[0]
-    assert all(shape == (2,) + live for shape, live in draws)
+        monkeypatch.setattr(BaselineSpec, "sup_on", counted_sup_on)
+        monkeypatch.setattr(hawkmal.simulate, "_philox_rounds", counted_philox)
+        batch = simulate_batch(linear_model(kernel), T=5.0, master_seed=8, n_paths=n_paths)
+        assert batch.n_paths == n_paths
+        assert rounds[0] > 0 and len(draws) == rounds[0]
+        assert all(shape == (2,) + live for shape, live in draws)
 
 
 def test_disjoint_ranges_no_collisions():
@@ -265,23 +335,8 @@ def test_disjoint_ranges_no_collisions():
 
 
 def test_custom_kernel_engine_agrees_with_invariants():
-    # triangular kernel exercises the scalar fallback engine
-    k = KernelSpec.custom(
-        mu=lambda t: 0.6 * np.clip(1.0 - np.asarray(t, dtype=float), 0.0, None),
-        mu_prime=lambda t: np.where(np.asarray(t, dtype=float) < 1.0, -0.6, 0.0),
-        mu_hat=lambda t: 0.6
-        * (np.minimum(np.asarray(t, dtype=float), 1.0)
-           - 0.5 * np.minimum(np.asarray(t, dtype=float), 1.0) ** 2),
-        l1_norm=0.3,
-        sup_norm=0.6,
-        sup_deriv=0.6,
-        nonincreasing=True,
-    )
-    model = HawkesModel(
-        baseline=BaselineSpec.constant(1.0),
-        kernel=k,
-        nonlinearity=NonlinearitySpec.linear(),
-    )
+    # the triangular kernel runs the lockstep engine on its jump history
+    model = linear_model(triangular_kernel())
     batch = simulate_batch(model, T=4.0, master_seed=3, n_paths=200)
     for p in batch:
         if p.count:
@@ -289,6 +344,62 @@ def test_custom_kernel_engine_agrees_with_invariants():
     stream = RngStream(master_seed=3, path_index=7)
     solo = simulate_path(model, 4.0, stream)
     np.testing.assert_array_equal(solo.jump_times, batch.path(7).jump_times)
+
+
+@pytest.mark.parametrize(
+    "gamma", [NonlinearitySpec.linear(), NonlinearitySpec.saturating_tanh(cap=2.0)]
+)
+def test_custom_wrapped_exponential_matches_markov_route(gamma):
+    # the history sum and the Markov recursion are the same excitation in a
+    # different order of rounding: equal counts, times within 1e-12
+    markov, hist = (
+        simulate_batch(HawkesModel(BaselineSpec.constant(1.0), k, gamma), 5.0, 2718, 2_000,
+                       first_index=31)
+        for k in (KernelSpec.exponential(alpha=0.5, beta=1.0), exp_as_custom(0.5, 1.0))
+    )
+    np.testing.assert_array_equal(hist.offsets, markov.offsets)
+    assert hist.counts().max() > 16
+    np.testing.assert_allclose(hist.flat_times, markov.flat_times, rtol=0.0, atol=1e-12)
+
+
+def test_null_custom_kernel_is_poisson_bit_for_bit():
+    null = KernelSpec.custom(
+        mu=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        mu_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        mu_hat=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        l1_norm=0.0,
+        sup_norm=0.0,
+        sup_deriv=0.0,
+    )
+    a = simulate_batch(linear_model(null), 5.0, 606, 3_000, first_index=5)
+    b = simulate_batch(poisson_model(), 5.0, 606, 3_000, first_index=5)
+    assert _batch_digest(a) == _batch_digest(b)
+
+
+def test_power_law_batch_known_answer():
+    batch = simulate_batch(linear_model(power_law_kernel()), T=5.0, master_seed=20261018,
+                           n_paths=2_000, first_index=777)
+    assert batch.flat_times.size == 12_001
+    assert _batch_digest(batch) == "52c33f7b6a087dec55eb9655b234abbc50fb4c8682373de79f67f430e36f82f7"
+
+
+def test_envelope_guard_catches_an_increasing_kernel():
+    # mu(t) = 0.1 + 0.3 min(t, 1) rises after each jump, though it claims
+    # not to: the first proposal after a jump exceeds the envelope
+    def mu(t):
+        return 0.1 + 0.3 * np.minimum(np.asarray(t, dtype=float), 1.0)
+
+    def mu_prime(t):
+        return np.where(np.asarray(t, dtype=float) < 1.0, 0.3, 0.0)
+
+    def mu_hat(t):
+        t = np.asarray(t, dtype=float)
+        return 0.1 * t + 0.15 * np.minimum(t, 1.0) ** 2 + 0.3 * np.maximum(t - 1.0, 0.0)
+
+    # the norms are stand-ins: only the guard is under test
+    rising = KernelSpec.custom(mu, mu_prime, mu_hat, 0.4, 0.4, 0.3, nonincreasing=True)
+    with pytest.raises(InternalError, match="thinning envelope violated"):
+        simulate_batch(linear_model(rising), T=5.0, master_seed=1, n_paths=50)
 
 
 def test_non_monotone_kernel_rejected_for_simulation():
