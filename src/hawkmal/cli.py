@@ -78,8 +78,10 @@ class ConfigError(ValueError):
 # config schema
 # ---------------------------------------------------------------------------
 
-# (section, key) -> (kind, default[, choices]).  Every effective key enters
-# the digest, whether it came from the file, an override, or a default.
+# (section, key) -> (kind, default[, choices]), or for "posint" (kind,
+# default[, least[, most]]), the least value being 1 unless given.  Every
+# effective key enters the digest, whether it came from the file, an
+# override, or a default.
 _SCHEMA: Dict[Tuple[str, str], tuple] = {
     ("model", "baseline"): ("choice", "constant", ("constant", "affine", "sinusoidal")),
     ("model", "lambda0"): ("float", 1.0),
@@ -93,8 +95,8 @@ _SCHEMA: Dict[Tuple[str, str], tuple] = {
     ("model", "cap"): ("posfloat", 2.0),
     ("run", "horizon"): ("posfloat", 5.0),
     ("run", "seed"): ("u64", DEFAULT_SEED),
-    ("run", "paths"): ("posint", 20000),
-    ("density", "max_n"): ("posint", 2),
+    ("run", "paths"): ("posint", 20000, 2),  # standard errors need two paths
+    ("density", "max_n"): ("posint", 2, 1, 2),  # the marginal quadrature stops at n = 2
     ("density", "min_conditioned"): ("posint", 200),
     ("greeks", "x0"): ("posfloat", 100.0),
     ("greeks", "r"): ("float", 0.05),
@@ -117,9 +119,9 @@ _SCHEMA: Dict[Tuple[str, str], tuple] = {
 }
 
 
-def _coerce(section: str, key: str, raw: str, spec: tuple):
+def _coerce(section: str, key: str, raw: str, spec: tuple, where: Optional[str] = None):
     kind = spec[0]
-    where = f"[{section}] {key} = {raw!r}"
+    where = where or f"[{section}] {key} = {raw!r}"
     if kind == "choice":
         value = raw.strip().lower()
         if value not in spec[2]:
@@ -141,8 +143,13 @@ def _coerce(section: str, key: str, raw: str, spec: tuple):
     except ValueError:
         noun = "an integer" if kind in ("int", "posint", "u64") else "a number"
         raise ConfigError(f"{where}: expected {noun}")
-    if kind == "posint" and value < 1:
-        raise ConfigError(f"{where}: must be >= 1")
+    if kind == "posint":
+        least = spec[2] if len(spec) > 2 else 1
+        most = spec[3] if len(spec) > 3 else None
+        if value < least:
+            raise ConfigError(f"{where}: must be >= {least}")
+        if most is not None and value > most:
+            raise ConfigError(f"{where}: must be <= {most}")
     if kind == "u64" and not 0 <= value < 2**64:
         raise ConfigError(f"{where}: must fit in an unsigned 64-bit integer")
     if kind == "posfloat" and not value > 0.0:
@@ -246,14 +253,10 @@ def load_config(
             values[sec_key] = _coerce(sec_key[0], sec_key[1], raw[sec_key], spec)
         else:
             values[sec_key] = spec[1]
-    if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"--seed {seed}: must fit in an unsigned 64-bit integer")
-        values[("run", "seed")] = int(seed)
-    if paths is not None:
-        if paths < 2:
-            raise ConfigError(f"--paths {paths}: must be >= 2")
-        values[("run", "paths")] = int(paths)
+    overrides = {("run", "seed"): ("--seed", seed), ("run", "paths"): ("--paths", paths)}
+    for sec_key, (flag, value) in overrides.items():
+        if value is not None:
+            values[sec_key] = _coerce(*sec_key, str(value), _SCHEMA[sec_key], f"{flag} {value}")
     lines = ";".join(
         f"{sec}.{key}={_canonical(values[(sec, key)])}"
         for sec, key in sorted(values)

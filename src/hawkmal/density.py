@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .model import HawkesModel, strict_lags
-from .simulate import PathBatch, compensator_rows, simulate_batch
+from .model import HawkesModel
+from .simulate import PathBatch, _excitation_compensator, _excitation_sums, simulate_batch
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
-_GL_ORDER = 64
+_GL64 = np.polynomial.legendre.leggauss(64)
 DEFAULT_NORMALIZATION_PATHS = 200_000
 DEFAULT_NORMALIZATION_SEED = 951
 
@@ -97,10 +97,20 @@ def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be (n_points, n) shaped")
-    exc = strict_lags(model.kernel.mu, rows[:, None, :], rows).sum(axis=2)
-    lam = model.baseline.value(rows) + model.nonlinearity.value(exc)
-    log_prod = np.log(lam).sum(axis=1)
-    return log_prod - compensator_rows(model, rows, T)
+    log_prod, exc = _log_kappa_parts(model, rows, np.full(rows.shape[0], rows.shape[1]), T)
+    return log_prod - (float(model.baseline.integral(np.float64(T))) + exc)
+
+
+def _log_kappa_parts(model: HawkesModel, times: np.ndarray, counts: np.ndarray, T: float):
+    """(sum_j log lambda*(T_j), int_0^T gamma(excitation)) for each row of a
+    padded (P, K) block holding counts[p] jumps in row p, padded with values
+    >= T: log kappa is the first minus the second minus the baseline
+    integral.  The excitation at the jumps comes from `_excitation_sums`."""
+    S, _ = _excitation_sums(model, times, counts)
+    lam = model.baseline.value(times) + model.nonlinearity.value(S)
+    mask = np.arange(times.shape[1]) < counts[:, None]
+    log_prod = np.where(mask, np.log(lam), 0.0).sum(axis=1)
+    return log_prod, _excitation_compensator(model, times, T)
 
 
 # ---------------------------------------------------------------------------
@@ -177,39 +187,33 @@ def normalization_constant(
     raise ValueError(f"unknown normalization method {method!r}")
 
 
+def _chained_rule(lo, hi, n: int):
+    """Nodes and weights of the chained Gauss-Legendre rule on the ordered
+    simplex lo < t_1 < ... < t_n < hi: t_1 runs over the order-64 nodes of
+    (lo, hi) and each t_{k+1} over those of (t_k, hi).  lo and hi are
+    scalars or (B,) arrays; returns nodes (B, 64, ..., 64, n) and weights
+    (B, 64, ..., 64), without the B axis when both bounds are scalars."""
+    x, w = _GL64
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    shape = np.broadcast(lo, hi).shape
+    weights = np.ones(shape)
+    nodes: List[np.ndarray] = []
+    for _ in range(n):
+        lo, hi = lo[..., None], hi[..., None]
+        half = 0.5 * (hi - lo)
+        t = lo + half * (x + 1.0)
+        weights = weights[..., None] * (half * w)
+        nodes = [np.broadcast_to(c[..., None], t.shape) for c in nodes] + [t]
+        lo = t
+    return np.stack(nodes, axis=-1) if nodes else np.empty(shape + (0,)), weights
+
+
 def _simplex_quadrature_mass(model: HawkesModel, T: float, n: int) -> float:
-    """int over 0 < t_1 < ... < t_n <= T of kappa, by iterated Gauss-Legendre."""
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    t1 = 0.5 * T * (x + 1.0)
-    w1 = 0.5 * T * w
-    if n == 1:
-        vals = np.exp(log_kappa_rows(model, T, t1[:, None]))
-        return float(np.sum(w1 * vals))
-    # t2 in (t1, T), scaled per t1 node
-    half2 = 0.5 * (T - t1)
-    t2 = t1[:, None] + half2[:, None] * (x[None, :] + 1.0)
-    w2 = half2[:, None] * w[None, :]
-    if n == 2:
-        rows = np.stack(
-            [np.broadcast_to(t1[:, None], t2.shape).ravel(), t2.ravel()], axis=1
-        )
-        vals = np.exp(log_kappa_rows(model, T, rows)).reshape(t2.shape)
-        return float(np.sum(w1[:, None] * w2 * vals))
-    # n == 3: t3 in (t2, T)
-    half3 = 0.5 * (T - t2)
-    t3 = t2[:, :, None] + half3[:, :, None] * (x[None, None, :] + 1.0)
-    w3 = half3[:, :, None] * w[None, None, :]
-    shape = t3.shape
-    rows = np.stack(
-        [
-            np.broadcast_to(t1[:, None, None], shape).ravel(),
-            np.broadcast_to(t2[:, :, None], shape).ravel(),
-            t3.ravel(),
-        ],
-        axis=1,
-    )
-    vals = np.exp(log_kappa_rows(model, T, rows)).reshape(shape)
-    return float(np.sum(w1[:, None, None] * w2[:, :, None] * w3 * vals))
+    """int over 0 < t_1 < ... < t_n <= T of kappa, by the chained rule."""
+    nodes, weights = _chained_rule(0.0, T, n)
+    vals = np.exp(log_kappa_rows(model, T, nodes.reshape(-1, n))).reshape(weights.shape)
+    return float(np.sum(weights * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -263,51 +267,23 @@ def conditional_density_bound(
 # goodness of fit
 # ---------------------------------------------------------------------------
 
-def _grid_cdf(grid: np.ndarray, density_vals: np.ndarray) -> np.ndarray:
-    cdf = cumulative_trapezoid(density_vals, grid, initial=0.0)
-    total = cdf[-1]
-    if total <= 0.0:
-        raise NormalizationError("degenerate marginal: zero total mass")
-    return cdf / total
-
-
-def _marginal_cdf_n1(model: HawkesModel, T: float, points: int = 8193):
-    grid = np.linspace(0.0, T, points)
+def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
+    """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T]: the other
+    jump time integrated out by the chained rule, the grid by trapezoids,
+    the normalization cancelling in the ratio to the total mass."""
+    grid = np.linspace(0.0, T, 8193 if n == 1 else 1025)
     ev = grid.copy()
     ev[0] = 0.5 * grid[1]  # kappa is defined for t > 0; continuous limit at 0
-    vals = np.exp(log_kappa_rows(model, T, ev[:, None]))
-    return grid, _grid_cdf(grid, vals)
-
-
-def _marginal_cdf_n2(model: HawkesModel, T: float, coord: int, points: int = 1025):
-    """Marginal CDF of T_1 (coord=0) or T_2 (coord=1) under k_2, the other
-    coordinate integrated out by Gauss-Legendre."""
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    grid = np.linspace(0.0, T, points)
-    ev = grid.copy()
-    ev[0] = 0.5 * grid[1]
-    dens = np.zeros(points)
-    if coord == 0:
-        # m(t) = int_t^T kappa(t, s) ds
-        half = 0.5 * (T - ev)
-        s = ev[:, None] + half[:, None] * (x[None, :] + 1.0)
-        ww = half[:, None] * w[None, :]
-        rows = np.stack(
-            [np.broadcast_to(ev[:, None], s.shape).ravel(), s.ravel()], axis=1
-        )
-        vals = np.exp(log_kappa_rows(model, T, rows)).reshape(s.shape)
-        dens = np.sum(ww * vals, axis=1)
-    else:
-        # m(s) = int_0^s kappa(t, s) dt
-        half = 0.5 * ev
-        tt = half[:, None] * (x[None, :] + 1.0)
-        ww = half[:, None] * w[None, :]
-        rows = np.stack(
-            [tt.ravel(), np.broadcast_to(ev[:, None], tt.shape).ravel()], axis=1
-        )
-        vals = np.exp(log_kappa_rows(model, T, rows)).reshape(tt.shape)
-        dens = np.sum(ww * vals, axis=1)
-    return grid, _grid_cdf(grid, dens)
+    lo, hi = (0.0, ev) if coord else (ev, T)  # the other jump lies before or after
+    nodes, weights = _chained_rule(lo, hi, n - 1)
+    fixed = np.broadcast_to(ev.reshape((-1,) + (1,) * n), nodes.shape[:-1] + (1,))
+    rows = np.concatenate([nodes, fixed] if coord else [fixed, nodes], axis=-1)
+    vals = np.exp(log_kappa_rows(model, T, rows.reshape(-1, n))).reshape(weights.shape)
+    dens = (weights * vals).reshape(ev.size, -1).sum(axis=1)
+    cdf = cumulative_trapezoid(dens, grid, initial=0.0)
+    if cdf[-1] <= 0.0:
+        raise NormalizationError("degenerate marginal: zero total mass")
+    return grid, cdf / cdf[-1]
 
 
 def density_vs_empirical(
@@ -332,23 +308,18 @@ def density_vs_empirical(
         raise NormalizationError(
             f"only {m} paths with N_T={n}; need at least {min_conditioned}"
         )
+    if n > 2:
+        raise NormalizationError(
+            "marginal quadrature is implemented for n <= 2; higher orders need "
+            "multi-dimensional integration"
+        )
     from scipy import stats  # here, not at import: it doubles every command's start-up
 
-    if n == 1:
-        samples = batch.flat_times[batch.offsets[sel]]
-        grid, cdf = _marginal_cdf_n1(model, T)
+    out = []
+    for coord in range(n):
+        samples = batch.flat_times[batch.offsets[sel] + coord]
+        grid, cdf = _marginal_cdf(model, T, n, coord)
         stat, p = stats.kstest(samples, lambda v: np.interp(v, grid, cdf))
-        return [GoodnessOfFit(1, "ks_T1", float(stat), float(p), m)]
-    if n == 2:
-        out = []
-        starts = batch.offsets[sel]
-        for coord, name in ((0, "ks_T1_of_2"), (1, "ks_T2_of_2")):
-            samples = batch.flat_times[starts + coord]
-            grid, cdf = _marginal_cdf_n2(model, T, coord)
-            stat, p = stats.kstest(samples, lambda v: np.interp(v, grid, cdf))
-            out.append(GoodnessOfFit(2, name, float(stat), float(p), m))
-        return out
-    raise NormalizationError(
-        "marginal quadrature is implemented for n <= 2; higher orders need "
-        "multi-dimensional integration"
-    )
+        name = "ks_T1" if n == 1 else f"ks_T{coord + 1}_of_{n}"
+        out.append(GoodnessOfFit(n, name, float(stat), float(p), m))
+    return out

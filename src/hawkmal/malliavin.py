@@ -19,12 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .density import _log_kappa_parts
 from .model import HawkesModel, strict_lags
 from .simulate import (
     _GL32,
     HawkesPath,
     PathBatch,
-    _excitation_compensator,
+    _excitation_sums,
     _gauss_rule,
     _row_blocks,
     _segment_quad,
@@ -491,61 +492,6 @@ def _one_path(path: HawkesPath) -> PathBatch:
     return PathBatch(path.horizon, 0, 0, offsets, path.jump_times)
 
 
-def _excitation_recurrences(times, alpha, beta, anti_vals=None):
-    """Per-jump sums for the exponential kernel via O(P K) recurrences:
-
-    S_j     = sum_{i<j} alpha e^{-beta (T_j - T_i)}        (pre-jump excitation)
-    C_j     = sum_{i<j} anti(T_i) e^{-beta (T_j - T_i)}     (for psi's cross sum)
-
-    C is None when no anti_vals are given.  The recurrences step along the
-    contiguous rows of the (K, P) transposes; S and C come back as C-ordered
-    (P, K) arrays.
-    """
-    tt = np.ascontiguousarray(times.T)
-    decay = np.exp(-beta * np.diff(tt, axis=0))
-    S = np.zeros_like(tt)
-    for j in range(1, tt.shape[0]):
-        np.add(S[j - 1], alpha, out=S[j])
-        S[j] *= decay[j - 1]
-    if anti_vals is None:
-        return np.ascontiguousarray(S.T), None
-    at = np.ascontiguousarray(anti_vals.T)
-    C = np.zeros_like(tt)
-    for j in range(1, tt.shape[0]):
-        np.add(C[j - 1], at[j - 1], out=C[j])
-        C[j] *= decay[j - 1]
-    return np.ascontiguousarray(S.T), np.ascontiguousarray(C.T)
-
-
-def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, anti=None):
-    """Sums over the strictly earlier jumps of each row of a padded (P, K)
-    block holding counts[p] jumps in row p:
-
-    S_j     = sum_{i<j} mu(T_j - T_i)                       (pre-jump excitation)
-    cross_j = sum_{i<j} (anti_j - anti_i) mu'(T_j - T_i)    (psi's cross sum)
-
-    cross is None when no `anti` is given.  The exponential kernel takes the
-    O(P K) recurrences; any other kernel takes pairwise `strict_lags` sums
-    over `_row_blocks`; padded slots then read 0.
-    """
-    kernel = model.kernel
-    if kernel.family == "exponential":
-        alpha, beta = float(kernel.alpha), float(kernel.beta)
-        S, C = _excitation_recurrences(times, alpha, beta, anti)
-        # cross_j = -beta (anti_j S_j - alpha C_j)
-        return S, None if anti is None else -beta * (anti * S - alpha * C)
-    S = np.zeros(times.shape)
-    cross = None if anti is None else np.zeros(times.shape)
-    for idx, K in _row_blocks(counts, lambda K: K * K):
-        at = times[idx, :K]
-        S[idx, :K] = strict_lags(kernel.mu, at[:, None, :], at).sum(axis=-1)
-        if anti is not None:
-            a = anti[idx, :K]
-            mup = strict_lags(kernel.mu_prime, at[:, None, :], at)
-            cross[idx, :K] = ((a[:, :, None] - a[:, None, :]) * mup).sum(axis=-1)
-    return S, cross
-
-
 def _gamma2_block(
     model: HawkesModel, times: np.ndarray, counts: np.ndarray, T: float
 ) -> np.ndarray:
@@ -629,9 +575,8 @@ def z_eps_batch(
     Bounded m requires eps sup|m| < 1/3 (no truncation needed); an
     unbounded direction is clamped at +-1/(3 eps) and re-centered, once per
     batch.  log kappa of the shifted and of the unshifted jumps comes from
-    one stacked (2P, K) block: the excitation sums of `weight_arrays`, a
-    masked sum of log-intensities and the excitation part of the
-    compensator.  The baseline integral is left out; it cancels in the ratio.
+    one stacked (2P, K) block through the density's `_log_kappa_parts`; the
+    baseline integral is left out, as it cancels in the ratio.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -648,11 +593,10 @@ def z_eps_batch(
     if times.shape[1] == 0:
         return np.ones(P)
     shifted = np.where(mask, times + eps * np.asarray(m_hat(times), dtype=float), T)
-    rows = np.concatenate([shifted, times])
-    S, _ = _excitation_sums(model, rows, np.tile(batch.counts(), 2))
-    lam = model.baseline.value(rows) + model.nonlinearity.value(S)
-    log_prod = np.where(np.concatenate([mask, mask]), np.log(lam), 0.0).sum(axis=1)
-    log_kappa = log_prod - _excitation_compensator(model, rows, T)
+    log_prod, exc = _log_kappa_parts(
+        model, np.concatenate([shifted, times]), np.tile(batch.counts(), 2), T
+    )
+    log_kappa = log_prod - exc
     log_jac = np.where(
         mask, np.log1p(eps * np.asarray(m_val(times), dtype=float)), 0.0
     ).sum(axis=1)

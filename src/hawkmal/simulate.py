@@ -395,7 +395,7 @@ def simulate_batch(
 
 
 # ---------------------------------------------------------------------------
-# segment quadrature and the compensator
+# segment quadrature, excitation sums and the compensator
 # ---------------------------------------------------------------------------
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -477,6 +477,61 @@ def padded_jumps(batch: PathBatch) -> Tuple[np.ndarray, np.ndarray]:
     times = np.full((P, K), batch.horizon, dtype=float)
     times[mask] = batch.flat_times
     return times, mask
+
+
+def _excitation_recurrences(times, alpha, beta, anti_vals=None):
+    """Per-jump sums for the exponential kernel via O(P K) recurrences:
+
+    S_j     = sum_{i<j} alpha e^{-beta (T_j - T_i)}        (pre-jump excitation)
+    C_j     = sum_{i<j} anti(T_i) e^{-beta (T_j - T_i)}     (for psi's cross sum)
+
+    C is None when no anti_vals are given.  The recurrences step along the
+    contiguous rows of the (K, P) transposes; S and C come back as C-ordered
+    (P, K) arrays.
+    """
+    tt = np.ascontiguousarray(times.T)
+    decay = np.exp(-beta * np.diff(tt, axis=0))
+    S = np.zeros_like(tt)
+    for j in range(1, tt.shape[0]):
+        np.add(S[j - 1], alpha, out=S[j])
+        S[j] *= decay[j - 1]
+    if anti_vals is None:
+        return np.ascontiguousarray(S.T), None
+    at = np.ascontiguousarray(anti_vals.T)
+    C = np.zeros_like(tt)
+    for j in range(1, tt.shape[0]):
+        np.add(C[j - 1], at[j - 1], out=C[j])
+        C[j] *= decay[j - 1]
+    return np.ascontiguousarray(S.T), np.ascontiguousarray(C.T)
+
+
+def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, anti=None):
+    """Sums over the strictly earlier jumps of each row of a padded (P, K)
+    block holding counts[p] jumps in row p:
+
+    S_j     = sum_{i<j} mu(T_j - T_i)                       (pre-jump excitation)
+    cross_j = sum_{i<j} (anti_j - anti_i) mu'(T_j - T_i)    (psi's cross sum)
+
+    cross is None when no `anti` is given.  The exponential kernel takes the
+    O(P K) recurrences; any other kernel takes pairwise `strict_lags` sums
+    over `_row_blocks`; padded slots then read 0.
+    """
+    kernel = model.kernel
+    if kernel.family == "exponential":
+        alpha, beta = float(kernel.alpha), float(kernel.beta)
+        S, C = _excitation_recurrences(times, alpha, beta, anti)
+        # cross_j = -beta (anti_j S_j - alpha C_j)
+        return S, None if anti is None else -beta * (anti * S - alpha * C)
+    S = np.zeros(times.shape)
+    cross = None if anti is None else np.zeros(times.shape)
+    for idx, K in _row_blocks(counts, lambda K: K * K):
+        at = times[idx, :K]
+        S[idx, :K] = strict_lags(kernel.mu, at[:, None, :], at).sum(axis=-1)
+        if anti is not None:
+            a = anti[idx, :K]
+            mup = strict_lags(kernel.mu_prime, at[:, None, :], at)
+            cross[idx, :K] = ((a[:, :, None] - a[:, None, :]) * mup).sum(axis=-1)
+    return S, cross
 
 
 def compensator_rows(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:

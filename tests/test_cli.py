@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hawkmal.cli import (
     load_config,
     main,
 )
+from hawkmal.malliavin import CameronMartinFunction
 
 
 def run_cli(*argv: str) -> int:
@@ -91,6 +93,55 @@ def test_config_error_exit_codes(tmp_path):
     assert run_cli("simulate", "--workers", "0", "--out", str(tmp_path)) == 2
     missing = tmp_path / "nowhere.ini"
     assert run_cli("simulate", "--config", str(missing), "--out", str(tmp_path)) == 2
+
+
+def test_valid_config_digests_are_pinned(tmp_path):
+    # digests identify runs across versions: range checks must not move them
+    ini = tmp_path / "edge.ini"
+    ini.write_text(
+        "[run]\npaths = 2\nseed = 0x10\n[density]\nmax_n = 2\n"
+        "[model]\nbaseline = sinusoidal\namplitude = 0.25\n"
+    )
+    assert load_config(None).digest == "2b8a8867f529"
+    assert load_config(None, seed=99, paths=777).digest == "9082b08fc8a2"
+    assert load_config(str(ini)).digest == "5fed48cb3ac9"
+    assert load_config(str(ini), seed=2**64 - 1, paths=2).digest == "ab615e5b3450"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[model]\nkernel = gamma\n", "expected one of exponential"),
+        ("[experiment]\neps = 0.1,x\n", "comma-separated list of numbers"),
+        ("[experiment]\neps = 0.1,0\n", "every entry must be a positive number"),
+        ("[run]\nseed = 1.5\n", "expected an integer"),
+        ("[model]\nalpha = fast\n", "expected a number"),
+        ("[experiment]\ngrid_points = 0\n", "must be >= 1"),
+        ("[run]\npaths = 1\n", r"\[run\] paths = '1': must be >= 2"),
+        ("[density]\nmax_n = 3\n", r"\[density\] max_n = '3': must be <= 2"),
+        ("[run]\nseed = 0x10000000000000000\n", "unsigned 64-bit integer"),
+        ("[model]\nbeta = -1\n", "must be positive"),
+        ("[model]\nalpha = nan\n", "must be finite"),
+        ("[run]\nhorizon = inf\n", "must be finite"),
+    ],
+)
+def test_every_coercion_error_exits_2_before_any_work(tmp_path, capsys, text, message):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(ini))
+    out = tmp_path / "out"
+    assert run_cli("density-check", "--config", str(ini), "--out", str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_overrides_take_the_file_bounds():
+    with pytest.raises(ConfigError, match="--paths 1: must be >= 2"):
+        load_config(None, paths=1)
+    with pytest.raises(ConfigError, match="--seed 18446744073709551616: must fit"):
+        load_config(None, seed=2**64)
+    assert load_config(None, paths=2).n_paths == 2
 
 
 def test_help_describes_every_command(capsys):
@@ -355,7 +406,91 @@ def test_sde_density_report(tmp_path):
             assert r[5] == "true"
 
 
+def test_sde_density_linear_d2_rank_comments(tmp_path):
+    ini = tmp_path / "sde.ini"
+    ini.write_text("[sde]\npreset = linear-d2\n")
+    out = tmp_path / "out"
+    assert run_cli(
+        "sde-density", "--config", str(ini), "--paths", "300", "--seed", "61",
+        "--out", str(out), "--no-timestamp",
+    ) == 0
+    comments, header, rows = read_csv(out / "sde_density_paths.csv")
+    assert header[2:4] == ["x_1", "x_2"]
+    assert comments["kind"] == "linear-ddim"
+    assert comments["min_rank"] == "2" and comments["rank_target"] == "2"
+    assert "min_gamma" not in comments
+    assert int(comments["n_conditioned"]) == sum(int(r[1]) >= 2 for r in rows)
+
+
+def test_config_baselines_and_directions(tmp_path):
+    ini = tmp_path / "m.ini"
+    t = np.linspace(0.0, 4.0, 9)
+    for body, family, params, direction in (
+        ("lambda0 = 1.5\nslope = -0.25", "affine", (1.5, -0.25, 4.0), "cosine"),
+        ("amplitude = 0.5\nperiod = 2.0", "sinusoidal", (1.0, 0.5, 2.0), "sine"),
+    ):
+        ini.write_text(
+            f"[run]\nhorizon = 4.0\n[model]\nbaseline = {family}\n{body}\n"
+            f"[experiment]\ndirection = {direction}\n"
+        )
+        cfg = load_config(str(ini))
+        base = cfg.model().baseline
+        assert (base.family, base.params) == (family, params)
+        m, ref = cfg.direction(), getattr(CameronMartinFunction, direction)(4.0)
+        np.testing.assert_array_equal(m.m(t), ref.m(t))
+        np.testing.assert_array_equal(m.m_hat(t), ref.m_hat(t))
+
+
+def test_ibp_weights_follow_the_sine_direction(tmp_path):
+    ini = tmp_path / "sine.ini"
+    ini.write_text(
+        "[run]\nhorizon = 4.0\n[model]\nbaseline = sinusoidal\namplitude = 0.5\n"
+        "[experiment]\ndirection = sine\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli(
+        "ibp-check", "--config", str(ini), "--paths", "400", "--seed", "67",
+        "--out", str(out), "--no-timestamp",
+    ) == 0
+    _, header, rows = read_csv(out / "ibp_weights.csv")
+    assert header[6:] == ["m", "m_hat"]
+    amp, w = math.sqrt(2.0 / 4.0), 2.0 * math.pi / 4.0
+    for r in rows:
+        t = float(r[2])
+        m, m_hat = amp * math.sin(w * t), amp / w * (1.0 - math.cos(w * t))
+        assert float(r[6]) == pytest.approx(m, rel=1e-12, abs=1e-15)
+        assert float(r[7]) == pytest.approx(m_hat, rel=1e-12, abs=1e-15)
+
+
 # ---- greeks ----
+
+def test_greeks_constant_and_capped_linear_payoffs(tmp_path):
+    ini = tmp_path / "gk.ini"
+    ini.write_text("[greeks]\npayoff = constant\n")
+    out = tmp_path / "constant"
+    assert run_cli(
+        "greeks", "--config", str(ini), "--paths", "2000", "--seed", "5",
+        "--out", str(out), "--no-timestamp",
+    ) == 0
+    _, _, rows = read_csv(out / "greeks.csv")
+    assert [r[:2] for r in rows] == [[e, "constant"] for e in ("malliavin", "fd", "pathwise")]
+    # a constant payoff has delta 0: exactly, wherever no weight is involved
+    assert [float(r[3]) for r in rows[1:]] == [0.0, 0.0]
+
+    ini.write_text("[greeks]\npayoff = capped-linear\nlower = 95\nupper = 105\n")
+    out = tmp_path / "capped"
+    assert run_cli(
+        "greeks", "--config", str(ini), "--paths", "2000", "--seed", "5",
+        "--out", str(out), "--no-timestamp",
+    ) == 0
+    comments, _, rows = read_csv(out / "greeks.csv")
+    assert comments["payoff"] == "capped-linear"
+    assert all(r[3] != "" and float(r[4]) > 0.0 for r in rows)
+
+    for lower, upper in (("110", "110"), ("120", "110")):
+        ini.write_text(f"[greeks]\npayoff = capped-linear\nlower = {lower}\nupper = {upper}\n")
+        assert run_cli("greeks", "--config", str(ini), "--paths", "20", "--out", str(out)) == 2
+
 
 def test_greeks_digital_three_rows(tmp_path):
     ini = tmp_path / "gk.ini"

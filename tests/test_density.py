@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from hawkmal import density
@@ -27,6 +29,7 @@ from hawkmal.model import (
     intensity,
 )
 from hawkmal.simulate import HawkesPath, compensator, simulate_batch
+from test_simulate import power_law_kernel, triangular_kernel
 
 
 def reference_model(alpha=0.5):
@@ -126,6 +129,49 @@ def test_log_kappa_rows_matches_scalar():
     vec = log_kappa_rows(model, 5.0, rows)
     scal = np.array([log_kappa(model, 5.0, r) for r in rows])
     np.testing.assert_allclose(vec, scal, rtol=1e-13)
+
+
+_ORACLE_T = 3.0
+_KERNELS = {
+    "exponential": lambda: KernelSpec.exponential(alpha=0.5, beta=1.0),
+    "triangular": triangular_kernel,
+    "power-law": power_law_kernel,
+}
+_GAMMAS = {
+    "linear": NonlinearitySpec.linear,
+    "tanh": lambda: NonlinearitySpec.saturating_tanh(2.0),
+}
+_BASELINES = {
+    "constant": lambda: BaselineSpec.constant(1.0),
+    "sinusoidal": lambda: BaselineSpec.sinusoidal(1.0, 0.5, 2.0),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kernel=st.sampled_from(sorted(_KERNELS)),
+    gamma=st.sampled_from(sorted(_GAMMAS)),
+    baseline=st.sampled_from(sorted(_BASELINES)),
+    rows=st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.floats(0.0, _ORACLE_T, exclude_min=True), min_size=n, max_size=n, unique=True
+            ).map(sorted),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+)
+def test_log_kappa_rows_matches_intensity_oracle(kernel, gamma, baseline, rows):
+    # an oracle outside the block excitation engine: each factor is
+    # `intensity` on the jumps before t_j, less the path's compensator
+    model = HawkesModel(_BASELINES[baseline](), _KERNELS[kernel](), _GAMMAS[gamma]())
+    block = np.array(rows)
+    for row, value in zip(block, log_kappa_rows(model, _ORACLE_T, block)):
+        ref = sum(
+            math.log(intensity(model, row[:j], row[j])) for j in range(row.size)
+        ) - compensator(model, HawkesPath(row, _ORACLE_T))
+        assert value == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------------------ normalization

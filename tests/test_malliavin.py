@@ -21,7 +21,6 @@ from hawkmal.malliavin import (
     divergence_m,
     divergence_m_batch,
     divergence_predictable,
-    _excitation_recurrences,
     grad_smooth,
     jump_count,
     padded_jumps,
@@ -39,7 +38,13 @@ from hawkmal.model import (
     NonlinearitySpec,
 )
 from hawkmal.density import log_kappa_rows
-from hawkmal.simulate import HawkesPath, PathBatch, compensator, simulate_batch
+from hawkmal.simulate import (
+    HawkesPath,
+    PathBatch,
+    _excitation_recurrences,
+    compensator,
+    simulate_batch,
+)
 from test_simulate import exp_as_custom, power_law_kernel, quad_gamma2
 
 

@@ -350,6 +350,43 @@ def test_density_criteria_min_jumps_override():
     assert crit.n_conditioned == int(np.sum(batch.counts() >= 3))
 
 
+def coupled_d2():
+    """A two-dimensional system that is neither linear nor elementwise, so
+    `density_criteria` solves it path by path."""
+    return JumpSde(
+        dim=2,
+        x0=np.array([0.5, -0.2]),
+        drift=lambda t, x: np.array([np.sin(x[1]), -0.5 * x[0]]),
+        drift_jac=lambda t, x: np.array([[0.0, np.cos(x[1])], [-0.5, 0.0]]),
+        jump=lambda t, x: np.array([1.0 + 0.3 * np.cos(x[1]), 0.2 * np.sin(x[0]) - 0.5]),
+        jump_jac=lambda t, x: np.array([[0.0, -0.3 * np.sin(x[1])], [0.2 * np.cos(x[0]), 0.0]]),
+        jump_dt=lambda t, x: np.zeros(2),
+        label="coupled-d2",
+    )
+
+
+def test_density_criteria_general_ddim_matches_per_path(short_batch):
+    sde = coupled_d2()
+    crit = density_criteria(sde, short_batch)
+    assert crit.kind == "general-ddim" and crit.min_jumps == 2 and crit.rank_target == 2
+    counts = short_batch.counts()
+    assert (counts >= 2).any() and (counts < 2).any()
+    reps = [grad_and_gamma_XT(sde, path) for path in short_batch]
+    ranks = [np.linalg.matrix_rank(rep.vectors) if rep.vectors.size else 0 for rep in reps]
+    for i, rep in enumerate(reps):
+        np.testing.assert_array_equal(crit.terminal[i], rep.terminal)
+        if counts[i] >= 2:
+            assert crit.per_path_det[i] == pytest.approx(rep.det, rel=1e-12)
+            assert crit.per_path_min_eig[i] == pytest.approx(rep.min_eig, rel=1e-9)
+            assert crit.per_path_flag[i] == (ranks[i] == 2)
+        else:
+            assert crit.per_path_det[i] == 0.0 and crit.per_path_min_eig[i] == 0.0
+            assert not crit.per_path_flag[i]
+    assert crit.product_drift == max(rep.product_drift for rep in reps)
+    assert crit.min_rank == min(r for r, n in zip(ranks, counts) if n >= 2)
+    assert crit.n_conditioned == int(np.sum(counts >= 2))
+
+
 def test_unknown_preset():
     with pytest.raises(ValueError, match="preset"):
         sde_preset("heston")
