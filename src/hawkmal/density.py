@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .model import HawkesModel
 from .simulate import PathBatch, _excitation_compensator, _excitation_sums, simulate_batch
@@ -267,6 +266,13 @@ def conditional_density_bound(
 # goodness of fit
 # ---------------------------------------------------------------------------
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over the grid x, from 0: scipy's
+    `cumulative_trapezoid(y, x, initial=0.0)` term for term, without its
+    import."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
     """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T]: the other
     jump time integrated out by the chained rule, the grid by trapezoids,
@@ -280,7 +286,7 @@ def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
     rows = np.concatenate([nodes, fixed] if coord else [fixed, nodes], axis=-1)
     vals = np.exp(log_kappa_rows(model, T, rows.reshape(-1, n))).reshape(weights.shape)
     dens = (weights * vals).reshape(ev.size, -1).sum(axis=1)
-    cdf = cumulative_trapezoid(dens, grid, initial=0.0)
+    cdf = _cumulative_trapezoid(dens, grid)
     if cdf[-1] <= 0.0:
         raise NormalizationError("degenerate marginal: zero total mass")
     return grid, cdf / cdf[-1]

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .density import _log_kappa_parts
+from .density import _cumulative_trapezoid, _log_kappa_parts
 from .model import HawkesModel, strict_lags
 from .simulate import (
     _GL32,
@@ -443,7 +442,7 @@ def _truncated_direction(m: CameronMartinFunction, eps: float):
     T = m.horizon
     grid = np.linspace(0.0, T, 8193)
     clipped = np.clip(np.asarray(m.m(grid), dtype=float), -cap, cap)
-    cum = cumulative_trapezoid(clipped, grid, initial=0.0)
+    cum = _cumulative_trapezoid(clipped, grid)
     shift = cum[-1] / T
 
     def m_val(t):

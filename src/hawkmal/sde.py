@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .malliavin import MalliavinGradient, xi_kernel
 from .model import AssumptionError
@@ -33,6 +32,15 @@ _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
 _DET_FLOOR = 1e-12
 _PRODUCT_RESET = 1e-10    # renormalize K_tilde when |K K~ - I| exceeds this
 _RESCALE_EXPONENT = 256   # batch sweep: rescale once |K~| leaves [2^-256, 2^255)
+# Pade 13 coefficients b_k / b_0, so that r_13(0) = I exactly, and the
+# 1-norm up to which r_13 needs no scaling (Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005, Table 2.3)
+_PADE13 = tuple(np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0)
+_THETA13 = 5.371920351148152
 
 
 class LinearCoeffs(NamedTuple):
@@ -494,14 +502,51 @@ def grad_and_gamma_XT(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
 
 # ---- exact linear engine ----
 
+def _expm_stack(X) -> np.ndarray:
+    """exp of every slice of a (..., n, n) stack, by Pade-13 scaling and
+    squaring (Higham 2005).  Slice k is scaled by its own 2^-s_k, s_k =
+    max(0, ceil(log2(|X_k|_1 / theta_13))); one batched solve gives every
+    r_13(2^-s_k X_k), and squaring round r then runs over the slices with
+    s_k > r.  Every slice takes this one route, defective generators
+    included; a zero slice gives exactly I."""
+    X = np.asarray(X, dtype=float)
+    shape = X.shape
+    n = shape[-1]
+    X = X.reshape(-1, n, n)
+    # |X_k|_1 / theta_13 = m 2^e with m in [0.5, 1): its ceil(log2) is e,
+    # or e - 1 when m = 0.5
+    mant, s = np.frexp(np.abs(X).sum(axis=1).max(axis=1) / _THETA13)
+    s = np.maximum(s - (mant == 0.5), 0)
+    X = np.ldexp(X, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(n)
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (
+        X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+        + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye
+    )
+    V = (
+        X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+        + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
+    )
+    R = np.linalg.solve(V - U, V + U)
+    for r in range(int(s.max(initial=0))):
+        live = np.flatnonzero(s > r)
+        R[live] = R[live] @ R[live]
+    return R.reshape(shape)
+
+
 def _linear_propagators(lin: LinearCoeffs, span, d: int):
     """(state map, K factor) over jump-free intervals of length `span` (a
-    scalar or an array of them): x -> E x + c with E = expm(A span), via the
-    augmented-matrix trick and one stacked expm call."""
+    scalar or an array of them): x -> E x + c with E = exp(A span), read off
+    the exponential of the augmented generator [[A, b], [0, 0]] span, all
+    spans in one `_expm_stack` call."""
     aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = lin.A
     aug[:d, d] = lin.b
-    big = expm(aug * np.asarray(span, dtype=float)[..., None, None])
+    big = _expm_stack(aug * np.asarray(span, dtype=float)[..., None, None])
     return big[..., :d, :d], big[..., :d, d]
 
 
@@ -512,8 +557,10 @@ def _linear_phi(lin: LinearCoeffs):
 
 
 def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
-    """Closed-form flow and tangents for constant-coefficient linear SDEs
-    (matrix exponentials per segment; exact up to expm accuracy)."""
+    """Closed-form flow and tangents of one path for constant-coefficient
+    linear SDEs: the n + 1 segment propagators come from one
+    `_expm_stack` call, as in `_linear_batch`, so both engines multiply the
+    same bits; exact up to the Pade-13 rounding."""
     lin = sde.linear
     d = sde.dim
     T = path.horizon
@@ -526,27 +573,27 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
         raise AssumptionError("det(I + M) vanished in the linear jump map")
     J_inv = np.linalg.solve(J, eye)
     phi0, comm = _linear_phi(lin)
+    E, c = _linear_propagators(lin, np.diff(t, prepend=0.0, append=T), d)
+    E_inv = np.linalg.solve(E, eye)
     phi = np.empty((n, d))
     x = sde.x0.copy()
     K = eye.copy()
     Kt = eye.copy()
     ktil_post = np.empty((n, d, d))
-    prev = 0.0
     for i in range(n):
-        E, c = _linear_propagators(lin, float(t[i]) - prev, d)
-        x = E @ x + c
-        K = E @ K
-        Kt = Kt @ np.linalg.solve(E, eye)
+        x = E[i] @ x + c[i]
+        K = E[i] @ K
+        Kt = Kt @ E_inv[i]
         phi[i] = phi0 + comm @ x
         x = J @ x + lin.beta
         K = J @ K
         Kt = Kt @ J_inv
         ktil_post[i] = Kt
-        prev = float(t[i])
-    E, c = _linear_propagators(lin, T - prev, d)
-    x = E @ x + c
-    K = E @ K
-    Kt = Kt @ np.linalg.solve(E, eye)
+    x = E[n] @ x + c[n]
+    K = E[n] @ K
+    Kt = Kt @ E_inv[n]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
+        raise RuntimeError("linear flow produced non-finite state")
     v = np.zeros((n, d))
     for i in range(n):
         v[i] = -(K @ ktil_post[i]) @ phi[i]
@@ -574,7 +621,7 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
     """Exact flow, tangents and Gamma of a constant-coefficient linear system
     over a whole batch.
 
-    The segment propagators come from one stacked expm over the real
+    The segment propagators come from one `_expm_stack` call over the real
     (path, segment) pairs, in the CSR order of `_segments`.  x, K and K~
     then advance one ordinal at a time, vectorized over the paths that reach
     it, and v_i = -K_T K~_{T_i} phi(X_{T_i-}).  Gamma[X_T] uses the
@@ -584,7 +631,9 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
     K~-space and mapping by K_T would amplify rounding by cond(K_T)^2.)
 
     Returns (terminal (P, d), vectors (J, d) in flat_times order,
-    gamma (P, d, d), product_drift).
+    gamma (P, d, d), product_drift).  A flow that overflows (say a large
+    positive eigenvalue of A over a long span) raises RuntimeError, as the
+    RK4 sweeps do, rather than reporting nan Gammas.
     """
     lin = sde.linear
     d = sde.dim
@@ -619,6 +668,8 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
         K[idx] = J @ K[idx]
         Kt[idx] = Kt[idx] @ J_inv
         w[batch.offsets[idx] + j] = (Kt[idx] @ phi[:, :, None])[:, :, 0]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
+        raise RuntimeError("batch flow integration produced non-finite state")
     path_of_jump = np.repeat(np.arange(P), counts)
     vectors = -(K[path_of_jump] @ w[:, :, None])[:, :, 0]
     gamma = np.zeros((P, d, d))

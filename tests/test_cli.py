@@ -7,6 +7,9 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +217,40 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hawkmal.simulate, "_MAX_ROUNDS", 0)
     assert run_cli("simulate", "--paths", "10", "--out", str(tmp_path)) == 4
     assert "internal error: thinning failed to terminate" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_out():
+    """A fresh `import hawkmal, hawkmal.cli` loads none of scipy's heavy
+    subpackages: only density-check's mass and KS checks import them, where
+    they run."""
+    import hawkmal
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hawkmal.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    heavy = ["scipy.integrate", "scipy.linalg", "scipy.stats", "scipy.optimize", "scipy.special"]
+    code = (
+        "import sys, hawkmal, hawkmal.cli\n"
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""
+
+
+def test_blown_up_linear_flow_exit_code(tmp_path, monkeypatch, capsys):
+    # dX = 200 X dt overflows on [0, 5]: a refusal (exit 3), not a pass
+    import hawkmal.cli
+    from hawkmal.sde import JumpSde
+
+    blown = JumpSde.linear_scalar(a=200.0, b=0.1, alpha=0.3, beta=0.2, x0=1.0)
+    monkeypatch.setattr(hawkmal.cli, "sde_preset", lambda name: blown)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("sde-density", "--paths", "50", "--out", str(tmp_path))
+    assert code == 3
+    assert "non-finite state" in capsys.readouterr().err
+    assert not (tmp_path / "sde_density_paths.csv").exists()
 
 
 # ---- simulate ----

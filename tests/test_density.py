@@ -20,6 +20,7 @@ from hawkmal.density import (
     log_kappa,
     log_kappa_rows,
     normalization_constant,
+    _cumulative_trapezoid,
 )
 from hawkmal.model import (
     BaselineSpec,
@@ -396,3 +397,17 @@ def test_log_kappa_rows_nonlinear_accepts_time_zero():
     vals = log_kappa_rows(model, 2.0, rows)
     assert np.all(np.isfinite(vals))
     assert vals[0] == pytest.approx(vals[1], rel=1e-7)
+
+
+@pytest.mark.parametrize("T", [0.5, 5.0])
+def test_cumulative_trapezoid_is_scipys_bit_for_bit(T):
+    # the marginal CDFs and the truncated directions' antiderivatives keep
+    # the bits they had under scipy's cumulative_trapezoid
+    from scipy.integrate import cumulative_trapezoid
+
+    grid = np.linspace(0.0, T, 8193)
+    rng = np.random.default_rng(8193)
+    for y in (np.exp(-grid) * np.sin(7.0 * grid), rng.standard_normal(grid.size), np.ones_like(grid)):
+        assert np.array_equal(
+            _cumulative_trapezoid(y, grid), cumulative_trapezoid(y, grid, initial=0.0)
+        )

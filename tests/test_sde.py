@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from hawkmal.malliavin import carre_du_champ
 from hawkmal.model import (
@@ -26,9 +27,13 @@ from hawkmal.sde import (
     solve_flow,
     solve_path,
     tangents,
+    _THETA13,
+    _expm_stack,
     _linear_batch,
+    _linear_propagators,
     _linear_sensitivity,
     _scalar_batch_sweep,
+    _segments,
     _spanning_ranks,
 )
 from hawkmal.simulate import HawkesPath, PathBatch, simulate_batch
@@ -646,3 +651,110 @@ def test_density_criteria_exact_zero_below_dimension():
     _, _, gamma, _ = _linear_batch(sde, batch)
     np.testing.assert_array_equal(crit.per_path_det[full], np.linalg.det(gamma)[full])
     assert crit.passed and crit.n_conditioned == int(full.sum())
+
+
+# ---- the stacked Pade-13 exponential ----
+
+def augmented(lin, spans):
+    """The exact engine's generator stack [[A, b], [0, 0]] * span."""
+    d = lin.A.shape[0]
+    aug = np.zeros((d + 1, d + 1))
+    aug[:d, :d] = lin.A
+    aug[:d, d] = lin.b
+    return aug * np.asarray(spans, dtype=float)[:, None, None]
+
+
+def assert_matches_scipy_expm(X):
+    """`_expm_stack` slice by slice against scipy's expm, within 1e-12 of
+    each slice's 1-norm."""
+    got = _expm_stack(X)
+    assert got.shape == X.shape
+    for k in range(X.shape[0]):
+        ref = expm(X[k])
+        err = np.linalg.norm(got[k] - ref, 1)
+        assert err <= 1e-12 * np.linalg.norm(ref, 1), (k, err)
+
+
+def squarings(X):
+    """Each slice's s = max(0, ceil(log2(|X|_1 / theta_13)))."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.ceil(np.log2(np.abs(X).sum(axis=1).max(axis=1) / _THETA13)), 0)
+
+
+@pytest.fixture(scope="module")
+def segment_spans():
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=404, n_paths=300)
+    _, starts, ends = _segments(batch)
+    return ends - starts
+
+
+@pytest.mark.parametrize("preset", ["linear-scalar", "linear-d2"])
+def test_expm_stack_matches_scipy_on_preset_segments(preset, segment_spans):
+    lin = sde_preset(preset).linear
+    d = lin.A.shape[0]
+    X = augmented(lin, segment_spans)
+    assert_matches_scipy_expm(X)
+    # the propagators are the blocks of that exponential
+    E, c = _linear_propagators(lin, segment_spans, d)
+    for k in range(0, segment_spans.size, 97):
+        ref = expm(X[k])
+        np.testing.assert_allclose(E[k], ref[:d, :d], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(c[k], ref[:d, d], rtol=1e-13, atol=1e-13)
+
+
+def test_expm_stack_matches_scipy_on_random_stable_systems(segment_spans):
+    for seed in (0, 904, 113656, 4418260):
+        X = augmented(random_stable_3d(seed).linear, segment_spans)
+        assert_matches_scipy_expm(X)
+
+
+def test_expm_stack_defective_generator():
+    # A = 0, b != 0: the generator is nilpotent and not diagonalizable, and
+    # exp(X) = I + X exactly
+    lin = JumpSde.linear_dd(
+        A=np.zeros((2, 2)), b=[1.5, -2.0], M=np.zeros((2, 2)), beta=[1.0, 1.0], x0=[0.0, 0.0]
+    ).linear
+    X = augmented(lin, np.linspace(0.0, 20.0, 41))
+    assert squarings(X).max() >= 2
+    assert_matches_scipy_expm(X)
+    np.testing.assert_allclose(_expm_stack(X), np.eye(3) + X, rtol=0.0, atol=1e-13)
+
+
+def test_expm_stack_mixed_scalings_square_together():
+    # 1-norms from 0 to about 30 theta_13 in one stack, so slices with
+    # s = 0..5 share squaring rounds, each round over the slices with s above
+    # it: a random stable system and a lightly damped rotation
+    rotation = JumpSde.linear_dd(
+        A=[[-0.1, 3.0, 0.0], [-3.0, -0.1, 0.0], [0.0, 0.0, -0.5]],
+        b=[1.0, 0.0, -1.0],
+        M=np.zeros((3, 3)),
+        beta=np.ones(3),
+        x0=np.zeros(3),
+    ).linear
+    spans = np.linspace(0.0, 40.0, 161)
+    X = np.concatenate([augmented(random_stable_3d(7).linear, spans), augmented(rotation, spans)])
+    assert set(np.unique(squarings(X))) >= {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
+    assert_matches_scipy_expm(X)
+
+
+def test_expm_stack_zero_spans_and_empty_stack():
+    for lin in (sde_preset("linear-scalar").linear, random_stable_3d(3).linear):
+        d = lin.A.shape[0]
+        X = augmented(lin, np.zeros(5))
+        np.testing.assert_array_equal(_expm_stack(X), np.broadcast_to(np.eye(d + 1), X.shape))
+        assert _expm_stack(np.empty((0, d + 1, d + 1))).shape == (0, d + 1, d + 1)
+        E, c = _linear_propagators(lin, 0.0, d)
+        np.testing.assert_array_equal(E, np.eye(d))
+        np.testing.assert_array_equal(c, np.zeros(d))
+
+
+def test_linear_engines_raise_on_a_blown_up_flow():
+    """exp(200 t) overflows on [0, 5].  Both exact engines must raise, as the
+    RK4 sweeps do: nan Gammas used to pass, since nan <= 0 is False."""
+    sde = JumpSde.linear_scalar(a=200.0, b=0.1, alpha=0.3, beta=0.2, x0=1.0)
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=50)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite state"):
+            density_criteria(sde, batch)
+        with pytest.raises(RuntimeError, match="non-finite state"):
+            _linear_sensitivity(sde, batch.path(0))
