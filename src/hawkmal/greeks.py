@@ -310,10 +310,8 @@ def malliavin_delta(
     prices, _ = terminal_price_batch(asset, batch)
     sample = np.where(positive, payoff.value(prices) * weight, 0.0)[keep]
     mean, se, _ = mc_estimate(sample)
+    _, _, ess = mc_estimate(weight[keep])
     boundary = _one_jump_boundary_term(asset, payoff, T)
-    w_kept = weight[keep]
-    sq = float(np.sum(w_kept**2))
-    ess = float(np.sum(np.abs(w_kept))) ** 2 / sq if sq > 0.0 else float(keep.sum())
     return GreekEstimate(
         estimator="malliavin",
         mean=mean + boundary,

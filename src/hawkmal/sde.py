@@ -31,7 +31,8 @@ _STEP_FRACTION = 1e-3     # h <= 1e-3 * horizon
 _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
 _DET_FLOOR = 1e-12
 _PRODUCT_RESET = 1e-10    # renormalize K_tilde when |K K~ - I| exceeds this
-_RESCALE_EXPONENT = 256   # batch sweep: rescale once |K~| leaves [2^-256, 2^255)
+_CLOSE_EVERY = 4          # RK4 engine: iterations between segment-end passes
+_RESCALE_EXPONENT = 256   # RK4 engine: rescale once |K~| leaves [2^-256, 2^255)
 # Pade 13 coefficients b_k / b_0, so that r_13(0) = I exactly, and the
 # 1-norm up to which r_13 needs no scaling (Higham, SIAM J. Matrix Anal.
 # Appl. 26(4), 2005, Table 2.3)
@@ -52,25 +53,17 @@ class LinearCoeffs(NamedTuple):
     beta: np.ndarray
 
 
-class ElementwiseCoeffs(NamedTuple):
-    """Scalar coefficient callables that broadcast over ndarray arguments,
-    enabling the path-vectorized d = 1 engine."""
-
-    f: Callable
-    f_x: Callable
-    g: Callable
-    g_x: Callable
-    g_t: Callable
-
-
 @dataclass(frozen=True, eq=False)
 class JumpSde:
     """Coefficients of the jump SDE, in vector form.
 
-    `drift`, `jump` map (t, x[d]) -> (d,); `drift_jac`, `jump_jac` map to
-    (d, d); `jump_dt` is the partial of g in t.  Optional extras: exact
-    linear coefficients, elementwise scalar callables for the batched d = 1
-    engine, and user-supplied bounds for the Wronskian certificate
+    The callables broadcast: they take `t` and `x` of shape (..., d), the
+    state on the last axis behind any number of leading axes, with `t` a
+    scalar or an array of the leading shape.  `drift` and `jump` return
+    (..., d); `drift_jac` and `jump_jac` return (..., d, d), or a constant
+    (d, d) Jacobian, which the batch engines broadcast; `jump_dt` is the
+    partial of g in t.  Optional extras: exact linear coefficients, and
+    user-supplied bounds for the Wronskian certificate
     |W(f,g)| > 0.5 * sup|f''| * (sup|g|)^2.
     """
 
@@ -81,7 +74,6 @@ class JumpSde:
     jump: Callable
     jump_jac: Callable
     jump_dt: Callable
-    elementwise: Optional[ElementwiseCoeffs] = None
     linear: Optional[LinearCoeffs] = None
     wronskian_inf: Optional[float] = None
     f_second_sup: Optional[float] = None
@@ -113,21 +105,26 @@ class JumpSde:
     ) -> "JumpSde":
         """One-dimensional SDE from elementwise callables (t, x) -> float.
 
-        The callables must broadcast over ndarray `x` (write them with
-        numpy operations); that unlocks the vectorized batch engine.
+        The callables must broadcast over ndarray `t` and `x` (write them
+        with numpy operations); they see x with its state axis of length 1.
         """
         if g_t is None:
             g_t = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-        ew = ElementwiseCoeffs(f, f_x, g, g_x, g_t)
+
+        def value(fn):
+            return lambda t, x: np.asarray(fn(np.asarray(t)[..., None], x), dtype=float)
+
+        def jac(fn):
+            return lambda t, x: np.asarray(fn(np.asarray(t)[..., None], x), dtype=float)[..., None]
+
         return JumpSde(
             dim=1,
             x0=np.array([x0], dtype=float),
-            drift=lambda t, x: np.atleast_1d(np.asarray(f(t, x[0]), dtype=float)),
-            drift_jac=lambda t, x: np.array([[f_x(t, x[0])]], dtype=float),
-            jump=lambda t, x: np.atleast_1d(np.asarray(g(t, x[0]), dtype=float)),
-            jump_jac=lambda t, x: np.array([[g_x(t, x[0])]], dtype=float),
-            jump_dt=lambda t, x: np.atleast_1d(np.asarray(g_t(t, x[0]), dtype=float)),
-            elementwise=ew,
+            drift=value(f),
+            drift_jac=jac(f_x),
+            jump=value(g),
+            jump_jac=jac(g_x),
+            jump_dt=value(g_t),
             wronskian_inf=wronskian_inf,
             f_second_sup=f_second_sup,
             g_sup=g_sup,
@@ -181,9 +178,9 @@ class JumpSde:
         return JumpSde(
             dim=d,
             x0=np.asarray(x0, dtype=float),
-            drift=lambda t, x: A @ x + b,
+            drift=lambda t, x: (A @ x[..., None])[..., 0] + b,
             drift_jac=lambda t, x: A,
-            jump=lambda t, x: M @ x + beta,
+            jump=lambda t, x: (M @ x[..., None])[..., 0] + beta,
             jump_jac=lambda t, x: M,
             jump_dt=lambda t, x: np.zeros(d),
             linear=LinearCoeffs(A=A, b=b, M=M, beta=beta),
@@ -280,9 +277,11 @@ class SensitivityReport:
 def _rk4_step(rhs, t, h, y: tuple) -> tuple:
     """One classical RK4 step of y' = rhs(t, y) for a tuple of arrays; `t`
     and `h` may be per-path arrays that broadcast against them."""
+    half = 0.5 * h
+    t_half = t + half
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, tuple(a + 0.5 * h * k for a, k in zip(y, k1)))
-    k3 = rhs(t + 0.5 * h, tuple(a + 0.5 * h * k for a, k in zip(y, k2)))
+    k2 = rhs(t_half, tuple(a + half * k for a, k in zip(y, k1)))
+    k3 = rhs(t_half, tuple(a + half * k for a, k in zip(y, k2)))
     k4 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k3)))
     return tuple(
         a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
@@ -388,15 +387,27 @@ def solve_path(sde: JumpSde, path: HawkesPath) -> PathSolution:
     )
 
 
-def phi_jump_sensitivity(sde: JumpSde, t: float, x) -> np.ndarray:
-    """phi(t, x) = f(t, x + g(t, x)) - (I + grad_x g(t, x)) f(t, x) - dg/dt."""
+def _matvec(A, v) -> np.ndarray:
+    """A v for stacks of (..., d, d) matrices, or one constant (d, d), against
+    (..., d) vectors; for d = 1 an elementwise product."""
+    if v.shape[-1] == 1:
+        return A[..., 0] * v
+    return (A @ v[..., None])[..., 0]
+
+
+def phi_jump_sensitivity(sde: JumpSde, t, x) -> np.ndarray:
+    """phi(t, x) = f(t, x + g(t, x)) - (I + grad_x g(t, x)) f(t, x) - dg/dt,
+    for x of shape (..., d) and t a scalar or an array of the leading shape."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.atleast_1d(np.asarray(sde.jump(t, x), dtype=float))
-    grad = np.atleast_2d(np.asarray(sde.jump_jac(t, x), dtype=float))
-    f_here = np.atleast_1d(np.asarray(sde.drift(t, x), dtype=float))
-    f_shift = np.atleast_1d(np.asarray(sde.drift(t, x + g), dtype=float))
-    dgdt = np.atleast_1d(np.asarray(sde.jump_dt(t, x), dtype=float))
-    return f_shift - f_here - grad @ f_here - dgdt
+    return _phi(sde, t, x, np.asarray(sde.jump(t, x), dtype=float), sde.jump_jac(t, x))
+
+
+def _phi(sde: JumpSde, t, x, g, grad) -> np.ndarray:
+    """phi at (t, x), given the jump g and its Jacobian there."""
+    f_here = np.asarray(sde.drift(t, x), dtype=float)
+    f_shift = np.asarray(sde.drift(t, x + g), dtype=float)
+    dgdt = np.asarray(sde.jump_dt(t, x), dtype=float)
+    return f_shift - f_here - _matvec(np.asarray(grad, dtype=float), f_here) - dgdt
 
 
 # ---- tangent process ----
@@ -487,17 +498,29 @@ def grad_and_gamma_XT(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
         gamma = 0.5 * (gamma + gamma.T)
     else:
         gamma = np.zeros((d, d))
-    eigs = np.linalg.eigvalsh(gamma) if n else np.zeros(d)
+    det, min_eig = _gamma_spectrum(gamma[None], np.array([n]))
     return SensitivityReport(
         jump_times=t,
         horizon=path.horizon,
         vectors=v,
         gamma=gamma,
-        det=float(np.linalg.det(gamma)) if n else 0.0,
-        min_eig=float(eigs[0]) if n else 0.0,
+        det=float(det[0]),
+        min_eig=float(min_eig[0]),
         product_drift=drift,
         terminal=xT,
     )
+
+
+def _gamma_spectrum(gamma: np.ndarray, counts: np.ndarray) -> tuple:
+    """(det, smallest eigenvalue) of every (d, d) Gamma in a (P, d, d) stack.
+    Below d jumps Gamma has rank < d, so both are exactly 0 there rather
+    than the rounding noise of a computed value."""
+    full = counts >= gamma.shape[-1]
+    dets = np.zeros(full.shape)
+    min_eigs = np.zeros(full.shape)
+    dets[full] = np.linalg.det(gamma[full])
+    min_eigs[full] = np.linalg.eigvalsh(gamma[full])[:, 0]
+    return dets, min_eigs
 
 
 # ---- exact linear engine ----
@@ -601,17 +624,16 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
         xi = xi_kernel(T, t[:, None], t)
         gamma = v.T @ xi @ v
         gamma = 0.5 * (gamma + gamma.T)
-        eigs = np.linalg.eigvalsh(gamma)
     else:
         gamma = np.zeros((d, d))
-        eigs = np.zeros(d)
+    det, min_eig = _gamma_spectrum(gamma[None], np.array([n]))
     return SensitivityReport(
         jump_times=t,
         horizon=T,
         vectors=v,
         gamma=gamma,
-        det=float(np.linalg.det(gamma)) if n else 0.0,
-        min_eig=float(eigs[0]) if n else 0.0,
+        det=float(det[0]),
+        min_eig=float(min_eig[0]),
         product_drift=float(np.max(np.abs(K @ Kt - eye))),
         terminal=x,
     )
@@ -624,20 +646,18 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
     The segment propagators come from one `_expm_stack` call over the real
     (path, segment) pairs, in the CSR order of `_segments`.  x, K and K~
     then advance one ordinal at a time, vectorized over the paths that reach
-    it, and v_i = -K_T K~_{T_i} phi(X_{T_i-}).  Gamma[X_T] uses the
-    running-sum Gram identity of `_scalar_batch_sweep` on the v_i:
-    sum_j (A_j v_j^T + v_j A_j^T + t_j v_j v_j^T) - a a^T / T, with A_j the
-    running sum of t_i v_i over i < j and a the full sum.  (Summing in
-    K~-space and mapping by K_T would amplify rounding by cond(K_T)^2.)
+    it, and v_i = -K_T K~_{T_i} phi(X_{T_i-}); `_gram` sums Gamma[X_T].
 
     Returns (terminal (P, d), vectors (J, d) in flat_times order,
     gamma (P, d, d), product_drift).  A flow that overflows (say a large
     positive eigenvalue of A over a long span) raises RuntimeError, as the
-    RK4 sweeps do, rather than reporting nan Gammas.
+    RK4 engine does, rather than reporting nan Gammas, and without numpy's
+    overflow warnings: propagators that overflow are refused before the
+    ordinal loop, and the final check catches a state that overflows over
+    many finite ones.
     """
     lin = sde.linear
     d = sde.dim
-    T = batch.horizon
     P = batch.n_paths
     counts = batch.counts()
     n_max = int(counts.max()) if P else 0
@@ -648,33 +668,55 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
     J_inv = np.linalg.solve(J, eye)
     phi0, comm = _linear_phi(lin)
     seg_offsets, starts, ends = _segments(batch)
-    E, c = _linear_propagators(lin, ends - starts, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, c = _linear_propagators(lin, ends - starts, d)
+    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(c))):
+        raise RuntimeError("linear flow propagators overflow: non-finite state")
     E_inv = np.linalg.solve(E, eye)
     x = np.tile(sde.x0, (P, 1))
     K = np.tile(eye, (P, 1, 1))
     Kt = K.copy()
     w = np.empty((batch.flat_times.size, d))   # K~_{T_i} phi(X_{T_i-})
-    for j in range(n_max + 1):
-        idx = np.flatnonzero(counts >= j)
-        s = seg_offsets[idx] + j
-        x[idx] = (E[s] @ x[idx, :, None])[:, :, 0] + c[s]
-        K[idx] = E[s] @ K[idx]
-        Kt[idx] = Kt[idx] @ E_inv[s]
-        idx = idx[counts[idx] > j]
-        if not idx.size:
-            continue
-        phi = phi0 + x[idx] @ comm.T
-        x[idx] = x[idx] @ J.T + lin.beta
-        K[idx] = J @ K[idx]
-        Kt[idx] = Kt[idx] @ J_inv
-        w[batch.offsets[idx] + j] = (Kt[idx] @ phi[:, :, None])[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_max + 1):
+            idx = np.flatnonzero(counts >= j)
+            s = seg_offsets[idx] + j
+            x[idx] = (E[s] @ x[idx, :, None])[:, :, 0] + c[s]
+            K[idx] = E[s] @ K[idx]
+            Kt[idx] = Kt[idx] @ E_inv[s]
+            idx = idx[counts[idx] > j]
+            if not idx.size:
+                continue
+            phi = phi0 + x[idx] @ comm.T
+            x[idx] = x[idx] @ J.T + lin.beta
+            K[idx] = J @ K[idx]
+            Kt[idx] = Kt[idx] @ J_inv
+            w[batch.offsets[idx] + j] = (Kt[idx] @ phi[:, :, None])[:, :, 0]
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
         raise RuntimeError("batch flow integration produced non-finite state")
     path_of_jump = np.repeat(np.arange(P), counts)
     vectors = -(K[path_of_jump] @ w[:, :, None])[:, :, 0]
+    drift = float(np.max(np.abs(K @ Kt - eye))) if P else 0.0
+    return x, vectors, _gram(batch, vectors), drift
+
+
+def _gram(batch: PathBatch, vectors: np.ndarray) -> np.ndarray:
+    """Gamma[X_T] = sum_ij v_i v_j^T xi(T_i, T_j) of every path, (P, d, d),
+    from the per-jump vectors (J, d) in flat_times order.
+
+    With jump times sorted, the running-sum identity gives it as
+    sum_j (A_j v_j^T + v_j A_j^T + t_j v_j v_j^T) - a a^T / T, with A_j the
+    running sum of t_i v_i over i < j and a the full sum, in one pass over
+    the jump ordinals.  Summing in v-space keeps K_T out of the sum:
+    summing in K~-space and mapping by K_T would amplify rounding by
+    cond(K_T)^2.
+    """
+    P = batch.n_paths
+    d = vectors.shape[1]
+    counts = batch.counts()
     gamma = np.zeros((P, d, d))
     acc = np.zeros((P, d))
-    for j in range(n_max):
+    for j in range(int(counts.max()) if P else 0):
         idx = np.flatnonzero(counts > j)
         flat = batch.offsets[idx] + j
         tj = batch.flat_times[flat][:, None]
@@ -684,34 +726,58 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
             cross + cross.transpose(0, 2, 1) + tj[:, :, None] * vj[:, :, None] * vj[:, None, :]
         )
         acc[idx] += vj * tj
-    gamma -= acc[:, :, None] * acc[:, None, :] / T
-    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
-    drift = float(np.max(np.abs(K @ Kt - eye))) if P else 0.0
-    return x, vectors, gamma, drift
+    gamma -= acc[:, :, None] * acc[:, None, :] / batch.horizon
+    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
 
 
-# ---- vectorized scalar engine ----
+# ---- lockstep RK4 engine ----
 
-def _scalar_batch_sweep(sde: JumpSde, batch: PathBatch):
-    """Time-major lockstep integration for d = 1 systems built from
-    elementwise coefficients.
+def _rk4_batch(sde: JumpSde, batch: PathBatch):
+    """Flow, tangents and Gamma of every path, by time-major lockstep RK4,
+    for any system without exact linear coefficients.
 
     Each path walks its own segment schedule: `_segment_steps` steps of
-    h = span / steps per jump-free segment, at t = t_start + k h.  One
-    lockstep iteration advances every unfinished path by one step, so the
-    iteration count is the largest per-path step total, not a sum of
-    per-ordinal maxima.  A path that reaches a segment end gets the
-    K K~ = 1 check (K~ is reset to 1 / K past 1e-10) and, if a jump ends the
-    segment, the jump map.
+    h = span / steps per jump-free segment, at t = t_start + k h, the
+    schedule of the per-path solvers.  One lockstep iteration advances every
+    unfinished path by one step of x' = f, K' = (grad f) K, K~' = -K~ grad f,
+    with the state (P, d) and the tangents (P, d, d) packed into one array.
+    A path that reaches a segment end takes steps of h = 0 until the next
+    pass over segment ends; a pass costs a few steps' time, and on a large
+    batch some path ends a segment at almost every iteration, so the passes
+    run every _CLOSE_EVERY iterations.  There the path gets the K K~ = I
+    check (K~ is reset to K^-1 past 1e-10) and, if a jump ends the segment,
+    the jump map K <- (I + grad g) K, K~ <- K~ (I + grad g)^-1, x <- x + g,
+    and stores w_i = K~_{T_i} phi_i.  Waiting moves no bit of a path.  For
+    d = 1 the products are elementwise, since a (P, 1, 1) matmul costs
+    several times a multiply.
 
-    Returns (terminal (P,), gamma (P,), product_drift).  Per path the
-    quadratic form uses w_i = K_tilde_{T_i} phi_i and, with jump times
-    sorted, sum_{ij} w_i w_j (t_i ^ t_j) = sum_j w_j (2 A_j + w_j t_j)
-    where A_j is the running sum of w_i t_i over i < j.
+    Jumps that contract (or expand) K hard drive K~ out of range; once the
+    largest |K~| entry of a jumping path leaves [2^-256, 2^255), every path
+    jumping in that pass takes (K, K~) -> (2^e K, 2^-e K~), e the exponent
+    of its own largest entry, which powers of two scale exactly.  Each w_i
+    keeps its path's running exponent, so that v_i = -K_T w_i is scaled back
+    by ldexp after the sweep.  `_gram` then sums Gamma from the v_i.
+
+    Returns (terminal (P, d), vectors (J, d) in flat_times order,
+    gamma (P, d, d), product_drift), as `_linear_batch` does.
     """
-    ew = sde.elementwise
+    d = sde.dim
+    dd = d * d
     T = batch.horizon
     P = batch.n_paths
+    eye = np.eye(d)
+    if d == 1:
+        mul, right_div, inverse = np.multiply, np.divide, np.reciprocal
+    else:
+        mul = np.matmul
+
+        def right_div(A, B):
+            """A B^-1, as the per-path K~ (I + grad g)^-1."""
+            return np.linalg.solve(B.swapaxes(-1, -2), A.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+        def inverse(A):
+            return np.linalg.solve(A, np.broadcast_to(eye, A.shape))
+
     seg_offsets, starts, ends = _segments(batch)
     span = ends - starts
     steps = _segment_steps(span, T)
@@ -720,87 +786,119 @@ def _scalar_batch_sweep(sde: JumpSde, batch: PathBatch):
     seg = seg_offsets[:-1].copy()     # current segment of every path
     t0 = starts[seg]
     h = h_seg[seg]
-    n = steps[seg]                    # -1 once a path has finished
+    n = steps[seg]                    # -1 while a path waits for its segment end
     k = np.zeros(P, dtype=np.int64)   # steps taken in the current segment
-    x = np.full(P, sde.x0[0])
-    K = np.ones(P)
-    Kt = np.ones(P)
-    q = np.zeros(P)        # sum_j w_j (2 A_j + w_j t_j)
-    acc = np.zeros(P)      # running sum of w_i t_i
+    # one column per path, rows x (d), K (d * d), K~ (d * d): the RK4 update
+    # is one array operation, and each component is a contiguous row
+    y = np.repeat(np.concatenate([sde.x0, eye.ravel(), eye.ravel()])[:, None], P, axis=1)
+    xs, Ks, Kts = slice(0, d), slice(d, d + dd), slice(d + dd, d + 2 * dd)
+    w = np.empty((batch.flat_times.size, d))        # K~_{T_i} phi_i
+    w_exp = np.zeros(batch.flat_times.size, dtype=np.int64)
+    scale = np.zeros(P, dtype=np.int64)             # K stored as 2^scale K
     drift_max = 0.0
 
-    def rhs(t, y):
-        """(f, f_x K, -K~ f_x), elementwise over the paths."""
-        j = ew.f_x(t, y[0])
-        return ew.f(t, y[0]), j * y[1], -y[2] * j
+    def mats(rows):
+        """(d * d, n) rows -> (n, d, d) matrices."""
+        return rows.T.reshape(-1, d, d)
+
+    def rows_of(A):
+        return A.reshape(-1, dd).T
+
+    def rhs(t, ys):
+        (y,) = ys
+        x = y[xs].T
+        J = sde.drift_jac(t, x)
+        out = np.empty_like(y)
+        out[xs] = sde.drift(t, x).T
+        out[Ks] = rows_of(mul(J, mats(y[Ks])))
+        out[Kts] = rows_of(mul(-mats(y[Kts]), J))
+        return (out,)
 
     def close(idx):
-        """Segment ends of paths `idx`; returns the paths whose next
-        segment is empty and so ends at once."""
+        """Segment ends of paths `idx`, which all have h = 0 (finished paths
+        keep it); returns the paths whose next segment is empty and so ends
+        at once."""
         nonlocal drift_max
-        dev = np.abs(K[idx] * Kt[idx] - 1.0)
+        s = seg[idx]
+        Y = y[:, idx]
+        K = mats(Y[Ks])
+        Kt = mats(Y[Kts])
+        dev = np.abs(mul(K, Kt) - eye).max(axis=(1, 2))
         drift_max = max(drift_max, float(dev.max()))
-        bad = dev > _PRODUCT_RESET
-        if np.any(bad):
-            Kt[idx[bad]] = 1.0 / K[idx[bad]]
-        jump = idx[seg[idx] < last[idx]]
-        if jump.size:
-            tj = ends[seg[jump]]
-            xj = x[jump]
-            gx = ew.g_x(tj, xj)
-            jfac = 1.0 + np.asarray(gx, dtype=float)
-            if np.any(np.abs(jfac) < _DET_FLOOR):
+        if drift_max > _PRODUCT_RESET:
+            bad = dev > _PRODUCT_RESET
+            Kt[bad] = inverse(K[bad])
+        jumping = s < last[idx]
+        if jumping.any():
+            jump = idx[jumping]
+            sj = s[jumping]
+            tj = ends[sj]
+            xj = Y[xs, jumping].T
+            gval = np.asarray(sde.jump(tj, xj), dtype=float)
+            grad = sde.jump_jac(tj, xj)
+            factor = eye + grad
+            det = factor[..., 0, 0] if d == 1 else np.linalg.det(factor)
+            if (np.abs(det) < _DET_FLOOR).any():
                 raise AssumptionError(
                     "det(I + grad_x g) vanished at a jump in the batch"
                 )
-            gval = np.asarray(ew.g(tj, xj), dtype=float)
-            f_here = np.asarray(ew.f(tj, xj), dtype=float)
-            f_shift = np.asarray(ew.f(tj, xj + gval), dtype=float)
-            dgdt = np.asarray(ew.g_t(tj, xj), dtype=float)
-            phi = f_shift - f_here - gx * f_here - dgdt
-            K[jump] *= jfac
-            kt = Kt[jump] / jfac
-            e = np.frexp(kt)[1]
+            phi = _phi(sde, tj, xj, gval, grad)
+            kj = mul(factor, K[jumping])
+            kt = right_div(Kt[jumping], factor)
+            e = np.frexp(np.abs(kt).max(axis=(1, 2)))[1]
             if np.abs(e).max() >= _RESCALE_EXPONENT:
-                # jumps that contract (or expand) K hard drive K~ and w
-                # below out of range until w * w (or K * K) overflows; the
-                # map (K, K~, q, acc) -> (2^e K, 2^-e K~, 2^-2e q, 2^-e acc)
-                # leaves K K~ and gamma as they are: powers of two scale exactly
-                K[jump] = np.ldexp(K[jump], e)
-                kt = np.ldexp(kt, -e)
-                q[jump] = np.ldexp(q[jump], -2 * e)
-                acc[jump] = np.ldexp(acc[jump], -e)
-            Kt[jump] = kt
-            w = kt * phi
-            q[jump] += w * (2.0 * acc[jump] + w * tj)
-            acc[jump] += w * tj
-            x[jump] = xj + gval
-        seg[idx] += 1
-        done = seg[idx] > last[idx]
-        n[idx[done]] = -1
-        h[idx[done]] = 0.0
+                kj = np.ldexp(kj, e[:, None, None])
+                kt = np.ldexp(kt, -e[:, None, None])
+                scale[jump] += e
+            K[jumping] = kj
+            Kt[jumping] = kt
+            # segment s of path p ends jump s - p (flat_times order)
+            flat = sj - jump
+            w[flat] = _matvec(kt, phi)
+            w_exp[flat] = scale[jump]
+            Y[xs, jumping] = (xj + gval).T
+        Y[Ks] = rows_of(K)
+        Y[Kts] = rows_of(Kt)
+        y[:, idx] = Y
+        s += 1
+        seg[idx] = s
+        done = s > last[idx]
         idx = idx[~done]
-        s = seg[idx]
+        s = s[~done]
         t0[idx] = starts[s]
         h[idx] = h_seg[s]
         n[idx] = steps[s]
         k[idx] = 0
-        return idx[n[idx] == 0]
+        return idx[steps[s] == 0]
 
-    idx = np.flatnonzero(n == 0)
-    while idx.size:
-        idx = close(idx)
-    # finished paths take steps of h = 0
-    for _ in range(int(np.add.reduceat(steps, seg_offsets[:-1]).max()) if P else 0):
-        x, K, Kt = _rk4_step(rhs, t0 + k * h, h, (x, K, Kt))
+    # a path that ends a segment waits with h = 0, as finished paths do, for
+    # the next pass over segment ends
+    ended = [np.flatnonzero(n == 0)]
+    it = 0
+    while True:
+        if it % _CLOSE_EVERY == 0:
+            idx = np.concatenate(ended)
+            ended = []
+            while idx.size:
+                idx = close(idx)
+            if (seg > last).all():
+                break
+        (y,) = _rk4_step(rhs, t0 + k * h, h, (y,))
         k += 1
         idx = np.flatnonzero(k == n)
-        while idx.size:
-            idx = close(idx)
-    gamma = K * K * (q - acc * acc / T)
-    if not np.all(np.isfinite(x)):
+        n[idx] = -1
+        h[idx] = 0.0
+        ended.append(idx)
+        it += 1
+    x = y[xs].T.copy()
+    K = mats(y[Ks])
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
         raise RuntimeError("batch flow integration produced non-finite state")
-    return x, gamma, drift_max
+    path_of_jump = np.repeat(np.arange(P), batch.counts())
+    vectors = np.ldexp(
+        -_matvec(K[path_of_jump], w), (w_exp - scale[path_of_jump])[:, None]
+    )
+    return x, vectors, _gram(batch, vectors), drift_max
 
 
 # ---- absolute-continuity criteria ----
@@ -810,7 +908,7 @@ class DensityCriteria:
     """Batch evidence for the absolute-continuity of X_T.
 
     Scalar systems report min Gamma[X_T] over {N_T >= 1} plus the analytic
-    Wronskian certificate when bounds were supplied; linear d-dim systems
+    Wronskian certificate when bounds were supplied; d-dim systems
     report the spanning rank of the per-jump vectors on {N_T >= min_jumps}
     and the smallest Gamma eigenvalue there.
     """
@@ -836,17 +934,6 @@ class DensityCriteria:
     passed: bool
 
 
-def _per_path(sde: JumpSde, batch: PathBatch):
-    """`grad_and_gamma_XT` on every path, in the `_linear_batch` layout."""
-    reps = [grad_and_gamma_XT(sde, path) for path in batch]
-    d = sde.dim
-    terminal = np.array([rep.terminal for rep in reps]).reshape(-1, d)
-    vectors = np.concatenate([rep.vectors for rep in reps] + [np.empty((0, d))])
-    gamma = np.array([rep.gamma for rep in reps]).reshape(-1, d, d)
-    drift = max((rep.product_drift for rep in reps), default=0.0)
-    return terminal, vectors, gamma, drift
-
-
 def _spanning_ranks(vectors: np.ndarray, batch: PathBatch, min_jumps: int) -> np.ndarray:
     """Rank of each path's (n_i, d) matrix of per-jump vectors, -1 below
     `min_jumps` jumps.  Paths are grouped by jump count, so every rank comes
@@ -868,20 +955,13 @@ def density_criteria(
     `min_jumps` is the conditioning threshold (how many jumps the spanning
     argument needs); it defaults to 1 for scalar systems and to the
     dimension for d-dim ones.  Linear systems, d = 1 included, take the
-    exact batched engine; other d = 1 systems with elementwise coefficients
-    take the time-major RK4 sweep; the rest are solved path by path.
+    exact batched engine; every other system takes the lockstep RK4 engine.
     """
     counts = batch.counts()
     P = batch.n_paths
     d = sde.dim
-    if sde.linear is not None:
-        terminal, vectors, gamma, drift = _linear_batch(sde, batch)
-    elif d == 1 and sde.elementwise is not None:
-        terminal, gamma, drift = _scalar_batch_sweep(sde, batch)
-        terminal = terminal.reshape(P, 1)
-        gamma = gamma.reshape(P, 1, 1)
-    else:
-        terminal, vectors, gamma, drift = _per_path(sde, batch)
+    engine = _linear_batch if sde.linear is not None else _rk4_batch
+    terminal, vectors, gamma, drift = engine(sde, batch)
 
     if d == 1:
         ell = 1 if min_jumps is None else int(min_jumps)
@@ -924,11 +1004,7 @@ def density_criteria(
 
     # d-dimensional: spanning rank of the per-jump vectors
     ell = d if min_jumps is None else int(min_jumps)
-    # below d jumps Gamma has rank < d: det and min_eig are exactly 0
-    has = counts >= d
-    dets = np.where(has, np.linalg.det(gamma), 0.0)
-    min_eigs = np.zeros(P)
-    min_eigs[has] = np.linalg.eigvalsh(gamma[has])[:, 0]
+    dets, min_eigs = _gamma_spectrum(gamma, counts)
     ranks = _spanning_ranks(vectors, batch, ell)
     flags = ranks == d
     cond = counts >= ell

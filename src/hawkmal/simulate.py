@@ -585,7 +585,8 @@ def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] =
     if model.nonlinearity.is_linear():
         base_part = float(model.baseline.integral(np.float64(t)))
         vals = strict_lags(model.kernel.mu_hat, batch.flat_times, t)
-        csum = np.concatenate([[0.0], np.cumsum(vals)])
-        seg = csum[batch.offsets[1:]] - csum[batch.offsets[:-1]]
-        return base_part + seg
+        # each path sums its own terms in order, so its bits do not depend
+        # on the paths before it in the batch
+        path_of_jump = np.repeat(np.arange(batch.n_paths), batch.counts())
+        return base_part + np.bincount(path_of_jump, weights=vals, minlength=batch.n_paths)
     return compensator_rows(model, padded_jumps(batch)[0], t)

@@ -349,9 +349,8 @@ def test_10_condition2_slack(model):
 # ---- 11: SDE flows, tangents, and density criteria ----
 
 def _euler_terminal(sde: JumpSde, batch, n_grid: int) -> np.ndarray:
-    ew = sde.elementwise
     h = batch.horizon / n_grid
-    x = np.full(batch.n_paths, sde.x0[0])
+    x = np.tile(sde.x0, (batch.n_paths, 1))
     slot = np.minimum(np.floor(batch.flat_times / h).astype(np.int64), n_grid - 1)
     order = np.argsort(slot, kind="stable")
     slots = slot[order]
@@ -359,12 +358,12 @@ def _euler_terminal(sde: JumpSde, batch, n_grid: int) -> np.ndarray:
     jtime = batch.flat_times[order]
     ptr = 0
     for k in range(n_grid):
-        x += h * ew.f(k * h, x)
+        x += h * sde.drift(k * h, x)
         while ptr < slots.size and slots[ptr] == k:
             i = jpath[ptr]
-            x[i] += ew.g(jtime[ptr], x[i])
+            x[i] += sde.jump(jtime[ptr], x[i])
             ptr += 1
-    return x
+    return x[:, 0]
 
 
 def test_11_sde_suite(model):

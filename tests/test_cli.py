@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -240,13 +241,15 @@ def test_import_leaves_scipy_out():
 
 
 def test_blown_up_linear_flow_exit_code(tmp_path, monkeypatch, capsys):
-    # dX = 200 X dt overflows on [0, 5]: a refusal (exit 3), not a pass
+    # dX = 200 X dt overflows on [0, 5]: a refusal (exit 3), not a pass, and
+    # without numpy's overflow warnings ahead of the refusal
     import hawkmal.cli
     from hawkmal.sde import JumpSde
 
     blown = JumpSde.linear_scalar(a=200.0, b=0.1, alpha=0.3, beta=0.2, x0=1.0)
     monkeypatch.setattr(hawkmal.cli, "sde_preset", lambda name: blown)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run_cli("sde-density", "--paths", "50", "--out", str(tmp_path))
     assert code == 3
     assert "non-finite state" in capsys.readouterr().err
@@ -457,6 +460,27 @@ def test_sde_density_linear_d2_rank_comments(tmp_path):
     assert comments["min_rank"] == "2" and comments["rank_target"] == "2"
     assert "min_gamma" not in comments
     assert int(comments["n_conditioned"]) == sum(int(r[1]) >= 2 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "preset, digest",
+    [
+        ("linear-scalar", "595f8dbdeec407ce2d75496d59f8baabd4ba00f48cbfbc6cbbc8984e1283d764"),
+        ("linear-d2", "b882f4b82d3591fc6bcc555c79b0ba4f8b944809f52db8d76175484357c14c7d"),
+    ],
+)
+def test_sde_density_linear_known_bytes(tmp_path, preset, digest):
+    # sha256 of the exact linear engine's sde_density_paths.csv on a fixed
+    # config: Gamma's running-sum Gram must not move a bit
+    ini = tmp_path / "sde.ini"
+    ini.write_text(f"[sde]\npreset = {preset}\n")
+    out = tmp_path / "out"
+    assert run_cli(
+        "sde-density", "--config", str(ini), "--paths", "300", "--seed", "61",
+        "--out", str(out), "--no-timestamp",
+    ) == 0
+    data = (out / "sde_density_paths.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_config_baselines_and_directions(tmp_path):

@@ -1,6 +1,7 @@
 """Jump-SDE checks: flow accuracy against closed forms and an independent
 Euler scheme, tangent closed forms, FD oracles for the per-jump vectors,
 and the absolute-continuity criteria."""
+import dataclasses
 import hashlib
 import math
 
@@ -32,7 +33,7 @@ from hawkmal.sde import (
     _linear_batch,
     _linear_propagators,
     _linear_sensitivity,
-    _scalar_batch_sweep,
+    _rk4_batch,
     _segments,
     _spanning_ranks,
 )
@@ -57,11 +58,10 @@ def short_batch():
 def euler_terminal(sde, batch, n_grid):
     """Independent Euler scheme for dX = f dt + g dN on a common time grid,
     vectorized across paths (each jump fires at the end of its grid cell)."""
-    ew = sde.elementwise
     T = batch.horizon
     P = batch.n_paths
     h = T / n_grid
-    x = np.full(P, sde.x0[0])
+    x = np.tile(sde.x0, (P, 1))
     slot = np.minimum(np.floor(batch.flat_times / h).astype(np.int64), n_grid - 1)
     order = np.argsort(slot, kind="stable")
     js = slot[order]
@@ -69,12 +69,12 @@ def euler_terminal(sde, batch, n_grid):
     jtime = batch.flat_times[order]
     ptr = 0
     for k in range(n_grid):
-        x += h * ew.f(k * h, x)
+        x += h * sde.drift(k * h, x)
         while ptr < js.size and js[ptr] == k:
             i = jpath[ptr]
-            x[i] += ew.g(jtime[ptr], x[i])
+            x[i] += sde.jump(jtime[ptr], x[i])
             ptr += 1
-    return x
+    return x[:, 0]
 
 
 # ---- flows ----
@@ -295,12 +295,12 @@ def test_linear_engine_matches_rk4():
 
 def test_batch_sweep_matches_per_path(short_batch):
     sde = JumpSde.cos_sin(x0=0.0)
-    terminal, gamma, drift = _scalar_batch_sweep(sde, short_batch)
+    terminal, _, gamma, drift = _rk4_batch(sde, short_batch)
     assert drift <= 1e-8
     for i, path in enumerate(short_batch):
         rep = grad_and_gamma_XT(sde, path)
-        assert terminal[i] == pytest.approx(rep.terminal[0], rel=1e-9)
-        assert gamma[i] == pytest.approx(rep.gamma[0, 0], rel=1e-9, abs=1e-13)
+        assert terminal[i, 0] == pytest.approx(rep.terminal[0], rel=1e-9)
+        assert gamma[i, 0, 0] == pytest.approx(rep.gamma[0, 0], rel=1e-9, abs=1e-13)
 
 
 # ---- criteria ----
@@ -355,16 +355,24 @@ def test_density_criteria_min_jumps_override():
     assert crit.n_conditioned == int(np.sum(batch.counts() >= 3))
 
 
+def matrix_2x2(a, b, c, d):
+    """[[a, b], [c, d]] over the broadcast shape of its entries."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+
+
 def coupled_d2():
-    """A two-dimensional system that is neither linear nor elementwise, so
-    `density_criteria` solves it path by path."""
+    """A two-dimensional system that is neither linear nor diagonal, so
+    `density_criteria` takes the RK4 engine with matrix tangents."""
     return JumpSde(
         dim=2,
         x0=np.array([0.5, -0.2]),
-        drift=lambda t, x: np.array([np.sin(x[1]), -0.5 * x[0]]),
-        drift_jac=lambda t, x: np.array([[0.0, np.cos(x[1])], [-0.5, 0.0]]),
-        jump=lambda t, x: np.array([1.0 + 0.3 * np.cos(x[1]), 0.2 * np.sin(x[0]) - 0.5]),
-        jump_jac=lambda t, x: np.array([[0.0, -0.3 * np.sin(x[1])], [0.2 * np.cos(x[0]), 0.0]]),
+        drift=lambda t, x: np.stack([np.sin(x[..., 1]), -0.5 * x[..., 0]], axis=-1),
+        drift_jac=lambda t, x: matrix_2x2(0.0, np.cos(x[..., 1]), -0.5, 0.0),
+        jump=lambda t, x: np.stack(
+            [1.0 + 0.3 * np.cos(x[..., 1]), 0.2 * np.sin(x[..., 0]) - 0.5], axis=-1
+        ),
+        jump_jac=lambda t, x: matrix_2x2(0.0, -0.3 * np.sin(x[..., 1]), 0.2 * np.cos(x[..., 0]), 0.0),
         jump_dt=lambda t, x: np.zeros(2),
         label="coupled-d2",
     )
@@ -482,14 +490,14 @@ def test_time_major_sweep_matches_per_path(paths, near_T, outlier, x0, timed):
     if any(rep is None for rep in reps):
         # a path's jump map is not invertible: the sweep refuses the batch
         with pytest.raises(AssumptionError):
-            _scalar_batch_sweep(sde, batch)
+            _rk4_batch(sde, batch)
         return
-    terminal, gamma, drift = _scalar_batch_sweep(sde, batch)
+    terminal, _, gamma, drift = _rk4_batch(sde, batch)
     assert drift <= 1e-8
     for i, (path, rep) in enumerate(zip(batch, reps)):
-        assert terminal[i] == pytest.approx(rep.terminal[0], rel=1e-9, abs=1e-12)
+        assert terminal[i, 0] == pytest.approx(rep.terminal[0], rel=1e-9, abs=1e-12)
         scale = gram_scale(rep.vectors, path.jump_times)
-        assert gamma[i] == pytest.approx(
+        assert gamma[i, 0, 0] == pytest.approx(
             rep.gamma[0, 0], rel=1e-9, abs=1e-9 * scale + _TINY
         )
 
@@ -589,16 +597,67 @@ def test_linear_engines_noncommuting_match_rk4():
     np.testing.assert_allclose(terminal[0], generic.terminal, rtol=1e-9)
 
 
+def test_rk4_engine_broadcasts_constant_jacobians():
+    # linear-d2 without its exact coefficients: `linear_dd`'s callables
+    # return the constant (d, d) matrices A and M, and the RK4 engine must
+    # agree with the exact engine
+    exact = sde_preset("linear-d2")
+    generic = dataclasses.replace(exact, linear=None)
+    batch = batch_of(
+        [[0.8, 2.2, 3.1, 4.4], [1.5], [], [0.3, 0.35, 4.9], [2.0, 2.5]], 5.0
+    )
+    terminal, vectors, gamma, drift = _rk4_batch(generic, batch)
+    ref_terminal, ref_vectors, ref_gamma, _ = _linear_batch(exact, batch)
+    assert drift <= 1e-10
+    np.testing.assert_allclose(terminal, ref_terminal, rtol=1e-9)
+    np.testing.assert_allclose(vectors, ref_vectors, rtol=1e-8)
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-8)
+    crit = density_criteria(generic, batch)
+    assert crit.kind == "general-ddim" and crit.passed
+
+
+_ENGINE_SYSTEMS = {
+    "cos-sin": (_rk4_batch, lambda: JumpSde.cos_sin(x0=0.3)),
+    "timed": (_rk4_batch, lambda: time_dependent_scalar(0.3)),
+    "coupled-d2": (_rk4_batch, coupled_d2),
+    "linear-scalar": (_linear_batch, lambda: sde_preset("linear-scalar")),
+    "linear-d2": (_linear_batch, lambda: sde_preset("linear-d2")),
+    "random-3d": (_linear_batch, lambda: random_stable_3d(904)),
+}
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    system=st.sampled_from(sorted(_ENGINE_SYSTEMS)),
+    paths=st.lists(jump_sets(_SWEEP_T, 6), min_size=1, max_size=3),
+)
+def test_batch_engines_give_each_path_its_one_path_bits(system, paths):
+    # a path's terminal state, vectors and Gamma must not depend on the
+    # other paths of its batch
+    engine, make = _ENGINE_SYSTEMS[system]
+    sde = make()
+    batch = batch_of(paths + [[]], _SWEEP_T)
+    terminal, vectors, gamma, _ = engine(sde, batch)
+    for i, path in enumerate(batch):
+        alone = engine(sde, batch_of([path.jump_times], _SWEEP_T))
+        np.testing.assert_array_equal(terminal[i], alone[0][0])
+        np.testing.assert_array_equal(
+            vectors[batch.offsets[i]:batch.offsets[i + 1]], alone[1]
+        )
+        np.testing.assert_array_equal(gamma[i], alone[2][0])
+
+
 def test_cos_sin_sweep_known_answer():
-    """sha256 of the sweep's bytes on a fixed batch, as the ordinal-major
-    sweep produced them: the time-major order must not move a bit.  (numpy's
-    vectorized cos/sin may round differently on other CPU families.)"""
+    """sha256 of the RK4 engine's bytes on a fixed batch.  The terminal
+    states and the product drift are those of the d = 1 sweep this engine
+    replaced; Gamma is summed from the v_i by `_gram`.  (numpy's vectorized
+    cos/sin may round differently on other CPU families.)"""
     batch = simulate_batch(reference_model(), T=5.0, master_seed=2024, n_paths=200)
-    terminal, gamma, drift = _scalar_batch_sweep(JumpSde.cos_sin(x0=0.0), batch)
+    terminal, _, gamma, drift = _rk4_batch(JumpSde.cos_sin(x0=0.0), batch)
     digest = hashlib.sha256(
         terminal.tobytes() + gamma.tobytes() + np.float64(drift).tobytes()
     ).hexdigest()
-    assert digest == "02edf30bbe18df2386dae37b2427b39050d1dd77c0c77e7bb5760d61e34c537e"
+    assert digest == "73a80b5b337f03381f60b68db450c7f3fb81a6f2df716756e927cd7a0c2afb3c"
 
 
 def _sha256_of(*values):

@@ -540,6 +540,28 @@ def test_compensator_batch_matches_scalar():
     np.testing.assert_allclose(vec, scal, rtol=1e-12)
 
 
+@pytest.mark.parametrize("t_frac", [1.0, 0.5])
+def test_compensator_batch_bits_do_not_depend_on_the_split(t_frac):
+    # Lambda_t of a path must not depend on the paths before it: the batch
+    # equals, bit for bit, the concatenation of any (first_index, n_paths)
+    # split of it
+    model = reference_model()
+    T, n = 5.0, 3000
+    t = t_frac * T
+    whole = compensator_batch(model, simulate_batch(model, T=T, master_seed=31, n_paths=n), t)
+    for cuts in ([1], [1000], [7, 1500, 2999]):
+        edges = [0, *cuts, n]
+        parts = [
+            compensator_batch(
+                model,
+                simulate_batch(model, T=T, master_seed=31, n_paths=hi - lo, first_index=lo),
+                t,
+            )
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
 def test_martingale_property():
     # E[N_T - Lambda_T] = 0 for the compensated count
     model = reference_model()
