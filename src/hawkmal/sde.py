@@ -5,15 +5,20 @@ dX_t = f(t, X_t) dt + g(t, X_{t-}) dN_t
 Between jumps the state follows the deterministic flow of f; at a jump it
 maps through Psi(t, x) = x + g(t, x).  The terminal state is the composition
 X_T = Phi_{T_n,T} . Psi(T_n, .) . ... . Psi(T_1, .) . Phi_{0,T_1} applied to
-x0.  The tangent process K_t (derivative of the flow) and its inverse
-K_tilde_t propagate jump-time sensitivities; the per-jump vectors
+x0.  The tangent K_{s->t} (derivative of that composition from time s to
+t) propagates jump-time sensitivities; the per-jump vectors
 
-    v_i = -K_T K_tilde_{T_i} phi(T_i, X_{T_i-}),
+    v_i = -K_{T_i->T} phi(T_i, X_{T_i-}),
     phi(t, x) = f(t, x + g(t, x)) - (I + grad_x g) f(t, x) - dg/dt,
 
 assemble the gradient D_s X_T = sum_i v_i (T_i/T - 1_{[0,T_i]}(s)) and the
 carre du champ Gamma[X_T] = sum_{ij} v_i v_j^T xi(T_i, T_j), whose
 non-degeneracy is the absolute-continuity criterion.
+
+The batch engines carry only x forward and form K_{T_i->T} backward, as a
+product of segment tangents and jump factors (`_backward_vectors`).  The
+per-path solvers carry K_t = K_{0->t} and its inverse K_tilde_t forward and
+take K_{T_i->T} = K_T K_tilde_{T_i}; they serve as the engines' oracles.
 """
 from __future__ import annotations
 
@@ -32,7 +37,6 @@ _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
 _DET_FLOOR = 1e-12
 _PRODUCT_RESET = 1e-10    # renormalize K_tilde when |K K~ - I| exceeds this
 _CLOSE_EVERY = 4          # RK4 engine: iterations between segment-end passes
-_RESCALE_EXPONENT = 256   # RK4 engine: rescale once |K~| leaves [2^-256, 2^255)
 # Pade 13 coefficients b_k / b_0, so that r_13(0) = I exactly, and the
 # 1-norm up to which r_13 needs no scaling (Higham, SIAM J. Matrix Anal.
 # Appl. 26(4), 2005, Table 2.3)
@@ -395,6 +399,14 @@ def _matvec(A, v) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
+def _matmul(A, B) -> np.ndarray:
+    """A B for stacks of (..., d, d) matrices, either one possibly a
+    constant (d, d); for d = 1 an elementwise product."""
+    if B.shape[-1] == 1:
+        return A * B
+    return A @ B
+
+
 def phi_jump_sensitivity(sde: JumpSde, t, x) -> np.ndarray:
     """phi(t, x) = f(t, x + g(t, x)) - (I + grad_x g(t, x)) f(t, x) - dg/dt,
     for x of shape (..., d) and t a scalar or an array of the leading shape."""
@@ -582,8 +594,8 @@ def _linear_phi(lin: LinearCoeffs):
 def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
     """Closed-form flow and tangents of one path for constant-coefficient
     linear SDEs: the n + 1 segment propagators come from one
-    `_expm_stack` call, as in `_linear_batch`, so both engines multiply the
-    same bits; exact up to the Pade-13 rounding."""
+    `_expm_stack` call, as in `_linear_batch`, so both engines start from
+    the same bits; exact up to the Pade-13 rounding."""
     lin = sde.linear
     d = sde.dim
     T = path.horizon
@@ -640,64 +652,80 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
 
 
 def _linear_batch(sde: JumpSde, batch: PathBatch):
-    """Exact flow, tangents and Gamma of a constant-coefficient linear system
-    over a whole batch.
+    """Exact flow, per-jump vectors and Gamma of a constant-coefficient
+    linear system over a whole batch.
 
-    The segment propagators come from one `_expm_stack` call over the real
-    (path, segment) pairs, in the CSR order of `_segments`.  x, K and K~
-    then advance one ordinal at a time, vectorized over the paths that reach
-    it, and v_i = -K_T K~_{T_i} phi(X_{T_i-}); `_gram` sums Gamma[X_T].
+    The segment propagators E_s come from one `_expm_stack` call over the
+    real (path, segment) pairs, in the CSR order of `_segments`.  x then
+    advances one ordinal at a time, vectorized over the paths that reach
+    it, and each jump records phi(X_{T_i-}); `_backward_vectors` forms the
+    v_i from the E_s and the jump factor I + M, and `_gram` sums Gamma[X_T].
 
     Returns (terminal (P, d), vectors (J, d) in flat_times order,
-    gamma (P, d, d), product_drift).  A flow that overflows (say a large
-    positive eigenvalue of A over a long span) raises RuntimeError, as the
-    RK4 engine does, rather than reporting nan Gammas, and without numpy's
+    gamma (P, d, d)).  A flow that overflows (say a large positive
+    eigenvalue of A over a long span) raises RuntimeError, as the RK4
+    engine does, rather than reporting nan Gammas, and without numpy's
     overflow warnings: propagators that overflow are refused before the
-    ordinal loop, and the final check catches a state that overflows over
-    many finite ones.
+    ordinal loop, and the final check catches a state or a vector that
+    overflows over many finite ones.
     """
     lin = sde.linear
     d = sde.dim
     P = batch.n_paths
     counts = batch.counts()
     n_max = int(counts.max()) if P else 0
-    eye = np.eye(d)
-    J = eye + lin.M
+    J = np.eye(d) + lin.M
     if abs(float(np.linalg.det(J))) < _DET_FLOOR:
         raise AssumptionError("det(I + M) vanished in the linear jump map")
-    J_inv = np.linalg.solve(J, eye)
     phi0, comm = _linear_phi(lin)
     seg_offsets, starts, ends = _segments(batch)
     with np.errstate(over="ignore", invalid="ignore"):
         E, c = _linear_propagators(lin, ends - starts, d)
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(c))):
         raise RuntimeError("linear flow propagators overflow: non-finite state")
-    E_inv = np.linalg.solve(E, eye)
     x = np.tile(sde.x0, (P, 1))
-    K = np.tile(eye, (P, 1, 1))
-    Kt = K.copy()
-    w = np.empty((batch.flat_times.size, d))   # K~_{T_i} phi(X_{T_i-})
+    phi = np.empty((batch.flat_times.size, d))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_max + 1):
             idx = np.flatnonzero(counts >= j)
             s = seg_offsets[idx] + j
-            x[idx] = (E[s] @ x[idx, :, None])[:, :, 0] + c[s]
-            K[idx] = E[s] @ K[idx]
-            Kt[idx] = Kt[idx] @ E_inv[s]
+            x[idx] = _matvec(E[s], x[idx]) + c[s]
             idx = idx[counts[idx] > j]
-            if not idx.size:
-                continue
-            phi = phi0 + x[idx] @ comm.T
-            x[idx] = x[idx] @ J.T + lin.beta
-            K[idx] = J @ K[idx]
-            Kt[idx] = Kt[idx] @ J_inv
-            w[batch.offsets[idx] + j] = (Kt[idx] @ phi[:, :, None])[:, :, 0]
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
+            phi[batch.offsets[idx] + j] = phi0 + _matvec(comm, x[idx])
+            x[idx] = _matvec(J, x[idx]) + lin.beta
+        vectors = _backward_vectors(batch, E, np.broadcast_to(J, phi.shape + (d,)), phi)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vectors))):
         raise RuntimeError("batch flow integration produced non-finite state")
-    path_of_jump = np.repeat(np.arange(P), counts)
-    vectors = -(K[path_of_jump] @ w[:, :, None])[:, :, 0]
-    drift = float(np.max(np.abs(K @ Kt - eye))) if P else 0.0
-    return x, vectors, _gram(batch, vectors), drift
+    return x, vectors, _gram(batch, vectors)
+
+
+def _backward_vectors(batch: PathBatch, E: np.ndarray, F: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """v_i = -K_{T_i->T} phi_i of every jump, (J, d) in flat_times order,
+    from the tangent E_s of every `_segments` segment (S, d, d), the jump
+    factors F_i = I + grad_x g (J, d, d) and phi_i (J, d).
+
+    K_{T_i->T} = E_n F_{n-1} E_{n-1} ... F_{i+1} E_{i+1} on a path with n
+    jumps, where segment i ends at jump i.  Each path's jumps are walked
+    from the last, in adjoint order (Giles and Glasserman, "Smoking
+    adjoints", Risk 2006): B = E_n, v_i = -B phi_i, then B <- B F_i E_i,
+    vectorized over the paths with a jump at each step back.  Only products
+    appear, so no inverse is taken, and a flow that contracts to 0 gives
+    v_i = 0.  Every product is a stacked one, so a path's bits do not
+    depend on its batch.
+    """
+    counts = batch.counts()
+    path_of_jump = np.repeat(np.arange(counts.size), counts)
+    # F_i E_i: segment i of path p is segment flat + p of the CSR order
+    step_back = _matmul(F, E[np.arange(phi.shape[0]) + path_of_jump])
+    B = E[batch.offsets[1:] + np.arange(counts.size)]
+    v = np.empty(phi.shape)
+    for r in range(int(counts.max(initial=0))):
+        idx = np.flatnonzero(counts > r)
+        flat = batch.offsets[idx + 1] - 1 - r
+        v[flat] = -_matvec(B[idx], phi[flat])
+        more = counts[idx] > r + 1
+        B[idx[more]] = _matmul(B[idx[more]], step_back[flat[more]])
+    return v
 
 
 def _gram(batch: PathBatch, vectors: np.ndarray) -> np.ndarray:
@@ -707,9 +735,8 @@ def _gram(batch: PathBatch, vectors: np.ndarray) -> np.ndarray:
     With jump times sorted, the running-sum identity gives it as
     sum_j (A_j v_j^T + v_j A_j^T + t_j v_j v_j^T) - a a^T / T, with A_j the
     running sum of t_i v_i over i < j and a the full sum, in one pass over
-    the jump ordinals.  Summing in v-space keeps K_T out of the sum:
-    summing in K~-space and mapping by K_T would amplify rounding by
-    cond(K_T)^2.
+    the jump ordinals.  The sum runs over the v_i themselves, so no tangent
+    multiplies its rounding.
     """
     P = batch.n_paths
     d = vectors.shape[1]
@@ -733,51 +760,32 @@ def _gram(batch: PathBatch, vectors: np.ndarray) -> np.ndarray:
 # ---- lockstep RK4 engine ----
 
 def _rk4_batch(sde: JumpSde, batch: PathBatch):
-    """Flow, tangents and Gamma of every path, by time-major lockstep RK4,
-    for any system without exact linear coefficients.
+    """Flow, per-jump vectors and Gamma of every path, by time-major
+    lockstep RK4, for any system without exact linear coefficients.
 
     Each path walks its own segment schedule: `_segment_steps` steps of
     h = span / steps per jump-free segment, at t = t_start + k h, the
     schedule of the per-path solvers.  One lockstep iteration advances every
-    unfinished path by one step of x' = f, K' = (grad f) K, K~' = -K~ grad f,
-    with the state (P, d) and the tangents (P, d, d) packed into one array.
-    A path that reaches a segment end takes steps of h = 0 until the next
-    pass over segment ends; a pass costs a few steps' time, and on a large
-    batch some path ends a segment at almost every iteration, so the passes
-    run every _CLOSE_EVERY iterations.  There the path gets the K K~ = I
-    check (K~ is reset to K^-1 past 1e-10) and, if a jump ends the segment,
-    the jump map K <- (I + grad g) K, K~ <- K~ (I + grad g)^-1, x <- x + g,
-    and stores w_i = K~_{T_i} phi_i.  Waiting moves no bit of a path.  For
-    d = 1 the products are elementwise, since a (P, 1, 1) matmul costs
-    several times a multiply.
-
-    Jumps that contract (or expand) K hard drive K~ out of range; once the
-    largest |K~| entry of a jumping path leaves [2^-256, 2^255), every path
-    jumping in that pass takes (K, K~) -> (2^e K, 2^-e K~), e the exponent
-    of its own largest entry, which powers of two scale exactly.  Each w_i
-    keeps its path's running exponent, so that v_i = -K_T w_i is scaled back
-    by ldexp after the sweep.  `_gram` then sums Gamma from the v_i.
+    unfinished path by one step of x' = f and K' = (grad f) K, with the
+    state (P, d) and the tangent (P, d, d) packed into one array.  K starts
+    from I on every segment, so at the segment's end it is that segment's
+    tangent E_s.  A path that reaches a segment end takes steps of h = 0
+    until the next pass over segment ends; a pass costs a few steps' time,
+    and on a large batch some path ends a segment at almost every
+    iteration, so the passes run every _CLOSE_EVERY iterations.  There the
+    path stores E_s and restarts K from I, and if a jump ends the segment,
+    it stores F_i = I + grad g and phi_i and takes x <- x + g.  Waiting
+    moves no bit of a path.  `_backward_vectors` then forms the v_i, and
+    `_gram` sums Gamma.  For d = 1 the products are elementwise, since a
+    (P, 1, 1) matmul costs several times a multiply.
 
     Returns (terminal (P, d), vectors (J, d) in flat_times order,
-    gamma (P, d, d), product_drift), as `_linear_batch` does.
+    gamma (P, d, d)), as `_linear_batch` does.
     """
     d = sde.dim
-    dd = d * d
     T = batch.horizon
     P = batch.n_paths
     eye = np.eye(d)
-    if d == 1:
-        mul, right_div, inverse = np.multiply, np.divide, np.reciprocal
-    else:
-        mul = np.matmul
-
-        def right_div(A, B):
-            """A B^-1, as the per-path K~ (I + grad g)^-1."""
-            return np.linalg.solve(B.swapaxes(-1, -2), A.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-        def inverse(A):
-            return np.linalg.solve(A, np.broadcast_to(eye, A.shape))
-
     seg_offsets, starts, ends = _segments(batch)
     span = ends - starts
     steps = _segment_steps(span, T)
@@ -788,52 +796,36 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     h = h_seg[seg]
     n = steps[seg]                    # -1 while a path waits for its segment end
     k = np.zeros(P, dtype=np.int64)   # steps taken in the current segment
-    # one column per path, rows x (d), K (d * d), K~ (d * d): the RK4 update
-    # is one array operation, and each component is a contiguous row
-    y = np.repeat(np.concatenate([sde.x0, eye.ravel(), eye.ravel()])[:, None], P, axis=1)
-    xs, Ks, Kts = slice(0, d), slice(d, d + dd), slice(d + dd, d + 2 * dd)
-    w = np.empty((batch.flat_times.size, d))        # K~_{T_i} phi_i
-    w_exp = np.zeros(batch.flat_times.size, dtype=np.int64)
-    scale = np.zeros(P, dtype=np.int64)             # K stored as 2^scale K
-    drift_max = 0.0
-
-    def mats(rows):
-        """(d * d, n) rows -> (n, d, d) matrices."""
-        return rows.T.reshape(-1, d, d)
-
-    def rows_of(A):
-        return A.reshape(-1, dd).T
+    # one column per path, rows x (d) and K (d * d): the RK4 update is one
+    # array operation, and each component is a contiguous row
+    y = np.repeat(np.concatenate([sde.x0, eye.ravel()])[:, None], P, axis=1)
+    xs, Ks = slice(0, d), slice(d, d + d * d)
+    E = np.empty((span.size, d, d))
+    F = np.empty((batch.flat_times.size, d, d))
+    phi = np.empty((batch.flat_times.size, d))
 
     def rhs(t, ys):
         (y,) = ys
         x = y[xs].T
-        J = sde.drift_jac(t, x)
         out = np.empty_like(y)
         out[xs] = sde.drift(t, x).T
-        out[Ks] = rows_of(mul(J, mats(y[Ks])))
-        out[Kts] = rows_of(mul(-mats(y[Kts]), J))
+        K = y[Ks].T.reshape(-1, d, d)
+        out[Ks] = _matmul(sde.drift_jac(t, x), K).reshape(-1, d * d).T
         return (out,)
 
     def close(idx):
         """Segment ends of paths `idx`, which all have h = 0 (finished paths
         keep it); returns the paths whose next segment is empty and so ends
         at once."""
-        nonlocal drift_max
         s = seg[idx]
-        Y = y[:, idx]
-        K = mats(Y[Ks])
-        Kt = mats(Y[Kts])
-        dev = np.abs(mul(K, Kt) - eye).max(axis=(1, 2))
-        drift_max = max(drift_max, float(dev.max()))
-        if drift_max > _PRODUCT_RESET:
-            bad = dev > _PRODUCT_RESET
-            Kt[bad] = inverse(K[bad])
+        E[s] = y[Ks, idx].T.reshape(-1, d, d)
+        y[Ks, idx] = eye.reshape(-1, 1)
         jumping = s < last[idx]
         if jumping.any():
             jump = idx[jumping]
             sj = s[jumping]
             tj = ends[sj]
-            xj = Y[xs, jumping].T
+            xj = y[xs, jump].T
             gval = np.asarray(sde.jump(tj, xj), dtype=float)
             grad = sde.jump_jac(tj, xj)
             factor = eye + grad
@@ -842,24 +834,11 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
                 raise AssumptionError(
                     "det(I + grad_x g) vanished at a jump in the batch"
                 )
-            phi = _phi(sde, tj, xj, gval, grad)
-            kj = mul(factor, K[jumping])
-            kt = right_div(Kt[jumping], factor)
-            e = np.frexp(np.abs(kt).max(axis=(1, 2)))[1]
-            if np.abs(e).max() >= _RESCALE_EXPONENT:
-                kj = np.ldexp(kj, e[:, None, None])
-                kt = np.ldexp(kt, -e[:, None, None])
-                scale[jump] += e
-            K[jumping] = kj
-            Kt[jumping] = kt
             # segment s of path p ends jump s - p (flat_times order)
             flat = sj - jump
-            w[flat] = _matvec(kt, phi)
-            w_exp[flat] = scale[jump]
-            Y[xs, jumping] = (xj + gval).T
-        Y[Ks] = rows_of(K)
-        Y[Kts] = rows_of(Kt)
-        y[:, idx] = Y
+            F[flat] = factor
+            phi[flat] = _phi(sde, tj, xj, gval, grad)
+            y[xs, jump] = (xj + gval).T
         s += 1
         seg[idx] = s
         done = s > last[idx]
@@ -891,14 +870,10 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
         ended.append(idx)
         it += 1
     x = y[xs].T.copy()
-    K = mats(y[Ks])
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
+    vectors = _backward_vectors(batch, E, F, phi)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vectors))):
         raise RuntimeError("batch flow integration produced non-finite state")
-    path_of_jump = np.repeat(np.arange(P), batch.counts())
-    vectors = np.ldexp(
-        -_matvec(K[path_of_jump], w), (w_exp - scale[path_of_jump])[:, None]
-    )
-    return x, vectors, _gram(batch, vectors), drift_max
+    return x, vectors, _gram(batch, vectors)
 
 
 # ---- absolute-continuity criteria ----
@@ -930,7 +905,6 @@ class DensityCriteria:
     min_rank: Optional[int]
     rank_target: Optional[int]
     min_sigma: Optional[float]
-    product_drift: float
     passed: bool
 
 
@@ -961,7 +935,7 @@ def density_criteria(
     P = batch.n_paths
     d = sde.dim
     engine = _linear_batch if sde.linear is not None else _rk4_batch
-    terminal, vectors, gamma, drift = engine(sde, batch)
+    terminal, vectors, gamma = engine(sde, batch)
 
     if d == 1:
         ell = 1 if min_jumps is None else int(min_jumps)
@@ -998,7 +972,6 @@ def density_criteria(
             min_rank=None,
             rank_target=None,
             min_sigma=None,
-            product_drift=drift,
             passed=bool(cond_gamma.size) and n_nonpos == 0,
         )
 
@@ -1029,6 +1002,5 @@ def density_criteria(
         min_rank=int(cond_ranks.min()) if n_cond else None,
         rank_target=d,
         min_sigma=float(cond_eigs.min()) if n_cond else None,
-        product_drift=drift,
         passed=n_cond > 0 and bool(np.all(cond_ranks == d)),
     )

@@ -546,22 +546,24 @@ def _excitation_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> n
     """int_0^t gamma(excitation) ds per row of `compensator_rows`: Lambda_t
     without the baseline integral.  Linear gamma is closed form; otherwise
     gamma(excitation) goes to `_segment_quad` per inter-jump segment, over
-    the `_row_blocks` of the rows' counts of jumps before t."""
+    the `_row_blocks` of the rows' counts of jumps before t.  The segment
+    before the first jump is skipped: gamma(0) = 0 there."""
     if model.nonlinearity.is_linear():
         return strict_lags(model.kernel.mu_hat, rows, t).sum(axis=-1)
     mu, gam = model.kernel.mu, model.nonlinearity.value
-    out = np.empty(rows.shape[0])
+    out = np.zeros(rows.shape[0])
     counts = (rows < t).sum(axis=1)
-    for idx, K in _row_blocks(counts, lambda K: (K + 1) * _GL32[0].size * max(K, 1)):
+    for idx, K in _row_blocks(counts, lambda K: K * _GL32[0].size * K):
+        if K == 0:
+            continue
         block = rows[idx, :K]
         cuts = np.minimum(block, t)
-        lo = np.concatenate([np.zeros((idx.size, 1)), cuts], axis=1)
-        hi = np.concatenate([cuts, np.full((idx.size, 1), t)], axis=1)
+        hi = np.concatenate([cuts[:, 1:], np.full((idx.size, 1), t)], axis=1)
 
         def f(seg, u):
-            return gam(strict_lags(mu, block[seg // (K + 1), None, :], u).sum(axis=-1))
+            return gam(strict_lags(mu, block[seg // K, None, :], u).sum(axis=-1))
 
-        out[idx] = _segment_quad(f, lo.ravel(), hi.ravel()).reshape(-1, K + 1).sum(axis=1)
+        out[idx] = _segment_quad(f, cuts.ravel(), hi.ravel()).reshape(-1, K).sum(axis=1)
     return out
 
 

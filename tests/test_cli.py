@@ -256,6 +256,26 @@ def test_blown_up_linear_flow_exit_code(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "sde_density_paths.csv").exists()
 
 
+def test_contracting_linear_flow_reports_its_criterion(tmp_path, monkeypatch):
+    # dX = (-200 X + 0.1) dt contracts the tangents to 0 on [0, 5]: a report
+    # with finite Gammas, not a singular solve read as a config error (exit
+    # 2).  Gamma underflows to 0 on the paths whose last jump lies far from
+    # T, so the criterion fails there (exit 1).
+    import hawkmal.cli
+    from hawkmal.sde import JumpSde
+
+    contracting = JumpSde.linear_scalar(a=-200.0, b=0.1, alpha=0.3, beta=0.2, x0=1.0)
+    monkeypatch.setattr(hawkmal.cli, "sde_preset", lambda name: contracting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("sde-density", "--paths", "50", "--seed", "7", "--out", str(tmp_path))
+    assert code == 1
+    comments, header, rows = read_csv(tmp_path / "sde_density_paths.csv")
+    det = [float(r[header.index("det_gamma")]) for r in rows]
+    assert all(math.isfinite(g) and g >= 0.0 for g in det)
+    assert int(comments["n_nonpositive"]) == sum(g == 0.0 for g in det) > 0
+
+
 # ---- simulate ----
 
 def test_simulate_artifacts(tmp_path):
@@ -465,8 +485,8 @@ def test_sde_density_linear_d2_rank_comments(tmp_path):
 @pytest.mark.parametrize(
     "preset, digest",
     [
-        ("linear-scalar", "595f8dbdeec407ce2d75496d59f8baabd4ba00f48cbfbc6cbbc8984e1283d764"),
-        ("linear-d2", "b882f4b82d3591fc6bcc555c79b0ba4f8b944809f52db8d76175484357c14c7d"),
+        ("linear-scalar", "38fd930ab2b0faa94fe65aa3e1a3f5ec3e122e8bbdee7b70a9b2c686f58f0ef7"),
+        ("linear-d2", "33c213bb56c864dc3d5cb5e01234d78d523f29e54b508999864958595554fe5d"),
     ],
 )
 def test_sde_density_linear_known_bytes(tmp_path, preset, digest):
