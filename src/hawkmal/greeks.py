@@ -179,20 +179,17 @@ def terminal_price_batch(asset: AssetModel, batch: PathBatch):
 
 # ---- estimator plumbing ----
 
-def mc_estimate(values, path_indices=None):
+def mc_estimate(values):
     """(mean, std_error, ESS) with deterministic pairwise summation.
 
-    Values are reduced in path-index order (pass `path_indices` if the
-    stream is not already sorted), so the summation tree — hence the
-    floating-point result — does not depend on how the batch was produced.
+    Values are reduced in the order given, which every caller keeps in
+    path-index order, so the summation tree — hence the floating-point
+    result — does not depend on how the batch was produced.
     ESS = (sum|v|)^2 / sum(v^2), the usual weight-concentration measure.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("mc_estimate needs a one-dimensional sample, n >= 2")
-    if path_indices is not None:
-        order = np.argsort(np.asarray(path_indices), kind="stable")
-        values = values[order]
     n = values.size
     mean = float(np.sum(values)) / n
     var = float(np.sum((values - mean) ** 2)) / (n - 1)

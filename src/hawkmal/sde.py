@@ -17,8 +17,13 @@ non-degeneracy is the absolute-continuity criterion.
 
 The batch engines carry only x forward and form K_{T_i->T} backward, as a
 product of segment tangents and jump factors (`_backward_vectors`).  The
-per-path solvers carry K_t = K_{0->t} and its inverse K_tilde_t forward and
-take K_{T_i->T} = K_T K_tilde_{T_i}; they serve as the engines' oracles.
+same walk forms the bridge factor W = L^T V, where Xi = L L^T is the
+Brownian-bridge factorization of the xi kernel, so Gamma = W^T W; the
+criterion reads det, the smallest eigenvalue and the rank off the singular
+values of W and never forms Gamma.  The per-path solvers carry
+K_t = K_{0->t} and its inverse K_tilde_t forward, take
+K_{T_i->T} = K_T K_tilde_{T_i} and sum the dense xi Gram; they serve as
+the engines' oracles.
 """
 from __future__ import annotations
 
@@ -139,25 +144,11 @@ class JumpSde:
     def linear_scalar(
         a: float, b: float, alpha: float, beta: float, *, x0: float
     ) -> "JumpSde":
-        """dX = (aX + b) dt + (alpha X- + beta) dN; phi = a beta - alpha b."""
-        if abs(1.0 + alpha) < _DET_FLOOR:
-            raise AssumptionError("1 + alpha must be nonzero")
-        sde = JumpSde.scalar(
-            f=lambda t, x: a * x + b,
-            f_x=lambda t, x: a * np.ones_like(np.asarray(x, dtype=float)),
-            g=lambda t, x: alpha * x + beta,
-            g_x=lambda t, x: alpha * np.ones_like(np.asarray(x, dtype=float)),
-            x0=x0,
-            label="linear-scalar",
+        """dX = (aX + b) dt + (alpha X- + beta) dN; phi = a beta - alpha b.
+        The 1 x 1 case of `linear_dd`."""
+        return JumpSde.linear_dd(
+            A=[[a]], b=[b], M=[[alpha]], beta=[beta], x0=[x0], label="linear-scalar"
         )
-        lin = LinearCoeffs(
-            A=np.array([[a]]),
-            b=np.array([b]),
-            M=np.array([[alpha]]),
-            beta=np.array([beta]),
-        )
-        object.__setattr__(sde, "linear", lin)
-        return sde
 
     @staticmethod
     def linear_dd(
@@ -524,9 +515,10 @@ def grad_and_gamma_XT(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
 
 
 def _gamma_spectrum(gamma: np.ndarray, counts: np.ndarray) -> tuple:
-    """(det, smallest eigenvalue) of every (d, d) Gamma in a (P, d, d) stack.
-    Below d jumps Gamma has rank < d, so both are exactly 0 there rather
-    than the rounding noise of a computed value."""
+    """(det, smallest eigenvalue) of every (d, d) Gamma in a (P, d, d) stack,
+    for the per-path oracles' dense Gram.  Below d jumps Gamma has rank < d,
+    so both are exactly 0 there rather than the rounding noise of a
+    computed value."""
     full = counts >= gamma.shape[-1]
     dets = np.zeros(full.shape)
     min_eigs = np.zeros(full.shape)
@@ -652,17 +644,17 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
 
 
 def _linear_batch(sde: JumpSde, batch: PathBatch):
-    """Exact flow, per-jump vectors and Gamma of a constant-coefficient
-    linear system over a whole batch.
+    """Exact flow, per-jump vectors and bridge factor of a
+    constant-coefficient linear system over a whole batch.
 
     The segment propagators E_s come from one `_expm_stack` call over the
     real (path, segment) pairs, in the CSR order of `_segments`.  x then
     advances one ordinal at a time, vectorized over the paths that reach
     it, and each jump records phi(X_{T_i-}); `_backward_vectors` forms the
-    v_i from the E_s and the jump factor I + M, and `_gram` sums Gamma[X_T].
+    v_i and the bridge factor from the E_s and the jump factor I + M.
 
-    Returns (terminal (P, d), vectors (J, d) in flat_times order,
-    gamma (P, d, d)).  A flow that overflows (say a large positive
+    Returns (terminal (P, d), vectors (J, d), factor (J, d)), both in
+    flat_times order.  A flow that overflows (say a large positive
     eigenvalue of A over a long span) raises RuntimeError, as the RK4
     engine does, rather than reporting nan Gammas, and without numpy's
     overflow warnings: propagators that overflow are refused before the
@@ -693,16 +685,18 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
             idx = idx[counts[idx] > j]
             phi[batch.offsets[idx] + j] = phi0 + _matvec(comm, x[idx])
             x[idx] = _matvec(J, x[idx]) + lin.beta
-        vectors = _backward_vectors(batch, E, np.broadcast_to(J, phi.shape + (d,)), phi)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vectors))):
+        vectors, factor = _backward_vectors(batch, E, np.broadcast_to(J, phi.shape + (d,)), phi)
+    if not all(np.all(np.isfinite(a)) for a in (x, vectors, factor)):
         raise RuntimeError("batch flow integration produced non-finite state")
-    return x, vectors, _gram(batch, vectors)
+    return x, vectors, factor
 
 
-def _backward_vectors(batch: PathBatch, E: np.ndarray, F: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """v_i = -K_{T_i->T} phi_i of every jump, (J, d) in flat_times order,
-    from the tangent E_s of every `_segments` segment (S, d, d), the jump
-    factors F_i = I + grad_x g (J, d, d) and phi_i (J, d).
+def _backward_vectors(batch: PathBatch, E: np.ndarray, F: np.ndarray, phi: np.ndarray) -> tuple:
+    """(v, w) of every jump, each (J, d) in flat_times order: the vectors
+    v_i = -K_{T_i->T} phi_i and the bridge factor w_i, with
+    sum_i w_i w_i^T = Gamma[X_T] on each path.  From the tangent E_s of
+    every `_segments` segment (S, d, d), the jump factors
+    F_i = I + grad_x g (J, d, d) and phi_i (J, d).
 
     K_{T_i->T} = E_n F_{n-1} E_{n-1} ... F_{i+1} E_{i+1} on a path with n
     jumps, where segment i ends at jump i.  Each path's jumps are walked
@@ -710,57 +704,48 @@ def _backward_vectors(batch: PathBatch, E: np.ndarray, F: np.ndarray, phi: np.nd
     adjoints", Risk 2006): B = E_n, v_i = -B phi_i, then B <- B F_i E_i,
     vectorized over the paths with a jump at each step back.  Only products
     appear, so no inverse is taken, and a flow that contracts to 0 gives
-    v_i = 0.  Every product is a stacked one, so a path's bits do not
-    depend on its batch.
+    v_i = 0.
+
+    xi(s, t) = s ^ t - s t / T is the Brownian-bridge covariance, whose
+    sequential construction B_{t_j} = a_j B_{t_{j-1}} + sqrt(c_j) Z_j
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 3.1)
+    factors Xi = L L^T; with t_0 = 0,
+    c_j = (t_j - t_{j-1}) (T - t_j) / (T - t_{j-1}) and
+    a_j = (T - t_j) / (T - t_{j-1}).  The same walk forms W = L^T V:
+    u_n = v_n, u_j = v_j + a_{j+1} u_{j+1}, w_j = sqrt(c_j) u_j.  No
+    denominator vanishes, a jump at T gets c_n = 0, and no term cancels.
+    Every product is a stacked one, so a path's bits do not depend on its
+    batch.
     """
     counts = batch.counts()
+    t = batch.flat_times
     path_of_jump = np.repeat(np.arange(counts.size), counts)
-    # F_i E_i: segment i of path p is segment flat + p of the CSR order
-    step_back = _matmul(F, E[np.arange(phi.shape[0]) + path_of_jump])
+    # segment i of path p, which ends at jump i, is segment flat + p of the
+    # CSR order; it starts at the previous jump, or at 0
+    seg = np.arange(t.size) + path_of_jump
+    prev = _segments(batch)[1][seg]
+    a = (batch.horizon - t) / (batch.horizon - prev)
+    root_c = np.sqrt((t - prev) * a)
+    step_back = _matmul(F, E[seg])
     B = E[batch.offsets[1:] + np.arange(counts.size)]
+    u = np.zeros((counts.size, phi.shape[1]))
     v = np.empty(phi.shape)
+    w = np.empty(phi.shape)
     for r in range(int(counts.max(initial=0))):
         idx = np.flatnonzero(counts > r)
         flat = batch.offsets[idx + 1] - 1 - r
         v[flat] = -_matvec(B[idx], phi[flat])
+        u[idx] = v[flat] if r == 0 else v[flat] + a[flat + 1, None] * u[idx]
+        w[flat] = root_c[flat, None] * u[idx]
         more = counts[idx] > r + 1
         B[idx[more]] = _matmul(B[idx[more]], step_back[flat[more]])
-    return v
-
-
-def _gram(batch: PathBatch, vectors: np.ndarray) -> np.ndarray:
-    """Gamma[X_T] = sum_ij v_i v_j^T xi(T_i, T_j) of every path, (P, d, d),
-    from the per-jump vectors (J, d) in flat_times order.
-
-    With jump times sorted, the running-sum identity gives it as
-    sum_j (A_j v_j^T + v_j A_j^T + t_j v_j v_j^T) - a a^T / T, with A_j the
-    running sum of t_i v_i over i < j and a the full sum, in one pass over
-    the jump ordinals.  The sum runs over the v_i themselves, so no tangent
-    multiplies its rounding.
-    """
-    P = batch.n_paths
-    d = vectors.shape[1]
-    counts = batch.counts()
-    gamma = np.zeros((P, d, d))
-    acc = np.zeros((P, d))
-    for j in range(int(counts.max()) if P else 0):
-        idx = np.flatnonzero(counts > j)
-        flat = batch.offsets[idx] + j
-        tj = batch.flat_times[flat][:, None]
-        vj = vectors[flat]
-        cross = acc[idx, :, None] * vj[:, None, :]
-        gamma[idx] += (
-            cross + cross.transpose(0, 2, 1) + tj[:, :, None] * vj[:, :, None] * vj[:, None, :]
-        )
-        acc[idx] += vj * tj
-    gamma -= acc[:, :, None] * acc[:, None, :] / batch.horizon
-    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    return v, w
 
 
 # ---- lockstep RK4 engine ----
 
 def _rk4_batch(sde: JumpSde, batch: PathBatch):
-    """Flow, per-jump vectors and Gamma of every path, by time-major
+    """Flow, per-jump vectors and bridge factor of every path, by time-major
     lockstep RK4, for any system without exact linear coefficients.
 
     Each path walks its own segment schedule: `_segment_steps` steps of
@@ -775,12 +760,12 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     iteration, so the passes run every _CLOSE_EVERY iterations.  There the
     path stores E_s and restarts K from I, and if a jump ends the segment,
     it stores F_i = I + grad g and phi_i and takes x <- x + g.  Waiting
-    moves no bit of a path.  `_backward_vectors` then forms the v_i, and
-    `_gram` sums Gamma.  For d = 1 the products are elementwise, since a
+    moves no bit of a path.  `_backward_vectors` then forms the v_i and the
+    bridge factor.  For d = 1 the products are elementwise, since a
     (P, 1, 1) matmul costs several times a multiply.
 
-    Returns (terminal (P, d), vectors (J, d) in flat_times order,
-    gamma (P, d, d)), as `_linear_batch` does.
+    Returns (terminal (P, d), vectors (J, d), factor (J, d)), as
+    `_linear_batch` does.
     """
     d = sde.dim
     T = batch.horizon
@@ -870,10 +855,10 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
         ended.append(idx)
         it += 1
     x = y[xs].T.copy()
-    vectors = _backward_vectors(batch, E, F, phi)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vectors))):
+    vectors, factor = _backward_vectors(batch, E, F, phi)
+    if not all(np.all(np.isfinite(a)) for a in (x, vectors, factor)):
         raise RuntimeError("batch flow integration produced non-finite state")
-    return x, vectors, _gram(batch, vectors)
+    return x, vectors, factor
 
 
 # ---- absolute-continuity criteria ----
@@ -882,10 +867,11 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
 class DensityCriteria:
     """Batch evidence for the absolute-continuity of X_T.
 
-    Scalar systems report min Gamma[X_T] over {N_T >= 1} plus the analytic
-    Wronskian certificate when bounds were supplied; d-dim systems
-    report the spanning rank of the per-jump vectors on {N_T >= min_jumps}
-    and the smallest Gamma eigenvalue there.
+    Every system reports, per path, det Gamma[X_T], its smallest eigenvalue
+    and the rank of the bridge factor W (Gamma = W^T W), from the singular
+    values of W; the criterion is rank d on {N_T >= min_jumps}.
+    `min_gamma` is the smallest eigenvalue there.  Scalar systems add the
+    analytic Wronskian certificate when bounds were supplied.
     """
 
     label: str
@@ -899,108 +885,66 @@ class DensityCriteria:
     per_path_min_eig: np.ndarray
     per_path_flag: np.ndarray   # criterion satisfied on this path
     min_gamma: float
-    n_nonpositive: int
+    n_nonpositive: int          # conditioned paths that fail the criterion
     wronskian_margin: Optional[float]
     wronskian_certified: Optional[bool]
     min_rank: Optional[int]
     rank_target: Optional[int]
-    min_sigma: Optional[float]
     passed: bool
-
-
-def _spanning_ranks(vectors: np.ndarray, batch: PathBatch, min_jumps: int) -> np.ndarray:
-    """Rank of each path's (n_i, d) matrix of per-jump vectors, -1 below
-    `min_jumps` jumps.  Paths are grouped by jump count, so every rank comes
-    from `np.linalg.matrix_rank` on that path's own matrix and tolerance."""
-    counts = batch.counts()
-    ranks = np.full(counts.size, -1, dtype=np.int64)
-    for n in np.unique(counts[counts >= max(min_jumps, 1)]):
-        paths = np.flatnonzero(counts == n)
-        rows = batch.offsets[paths][:, None] + np.arange(n)
-        ranks[paths] = np.linalg.matrix_rank(vectors[rows])
-    return ranks
 
 
 def density_criteria(
     sde: JumpSde, batch: PathBatch, min_jumps: int = None
 ) -> DensityCriteria:
-    """Evaluate the non-degeneracy criteria over a simulated batch.
+    """Evaluate the non-degeneracy criterion over a simulated batch.
 
     `min_jumps` is the conditioning threshold (how many jumps the spanning
-    argument needs); it defaults to 1 for scalar systems and to the
-    dimension for d-dim ones.  Linear systems, d = 1 included, take the
-    exact batched engine; every other system takes the lockstep RK4 engine.
+    argument needs); it defaults to the dimension d.  Linear systems, d = 1
+    included, take the exact batched engine; every other system takes the
+    lockstep RK4 engine.  The singular values s_1 >= ... >= s_d of each
+    path's (n, d) block of W give det = prod s_k^2, the smallest eigenvalue
+    s_d^2 and the rank, the number of s_k above s_1 max(n, d) eps
+    (`np.linalg.matrix_rank`'s tolerance).  Below d jumps the missing s_k
+    are 0, so det and the smallest eigenvalue are exactly 0.  Paths are
+    grouped by jump count, so each comes from that path's own block.
     """
     counts = batch.counts()
     P = batch.n_paths
     d = sde.dim
     engine = _linear_batch if sde.linear is not None else _rk4_batch
-    terminal, vectors, gamma = engine(sde, batch)
-
-    if d == 1:
-        ell = 1 if min_jumps is None else int(min_jumps)
-        gamma = gamma[:, 0, 0]
-        cond = counts >= ell
-        flags = gamma > 0.0
-        cond_gamma = gamma[cond]
-        min_gamma = float(cond_gamma.min()) if cond_gamma.size else math.nan
-        n_nonpos = int(np.sum(cond_gamma <= 0.0))
-        margin = None
-        certified = None
-        if (
-            sde.wronskian_inf is not None
-            and sde.f_second_sup is not None
-            and sde.g_sup is not None
-        ):
-            margin = sde.wronskian_inf - 0.5 * sde.f_second_sup * sde.g_sup**2
-            certified = margin > 0.0
-        return DensityCriteria(
-            label=sde.label,
-            kind="scalar",
-            n_paths=P,
-            n_conditioned=int(cond.sum()),
-            min_jumps=ell,
-            counts=counts,
-            terminal=terminal,
-            per_path_det=gamma,
-            per_path_min_eig=gamma,
-            per_path_flag=flags,
-            min_gamma=min_gamma,
-            n_nonpositive=n_nonpos,
-            wronskian_margin=margin,
-            wronskian_certified=certified,
-            min_rank=None,
-            rank_target=None,
-            min_sigma=None,
-            passed=bool(cond_gamma.size) and n_nonpos == 0,
-        )
-
-    # d-dimensional: spanning rank of the per-jump vectors
+    terminal, _, factor = engine(sde, batch)
+    sigma = np.zeros((P, d))
+    for n in np.unique(counts[counts > 0]):
+        paths = np.flatnonzero(counts == n)
+        rows = batch.offsets[paths][:, None] + np.arange(n)
+        sigma[paths, :min(n, d)] = np.linalg.svd(factor[rows], compute_uv=False)
+    tol = sigma[:, 0] * np.maximum(counts, d) * np.finfo(float).eps
+    ranks = np.sum(sigma > tol[:, None], axis=1)
     ell = d if min_jumps is None else int(min_jumps)
-    dets, min_eigs = _gamma_spectrum(gamma, counts)
-    ranks = _spanning_ranks(vectors, batch, ell)
-    flags = ranks == d
     cond = counts >= ell
+    flags = cond & (ranks == d)
+    min_eigs = sigma[:, -1] ** 2
     n_cond = int(cond.sum())
-    cond_ranks = ranks[cond]
-    cond_eigs = min_eigs[cond]
+    margin = certified = None
+    if d == 1 and None not in (sde.wronskian_inf, sde.f_second_sup, sde.g_sup):
+        margin = sde.wronskian_inf - 0.5 * sde.f_second_sup * sde.g_sup**2
+        certified = margin > 0.0
     return DensityCriteria(
         label=sde.label,
-        kind="linear-ddim" if sde.linear is not None else "general-ddim",
+        kind="scalar" if d == 1 else "linear-ddim" if sde.linear is not None else "general-ddim",
         n_paths=P,
         n_conditioned=n_cond,
         min_jumps=ell,
         counts=counts,
         terminal=terminal,
-        per_path_det=dets,
+        per_path_det=np.prod(sigma**2, axis=1),
         per_path_min_eig=min_eigs,
         per_path_flag=flags,
-        min_gamma=math.nan,
-        n_nonpositive=int(np.sum(cond_eigs <= 0.0)) if n_cond else 0,
-        wronskian_margin=None,
-        wronskian_certified=None,
-        min_rank=int(cond_ranks.min()) if n_cond else None,
+        min_gamma=float(min_eigs[cond].min()) if n_cond else math.nan,
+        n_nonpositive=n_cond - int(flags.sum()),
+        wronskian_margin=margin,
+        wronskian_certified=certified,
+        min_rank=int(ranks[cond].min()) if n_cond else None,
         rank_target=d,
-        min_sigma=float(cond_eigs.min()) if n_cond else None,
-        passed=n_cond > 0 and bool(np.all(cond_ranks == d)),
+        passed=n_cond > 0 and bool(flags[cond].all()),
     )

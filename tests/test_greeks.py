@@ -153,16 +153,6 @@ def test_mc_estimate_alternating_stream():
     assert ess == pytest.approx(float(n), rel=1e-13)
 
 
-def test_mc_estimate_permutation_invariance():
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal(4097)
-    indices = np.arange(values.size)
-    base = mc_estimate(values, path_indices=indices)
-    perm = rng.permutation(values.size)
-    shuffled = mc_estimate(values[perm], path_indices=indices[perm])
-    assert base == shuffled  # bitwise: same summation tree
-
-
 def test_mc_estimate_validation():
     with pytest.raises(ValueError, match="n >= 2"):
         mc_estimate([1.0])

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hawkmal.malliavin import carre_du_champ
+from hawkmal.malliavin import carre_du_champ, xi_kernel
 from hawkmal.model import (
     AssumptionError,
     BaselineSpec,
@@ -22,6 +22,7 @@ from hawkmal.model import (
 )
 from hawkmal.sde import (
     JumpSde,
+    _backward_vectors,
     density_criteria,
     grad_and_gamma_XT,
     phi_jump_sensitivity,
@@ -37,7 +38,6 @@ from hawkmal.sde import (
     _rk4_batch,
     _segment_steps,
     _segments,
-    _spanning_ranks,
 )
 from hawkmal.simulate import HawkesPath, PathBatch, simulate_batch
 
@@ -297,7 +297,8 @@ def test_linear_engine_matches_rk4():
 
 def test_batch_sweep_matches_per_path(short_batch):
     sde = JumpSde.cos_sin(x0=0.0)
-    terminal, _, gamma = _rk4_batch(sde, short_batch)
+    terminal, _, factor = _rk4_batch(sde, short_batch)
+    gamma = factor_gram(short_batch, factor)
     for i, path in enumerate(short_batch):
         rep = grad_and_gamma_XT(sde, path)
         assert terminal[i, 0] == pytest.approx(rep.terminal[0], rel=1e-9)
@@ -341,7 +342,7 @@ def test_density_criteria_spanning_rank():
     assert crit.min_jumps == 2
     assert crit.rank_target == 2
     assert crit.min_rank == 2
-    assert crit.min_sigma > 0.0
+    assert crit.min_gamma > 0.0
     assert crit.passed
     assert crit.n_conditioned == int(np.sum(batch.counts() >= 2))
     flagged = crit.per_path_flag[batch.counts() >= 2]
@@ -419,6 +420,13 @@ def batch_of(paths, T):
     )
 
 
+def factor_gram(batch, factor):
+    """Gamma[X_T] = W^T W of every path, (P, d, d), from an engine's bridge
+    factor W (J, d) in flat_times order."""
+    o = batch.offsets
+    return np.stack([factor[o[i]:o[i + 1]].T @ factor[o[i]:o[i + 1]] for i in range(batch.n_paths)])
+
+
 @st.composite
 def jump_sets(draw, T, max_jumps, min_gap=0.0):
     """Strictly increasing jump times in (0, T], at least `min_gap` apart."""
@@ -493,7 +501,8 @@ def test_time_major_sweep_matches_per_path(paths, near_T, outlier, x0, timed):
         with pytest.raises(AssumptionError):
             _rk4_batch(sde, batch)
         return
-    terminal, _, gamma = _rk4_batch(sde, batch)
+    terminal, _, factor = _rk4_batch(sde, batch)
+    gamma = factor_gram(batch, factor)
     for i, (path, rep) in enumerate(zip(batch, reps)):
         assert terminal[i, 0] == pytest.approx(rep.terminal[0], rel=1e-9, abs=1e-12)
         scale = gram_scale(rep.vectors, path.jump_times)
@@ -559,9 +568,9 @@ def test_batched_linear_engine_matches_per_path(system, paths):
     T = _LINEAR_T
     d = system.dim
     batch = batch_of(paths + [[]], T)
-    terminal, vectors, gamma = _linear_batch(system, batch)
+    terminal, _, factor = _linear_batch(system, batch)
+    gamma = factor_gram(batch, factor)
     crit = density_criteria(system, batch)
-    ranks = _spanning_ranks(vectors, batch, d)
     reps = [_linear_sensitivity(system, path) for path in batch]
     floor = 1e-9
     if system.label == "random-3d":
@@ -575,9 +584,9 @@ def test_batched_linear_engine_matches_per_path(system, paths):
         assert det == pytest.approx(rep.det, rel=1e-9, abs=floor * norm**d)
         assert min_eig == pytest.approx(rep.min_eig, rel=1e-9, abs=floor * norm)
         if path.count >= d:
-            assert ranks[i] == np.linalg.matrix_rank(rep.vectors)
+            assert crit.per_path_flag[i] == (np.linalg.matrix_rank(rep.vectors) == d)
         else:
-            assert ranks[i] == -1
+            assert not crit.per_path_flag[i]
 
 
 def test_linear_engines_noncommuting_match_rk4():
@@ -588,7 +597,8 @@ def test_linear_engines_noncommuting_match_rk4():
     batch = batch_of([t], _LINEAR_T)
     generic = grad_and_gamma_XT(sde, batch.path(0))
     exact = _linear_sensitivity(sde, batch.path(0))
-    terminal, vectors, gamma = _linear_batch(sde, batch)
+    terminal, vectors, factor = _linear_batch(sde, batch)
+    gamma = factor_gram(batch, factor)
     for vec, gam in ((exact.vectors, exact.gamma), (vectors, gamma[0])):
         np.testing.assert_allclose(vec, generic.vectors, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(gam, generic.gamma, rtol=1e-8, atol=1e-12)
@@ -604,11 +614,11 @@ def test_rk4_engine_broadcasts_constant_jacobians():
     batch = batch_of(
         [[0.8, 2.2, 3.1, 4.4], [1.5], [], [0.3, 0.35, 4.9], [2.0, 2.5]], 5.0
     )
-    terminal, vectors, gamma = _rk4_batch(generic, batch)
-    ref_terminal, ref_vectors, ref_gamma = _linear_batch(exact, batch)
+    terminal, vectors, factor = _rk4_batch(generic, batch)
+    ref_terminal, ref_vectors, ref_factor = _linear_batch(exact, batch)
     np.testing.assert_allclose(terminal, ref_terminal, rtol=1e-9)
     np.testing.assert_allclose(vectors, ref_vectors, rtol=1e-8)
-    np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-8)
+    np.testing.assert_allclose(factor, ref_factor, rtol=1e-8)
     crit = density_criteria(generic, batch)
     assert crit.kind == "general-ddim" and crit.passed
 
@@ -632,30 +642,37 @@ _ENGINE_SYSTEMS = {
 # terminal state moved by 1 ulp with its batch
 @example(system="random-3d", paths=[[0.5, 1.0], [0.125, 0.5]])
 def test_batch_engines_give_each_path_its_one_path_bits(system, paths):
-    # a path's terminal state, vectors and Gamma must not depend on the
-    # other paths of its batch
+    # a path's terminal state, vectors, bridge factor and criterion (det,
+    # smallest eigenvalue, flag) must not depend on the other paths of its
+    # batch
     engine, make = _ENGINE_SYSTEMS[system]
     sde = make()
     batch = batch_of(paths + [[]], _SWEEP_T)
-    terminal, vectors, gamma = engine(sde, batch)
+    terminal, vectors, factor = engine(sde, batch)
+    crit = density_criteria(sde, batch)
     for i, path in enumerate(batch):
-        alone = engine(sde, batch_of([path.jump_times], _SWEEP_T))
+        one = batch_of([path.jump_times], _SWEEP_T)
+        alone = engine(sde, one)
+        crit_alone = density_criteria(sde, one)
+        rows = slice(batch.offsets[i], batch.offsets[i + 1])
         np.testing.assert_array_equal(terminal[i], alone[0][0])
-        np.testing.assert_array_equal(
-            vectors[batch.offsets[i]:batch.offsets[i + 1]], alone[1]
-        )
-        np.testing.assert_array_equal(gamma[i], alone[2][0])
+        np.testing.assert_array_equal(vectors[rows], alone[1])
+        np.testing.assert_array_equal(factor[rows], alone[2])
+        for field in ("per_path_det", "per_path_min_eig", "per_path_flag"):
+            np.testing.assert_array_equal(
+                getattr(crit, field)[i], getattr(crit_alone, field)[0], err_msg=field
+            )
 
 
 def test_cos_sin_sweep_known_answer():
     """sha256 of the RK4 engine's bytes on a fixed batch.  The terminal
-    states are those of the d = 1 sweep this engine replaced; Gamma is
-    summed by `_gram` from the v_i of `_backward_vectors`.  (numpy's
+    states are those of the d = 1 sweep this engine replaced; the bridge
+    factor is formed by `_backward_vectors` with the v_i.  (numpy's
     vectorized cos/sin may round differently on other CPU families.)"""
     batch = simulate_batch(reference_model(), T=5.0, master_seed=2024, n_paths=200)
-    terminal, _, gamma = _rk4_batch(JumpSde.cos_sin(x0=0.0), batch)
-    digest = hashlib.sha256(terminal.tobytes() + gamma.tobytes()).hexdigest()
-    assert digest == "4e9f7e6f6b53e2a5d0444a7106868364c5c51400072891d4ea438ef3633b19a1"
+    terminal, _, factor = _rk4_batch(JumpSde.cos_sin(x0=0.0), batch)
+    digest = hashlib.sha256(terminal.tobytes() + factor.tobytes()).hexdigest()
+    assert digest == "f82c23fedf4757653ef925b03955339725f3bd7415ada3cc248efab0f28512e7"
 
 
 def _sha256_of(*values):
@@ -705,8 +722,9 @@ def test_density_criteria_exact_zero_below_dimension():
     np.testing.assert_array_equal(crit.per_path_det[few], 0.0)
     np.testing.assert_array_equal(crit.per_path_min_eig[few], 0.0)
     full = counts >= 2
-    _, _, gamma = _linear_batch(sde, batch)
-    np.testing.assert_array_equal(crit.per_path_det[full], np.linalg.det(gamma)[full])
+    _, vectors, _ = _linear_batch(sde, batch)
+    want = [mp_spectrum(vectors, batch, i)[0] for i in np.flatnonzero(full)]
+    np.testing.assert_allclose(crit.per_path_det[full], want, rtol=1e-12, atol=0.0)
     assert crit.passed and crit.n_conditioned == int(full.sum())
 
 
@@ -831,12 +849,12 @@ def test_batch_engines_survive_a_contracting_flow():
     batch = simulate_batch(reference_model(), T=T, master_seed=7, n_paths=50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, exact, exact_gamma = _linear_batch(linear, batch)
-        _, rk4, rk4_gamma = _rk4_batch(twin, batch)
+        _, exact, exact_factor = _linear_batch(linear, batch)
+        _, rk4, rk4_factor = _rk4_batch(twin, batch)
         for sde in (linear, twin):
             crit = density_criteria(sde, batch)
             assert np.all(np.isfinite(crit.per_path_det))
-    assert np.all(np.isfinite(exact_gamma)) and np.all(np.isfinite(rk4_gamma))
+    assert np.all(np.isfinite(exact_factor)) and np.all(np.isfinite(rk4_factor))
     seg_offsets, starts, ends = _segments(batch)
     steps = _segment_steps(ends - starts, T)
     z = a * (ends - starts) / np.maximum(steps, 1)
@@ -895,8 +913,91 @@ def test_linear_batch_gamma_matches_50_digits():
     a 50-digit value on every path."""
     sde = random_stable_3d(904)
     batch = simulate_batch(reference_model(), T=_LINEAR_T, master_seed=7, n_paths=40)
-    _, _, gamma = _linear_batch(sde, batch)
+    _, _, factor = _linear_batch(sde, batch)
+    gamma = factor_gram(batch, factor)
     for i, path in enumerate(batch):
         if path.count:
             want = _mp_linear_gamma(sde, path.jump_times, _LINEAR_T)
             np.testing.assert_allclose(gamma[i], want, rtol=1e-12, atol=0.0)
+
+
+# ---- the bridge factor against 60-digit Gammas ----
+
+def mp_spectrum(vectors, batch, i):
+    """(det, smallest eigenvalue) of path i's Gamma = V^T Xi V at 60 digits,
+    from the double vectors (J, d) and jump times of the batch: the dense
+    xi Gram, with no factor and no rounding to cancel."""
+    mp = pytest.importorskip("mpmath")
+    rows = slice(batch.offsets[i], batch.offsets[i + 1])
+    with mp.workdps(60):
+        T = mp.mpf(batch.horizon)
+        t = [mp.mpf(float(s)) for s in batch.flat_times[rows]]
+        xi = mp.matrix([[min(a, b) - a * b / T for b in t] for a in t])
+        V = mp.matrix(vectors[rows].tolist())
+        gamma = V.T * xi * V
+        return float(mp.det(gamma)), float(min(mp.eigsy(gamma, eigvals_only=True)))
+
+
+def test_cos_sin_criterion_gamma_matches_60_digits():
+    """For d = 1 the criterion's det and smallest eigenvalue are Gamma
+    itself: within 1e-13 of a 60-digit Gamma on every path with a jump.  A
+    Gram that sums the signed terms v_i v_j xi(T_i, T_j) cancels them (7e-13
+    off on this batch); W^T W adds only squares."""
+    sde = JumpSde.cos_sin(x0=0.0)
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=500)
+    crit = density_criteria(sde, batch)
+    _, vectors, _ = _rk4_batch(sde, batch)
+    live = np.flatnonzero(batch.counts())
+    want = [mp_spectrum(vectors, batch, i)[0] for i in live]
+    np.testing.assert_allclose(crit.per_path_det[live], want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(crit.per_path_min_eig, crit.per_path_det)
+
+
+def test_linear_d2_det_and_min_eig_match_60_digits():
+    """det and the smallest eigenvalue from the singular values of W are
+    within 1e-13 of 60-digit values.  det/eigvalsh of Gamma = W^T W itself
+    square W's conditioning (1.4e-12 off on this batch)."""
+    sde = sde_preset("linear-d2")
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=40)
+    crit = density_criteria(sde, batch)
+    _, vectors, _ = _linear_batch(sde, batch)
+    full = np.flatnonzero(batch.counts() >= 2)
+    want = np.array([mp_spectrum(vectors, batch, i) for i in full])
+    np.testing.assert_allclose(crit.per_path_det[full], want[:, 0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(crit.per_path_min_eig[full], want[:, 1], rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def bridge_paths(draw):
+    """(times, vectors, T): sorted jump times in (0, T] that end with a jump
+    at T and hold pairs one ulp apart, and vectors of dimension 1 to 3."""
+    T = draw(st.floats(0.1, 10.0))
+    raw = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=10))
+    times = np.unique(np.asarray(raw) * T)
+    times = times[(times > 0.0) & (times < T)]
+    twins = np.asarray(draw(st.lists(st.booleans(), min_size=times.size, max_size=times.size)), dtype=bool)
+    times = np.unique(np.concatenate([times, np.nextafter(times[twins], T), [T]]))
+    d = draw(st.integers(1, 3))
+    flat = draw(st.lists(st.floats(-10.0, 10.0), min_size=times.size * d, max_size=times.size * d))
+    return times, np.reshape(flat, (times.size, d)), T
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=bridge_paths())
+def test_bridge_factor_gram_equals_dense_xi_gram(path):
+    # identity tangents and phi = -v make `_backward_vectors` return v
+    # itself, beside its factor W; a path with no jump rides along
+    times, v, T = path
+    n, d = v.shape
+    batch = batch_of([times, []], T)
+    eye = np.eye(d)
+    got_v, w = _backward_vectors(
+        batch, np.broadcast_to(eye, (n + 2, d, d)), np.broadcast_to(eye, (n, d, d)), -v
+    )
+    np.testing.assert_array_equal(got_v, v)
+    assert np.all(np.isfinite(w))
+    np.testing.assert_array_equal(w[-1], 0.0)  # xi(T, .) = 0
+    dense = v.T @ xi_kernel(T, times[:, None], times) @ v
+    np.testing.assert_allclose(
+        factor_gram(batch, w)[0], dense, rtol=1e-12, atol=1e-12 * gram_scale(v, times)
+    )
