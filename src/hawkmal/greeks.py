@@ -3,12 +3,14 @@
 dS_t = r S_t dt + sigma S_{t-} d(N_t - Lambda_t),   S_0 = x0,
 
 whose terminal price is the closed form S_T = x0 exp(rT - sigma Lambda_T)
-(1 + sigma)^{N_T}.  Three estimators of d/dx0 E[1_{N_T>0} f(S_T)]:
+(1 + sigma)^{N_T} for any gamma, Lambda_T being the compensator.  Three
+estimators of d/dx0 E[1_{N_T>0} f(S_T)]:
 
 * `malliavin_delta` — E[f(S_T) W] with the integration-by-parts weight
   W = -delta(m)/(sigma x0 D) - [sum mu'(T-T_i) m_hat(T_i)^2]/(sigma x0 D^2)
       + [sum mu(T-T_i) m(T_i) m_hat(T_i)]/(sigma x0 D^2),
-  D = sum mu(T-T_i) m_hat(T_i); works for discontinuous payoffs.
+  D = sum mu(T-T_i) m_hat(T_i); works for discontinuous payoffs, and is
+  derived for linear gamma only.
 * `fd_delta` — central differences with common random numbers (Lambda and
   N do not depend on x0, so the same paths are reused exactly).
 * `pathwise_delta` — E[1_{N_T>0} f'(S_T) S_T] / x0 for differentiable f.
@@ -31,7 +33,7 @@ _MAX_EXCLUDED_FRACTION = 0.01
 
 
 class UnsupportedModelError(ValueError):
-    """The estimator's closed forms require a linear nonlinearity."""
+    """The estimator is derived for a linear nonlinearity only."""
 
 
 # ---- model and payoffs ----
@@ -58,7 +60,8 @@ class AssetModel:
     def _require_linear(self):
         if not self.hawkes.nonlinearity.is_linear():
             raise UnsupportedModelError(
-                "terminal-price closed form requires a linear nonlinearity"
+                "the Malliavin delta weight is derived for a linear nonlinearity "
+                "only; the fd and pathwise deltas take any"
             )
 
 
@@ -155,8 +158,8 @@ class GreekEstimate:
 # ---- terminal prices ----
 
 def terminal_price(asset: AssetModel, path: HawkesPath):
-    """(S_T, dS_T/dx0); the derivative is exactly S_T / x0 per path."""
-    asset._require_linear()
+    """(S_T, dS_T/dx0); the derivative is exactly S_T / x0 per path.  The
+    closed form holds for any gamma, as Lambda_T is the compensator."""
     lam = compensator(asset.hawkes, path)
     unit = (
         math.exp(asset.r * path.horizon - asset.sigma * lam)
@@ -167,7 +170,6 @@ def terminal_price(asset: AssetModel, path: HawkesPath):
 
 def terminal_price_batch(asset: AssetModel, batch: PathBatch):
     """Vectorized (S_T, dS_T/dx0) over a batch."""
-    asset._require_linear()
     lam = compensator_batch(asset.hawkes, batch)
     counts = batch.counts()
     unit = (
@@ -332,7 +334,6 @@ def fd_delta(
     Lambda_T and N_T do not depend on x0, so bumping x0 rescales S_T by
     (x0 +- bump)/x0 on the same paths.
     """
-    asset._require_linear()
     if bump is None:
         bump = 1e-4 * asset.x0
     if bump <= 0.0:
@@ -355,7 +356,6 @@ def fd_delta(
 
 def pathwise_delta(asset: AssetModel, payoff: Payoff, batch: PathBatch) -> GreekEstimate:
     """E[1_{N_T>0} f'(S_T) S_T / x0], valid for differentiable payoffs."""
-    asset._require_linear()
     if not payoff.differentiable:
         raise ValueError("pathwise estimator needs a payoff derivative")
     prices, dprices = terminal_price_batch(asset, batch)

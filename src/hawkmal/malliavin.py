@@ -491,12 +491,43 @@ def _one_path(path: HawkesPath) -> PathBatch:
     return PathBatch(path.horizon, 0, 0, offsets, path.jump_times)
 
 
+def _gamma2_recurrence(model: HawkesModel, times: np.ndarray, S: np.ndarray, T: float) -> np.ndarray:
+    """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du on
+    the exponential kernel (alpha, beta), for every cell of a padded (P, K)
+    block with pre-jump excitation S, by a backward recurrence with no
+    quadrature.  After jump k the excitation is S_k^+ e^{-beta (u - T_k)},
+    S_k^+ = S_k + alpha, and y = S_k^+ e^{-beta (u - T_k)} integrates each
+    segment in closed form:
+
+        G_j = c_j + e^{-beta Delta_j} G_{j+1},
+        c_j = (alpha / S_j^+) [gamma(S_j^+ e^{-beta Delta_j}) - gamma(S_j^+)],
+
+    with Delta_j = T_{j+1} - T_j, T_{n+1} = T and G = 0 past the last jump.
+    Padded slots have Delta = 0 and read 0; alpha = 0 gives S^+ = 0 and
+    Gamma2 = 0 with no division.  For linear gamma it telescopes to
+    mu(T - T_j) - mu(0)."""
+    alpha, beta = float(model.kernel.alpha), float(model.kernel.beta)
+    gam = model.nonlinearity.value
+    ends = np.concatenate([times[:, 1:], np.full((times.shape[0], 1), T)], axis=1)
+    decay = np.exp(-beta * (ends - times))
+    top = S + alpha
+    scale = np.divide(alpha, top, out=np.zeros_like(top), where=top > 0.0)
+    # the backward walk steps along the contiguous rows of the (K, P) transposes
+    c = np.ascontiguousarray((scale * (gam(top * decay) - gam(top))).T)
+    decay = np.ascontiguousarray(decay.T)
+    G = c.copy()
+    for j in range(G.shape[0] - 2, -1, -1):
+        G[j] += decay[j] * G[j + 1]
+    return np.ascontiguousarray(G.T)
+
+
 def _gamma2_block(
     model: HawkesModel, times: np.ndarray, counts: np.ndarray, T: float
 ) -> np.ndarray:
     """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du for
-    every cell of a padded (P, K) block holding counts[p] jumps in row p:
-    one integral over the flattened (path, segment) pairs [T_k, T_{k+1}]
+    every cell of a padded (P, K) block holding counts[p] jumps in row p, on
+    any kernel other than the exponential (see `_gamma2_recurrence`): one
+    integral over the flattened (path, segment) pairs [T_k, T_{k+1}]
     (T_{n+1} = T) of each of the `_row_blocks`, the component for T_j
     vanishing before T_j.  The integrand jumps at the jump times, which end
     the segments.  Padded slots read 0."""
@@ -526,9 +557,11 @@ def weight_arrays(model: HawkesModel, batch: PathBatch, m):
     CameronMartinFunction or a (value, antiderivative) pair of callables,
     such as a StepProcess's (value, integral_to).
 
-    The kernel family picks the excitation sums (`_excitation_sums`); gamma's
-    linearity picks Gamma2: mu(T - T_j) - mu(0) in closed form for linear
-    gamma, one segment quadrature over the block (`_gamma2_block`) otherwise.
+    The kernel family picks the excitation sums (`_excitation_sums`) and,
+    for nonlinear gamma, Gamma2: a backward recurrence on the exponential
+    kernel (`_gamma2_recurrence`), one segment quadrature over the block on
+    any other (`_gamma2_block`).  Linear gamma keeps the closed form
+    mu(T - T_j) - mu(0).
     """
     val_fn, anti_fn = (m.m, m.m_hat) if isinstance(m, CameronMartinFunction) else m
     kernel, gam = model.kernel, model.nonlinearity
@@ -548,6 +581,8 @@ def weight_arrays(model: HawkesModel, batch: PathBatch, m):
     gamma1 = gam.value(mu0 + S) - gam.value(S)
     if gam.is_linear():
         gamma2 = kernel.mu(T - times) - mu0
+    elif kernel.family == "exponential":
+        gamma2 = _gamma2_recurrence(model, times, S, T)
     else:
         gamma2 = _gamma2_block(model, times, counts, T)
     return times, mask, psi, gamma1, gamma2, m_at, m_hat_at

@@ -288,10 +288,17 @@ class NonlinearitySpec:
         cap = float(cap)
         if cap <= 0:
             raise AssumptionError(f"saturating cap must be positive, got {cap}")
+
+        def derivative(x):
+            # cosh^2 overflows to inf past |x / c| ~ 355, where sech^2 has
+            # underflowed to 0 anyway: 1/inf gives that 0, without a warning
+            with np.errstate(over="ignore"):
+                return 1.0 / np.cosh(np.asarray(x, dtype=float) / cap) ** 2
+
         return NonlinearitySpec(
             family="saturating_tanh",
             value=lambda x: cap * np.tanh(np.asarray(x, dtype=float) / cap),
-            derivative=lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float) / cap) ** 2,
+            derivative=derivative,
             lipschitz=1.0,
             params=(cap,),
         )

@@ -544,12 +544,16 @@ def compensator_rows(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarr
 
 def _excitation_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:
     """int_0^t gamma(excitation) ds per row of `compensator_rows`: Lambda_t
-    without the baseline integral.  Linear gamma is closed form; otherwise
-    gamma(excitation) goes to `_segment_quad` per inter-jump segment, over
+    without the baseline integral.  Linear gamma is closed form.  Otherwise
+    the kernel family picks the route: the exponential kernel takes one
+    scalar integral per segment (`_markov_compensator`); any other kernel
+    sends gamma(excitation) to `_segment_quad` per inter-jump segment, over
     the `_row_blocks` of the rows' counts of jumps before t.  The segment
     before the first jump is skipped: gamma(0) = 0 there."""
     if model.nonlinearity.is_linear():
         return strict_lags(model.kernel.mu_hat, rows, t).sum(axis=-1)
+    if model.kernel.family == "exponential":
+        return _markov_compensator(model, rows, t)
     mu, gam = model.kernel.mu, model.nonlinearity.value
     out = np.zeros(rows.shape[0])
     counts = (rows < t).sum(axis=1)
@@ -565,6 +569,43 @@ def _excitation_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> n
 
         out[idx] = _segment_quad(f, cuts.ravel(), hi.ravel()).reshape(-1, K).sum(axis=1)
     return out
+
+
+def _markov_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:
+    """`_excitation_compensator` on the exponential kernel (alpha, beta).
+
+    After jump k the excitation is S_k^+ e^{-beta (u - T_k)}, where
+    S_k^+ = S_k + alpha is the post-jump sum of `_excitation_recurrences`.
+    The substitution y = S_k^+ e^{-beta (u - T_k)} turns the segment
+    [T_k, T_k + Delta_k] into
+
+        int_{S_k^+ e^{-beta Delta_k}}^{S_k^+} gamma(y) / (beta y) dy,
+
+    a scalar integral for `_segment_quad`, whose tolerance thus holds in the
+    compensator's units; small caps still refine there, as tanh's poles lie
+    near the real axis.  Jumps at or after t give empty segments, and so
+    does alpha = 0.  Each row sums its segments in order, so its bits do not
+    depend on the longest row of the block.
+    """
+    alpha, beta = float(model.kernel.alpha), float(model.kernel.beta)
+    gam = model.nonlinearity.value
+    cuts = np.minimum(rows, t)
+    ends = np.concatenate([cuts[:, 1:], np.full((cuts.shape[0], 1), t)], axis=1)
+    top = _excitation_recurrences(cuts, alpha, beta)[0] + alpha
+    bottom = top * np.exp(-beta * (ends - cuts))
+    # (K, P) order: the sum over axis 0 below adds each row's segments in turn
+    top, bottom = (np.ascontiguousarray(x.T).ravel() for x in (top, bottom))
+    live = np.nonzero(top > bottom)[0]
+    vals = np.zeros(top.size)
+
+    def f(seg, y):
+        return gam(y) / (beta * y)
+
+    step = _BLOCK_ELEMS // _GL32[0].size
+    for s in range(0, live.size, step):
+        idx = live[s:s + step]
+        vals[idx] = _segment_quad(f, bottom[idx], top[idx])
+    return vals.reshape(rows.shape[1], rows.shape[0]).sum(axis=0)
 
 
 def _window_time(t: Optional[float], T: float) -> float:

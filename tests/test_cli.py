@@ -189,6 +189,20 @@ def test_density_check_on_tanh_model_long_horizon(tmp_path):
     assert rows[1][1] == "ks_T1" and int(rows[1][4]) >= 5
 
 
+def test_ibp_check_at_a_tiny_tanh_cap_is_warning_free(tmp_path):
+    # at cap 0.001 the excitation over the cap passes 355, where cosh^2
+    # overflows in gamma' = sech^2; the value is 0 and numpy must not warn
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[run]\npaths = 200\n[model]\nnonlinearity = tanh\ncap = 0.001\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("ibp-check", "--config", str(ini), "--seed", "3", "--out", str(out))
+    assert code in (0, 1)
+    _, _, rows = read_csv(out / "ibp_report.csv")
+    assert rows and all(math.isfinite(float(r[2])) for r in rows)
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
@@ -618,6 +632,17 @@ def test_greeks_smooth_all_three_populated(tmp_path):
         assert float(r[4]) > 0.0
     assert comments["malliavin_zero_jump_term"] != ""
     assert comments["malliavin_boundary_term"] != ""
+
+
+def test_greeks_on_tanh_model_refuses_the_malliavin_weight(tmp_path, capsys):
+    # the fd and pathwise deltas take any gamma, the Malliavin weight only
+    # linear gamma: the command refuses before it writes a file
+    ini = tmp_path / "gk.ini"
+    ini.write_text("[model]\nnonlinearity = tanh\ncap = 2\n")
+    out = tmp_path / "out"
+    assert run_cli("greeks", "--config", str(ini), "--paths", "100", "--out", str(out)) == 3
+    assert "Malliavin delta weight" in capsys.readouterr().err
+    assert not (out / "greeks.csv").exists()
 
 
 def test_greeks_sigma_zero_is_config_error(tmp_path):

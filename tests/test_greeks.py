@@ -27,7 +27,7 @@ from hawkmal.model import (
     KernelSpec,
     NonlinearitySpec,
 )
-from hawkmal.simulate import HawkesPath, PathBatch, simulate_batch
+from hawkmal.simulate import HawkesPath, PathBatch, compensator, simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -93,19 +93,42 @@ def test_terminal_price_scalar_matches_batch(asset, batch):
         assert ds == pytest.approx(dprices[i], rel=1e-12)
 
 
-def test_nonlinear_model_refused(batch):
+def tanh_asset(cap=2.0):
     bent = HawkesModel(
         baseline=BaselineSpec.constant(1.0),
         kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
-        nonlinearity=NonlinearitySpec.saturating_tanh(cap=2.0),
+        nonlinearity=NonlinearitySpec.saturating_tanh(cap=cap),
     )
-    asset = AssetModel(x0=100.0, r=0.05, sigma=0.3, hawkes=bent)
-    with pytest.raises(UnsupportedModelError, match="linear"):
-        terminal_price(asset, HawkesPath(np.array([0.5]), horizon=5.0))
-    with pytest.raises(UnsupportedModelError, match="linear"):
-        malliavin_delta(asset, Payoff.digital(100.0), batch)
-    with pytest.raises(UnsupportedModelError, match="linear"):
-        fd_delta(asset, Payoff.digital(100.0), batch)
+    return AssetModel(x0=100.0, r=0.05, sigma=0.3, hawkes=bent)
+
+
+def test_nonlinear_model_refused(batch):
+    # only the Malliavin weight is derived for linear gamma alone
+    with pytest.raises(UnsupportedModelError, match="Malliavin delta weight .* linear"):
+        malliavin_delta(tanh_asset(), Payoff.digital(100.0), batch)
+
+
+def test_nonlinear_model_prices_and_crn_deltas():
+    # S_T = x0 exp(rT - sigma Lambda_T) (1 + sigma)^{N_T} holds for any
+    # gamma; on one tanh batch the CRN difference and the pathwise delta
+    # of a smooth payoff then agree to the difference's O(bump^2) error
+    asset = tanh_asset()
+    tanh_batch = simulate_batch(asset.hawkes, T=5.0, master_seed=4242, n_paths=4000)
+    prices, dprices = terminal_price_batch(asset, tanh_batch)
+    assert np.array_equal(dprices * asset.x0, prices)
+    for i in (0, 1, 17, 3999):
+        path = tanh_batch.path(i)
+        lam = compensator(asset.hawkes, path)
+        want = asset.x0 * math.exp(asset.r * 5.0 - asset.sigma * lam) * (1.0 + asset.sigma) ** path.count
+        s, ds = terminal_price(asset, path)
+        assert s == pytest.approx(want, rel=1e-14)
+        assert ds == pytest.approx(want / asset.x0, rel=1e-14)
+        assert prices[i] == pytest.approx(want, rel=1e-12)
+    payoff = smooth_payoff(asset.x0)
+    fd = fd_delta(asset, payoff, tanh_batch)
+    pw = pathwise_delta(asset, payoff, tanh_batch)
+    assert fd.std_error > 0.0
+    assert fd.mean == pytest.approx(pw.mean, rel=1e-8)
 
 
 def test_asset_validation(model):

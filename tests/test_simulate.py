@@ -3,6 +3,7 @@ parallelism, thinning reductions, compensator closed forms, and the segment
 quadrature against scipy quad."""
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 import hawkmal.simulate
-from hawkmal.malliavin import CameronMartinFunction, weight_terms
+from hawkmal.malliavin import CameronMartinFunction, weight_arrays, weight_terms
 from hawkmal.model import (
     AssumptionError,
     BaselineSpec,
@@ -724,3 +725,103 @@ def test_segment_quadrature_refines_on_c1_kernel(monkeypatch):
     monkeypatch.setattr(hawkmal.simulate, "_QUAD_MAX_PANELS", 1)
     with pytest.raises(InternalError):
         compensator_batch(model, batch)
+
+
+# ---------------------------------------------------------------- exponential kernel, nonlinear gamma
+
+# beta = 400 makes S+ e^{-beta Delta} underflow to 0 on any gap over about 1.9
+_MARKOV_BETAS = st.one_of(st.floats(0.5, 3.0), st.just(400.0))
+
+
+@st.composite
+def markov_paths(draw):
+    """Sorted jump times in (0, _QT], sometimes with pairs one or two ulps
+    apart, where gamma(S e^{-beta Delta}) - gamma(S) cancels, and with a
+    jump at _QT."""
+    raw = draw(st.lists(st.floats(0.0, _QT, exclude_min=True, exclude_max=True), max_size=8))
+    close = []
+    for t in draw(st.lists(st.sampled_from(raw), max_size=2)) if raw else []:
+        up = np.nextafter(t, np.inf)
+        close += [up, np.nextafter(up, np.inf)] if draw(st.booleans()) else [up]
+    extra = [_QT] if draw(st.booleans()) else []
+    times = np.unique(np.array(raw + close + extra, dtype=float))
+    return times[times <= _QT]
+
+
+def markov_batch(paths):
+    counts = [p.size for p in paths]
+    return PathBatch(
+        horizon=_QT,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate(paths),
+    )
+
+
+def check_markov_route(paths, alpha, beta, cap):
+    """The exponential kernel's route (a scalar integral per segment for
+    Lambda, a backward recurrence for Gamma2) against the same kernel
+    wrapped as custom, on the K-wide quadratures, and against scipy quad;
+    compensator_batch at t = 0, T/2 and T.  The routes under test run with
+    every warning an error."""
+    fast = tanh_model(alpha, beta, cap)
+    slow = tanh_model(None, None, cap, kernel=exp_as_custom(alpha, beta))
+    batch = markov_batch(paths)
+    m = CameronMartinFunction.default(_QT)
+    ts = (0.0, 0.5 * _QT, _QT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comps = [compensator_batch(fast, batch, t) for t in ts]
+        mask, g2 = weight_arrays(fast, batch, m)[1:5:3]
+    slow_g2 = weight_arrays(slow, batch, m)[4]
+    np.testing.assert_allclose(g2[mask], slow_g2[mask], rtol=1e-12, atol=1e-14)
+    for t, comp in zip(ts, comps):
+        np.testing.assert_allclose(comp, compensator_batch(slow, batch, t), rtol=1e-12)
+        for i, path in enumerate(batch):
+            want = quad_compensator(fast, path.jump_times, t)
+            assert comp[i] == pytest.approx(want, rel=0.0, abs=1e-9), (t, i)
+    for i, path in enumerate(batch):
+        for j in range(path.count):
+            want = quad_gamma2(fast, path.jump_times, _QT, j)
+            assert g2[i, j] == pytest.approx(want, rel=0.0, abs=1e-9), (i, j)
+    return comps, g2, mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    paths=st.lists(markov_paths(), min_size=1, max_size=3),
+    beta=_MARKOV_BETAS,
+    ratio=st.floats(0.05, 0.9),
+    cap=st.sampled_from([0.05, 0.3, 2.0]),
+)
+def test_markov_route_matches_wrapped_kernel_and_quad(paths, beta, ratio, cap):
+    check_markov_route(paths, ratio * beta, beta, cap)
+
+
+@pytest.mark.parametrize("cap", [0.05, 0.3, 2.0])
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.4, np.nextafter(0.4, 1.0), 1.3],  # one ulp apart
+        [0.2, 1.1, _QT],                     # a jump at T
+        [0.05],                              # one long gap
+    ],
+)
+def test_markov_route_edge_paths(times, cap):
+    # beta = 400 also underflows S+ e^{-beta Delta} to 0 on the long gaps
+    paths = [np.array(times), np.empty(0)]
+    for beta in (1.3, 400.0):
+        check_markov_route(paths, 0.6 * beta, beta, cap)
+
+
+@pytest.mark.parametrize("cap", [0.05, 0.3, 2.0])
+def test_markov_route_without_excitation(cap):
+    # alpha = 0: S+ = 0, so Gamma2 and the excitation compensator are 0,
+    # with no division by S+
+    paths = [np.array([0.3, 0.3000001, 1.7, _QT]), np.empty(0)]
+    comps, g2, mask = check_markov_route(paths, 0.0, 1.5, cap)
+    assert np.all(g2 == 0.0)
+    base = tanh_model(0.0, 1.5, cap).baseline.integral
+    for t, comp in zip((0.0, 0.5 * _QT, _QT), comps):
+        assert np.array_equal(comp, np.full(2, float(base(np.float64(t)))))
