@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .density import (
+    _simpson,
     density_vs_empirical,
     log_kappa_rows,
     normalization_constant,
@@ -427,9 +428,7 @@ def _cmd_density_check(inv: _Invocation) -> bool:
     z1, _ = normalization_constant(model, T, 1, method="quadrature")
     grid = np.linspace(0.0, T, 8193)
     vals = np.exp(log_kappa_rows(model, T, grid.reshape(-1, 1))) / z1
-    from scipy.integrate import simpson  # here, not at import: about 0.65 s of start-up
-
-    mass = float(simpson(vals, x=grid))
+    mass = _simpson(vals, grid)
     mass_ok = abs(mass - 1.0) <= _MASS_TOLERANCE
     rows.append((1, "k1_mass_minus_one", mass - 1.0, None, grid.size))
     flags.append(mass_ok)

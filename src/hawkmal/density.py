@@ -104,12 +104,13 @@ def _log_kappa_parts(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     """(sum_j log lambda*(T_j), int_0^T gamma(excitation)) for each row of a
     padded (P, K) block holding counts[p] jumps in row p, padded with values
     >= T: log kappa is the first minus the second minus the baseline
-    integral.  The excitation at the jumps comes from `_excitation_sums`."""
+    integral.  The excitation at the jumps comes from `_excitation_sums`, and
+    the compensator reuses it."""
     S, _ = _excitation_sums(model, times, counts)
     lam = model.baseline.value(times) + model.nonlinearity.value(S)
     mask = np.arange(times.shape[1]) < counts[:, None]
     log_prod = np.where(mask, np.log(lam), 0.0).sum(axis=1)
-    return log_prod, _excitation_compensator(model, times, T)
+    return log_prod, _excitation_compensator(model, times, T, S)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +274,115 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of y over a strictly increasing grid x of
+    an odd number of points: scipy's `simpson(y, x=x)` term for term, with
+    each parabola fitted to its two unequal spacings, without its import."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    terms = (
+        y[:-2:2] * (2.0 - 1.0 / ratio)
+        + y[1::2] * (hsum * (hsum / hprod))
+        + y[2::2] * (2.0 - ratio)
+    )
+    return float(np.sum(hsum / 6.0 * terms))
+
+
+def _factorial_ratio(n: int) -> Tuple[float, int]:
+    """n!/n^n = prod_j (j/n) as (mantissa, binary exponent): products of
+    frexp mantissas in blocks of 512 (no block underflows), the exponents
+    summed exactly, so the ratio keeps double precision at any n."""
+    x, e = np.frexp(np.arange(1, n + 1) / n)
+    exp2 = int(e.sum())
+    while x.size > 1:
+        blocks = np.pad(x, (0, -x.size % 512), constant_values=1.0).reshape(-1, 512)
+        x, e = np.frexp(blocks.prod(axis=1))
+        exp2 += int(e.sum())
+    return float(x[0]), exp2
+
+
+def _rescaled(A: np.ndarray) -> Tuple[np.ndarray, int]:
+    """A scaled exactly by the power of two that brings its largest entry
+    into [0.5, 1), and that power's exponent."""
+    shift = int(np.frexp(np.abs(A).max())[1])
+    return np.ldexp(A, -shift), shift
+
+
+def _durbin_cdf(n: int, d: float) -> float:
+    """P(D_n < d) for 1/(2n) <= d < 1 by the Durbin matrix (Marsaglia, Tsang
+    & Wang 2003): n!/n^n (H^n)_{kk} with k = ceil(n d), h = k - n d and H the
+    (2k-1)-square matrix of 1/(i-j+1)! terms corrected by powers of h in its
+    first column and last row.  H^n is taken by squaring, each product
+    rescaled by a power of two whose exponent is kept apart, and the scale
+    n!/n^n joins it as a mantissa and an exponent: no logarithm of a large
+    number cancels another."""
+    k = math.ceil(n * d)
+    m = 2 * k - 1
+    h = k - n * d
+    lag = np.subtract.outer(np.arange(m), np.arange(m)) + 1  # i - j + 1
+    H = (lag >= 0).astype(float)
+    powers = h ** np.arange(1.0, m + 1)
+    H[:, 0] -= powers
+    H[-1, :] -= powers[::-1]
+    if 2.0 * h > 1.0:
+        H[-1, 0] += (2.0 * h - 1.0) ** m
+    H *= np.concatenate(([1.0], np.cumprod(1.0 / np.arange(1.0, m + 1))))[np.maximum(lag, 0)]
+
+    # binary powering: H^(2^i) = H * 2^e, the power so far = power * 2^exp2
+    power, exp2, e, bits = None, 0, 0, n
+    while True:
+        if bits & 1:
+            power, exp2 = (H, e) if power is None else (power @ H, exp2 + e)
+            power, shift = _rescaled(power)
+            exp2 += shift
+        bits >>= 1
+        if not bits:
+            break
+        H, shift = _rescaled(H @ H)
+        e = 2 * e + shift
+    mant, scale_exp2 = _factorial_ratio(n)
+    return math.ldexp(power[k - 1, k - 1] * mant, exp2 + scale_exp2)
+
+
+def _kolmogorov_sf(n: int, d: float) -> float:
+    """P(D_n >= d), the exact two-sided Kolmogorov survival function at n
+    samples.  Below n d^2 = 4 it is 1 - `_durbin_cdf`; from 4 up, and from
+    d = 0.5 up, it is twice the Birnbaum-Tingey one-sided tail
+
+        P(D_n^+ >= d) = d sum_{j < n(1-d)} C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1),
+
+    summed in log space: there 1 - CDF would cancel.  Doubling the one-sided
+    tail (Miller's approximation) is off by about 1e-11 relative from
+    n d^2 = 4 up, and exact from d = 0.5 up, where D_n^+ >= d and
+    D_n^- >= d exclude each other.  The branch point n d^2 = 4 follows
+    Simard & L'Ecuyer (2011)."""
+    if d >= 1.0:
+        return 0.0
+    if n * d * d < 4.0 and d < 0.5:
+        return min(1.0, 1.0 - _durbin_cdf(n, d))  # a CDF of 0 may round below it
+    j = np.arange(n + 1.0)
+    base = 1.0 - d - j / n
+    j, base = j[base > 0.0], base[base > 0.0]
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - j[1:] + 1.0) / j[1:]))))
+    terms = log_binom + (n - j) * np.log(base) + (j - 1.0) * np.log(d + j / n)
+    top = terms.max()
+    return min(1.0, 2.0 * d * math.exp(top) * float(np.exp(terms - top).sum()))
+
+
+def _ks_two_sided(samples: np.ndarray, cdf) -> Tuple[float, float]:
+    """(D, p) of the two-sided one-sample Kolmogorov-Smirnov test of
+    samples against the continuous CDF `cdf`: D as `scipy.stats.kstest`
+    takes it (D+ only where D+ > D-), p exact by `_kolmogorov_sf`."""
+    x = np.sort(samples)
+    n = x.size
+    F = cdf(x)
+    d_plus = float((np.arange(1.0, n + 1) / n - F).max())
+    d_minus = float((F - np.arange(0.0, n) / n).max())
+    D = d_plus if d_plus > d_minus else d_minus
+    return D, _kolmogorov_sf(n, D)
+
+
 def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
     """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T]: the other
     jump time integrated out by the chained rule, the grid by trapezoids,
@@ -319,13 +429,11 @@ def density_vs_empirical(
             "marginal quadrature is implemented for n <= 2; higher orders need "
             "multi-dimensional integration"
         )
-    from scipy import stats  # here, not at import: it doubles every command's start-up
-
     out = []
     for coord in range(n):
         samples = batch.flat_times[batch.offsets[sel] + coord]
         grid, cdf = _marginal_cdf(model, T, n, coord)
-        stat, p = stats.kstest(samples, lambda v: np.interp(v, grid, cdf))
+        stat, p = _ks_two_sided(samples, lambda v: np.interp(v, grid, cdf))
         name = "ks_T1" if n == 1 else f"ks_T{coord + 1}_of_{n}"
-        out.append(GoodnessOfFit(n, name, float(stat), float(p), m))
+        out.append(GoodnessOfFit(n, name, stat, p, m))
     return out

@@ -542,18 +542,22 @@ def compensator_rows(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarr
     return base + _excitation_compensator(model, rows, t)
 
 
-def _excitation_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:
+def _excitation_compensator(
+    model: HawkesModel, rows: np.ndarray, t: float, S: Optional[np.ndarray] = None
+) -> np.ndarray:
     """int_0^t gamma(excitation) ds per row of `compensator_rows`: Lambda_t
     without the baseline integral.  Linear gamma is closed form.  Otherwise
     the kernel family picks the route: the exponential kernel takes one
-    scalar integral per segment (`_markov_compensator`); any other kernel
-    sends gamma(excitation) to `_segment_quad` per inter-jump segment, over
-    the `_row_blocks` of the rows' counts of jumps before t.  The segment
-    before the first jump is skipped: gamma(0) = 0 there."""
+    scalar integral per segment (`_markov_compensator`, which reuses the
+    rows' pre-jump sums S from `_excitation_sums` when the caller has them);
+    any other kernel sends gamma(excitation) to `_segment_quad` per
+    inter-jump segment, over the `_row_blocks` of the rows' counts of jumps
+    before t.  The segment before the first jump is skipped: gamma(0) = 0
+    there."""
     if model.nonlinearity.is_linear():
         return strict_lags(model.kernel.mu_hat, rows, t).sum(axis=-1)
     if model.kernel.family == "exponential":
-        return _markov_compensator(model, rows, t)
+        return _markov_compensator(model, rows, t, S)
     mu, gam = model.kernel.mu, model.nonlinearity.value
     out = np.zeros(rows.shape[0])
     counts = (rows < t).sum(axis=1)
@@ -571,11 +575,16 @@ def _excitation_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> n
     return out
 
 
-def _markov_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:
+def _markov_compensator(
+    model: HawkesModel, rows: np.ndarray, t: float, S: Optional[np.ndarray] = None
+) -> np.ndarray:
     """`_excitation_compensator` on the exponential kernel (alpha, beta).
 
     After jump k the excitation is S_k^+ e^{-beta (u - T_k)}, where
-    S_k^+ = S_k + alpha is the post-jump sum of `_excitation_recurrences`.
+    S_k^+ = S_k + alpha is the post-jump sum of `_excitation_recurrences`,
+    run here on the rows cut at t unless the pre-jump sums S are given.
+    Given S must hold those sums at every jump before t; other slots are
+    free, as their segments are empty.
     The substitution y = S_k^+ e^{-beta (u - T_k)} turns the segment
     [T_k, T_k + Delta_k] into
 
@@ -591,7 +600,7 @@ def _markov_compensator(model: HawkesModel, rows: np.ndarray, t: float) -> np.nd
     gam = model.nonlinearity.value
     cuts = np.minimum(rows, t)
     ends = np.concatenate([cuts[:, 1:], np.full((cuts.shape[0], 1), t)], axis=1)
-    top = _excitation_recurrences(cuts, alpha, beta)[0] + alpha
+    top = (_excitation_recurrences(cuts, alpha, beta)[0] if S is None else S) + alpha
     bottom = top * np.exp(-beta * (ends - cuts))
     # (K, P) order: the sum over axis 0 below adds each row's segments in turn
     top, bottom = (np.ascontiguousarray(x.T).ravel() for x in (top, bottom))

@@ -234,24 +234,70 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "internal error: thinning failed to terminate" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_out():
-    """A fresh `import hawkmal, hawkmal.cli` loads none of scipy's heavy
-    subpackages: only density-check's mass and KS checks import them, where
-    they run."""
+def _hawkmal_env():
+    """The environment with hawkmal's source directory on PYTHONPATH."""
     import hawkmal
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(hawkmal.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    heavy = ["scipy.integrate", "scipy.linalg", "scipy.stats", "scipy.optimize", "scipy.special"]
+    return env
+
+
+def test_import_leaves_scipy_out():
+    """A fresh `import hawkmal, hawkmal.cli` loads no scipy module at all:
+    scipy is the tests' oracle, not a runtime dependency."""
     code = (
         "import sys, hawkmal, hawkmal.cli\n"
-        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_hawkmal_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+_NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from hawkmal.cli import main
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # each command, run where any scipy import raises, exits as it does here
+    ini = tmp_path / "small.ini"
+    ini.write_text(
+        "[density]\nmax_n = 2\nmin_conditioned = 5\n"
+        "[experiment]\ngrid_points = 4\nvolterra_steps = 128\n"
+        "[greeks]\npayoff = digital\nfd_paths = 500\n"
+        "[sde]\npreset = linear-scalar\n"
+    )
+    commands = (
+        "simulate", "density-check", "ibp-check", "unit-mass", "mean-intensity", "sde-density", "greeks"
+    )
+
+    def argv(command, where):
+        return [
+            command, "--config", str(ini), "--paths", "500", "--seed", "83",
+            "--out", str(tmp_path / where / command), "--no-timestamp",
+        ]
+
+    usual = [run_cli(*argv(c, "usual")) for c in commands]
+    script = _NO_SCIPY + f"print([main(a) for a in {[argv(c, 'blocked') for c in commands]!r}])"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=_hawkmal_env(), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == repr(usual)
+    assert set(usual) <= {0, 1}
 
 
 def test_blown_up_linear_flow_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,14 @@
 """Density-layer checks: kappa values against hand quadrature, simplex
-sentinels, normalization routes, the k_n bound, conditioned KS tests."""
+sentinels, normalization routes, the k_n bound, conditioned KS tests, and
+the numpy Simpson rule and Kolmogorov distribution against scipy and
+mpmath."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import simpson
 
 from hawkmal import density
@@ -21,6 +24,9 @@ from hawkmal.density import (
     log_kappa_rows,
     normalization_constant,
     _cumulative_trapezoid,
+    _kolmogorov_sf,
+    _ks_two_sided,
+    _simpson,
 )
 from hawkmal.model import (
     BaselineSpec,
@@ -411,3 +417,127 @@ def test_cumulative_trapezoid_is_scipys_bit_for_bit(T):
         assert np.array_equal(
             _cumulative_trapezoid(y, grid), cumulative_trapezoid(y, grid, initial=0.0)
         )
+
+
+@pytest.mark.parametrize("T", [0.5, 5.0])
+def test_simpson_is_scipys_bit_for_bit(T):
+    # density-check's k_1 mass keeps the bits it had under scipy's simpson
+    grid = np.linspace(0.0, T, 8193)
+    rng = np.random.default_rng(8193)
+    for y in (np.exp(-grid) * np.sin(7.0 * grid), rng.standard_normal(grid.size), np.ones_like(grid)):
+        assert _simpson(y, grid) == simpson(y, x=grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda half: st.tuples(
+            st.lists(st.floats(1e-3, 10.0), min_size=2 * half, max_size=2 * half),
+            st.lists(st.floats(-1e3, 1e3), min_size=2 * half + 1, max_size=2 * half + 1),
+        )
+    ),
+    st.floats(-5.0, 5.0),
+)
+def test_simpson_is_scipys_on_uneven_odd_grids(steps_and_values, start):
+    steps, y = steps_and_values
+    x = start + np.cumsum([0.0] + steps)  # strictly increasing at these sizes
+    assert _simpson(np.array(y), x) == simpson(np.array(y), x=x)
+
+
+def _mp_kolmogorov_sf(n, d):
+    """P(D_n >= d) by the Durbin matrix with nothing approximated: H set up
+    by mpmath at 50 digits from the exact binary value of d, then H^n e_k by
+    n products in 200-bit fixed point on Python integers (mpf arithmetic
+    would take seconds per case), and 1 - n!/n^n (H^n)_{kk} at 50 digits.
+    Good to about 1e-45 absolute, so only p well above that is compared."""
+    mp = pytest.importorskip("mpmath")
+    bits = 200
+    with mp.workdps(50):
+        d = mp.mpf(d)
+        if d >= 1:
+            return 0.0
+        k = int(mp.ceil(n * d))
+        m = 2 * k - 1
+        h = k - n * d
+        H = [[mp.mpf(1 if i - j + 1 >= 0 else 0) for j in range(m)] for i in range(m)]
+        for i in range(m):
+            H[i][0] -= h ** (i + 1)
+            H[m - 1][i] -= h ** (m - i)
+        if 2 * h - 1 > 0:
+            H[m - 1][0] += (2 * h - 1) ** m
+        one = mp.mpf(2) ** bits
+        fixed = np.array(
+            [[int(mp.nint(H[i][j] * one / mp.factorial(max(i - j + 1, 0)))) for j in range(m)]
+             for i in range(m)],
+            dtype=object,
+        )
+        v = np.zeros(m, dtype=object)
+        v[k - 1] = 1 << bits
+        for _ in range(n):
+            v = np.array([x >> bits for x in fixed.dot(v)], dtype=object)
+        return float(1 - mp.mpf(int(v[k - 1])) / one * mp.factorial(n) / mp.mpf(n) ** n)
+
+
+# (n, n d^2): both sides of the branch point 4, d >= 0.5 (exact doubling)
+# and d near 1 at small n, and scipy's switch from exact to Pelz-Good at 140;
+# the oracle's cost grows as n k^2, so the largest n keep to n d^2 <= 6
+_KS_CASES = [
+    (n, w)
+    for n in (1, 2, 3, 4, 7, 20, 140, 141)
+    for w in (0.3, 1.0, 2.5, 3.9, 3.99, 4.0, 4.01, 6.0, 15.0)
+    if w < n
+] + [(n, w) for n in (241, 400) for w in (0.3, 2.5, 3.99, 4.0, 4.01, 6.0)]
+
+
+@pytest.mark.parametrize("n, w", _KS_CASES)
+def test_kolmogorov_sf_matches_50_digits(n, w):
+    d = math.sqrt(w / n)
+    exact = _mp_kolmogorov_sf(n, d)
+    assert exact > 1e-30
+    assert _kolmogorov_sf(n, d) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 241, 400])
+def test_kolmogorov_sf_edges_match_50_digits(n):
+    # n d <= 0.5 can only come from d below any sample's D (p = 1), n d <= 1
+    # is the one-term closed form 1 - n! (2d - 1/n)^n, d >= 1 gives 0
+    for d in (0.25 / n, 0.5 / n, 0.75 / n, 1.0 / n, 1.0, 1.5):
+        exact = _mp_kolmogorov_sf(n, d)
+        assert _kolmogorov_sf(n, d) == pytest.approx(exact, rel=1e-9, abs=0.0), d
+    assert _kolmogorov_sf(n, 0.5 / n) == 1.0
+    assert _kolmogorov_sf(n, 1.0) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 1000), st.floats(0.0, 1.0))
+def test_kolmogorov_sf_within_scipys_own_error(n, u):
+    # scipy's kstwo.sf is exact up to 140 samples and Pelz-Good beyond,
+    # which is the 5e-6 allowed here
+    d = 0.5 / n + u * (1.0 - 0.5 / n)
+    assert abs(_kolmogorov_sf(n, d) - stats.kstwo.sf(d, n)) <= 5e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=300),
+    st.floats(0.2, 5.0),
+)
+def test_ks_statistic_is_kstests_bit_for_bit(samples, shape):
+    # the marginal CDFs are tabulated and interpolated, as here
+    grid = np.linspace(0.0, 1.0, 1025)
+    table = grid ** shape
+
+    def cdf(v):
+        return np.interp(v, grid, table)
+
+    D, p = _ks_two_sided(np.array(samples), cdf)
+    ref = stats.kstest(np.array(samples), cdf)
+    assert D == ref.statistic
+    assert abs(p - ref.pvalue) <= 5e-6
+
+
+def test_ks_at_the_smallest_statistic_gives_one():
+    # samples at the midpoints of n equal cells: D = 1/(2n), p = 1
+    n = 64
+    D, p = _ks_two_sided((np.arange(n) + 0.5) / n, lambda v: v)
+    assert D == 0.5 / n and p == 1.0
