@@ -20,10 +20,9 @@ product of segment tangents and jump factors (`_backward_vectors`).  The
 same walk forms the bridge factor W = L^T V, where Xi = L L^T is the
 Brownian-bridge factorization of the xi kernel, so Gamma = W^T W; the
 criterion reads det, the smallest eigenvalue and the rank off the singular
-values of W and never forms Gamma.  The per-path solvers carry
-K_t = K_{0->t} and its inverse K_tilde_t forward, take
-K_{T_i->T} = K_T K_tilde_{T_i} and sum the dense xi Gram; they serve as
-the engines' oracles.
+values of W and never forms Gamma.  Tangents and their products carry a
+power of two, so a flow that contracts past the double range keeps its
+verdict.  `grad_and_gamma_XT` is the one-path view of these engines.
 """
 from __future__ import annotations
 
@@ -33,15 +32,16 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .malliavin import MalliavinGradient, xi_kernel
+from .malliavin import MalliavinGradient
 from .model import AssumptionError
 from .simulate import HawkesPath, PathBatch
 
 _STEP_FRACTION = 1e-3     # h <= 1e-3 * horizon
 _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
 _DET_FLOOR = 1e-12
-_PRODUCT_RESET = 1e-10    # renormalize K_tilde when |K K~ - I| exceeds this
+_SCALE_RANGE = 500        # products leaving [2^-500, 2^500] carry a power of two
 _CLOSE_EVERY = 4          # RK4 engine: iterations between segment-end passes
+_RESCALE_EVERY = 16       # RK4 engine: iterations between checks of K's scale
 # Pade 13 coefficients b_k / b_0, so that r_13(0) = I exactly, and the
 # 1-norm up to which r_13 needs no scaling (Higham, SIAM J. Matrix Anal.
 # Appl. 26(4), 2005, Table 2.3)
@@ -216,57 +216,6 @@ def sde_preset(name: str) -> JumpSde:
     raise ValueError(f"unknown SDE preset {name!r}")
 
 
-# ---- results ----
-
-@dataclass(frozen=True, eq=False)
-class FlowResult:
-    state: np.ndarray
-    error_estimate: float
-    n_steps: int
-
-
-@dataclass(frozen=True, eq=False)
-class PathSolution:
-    jump_times: np.ndarray
-    horizon: float
-    terminal: np.ndarray
-    pre_jump_states: np.ndarray   # (n, d): X_{T_i-}
-    post_jump_states: np.ndarray  # (n, d): X_{T_i}
-    flow_error: float
-
-
-@dataclass(frozen=True, eq=False)
-class TangentResult:
-    K_T: np.ndarray
-    K_tilde_T: np.ndarray
-    k_tilde_at_jumps: np.ndarray  # (n, d, d), post-jump values
-    jump_dets: np.ndarray         # det(I + grad_x g) per jump
-    product_drift: float          # max |K K~ - I| observed
-
-    def k_T_from(self, i: int) -> np.ndarray:
-        """K_T^{T_i} = K_T K_tilde_{T_i} for the i-th jump (0-based)."""
-        return self.K_T @ self.k_tilde_at_jumps[i]
-
-
-@dataclass(frozen=True, eq=False)
-class SensitivityReport:
-    jump_times: np.ndarray
-    horizon: float
-    vectors: np.ndarray    # (n, d): v_i = -K_T^{T_i} phi(T_i, X_{T_i-})
-    gamma: np.ndarray      # (d, d)
-    det: float
-    min_eig: float
-    product_drift: float
-    terminal: np.ndarray
-
-    def gradient_component(self, component: int = 0):
-        """The scalar-component gradient in the shared jump-time
-        representation (partials = v_i[component])."""
-        return MalliavinGradient(
-            self.jump_times, self.vectors[:, component].copy(), self.horizon
-        )
-
-
 # ---- deterministic flow ----
 
 def _rk4_step(rhs, t, h, y: tuple) -> tuple:
@@ -282,14 +231,6 @@ def _rk4_step(rhs, t, h, y: tuple) -> tuple:
         a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
     )
-
-
-def _rk4_run(rhs, s: float, span: float, y: tuple, n: int) -> tuple:
-    """n equal RK4 steps over [s, s + span], at t = s + k h."""
-    h = span / n
-    for k in range(n):
-        y = _rk4_step(rhs, s + k * h, h, y)
-    return y
 
 
 def _segment_steps(span, horizon: float) -> np.ndarray:
@@ -318,70 +259,6 @@ def _segments(batch: PathBatch):
     return seg_offsets, starts, ends
 
 
-def solve_flow(
-    sde: JumpSde, s: float, t: float, x, horizon: float = None
-) -> FlowResult:
-    """Phi_{s,t}(x) by fixed-step RK4 (h = min(1e-3 * horizon, (t-s)/16)),
-    with the step-halving (Richardson) error estimate."""
-    if t < s:
-        raise ValueError("flow requires s <= t")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == s:
-        return FlowResult(x.copy(), 0.0, 0)
-    span = t - s
-    H = horizon if horizon is not None else t
-    if H <= 0.0:
-        raise ValueError("horizon must be positive")
-    n = int(_segment_steps(span, H))
-    rhs = lambda t, y: (sde.drift(t, y[0]),)
-    (coarse,) = _rk4_run(rhs, s, span, (x,), n)
-    (fine,) = _rk4_run(rhs, s, span, (x,), 2 * n)
-    if not np.all(np.isfinite(fine)):
-        raise RuntimeError("flow integration produced non-finite state")
-    err = float(np.max(np.abs(fine - coarse))) / 15.0
-    return FlowResult(fine, err, 2 * n)
-
-
-def _apply_jump(sde: JumpSde, t: float, x: np.ndarray) -> tuple:
-    """Psi(t, x) = x + g(t, x), guarding det(I + grad_x g) != 0."""
-    grad = np.atleast_2d(np.asarray(sde.jump_jac(t, x), dtype=float))
-    det = float(np.linalg.det(np.eye(sde.dim) + grad))
-    if abs(det) < _DET_FLOOR:
-        raise AssumptionError(
-            f"det(I + grad_x g) = {det:.3e} at jump time {t:.6g}: "
-            "the jump map is not invertible"
-        )
-    return x + np.atleast_1d(np.asarray(sde.jump(t, x), dtype=float)), grad, det
-
-
-def solve_path(sde: JumpSde, path: HawkesPath) -> PathSolution:
-    """Terminal state by flow composition, with the state just before and
-    just after every jump."""
-    T = path.horizon
-    x = sde.x0.copy()
-    pre = np.empty((path.count, sde.dim))
-    post = np.empty((path.count, sde.dim))
-    err = 0.0
-    prev = 0.0
-    for i, tj in enumerate(path.jump_times):
-        res = solve_flow(sde, prev, float(tj), x, horizon=T)
-        err += res.error_estimate
-        pre[i] = res.state
-        x, _, _ = _apply_jump(sde, float(tj), res.state)
-        post[i] = x
-        prev = float(tj)
-    res = solve_flow(sde, prev, T, x, horizon=T)
-    err += res.error_estimate
-    return PathSolution(
-        jump_times=path.jump_times,
-        horizon=T,
-        terminal=res.state,
-        pre_jump_states=pre,
-        post_jump_states=post,
-        flow_error=err,
-    )
-
-
 def _matvec(A, v) -> np.ndarray:
     """A v for stacks of (..., d, d) matrices, or one constant (d, d), against
     (..., d) vectors; for d = 1 an elementwise product."""
@@ -398,11 +275,27 @@ def _matmul(A, B) -> np.ndarray:
     return A @ B
 
 
-def phi_jump_sensitivity(sde: JumpSde, t, x) -> np.ndarray:
-    """phi(t, x) = f(t, x + g(t, x)) - (I + grad_x g(t, x)) f(t, x) - dg/dt,
-    for x of shape (..., d) and t a scalar or an array of the leading shape."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _phi(sde, t, x, np.asarray(sde.jump(t, x), dtype=float), sde.jump_jac(t, x))
+def _far_slices(M: np.ndarray) -> tuple:
+    """(indices, largest |entry|) of the slices M[k] outside [2^-500, 2^500)."""
+    mag = np.abs(M).max(axis=tuple(range(1, M.ndim)), initial=0.0)
+    far = np.flatnonzero((mag < 2.0**-_SCALE_RANGE) | (mag >= 2.0**_SCALE_RANGE))
+    return far, mag[far]
+
+
+def _rescale(M: np.ndarray, e: np.ndarray) -> None:
+    """Scale each far slice M[k] (`_far_slices`) into [0.5, 1) by a power of
+    two, in place, adding the power to e[k].  That rounds only entries 2^1021
+    below the slice's largest, so products keep their unscaled bits."""
+    far, mag = _far_slices(M)
+    if far.size:
+        k = np.frexp(mag)[1]
+        M[far] = _ldexp(M[far], -k)
+        e[far] += k
+
+
+def _ldexp(M: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """M[k] 2^e[k] for every slice M[k]."""
+    return np.ldexp(M, e.reshape(e.shape + (1,) * (M.ndim - e.ndim)))
 
 
 def _phi(sde: JumpSde, t, x, g, grad) -> np.ndarray:
@@ -413,128 +306,20 @@ def _phi(sde: JumpSde, t, x, g, grad) -> np.ndarray:
     return f_shift - f_here - _matvec(np.asarray(grad, dtype=float), f_here) - dgdt
 
 
-# ---- tangent process ----
-
-def _tangent_sweep(sde: JumpSde, path: HawkesPath):
-    """One pass integrating (x, K, K_tilde) jointly.
-
-    Between jumps: x' = f, K' = (grad f) K, K~' = -K~ (grad f); at a jump,
-    K <- (I + grad g) K and K~ <- K~ (I + grad g)^{-1}.  Returns the
-    pre-jump states, post-jump K_tilde snapshots, jump determinants, the
-    terminal triple, and the largest |K K~ - I| seen before renormalizing.
-    """
-    T = path.horizon
-    d = sde.dim
-    eye = np.eye(d)
-    x = sde.x0.copy()
-    K = eye.copy()
-    Kt = eye.copy()
-    drift_max = 0.0
-    n = path.count
-    pre = np.empty((n, d))
-    ktil_post = np.empty((n, d, d))
-    dets = np.empty(n)
-
-    rhs = lambda t, y: _tangent_rhs(sde, t, y)
-
-    def advance(s, e, x, K, Kt):
-        span = e - s
-        if span <= 0.0:
-            return x, K, Kt
-        return _rk4_run(rhs, s, span, (x, K, Kt), int(_segment_steps(span, T)))
-
-    prev = 0.0
-    for i, tj in enumerate(path.jump_times):
-        x, K, Kt = advance(prev, float(tj), x, K, Kt)
-        pre[i] = x
-        x, grad, det = _apply_jump(sde, float(tj), x)
-        dets[i] = det
-        K = (eye + grad) @ K
-        Kt = np.linalg.solve((eye + grad).T, Kt.T).T  # Kt (I + grad)^{-1}
-        drift = float(np.max(np.abs(K @ Kt - eye)))
-        drift_max = max(drift_max, drift)
-        if drift > _PRODUCT_RESET:
-            Kt = np.linalg.solve(K, eye)
-        ktil_post[i] = Kt
-        prev = float(tj)
-    x, K, Kt = advance(prev, T, x, K, Kt)
-    drift_max = max(drift_max, float(np.max(np.abs(K @ Kt - eye))))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
-        raise RuntimeError("tangent integration produced non-finite state")
-    return x, pre, K, Kt, ktil_post, dets, drift_max
-
-
-def _tangent_rhs(sde: JumpSde, t: float, y: tuple) -> tuple:
-    """(f, (grad f) K, -K~ (grad f)) at the triple y = (x, K, K~)."""
-    x, K, Kt = y
-    J = np.atleast_2d(np.asarray(sde.drift_jac(t, x), dtype=float))
-    return np.atleast_1d(np.asarray(sde.drift(t, x), dtype=float)), J @ K, -Kt @ J
-
-
-def tangents(sde: JumpSde, path: HawkesPath) -> TangentResult:
-    """K_T, its inverse, and the post-jump K_tilde snapshots that give
-    K_T^{T_i} = K_T K_tilde_{T_i}."""
-    _, _, K, Kt, ktil_post, dets, drift = _tangent_sweep(sde, path)
-    return TangentResult(
-        K_T=K,
-        K_tilde_T=Kt,
-        k_tilde_at_jumps=ktil_post,
-        jump_dets=dets,
-        product_drift=drift,
-    )
-
-
-def grad_and_gamma_XT(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
-    """Per-jump coefficients v_i = -K_T^{T_i} phi(T_i, X_{T_i-}) and
-    Gamma[X_T] = sum_{ij} v_i v_j^T (T_i ^ T_j - T_i T_j / T)."""
-    xT, pre, K, _, ktil_post, _, drift = _tangent_sweep(sde, path)
-    n = path.count
-    d = sde.dim
-    t = path.jump_times
-    v = np.zeros((n, d))
-    for i in range(n):
-        phi = phi_jump_sensitivity(sde, float(t[i]), pre[i])
-        v[i] = -(K @ ktil_post[i]) @ phi
-    if n:
-        xi = xi_kernel(path.horizon, t[:, None], t)
-        gamma = v.T @ xi @ v
-        gamma = 0.5 * (gamma + gamma.T)
-    else:
-        gamma = np.zeros((d, d))
-    det, min_eig = _gamma_spectrum(gamma[None], np.array([n]))
-    return SensitivityReport(
-        jump_times=t,
-        horizon=path.horizon,
-        vectors=v,
-        gamma=gamma,
-        det=float(det[0]),
-        min_eig=float(min_eig[0]),
-        product_drift=drift,
-        terminal=xT,
-    )
-
-
-def _gamma_spectrum(gamma: np.ndarray, counts: np.ndarray) -> tuple:
-    """(det, smallest eigenvalue) of every (d, d) Gamma in a (P, d, d) stack,
-    for the per-path oracles' dense Gram.  Below d jumps Gamma has rank < d,
-    so both are exactly 0 there rather than the rounding noise of a
-    computed value."""
-    full = counts >= gamma.shape[-1]
-    dets = np.zeros(full.shape)
-    min_eigs = np.zeros(full.shape)
-    dets[full] = np.linalg.det(gamma[full])
-    min_eigs[full] = np.linalg.eigvalsh(gamma[full])[:, 0]
-    return dets, min_eigs
-
-
 # ---- exact linear engine ----
 
 def _expm_stack(X) -> np.ndarray:
-    """exp of every slice of a (..., n, n) stack, by Pade-13 scaling and
-    squaring (Higham 2005).  Slice k is scaled by its own 2^-s_k, s_k =
-    max(0, ceil(log2(|X_k|_1 / theta_13))); one batched solve gives every
-    r_13(2^-s_k X_k), and squaring round r then runs over the slices with
-    s_k > r.  Every slice takes this one route, defective generators
+    """exp of every slice of a (..., n, n) stack (`_expm_scaled`)."""
+    return _ldexp(*_expm_scaled(X))
+
+
+def _expm_scaled(X) -> tuple:
+    """(R, e) with exp(X_k) = R_k 2^{e_k} for every slice of a (..., n, n)
+    stack, by Pade-13 scaling and squaring (Higham 2005).  Slice k is scaled
+    by its own 2^-s_k, s_k = max(0, ceil(log2(|X_k|_1 / theta_13))); one
+    batched solve gives every r_13(2^-s_k X_k), and squaring round r then
+    runs over the slices with s_k > r, each carrying its scale in e_k
+    (`_rescale`).  Every slice takes this one route, defective generators
     included; a zero slice gives exactly I."""
     X = np.asarray(X, dtype=float)
     shape = X.shape
@@ -559,10 +344,13 @@ def _expm_stack(X) -> np.ndarray:
         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
     )
     R = np.linalg.solve(V - U, V + U)
+    e = np.zeros(R.shape[0], dtype=np.int64)
     for r in range(int(s.max(initial=0))):
         live = np.flatnonzero(s > r)
-        R[live] = R[live] @ R[live]
-    return R.reshape(shape)
+        square, e_live = R[live] @ R[live], 2 * e[live]
+        _rescale(square, e_live)
+        R[live], e[live] = square, e_live
+    return R.reshape(shape), e.reshape(shape[:-2])
 
 
 def _linear_propagators(lin: LinearCoeffs, span, d: int):
@@ -583,83 +371,24 @@ def _linear_phi(lin: LinearCoeffs):
     return lin.A @ lin.beta - lin.M @ lin.b, lin.A @ lin.M - lin.M @ lin.A
 
 
-def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
-    """Closed-form flow and tangents of one path for constant-coefficient
-    linear SDEs: the n + 1 segment propagators come from one
-    `_expm_stack` call, as in `_linear_batch`, so both engines start from
-    the same bits; exact up to the Pade-13 rounding."""
-    lin = sde.linear
-    d = sde.dim
-    T = path.horizon
-    t = path.jump_times
-    n = path.count
-    eye = np.eye(d)
-    J = eye + lin.M
-    det_j = float(np.linalg.det(J))
-    if abs(det_j) < _DET_FLOOR:
-        raise AssumptionError("det(I + M) vanished in the linear jump map")
-    J_inv = np.linalg.solve(J, eye)
-    phi0, comm = _linear_phi(lin)
-    E, c = _linear_propagators(lin, np.diff(t, prepend=0.0, append=T), d)
-    E_inv = np.linalg.solve(E, eye)
-    phi = np.empty((n, d))
-    x = sde.x0.copy()
-    K = eye.copy()
-    Kt = eye.copy()
-    ktil_post = np.empty((n, d, d))
-    for i in range(n):
-        x = E[i] @ x + c[i]
-        K = E[i] @ K
-        Kt = Kt @ E_inv[i]
-        phi[i] = phi0 + comm @ x
-        x = J @ x + lin.beta
-        K = J @ K
-        Kt = Kt @ J_inv
-        ktil_post[i] = Kt
-    x = E[n] @ x + c[n]
-    K = E[n] @ K
-    Kt = Kt @ E_inv[n]
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(K))):
-        raise RuntimeError("linear flow produced non-finite state")
-    v = np.zeros((n, d))
-    for i in range(n):
-        v[i] = -(K @ ktil_post[i]) @ phi[i]
-    if n:
-        xi = xi_kernel(T, t[:, None], t)
-        gamma = v.T @ xi @ v
-        gamma = 0.5 * (gamma + gamma.T)
-    else:
-        gamma = np.zeros((d, d))
-    det, min_eig = _gamma_spectrum(gamma[None], np.array([n]))
-    return SensitivityReport(
-        jump_times=t,
-        horizon=T,
-        vectors=v,
-        gamma=gamma,
-        det=float(det[0]),
-        min_eig=float(min_eig[0]),
-        product_drift=float(np.max(np.abs(K @ Kt - eye))),
-        terminal=x,
-    )
-
-
 def _linear_batch(sde: JumpSde, batch: PathBatch):
     """Exact flow, per-jump vectors and bridge factor of a
     constant-coefficient linear system over a whole batch.
 
     The segment propagators E_s come from one `_expm_stack` call over the
-    real (path, segment) pairs, in the CSR order of `_segments`.  x then
-    advances one ordinal at a time, vectorized over the paths that reach
-    it, and each jump records phi(X_{T_i-}); `_backward_vectors` forms the
-    v_i and the bridge factor from the E_s and the jump factor I + M.
+    real (path, segment) pairs, in the CSR order of `_segments`; a tangent
+    E_s outside [2^-500, 2^500) is taken again from exp(A span) alone, with
+    its power of two (`_expm_scaled`).  x then advances one ordinal at a
+    time, vectorized over the paths that reach it, and each jump records
+    phi(X_{T_i-}); `_backward_vectors` forms the v_i and the bridge factor
+    from the E_s and the jump factor I + M.  Returns (terminal (P, d),
+    vectors, factor, scale), the last three as `_backward_vectors` gives them.
 
-    Returns (terminal (P, d), vectors (J, d), factor (J, d)), both in
-    flat_times order.  A flow that overflows (say a large positive
-    eigenvalue of A over a long span) raises RuntimeError, as the RK4
-    engine does, rather than reporting nan Gammas, and without numpy's
-    overflow warnings: propagators that overflow are refused before the
-    ordinal loop, and the final check catches a state or a vector that
-    overflows over many finite ones.
+    A flow that overflows (say a large positive eigenvalue of A over a long
+    span) raises RuntimeError, as the RK4 engine does, rather than report
+    nan Gammas or numpy's overflow warnings: overflowing propagators are
+    refused before the ordinal loop, and the final check catches a state
+    or vector that overflows over many finite ones.
     """
     lin = sde.linear
     d = sde.dim
@@ -671,10 +400,14 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
         raise AssumptionError("det(I + M) vanished in the linear jump map")
     phi0, comm = _linear_phi(lin)
     seg_offsets, starts, ends = _segments(batch)
+    span = ends - starts
     with np.errstate(over="ignore", invalid="ignore"):
-        E, c = _linear_propagators(lin, ends - starts, d)
+        E, c = _linear_propagators(lin, span, d)
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(c))):
         raise RuntimeError("linear flow propagators overflow: non-finite state")
+    tangent, e_seg = E.copy(), np.zeros(span.size, dtype=np.int64)
+    far, _ = _far_slices(E)
+    tangent[far], e_seg[far] = _expm_scaled(lin.A * span[far, None, None])
     x = np.tile(sde.x0, (P, 1))
     phi = np.empty((batch.flat_times.size, d))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -685,26 +418,32 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
             idx = idx[counts[idx] > j]
             phi[batch.offsets[idx] + j] = phi0 + _matvec(comm, x[idx])
             x[idx] = _matvec(J, x[idx]) + lin.beta
-        vectors, factor = _backward_vectors(batch, E, np.broadcast_to(J, phi.shape + (d,)), phi)
+        vectors, factor, scale = _backward_vectors(
+            batch, tangent, e_seg, np.broadcast_to(J, phi.shape + (d,)), phi
+        )
     if not all(np.all(np.isfinite(a)) for a in (x, vectors, factor)):
         raise RuntimeError("batch flow integration produced non-finite state")
-    return x, vectors, factor
+    return x, vectors, factor, scale
 
 
-def _backward_vectors(batch: PathBatch, E: np.ndarray, F: np.ndarray, phi: np.ndarray) -> tuple:
-    """(v, w) of every jump, each (J, d) in flat_times order: the vectors
-    v_i = -K_{T_i->T} phi_i and the bridge factor w_i, with
-    sum_i w_i w_i^T = Gamma[X_T] on each path.  From the tangent E_s of
-    every `_segments` segment (S, d, d), the jump factors
-    F_i = I + grad_x g (J, d, d) and phi_i (J, d).
+def _backward_vectors(
+    batch: PathBatch, E: np.ndarray, e_seg: np.ndarray, F: np.ndarray, phi: np.ndarray
+) -> tuple:
+    """(v, w, scale): the vectors v_i = -K_{T_i->T} phi_i and the bridge
+    factor w_i of every jump, (J, d) in flat_times order, in units of
+    2^scale, a power of two per path (P,): sum_i w_i w_i^T = 4^-scale
+    Gamma[X_T].  From the tangents E_s 2^{e_seg} of the `_segments`
+    segments (S, d, d), the jump factors F_i = I + grad_x g (J, d, d) and
+    phi_i (J, d).
 
     K_{T_i->T} = E_n F_{n-1} E_{n-1} ... F_{i+1} E_{i+1} on a path with n
     jumps, where segment i ends at jump i.  Each path's jumps are walked
     from the last, in adjoint order (Giles and Glasserman, "Smoking
     adjoints", Risk 2006): B = E_n, v_i = -B phi_i, then B <- B F_i E_i,
-    vectorized over the paths with a jump at each step back.  Only products
-    appear, so no inverse is taken, and a flow that contracts to 0 gives
-    v_i = 0.
+    vectorized over the paths with a jump at each step back.  No inverse is
+    taken, and B carries its power of two (`_rescale`), so a flow that
+    contracts past the double range keeps its v_i; every other path keeps
+    scale 0 and every bit.
 
     xi(s, t) = s ^ t - s t / T is the Brownian-bridge covariance, whose
     sequential construction B_{t_j} = a_j B_{t_{j-1}} + sqrt(c_j) Z_j
@@ -712,10 +451,10 @@ def _backward_vectors(batch: PathBatch, E: np.ndarray, F: np.ndarray, phi: np.nd
     factors Xi = L L^T; with t_0 = 0,
     c_j = (t_j - t_{j-1}) (T - t_j) / (T - t_{j-1}) and
     a_j = (T - t_j) / (T - t_{j-1}).  The same walk forms W = L^T V:
-    u_n = v_n, u_j = v_j + a_{j+1} u_{j+1}, w_j = sqrt(c_j) u_j.  No
-    denominator vanishes, a jump at T gets c_n = 0, and no term cancels.
-    Every product is a stacked one, so a path's bits do not depend on its
-    batch.
+    u_n = v_n, u_j = v_j + a_{j+1} u_{j+1}, w_j = sqrt(c_j) u_j, u at the
+    larger power of two of its terms.  No denominator vanishes, a jump at T
+    gets c_n = 0, and no term cancels.  Every product is a stacked one, so a
+    path's bits do not depend on its batch.
     """
     counts = batch.counts()
     t = batch.flat_times
@@ -727,19 +466,28 @@ def _backward_vectors(batch: PathBatch, E: np.ndarray, F: np.ndarray, phi: np.nd
     a = (batch.horizon - t) / (batch.horizon - prev)
     root_c = np.sqrt((t - prev) * a)
     step_back = _matmul(F, E[seg])
-    B = E[batch.offsets[1:] + np.arange(counts.size)]
-    u = np.zeros((counts.size, phi.shape[1]))
-    v = np.empty(phi.shape)
-    w = np.empty(phi.shape)
+    last = batch.offsets[1:] + np.arange(counts.size)
+    B, e_B = E[last], e_seg[last]
+    u, e_u = np.zeros((counts.size, phi.shape[1])), np.zeros(counts.size, dtype=np.int64)
+    v, e_v = np.empty(phi.shape), np.empty(t.size, dtype=np.int64)
+    w, e_w = np.empty(phi.shape), np.empty(t.size, dtype=np.int64)
     for r in range(int(counts.max(initial=0))):
         idx = np.flatnonzero(counts > r)
         flat = batch.offsets[idx + 1] - 1 - r
-        v[flat] = -_matvec(B[idx], phi[flat])
-        u[idx] = v[flat] if r == 0 else v[flat] + a[flat + 1, None] * u[idx]
-        w[flat] = root_c[flat, None] * u[idx]
-        more = counts[idx] > r + 1
-        B[idx[more]] = _matmul(B[idx[more]], step_back[flat[more]])
-    return v, w
+        v[flat], e_v[flat] = -_matvec(B[idx], phi[flat]), e_B[idx]
+        if r == 0:
+            u[idx], e_u[idx] = v[flat], e_B[idx]
+        else:
+            top = np.maximum(e_u[idx], e_B[idx])
+            u[idx] = _ldexp(v[flat], e_B[idx] - top) + a[flat + 1, None] * _ldexp(u[idx], e_u[idx] - top)
+            e_u[idx] = top
+        w[flat], e_w[flat] = root_c[flat, None] * u[idx], e_u[idx]
+        more, back = idx[counts[idx] > r + 1], flat[counts[idx] > r + 1]
+        B_more, e_more = _matmul(B[more], step_back[back]), e_B[more] + e_seg[seg[back]]
+        _rescale(B_more, e_more)
+        B[more], e_B[more] = B_more, e_more
+    shift = e_u[path_of_jump]
+    return _ldexp(v, e_v - shift), _ldexp(w, e_w - shift), e_u
 
 
 # ---- lockstep RK4 engine ----
@@ -748,24 +496,23 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     """Flow, per-jump vectors and bridge factor of every path, by time-major
     lockstep RK4, for any system without exact linear coefficients.
 
-    Each path walks its own segment schedule: `_segment_steps` steps of
-    h = span / steps per jump-free segment, at t = t_start + k h, the
-    schedule of the per-path solvers.  One lockstep iteration advances every
-    unfinished path by one step of x' = f and K' = (grad f) K, with the
-    state (P, d) and the tangent (P, d, d) packed into one array.  K starts
-    from I on every segment, so at the segment's end it is that segment's
-    tangent E_s.  A path that reaches a segment end takes steps of h = 0
-    until the next pass over segment ends; a pass costs a few steps' time,
-    and on a large batch some path ends a segment at almost every
-    iteration, so the passes run every _CLOSE_EVERY iterations.  There the
-    path stores E_s and restarts K from I, and if a jump ends the segment,
-    it stores F_i = I + grad g and phi_i and takes x <- x + g.  Waiting
-    moves no bit of a path.  `_backward_vectors` then forms the v_i and the
-    bridge factor.  For d = 1 the products are elementwise, since a
-    (P, 1, 1) matmul costs several times a multiply.
-
-    Returns (terminal (P, d), vectors (J, d), factor (J, d)), as
-    `_linear_batch` does.
+    Each path walks its own schedule, whatever its batch: `_segment_steps`
+    steps of h = span / steps per jump-free segment, at t = t_start + k h.
+    One lockstep iteration advances every unfinished path by one step of
+    x' = f and K' = (grad f) K, the state (P, d) and the tangent (P, d, d)
+    packed into one array.  K starts from I on every segment, so at the
+    segment's end it is that segment's tangent E_s.  A path that reaches a
+    segment end steps with h = 0 until the next pass over segment ends,
+    every _CLOSE_EVERY iterations, since on a large batch some path ends a
+    segment at almost every iteration.  There the path stores E_s and
+    restarts K from I, and if a jump ends the segment, it stores
+    F_i = I + grad g and phi_i and takes x <- x + g.  Waiting moves no bit
+    of a path.  Every _RESCALE_EVERY iterations a K outside [2^-500, 2^500)
+    moves its scale to a power of two (`_rescale`); an RK4 step multiplies
+    a stable real mode by at least 0.27.  `_backward_vectors` then forms
+    the v_i and the bridge factor, and the result is (terminal (P, d),
+    vectors, factor, scale), as `_linear_batch` gives it.  For d = 1 the
+    products are elementwise: a (P, 1, 1) matmul costs several multiplies.
     """
     d = sde.dim
     T = batch.horizon
@@ -785,7 +532,8 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     # array operation, and each component is a contiguous row
     y = np.repeat(np.concatenate([sde.x0, eye.ravel()])[:, None], P, axis=1)
     xs, Ks = slice(0, d), slice(d, d + d * d)
-    E = np.empty((span.size, d, d))
+    E, e_seg = np.empty((span.size, d, d)), np.zeros(span.size, dtype=np.int64)
+    e_K = np.zeros(P, dtype=np.int64)  # the power of two of every path's K
     F = np.empty((batch.flat_times.size, d, d))
     phi = np.empty((batch.flat_times.size, d))
 
@@ -804,7 +552,9 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
         at once."""
         s = seg[idx]
         E[s] = y[Ks, idx].T.reshape(-1, d, d)
+        e_seg[s] = e_K[idx]
         y[Ks, idx] = eye.reshape(-1, 1)
+        e_K[idx] = 0
         jumping = s < last[idx]
         if jumping.any():
             jump = idx[jumping]
@@ -840,6 +590,8 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     ended = [np.flatnonzero(n == 0)]
     it = 0
     while True:
+        if it % _RESCALE_EVERY == 0:
+            _rescale(y[Ks].T, e_K)
         if it % _CLOSE_EVERY == 0:
             idx = np.concatenate(ended)
             ended = []
@@ -855,10 +607,10 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
         ended.append(idx)
         it += 1
     x = y[xs].T.copy()
-    vectors, factor = _backward_vectors(batch, E, F, phi)
+    vectors, factor, scale = _backward_vectors(batch, E, e_seg, F, phi)
     if not all(np.all(np.isfinite(a)) for a in (x, vectors, factor)):
         raise RuntimeError("batch flow integration produced non-finite state")
-    return x, vectors, factor
+    return x, vectors, factor, scale
 
 
 # ---- absolute-continuity criteria ----
@@ -901,29 +653,17 @@ def density_criteria(
     `min_jumps` is the conditioning threshold (how many jumps the spanning
     argument needs); it defaults to the dimension d.  Linear systems, d = 1
     included, take the exact batched engine; every other system takes the
-    lockstep RK4 engine.  The singular values s_1 >= ... >= s_d of each
-    path's (n, d) block of W give det = prod s_k^2, the smallest eigenvalue
-    s_d^2 and the rank, the number of s_k above s_1 max(n, d) eps
-    (`np.linalg.matrix_rank`'s tolerance).  Below d jumps the missing s_k
-    are 0, so det and the smallest eigenvalue are exactly 0.  Paths are
-    grouped by jump count, so each comes from that path's own block.
+    lockstep RK4 engine.  det, the smallest eigenvalue and the rank come
+    from the singular values of each path's block of W (`_spectrum`).
     """
     counts = batch.counts()
-    P = batch.n_paths
     d = sde.dim
     engine = _linear_batch if sde.linear is not None else _rk4_batch
-    terminal, _, factor = engine(sde, batch)
-    sigma = np.zeros((P, d))
-    for n in np.unique(counts[counts > 0]):
-        paths = np.flatnonzero(counts == n)
-        rows = batch.offsets[paths][:, None] + np.arange(n)
-        sigma[paths, :min(n, d)] = np.linalg.svd(factor[rows], compute_uv=False)
-    tol = sigma[:, 0] * np.maximum(counts, d) * np.finfo(float).eps
-    ranks = np.sum(sigma > tol[:, None], axis=1)
+    terminal, _, factor, scale = engine(sde, batch)
+    dets, min_eigs, ranks = _spectrum(batch, factor, scale, d)
     ell = d if min_jumps is None else int(min_jumps)
     cond = counts >= ell
     flags = cond & (ranks == d)
-    min_eigs = sigma[:, -1] ** 2
     n_cond = int(cond.sum())
     margin = certified = None
     if d == 1 and None not in (sde.wronskian_inf, sde.f_second_sup, sde.g_sup):
@@ -932,19 +672,78 @@ def density_criteria(
     return DensityCriteria(
         label=sde.label,
         kind="scalar" if d == 1 else "linear-ddim" if sde.linear is not None else "general-ddim",
-        n_paths=P,
-        n_conditioned=n_cond,
-        min_jumps=ell,
-        counts=counts,
-        terminal=terminal,
-        per_path_det=np.prod(sigma**2, axis=1),
-        per_path_min_eig=min_eigs,
-        per_path_flag=flags,
+        n_paths=batch.n_paths, n_conditioned=n_cond, min_jumps=ell, counts=counts, terminal=terminal,
+        per_path_det=dets, per_path_min_eig=min_eigs, per_path_flag=flags,
         min_gamma=float(min_eigs[cond].min()) if n_cond else math.nan,
         n_nonpositive=n_cond - int(flags.sum()),
-        wronskian_margin=margin,
-        wronskian_certified=certified,
-        min_rank=int(ranks[cond].min()) if n_cond else None,
-        rank_target=d,
+        wronskian_margin=margin, wronskian_certified=certified,
+        min_rank=int(ranks[cond].min()) if n_cond else None, rank_target=d,
         passed=n_cond > 0 and bool(flags[cond].all()),
+    )
+
+
+def _spectrum(batch: PathBatch, factor: np.ndarray, scale: np.ndarray, d: int) -> tuple:
+    """(det, smallest eigenvalue, rank) of every path's Gamma = 4^scale W^T W.
+    The singular values s_1 >= ... >= s_d of the path's (n, d) block of W
+    give det = 4^(d scale) prod s_k^2 and the smallest eigenvalue
+    4^scale s_d^2, rounded to doubles (0.0 below 2^-1074), and the rank, the
+    number of s_k above s_1 max(n, d) eps (`np.linalg.matrix_rank`'s
+    tolerance).  Below d jumps the missing s_k are 0, so det and the
+    smallest eigenvalue are exactly 0.  Grouping paths by jump count gives
+    each its own block's bits."""
+    counts = batch.counts()
+    sigma = np.zeros((counts.size, d))
+    for n in np.unique(counts[counts > 0]):
+        paths = np.flatnonzero(counts == n)
+        rows = batch.offsets[paths][:, None] + np.arange(n)
+        sigma[paths, :min(n, d)] = np.linalg.svd(factor[rows], compute_uv=False)
+    tol = sigma[:, 0] * np.maximum(counts, d) * np.finfo(float).eps
+    ranks = np.sum(sigma > tol[:, None], axis=1)
+    dets = np.ldexp(np.prod(sigma**2, axis=1), 2 * d * scale)
+    return dets, np.ldexp(sigma[:, -1] ** 2, 2 * scale), ranks
+
+
+# ---- one path ----
+
+@dataclass(frozen=True, eq=False)
+class SensitivityReport:
+    jump_times: np.ndarray
+    horizon: float
+    vectors: np.ndarray    # (n, d): v_i = -K_{T_i->T} phi(T_i, X_{T_i-})
+    gamma: np.ndarray      # (d, d): W^T W
+    det: float
+    min_eig: float
+    terminal: np.ndarray
+
+    def gradient_component(self, component: int = 0):
+        """The scalar-component gradient in the shared jump-time
+        representation (partials = v_i[component])."""
+        return MalliavinGradient(
+            self.jump_times, self.vectors[:, component].copy(), self.horizon
+        )
+
+
+def grad_and_gamma_XT(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
+    """Per-jump vectors v_i = -K_{T_i->T} phi(T_i, X_{T_i-}) and
+    Gamma[X_T] = W^T W of one path: the one-path view of the engine that
+    `density_criteria` takes, so the terminal state, det and smallest
+    eigenvalue are the bits it reports for the path in any batch."""
+    if sde.linear is not None:
+        return _linear_sensitivity(sde, path)
+    return _one_path(sde, path, _rk4_batch)
+
+
+def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
+    """`grad_and_gamma_XT` of a linear system, on the exact engine."""
+    return _one_path(sde, path, _linear_batch)
+
+
+def _one_path(sde: JumpSde, path: HawkesPath, engine) -> SensitivityReport:
+    batch = PathBatch(path.horizon, 0, 0, np.array([0, path.count]), path.jump_times)
+    terminal, v, w, scale = engine(sde, batch)
+    dets, min_eigs, _ = _spectrum(batch, w, scale, sde.dim)
+    return SensitivityReport(
+        jump_times=path.jump_times, horizon=path.horizon, vectors=np.ldexp(v, scale[0]),
+        gamma=np.ldexp(w.T @ w, 2 * scale[0]), det=float(dets[0]), min_eig=float(min_eigs[0]),
+        terminal=terminal[0],
     )

@@ -55,13 +55,13 @@ from hawkmal.model import (
 )
 from hawkmal.sde import (
     JumpSde,
+    _rk4_batch,
     density_criteria,
     grad_and_gamma_XT,
     sde_preset,
-    solve_path,
-    tangents,
 )
-from hawkmal.simulate import HawkesPath, compensator_batch, simulate_batch
+from hawkmal.simulate import compensator_batch, simulate_batch
+from sde_oracles import jump_time_fd, tangents
 from hawkmal.greeks import mc_estimate
 
 T = 5.0
@@ -312,22 +312,17 @@ def test_09_gradient_oracles(model):
         assert checked > 50
 
         sde = JumpSde.cos_sin(x0=0.3)
-        for path in itertools.islice(batch, 20):
-            if path.count == 0:
-                continue
+        paths = [path for path in itertools.islice(batch, 20) if path.count]
+        fd = jump_time_fd(sde, [path.jump_times for path in paths], T, h)
+        start = 0
+        for path in paths:
             rep = grad_and_gamma_XT(sde, path)
             for i in range(path.count):
-                up, dn = path.jump_times.copy(), path.jump_times.copy()
-                up[i] += h
-                dn[i] -= h
-                fd = (
-                    solve_path(sde, HawkesPath(up, T)).terminal[0]
-                    - solve_path(sde, HawkesPath(dn, T)).terminal[0]
-                ) / (2.0 * h)
                 # abs floor: FD noise dominates when the coefficient is ~0
-                assert rep.vectors[i, 0] == pytest.approx(fd, rel=1e-4, abs=1e-6), (
+                assert rep.vectors[i, 0] == pytest.approx(fd[start + i], rel=1e-4, abs=1e-6), (
                     f"jump {i}"
                 )
+            start += path.count
             g = rep.gradient_component(0)
             energy = _piecewise_energy(g)
             assert abs(rep.gamma[0, 0] - energy) <= 1e-12 * max(1.0, abs(energy))
@@ -371,9 +366,9 @@ def test_11_sde_suite(model):
         sde = JumpSde.cos_sin(x0=0.0)
         short = simulate_batch(model, 2.0, SEED + 11, 100)
         euler = _euler_terminal(sde, short, n_grid=200_000)
-        for i, path in enumerate(short):
-            sol = solve_path(sde, path)
-            assert abs(sol.terminal[0] - euler[i]) <= 1e-3 * max(1.0, abs(sol.terminal[0]))
+        terminal = _rk4_batch(sde, short)[0][:, 0]
+        for i in range(short.n_paths):
+            assert abs(terminal[i] - euler[i]) <= 1e-3 * max(1.0, abs(terminal[i]))
 
         for path in itertools.islice(short, 40):
             assert tangents(sde, path).product_drift <= 1e-8

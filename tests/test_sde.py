@@ -1,6 +1,7 @@
 """Jump-SDE checks: flow accuracy against closed forms and an independent
 Euler scheme, tangent closed forms, FD oracles for the per-jump vectors,
-and the absolute-continuity criteria."""
+and the absolute-continuity criteria.  The batch engines are checked
+against the per-path K/K~ solvers of `sde_oracles`."""
 import dataclasses
 import hashlib
 import math
@@ -25,11 +26,7 @@ from hawkmal.sde import (
     _backward_vectors,
     density_criteria,
     grad_and_gamma_XT,
-    phi_jump_sensitivity,
     sde_preset,
-    solve_flow,
-    solve_path,
-    tangents,
     _THETA13,
     _expm_stack,
     _linear_batch,
@@ -39,7 +36,17 @@ from hawkmal.sde import (
     _segment_steps,
     _segments,
 )
-from hawkmal.simulate import HawkesPath, PathBatch, simulate_batch
+from hawkmal.simulate import HawkesPath, simulate_batch
+from sde_oracles import (
+    batch_of,
+    jump_time_fd,
+    linear_tangent_sensitivity,
+    phi_jump_sensitivity,
+    solve_flow,
+    solve_path,
+    tangent_sensitivity,
+    tangents,
+)
 
 
 def reference_model():
@@ -241,16 +248,9 @@ def test_vectors_match_jump_time_fd():
     t = np.array([0.6, 1.1, 1.7])
     path = HawkesPath(t, horizon=2.0)
     rep = grad_and_gamma_XT(sde, path)
-    h = 1e-6
+    fd = jump_time_fd(sde, [t], 2.0, h=1e-6)
     for i in range(t.size):
-        up, dn = t.copy(), t.copy()
-        up[i] += h
-        dn[i] -= h
-        fd = (
-            solve_path(sde, HawkesPath(up, 2.0)).terminal[0]
-            - solve_path(sde, HawkesPath(dn, 2.0)).terminal[0]
-        ) / (2.0 * h)
-        assert rep.vectors[i, 0] == pytest.approx(fd, rel=1e-4), f"jump {i}"
+        assert rep.vectors[i, 0] == pytest.approx(fd[i], rel=1e-4), f"jump {i}"
 
 
 def test_vectors_linear_ddim_closed_form():
@@ -287,8 +287,8 @@ def test_gamma_agrees_with_xi_gram():
 def test_linear_engine_matches_rk4():
     sde = sde_preset("linear-d2")
     path = HawkesPath(np.array([0.8, 2.2, 3.1, 4.4]), horizon=5.0)
-    exact = _linear_sensitivity(sde, path)
-    generic = grad_and_gamma_XT(sde, path)
+    exact = linear_tangent_sensitivity(sde, path)
+    generic = tangent_sensitivity(sde, path)
     np.testing.assert_allclose(exact.terminal, generic.terminal, rtol=1e-9)
     np.testing.assert_allclose(exact.vectors, generic.vectors, rtol=1e-8)
     np.testing.assert_allclose(exact.gamma, generic.gamma, rtol=1e-8)
@@ -297,10 +297,10 @@ def test_linear_engine_matches_rk4():
 
 def test_batch_sweep_matches_per_path(short_batch):
     sde = JumpSde.cos_sin(x0=0.0)
-    terminal, _, factor = _rk4_batch(sde, short_batch)
+    terminal, _, factor, _ = _rk4_batch(sde, short_batch)
     gamma = factor_gram(short_batch, factor)
     for i, path in enumerate(short_batch):
-        rep = grad_and_gamma_XT(sde, path)
+        rep = tangent_sensitivity(sde, path)
         assert terminal[i, 0] == pytest.approx(rep.terminal[0], rel=1e-9)
         assert gamma[i, 0, 0] == pytest.approx(rep.gamma[0, 0], rel=1e-9, abs=1e-13)
 
@@ -386,7 +386,7 @@ def test_density_criteria_general_ddim_matches_per_path(short_batch):
     assert crit.kind == "general-ddim" and crit.min_jumps == 2 and crit.rank_target == 2
     counts = short_batch.counts()
     assert (counts >= 2).any() and (counts < 2).any()
-    reps = [grad_and_gamma_XT(sde, path) for path in short_batch]
+    reps = [tangent_sensitivity(sde, path) for path in short_batch]
     ranks = [np.linalg.matrix_rank(rep.vectors) if rep.vectors.size else 0 for rep in reps]
     for i, rep in enumerate(reps):
         np.testing.assert_array_equal(crit.terminal[i], rep.terminal)
@@ -401,24 +401,36 @@ def test_density_criteria_general_ddim_matches_per_path(short_batch):
     assert crit.n_conditioned == int(np.sum(counts >= 2))
 
 
+def test_linear_systems_take_the_exact_engine():
+    """On `linear-d2` (seed 11, 200 reference paths) one path has 26 jumps
+    and |x_2| reaches 5e14.  A and M commute, so phi = A beta - M b = beta
+    and v_i = -e^{T - T_i} (I + M)^{n-1-i} beta exactly: the last is
+    (-1.5012724, -1.5012724).  The RK4 route forms
+    phi = f(x + g) - (I + grad g) f(x) from terms of size |x_2|, and gave
+    -1.548 in component 2 there (3.1 % off), so `grad_and_gamma_XT` and
+    `density_criteria` must both take the exact engine."""
+    sde = sde_preset("linear-d2")
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=11, n_paths=200)
+    i = int(np.argmax(batch.counts()))
+    path = batch.path(i)
+    assert path.count == 26
+    rep = grad_and_gamma_XT(sde, path)
+    assert abs(rep.terminal[1]) > 1e14
+    powers = np.diag(sde.linear.M)[None, :] + 1.0
+    k = (path.count - 1 - np.arange(path.count))[:, None]
+    want = -np.exp(5.0 - path.jump_times)[:, None] * powers**k * sde.linear.beta
+    np.testing.assert_allclose(rep.vectors, want, rtol=1e-12)
+    np.testing.assert_allclose(rep.vectors[-1], [-1.5012724] * 2, rtol=1e-7)
+    crit = density_criteria(sde, batch)
+    assert crit.per_path_det[i] == rep.det and crit.per_path_min_eig[i] == rep.min_eig
+
+
 def test_unknown_preset():
     with pytest.raises(ValueError, match="preset"):
         sde_preset("heston")
 
 
 # ---- batched engines against the per-path oracles ----
-
-def batch_of(paths, T):
-    """PathBatch holding the given sorted jump-time lists."""
-    counts = [len(t) for t in paths]
-    return PathBatch(
-        horizon=T,
-        master_seed=0,
-        first_index=0,
-        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
-        flat_times=np.concatenate([np.asarray(t, dtype=float) for t in paths] + [np.empty(0)]),
-    )
-
 
 def factor_gram(batch, factor):
     """Gamma[X_T] = W^T W of every path, (P, d, d), from an engine's bridge
@@ -493,7 +505,7 @@ def test_time_major_sweep_matches_per_path(paths, near_T, outlier, x0, timed):
     reps = []
     for path in batch:
         try:
-            reps.append(grad_and_gamma_XT(sde, path))
+            reps.append(tangent_sensitivity(sde, path))
         except AssumptionError:
             reps.append(None)
     if any(rep is None for rep in reps):
@@ -501,7 +513,7 @@ def test_time_major_sweep_matches_per_path(paths, near_T, outlier, x0, timed):
         with pytest.raises(AssumptionError):
             _rk4_batch(sde, batch)
         return
-    terminal, _, factor = _rk4_batch(sde, batch)
+    terminal, _, factor, _ = _rk4_batch(sde, batch)
     gamma = factor_gram(batch, factor)
     for i, (path, rep) in enumerate(zip(batch, reps)):
         assert terminal[i, 0] == pytest.approx(rep.terminal[0], rel=1e-9, abs=1e-12)
@@ -568,10 +580,10 @@ def test_batched_linear_engine_matches_per_path(system, paths):
     T = _LINEAR_T
     d = system.dim
     batch = batch_of(paths + [[]], T)
-    terminal, _, factor = _linear_batch(system, batch)
+    terminal, _, factor, _ = _linear_batch(system, batch)
     gamma = factor_gram(batch, factor)
     crit = density_criteria(system, batch)
-    reps = [_linear_sensitivity(system, path) for path in batch]
+    reps = [linear_tangent_sensitivity(system, path) for path in batch]
     floor = 1e-9
     if system.label == "random-3d":
         floor = max(floor, 10.0 * max(rep.product_drift for rep in reps))
@@ -595,9 +607,9 @@ def test_linear_engines_noncommuting_match_rk4():
     assert np.max(np.abs(sde.linear.A @ sde.linear.M - sde.linear.M @ sde.linear.A)) > 0.1
     t = [0.5, 1.0, 1.5, 1.75, 1.875]
     batch = batch_of([t], _LINEAR_T)
-    generic = grad_and_gamma_XT(sde, batch.path(0))
-    exact = _linear_sensitivity(sde, batch.path(0))
-    terminal, vectors, factor = _linear_batch(sde, batch)
+    generic = tangent_sensitivity(sde, batch.path(0))
+    exact = linear_tangent_sensitivity(sde, batch.path(0))
+    terminal, vectors, factor, _ = _linear_batch(sde, batch)
     gamma = factor_gram(batch, factor)
     for vec, gam in ((exact.vectors, exact.gamma), (vectors, gamma[0])):
         np.testing.assert_allclose(vec, generic.vectors, rtol=1e-8, atol=1e-12)
@@ -614,8 +626,8 @@ def test_rk4_engine_broadcasts_constant_jacobians():
     batch = batch_of(
         [[0.8, 2.2, 3.1, 4.4], [1.5], [], [0.3, 0.35, 4.9], [2.0, 2.5]], 5.0
     )
-    terminal, vectors, factor = _rk4_batch(generic, batch)
-    ref_terminal, ref_vectors, ref_factor = _linear_batch(exact, batch)
+    terminal, vectors, factor, _ = _rk4_batch(generic, batch)
+    ref_terminal, ref_vectors, ref_factor, _ = _linear_batch(exact, batch)
     np.testing.assert_allclose(terminal, ref_terminal, rtol=1e-9)
     np.testing.assert_allclose(vectors, ref_vectors, rtol=1e-8)
     np.testing.assert_allclose(factor, ref_factor, rtol=1e-8)
@@ -644,11 +656,11 @@ _ENGINE_SYSTEMS = {
 def test_batch_engines_give_each_path_its_one_path_bits(system, paths):
     # a path's terminal state, vectors, bridge factor and criterion (det,
     # smallest eigenvalue, flag) must not depend on the other paths of its
-    # batch
+    # batch, and `grad_and_gamma_XT` must report the same bits for the path
     engine, make = _ENGINE_SYSTEMS[system]
     sde = make()
     batch = batch_of(paths + [[]], _SWEEP_T)
-    terminal, vectors, factor = engine(sde, batch)
+    terminal, vectors, factor, scale = engine(sde, batch)
     crit = density_criteria(sde, batch)
     for i, path in enumerate(batch):
         one = batch_of([path.jump_times], _SWEEP_T)
@@ -658,10 +670,16 @@ def test_batch_engines_give_each_path_its_one_path_bits(system, paths):
         np.testing.assert_array_equal(terminal[i], alone[0][0])
         np.testing.assert_array_equal(vectors[rows], alone[1])
         np.testing.assert_array_equal(factor[rows], alone[2])
+        np.testing.assert_array_equal(scale[i], alone[3][0])
         for field in ("per_path_det", "per_path_min_eig", "per_path_flag"):
             np.testing.assert_array_equal(
                 getattr(crit, field)[i], getattr(crit_alone, field)[0], err_msg=field
             )
+        rep = grad_and_gamma_XT(sde, path)
+        np.testing.assert_array_equal(rep.terminal, terminal[i])
+        np.testing.assert_array_equal(rep.vectors, np.ldexp(vectors[rows], scale[i]))
+        np.testing.assert_array_equal(rep.gamma, np.ldexp(factor[rows].T @ factor[rows], 2 * scale[i]))
+        assert rep.det == crit.per_path_det[i] and rep.min_eig == crit.per_path_min_eig[i]
 
 
 def test_cos_sin_sweep_known_answer():
@@ -670,7 +688,7 @@ def test_cos_sin_sweep_known_answer():
     factor is formed by `_backward_vectors` with the v_i.  (numpy's
     vectorized cos/sin may round differently on other CPU families.)"""
     batch = simulate_batch(reference_model(), T=5.0, master_seed=2024, n_paths=200)
-    terminal, _, factor = _rk4_batch(JumpSde.cos_sin(x0=0.0), batch)
+    terminal, _, factor, _ = _rk4_batch(JumpSde.cos_sin(x0=0.0), batch)
     digest = hashlib.sha256(terminal.tobytes() + factor.tobytes()).hexdigest()
     assert digest == "f82c23fedf4757653ef925b03955339725f3bd7415ada3cc248efab0f28512e7"
 
@@ -702,11 +720,11 @@ def test_solve_flow_known_answer():
     ],
 )
 def test_grad_and_gamma_known_answer(preset, digest):
-    """sha256 of the per-path tangent engine's vectors, Gamma, terminal state
+    """sha256 of the per-path K/K~ oracle's vectors, Gamma, terminal state
     and product drift on a fixed multi-jump path (close jumps, one just
     before T)."""
     path = HawkesPath(np.array([0.4, 1.3, 1.35, 2.9, 4.6, 4.999]), horizon=5.0)
-    rep = grad_and_gamma_XT(sde_preset(preset), path)
+    rep = tangent_sensitivity(sde_preset(preset), path)
     assert _sha256_of(rep.vectors, rep.gamma, rep.terminal, rep.product_drift) == digest
 
 
@@ -722,7 +740,7 @@ def test_density_criteria_exact_zero_below_dimension():
     np.testing.assert_array_equal(crit.per_path_det[few], 0.0)
     np.testing.assert_array_equal(crit.per_path_min_eig[few], 0.0)
     full = counts >= 2
-    _, vectors, _ = _linear_batch(sde, batch)
+    _, vectors, _, _ = _linear_batch(sde, batch)
     want = [mp_spectrum(vectors, batch, i)[0] for i in np.flatnonzero(full)]
     np.testing.assert_allclose(crit.per_path_det[full], want, rtol=1e-12, atol=0.0)
     assert crit.passed and crit.n_conditioned == int(full.sum())
@@ -835,40 +853,80 @@ def test_linear_engines_raise_on_a_blown_up_flow():
             _linear_sensitivity(sde, batch.path(0))
 
 
+def contracting_closed_forms(batch, a, alpha, T):
+    """log |v_i / phi| of every jump of dX = (a X + b) dt + (alpha X- + beta)
+    dN, in flat order, exactly, a (T - T_i) + (n - 1 - i) log(1 + alpha),
+    and for the RK4 engine, with e^{a h} replaced by the RK4 factor
+    1 + z + z^2/2 + z^3/6 + z^4/24, z = a h, of each of its steps."""
+    seg_offsets, starts, ends = _segments(batch)
+    steps = _segment_steps(ends - starts, T)
+    z = a * (ends - starts) / np.maximum(steps, 1)
+    log_rk4 = steps * np.log(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    log_exact, log_step = [], []
+    for p, path in enumerate(batch):
+        n = path.count
+        after = seg_offsets[p] + np.arange(1, n + 1)   # the segments after each jump
+        jumps = (n - 1 - np.arange(n)) * math.log1p(alpha)
+        log_exact += list(a * (T - path.jump_times) + jumps)
+        log_step += list(np.cumsum(log_rk4[after][::-1])[::-1] + jumps)
+    return np.array(log_exact), np.array(log_step)
+
+
 def test_batch_engines_survive_a_contracting_flow():
     """dX = (-200 X + 0.1) dt contracts every tangent to 0 over [0, 5].  Both
     batch engines must give finite vectors without a warning: v_i is a
     product of tangents, and nothing inverts one that has underflowed.
     The exact engine must match v_i = -e^{a (T - T_i)} (1 + alpha)^{n-1-i}
     (a beta - alpha b), and the RK4 engine the same product with e^{a h}
-    replaced by the RK4 factor 1 + z + z^2/2 + z^3/6 + z^4/24, z = a h, of
-    each of its steps; results below the normal range are rounding noise."""
+    replaced by the RK4 factor of each of its steps; results below the
+    normal range are rounding noise."""
     a, b, alpha, beta, T = -200.0, 0.1, 0.3, 0.2, 5.0
     linear = JumpSde.linear_scalar(a=a, b=b, alpha=alpha, beta=beta, x0=1.0)
     twin = dataclasses.replace(linear, linear=None)
     batch = simulate_batch(reference_model(), T=T, master_seed=7, n_paths=50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, exact, exact_factor = _linear_batch(linear, batch)
-        _, rk4, rk4_factor = _rk4_batch(twin, batch)
+        _, exact, exact_factor, exact_scale = _linear_batch(linear, batch)
+        _, rk4, rk4_factor, rk4_scale = _rk4_batch(twin, batch)
         for sde in (linear, twin):
             crit = density_criteria(sde, batch)
             assert np.all(np.isfinite(crit.per_path_det))
     assert np.all(np.isfinite(exact_factor)) and np.all(np.isfinite(rk4_factor))
-    seg_offsets, starts, ends = _segments(batch)
-    steps = _segment_steps(ends - starts, T)
-    z = a * (ends - starts) / np.maximum(steps, 1)
-    log_rk4 = steps * np.log(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
     phi = a * beta - alpha * b
-    want_exact, want_rk4 = [], []
-    for p, path in enumerate(batch):
-        n = path.count
-        after = seg_offsets[p] + np.arange(1, n + 1)   # the segments after each jump
-        jumps = (n - 1 - np.arange(n)) * math.log1p(alpha)
-        want_exact += list(-np.exp(a * (T - path.jump_times) + jumps) * phi)
-        want_rk4 += list(-np.exp(np.cumsum(log_rk4[after][::-1])[::-1] + jumps) * phi)
-    np.testing.assert_allclose(exact[:, 0], want_exact, rtol=1e-12, atol=_TINY)
-    np.testing.assert_allclose(rk4[:, 0], want_rk4, rtol=1e-12, atol=_TINY)
+    log_exact, log_step = contracting_closed_forms(batch, a, alpha, T)
+    path_of_jump = np.repeat(np.arange(batch.n_paths), batch.counts())
+    exact = np.ldexp(exact[:, 0], exact_scale[path_of_jump])
+    rk4 = np.ldexp(rk4[:, 0], rk4_scale[path_of_jump])
+    np.testing.assert_allclose(exact, -np.exp(log_exact) * phi, rtol=1e-12, atol=_TINY)
+    np.testing.assert_allclose(rk4, -np.exp(log_step) * phi, rtol=1e-12, atol=_TINY)
+
+
+def test_contracting_flow_keeps_its_verdict_and_vectors_in_log_space():
+    """On 500 paths of the same flow, the tangent of 7 paths' last segment
+    alone is below 2^-1074, so without a power of two every v_i of those
+    paths is 0.0 and the criterion fails there.  Both engines must pass on
+    every path with a jump, and match the closed forms of
+    `contracting_closed_forms` in log space, on every v_i that is normal in
+    its path's scale.  exp has condition |x|, so the bound grows as
+    1e-14 |log v_i| from a floor of 1e-12."""
+    a, b, alpha, beta, T = -200.0, 0.1, 0.3, 0.2, 5.0
+    linear = JumpSde.linear_scalar(a=a, b=b, alpha=alpha, beta=beta, x0=1.0)
+    twin = dataclasses.replace(linear, linear=None)
+    batch = simulate_batch(reference_model(), T=T, master_seed=7, n_paths=500)
+    counts = batch.counts()
+    path_of_jump = np.repeat(np.arange(batch.n_paths), counts)
+    log_phi = math.log(abs(a * beta - alpha * b))
+    for engine, sde, log_k in zip((_linear_batch, _rk4_batch), (linear, twin),
+                                  contracting_closed_forms(batch, a, alpha, T)):
+        _, v, _, scale = engine(sde, batch)
+        crit = density_criteria(sde, batch)
+        assert crit.n_nonpositive == 0 and crit.passed
+        assert crit.n_conditioned == int(np.sum(counts > 0))
+        assert np.sum(crit.per_path_det[counts > 0] == 0.0) > 7   # det underflows, not the verdict
+        normal = np.abs(v[:, 0]) >= _TINY
+        assert np.sum(normal & (scale[path_of_jump] < -1000)) > 7
+        log_v = np.log(v[normal, 0]) + scale[path_of_jump][normal] * math.log(2.0)
+        np.testing.assert_allclose(log_v, log_k[normal] + log_phi, rtol=1e-14, atol=1e-12)
 
 
 def _mp_linear_gamma(sde, times, T):
@@ -913,7 +971,7 @@ def test_linear_batch_gamma_matches_50_digits():
     a 50-digit value on every path."""
     sde = random_stable_3d(904)
     batch = simulate_batch(reference_model(), T=_LINEAR_T, master_seed=7, n_paths=40)
-    _, _, factor = _linear_batch(sde, batch)
+    _, _, factor, _ = _linear_batch(sde, batch)
     gamma = factor_gram(batch, factor)
     for i, path in enumerate(batch):
         if path.count:
@@ -946,7 +1004,7 @@ def test_cos_sin_criterion_gamma_matches_60_digits():
     sde = JumpSde.cos_sin(x0=0.0)
     batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=500)
     crit = density_criteria(sde, batch)
-    _, vectors, _ = _rk4_batch(sde, batch)
+    _, vectors, _, _ = _rk4_batch(sde, batch)
     live = np.flatnonzero(batch.counts())
     want = [mp_spectrum(vectors, batch, i)[0] for i in live]
     np.testing.assert_allclose(crit.per_path_det[live], want, rtol=1e-13, atol=0.0)
@@ -960,7 +1018,7 @@ def test_linear_d2_det_and_min_eig_match_60_digits():
     sde = sde_preset("linear-d2")
     batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=40)
     crit = density_criteria(sde, batch)
-    _, vectors, _ = _linear_batch(sde, batch)
+    _, vectors, _, _ = _linear_batch(sde, batch)
     full = np.flatnonzero(batch.counts() >= 2)
     want = np.array([mp_spectrum(vectors, batch, i) for i in full])
     np.testing.assert_allclose(crit.per_path_det[full], want[:, 0], rtol=1e-13, atol=0.0)
@@ -991,9 +1049,11 @@ def test_bridge_factor_gram_equals_dense_xi_gram(path):
     n, d = v.shape
     batch = batch_of([times, []], T)
     eye = np.eye(d)
-    got_v, w = _backward_vectors(
-        batch, np.broadcast_to(eye, (n + 2, d, d)), np.broadcast_to(eye, (n, d, d)), -v
+    got_v, w, scale = _backward_vectors(
+        batch, np.broadcast_to(eye, (n + 2, d, d)), np.zeros(n + 2, dtype=np.int64),
+        np.broadcast_to(eye, (n, d, d)), -v,
     )
+    np.testing.assert_array_equal(scale, 0)
     np.testing.assert_array_equal(got_v, v)
     assert np.all(np.isfinite(w))
     np.testing.assert_array_equal(w[-1], 0.0)  # xi(T, .) = 0
