@@ -22,11 +22,9 @@ from .simulate import PathBatch, _excitation_compensator, _excitation_sums, simu
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator
 
 __all__ = [
-    "DensityEvaluation",
     "GoodnessOfFit",
     "NormalizationError",
     "log_kappa",
-    "evaluate_kappa",
     "log_kappa_rows",
     "count_distribution",
     "normalization_constant",
@@ -46,15 +44,6 @@ class NormalizationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DensityEvaluation:
-    """Unnormalized log-density at one point of the simplex."""
-
-    log_kappa: float
-    n: int
-    in_simplex: bool
-
-
-@dataclass(frozen=True)
 class GoodnessOfFit:
     n: int
     test_name: str
@@ -67,27 +56,15 @@ class GoodnessOfFit:
 # kappa evaluation
 # ---------------------------------------------------------------------------
 
-def _in_simplex(times: np.ndarray, T: float) -> bool:
-    if times.size == 0:
-        return False
-    if times[0] <= 0.0 or times[-1] > T:
-        return False
-    return bool(np.all(np.diff(times) > 0.0)) if times.size > 1 else True
-
-
-def evaluate_kappa(model: HawkesModel, T: float, times) -> DensityEvaluation:
+def log_kappa(model: HawkesModel, T: float, times) -> float:
+    """log kappa(times), with -inf as the off-simplex sentinel: off
+    0 < t_1 < ... < t_n <= T the density is 0."""
     t = np.asarray(times, dtype=float).ravel()
     if t.size < 1:
         raise ValueError("need at least one jump time")
-    if not _in_simplex(t, T):
-        return DensityEvaluation(log_kappa=_NEG_INF, n=t.size, in_simplex=False)
-    lk = float(log_kappa_rows(model, T, t[None, :])[0])
-    return DensityEvaluation(log_kappa=lk, n=t.size, in_simplex=True)
-
-
-def log_kappa(model: HawkesModel, T: float, times) -> float:
-    """log kappa(times), with -inf as the off-simplex sentinel."""
-    return evaluate_kappa(model, T, times).log_kappa
+    if t[0] <= 0.0 or t[-1] > T or not np.all(np.diff(t) > 0.0):
+        return _NEG_INF
+    return float(log_kappa_rows(model, T, t[None, :])[0])
 
 
 def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray:

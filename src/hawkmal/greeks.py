@@ -26,7 +26,7 @@ import numpy as np
 from .malliavin import CameronMartinFunction, _divergence_rows, weight_arrays
 from .malliavin import divergence_m_batch  # noqa: F401  bench/layers.py traces greeks.divergence_m_batch
 from .model import AssumptionError, HawkesModel
-from .simulate import HawkesPath, PathBatch, compensator, compensator_batch
+from .simulate import HawkesPath, PathBatch, compensator_batch
 
 _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -158,18 +158,15 @@ class GreekEstimate:
 # ---- terminal prices ----
 
 def terminal_price(asset: AssetModel, path: HawkesPath):
-    """(S_T, dS_T/dx0); the derivative is exactly S_T / x0 per path.  The
-    closed form holds for any gamma, as Lambda_T is the compensator."""
-    lam = compensator(asset.hawkes, path)
-    unit = (
-        math.exp(asset.r * path.horizon - asset.sigma * lam)
-        * (1.0 + asset.sigma) ** path.count
-    )
-    return asset.x0 * unit, unit
+    """(S_T, dS_T/dx0) on one path: its row of `terminal_price_batch`."""
+    price, unit = terminal_price_batch(asset, PathBatch.of(path))
+    return float(price[0]), float(unit[0])
 
 
 def terminal_price_batch(asset: AssetModel, batch: PathBatch):
-    """Vectorized (S_T, dS_T/dx0) over a batch."""
+    """(S_T, dS_T/dx0) for every path of a batch; the derivative is exactly
+    S_T / x0 per path.  The closed form holds for any gamma, as Lambda_T is
+    the compensator."""
     lam = compensator_batch(asset.hawkes, batch)
     counts = batch.counts()
     unit = (

@@ -363,13 +363,13 @@ def weight_terms(
 ) -> WeightTerms:
     """psi(m, T_j), Gamma1(T_j), Gamma2(T_j) and the direction samples at
     every jump of the path: the one row of its `weight_arrays` block."""
-    _, _, psi, g1, g2, mv, mh = weight_arrays(model, _one_path(path), m)
+    _, _, psi, g1, g2, mv, mh = weight_arrays(model, PathBatch.of(path), m)
     return WeightTerms(path.jump_times, psi[0], g1[0], g2[0], mv[0], mh[0], path.horizon)
 
 
 def divergence_m(model: HawkesModel, path: HawkesPath, m: CameronMartinFunction) -> float:
     """delta(m) = sum_j [psi(m,T_j) + m_hat(T_j)(Gamma1+Gamma2)(T_j) + m(T_j)]."""
-    return float(divergence_m_batch(model, _one_path(path), m)[0])
+    return float(divergence_m_batch(model, PathBatch.of(path), m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def divergence_predictable(model: HawkesModel, path: HawkesPath, u: StepProcess)
     tot = u.total()
     if abs(tot) > 1e-9:
         raise ValueError(f"int_0^T u = {tot:.3g} violates the zero-mean contract")
-    return float(divergence_m_batch(model, _one_path(path), (u.value, u.integral_to))[0])
+    return float(divergence_m_batch(model, PathBatch.of(path), (u.value, u.integral_to))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def divergence_predictable(model: HawkesModel, path: HawkesPath, u: StepProcess)
 
 def z_eps(model: HawkesModel, path: HawkesPath, m: CameronMartinFunction, eps: float) -> float:
     """Z^eps along one path (see `z_eps_batch`)."""
-    return float(z_eps_batch(model, _one_path(path), m, eps)[0])
+    return float(z_eps_batch(model, PathBatch.of(path), m, eps)[0])
 
 
 def _truncated_direction(m: CameronMartinFunction, eps: float):
@@ -484,12 +484,6 @@ def basis_projection_check(gradient: MalliavinGradient, K: int) -> float:
 # ---------------------------------------------------------------------------
 # the block engine: every model, on the padded (P, K) block
 # ---------------------------------------------------------------------------
-
-def _one_path(path: HawkesPath) -> PathBatch:
-    """A batch holding `path` alone, for the single-path wrappers."""
-    offsets = np.array([0, path.count], dtype=np.int64)
-    return PathBatch(path.horizon, 0, 0, offsets, path.jump_times)
-
 
 def _gamma2_recurrence(model: HawkesModel, times: np.ndarray, S: np.ndarray, T: float) -> np.ndarray:
     """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du on

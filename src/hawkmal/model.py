@@ -35,9 +35,6 @@ __all__ = [
     "kernel_tail_mass",
 ]
 
-# Grid used to certify sup bounds of custom/oscillatory families.
-_SUP_GRID_POINTS = 10_000
-_SUP_SAFETY = 1.01
 # Lags at which a custom kernel's mu and mu_hat fingerprint its shape.
 _KERNEL_PROBE = np.array([0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
 
@@ -225,18 +222,9 @@ class BaselineSpec:
         raise NotImplementedError(self.family)
 
     def sup_upper(self, horizon: float) -> float:
-        """Certified upper bound lambda^T = sup_{[0,T]} lambda_t.
-
-        Exact family maxima, cross-checked on a dense grid (with a safety
-        factor only for anything the closed form does not certify).
-        """
-        grid = np.linspace(0.0, horizon, _SUP_GRID_POINTS)
-        grid_max = float(np.max(self.value(grid)))
-        exact = float(np.max(self.sup_on(np.array([0.0]), np.array([horizon]))))
-        if exact + 1e-12 < grid_max:
-            # family formula failed to dominate the grid: fall back defensively
-            return grid_max * _SUP_SAFETY
-        return exact
+        """lambda^T = sup_{[0,T]} lambda_t, the exact family maximum
+        (`sup_on`)."""
+        return float(self.sup_on(0.0, horizon))
 
 
 def _sin_sup(baseline: BaselineSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -645,13 +645,11 @@ class DensityCriteria:
     passed: bool
 
 
-def density_criteria(
-    sde: JumpSde, batch: PathBatch, min_jumps: int = None
-) -> DensityCriteria:
+def density_criteria(sde: JumpSde, batch: PathBatch) -> DensityCriteria:
     """Evaluate the non-degeneracy criterion over a simulated batch.
 
-    `min_jumps` is the conditioning threshold (how many jumps the spanning
-    argument needs); it defaults to the dimension d.  Linear systems, d = 1
+    The criterion conditions on N_T >= d, the jumps the spanning argument
+    needs; `min_jumps` reports that threshold.  Linear systems, d = 1
     included, take the exact batched engine; every other system takes the
     lockstep RK4 engine.  det, the smallest eigenvalue and the rank come
     from the singular values of each path's block of W (`_spectrum`).
@@ -661,8 +659,7 @@ def density_criteria(
     engine = _linear_batch if sde.linear is not None else _rk4_batch
     terminal, _, factor, scale = engine(sde, batch)
     dets, min_eigs, ranks = _spectrum(batch, factor, scale, d)
-    ell = d if min_jumps is None else int(min_jumps)
-    cond = counts >= ell
+    cond = counts >= d
     flags = cond & (ranks == d)
     n_cond = int(cond.sum())
     margin = certified = None
@@ -672,7 +669,7 @@ def density_criteria(
     return DensityCriteria(
         label=sde.label,
         kind="scalar" if d == 1 else "linear-ddim" if sde.linear is not None else "general-ddim",
-        n_paths=batch.n_paths, n_conditioned=n_cond, min_jumps=ell, counts=counts, terminal=terminal,
+        n_paths=batch.n_paths, n_conditioned=n_cond, min_jumps=d, counts=counts, terminal=terminal,
         per_path_det=dets, per_path_min_eig=min_eigs, per_path_flag=flags,
         min_gamma=float(min_eigs[cond].min()) if n_cond else math.nan,
         n_nonpositive=n_cond - int(flags.sum()),
@@ -739,7 +736,7 @@ def _linear_sensitivity(sde: JumpSde, path: HawkesPath) -> SensitivityReport:
 
 
 def _one_path(sde: JumpSde, path: HawkesPath, engine) -> SensitivityReport:
-    batch = PathBatch(path.horizon, 0, 0, np.array([0, path.count]), path.jump_times)
+    batch = PathBatch.of(path)
     terminal, v, w, scale = engine(sde, batch)
     dets, min_eigs, _ = _spectrum(batch, w, scale, sde.dim)
     return SensitivityReport(

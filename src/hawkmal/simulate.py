@@ -209,6 +209,12 @@ class PathBatch:
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @classmethod
+    def of(cls, path: HawkesPath) -> "PathBatch":
+        """A batch holding `path` alone: every one-path quantity is its batch
+        routine called on it."""
+        return cls(path.horizon, 0, 0, np.array([0, path.count], dtype=np.int64), path.jump_times)
+
     def path(self, i: int) -> HawkesPath:
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         return HawkesPath(self.flat_times[lo:hi], self.horizon)
@@ -410,11 +416,14 @@ _BLOCK_ELEMS = 1 << 14
 
 def _gauss_rule(f, seg, lo, hi, rule=_GL32):
     """Gauss-Legendre values (panels,) + vshape of f on the panels [lo, hi];
-    f(seg, u) takes nodes u shaped (panels, order), strictly inside them."""
+    f(seg, u) takes nodes u shaped (panels, order), strictly inside them.
+    Each panel reduces its own nodes (no BLAS call, whose blocking would
+    depend on the panel count), so its value has the same bits in any call."""
     x, w = rule
     half = 0.5 * (hi - lo)
     vals = np.asarray(f(seg, lo[:, None] + half[:, None] * (x + 1.0)), dtype=float)
-    return np.tensordot(vals, w, axes=([1], [0])) * half.reshape((-1,) + (1,) * (vals.ndim - 2))
+    tail = (1,) * (vals.ndim - 2)
+    return (vals * w.reshape((-1,) + tail)).sum(axis=1) * half.reshape((-1,) + tail)
 
 
 def _segment_quad(f, a, b):
@@ -423,8 +432,11 @@ def _segment_quad(f, a, b):
     f(seg, u) gets the segment index of each panel and nodes u shaped
     (panels, order), never more panels than segments given.  A panel's
     32-node value is accepted when the 16- and 8-node values agree with it
-    to _QUAD_TOL in every component; failing panels are halved, so a
-    segment's result never depends on the other segments.  A half must also
+    to _QUAD_TOL in every component; failing panels are halved.  A segment's
+    result has the same bits alone and in any batch, as long as f gives a
+    panel's nodes the same bits in any call: each panel's value is its own
+    (`_gauss_rule`), and a segment adds its accepted panels in the order of
+    its own refinement, as the queue is first in, first out.  A half must also
     meet a quarter of its parent's disagreement: the error falls at least
     fourfold per halving on the C^0 integrands the model allows, so one
     chance agreement of the orders at a kink does not end the refinement.
@@ -534,26 +546,19 @@ def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     return S, cross
 
 
-def compensator_rows(model: HawkesModel, rows: np.ndarray, t: float) -> np.ndarray:
-    """Lambda_t = int_0^t lambda*(s) ds for each row of sorted jump times,
-    padded with any value >= t (such jumps never count; their segments are
-    empty).  A jump at 0 acts as the limit of jumps at 0+."""
-    base = float(model.baseline.integral(np.float64(t)))
-    return base + _excitation_compensator(model, rows, t)
-
-
 def _excitation_compensator(
     model: HawkesModel, rows: np.ndarray, t: float, S: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """int_0^t gamma(excitation) ds per row of `compensator_rows`: Lambda_t
-    without the baseline integral.  Linear gamma is closed form.  Otherwise
-    the kernel family picks the route: the exponential kernel takes one
-    scalar integral per segment (`_markov_compensator`, which reuses the
-    rows' pre-jump sums S from `_excitation_sums` when the caller has them);
-    any other kernel sends gamma(excitation) to `_segment_quad` per
-    inter-jump segment, over the `_row_blocks` of the rows' counts of jumps
-    before t.  The segment before the first jump is skipped: gamma(0) = 0
-    there."""
+    """int_0^t gamma(excitation) ds per row of sorted jump times, padded
+    with any value >= t (such jumps never count; their segments are empty):
+    Lambda_t without the baseline integral.  Linear gamma is closed form.
+    Otherwise the kernel family picks the route: the exponential kernel
+    takes one scalar integral per segment (`_markov_compensator`, which
+    reuses the rows' pre-jump sums S from `_excitation_sums` when the caller
+    has them); any other kernel sends gamma(excitation) to `_segment_quad`
+    per inter-jump segment, over the `_row_blocks` of the rows' counts of
+    jumps before t.  The segment before the first jump is skipped:
+    gamma(0) = 0 there."""
     if model.nonlinearity.is_linear():
         return strict_lags(model.kernel.mu_hat, rows, t).sum(axis=-1)
     if model.kernel.family == "exponential":
@@ -593,8 +598,10 @@ def _markov_compensator(
     a scalar integral for `_segment_quad`, whose tolerance thus holds in the
     compensator's units; small caps still refine there, as tanh's poles lie
     near the real axis.  Jumps at or after t give empty segments, and so
-    does alpha = 0.  Each row sums its segments in order, so its bits do not
-    depend on the longest row of the block.
+    does alpha = 0.  A segment's integral has the same bits in any block
+    (`_segment_quad`), and each row adds its segments in order, even in a
+    block of one row, so a row's result has the same bits alone and in any
+    block, whatever its longest row.
     """
     alpha, beta = float(model.kernel.alpha), float(model.kernel.beta)
     gam = model.nonlinearity.value
@@ -602,7 +609,7 @@ def _markov_compensator(
     ends = np.concatenate([cuts[:, 1:], np.full((cuts.shape[0], 1), t)], axis=1)
     top = (_excitation_recurrences(cuts, alpha, beta)[0] if S is None else S) + alpha
     bottom = top * np.exp(-beta * (ends - cuts))
-    # (K, P) order: the sum over axis 0 below adds each row's segments in turn
+    # (K, P) order: the loop at the end adds each row's segments in turn
     top, bottom = (np.ascontiguousarray(x.T).ravel() for x in (top, bottom))
     live = np.nonzero(top > bottom)[0]
     vals = np.zeros(top.size)
@@ -614,7 +621,11 @@ def _markov_compensator(
     for s in range(0, live.size, step):
         idx = live[s:s + step]
         vals[idx] = _segment_quad(f, bottom[idx], top[idx])
-    return vals.reshape(rows.shape[1], rows.shape[0]).sum(axis=0)
+    # not .sum(axis=0): a one-row block would collapse to a pairwise 1-D sum
+    out = np.zeros(rows.shape[0])
+    for seg in vals.reshape(rows.shape[1], rows.shape[0]):
+        out += seg
+    return out
 
 
 def _window_time(t: Optional[float], T: float) -> float:
@@ -626,19 +637,22 @@ def _window_time(t: Optional[float], T: float) -> float:
 
 
 def compensator(model: HawkesModel, path: HawkesPath, t: Optional[float] = None) -> float:
-    """Lambda_t = int_0^t lambda*(s) ds on one path (see `compensator_rows`)."""
-    t = _window_time(t, path.horizon)
-    return float(compensator_rows(model, path.jump_times[None, :], t)[0])
+    """Lambda_t on one path: its row of `compensator_batch`."""
+    return float(compensator_batch(model, PathBatch.of(path), t)[0])
 
 
 def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] = None) -> np.ndarray:
-    """Lambda_t for every path of a batch."""
+    """Lambda_t = int_0^t lambda*(s) ds for every path of a batch; a jump at
+    0 acts as the limit of jumps at 0+.  Each path sums its own terms in
+    order, so its bits do not depend on the other paths of the batch: a
+    path has the same Lambda_t alone (`compensator`) and in any batch.  On
+    a kernel other than the exponential a nonlinear gamma's excitation is
+    summed over the width of the row block (`_excitation_compensator`), so
+    there the bits may depend on the block's longest path."""
     t = _window_time(t, batch.horizon)
+    base = float(model.baseline.integral(np.float64(t)))
     if model.nonlinearity.is_linear():
-        base_part = float(model.baseline.integral(np.float64(t)))
         vals = strict_lags(model.kernel.mu_hat, batch.flat_times, t)
-        # each path sums its own terms in order, so its bits do not depend
-        # on the paths before it in the batch
         path_of_jump = np.repeat(np.arange(batch.n_paths), batch.counts())
-        return base_part + np.bincount(path_of_jump, weights=vals, minlength=batch.n_paths)
-    return compensator_rows(model, padded_jumps(batch)[0], t)
+        return base + np.bincount(path_of_jump, weights=vals, minlength=batch.n_paths)
+    return base + _excitation_compensator(model, padded_jumps(batch)[0], t)

@@ -19,7 +19,6 @@ from hawkmal.density import (
     conditional_density_kn,
     count_distribution,
     density_vs_empirical,
-    evaluate_kappa,
     log_kappa,
     log_kappa_rows,
     normalization_constant,
@@ -83,8 +82,7 @@ def test_log_kappa_off_simplex_sentinel():
     assert log_kappa(model, 5.0, [1.0, 1.0]) == -math.inf
     assert log_kappa(model, 5.0, [0.0]) == -math.inf
     assert log_kappa(model, 5.0, [5.1]) == -math.inf
-    ev = evaluate_kappa(model, 5.0, [3.0, 2.0])
-    assert not ev.in_simplex and ev.n == 2
+    assert log_kappa(model, 5.0, [1.0, 3.0, 2.0]) == -math.inf
     with pytest.raises(ValueError):
         log_kappa(model, 5.0, [])
 

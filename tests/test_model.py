@@ -168,6 +168,31 @@ def test_baseline_sup_bounds():
     assert sup_off >= float(np.max(b3.value(grid))) - 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["constant", "affine", "sinusoidal"]),
+    lam0=st.floats(0.5, 3.0),
+    shape=st.floats(-0.95, 0.95),
+    period=st.floats(0.1, 6.0),
+    a=st.floats(0.0, 10.0),
+    width=st.floats(0.0, 10.0),
+)
+def test_baseline_sup_on_dominates_a_dense_grid(family, lam0, shape, period, a, width):
+    # sup_on is the thinning envelope and sup_upper's value, with no grid
+    # fallback behind it: it must bound every value on [a, b]
+    horizon = 20.0
+    if family == "constant":
+        baseline = BaselineSpec.constant(lam0)
+    elif family == "affine":
+        baseline = BaselineSpec.affine(lam0=lam0, slope=shape * lam0 / horizon, horizon=horizon)
+    else:
+        baseline = BaselineSpec.sinusoidal(lam0=lam0, amp=shape * lam0, period=period)
+    b = a + width
+    sup = float(baseline.sup_on(np.array([a]), np.array([b]))[0])
+    assert sup >= float(np.max(baseline.value(np.linspace(a, b, 10_001)))) - 1e-12
+    assert baseline.sup_upper(b) >= float(np.max(baseline.value(np.linspace(0.0, b, 10_001)))) - 1e-12
+
+
 def test_custom_kernel_roundtrip():
     # triangular bump: mu(t) = max(0, 1 - t) * 0.6
     k = KernelSpec.custom(

@@ -349,14 +349,6 @@ def test_density_criteria_spanning_rank():
     assert np.all(flagged)
 
 
-def test_density_criteria_min_jumps_override():
-    sde = sde_preset("linear-d2")
-    batch = simulate_batch(reference_model(), T=5.0, master_seed=94, n_paths=200)
-    crit = density_criteria(sde, batch, min_jumps=3)
-    assert crit.min_jumps == 3
-    assert crit.n_conditioned == int(np.sum(batch.counts() >= 3))
-
-
 def matrix_2x2(a, b, c, d):
     """[[a, b], [c, d]] over the broadcast shape of its entries."""
     a, b, c, d = np.broadcast_arrays(a, b, c, d)

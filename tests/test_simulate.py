@@ -14,6 +14,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 import hawkmal.simulate
+from hawkmal.greeks import AssetModel, terminal_price, terminal_price_batch
 from hawkmal.malliavin import CameronMartinFunction, weight_arrays, weight_terms
 from hawkmal.model import (
     AssumptionError,
@@ -30,6 +31,7 @@ from hawkmal.simulate import (
     RngStream,
     _philox4x32,
     _row_blocks,
+    _segment_quad,
     _uniforms_at,
     compensator,
     compensator_batch,
@@ -43,6 +45,14 @@ def reference_model():
         baseline=BaselineSpec.constant(1.0),
         kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
         nonlinearity=NonlinearitySpec.linear(),
+    )
+
+
+def reference_tanh_model():
+    return HawkesModel(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
+        nonlinearity=NonlinearitySpec.saturating_tanh(cap=2.0),
     )
 
 
@@ -545,22 +555,22 @@ def test_compensator_batch_matches_scalar():
 def test_compensator_batch_bits_do_not_depend_on_the_split(t_frac):
     # Lambda_t of a path must not depend on the paths before it: the batch
     # equals, bit for bit, the concatenation of any (first_index, n_paths)
-    # split of it
-    model = reference_model()
+    # split of it, for linear gamma and on the nonlinear Markov route
     T, n = 5.0, 3000
     t = t_frac * T
-    whole = compensator_batch(model, simulate_batch(model, T=T, master_seed=31, n_paths=n), t)
-    for cuts in ([1], [1000], [7, 1500, 2999]):
-        edges = [0, *cuts, n]
-        parts = [
-            compensator_batch(
-                model,
-                simulate_batch(model, T=T, master_seed=31, n_paths=hi - lo, first_index=lo),
-                t,
-            )
-            for lo, hi in zip(edges, edges[1:])
-        ]
-        np.testing.assert_array_equal(np.concatenate(parts), whole)
+    for model in (reference_model(), reference_tanh_model()):
+        whole = compensator_batch(model, simulate_batch(model, T=T, master_seed=31, n_paths=n), t)
+        for cuts in ([1], [1000], [7, 1500, 2999]):
+            edges = [0, *cuts, n]
+            parts = [
+                compensator_batch(
+                    model,
+                    simulate_batch(model, T=T, master_seed=31, n_paths=hi - lo, first_index=lo),
+                    t,
+                )
+                for lo, hi in zip(edges, edges[1:])
+            ]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def test_martingale_property():
@@ -687,6 +697,34 @@ def test_gamma2_nonlinear_matches_quad(times, beta, ratio, cap):
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    segs=st.lists(
+        st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(0.05, 3.0)),
+        min_size=1, max_size=40,
+    ),
+    vector=st.booleans(),
+    data=st.data(),
+)
+def test_segment_quad_gives_each_segment_its_own_bits(segs, vector, data):
+    # the integral of a segment has the same bits alone and inside any
+    # batch, whichever segments share its calls and refinement rounds
+    a, b, cap = (np.array(v) for v in zip(*segs))
+
+    def integrand(caps):
+        def f(seg, y):  # the Markov compensator's tanh integrand, one cap a segment
+            c = caps[seg][:, None]
+            val = c * np.tanh(y / c) / y
+            return np.stack([val, val * y], axis=-1) if vector else val
+        return f
+
+    whole = _segment_quad(integrand(cap), a, b)
+    for i in range(a.size):
+        np.testing.assert_array_equal(_segment_quad(integrand(cap[[i]]), a[[i]], b[[i]])[0], whole[i])
+    pick = np.array(data.draw(st.permutations(range(a.size))))[: data.draw(st.integers(1, a.size))]
+    np.testing.assert_array_equal(_segment_quad(integrand(cap[pick]), a[pick], b[pick]), whole[pick])
+
+
 def c1_kernel(a=0.6, c=0.8):
     """a (1 - t/c)^2 on [0, c) and 0 after: C^1 at c but not C^2, so
     gamma(excitation) is not smooth inside an inter-jump segment."""
@@ -757,6 +795,33 @@ def markov_batch(paths):
         offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
         flat_times=np.concatenate(paths),
     )
+
+
+@st.composite
+def view_batches(draw):
+    """Small batches on [0, _QT] that always hold a path of 8 or more jumps,
+    sometimes ending at _QT, next to shorter and empty paths."""
+    unit = st.floats(0.0, _QT, exclude_min=True)
+    paths = [np.unique(draw(st.lists(unit, min_size=8, max_size=20, unique=True)))]
+    paths += [np.unique(np.array(p, dtype=float)) for p in draw(st.lists(st.lists(unit, max_size=10), max_size=4))]
+    if draw(st.booleans()):
+        paths[0] = np.union1d(paths[0], [_QT])
+    return markov_batch(draw(st.permutations(paths)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=view_batches(), tanh=st.booleans(), t_frac=st.sampled_from([1.0, 0.5, 0.0]))
+def test_one_path_views_are_their_batch_rows(batch, tanh, t_frac):
+    # compensator and terminal_price are their batch routines on a one-path
+    # batch, so a path's values have the same bits alone and in any batch
+    model = reference_tanh_model() if tanh else reference_model()
+    t = t_frac * _QT
+    lam = compensator_batch(model, batch, t)
+    asset = AssetModel(x0=100.0, r=0.05, sigma=0.3, hawkes=model)
+    prices, units = terminal_price_batch(asset, batch)
+    for i, path in enumerate(batch):
+        assert compensator(model, path, t) == lam[i]
+        assert terminal_price(asset, path) == (prices[i], units[i])
 
 
 def check_markov_route(paths, alpha, beta, cap):
