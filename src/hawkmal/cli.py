@@ -109,8 +109,8 @@ _SCHEMA: Dict[Tuple[str, str], tuple] = {
     ("greeks", "strike"): ("posfloat", 100.0),
     ("greeks", "lower"): ("posfloat", 90.0),
     ("greeks", "upper"): ("posfloat", 110.0),
-    ("greeks", "bump"): ("float", 0.0),  # 0 -> per-payoff default
-    ("greeks", "fd_paths"): ("int", 0),  # 0 -> per-payoff default
+    ("greeks", "bump"): ("float", 0.0),  # 0 -> per-payoff default; else in (0, x0)
+    ("greeks", "fd_paths"): ("int", 0),  # 0 -> per-payoff default; else >= 2
     ("sde", "preset"): ("choice", "linear-scalar", ("linear-scalar", "cos-sin", "linear-d2")),
     ("experiment", "grid_points"): ("posint", 32),
     ("experiment", "volterra_steps"): ("posint", 2048),
@@ -603,10 +603,16 @@ def _cmd_greeks(inv: _Invocation) -> bool:
     payoff = _build_payoff(cfg)
     n = cfg.n_paths
     fd_n = cfg[("greeks", "fd_paths")]
-    if fd_n <= 0:
+    if fd_n < 0 or fd_n == 1:  # standard errors need two paths
+        raise ConfigError(f"[greeks] fd_paths = {fd_n}: must be 0 (the default) or >= 2")
+    if fd_n == 0:
         fd_n = 10 * n if payoff.kind == "digital" else n
     bump = cfg[("greeks", "bump")]
-    if bump <= 0.0:
+    if not 0.0 <= bump < asset.x0:  # the down bump prices at x0 - bump
+        raise ConfigError(
+            f"[greeks] bump = {bump!r}: must be 0 (the default) or in (0, x0 = {asset.x0!r})"
+        )
+    if bump == 0.0:
         bump = 0.01 * asset.x0 if payoff.kind == "digital" else 1e-4 * asset.x0
 
     # disjoint path-index ranges keep the estimators independent, so the

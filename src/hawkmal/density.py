@@ -18,7 +18,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .model import HawkesModel
-from .simulate import PathBatch, _excitation_compensator, _excitation_sums, simulate_batch
+from .simulate import (
+    PathBatch,
+    _excitation_compensator,
+    _excitation_sums,
+    _row_sums,
+    simulate_batch,
+)
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator
 
 __all__ = [
@@ -85,8 +91,7 @@ def _log_kappa_parts(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     the compensator reuses it."""
     S, _ = _excitation_sums(model, times, counts)
     lam = model.baseline.value(times) + model.nonlinearity.value(S)
-    mask = np.arange(times.shape[1]) < counts[:, None]
-    log_prod = np.where(mask, np.log(lam), 0.0).sum(axis=1)
+    log_prod = _row_sums(np.log(lam), np.arange(times.shape[1]) < counts[:, None])
     return log_prod, _excitation_compensator(model, times, T, S)
 
 

@@ -24,7 +24,7 @@ from .malliavin import (
     z_eps_batch,
 )
 from .model import HawkesModel, strict_lags
-from .simulate import PathBatch
+from .simulate import PathBatch, _row_sums
 
 _Z_THRESHOLD = 3.0
 _VOLTERRA_STEPS = 2048
@@ -139,7 +139,7 @@ def mean_intensity_batch(model: HawkesModel, batch: PathBatch, grid) -> np.ndarr
     out = np.empty((grid.size, batch.n_paths))
     for i, s in enumerate(grid):
         # padding equals the horizon, so it never counts
-        exc = strict_lags(model.kernel.mu, times, s).sum(axis=1)
+        exc = _row_sums(strict_lags(model.kernel.mu, times, s))
         out[i] = float(model.baseline.value(np.float64(s))) + np.asarray(
             model.nonlinearity.value(exc), dtype=float
         )
@@ -231,7 +231,7 @@ def _ibp_differences(
 
     Each functional is evaluated once on the padded (P, K) jump-time block
     (the block form of SmoothFunctional), and <DF, m> = -sum_j dF/dt_j
-    m_hat(T_j) is a masked row sum.  Raises ValueError for an entry without
+    m_hat(T_j) is a masked `_row_sums`.  Raises ValueError for an entry without
     exact partials, one whose `supports` rejects a jump count of the batch,
     or one that breaks the block contract.
     """
@@ -256,7 +256,7 @@ def _ibp_differences(
                 f"F={label} gave values {values.shape} and partials {partials.shape} "
                 f"on a ({P}, {K}) block; expected ({P},) and ({P}, {K})"
             )
-        row[:] = -np.where(mask, partials * m_hat, 0.0).sum(axis=1) - values * delta
+        row[:] = -_row_sums(partials * m_hat, mask) - values * delta
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .malliavin import CameronMartinFunction, _divergence_rows, weight_arrays
 from .malliavin import divergence_m_batch  # noqa: F401  bench/layers.py traces greeks.divergence_m_batch
 from .model import AssumptionError, HawkesModel
-from .simulate import HawkesPath, PathBatch, compensator_batch
+from .simulate import HawkesPath, PathBatch, _row_sums, compensator_batch
 
 _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -183,7 +183,9 @@ def mc_estimate(values):
 
     Values are reduced in the order given, which every caller keeps in
     path-index order, so the summation tree — hence the floating-point
-    result — does not depend on how the batch was produced.
+    result — does not depend on how the batch was produced.  Each value
+    has its path's own bits in any batch; only this sum across paths still
+    depends on n, whose pairwise tree groups them by position.
     ESS = (sum|v|)^2 / sum(v^2), the usual weight-concentration measure.
     """
     values = np.asarray(values, dtype=float)
@@ -277,13 +279,10 @@ def malliavin_delta(
         raise ValueError("batch contains no jumps; the weight is undefined")
     delta_m = _divergence_rows(mask, psi, g1, g2, m_at, mh_at)
     lags = T - times
-    mu_lag = np.where(mask, model.kernel.mu(lags), 0.0)
-    mu_p_lag = np.where(mask, model.kernel.mu_prime(lags), 0.0)
-    m_at = np.where(mask, m_at, 0.0)
-    mh_at = np.where(mask, mh_at, 0.0)
-    D = np.sum(mu_lag * mh_at, axis=1)
-    s2 = np.sum(mu_p_lag * mh_at**2, axis=1)
-    s3 = np.sum(mu_lag * m_at * mh_at, axis=1)
+    mu_lag = model.kernel.mu(lags)
+    D = _row_sums(mu_lag * mh_at, mask)
+    s2 = _row_sums(model.kernel.mu_prime(lags) * mh_at**2, mask)
+    s3 = _row_sums(mu_lag * m_at * mh_at, mask)
 
     positive = counts > 0
     floor = _DENOMINATOR_FLOOR_SCALE * model.kernel.sup_norm * T
@@ -329,12 +328,15 @@ def fd_delta(
     """Central difference with common random numbers.
 
     Lambda_T and N_T do not depend on x0, so bumping x0 rescales S_T by
-    (x0 +- bump)/x0 on the same paths.
+    (x0 +- bump)/x0 on the same paths; the bump must lie in (0, x0), so
+    that the down bump stays a positive price.
     """
     if bump is None:
         bump = 1e-4 * asset.x0
     if bump <= 0.0:
         raise ValueError("bump must be positive")
+    if bump >= asset.x0:
+        raise ValueError(f"bump {bump!r} must stay below x0 = {asset.x0!r}")
     prices, _ = terminal_price_batch(asset, batch)
     positive = batch.counts() > 0
     up = payoff.value(prices * (1.0 + bump / asset.x0))

@@ -27,6 +27,7 @@ from .simulate import (
     _excitation_sums,
     _gauss_rule,
     _row_blocks,
+    _row_sums,
     _segment_quad,
     padded_jumps,
 )
@@ -307,9 +308,38 @@ def xi_kernel(T: float, t_i, t_j):
     return float(out) if out.ndim == 0 else out
 
 
+def _bridge_coefficients(T: float, t: np.ndarray, prev: np.ndarray):
+    """(a_j, sqrt(c_j)) of the Brownian-bridge factor Xi = L L^T of the xi
+    kernel, for jumps at t_j whose previous jump (or 0) is prev_j.
+
+    xi(s, t) = s ^ t - s t / T is the Brownian-bridge covariance, whose
+    sequential construction B_{t_j} = a_j B_{t_{j-1}} + sqrt(c_j) Z_j
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 3.1)
+    factors Xi = L L^T, with t_0 = 0,
+    a_j = (T - t_j) / (T - t_{j-1}) and c_j = (t_j - t_{j-1}) a_j.  A jump
+    at T gets c_j = 0, and so does a tie; jumps after one at T get
+    a_j = 0, as the bridge is pinned there."""
+    a = np.divide(T - t, T - prev, out=np.zeros_like(t), where=prev < T)
+    return a, np.sqrt((t - prev) * a)
+
+
+def _bridge_product(T: float, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """W = L^T c for sorted jump times t in [0, T] and coefficients c, by
+    the O(n) recursion u_n = c_n, u_j = c_j + a_{j+1} u_{j+1},
+    w_j = sqrt(c_j) u_j (`_bridge_coefficients`): c' Xi c = |W|^2 with no
+    dense Gram."""
+    if t[0] < 0.0 or t[-1] > T or np.any(np.diff(t) < 0.0):
+        raise ValueError(f"jump times must be sorted in [0, {T}]")
+    a, root_c = _bridge_coefficients(T, t, np.concatenate([[0.0], t[:-1]]))
+    u = np.array(c, dtype=float)
+    for j in range(t.size - 2, -1, -1):
+        u[j] += a[j + 1] * u[j + 1]
+    return root_c * u
+
+
 def carre_du_champ(gF: MalliavinGradient, gG: MalliavinGradient) -> float:
-    """Gamma[F, G] = sum_{ij} p_i q_j xi(T_i, T_j); both gradients must be
-    taken on the same path."""
+    """Gamma[F, G] = sum_{ij} p_i q_j xi(T_i, T_j) = (L^T p) . (L^T q)
+    (`_bridge_product`); both gradients must be taken on the same path."""
     if gF.horizon != gG.horizon or gF.jump_times.shape != gG.jump_times.shape:
         raise ValueError("gradients were taken on different paths")
     if gF.jump_times.size and not np.array_equal(gF.jump_times, gG.jump_times):
@@ -317,22 +347,23 @@ def carre_du_champ(gF: MalliavinGradient, gG: MalliavinGradient) -> float:
     t = gF.jump_times
     if t.size == 0:
         return 0.0
-    xi = xi_kernel(gF.horizon, t[:, None], t)
-    return float(gF.partials @ xi @ gG.partials)
+    T = gF.horizon
+    return float(_bridge_product(T, t, gF.partials) @ _bridge_product(T, t, gG.partials))
 
 
 def condition2_slack(T: float, times: np.ndarray, coeffs: np.ndarray) -> float:
-    """Quadratic-form slack: c' Xi c minus the spacing lower bound
-    (1/T) sum_k (t_k - t_{k-1})(t_{k+1} - t_k) c_k^2, with t_0 = 0 and
-    t_{n+1} = T.  Nonnegative for every path and coefficient vector."""
+    """Quadratic-form slack: c' Xi c = |L^T c|^2 (`_bridge_product`) minus
+    the spacing lower bound (1/T) sum_k (t_k - t_{k-1})(t_{k+1} - t_k) c_k^2,
+    with t_0 = 0 and t_{n+1} = T.  Nonnegative for every path and
+    coefficient vector."""
     t = np.asarray(times, dtype=float)
     c = np.asarray(coeffs, dtype=float)
     if t.size != c.size:
         raise ValueError("times and coeffs must have the same length")
     if t.size == 0:
         return 0.0
-    xi = xi_kernel(T, t[:, None], t)
-    quad = float(c @ xi @ c)
+    w = _bridge_product(T, t, c)
+    quad = float(w @ w)
     padded = np.concatenate([[0.0], t, [T]])
     gaps_prev = np.diff(padded)[:-1]   # t_k - t_{k-1}
     gaps_next = np.diff(padded)[1:]    # t_{k+1} - t_k
@@ -535,11 +566,12 @@ def _gamma2_block(
 
         def f(seg, u):
             rows = block[seg // K, None, :]
-            exc = strict_lags(mu, rows, u).sum(axis=-1)
+            exc = _row_sums(strict_lags(mu, rows, u))
             return gprime(exc)[..., None] * strict_lags(mu_prime, rows, u)
 
-        quad = _segment_quad(f, block.ravel(), ends.ravel())
-        out[idx, :K] = quad.reshape(-1, K, K).sum(axis=1)
+        # quad[p, k, j]: segment k's share of Gamma2(T_j), added over k in order
+        quad = _segment_quad(f, block.ravel(), ends.ravel()).reshape(-1, K, K)
+        out[idx, :K] = _row_sums(np.swapaxes(quad, 1, 2))
     return out
 
 
@@ -585,7 +617,7 @@ def weight_arrays(model: HawkesModel, batch: PathBatch, m):
 def _divergence_rows(mask, psi, gamma1, gamma2, m_at, m_hat_at) -> np.ndarray:
     """delta = sum_j [psi + m_hat (Gamma1 + Gamma2) + m] per row of a
     `weight_arrays` block."""
-    return np.where(mask, psi + m_hat_at * (gamma1 + gamma2) + m_at, 0.0).sum(axis=1)
+    return _row_sums(psi + m_hat_at * (gamma1 + gamma2) + m_at, mask)
 
 
 def divergence_m_batch(model: HawkesModel, batch: PathBatch, m) -> np.ndarray:
@@ -625,7 +657,5 @@ def z_eps_batch(
         model, np.concatenate([shifted, times]), np.tile(batch.counts(), 2), T
     )
     log_kappa = log_prod - exc
-    log_jac = np.where(
-        mask, np.log1p(eps * np.asarray(m_val(times), dtype=float)), 0.0
-    ).sum(axis=1)
+    log_jac = _row_sums(np.log1p(eps * np.asarray(m_val(times), dtype=float)), mask)
     return np.exp(log_kappa[:P] - log_kappa[P:] + log_jac)

@@ -337,11 +337,11 @@ class HawkesModel:
             )
 
     def excitation(self, jump_times: np.ndarray, s) -> np.ndarray:
-        """sum_{t_i < s} mu(s - t_i), vectorized in s (strict inequality)."""
-        s = np.asarray(s, dtype=float)
-        if np.size(jump_times) == 0:
-            return np.zeros_like(s)
-        return strict_lags(self.kernel.mu, jump_times, s).sum(axis=-1)
+        """sum_{t_i < s} mu(s - t_i), vectorized in s (strict inequality),
+        added in jump order as a batch row is (`simulate._row_sums`)."""
+        from .simulate import _row_sums  # simulate imports this module
+
+        return _row_sums(strict_lags(self.kernel.mu, jump_times, s))
 
     def intensity(self, jump_times, s):
         return intensity(self, jump_times, s)

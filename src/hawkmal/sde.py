@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .malliavin import MalliavinGradient
+from .malliavin import MalliavinGradient, _bridge_coefficients
 from .model import AssumptionError
 from .simulate import HawkesPath, PathBatch
 
@@ -445,12 +445,8 @@ def _backward_vectors(
     contracts past the double range keeps its v_i; every other path keeps
     scale 0 and every bit.
 
-    xi(s, t) = s ^ t - s t / T is the Brownian-bridge covariance, whose
-    sequential construction B_{t_j} = a_j B_{t_{j-1}} + sqrt(c_j) Z_j
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 3.1)
-    factors Xi = L L^T; with t_0 = 0,
-    c_j = (t_j - t_{j-1}) (T - t_j) / (T - t_{j-1}) and
-    a_j = (T - t_j) / (T - t_{j-1}).  The same walk forms W = L^T V:
+    The same walk forms W = L^T V, where Xi = L L^T is the Brownian-bridge
+    factor of the xi kernel (`malliavin._bridge_coefficients`):
     u_n = v_n, u_j = v_j + a_{j+1} u_{j+1}, w_j = sqrt(c_j) u_j, u at the
     larger power of two of its terms.  No denominator vanishes, a jump at T
     gets c_n = 0, and no term cancels.  Every product is a stacked one, so a
@@ -463,8 +459,7 @@ def _backward_vectors(
     # CSR order; it starts at the previous jump, or at 0
     seg = np.arange(t.size) + path_of_jump
     prev = _segments(batch)[1][seg]
-    a = (batch.horizon - t) / (batch.horizon - prev)
-    root_c = np.sqrt((t - prev) * a)
+    a, root_c = _bridge_coefficients(batch.horizon, t, prev)
     step_back = _matmul(F, E[seg])
     last = batch.offsets[1:] + np.arange(counts.size)
     B, e_B = E[last], e_seg[last]

@@ -418,12 +418,14 @@ def _gauss_rule(f, seg, lo, hi, rule=_GL32):
     """Gauss-Legendre values (panels,) + vshape of f on the panels [lo, hi];
     f(seg, u) takes nodes u shaped (panels, order), strictly inside them.
     Each panel reduces its own nodes (no BLAS call, whose blocking would
-    depend on the panel count), so its value has the same bits in any call."""
+    depend on the panel count), as a contiguous last axis for every vshape:
+    numpy orders a sum over a middle axis by the axes after it.  So a
+    panel's value has the same bits in any call."""
     x, w = rule
     half = 0.5 * (hi - lo)
     vals = np.asarray(f(seg, lo[:, None] + half[:, None] * (x + 1.0)), dtype=float)
-    tail = (1,) * (vals.ndim - 2)
-    return (vals * w.reshape((-1,) + tail)).sum(axis=1) * half.reshape((-1,) + tail)
+    nodes_last = np.ascontiguousarray(np.moveaxis(vals, 1, -1))
+    return (nodes_last * w).sum(axis=-1) * half.reshape((-1,) + (1,) * (vals.ndim - 2))
 
 
 def _segment_quad(f, a, b):
@@ -462,6 +464,22 @@ def _segment_quad(f, a, b):
         m = 0.5 * (l + h)
         seg = np.concatenate([seg[n:], np.repeat(s, 2)])
         q = np.concatenate([q[n:], np.stack([l, m, err, m, h, err], 1).reshape(-1, 3)])
+    return out
+
+
+def _row_sums(x, mask=None) -> np.ndarray:
+    """Sums over the last axis, each row's cells added one at a time in
+    order from cell 0; cells outside `mask` (broadcast against x) count as
+    0.  Zeros after a row's last real cell leave its sum as it is, so a
+    path's sum has the same bits at any padded width, where numpy's
+    pairwise `.sum` would regroup its cells by the width.  One column a
+    step: unlike `np.cumsum`, no temporary as large as x."""
+    x = np.asarray(x, dtype=float)
+    if mask is not None:
+        x = np.where(mask, x, 0.0)
+    out = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        out += x[..., j]
     return out
 
 
@@ -525,7 +543,7 @@ def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     cross_j = sum_{i<j} (anti_j - anti_i) mu'(T_j - T_i)    (psi's cross sum)
 
     cross is None when no `anti` is given.  The exponential kernel takes the
-    O(P K) recurrences; any other kernel takes pairwise `strict_lags` sums
+    O(P K) recurrences; any other kernel takes `_row_sums` of `strict_lags`
     over `_row_blocks`; padded slots then read 0.
     """
     kernel = model.kernel
@@ -538,11 +556,11 @@ def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     cross = None if anti is None else np.zeros(times.shape)
     for idx, K in _row_blocks(counts, lambda K: K * K):
         at = times[idx, :K]
-        S[idx, :K] = strict_lags(kernel.mu, at[:, None, :], at).sum(axis=-1)
+        S[idx, :K] = _row_sums(strict_lags(kernel.mu, at[:, None, :], at))
         if anti is not None:
             a = anti[idx, :K]
             mup = strict_lags(kernel.mu_prime, at[:, None, :], at)
-            cross[idx, :K] = ((a[:, :, None] - a[:, None, :]) * mup).sum(axis=-1)
+            cross[idx, :K] = _row_sums((a[:, :, None] - a[:, None, :]) * mup)
     return S, cross
 
 
@@ -560,7 +578,7 @@ def _excitation_compensator(
     jumps before t.  The segment before the first jump is skipped:
     gamma(0) = 0 there."""
     if model.nonlinearity.is_linear():
-        return strict_lags(model.kernel.mu_hat, rows, t).sum(axis=-1)
+        return _row_sums(strict_lags(model.kernel.mu_hat, rows, t))
     if model.kernel.family == "exponential":
         return _markov_compensator(model, rows, t, S)
     mu, gam = model.kernel.mu, model.nonlinearity.value
@@ -574,9 +592,9 @@ def _excitation_compensator(
         hi = np.concatenate([cuts[:, 1:], np.full((idx.size, 1), t)], axis=1)
 
         def f(seg, u):
-            return gam(strict_lags(mu, block[seg // K, None, :], u).sum(axis=-1))
+            return gam(_row_sums(strict_lags(mu, block[seg // K, None, :], u)))
 
-        out[idx] = _segment_quad(f, cuts.ravel(), hi.ravel()).reshape(-1, K).sum(axis=1)
+        out[idx] = _row_sums(_segment_quad(f, cuts.ravel(), hi.ravel()).reshape(-1, K))
     return out
 
 
@@ -599,9 +617,8 @@ def _markov_compensator(
     compensator's units; small caps still refine there, as tanh's poles lie
     near the real axis.  Jumps at or after t give empty segments, and so
     does alpha = 0.  A segment's integral has the same bits in any block
-    (`_segment_quad`), and each row adds its segments in order, even in a
-    block of one row, so a row's result has the same bits alone and in any
-    block, whatever its longest row.
+    (`_segment_quad`), and each row adds its segments in order
+    (`_row_sums`).
     """
     alpha, beta = float(model.kernel.alpha), float(model.kernel.beta)
     gam = model.nonlinearity.value
@@ -609,8 +626,7 @@ def _markov_compensator(
     ends = np.concatenate([cuts[:, 1:], np.full((cuts.shape[0], 1), t)], axis=1)
     top = (_excitation_recurrences(cuts, alpha, beta)[0] if S is None else S) + alpha
     bottom = top * np.exp(-beta * (ends - cuts))
-    # (K, P) order: the loop at the end adds each row's segments in turn
-    top, bottom = (np.ascontiguousarray(x.T).ravel() for x in (top, bottom))
+    top, bottom = top.ravel(), bottom.ravel()
     live = np.nonzero(top > bottom)[0]
     vals = np.zeros(top.size)
 
@@ -621,11 +637,7 @@ def _markov_compensator(
     for s in range(0, live.size, step):
         idx = live[s:s + step]
         vals[idx] = _segment_quad(f, bottom[idx], top[idx])
-    # not .sum(axis=0): a one-row block would collapse to a pairwise 1-D sum
-    out = np.zeros(rows.shape[0])
-    for seg in vals.reshape(rows.shape[1], rows.shape[0]):
-        out += seg
-    return out
+    return _row_sums(vals.reshape(rows.shape))
 
 
 def _window_time(t: Optional[float], T: float) -> float:
@@ -645,10 +657,7 @@ def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] =
     """Lambda_t = int_0^t lambda*(s) ds for every path of a batch; a jump at
     0 acts as the limit of jumps at 0+.  Each path sums its own terms in
     order, so its bits do not depend on the other paths of the batch: a
-    path has the same Lambda_t alone (`compensator`) and in any batch.  On
-    a kernel other than the exponential a nonlinear gamma's excitation is
-    summed over the width of the row block (`_excitation_compensator`), so
-    there the bits may depend on the block's longest path."""
+    path has the same Lambda_t alone (`compensator`) and in any batch."""
     t = _window_time(t, batch.horizon)
     base = float(model.baseline.integral(np.float64(t)))
     if model.nonlinearity.is_linear():

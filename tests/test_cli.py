@@ -8,6 +8,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -697,6 +698,29 @@ def test_greeks_sigma_zero_is_config_error(tmp_path):
     assert run_cli(
         "greeks", "--config", str(ini), "--paths", "100", "--out", str(tmp_path)
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("bump = -1", r"bump = -1\.0: must be 0"),
+        ("bump = 100", r"bump = 100\.0: must be 0 \(the default\) or in \(0, x0 = 100\.0\)"),
+        ("bump = 150", r"bump = 150\.0: must be 0"),
+        ("fd_paths = -5", r"fd_paths = -5: must be 0 \(the default\) or >= 2"),
+        ("fd_paths = 1", r"fd_paths = 1: must be 0"),
+    ],
+)
+def test_greeks_bump_and_fd_paths_refused_before_any_work(tmp_path, capsys, setting, message):
+    # a negative bump or fd_paths is not the default, a bump of x0 or more
+    # prices the down bump at or below 0, and one fd path has no std_error
+    ini = tmp_path / "gk.ini"
+    ini.write_text(f"[greeks]\n{setting}\n")
+    out = tmp_path / "out"
+    assert run_cli("greeks", "--config", str(ini), "--paths", "100", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert re.search(message, err)
+    assert not (out / "greeks.csv").exists()
 
 
 # ---- determinism ----

@@ -207,6 +207,14 @@ def test_fd_bump_halving_below_noise(asset, batch):
         fd_delta(asset, payoff, batch, bump=0.0)
 
 
+def test_fd_bump_must_stay_below_x0(asset, batch):
+    # x0 - bump is the down-bumped spot: at bump >= x0 it is no price
+    payoff = Payoff.digital(asset.x0)
+    for bump in (asset.x0, 1.5 * asset.x0):
+        with pytest.raises(ValueError, match="below x0"):
+            fd_delta(asset, payoff, batch, bump=bump)
+
+
 # ---- estimator agreement ----
 
 def test_smooth_payoff_triangle(asset, batch):

@@ -8,14 +8,24 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
 import hawkmal.simulate
+from hawkmal.density import _log_kappa_parts, log_kappa
+from hawkmal.experiments import mean_intensity_batch
 from hawkmal.greeks import AssetModel, terminal_price, terminal_price_batch
-from hawkmal.malliavin import CameronMartinFunction, weight_arrays, weight_terms
+from hawkmal.malliavin import (
+    CameronMartinFunction,
+    divergence_m,
+    divergence_m_batch,
+    weight_arrays,
+    weight_terms,
+    z_eps,
+    z_eps_batch,
+)
 from hawkmal.model import (
     AssumptionError,
     BaselineSpec,
@@ -23,6 +33,7 @@ from hawkmal.model import (
     InternalError,
     KernelSpec,
     NonlinearitySpec,
+    intensity,
 )
 from hawkmal.simulate import (
     HawkesPath,
@@ -35,6 +46,7 @@ from hawkmal.simulate import (
     _uniforms_at,
     compensator,
     compensator_batch,
+    padded_jumps,
     simulate_batch,
     simulate_path,
 )
@@ -822,6 +834,86 @@ def test_one_path_views_are_their_batch_rows(batch, tanh, t_frac):
     for i, path in enumerate(batch):
         assert compensator(model, path, t) == lam[i]
         assert terminal_price(asset, path) == (prices[i], units[i])
+
+
+_CONTRACT_GRID = np.linspace(0.0, 5.0, 33)[1:]
+
+
+def contract_model(kind):
+    """The reference model ("linear"), under tanh at cap 2 ("tanh"), and
+    under tanh with the kernel wrapped as custom ("custom")."""
+    kernel = exp_as_custom(0.5, 1.0) if kind == "custom" else KernelSpec.exponential(0.5, 1.0)
+    gamma = NonlinearitySpec.linear() if kind == "linear" else NonlinearitySpec.saturating_tanh(2.0)
+    return HawkesModel(BaselineSpec.constant(1.0), kernel, gamma)
+
+
+def batch_rows(model, batch):
+    """Every per-path quantity from its batch routine, first axis over the
+    paths (over the jumps, in flat order, for the weight terms)."""
+    T = batch.horizon
+    m = CameronMartinFunction.default(T)
+    asset = AssetModel(x0=100.0, r=0.05, sigma=0.3, hawkes=model)
+    times, mask = padded_jumps(batch)
+    log_prod, exc = _log_kappa_parts(model, times, batch.counts(), T)
+    terms = np.stack(weight_arrays(model, batch, m)[2:], axis=-1)
+    return {
+        "compensator": compensator_batch(model, batch),
+        "compensator at T/2": compensator_batch(model, batch, 0.5 * T),
+        "terminal_price": np.stack(terminal_price_batch(asset, batch), axis=1),
+        "divergence_m": divergence_m_batch(model, batch, m),
+        "z_eps": z_eps_batch(model, batch, m, 0.1),
+        "weight_terms": terms[mask],
+        "log_kappa": log_prod - (float(model.baseline.integral(np.float64(T))) + exc),
+        "intensity": mean_intensity_batch(model, batch, _CONTRACT_GRID).T,
+    }
+
+
+@st.composite
+def index_splits(draw):
+    """(n_paths, cuts): a path count and the inner edges of a split of its
+    index range."""
+    n = draw(st.integers(2, 100))
+    return n, sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=3))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(kind=st.sampled_from(["linear", "tanh", "custom"]), seed=st.integers(0, 2**32 - 1),
+       split=index_splits())
+@example(kind="linear", seed=5, split=(600, [300]))
+@example(kind="custom", seed=31, split=(600, [7, 300, 599]))
+def test_every_per_path_quantity_is_its_batch_row(kind, seed, split):
+    # each one-path view equals its batch row bit for bit, and every batch
+    # row is the same in the whole batch and in the parts of a split
+    model = contract_model(kind)
+    (n, cuts), T = split, 5.0
+    batch = simulate_batch(model, T, seed, n)
+    whole = batch_rows(model, batch)
+    edges = [0, *cuts, n]
+    parts = [batch_rows(model, simulate_batch(model, T, seed, hi - lo, first_index=lo))
+             for lo, hi in zip(edges, edges[1:])]
+    for key, rows in whole.items():
+        np.testing.assert_array_equal(np.concatenate([p[key] for p in parts]), rows, err_msg=key)
+
+    m = CameronMartinFunction.default(T)
+    asset = AssetModel(x0=100.0, r=0.05, sigma=0.3, hawkes=model)
+    for i, path in enumerate(batch):
+        lo, hi = batch.offsets[i], batch.offsets[i + 1]
+        terms = weight_terms(model, path, m)
+        assert compensator(model, path) == whole["compensator"][i]
+        assert compensator(model, path, 0.5 * T) == whole["compensator at T/2"][i]
+        assert terminal_price(asset, path) == tuple(whole["terminal_price"][i])
+        assert divergence_m(model, path, m) == whole["divergence_m"][i]
+        assert z_eps(model, path, m, 0.1) == whole["z_eps"][i]
+        np.testing.assert_array_equal(
+            np.stack([terms.psi_at_jump, terms.gamma1_at_jump, terms.gamma2_at_jump,
+                      terms.m_at_jump, terms.m_hat_at_jump], axis=-1),
+            whole["weight_terms"][lo:hi],
+        )
+        if path.count:
+            assert log_kappa(model, T, path.jump_times) == whole["log_kappa"][i]
+        np.testing.assert_array_equal(
+            intensity(model, path.jump_times, _CONTRACT_GRID), whole["intensity"][i]
+        )
 
 
 def check_markov_route(paths, alpha, beta, cap):
