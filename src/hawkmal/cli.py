@@ -24,7 +24,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,7 +62,7 @@ from .model import (
     NonlinearitySpec,
 )
 from .sde import density_criteria, sde_preset
-from .simulate import compensator_batch, simulate_batch
+from .simulate import _BLOCK_ELEMS, compensator_batch, simulate_batch
 
 DEFAULT_SEED = 12345
 _KS_LEVEL = 0.01
@@ -307,12 +307,33 @@ def _write_csv(
             fh.write(f"# {key}={_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if set(map(type, itertools.chain.from_iterable(rows))) <= _PLAIN_CELL.keys():
-            writer.writerows(rows)
-        else:
-            plain = _PLAIN_CELL.get
-            writer.writerows([plain(type(v), _cell)(v) for v in row] for row in rows)
+        step = max(1, _BLOCK_ELEMS // len(header))  # rows of one slice
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            if set(map(type, itertools.chain.from_iterable(block))) <= _PLAIN_CELL.keys():
+                writer.writerows(block)
+            else:
+                plain = _PLAIN_CELL.get
+                writer.writerows([plain(type(v), _cell)(v) for v in row] for row in block)
     return path
+
+
+class _Rows:
+    """Table rows made a slice at a time, for `_write_csv`: columns(lo, hi)
+    gives the column arrays of rows [lo, hi), and a slice is the list of
+    their row tuples.  So a per-jump dump holds Python objects for the
+    slice being written only, not for every jump of the batch."""
+
+    def __init__(self, n_rows: int, columns):
+        self.n_rows = n_rows
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, rows: slice) -> list:
+        lo, hi, _ = rows.indices(self.n_rows)
+        return list(zip(*(column.tolist() for column in self.columns(lo, hi))))
 
 
 _REPORT_HEADER = ("experiment", "parameter_digest", "estimate", "reference", "std_error", "z", "pass")
@@ -371,14 +392,17 @@ def _cmd_simulate(inv: _Invocation) -> bool:
     """Simulate paths; dump jump times and the martingale gap N_T - Lambda_T."""
     model = inv.config.model()
     batch = inv.batch(model)
-    counts = batch.counts()
-    path_index = np.repeat(batch.first_index + np.arange(batch.n_paths), counts)
-    # a jump's ordinal is its flat position past its path's offset, from 1
-    jump_ordinal = np.arange(1, counts.sum() + 1) - np.repeat(batch.offsets[:-1], counts)
-    dump = list(zip(path_index.tolist(), jump_ordinal.tolist(), batch.flat_times.tolist()))
+
+    def jumps(lo, hi):  # the jumps at flat positions [lo, hi)
+        flat = np.arange(lo, hi)
+        path = np.searchsorted(batch.offsets, flat, side="right") - 1
+        # a jump's ordinal is its flat position past its path's offset, from 1
+        return batch.first_index + path, flat - batch.offsets[path] + 1, batch.flat_times[lo:hi]
+
+    dump = _Rows(batch.flat_times.size, jumps)
     inv.write("simulate_paths.csv", ("path_index", "jump_ordinal", "jump_time"), dump)
 
-    counts = counts.astype(float)
+    counts = batch.counts().astype(float)
     comp = compensator_batch(model, batch)
     gap = counts - comp
     n = batch.n_paths
@@ -490,17 +514,11 @@ def _cmd_ibp_check(inv: _Invocation) -> bool:
     report = ibp_check(model, batch, m=m)
     inv.write("ibp_report.csv", _REPORT_HEADER, _report_rows(report))
 
-    n = min(_WEIGHT_DUMP_PATHS, batch.n_paths)
-    head = replace(
-        batch, offsets=batch.offsets[:n + 1], flat_times=batch.flat_times[:batch.offsets[n]]
-    )
+    head = batch.take(np.arange(min(_WEIGHT_DUMP_PATHS, batch.n_paths)))
     times, mask, *terms = weight_arrays(model, head, m)
     rows, ordinal = np.nonzero(mask)  # row-major: by path, then by jump
-    dump = list(zip(
-        (batch.first_index + rows).tolist(),
-        (ordinal + 1).tolist(),
-        *(column[mask].tolist() for column in (times, *terms)),
-    ))
+    columns = (head.first_index + rows, ordinal + 1, *(c[mask] for c in (times, *terms)))
+    dump = _Rows(rows.size, lambda lo, hi: [c[lo:hi] for c in columns])
     inv.write(
         "ibp_weights.csv",
         ("path_index", "j", "T_j", "psi", "gamma1", "gamma2", "m", "m_hat"),

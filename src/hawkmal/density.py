@@ -22,6 +22,7 @@ from .simulate import (
     PathBatch,
     _excitation_compensator,
     _excitation_sums,
+    _row_blocks,
     _row_sums,
     simulate_batch,
 )
@@ -75,12 +76,18 @@ def log_kappa(model: HawkesModel, T: float, times) -> float:
 
 def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray:
     """Vectorized log kappa over rows of sorted, strictly increasing times
-    inside (0, T].  No simplex check is performed here."""
+    inside (0, T], in `_row_blocks` of bounded size.  No simplex check is
+    performed here."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be (n_points, n) shaped")
-    log_prod, exc = _log_kappa_parts(model, rows, np.full(rows.shape[0], rows.shape[1]), T)
-    return log_prod - (float(model.baseline.integral(np.float64(T))) + exc)
+    counts = np.full(rows.shape[0], rows.shape[1])
+    base = float(model.baseline.integral(np.float64(T)))
+    out = np.empty(rows.shape[0])
+    for idx, _ in _row_blocks(counts, lambda K: K):
+        log_prod, exc = _log_kappa_parts(model, rows[idx], counts[idx], T)
+        out[idx] = log_prod - (base + exc)
+    return out
 
 
 def _log_kappa_parts(model: HawkesModel, times: np.ndarray, counts: np.ndarray, T: float):

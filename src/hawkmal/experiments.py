@@ -24,7 +24,7 @@ from .malliavin import (
     z_eps_batch,
 )
 from .model import HawkesModel, strict_lags
-from .simulate import PathBatch, _row_sums
+from .simulate import PathBatch, _path_blocks, _row_sums
 
 _Z_THRESHOLD = 3.0
 _VOLTERRA_STEPS = 2048
@@ -133,16 +133,17 @@ def volterra_mean_intensity(model: HawkesModel, T: float, n_steps: int):
 
 
 def mean_intensity_batch(model: HawkesModel, batch: PathBatch, grid) -> np.ndarray:
-    """Per-path lambda*(s) at each grid point, shape (n_grid, n_paths)."""
-    times, _ = padded_jumps(batch)
+    """Per-path lambda*(s) at each grid point, shape (n_grid, n_paths), over
+    the batch's `_path_blocks`."""
     grid = np.asarray(grid, dtype=float)
+    base = [float(model.baseline.value(np.float64(s))) for s in grid]
     out = np.empty((grid.size, batch.n_paths))
-    for i, s in enumerate(grid):
-        # padding equals the horizon, so it never counts
-        exc = _row_sums(strict_lags(model.kernel.mu, times, s))
-        out[i] = float(model.baseline.value(np.float64(s))) + np.asarray(
-            model.nonlinearity.value(exc), dtype=float
-        )
+    for idx, block in _path_blocks(batch):
+        times, _ = padded_jumps(block)
+        for i, s in enumerate(grid):
+            # padding equals the horizon, so it never counts
+            exc = _row_sums(strict_lags(model.kernel.mu, times, s))
+            out[i, idx] = base[i] + np.asarray(model.nonlinearity.value(exc), dtype=float)
     return out
 
 
@@ -229,15 +230,14 @@ def _ibp_differences(
 ) -> np.ndarray:
     """<DF, m> - F delta(m) per catalog entry and path, shaped (entries, P).
 
-    Each functional is evaluated once on the padded (P, K) jump-time block
-    (the block form of SmoothFunctional), and <DF, m> = -sum_j dF/dt_j
-    m_hat(T_j) is a masked `_row_sums`.  Raises ValueError for an entry without
-    exact partials, one whose `supports` rejects a jump count of the batch,
-    or one that breaks the block contract.
+    Each functional is evaluated once on the padded (B, K) jump-time block
+    of each of the batch's `_path_blocks` (the block form of
+    SmoothFunctional), and <DF, m> = -sum_j dF/dt_j m_hat(T_j) is a masked
+    `_row_sums`.  Raises ValueError for an entry without exact partials,
+    one whose `supports` rejects a jump count of the batch, or one that
+    breaks the block contract.
     """
     T = batch.horizon
-    times, mask = padded_jumps(batch)
-    P, K = times.shape
     counts = np.unique(batch.counts()).tolist()
     for label, functional in catalog:
         if functional.partials is None:
@@ -246,17 +246,20 @@ def _ibp_differences(
         if rejected:
             raise ValueError(f"F={label} does not support N_T = {rejected[0]}")
     delta = divergence_m_batch(model, batch, m)
-    m_hat = m.m_hat(times)
-    out = np.empty((len(catalog), P))
-    for row, (label, functional) in zip(out, catalog):
-        values = np.asarray(functional.value(times, T), dtype=float)
-        partials = np.asarray(functional.partials(times, T), dtype=float)
-        if values.shape != (P,) or partials.shape != (P, K):
-            raise ValueError(
-                f"F={label} gave values {values.shape} and partials {partials.shape} "
-                f"on a ({P}, {K}) block; expected ({P},) and ({P}, {K})"
-            )
-        row[:] = -_row_sums(partials * m_hat, mask) - values * delta
+    out = np.empty((len(catalog), batch.n_paths))
+    for idx, block in _path_blocks(batch):
+        times, mask = padded_jumps(block)
+        B, K = times.shape
+        m_hat = m.m_hat(times)
+        for row, (label, functional) in zip(out, catalog):
+            values = np.asarray(functional.value(times, T), dtype=float)
+            partials = np.asarray(functional.partials(times, T), dtype=float)
+            if values.shape != (B,) or partials.shape != (B, K):
+                raise ValueError(
+                    f"F={label} gave values {values.shape} and partials {partials.shape} "
+                    f"on a ({B}, {K}) block; expected ({B},) and ({B}, {K})"
+                )
+            row[idx] = -_row_sums(partials * m_hat, mask) - values * delta[idx]
     return out
 
 

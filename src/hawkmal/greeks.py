@@ -26,7 +26,7 @@ import numpy as np
 from .malliavin import CameronMartinFunction, _divergence_rows, weight_arrays
 from .malliavin import divergence_m_batch  # noqa: F401  bench/layers.py traces greeks.divergence_m_batch
 from .model import AssumptionError, HawkesModel
-from .simulate import HawkesPath, PathBatch, _row_sums, compensator_batch
+from .simulate import HawkesPath, PathBatch, _path_blocks, _row_sums, compensator_batch
 
 _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -262,7 +262,9 @@ def malliavin_delta(
     The mean is the empirical average of f(S_T) W plus the deterministic
     one-jump endpoint restitution (recorded in ``boundary_term``); see
     `_one_jump_boundary_term` for why the average alone is short by
-    exactly that flux.  Paths where the denominator
+    exactly that flux.  The per-path sums delta(m), D and the two D^2
+    terms come from the `weight_arrays` of the batch's `_path_blocks`.
+    Paths where the denominator
     D = sum mu(T-T_i) m_hat(T_i) falls below 1e-12 * sup|mu| * T are
     excluded and counted; more than 1% exclusions aborts the estimate.
     """
@@ -274,15 +276,17 @@ def malliavin_delta(
     if m is None:
         m = CameronMartinFunction.default(T)
     counts = batch.counts()
-    times, mask, psi, g1, g2, m_at, mh_at = weight_arrays(model, batch, m)
-    if times.shape[1] == 0:
+    if not batch.flat_times.size:
         raise ValueError("batch contains no jumps; the weight is undefined")
-    delta_m = _divergence_rows(mask, psi, g1, g2, m_at, mh_at)
-    lags = T - times
-    mu_lag = model.kernel.mu(lags)
-    D = _row_sums(mu_lag * mh_at, mask)
-    s2 = _row_sums(model.kernel.mu_prime(lags) * mh_at**2, mask)
-    s3 = _row_sums(mu_lag * m_at * mh_at, mask)
+    delta_m, D, s2, s3 = np.empty((4, batch.n_paths))
+    for idx, block in _path_blocks(batch):
+        times, mask, psi, g1, g2, m_at, mh_at = weight_arrays(model, block, m)
+        delta_m[idx] = _divergence_rows(mask, psi, g1, g2, m_at, mh_at)
+        lags = T - times
+        mu_lag = model.kernel.mu(lags)
+        D[idx] = _row_sums(mu_lag * mh_at, mask)
+        s2[idx] = _row_sums(model.kernel.mu_prime(lags) * mh_at**2, mask)
+        s3[idx] = _row_sums(mu_lag * m_at * mh_at, mask)
 
     positive = counts > 0
     floor = _DENOMINATOR_FLOOR_SCALE * model.kernel.sup_norm * T

@@ -26,6 +26,7 @@ from .simulate import (
     PathBatch,
     _excitation_sums,
     _gauss_rule,
+    _path_blocks,
     _row_blocks,
     _row_sums,
     _segment_quad,
@@ -621,9 +622,12 @@ def _divergence_rows(mask, psi, gamma1, gamma2, m_at, m_hat_at) -> np.ndarray:
 
 
 def divergence_m_batch(model: HawkesModel, batch: PathBatch, m) -> np.ndarray:
-    """delta(m) for every path of a batch, from one `weight_arrays` block
-    (`m` as there)."""
-    return _divergence_rows(*weight_arrays(model, batch, m)[1:])
+    """delta(m) for every path of a batch, from the `weight_arrays` of its
+    `_path_blocks` (`m` as there)."""
+    out = np.empty(batch.n_paths)
+    for idx, block in _path_blocks(batch):
+        out[idx] = _divergence_rows(*weight_arrays(model, block, m)[1:])
+    return out
 
 
 def z_eps_batch(
@@ -635,8 +639,9 @@ def z_eps_batch(
     Bounded m requires eps sup|m| < 1/3 (no truncation needed); an
     unbounded direction is clamped at +-1/(3 eps) and re-centered, once per
     batch.  log kappa of the shifted and of the unshifted jumps comes from
-    one stacked (2P, K) block through the density's `_log_kappa_parts`; the
-    baseline integral is left out, as it cancels in the ratio.
+    one stacked (2B, K) block of each of the `_path_blocks` through the
+    density's `_log_kappa_parts`; the baseline integral is left out, as it
+    cancels in the ratio.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -648,14 +653,14 @@ def z_eps_batch(
         m_val, m_hat = _truncated_direction(m, eps)
 
     T = batch.horizon
-    P = batch.n_paths
-    times, mask = padded_jumps(batch)
-    if times.shape[1] == 0:
-        return np.ones(P)
-    shifted = np.where(mask, times + eps * np.asarray(m_hat(times), dtype=float), T)
-    log_prod, exc = _log_kappa_parts(
-        model, np.concatenate([shifted, times]), np.tile(batch.counts(), 2), T
-    )
-    log_kappa = log_prod - exc
-    log_jac = _row_sums(np.log1p(eps * np.asarray(m_val(times), dtype=float)), mask)
-    return np.exp(log_kappa[:P] - log_kappa[P:] + log_jac)
+    out = np.empty(batch.n_paths)
+    for idx, block in _path_blocks(batch, lambda K: 2 * K):
+        times, mask = padded_jumps(block)
+        shifted = np.where(mask, times + eps * np.asarray(m_hat(times), dtype=float), T)
+        log_prod, exc = _log_kappa_parts(
+            model, np.concatenate([shifted, times]), np.tile(block.counts(), 2), T
+        )
+        log_kappa = log_prod - exc
+        log_jac = _row_sums(np.log1p(eps * np.asarray(m_val(times), dtype=float)), mask)
+        out[idx] = np.exp(log_kappa[:idx.size] - log_kappa[idx.size:] + log_jac)
+    return out

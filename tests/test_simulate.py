@@ -3,6 +3,7 @@ parallelism, thinning reductions, compensator closed forms, and the segment
 quadrature against scipy quad."""
 import hashlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,9 +15,15 @@ from scipy import stats
 from scipy.integrate import quad
 
 import hawkmal.simulate
-from hawkmal.density import _log_kappa_parts, log_kappa
-from hawkmal.experiments import mean_intensity_batch
-from hawkmal.greeks import AssetModel, terminal_price, terminal_price_batch
+from hawkmal.density import _log_kappa_parts, log_kappa, log_kappa_rows
+from hawkmal.experiments import _ibp_differences, mean_intensity_batch, smooth_catalog
+from hawkmal.greeks import (
+    AssetModel,
+    Payoff,
+    malliavin_delta,
+    terminal_price,
+    terminal_price_batch,
+)
 from hawkmal.malliavin import (
     CameronMartinFunction,
     divergence_m,
@@ -914,6 +921,87 @@ def test_every_per_path_quantity_is_its_batch_row(kind, seed, split):
         np.testing.assert_array_equal(
             intensity(model, path.jump_times, _CONTRACT_GRID), whole["intensity"][i]
         )
+
+
+def blocked_results(model, batch):
+    """Every routine that runs over count-sorted blocks of paths (of rows,
+    for log_kappa_rows), on one batch; the Malliavin delta on linear gamma
+    only, where it is derived."""
+    T = batch.horizon
+    m = CameronMartinFunction.default(T)
+    times = padded_jumps(batch)[0]
+    out = {
+        "z_eps": z_eps_batch(model, batch, m, 0.1),
+        "divergence_m": divergence_m_batch(model, batch, m),
+        "ibp": _ibp_differences(model, batch, m, smooth_catalog()),
+        "intensity": mean_intensity_batch(model, batch, _CONTRACT_GRID),
+        "compensator": compensator_batch(model, batch),
+        "compensator at T/2": compensator_batch(model, batch, 0.5 * T),
+        "log_kappa_rows": log_kappa_rows(model, T, times[batch.counts() >= 2, :2]),
+    }
+    if model.nonlinearity.is_linear():
+        est = malliavin_delta(AssetModel(100.0, 0.05, 0.3, model), Payoff.digital(100.0), batch)
+        out["malliavin_delta"] = np.array([
+            est.mean, est.std_error, est.effective_sample_size, est.excluded,
+            est.min_abs_denominator,
+        ])
+    return out
+
+
+@settings(max_examples=6, deadline=None)
+@given(kind=st.sampled_from(["linear", "tanh", "custom"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(20, 60))
+@example(kind="custom", seed=31, n=60)
+def test_blocked_routines_give_the_same_bits_at_any_block_size(kind, seed, n):
+    # one row a block, odd blocks, the default and the whole batch in one
+    # block: every per-path result, and so every estimate, keeps its bits
+    model = contract_model(kind)
+    batch = simulate_batch(model, 5.0, seed, n)
+    want = blocked_results(model, batch)
+    for elems in (1, 37, 2**40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hawkmal.simulate, "_BLOCK_ELEMS", elems)
+            got = blocked_results(model, batch)
+        for key, rows in want.items():
+            np.testing.assert_array_equal(got[key], rows, err_msg=f"{key} at {elems}")
+
+
+# tracemalloc peak allowed to each pass over the outlier batch below; the
+# padded passes of the whole batch took 0.4 to 1.3 GB there
+_OUTLIER_BUDGET = 4 << 20
+
+
+def test_outlier_path_keeps_memory_bounded():
+    # 5 000 reference paths (at most 30 jumps) and one path of 2 000 jumps:
+    # the outlier widens its own block only
+    model, T = reference_model(), 5.0
+    batch = simulate_batch(model, T, 5, 5000)
+    outlier = np.linspace(T / 2000, T, 2000)
+    batch = PathBatch(
+        horizon=T,
+        master_seed=5,
+        first_index=0,
+        offsets=np.append(batch.offsets, batch.offsets[-1] + outlier.size),
+        flat_times=np.concatenate([batch.flat_times, outlier]),
+    )
+    m = CameronMartinFunction.default(T)
+    asset = AssetModel(100.0, 0.05, 0.3, model)
+    passes = {
+        "z_eps_batch": lambda: z_eps_batch(model, batch, m, 0.1),
+        "divergence_m_batch": lambda: divergence_m_batch(model, batch, m),
+        "malliavin_delta": lambda: malliavin_delta(asset, Payoff.digital(100.0), batch),
+        "mean_intensity_batch": lambda: mean_intensity_batch(model, batch, _CONTRACT_GRID),
+        "compensator_batch": lambda: compensator_batch(model, batch),
+        "compensator_batch, tanh": lambda: compensator_batch(reference_tanh_model(), batch),
+    }
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _OUTLIER_BUDGET, f"{name} peaked at {peak / 2**20:.1f} MB"
 
 
 def check_markov_route(paths, alpha, beta, cap):
