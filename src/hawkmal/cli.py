@@ -309,6 +309,9 @@ def _write_csv(
         writer.writerow(header)
         step = max(1, _BLOCK_ELEMS // len(header))  # rows of one slice
         for lo in range(0, len(rows), step):
+            if isinstance(rows, _Rows):
+                fh.write(rows.text(lo, lo + step))
+                continue
             block = rows[lo:lo + step]
             if set(map(type, itertools.chain.from_iterable(block))) <= _PLAIN_CELL.keys():
                 writer.writerows(block)
@@ -320,9 +323,12 @@ def _write_csv(
 
 class _Rows:
     """Table rows made a slice at a time, for `_write_csv`: columns(lo, hi)
-    gives the column arrays of rows [lo, hi), and a slice is the list of
-    their row tuples.  So a per-jump dump holds Python objects for the
-    slice being written only, not for every jump of the batch."""
+    gives the integer or float column arrays of rows [lo, hi).  So a
+    per-jump dump holds Python objects for the slice being written only,
+    not for every jump of the batch."""
+
+    # a cell's text by its column's dtype kind, as `_cell` gives it
+    _FORMAT = {"i": "{}", "u": "{}", "f": "{!r}"}
 
     def __init__(self, n_rows: int, columns):
         self.n_rows = n_rows
@@ -331,9 +337,12 @@ class _Rows:
     def __len__(self) -> int:
         return self.n_rows
 
-    def __getitem__(self, rows: slice) -> list:
-        lo, hi, _ = rows.indices(self.n_rows)
-        return list(zip(*(column.tolist() for column in self.columns(lo, hi))))
+    def text(self, lo: int, hi: int) -> str:
+        """The CSV lines of rows [lo, hi): the cells are plain Python ints
+        and floats, which need no quoting."""
+        columns = self.columns(lo, min(hi, self.n_rows))
+        fmt = ",".join(self._FORMAT[c.dtype.kind] for c in columns) + "\n"
+        return "".join(map(fmt.format, *(c.tolist() for c in columns)))
 
 
 _REPORT_HEADER = ("experiment", "parameter_digest", "estimate", "reference", "std_error", "z", "pass")
@@ -709,29 +718,30 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # the options every command takes
+    common.add_argument("--config", metavar="<path>", help="INI config file")
+    common.add_argument("--seed", type=int, metavar="<u64>", help="override run.seed")
+    common.add_argument("--paths", type=int, metavar="<n>", help="override run.paths")
+    common.add_argument("--out", metavar="<dir>", default=".", help="output directory")
+    common.add_argument(
+        "--no-timestamp",
+        action="store_true",
+        help="omit the generated-at header line from CSV outputs",
+    )
+    common.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="<n>",
+        help="accepted for compatibility and ignored (must be >= 1)",
+    )
     parser = argparse.ArgumentParser(
         prog="hawkmal",
         description="Hawkes-process simulation, jump-time calculus checks, and Greeks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", metavar="<path>", help="INI config file")
-        p.add_argument("--seed", type=int, metavar="<u64>", help="override run.seed")
-        p.add_argument("--paths", type=int, metavar="<n>", help="override run.paths")
-        p.add_argument("--out", metavar="<dir>", default=".", help="output directory")
-        p.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="omit the generated-at header line from CSV outputs",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="<n>",
-            help="accepted for compatibility and ignored (must be >= 1)",
-        )
+        sub.add_parser(name, help=fn.__doc__, parents=[common])
     return parser
 
 

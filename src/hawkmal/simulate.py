@@ -12,11 +12,13 @@ A guard raises if a proposal ever exceeds the envelope (symptom of a
 non-monotone custom gamma or a bad baseline bound).
 
 Every kernel runs in lockstep over fixed-width chunks of paths: each round,
-every live path proposes one candidate, from one Philox call that draws u1
-and u2 for all live paths at once, and the state arrays are then compressed
-to the paths whose candidate fell inside [0, T].  Exponential (and null)
-kernels carry the excitation as one Markov sum; any other kernel sums mu
-over a padded history of each live path's jumps.
+every live path proposes one candidate from its u1 and u2, and the state
+arrays are then compressed to the paths whose candidate fell inside [0, T].
+One Philox call draws u1 and u2 for all live paths at once, for one round
+while many paths are live and for a block of rounds once few are, so a
+narrow tail pays Philox's fixed cost once per block.  Exponential (and
+null) kernels carry the excitation as one Markov sum; any other kernel sums
+mu over a padded history of each live path's jumps.
 """
 from __future__ import annotations
 
@@ -38,12 +40,13 @@ __all__ = [
 ]
 
 # Fixed chunk width of `simulate_batch`: a memory bound on the lockstep
-# arrays, which hold only a chunk's live paths.  Each path's arithmetic is
-# its own (see `_simulate_chunk` on the history's width), so the width never
-# changes bytes.  Each lockstep round has a fixed cost of some 100 numpy
-# calls, so wider chunks pay it for more paths;
-# a sweep of one 50 000-path reference batch (2 vCPU, median of 21) took
-# 179/144/129/136/144 ms at widths 4 096/8 192/16 384/32 768/65 536.
+# arrays, which hold only a chunk's live paths, and on the block of rounds
+# drawn ahead, at most 2 _CHUNK doubles.  Each path's arithmetic and draws
+# are its own (see `_simulate_chunk`), so the width never changes bytes.
+# Each lockstep round has a fixed cost of some 100 numpy calls, so wider
+# chunks pay it for more paths; a sweep of one 50 000-path reference batch
+# (2 vCPU, median of 21) took 179/144/129/136/144 ms at widths
+# 4 096/8 192/16 384/32 768/65 536, before narrow rounds drew ahead.
 _CHUNK = 16384
 _MAX_ROUNDS = 500_000  # lockstep safety cap (candidates per path)
 _ENVELOPE_SLACK = 1e-12
@@ -84,16 +87,18 @@ def _seed_keys(master_seed: int):
     return _round_keys(seed & 0xFFFFFFFF, seed >> 32)
 
 
-def _philox_rounds(c0, c1, c2, c3, keys):
-    """Ten Philox rounds under precomputed round keys; returns the four
-    output words as uint64 arrays of the counter words' broadcast shape.
+def _philox_rounds(c0, c1, c2, c3, keys, words=4):
+    """Ten Philox rounds under precomputed round keys; returns the first
+    `words` output words (4, or 2 for words 0-1) as uint64 arrays of the
+    counter words' broadcast shape.
 
     The counter words are unsigned arrays holding values below 2**32.  A
     product of two 32-bit words fits in uint64, so the rounds run in uint64
     with no dtype conversion: the high half is ``p >> 32`` and the low half
-    ``p & 0xFFFFFFFF``.
+    ``p & 0xFFFFFFFF``.  Words 0-1 come from the last round's product of c2
+    alone, so with words=2 that round skips the product of c0.
     """
-    for r, (k0, k1) in enumerate(keys):
+    for r, (k0, k1) in enumerate(keys[:-1]):
         p0 = c0 * _M0
         p1 = c2 * _M1
         if r == 0 and p0.shape != p1.shape:  # the words broadcast to a larger shape
@@ -109,7 +114,20 @@ def _philox_rounds(c0, c1, c2, c3, keys):
         p1 &= _U32
         p0 &= _U32
         c1, c3 = p1, p0
-    return c0, c1, c2, c3
+    k0, k1 = keys[-1]
+    p1 = c2 * _M1
+    w0 = p1 >> _S32
+    w0 ^= c1
+    w0 ^= k0
+    p1 &= _U32
+    if words == 2:
+        return w0, p1
+    p0 = c0 * _M0
+    w2 = p0 >> _S32
+    w2 ^= c3
+    w2 ^= k1
+    p0 &= _U32
+    return w0, p1, w2, p0
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
@@ -129,8 +147,8 @@ def _uniforms_at(master_seed: int, path_index: np.ndarray, draw: np.ndarray) -> 
     """Uniforms in (0,1), one per (path_index, draw) pair."""
     pi = np.asarray(path_index, dtype=np.uint64)
     dc = np.asarray(draw, dtype=np.uint64)
-    w0, w1, _, _ = _philox_rounds(
-        dc & _U32, dc >> _S32, pi & _U32, pi >> _S32, _seed_keys(master_seed)
+    w0, w1 = _philox_rounds(
+        dc & _U32, dc >> _S32, pi & _U32, pi >> _S32, _seed_keys(master_seed), words=2
     )
     return _unit_doubles(w0, w1)
 
@@ -264,10 +282,17 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
     Returns the chunk's (offsets, flat_times) and the draw counter one past
     the last u1 of its longest-running path.  The state arrays hold the live
     paths only and are compressed each round.  Every live path proposes once
-    a round, so all of them share one draw counter: u1 and u2 come from one
-    Philox call at counters (ctr, ctr+1), and a path that leaves discards
-    its u2.  A path's draws thus depend on its index alone, not on the chunk
-    it runs in.
+    a round, so all of them share one draw counter: a round's u1 and u2 sit
+    at counters (ctr, ctr+1), and a path that leaves discards its u2.  A
+    path's draws thus depend on its index alone, not on the chunk it runs in.
+
+    A draw is a pure function of (seed, path, counter), so drawing ahead
+    moves no bit.  When its drawn rounds run out, the chunk draws the next R
+    rounds of every live lane in one Philox call, R = min(rounds run,
+    _CHUNK // live) and at least 1: a wide round draws its own round alone,
+    and a narrow tail pays Philox's fixed cost once per block of rounds,
+    within the chunk's memory bound of 2 _CHUNK doubles.  `lane` maps the
+    live lanes to their columns of the drawn block.
 
     S is the excitation at the last proposal, plus mu(0) if it was accepted.
     Exponential (and null) kernels are Markov: S decays by exp(-beta dt).
@@ -275,6 +300,8 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
     padded with +inf.  Its width stays a power of two of at least 8, so that
     numpy's pairwise row sum adds the real lags in the same order at every
     width: a path's bytes then do not depend on its chunk's longest path.
+    `filled` counts each live path's accepted jumps, which gives each jump
+    its ordinal within its path.
     """
     base = model.baseline
     gam = model.nonlinearity
@@ -284,17 +311,18 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
     markov = k.family == "exponential" or k.is_null()
     keys = _seed_keys(seed)
 
-    # the smallest unsigned rows: `_assemble`'s stable argsort then radix-sorts
-    rows = np.arange(n, dtype=np.min_scalar_type(n))
+    rows = np.arange(n)
     pidx = np.arange(first, first + n, dtype=np.uint64)
     lo, hi = pidx & _U32, pidx >> _S32
     t = np.zeros(n)
     S = np.zeros(n)
+    filled = np.zeros(n, dtype=np.int64)
     if not markov:
         hist = np.full((n, 8), np.inf)
-        filled = np.zeros(n, dtype=np.int64)
     ctr = int(start_ctr)
+    u, used, lane = np.empty((0, n)), 0, None  # the drawn block, its rows consumed
     rows_acc: List[np.ndarray] = []
+    ords_acc: List[np.ndarray] = []
     times_acc: List[np.ndarray] = []
 
     rounds = 0
@@ -302,19 +330,24 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
         rounds += 1
         if rounds > _MAX_ROUNDS:
             raise InternalError("thinning failed to terminate")
-        draws = np.array([[ctr], [ctr + 1]], dtype=np.uint64)
-        w0, w1, _, _ = _philox_rounds(draws & _U32, draws >> _S32, lo, hi, keys)
-        u1, u2 = _unit_doubles(w0, w1)
+        if used == u.shape[0]:
+            R = max(1, min(rounds, _CHUNK // rows.size))
+            draws = np.arange(2 * R, dtype=np.uint64)[:, None] + np.uint64(ctr)
+            w0, w1 = _philox_rounds(draws & _U32, draws >> _S32, lo, hi, keys, words=2)
+            u, used, lane = _unit_doubles(w0, w1), 0, None
+        u1, u2 = u[used:used + 2] if lane is None else u[used:used + 2, lane]
+        used += 2
         ctr += 2
 
         lam_bar = base.sup_on(t, T) + gam.value(S)
         t_prop = t - np.log(u1) / lam_bar
         keep = ~(t_prop > T)
         if not keep.all():
-            rows, lo, hi = rows[keep], lo[keep], hi[keep]
+            rows, lo, hi, filled = rows[keep], lo[keep], hi[keep], filled[keep]
             t, S, t_prop, lam_bar, u2 = t[keep], S[keep], t_prop[keep], lam_bar[keep], u2[keep]
+            lane = np.flatnonzero(keep) if lane is None else lane[keep]
             if not markov:
-                hist, filled = hist[keep], filled[keep]
+                hist = hist[keep]
             if not rows.size:
                 break
 
@@ -327,33 +360,36 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
             raise InternalError("thinning envelope violated")
         accept = u2 * lam_bar <= lam_star
         if accept.any():
-            rows_acc.append(rows[accept])
-            times_acc.append(t_prop[accept])
-            S_prop[accept] += jump
+            lanes = np.flatnonzero(accept)
+            col = filled[lanes]
+            rows_acc.append(rows[lanes])
+            ords_acc.append(col)
+            times_acc.append(t_prop[lanes])
+            S_prop[lanes] += jump
+            filled[lanes] = col + 1
             if not markov:
-                lanes = np.nonzero(accept)[0]
-                col = filled[lanes]
                 if col.max() == hist.shape[1]:
                     hist = np.concatenate([hist, np.full_like(hist, np.inf)], axis=1)
                 hist[lanes, col] = t_prop[lanes]
-                filled[lanes] = col + 1
         S, t = S_prop, t_prop
 
-    return _assemble(rows_acc, times_acc, n), ctr - 1
+    return _assemble(rows_acc, ords_acc, times_acc, n), ctr - 1
 
 
-def _assemble(rows_acc, times_acc, n):
-    """COO (row, time) pairs -> CSR (offsets, flat_times), rows ascending."""
-    if rows_acc:
-        rows = np.concatenate(rows_acc)
-        tms = np.concatenate(times_acc)
-        counts = np.bincount(rows, minlength=n)
-        tms = tms[np.argsort(rows, kind="stable")]  # stable: keeps time order
-    else:
-        tms = np.empty(0, dtype=float)
-        counts = np.zeros(n, dtype=np.int64)
+def _assemble(rows_acc, ords_acc, times_acc, n):
+    """Per-round (rows, ordinals, times) of accepted jumps -> CSR (offsets,
+    flat_times): each time goes to its row's offset plus its ordinal within
+    the row.  A row accepts at most once a round, and its ordinals grow
+    round by round, so its last ordinal + 1 is its count.  Round by round,
+    no temporary is larger than one round's jumps."""
+    counts = np.zeros(n, dtype=np.int64)
+    for rows, ords in zip(rows_acc, ords_acc):
+        counts[rows] = ords + 1
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
+    tms = np.empty(offsets[-1])
+    for rows, ords, times in zip(rows_acc, ords_acc, times_acc):
+        tms[offsets[rows] + ords] = times
     return offsets, tms
 
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from hawkmal.cli import (
     _cell,
     _cmd_simulate,
     _Invocation,
+    _Rows,
+    _build_parser,
     _write_csv,
     load_config,
     main,
@@ -408,6 +411,54 @@ def test_write_csv_bytes_match_cell_text(tmp_path_factory, rows):
     writer.writerows([_cell(v) for v in row] for row in rows)
     with open(path, newline="") as fh:
         assert fh.read() == ref.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ints=st.lists(st.integers(-2**62, 2**62), max_size=40),
+    floats=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+    unsigned=st.booleans(),
+)
+def test_write_csv_rows_slices_match_cell_text(tmp_path_factory, ints, floats, unsigned):
+    # a `_Rows` table writes its slices by column dtype; the file must read
+    # as if each cell went through `_cell`, at any slice boundary
+    n = min(len(ints), len(floats))
+    a = np.array(ints[:n], dtype=np.int64)
+    b = np.abs(a).astype(np.uint64) if unsigned else a
+    c = np.array(floats[:n], dtype=float)
+    dump = _Rows(n, lambda lo, hi: [a[lo:hi], b[lo:hi], c[lo:hi]])
+    out = tmp_path_factory.mktemp("rows")
+    with mock.patch("hawkmal.cli._BLOCK_ELEMS", 7):  # slices of 2 rows
+        path = _write_csv(str(out), "t.csv", "abc", ("x", "y", "z"), dump, None)
+    ref = io.StringIO(newline="")
+    ref.write("# digest=abc\n")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(("x", "y", "z"))
+    writer.writerows([_cell(v) for v in row] for row in zip(a, b, c))
+    with open(path, newline="") as fh:
+        assert fh.read() == ref.getvalue()
+    assert len(dump) == n
+
+
+def test_every_command_parses_the_shared_options():
+    # the six shared options are declared once; every command takes them,
+    # with the same defaults
+    from hawkmal.cli import _COMMANDS
+
+    parser = _build_parser()
+    for name in _COMMANDS:
+        args = parser.parse_args([name])
+        assert (args.config, args.seed, args.paths, args.out, args.no_timestamp, args.workers) == (
+            None, None, None, ".", False, 1
+        ), name
+        args = parser.parse_args([
+            name, "--config", "c.ini", "--seed", "7", "--paths", "9", "--out", "o",
+            "--no-timestamp", "--workers", "3",
+        ])
+        assert (args.command, args.config, args.seed, args.paths, args.out) == (
+            name, "c.ini", 7, 9, "o"
+        )
+        assert (args.no_timestamp, args.workers) == (True, 3)
 
 
 def test_simulate_zero_jump_batch_writes_header_only(tmp_path):

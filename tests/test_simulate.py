@@ -324,33 +324,81 @@ def test_batch_equals_its_split_at_any_chunk_width(name, first, n, cut, seed):
         assert solo.jump_times.tobytes() == ref.path(i).jump_times.tobytes()
 
 
-def test_one_philox_call_per_lockstep_round(monkeypatch):
-    # every round calls the baseline's envelope once; u1 and u2 of all the
-    # live paths must come from one Philox call in that round, for a Markov
-    # kernel and for one that sums over the jump history
+DEPTH_MODELS = {
+    "linear": reference_model(),
+    "tanh": reference_tanh_model(),
+    "custom": linear_model(triangular_kernel(), lam=2.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DEPTH_MODELS)),
+    first=st.one_of(st.integers(0, 1000), st.integers(0, 2**64 - 81)),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+)
+def test_draw_ahead_depth_moves_no_bit(name, first, n, seed, start):
+    # the draw-ahead depth R = min(rounds, _CHUNK // live) changes with the
+    # chunk width; at width 1 every round draws its own round alone.  The
+    # batch bytes, a path's bytes and the draw counter it leaves must not
+    # change with it.
+    model = DEPTH_MODELS[name]
+    seen = set()
+    for width in (1, 37, hawkmal.simulate._CHUNK, 2**20):
+        with mock.patch.object(hawkmal.simulate, "_CHUNK", width):
+            batch = simulate_batch(model, 5.0, seed, n, first_index=first)
+            stream = RngStream(master_seed=seed, path_index=first, draw_counter=start)
+            path = simulate_path(model, 5.0, stream)
+        seen.add((batch.offsets.tobytes(), batch.flat_times.tobytes(),
+                  path.jump_times.tobytes(), stream.draw_counter))
+    assert len(seen) == 1
+
+
+def test_at_most_one_philox_call_per_lockstep_round(monkeypatch):
+    # no per-path Philox calls: each round calls the baseline's envelope once
+    # on its live paths, and a round draws in at most one Philox call, which
+    # draws R rounds (counters ctr .. ctr + 2R - 1) for every live lane; the
+    # rounds that follow consume that block before the next call, and a
+    # round with over half a chunk live draws its own round alone.  Checked
+    # for a Markov kernel and for one that sums over the jump history.
     sup_on = BaselineSpec.sup_on
     philox = hawkmal.simulate._philox_rounds
+    chunk = hawkmal.simulate._CHUNK
     for kernel, n_paths in [
         (KernelSpec.exponential(alpha=0.5, beta=1.0), 20_000),
         (power_law_kernel(), 2_000),
     ]:
-        rounds, draws = [0], []
+        events = []
 
         def counted_sup_on(self, a, b):
-            rounds[0] += 1
+            events.append(("round", np.shape(a)))
             return sup_on(self, a, b)
 
-        def counted_philox(c0, c1, c2, c3, keys):
-            words = philox(c0, c1, c2, c3, keys)
-            draws.append((words[0].shape, np.shape(c2)))
+        def counted_philox(c0, c1, c2, c3, keys, **kw):
+            words = philox(c0, c1, c2, c3, keys, **kw)
+            events.append(("draw", words[0].shape, np.shape(c0), np.shape(c2)))
             return words
 
         monkeypatch.setattr(BaselineSpec, "sup_on", counted_sup_on)
         monkeypatch.setattr(hawkmal.simulate, "_philox_rounds", counted_philox)
         batch = simulate_batch(linear_model(kernel), T=5.0, master_seed=8, n_paths=n_paths)
         assert batch.n_paths == n_paths
-        assert rounds[0] > 0 and len(draws) == rounds[0]
-        assert all(shape == (2,) + live for shape, live in draws)
+        draws = [i for i, e in enumerate(events) if e[0] == "draw"]
+        assert draws and draws[0] == 0
+        for i, j in zip(draws, draws[1:] + [len(events)]):
+            _, shape, ctr_shape, live = events[i]
+            depth = shape[0] // 2
+            # every live lane of the round that follows, R rounds of each
+            assert shape == (2 * depth,) + live and ctr_shape == (2 * depth, 1)
+            assert events[i + 1] == ("round", live)
+            # the block lasts the rounds up to the next call, and no longer
+            assert 1 <= j - i - 1 <= depth
+            if live[0] > chunk // 2:
+                assert depth == 1
+        rounds = len(events) - len(draws)
+        assert len(draws) < rounds  # the narrow tail draws ahead
 
 
 def test_disjoint_ranges_no_collisions():
