@@ -10,8 +10,9 @@ byte-identical files.  ``--workers`` is accepted for compatibility and
 ignored: it never enters the digest and never changes an output byte.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-config or command line, 3 a model or estimator assumption was violated,
-4 an internal error (an invariant of the program failed).
+config or command line (an ``--out`` that cannot be created among them),
+3 a model or estimator assumption was violated, 4 an internal error (an
+invariant of the program failed, or any other exception).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import argparse
 import configparser
 import csv
 import hashlib
-import itertools
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -164,8 +165,6 @@ def _canonical(value) -> str:
         return ",".join(repr(float(v)) for v in value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -281,14 +280,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-# Exact types and their cell text, the same as `_cell` gives them: a lookup
-# that skips the isinstance chain for the common cells (a bool is not an int
-# here, so it still reaches `_cell`).  csv.writer itself writes these types
-# as str(v), and str(float) == repr(float), so a table of them alone goes to
-# it as it is.
-_PLAIN_CELL = {int: str, float: repr, str: str}
-
-
 def _write_csv(
     out_dir: str,
     name: str,
@@ -307,17 +298,12 @@ def _write_csv(
             fh.write(f"# {key}={_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        step = max(1, _BLOCK_ELEMS // len(header))  # rows of one slice
-        for lo in range(0, len(rows), step):
-            if isinstance(rows, _Rows):
+        if isinstance(rows, _Rows):
+            step = max(1, _BLOCK_ELEMS // len(header))  # rows of one slice
+            for lo in range(0, len(rows), step):
                 fh.write(rows.text(lo, lo + step))
-                continue
-            block = rows[lo:lo + step]
-            if set(map(type, itertools.chain.from_iterable(block))) <= _PLAIN_CELL.keys():
-                writer.writerows(block)
-            else:
-                plain = _PLAIN_CELL.get
-                writer.writerows([plain(type(v), _cell)(v) for v in row] for row in block)
+        else:
+            writer.writerows([_cell(v) for v in row] for row in rows)
     return path
 
 
@@ -751,7 +737,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.workers < 1:
             raise ConfigError(f"--workers {args.workers}: must be >= 1")
         config = load_config(args.config, seed=args.seed, paths=args.paths)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: {exc}") from exc
         timestamp = (
             None
             if args.no_timestamp
@@ -775,6 +764,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash is not a failed check (exit 1)
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return 0 if passed else 1
 
 

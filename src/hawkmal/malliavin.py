@@ -19,17 +19,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .density import _cumulative_trapezoid, _log_kappa_parts
-from .model import HawkesModel, strict_lags
+from .model import HawkesModel
 from .simulate import (
-    _GL32,
     HawkesPath,
     PathBatch,
+    _excitation_gamma2,
     _excitation_sums,
     _gauss_rule,
     _path_blocks,
-    _row_blocks,
     _row_sums,
-    _segment_quad,
     padded_jumps,
 )
 
@@ -517,65 +515,6 @@ def basis_projection_check(gradient: MalliavinGradient, K: int) -> float:
 # the block engine: every model, on the padded (P, K) block
 # ---------------------------------------------------------------------------
 
-def _gamma2_recurrence(model: HawkesModel, times: np.ndarray, S: np.ndarray, T: float) -> np.ndarray:
-    """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du on
-    the exponential kernel (alpha, beta), for every cell of a padded (P, K)
-    block with pre-jump excitation S, by a backward recurrence with no
-    quadrature.  After jump k the excitation is S_k^+ e^{-beta (u - T_k)},
-    S_k^+ = S_k + alpha, and y = S_k^+ e^{-beta (u - T_k)} integrates each
-    segment in closed form:
-
-        G_j = c_j + e^{-beta Delta_j} G_{j+1},
-        c_j = (alpha / S_j^+) [gamma(S_j^+ e^{-beta Delta_j}) - gamma(S_j^+)],
-
-    with Delta_j = T_{j+1} - T_j, T_{n+1} = T and G = 0 past the last jump.
-    Padded slots have Delta = 0 and read 0; alpha = 0 gives S^+ = 0 and
-    Gamma2 = 0 with no division.  For linear gamma it telescopes to
-    mu(T - T_j) - mu(0)."""
-    alpha, beta = float(model.kernel.alpha), float(model.kernel.beta)
-    gam = model.nonlinearity.value
-    ends = np.concatenate([times[:, 1:], np.full((times.shape[0], 1), T)], axis=1)
-    decay = np.exp(-beta * (ends - times))
-    top = S + alpha
-    scale = np.divide(alpha, top, out=np.zeros_like(top), where=top > 0.0)
-    # the backward walk steps along the contiguous rows of the (K, P) transposes
-    c = np.ascontiguousarray((scale * (gam(top * decay) - gam(top))).T)
-    decay = np.ascontiguousarray(decay.T)
-    G = c.copy()
-    for j in range(G.shape[0] - 2, -1, -1):
-        G[j] += decay[j] * G[j + 1]
-    return np.ascontiguousarray(G.T)
-
-
-def _gamma2_block(
-    model: HawkesModel, times: np.ndarray, counts: np.ndarray, T: float
-) -> np.ndarray:
-    """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du for
-    every cell of a padded (P, K) block holding counts[p] jumps in row p, on
-    any kernel other than the exponential (see `_gamma2_recurrence`): one
-    integral over the flattened (path, segment) pairs [T_k, T_{k+1}]
-    (T_{n+1} = T) of each of the `_row_blocks`, the component for T_j
-    vanishing before T_j.  The integrand jumps at the jump times, which end
-    the segments.  Padded slots read 0."""
-    mu, mu_prime, gprime = model.kernel.mu, model.kernel.mu_prime, model.nonlinearity.derivative
-    out = np.zeros(times.shape)
-    for idx, K in _row_blocks(counts, lambda K: K * _GL32[0].size * K):
-        if K == 0:
-            break  # the remaining rows have no jumps
-        block = times[idx, :K]
-        ends = np.concatenate([block[:, 1:], np.full((idx.size, 1), T)], axis=1)
-
-        def f(seg, u):
-            rows = block[seg // K, None, :]
-            exc = _row_sums(strict_lags(mu, rows, u))
-            return gprime(exc)[..., None] * strict_lags(mu_prime, rows, u)
-
-        # quad[p, k, j]: segment k's share of Gamma2(T_j), added over k in order
-        quad = _segment_quad(f, block.ravel(), ends.ravel()).reshape(-1, K, K)
-        out[idx, :K] = _row_sums(np.swapaxes(quad, 1, 2))
-    return out
-
-
 def weight_arrays(model: HawkesModel, batch: PathBatch, m):
     """psi, Gamma1, Gamma2 and the direction samples at every jump of a
     batch, for any kernel and nonlinearity: returns (times, mask, psi,
@@ -584,14 +523,11 @@ def weight_arrays(model: HawkesModel, batch: PathBatch, m):
     CameronMartinFunction or a (value, antiderivative) pair of callables,
     such as a StepProcess's (value, integral_to).
 
-    The kernel family picks the excitation sums (`_excitation_sums`) and,
-    for nonlinear gamma, Gamma2: a backward recurrence on the exponential
-    kernel (`_gamma2_recurrence`), one segment quadrature over the block on
-    any other (`_gamma2_block`).  Linear gamma keeps the closed form
-    mu(T - T_j) - mu(0).
+    The excitation sums and Gamma2 come from the excitation engine
+    (`_excitation_sums`, `_excitation_gamma2`), which picks each one's route.
     """
     val_fn, anti_fn = (m.m, m.m_hat) if isinstance(m, CameronMartinFunction) else m
-    kernel, gam = model.kernel, model.nonlinearity
+    gam = model.nonlinearity
     T = batch.horizon
     times, mask = padded_jumps(batch)
     if times.shape[1] == 0:
@@ -600,18 +536,11 @@ def weight_arrays(model: HawkesModel, batch: PathBatch, m):
 
     m_hat_at = np.asarray(anti_fn(times), dtype=float)
     m_at = np.asarray(val_fn(times), dtype=float)
-    counts = batch.counts()
-    S, cross = _excitation_sums(model, times, counts, m_hat_at)
+    S, cross = _excitation_sums(model, times, batch.counts(), m_hat_at)
     lam_star = model.baseline.value(times) + gam.value(S)
     psi = (m_hat_at * model.baseline.derivative(times) + gam.derivative(S) * cross) / lam_star
-    mu0 = float(kernel.mu(np.float64(0.0)))
-    gamma1 = gam.value(mu0 + S) - gam.value(S)
-    if gam.is_linear():
-        gamma2 = kernel.mu(T - times) - mu0
-    elif kernel.family == "exponential":
-        gamma2 = _gamma2_recurrence(model, times, S, T)
-    else:
-        gamma2 = _gamma2_block(model, times, counts, T)
+    gamma1 = gam.value(float(model.kernel.mu(np.float64(0.0))) + S) - gam.value(S)
+    gamma2 = _excitation_gamma2(model, times, T, S)
     return times, mask, psi, gamma1, gamma2, m_at, m_hat_at
 
 

@@ -210,35 +210,24 @@ class BaselineSpec:
             end = b if slope >= 0 else a
             return np.asarray(self.value(end), dtype=float)
         if self.family == "sinusoidal":
+            # lam0 + amp sin(w t) peaks at the crest lam0 + |amp| on an
+            # interval that spans a period or holds a crest phase, and at the
+            # larger end value otherwise
             lam0, amp, period = self.params
-            # peak of lam0 + amp sin(w t): attained at interior critical points
-            # or at the interval ends; if the interval spans a full quarter
-            # phase containing the crest, the sup is lam0 + |amp|.
-            crest = lam0 + abs(amp)
+            w = 2.0 * math.pi / period
+            # phase (w t - pi/2) mod 2pi == 0 marks a crest of +amp (trough for amp<0)
+            crest_phase = (math.pi / 2.0) if amp >= 0 else (3.0 * math.pi / 2.0)
+            k_lo = np.ceil((w * a - crest_phase) / (2.0 * math.pi))
+            t_crest = (crest_phase + 2.0 * math.pi * k_lo) / w
+            inside = (t_crest >= a) & (t_crest <= b)
             ends = np.maximum(self.value(a), self.value(b))
-            spans = (b - a) >= period
-            out = np.where(spans, crest, np.minimum(crest, _sin_sup(self, a, b)))
-            return np.maximum(out, ends)
+            return np.where(((b - a) >= period) | inside, lam0 + abs(amp), ends)
         raise NotImplementedError(self.family)
 
     def sup_upper(self, horizon: float) -> float:
         """lambda^T = sup_{[0,T]} lambda_t, the exact family maximum
         (`sup_on`)."""
         return float(self.sup_on(0.0, horizon))
-
-
-def _sin_sup(baseline: BaselineSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Sup of lam0 + amp sin(w t) on [a, b] when the interval is shorter than a
-    # period: check the crest phases falling inside the interval.
-    lam0, amp, period = baseline.params
-    w = 2.0 * math.pi / period
-    # phase (w t - pi/2) mod 2pi == 0 marks a crest of +amp (trough for amp<0)
-    crest_phase = (math.pi / 2.0) if amp >= 0 else (3.0 * math.pi / 2.0)
-    k_lo = np.ceil((w * a - crest_phase) / (2.0 * math.pi))
-    t_crest = (crest_phase + 2.0 * math.pi * k_lo) / w
-    inside = (t_crest >= a) & (t_crest <= b)
-    ends = np.maximum(baseline.value(a), baseline.value(b))
-    return np.where(inside, lam0 + abs(amp), ends)
 
 
 # ---------------------------------------------------------------------------

@@ -630,69 +630,84 @@ def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     return S, cross
 
 
+def _markov_segments(
+    model: HawkesModel, rows: np.ndarray, t: float, S: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The exponential kernel's (alpha, beta) segment table for rows of
+    sorted jump times padded with any value >= t: the post-jump sums
+    S_k^+ = S_k + alpha and the decays e^{-beta Delta_k} over the segments
+    [T_k ^ t, T_{k+1} ^ t] (T_{n+1} = t), both shaped as the rows.  After
+    jump k the excitation is S_k^+ e^{-beta (u - T_k)}.  The pre-jump sums
+    S come from `_excitation_recurrences` on the rows cut at t unless given;
+    given S must hold them at every jump before t.  Other slots are free, as
+    their segments are empty (Delta = 0)."""
+    alpha, beta = float(model.kernel.alpha), float(model.kernel.beta)
+    cuts = np.minimum(rows, t)
+    ends = np.concatenate([cuts[:, 1:], np.full((cuts.shape[0], 1), t)], axis=1)
+    top = (_excitation_recurrences(cuts, alpha, beta)[0] if S is None else S) + alpha
+    return top, np.exp(-beta * (ends - cuts))
+
+
+def _history_segments(model: HawkesModel, rows: np.ndarray, t: float, integrand):
+    """Any kernel's segment table for rows of sorted jump times padded with
+    any value >= t: yields (idx, K, quad) over the `_row_blocks` of the
+    rows' counts of jumps before t.  quad[p, k] is the `_segment_quad` of
+    integrand(exc, jumps, u) over segment k of row idx[p],
+    [T_k ^ t, T_{k+1} ^ t] (T_{n+1} = t), where `jumps` are the row's first
+    K jump times, shaped (panels, 1, K), and exc the excitation at the nodes
+    u.  The segment before the first jump is left out, as the excitation is
+    0 there; rows with no jump before t get no block."""
+    mu = model.kernel.mu
+    for idx, K in _row_blocks((rows < t).sum(axis=1), lambda K: K * _GL32[0].size * K):
+        if K == 0:
+            break  # the remaining rows have no jumps before t
+        block = rows[idx, :K]
+        cuts = np.minimum(block, t)
+        ends = np.concatenate([cuts[:, 1:], np.full((idx.size, 1), t)], axis=1)
+
+        def f(seg, u):
+            jumps = block[seg // K, None, :]
+            return integrand(_row_sums(strict_lags(mu, jumps, u)), jumps, u)
+
+        quad = _segment_quad(f, cuts.ravel(), ends.ravel())
+        yield idx, K, quad.reshape((idx.size, K) + quad.shape[1:])
+
+
+# The two integrals over the excitation's segments.  Here alone the kernel
+# family picks a route: the Markov one on the exponential kernel, the
+# history one on any other.
+
 def _excitation_compensator(
     model: HawkesModel, rows: np.ndarray, t: float, S: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """int_0^t gamma(excitation) ds per row of sorted jump times, padded
     with any value >= t (such jumps never count; their segments are empty):
     Lambda_t without the baseline integral.  Linear gamma is closed form.
-    Otherwise the kernel family picks the route: the exponential kernel
-    takes one scalar integral per segment (`_markov_compensator`, which
-    reuses the rows' pre-jump sums S from `_excitation_sums` when the caller
-    has them); any other kernel sends gamma(excitation) to `_segment_quad`
-    per inter-jump segment, over the `_row_blocks` of the rows' counts of
-    jumps before t.  The segment before the first jump is skipped:
-    gamma(0) = 0 there."""
-    if model.nonlinearity.is_linear():
-        return _row_sums(strict_lags(model.kernel.mu_hat, rows, t))
-    if model.kernel.family == "exponential":
-        return _markov_compensator(model, rows, t, S)
-    mu, gam = model.kernel.mu, model.nonlinearity.value
-    out = np.zeros(rows.shape[0])
-    counts = (rows < t).sum(axis=1)
-    for idx, K in _row_blocks(counts, lambda K: K * _GL32[0].size * K):
-        if K == 0:
-            continue
-        block = rows[idx, :K]
-        cuts = np.minimum(block, t)
-        hi = np.concatenate([cuts[:, 1:], np.full((idx.size, 1), t)], axis=1)
 
-        def f(seg, u):
-            return gam(_row_sums(strict_lags(mu, block[seg // K, None, :], u)))
-
-        out[idx] = _row_sums(_segment_quad(f, cuts.ravel(), hi.ravel()).reshape(-1, K))
-    return out
-
-
-def _markov_compensator(
-    model: HawkesModel, rows: np.ndarray, t: float, S: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """`_excitation_compensator` on the exponential kernel (alpha, beta).
-
-    After jump k the excitation is S_k^+ e^{-beta (u - T_k)}, where
-    S_k^+ = S_k + alpha is the post-jump sum of `_excitation_recurrences`,
-    run here on the rows cut at t unless the pre-jump sums S are given.
-    Given S must hold those sums at every jump before t; other slots are
-    free, as their segments are empty.
-    The substitution y = S_k^+ e^{-beta (u - T_k)} turns the segment
-    [T_k, T_k + Delta_k] into
+    On the exponential kernel (`_markov_segments`, which reuses the rows'
+    pre-jump sums S from `_excitation_sums` when the caller has them), the
+    substitution y = S_k^+ e^{-beta (u - T_k)} turns segment k into
 
         int_{S_k^+ e^{-beta Delta_k}}^{S_k^+} gamma(y) / (beta y) dy,
 
     a scalar integral for `_segment_quad`, whose tolerance thus holds in the
     compensator's units; small caps still refine there, as tanh's poles lie
-    near the real axis.  Jumps at or after t give empty segments, and so
-    does alpha = 0.  A segment's integral has the same bits in any block
-    (`_segment_quad`), and each row adds its segments in order
-    (`_row_sums`).
-    """
-    alpha, beta = float(model.kernel.alpha), float(model.kernel.beta)
+    near the real axis.  alpha = 0 gives empty segments.  Any other kernel
+    integrates gamma(excitation) on `_history_segments`.  A segment's
+    integral has the same bits in any block (`_segment_quad`), and each row
+    adds its segments in order (`_row_sums`)."""
     gam = model.nonlinearity.value
-    cuts = np.minimum(rows, t)
-    ends = np.concatenate([cuts[:, 1:], np.full((cuts.shape[0], 1), t)], axis=1)
-    top = (_excitation_recurrences(cuts, alpha, beta)[0] if S is None else S) + alpha
-    bottom = top * np.exp(-beta * (ends - cuts))
-    top, bottom = top.ravel(), bottom.ravel()
+    if model.nonlinearity.is_linear():
+        return _row_sums(strict_lags(model.kernel.mu_hat, rows, t))
+    if model.kernel.family != "exponential":
+        out = np.zeros(rows.shape[0])
+        for idx, _, quad in _history_segments(model, rows, t, lambda exc, jumps, u: gam(exc)):
+            out[idx] = _row_sums(quad)
+        return out
+    beta = float(model.kernel.beta)
+    top, decay = _markov_segments(model, rows, t, S)
+    bottom = (top * decay).ravel()
+    top = top.ravel()
     live = np.nonzero(top > bottom)[0]
     vals = np.zeros(top.size)
 
@@ -704,6 +719,47 @@ def _markov_compensator(
         idx = live[s:s + step]
         vals[idx] = _segment_quad(f, bottom[idx], top[idx])
     return _row_sums(vals.reshape(rows.shape))
+
+
+def _excitation_gamma2(model: HawkesModel, times: np.ndarray, T: float, S: np.ndarray) -> np.ndarray:
+    """Gamma2(T_j) = int_{T_j}^T gamma'(excitation at u) mu'(u - T_j) du for
+    every cell of a padded (P, K) block of jump times padded with T, whose
+    pre-jump excitation is S (`_excitation_sums`); padded slots read 0.
+    Linear gamma is closed form: mu(T - T_j) - mu(0).
+
+    On the exponential kernel a backward recurrence on `_markov_segments`
+    needs no quadrature, as y = S_k^+ e^{-beta (u - T_k)} integrates each
+    segment in closed form:
+
+        G_j = c_j + e^{-beta Delta_j} G_{j+1},
+        c_j = (alpha / S_j^+) [gamma(S_j^+ e^{-beta Delta_j}) - gamma(S_j^+)],
+
+    with G = 0 past the last jump; alpha = 0 gives S^+ = 0 and Gamma2 = 0
+    with no division.  Any other kernel integrates on `_history_segments`,
+    one component per T_j, which vanishes before T_j."""
+    kernel, gam = model.kernel, model.nonlinearity
+    if gam.is_linear():
+        return kernel.mu(T - times) - float(kernel.mu(np.float64(0.0)))
+    if kernel.family != "exponential":
+        mu_prime, gprime = kernel.mu_prime, gam.derivative
+        out = np.zeros(times.shape)
+
+        def integrand(exc, jumps, u):
+            return gprime(exc)[..., None] * strict_lags(mu_prime, jumps, u)
+
+        for idx, K, quad in _history_segments(model, times, T, integrand):
+            # quad[p, k, j]: segment k's share of Gamma2(T_j), added over k in order
+            out[idx, :K] = _row_sums(np.swapaxes(quad, 1, 2))
+        return out
+    top, decay = _markov_segments(model, times, T, S)
+    scale = np.divide(float(kernel.alpha), top, out=np.zeros_like(top), where=top > 0.0)
+    # the backward walk steps along the contiguous rows of the (K, P) transposes
+    c = np.ascontiguousarray((scale * (gam.value(top * decay) - gam.value(top))).T)
+    decay = np.ascontiguousarray(decay.T)
+    G = c.copy()
+    for j in range(G.shape[0] - 2, -1, -1):
+        G[j] += decay[j] * G[j + 1]
+    return np.ascontiguousarray(G.T)
 
 
 def _window_time(t: Optional[float], T: float) -> float:

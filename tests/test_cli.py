@@ -238,6 +238,26 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "internal error: thinning failed to terminate" in capsys.readouterr().err
 
 
+def test_unexpected_exception_exit_code(tmp_path, monkeypatch, capsys):
+    # a crash is an internal error, not the exit 1 of a failed check
+    import hawkmal.cli
+
+    def crash(*args, **kwargs):
+        raise IndexError("index 3 is out of bounds")
+
+    monkeypatch.setattr(hawkmal.cli, "simulate_batch", crash)
+    assert run_cli("simulate", "--paths", "10", "--out", str(tmp_path)) == 4
+    assert "internal error: IndexError: index 3 is out of bounds" in capsys.readouterr().err
+
+
+def test_out_that_cannot_be_created_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "x"):
+        assert run_cli("simulate", "--paths", "10", "--out", str(out)) == 2
+        assert f"config error: --out {out}" in capsys.readouterr().err
+
+
 def _hawkmal_env():
     """The environment with hawkmal's source directory on PYTHONPATH."""
     import hawkmal
@@ -400,8 +420,7 @@ _CELLS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=4), max_size=6))
 def test_write_csv_bytes_match_cell_text(tmp_path_factory, rows):
-    # rows of plain cells skip `_cell`; every file must still read as if
-    # each cell went through it
+    # a table that is not a `_Rows` writes each cell's `_cell` text
     out = tmp_path_factory.mktemp("csv")
     path = _write_csv(str(out), "t.csv", "abc", ("x", "y"), rows, None, (("k", 1.5),))
     ref = io.StringIO(newline="")

@@ -1108,6 +1108,55 @@ def test_markov_route_edge_paths(times, cap):
         check_markov_route(paths, 0.6 * beta, beta, cap)
 
 
+_ROUTE_KERNELS = {
+    "exponential": lambda: KernelSpec.exponential(alpha=0.5, beta=1.0),
+    "wrapped": lambda: exp_as_custom(0.5, 1.0),
+    "triangular": triangular_kernel,
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, gamma, digest",
+    [
+        ("exponential", "linear",
+         "75533b9f9477266b192d3a9f305819353c492df969180578d456cb328568532f"),
+        ("exponential", "tanh",
+         "4c40d20f378c07a593506153fd483afceb7fdc795c15e6d688ccbd9d8c5346c6"),
+        ("wrapped", "linear",
+         "93003b1630328a17025fffb451536b5d3ae0b0d285dd91f3dc6ce491e5ce7ffa"),
+        ("wrapped", "tanh",
+         "bea81f03371acf60d6b5f8c75f9e105e33d937a21abfe76ffda75e02c762cd2f"),
+        ("triangular", "linear",
+         "5edeb2411a88fab169c7a30ccdd9a9ad80d280f4b4cd6554e368a3d5c51aa74e"),
+        ("triangular", "tanh",
+         "7387e732805357fdab80eb0f96e461b356b861bbd4bb9aa6a51ef7e2bc021a9b"),
+    ],
+)
+def test_excitation_routes_known_answer(kernel, gamma, digest):
+    """sha256 of every output of the compensator and Gamma2 routes, on each
+    kernel route (Markov on the exponential, the jump history on a custom
+    kernel) under linear and tanh gamma: `weight_arrays`,
+    `compensator_batch` at T and inside the window, `z_eps_batch` and
+    `log_kappa_rows` on fixed rows."""
+    T = 5.0
+    nonlinearity = {"linear": NonlinearitySpec.linear(),
+                    "tanh": NonlinearitySpec.saturating_tanh(cap=2.0)}[gamma]
+    model = HawkesModel(BaselineSpec.constant(1.0), _ROUTE_KERNELS[kernel](), nonlinearity)
+    batch = simulate_batch(model, T=T, master_seed=2027, n_paths=120)
+    m = CameronMartinFunction.default(T)
+    rows = np.sort(np.random.default_rng(3).uniform(0.0, T, (40, 4)), axis=1)
+    h = hashlib.sha256()
+    for out in (
+        *weight_arrays(model, batch, m),
+        compensator_batch(model, batch),
+        compensator_batch(model, batch, 3.1),
+        z_eps_batch(model, batch, m, 0.1),
+        log_kappa_rows(model, T, rows),
+    ):
+        h.update(np.asarray(out, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("cap", [0.05, 0.3, 2.0])
 def test_markov_route_without_excitation(cap):
     # alpha = 0: S+ = 0, so Gamma2 and the excitation compensator are 0,
