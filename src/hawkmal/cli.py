@@ -334,28 +334,21 @@ class _Rows:
 _REPORT_HEADER = ("experiment", "parameter_digest", "estimate", "reference", "std_error", "z", "pass")
 
 
-def _report_rows(report: ExperimentReport) -> List[tuple]:
-    return [
-        (
-            f"{report.name}:{row.label}",
-            report.digest,
-            row.estimate,
-            row.reference,
-            row.std_error,
-            row.z,
-            row.passed,
-        )
+def _report(inv: _Invocation, name: str, report: ExperimentReport) -> bool:
+    """Write a z-score report to `name`, its diagnostics as CSV comments;
+    echo its rows; return its verdict."""
+    rows = [
+        (f"{report.name}:{row.label}", report.digest, row.estimate, row.reference,
+         row.std_error, row.z, row.passed)
         for row in report.rows
     ]
-
-
-def _echo_report(report: ExperimentReport) -> None:
+    inv.write(name, _REPORT_HEADER, rows, comments=report.diagnostics)
     for row in report.rows:
-        verdict = "PASS" if row.passed else "FAIL"
         print(
-            f"{verdict} {report.name}:{row.label} estimate={row.estimate:.6g} "
-            f"reference={row.reference:.6g} z={row.z:+.3f}"
+            f"{'PASS' if row.passed else 'FAIL'} {report.name}:{row.label} "
+            f"estimate={row.estimate:.6g} reference={row.reference:.6g} z={row.z:+.3f}"
         )
+    return report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +470,7 @@ def _cmd_mean_intensity(inv: _Invocation) -> bool:
     report = mean_intensity_check(
         model, batch, grid=grid, n_steps=cfg[("experiment", "volterra_steps")]
     )
-    inv.write(
-        "mean_intensity_report.csv",
-        _REPORT_HEADER,
-        _report_rows(report),
-        comments=report.diagnostics,
-    )
-    _echo_report(report)
-    return report.passed
+    return _report(inv, "mean_intensity_report.csv", report)
 
 
 def _cmd_unit_mass(inv: _Invocation) -> bool:
@@ -495,9 +481,7 @@ def _cmd_unit_mass(inv: _Invocation) -> bool:
     report = unit_mass_check(
         model, batch, m=cfg.direction(), eps_values=cfg[("experiment", "eps")]
     )
-    inv.write("unit_mass_report.csv", _REPORT_HEADER, _report_rows(report))
-    _echo_report(report)
-    return report.passed
+    return _report(inv, "unit_mass_report.csv", report)
 
 
 def _cmd_ibp_check(inv: _Invocation) -> bool:
@@ -507,7 +491,7 @@ def _cmd_ibp_check(inv: _Invocation) -> bool:
     batch = inv.batch(model)
     m = cfg.direction()
     report = ibp_check(model, batch, m=m)
-    inv.write("ibp_report.csv", _REPORT_HEADER, _report_rows(report))
+    passed = _report(inv, "ibp_report.csv", report)
 
     head = batch.take(np.arange(min(_WEIGHT_DUMP_PATHS, batch.n_paths)))
     times, mask, *terms = weight_arrays(model, head, m)
@@ -519,8 +503,7 @@ def _cmd_ibp_check(inv: _Invocation) -> bool:
         ("path_index", "j", "T_j", "psi", "gamma1", "gamma2", "m", "m_hat"),
         dump,
     )
-    _echo_report(report)
-    return report.passed
+    return passed
 
 
 def _cmd_sde_density(inv: _Invocation) -> bool:

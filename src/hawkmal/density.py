@@ -17,13 +17,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import HawkesModel
+from .model import HawkesModel, _row_sums
 from .simulate import (
     PathBatch,
     _excitation_compensator,
     _excitation_sums,
     _row_blocks,
-    _row_sums,
     simulate_batch,
 )
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator

@@ -23,8 +23,8 @@ from .malliavin import (
     product_smooth,
     z_eps_batch,
 )
-from .model import HawkesModel, strict_lags
-from .simulate import PathBatch, _path_blocks, _row_sums
+from .model import HawkesModel, _row_sums, strict_lags
+from .simulate import PathBatch, _path_blocks
 
 _Z_THRESHOLD = 3.0
 _VOLTERRA_STEPS = 2048

@@ -25,8 +25,8 @@ import numpy as np
 
 from .malliavin import CameronMartinFunction, _divergence_rows, weight_arrays
 from .malliavin import divergence_m_batch  # noqa: F401  bench/layers.py traces greeks.divergence_m_batch
-from .model import AssumptionError, HawkesModel
-from .simulate import HawkesPath, PathBatch, _path_blocks, _row_sums, compensator_batch
+from .model import AssumptionError, HawkesModel, _row_sums
+from .simulate import HawkesPath, PathBatch, _path_blocks, compensator_batch
 
 _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -270,14 +270,14 @@ def malliavin_delta(
     """
     asset._require_linear()
     if asset.sigma == 0.0:
-        raise ValueError("Malliavin weight requires sigma != 0")
+        raise AssumptionError("Malliavin weight requires sigma != 0")
     model = asset.hawkes
     T = batch.horizon
     if m is None:
         m = CameronMartinFunction.default(T)
     counts = batch.counts()
     if not batch.flat_times.size:
-        raise ValueError("batch contains no jumps; the weight is undefined")
+        raise AssumptionError("batch contains no jumps; the weight is undefined")
     delta_m, D, s2, s3 = np.empty((4, batch.n_paths))
     for idx, block in _path_blocks(batch):
         times, mask, psi, g1, g2, m_at, mh_at = weight_arrays(model, block, m)
@@ -342,19 +342,9 @@ def fd_delta(
     if bump >= asset.x0:
         raise ValueError(f"bump {bump!r} must stay below x0 = {asset.x0!r}")
     prices, _ = terminal_price_batch(asset, batch)
-    positive = batch.counts() > 0
     up = payoff.value(prices * (1.0 + bump / asset.x0))
     dn = payoff.value(prices * (1.0 - bump / asset.x0))
-    sample = np.where(positive, (up - dn) / (2.0 * bump), 0.0)
-    mean, se, ess = mc_estimate(sample)
-    return GreekEstimate(
-        estimator="fd",
-        mean=mean,
-        std_error=se,
-        n_paths=batch.n_paths,
-        effective_sample_size=ess,
-        zero_jump_term=_zero_jump_term(asset, payoff, batch.horizon),
-    )
+    return _plain_estimate("fd", asset, payoff, batch, (up - dn) / (2.0 * bump))
 
 
 def pathwise_delta(asset: AssetModel, payoff: Payoff, batch: PathBatch) -> GreekEstimate:
@@ -362,13 +352,18 @@ def pathwise_delta(asset: AssetModel, payoff: Payoff, batch: PathBatch) -> Greek
     if not payoff.differentiable:
         raise ValueError("pathwise estimator needs a payoff derivative")
     prices, dprices = terminal_price_batch(asset, batch)
-    positive = batch.counts() > 0
-    sample = np.where(
-        positive, np.asarray(payoff.derivative(prices), dtype=float) * dprices, 0.0
-    )
-    mean, se, ess = mc_estimate(sample)
+    values = np.asarray(payoff.derivative(prices), dtype=float) * dprices
+    return _plain_estimate("pathwise", asset, payoff, batch, values)
+
+
+def _plain_estimate(
+    estimator: str, asset: AssetModel, payoff: Payoff, batch: PathBatch, values
+) -> GreekEstimate:
+    """The plain-sample estimate of per-path `values`, each counted on
+    {N_T > 0} only: the tail of `fd_delta` and `pathwise_delta`."""
+    mean, se, ess = mc_estimate(np.where(batch.counts() > 0, values, 0.0))
     return GreekEstimate(
-        estimator="pathwise",
+        estimator=estimator,
         mean=mean,
         std_error=se,
         n_paths=batch.n_paths,

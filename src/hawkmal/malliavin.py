@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .density import _cumulative_trapezoid, _log_kappa_parts
-from .model import HawkesModel
+from .model import HawkesModel, _row_sums
 from .simulate import (
     HawkesPath,
     PathBatch,
@@ -27,7 +27,6 @@ from .simulate import (
     _excitation_sums,
     _gauss_rule,
     _path_blocks,
-    _row_sums,
     padded_jumps,
 )
 

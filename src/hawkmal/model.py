@@ -327,13 +327,8 @@ class HawkesModel:
 
     def excitation(self, jump_times: np.ndarray, s) -> np.ndarray:
         """sum_{t_i < s} mu(s - t_i), vectorized in s (strict inequality),
-        added in jump order as a batch row is (`simulate._row_sums`)."""
-        from .simulate import _row_sums  # simulate imports this module
-
+        added in jump order as a batch row is (`_row_sums`)."""
         return _row_sums(strict_lags(self.kernel.mu, jump_times, s))
-
-    def intensity(self, jump_times, s):
-        return intensity(self, jump_times, s)
 
     def digest_key(self) -> tuple:
         """Hashable identity for caches (normalization constants etc.) and
@@ -406,6 +401,22 @@ def strict_lags(fn, jump_times, s) -> np.ndarray:
     its sum over the last axis with fn = mu is the pre-jump excitation."""
     lag = np.asarray(s, dtype=float)[..., None] - np.asarray(jump_times, dtype=float)
     return np.where(lag > 0.0, fn(np.maximum(lag, 0.0)), 0.0)
+
+
+def _row_sums(x, mask=None) -> np.ndarray:
+    """Sums over the last axis, each row's cells added one at a time in
+    order from cell 0; cells outside `mask` (broadcast against x) count as
+    0.  Zeros after a row's last real cell leave its sum as it is, so a
+    path's sum has the same bits at any padded width, where numpy's
+    pairwise `.sum` would regroup its cells by the width.  One column a
+    step: unlike `np.cumsum`, no temporary as large as x."""
+    x = np.asarray(x, dtype=float)
+    if mask is not None:
+        x = np.where(mask, x, 0.0)
+    out = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        out += x[..., j]
+    return out
 
 
 def kernel_tail_mass(model: HawkesModel, start: float) -> float:

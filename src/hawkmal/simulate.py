@@ -14,11 +14,12 @@ non-monotone custom gamma or a bad baseline bound).
 Every kernel runs in lockstep over fixed-width chunks of paths: each round,
 every live path proposes one candidate from its u1 and u2, and the state
 arrays are then compressed to the paths whose candidate fell inside [0, T].
-One Philox call draws u1 and u2 for all live paths at once, for one round
-while many paths are live and for a block of rounds once few are, so a
-narrow tail pays Philox's fixed cost once per block.  Exponential (and
-null) kernels carry the excitation as one Markov sum; any other kernel sums
-mu over a padded history of each live path's jumps.
+One `_uniforms_at` call, the routine `RngStream` draws through, gives u1
+and u2 for all live paths at once, for one round while many paths are live
+and for a block of rounds once few are, so a narrow tail pays Philox's
+fixed cost once per block.  Exponential (and null) kernels carry the
+excitation as one Markov sum; any other kernel sums mu over a padded
+history of each live path's jumps.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .model import AssumptionError, HawkesModel, InternalError, strict_lags
+from .model import AssumptionError, HawkesModel, InternalError, _row_sums, strict_lags
 
 __all__ = [
     "HawkesPath",
@@ -143,13 +144,13 @@ def _unit_doubles(w0, w1):
     return ((bits >> _S11).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _uniforms_at(master_seed: int, path_index: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """Uniforms in (0,1), one per (path_index, draw) pair."""
+def _uniforms_at(keys, path_index: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """Uniforms in (0,1), one per (path_index, draw) pair of the two arrays
+    broadcast together, under the round keys of a master seed
+    (`_seed_keys`).  Every draw of the package goes through here."""
     pi = np.asarray(path_index, dtype=np.uint64)
     dc = np.asarray(draw, dtype=np.uint64)
-    w0, w1 = _philox_rounds(
-        dc & _U32, dc >> _S32, pi & _U32, pi >> _S32, _seed_keys(master_seed), words=2
-    )
+    w0, w1 = _philox_rounds(dc & _U32, dc >> _S32, pi & _U32, pi >> _S32, keys, words=2)
     return _unit_doubles(w0, w1)
 
 
@@ -170,7 +171,7 @@ class RngStream:
         idx = np.full(n, self.path_index, dtype=np.uint64)
         ctr = np.arange(self.draw_counter, self.draw_counter + n, dtype=np.uint64)
         self.draw_counter += n
-        return _uniforms_at(self.master_seed, idx, ctr)
+        return _uniforms_at(_seed_keys(self.master_seed), idx, ctr)
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -288,7 +289,7 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
 
     A draw is a pure function of (seed, path, counter), so drawing ahead
     moves no bit.  When its drawn rounds run out, the chunk draws the next R
-    rounds of every live lane in one Philox call, R = min(rounds run,
+    rounds of every live lane in one `_uniforms_at` call, R = min(rounds run,
     _CHUNK // live) and at least 1: a wide round draws its own round alone,
     and a narrow tail pays Philox's fixed cost once per block of rounds,
     within the chunk's memory bound of 2 _CHUNK doubles.  `lane` maps the
@@ -313,7 +314,6 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
 
     rows = np.arange(n)
     pidx = np.arange(first, first + n, dtype=np.uint64)
-    lo, hi = pidx & _U32, pidx >> _S32
     t = np.zeros(n)
     S = np.zeros(n)
     filled = np.zeros(n, dtype=np.int64)
@@ -333,8 +333,7 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
         if used == u.shape[0]:
             R = max(1, min(rounds, _CHUNK // rows.size))
             draws = np.arange(2 * R, dtype=np.uint64)[:, None] + np.uint64(ctr)
-            w0, w1 = _philox_rounds(draws & _U32, draws >> _S32, lo, hi, keys, words=2)
-            u, used, lane = _unit_doubles(w0, w1), 0, None
+            u, used, lane = _uniforms_at(keys, pidx[rows], draws), 0, None
         u1, u2 = u[used:used + 2] if lane is None else u[used:used + 2, lane]
         used += 2
         ctr += 2
@@ -343,7 +342,7 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
         t_prop = t - np.log(u1) / lam_bar
         keep = ~(t_prop > T)
         if not keep.all():
-            rows, lo, hi, filled = rows[keep], lo[keep], hi[keep], filled[keep]
+            rows, filled = rows[keep], filled[keep]
             t, S, t_prop, lam_bar, u2 = t[keep], S[keep], t_prop[keep], lam_bar[keep], u2[keep]
             lane = np.flatnonzero(keep) if lane is None else lane[keep]
             if not markov:
@@ -520,22 +519,6 @@ def _segment_quad(f, a, b):
         m = 0.5 * (l + h)
         seg = np.concatenate([seg[n:], np.repeat(s, 2)])
         q = np.concatenate([q[n:], np.stack([l, m, err, m, h, err], 1).reshape(-1, 3)])
-    return out
-
-
-def _row_sums(x, mask=None) -> np.ndarray:
-    """Sums over the last axis, each row's cells added one at a time in
-    order from cell 0; cells outside `mask` (broadcast against x) count as
-    0.  Zeros after a row's last real cell leave its sum as it is, so a
-    path's sum has the same bits at any padded width, where numpy's
-    pairwise `.sum` would regroup its cells by the width.  One column a
-    step: unlike `np.cumsum`, no temporary as large as x."""
-    x = np.asarray(x, dtype=float)
-    if mask is not None:
-        x = np.where(mask, x, 0.0)
-    out = np.zeros(x.shape[:-1])
-    for j in range(x.shape[-1]):
-        out += x[..., j]
     return out
 
 
@@ -780,16 +763,11 @@ def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] =
     0 acts as the limit of jumps at 0+.  Each path sums its own terms in
     order, so its bits do not depend on the other paths of the batch: a
     path has the same Lambda_t alone (`compensator`) and in any batch.  The
-    paths go through `_path_blocks`: linear gamma sums each block's flat
-    jumps per path, any other pads the block."""
+    paths go through `_path_blocks`, and each padded block through
+    `_excitation_compensator`, the Lambda of the jump-time density too."""
     t = _window_time(t, batch.horizon)
     base = float(model.baseline.integral(np.float64(t)))
     out = np.empty(batch.n_paths)
     for idx, block in _path_blocks(batch):
-        if model.nonlinearity.is_linear():
-            vals = strict_lags(model.kernel.mu_hat, block.flat_times, t)
-            path_of_jump = np.repeat(np.arange(block.n_paths), block.counts())
-            out[idx] = base + np.bincount(path_of_jump, weights=vals, minlength=block.n_paths)
-        else:
-            out[idx] = base + _excitation_compensator(model, padded_jumps(block)[0], t)
+        out[idx] = base + _excitation_compensator(model, padded_jumps(block)[0], t)
     return out

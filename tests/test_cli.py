@@ -230,6 +230,16 @@ def test_refused_estimate_exit_code(tmp_path, capsys):
     assert "assumption violation" in capsys.readouterr().err
 
 
+def test_malliavin_delta_without_jumps_exit_code(tmp_path, capsys):
+    # a valid config whose batch has no jumps: the weight is undefined, an
+    # assumption of the estimator, not a config error
+    ini = tmp_path / "quiet.ini"
+    ini.write_text("[model]\nlambda0 = 1e-9\nalpha = 0.0\n")
+    argv = ("greeks", "--config", str(ini), "--paths", "4", "--seed", "1", "--out", str(tmp_path))
+    assert run_cli(*argv) == 3
+    assert "assumption violation: batch contains no jumps" in capsys.readouterr().err
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     import hawkmal.simulate
 
@@ -762,12 +772,15 @@ def test_greeks_on_tanh_model_refuses_the_malliavin_weight(tmp_path, capsys):
     assert not (out / "greeks.csv").exists()
 
 
-def test_greeks_sigma_zero_is_config_error(tmp_path):
+def test_greeks_sigma_zero_is_assumption_violation(tmp_path, capsys):
+    # a valid asset model on which the Malliavin weight, which divides by
+    # sigma, is undefined: an estimator assumption, as for nonlinear gamma
     ini = tmp_path / "gk.ini"
     ini.write_text("[greeks]\nsigma = 0.0\n")
     assert run_cli(
         "greeks", "--config", str(ini), "--paths", "100", "--out", str(tmp_path)
-    ) == 2
+    ) == 3
+    assert "assumption violation: Malliavin weight requires sigma != 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,7 @@ from hawkmal.simulate import (
     RngStream,
     _philox4x32,
     _row_blocks,
+    _seed_keys,
     _segment_quad,
     _uniforms_at,
     compensator,
@@ -166,19 +167,19 @@ def test_uniforms_known_answer_digest():
     addr[:, 1, :8] = np.arange(8, dtype=np.uint64)
     h = hashlib.sha256()
     for k, seed in enumerate(seeds):
-        h.update(_uniforms_at(seed, addr[0, k], addr[1, k]).astype("<f8").tobytes())
+        h.update(_uniforms_at(_seed_keys(seed), addr[0, k], addr[1, k]).astype("<f8").tobytes())
     assert h.hexdigest() == "aefef1a0e1baaf7b96d038ec3547ac72bfde2c5077c4fad31d0c94c61096929e"
 
 
 def test_uniforms_open_interval_and_determinism():
     idx = np.zeros(4096, dtype=np.uint64)
     ctr = np.arange(4096, dtype=np.uint64)
-    u = _uniforms_at(2024, idx, ctr)
+    u = _uniforms_at(_seed_keys(2024), idx, ctr)
     assert np.all(u > 0.0) and np.all(u < 1.0)
     # same address -> same value; different seed -> different stream
-    v = _uniforms_at(2024, idx, ctr)
+    v = _uniforms_at(_seed_keys(2024), idx, ctr)
     np.testing.assert_array_equal(u, v)
-    w = _uniforms_at(2025, idx, ctr)
+    w = _uniforms_at(_seed_keys(2025), idx, ctr)
     assert np.any(u != w)
     # rough uniformity sanity
     assert abs(float(u.mean()) - 0.5) < 0.03
@@ -746,6 +747,39 @@ def test_compensator_batch_nonlinear_matches_scalar_and_quad(paths, beta, ratio,
         scalar = compensator(model, path, t)
         assert vec[i] == pytest.approx(scalar, rel=1e-13, abs=0.0)
         assert scalar == pytest.approx(quad_compensator(model, path.jump_times, t), rel=0.0, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    paths=st.lists(tanh_paths(), min_size=1, max_size=4),
+    custom=st.booleans(),
+    linear=st.booleans(),
+    beta=st.floats(0.5, 3.0),
+    ratio=st.floats(0.05, 0.9),
+    cap=st.floats(0.2, 3.0),
+)
+def test_price_compensator_is_the_density_compensator(paths, custom, linear, beta, ratio, cap):
+    # the Lambda_T of S_T (`compensator_batch`, over count-sorted blocks) is
+    # the Lambda_T inside log kappa (`_log_kappa_parts` on the whole padded
+    # batch) bit for bit; a path with a jump exactly at T always rides along
+    paths = paths + [np.array([1.0, _QT])]
+    model = HawkesModel(
+        baseline=BaselineSpec.sinusoidal(lam0=1.5, amp=0.4, period=2.5),
+        kernel=triangular_kernel() if custom else KernelSpec.exponential(ratio * beta, beta),
+        nonlinearity=NonlinearitySpec.linear() if linear else NonlinearitySpec.saturating_tanh(cap),
+    )
+    counts = [p.size for p in paths]
+    batch = PathBatch(
+        horizon=_QT,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate(paths),
+    )
+    times, _ = padded_jumps(batch)
+    _, exc = _log_kappa_parts(model, times, batch.counts(), _QT)
+    want = float(model.baseline.integral(np.float64(_QT))) + exc
+    np.testing.assert_array_equal(compensator_batch(model, batch), want)
 
 
 @settings(max_examples=40, deadline=None)
