@@ -1,9 +1,14 @@
 """Config-driven command line: simulations, checks, and Greek estimates.
 
-Each invocation reads one INI-style config file (``key = value`` inside
-named blocks), merges the command-line overrides (``--seed``, ``--paths``)
-into it, and stamps a 12-hex digest of the resulting effective settings
-into the first header line of every CSV written.  A second
+One parser reads ``hawkmal <command> [options]``: the seven commands take
+the same six options, before or after the command name.  Each invocation
+reads one INI-style config file (``key = value`` inside named blocks, with
+``;`` or ``#`` starting an inline comment; a key under ``[DEFAULT]`` is
+refused), merges the command-line overrides (``--seed``, ``--paths``)
+into it, builds its model once, and stamps a 12-hex digest of the
+resulting effective settings into the first header line of every CSV
+written.  Every table whose rows grow with paths or jumps is written a
+slice of rows at a time (`_Rows`).  A second
 ``# generated=...`` line carries the wall clock and is suppressed by
 ``--no-timestamp``, so a rerun with the same config and seed produces
 byte-identical files.  ``--workers`` is accepted for compatibility and
@@ -21,6 +26,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -45,7 +51,6 @@ from .experiments import (
 )
 from .greeks import (
     AssetModel,
-    GreekEstimate,
     Payoff,
     UnsupportedModelError,
     fd_delta,
@@ -161,11 +166,7 @@ def _coerce(section: str, key: str, raw: str, spec: tuple, where: Optional[str] 
 
 
 def _canonical(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return ",".join(map(_cell, value)) if isinstance(value, tuple) else _cell(value)
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def load_config(
     """Parse the INI file (if any), apply overrides, fill defaults, digest."""
     raw: Dict[Tuple[str, str], str] = {}
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
         try:
             with open(path, "r") as fh:
                 parser.read_file(fh)
@@ -241,6 +242,8 @@ def load_config(
             raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}")
+        for key in parser.defaults():  # it would leak into every section
+            raise ConfigError(f"[DEFAULT] {key}: every setting belongs to a named section")
         for section in parser.sections():
             for key, value in parser.items(section):
                 if (section, key) not in _SCHEMA:
@@ -309,12 +312,12 @@ def _write_csv(
 
 class _Rows:
     """Table rows made a slice at a time, for `_write_csv`: columns(lo, hi)
-    gives the integer or float column arrays of rows [lo, hi).  So a
-    per-jump dump holds Python objects for the slice being written only,
-    not for every jump of the batch."""
+    gives the integer, float or string column arrays of rows [lo, hi).  So
+    a per-path or per-jump table holds Python objects for the slice being
+    written only, not for every row of the batch."""
 
     # a cell's text by its column's dtype kind, as `_cell` gives it
-    _FORMAT = {"i": "{}", "u": "{}", "f": "{!r}"}
+    _FORMAT = {"i": "{}", "u": "{}", "f": "{!r}", "U": "{}"}
 
     def __init__(self, n_rows: int, columns):
         self.n_rows = n_rows
@@ -325,7 +328,8 @@ class _Rows:
 
     def text(self, lo: int, hi: int) -> str:
         """The CSV lines of rows [lo, hi): the cells are plain Python ints
-        and floats, which need no quoting."""
+        and floats, which need no quoting, and strings, which are written
+        unquoted, so a string column holds no comma, quote or newline."""
         columns = self.columns(lo, min(hi, self.n_rows))
         fmt = ",".join(self._FORMAT[c.dtype.kind] for c in columns) + "\n"
         return "".join(map(fmt.format, *(c.tolist() for c in columns)))
@@ -358,12 +362,13 @@ def _report(inv: _Invocation, name: str, report: ExperimentReport) -> bool:
 @dataclass(frozen=True)
 class _Invocation:
     config: RunConfig
+    model: HawkesModel
     out_dir: str
     timestamp: Optional[str]
 
-    def batch(self, model, n_paths=None, first_index=0):
+    def batch(self, n_paths=None, first_index=0):
         return simulate_batch(
-            model,
+            self.model,
             self.config.horizon,
             self.config.seed,
             self.config.n_paths if n_paths is None else n_paths,
@@ -378,8 +383,7 @@ class _Invocation:
 
 def _cmd_simulate(inv: _Invocation) -> bool:
     """Simulate paths; dump jump times and the martingale gap N_T - Lambda_T."""
-    model = inv.config.model()
-    batch = inv.batch(model)
+    model, batch = inv.model, inv.batch()
 
     def jumps(lo, hi):  # the jumps at flat positions [lo, hi)
         flat = np.arange(lo, hi)
@@ -429,9 +433,8 @@ def _cmd_simulate(inv: _Invocation) -> bool:
 
 def _cmd_density_check(inv: _Invocation) -> bool:
     """Check k_1 closure and KS fits of the jump-time densities to the paths."""
-    model = inv.config.model()
+    model, batch = inv.model, inv.batch()
     T = inv.config.horizon
-    batch = inv.batch(model)
     rows: List[tuple] = []
     flags: List[bool] = []
 
@@ -464,8 +467,7 @@ def _cmd_density_check(inv: _Invocation) -> bool:
 def _cmd_mean_intensity(inv: _Invocation) -> bool:
     """Compare the MC mean intensity with the Volterra solution."""
     cfg = inv.config
-    model = cfg.model()
-    batch = inv.batch(model)
+    model, batch = inv.model, inv.batch()
     grid = np.linspace(0.0, cfg.horizon, cfg[("experiment", "grid_points")] + 1)[1:]
     report = mean_intensity_check(
         model, batch, grid=grid, n_steps=cfg[("experiment", "volterra_steps")]
@@ -476,8 +478,7 @@ def _cmd_mean_intensity(inv: _Invocation) -> bool:
 def _cmd_unit_mass(inv: _Invocation) -> bool:
     """Check E[Z^eps] = 1 for the Radon-Nikodym weights."""
     cfg = inv.config
-    model = cfg.model()
-    batch = inv.batch(model)
+    model, batch = inv.model, inv.batch()
     report = unit_mass_check(
         model, batch, m=cfg.direction(), eps_values=cfg[("experiment", "eps")]
     )
@@ -487,8 +488,7 @@ def _cmd_unit_mass(inv: _Invocation) -> bool:
 def _cmd_ibp_check(inv: _Invocation) -> bool:
     """Check the integration-by-parts identity per catalog functional."""
     cfg = inv.config
-    model = cfg.model()
-    batch = inv.batch(model)
+    model, batch = inv.model, inv.batch()
     m = cfg.direction()
     report = ibp_check(model, batch, m=m)
     passed = _report(inv, "ibp_report.csv", report)
@@ -508,10 +508,8 @@ def _cmd_ibp_check(inv: _Invocation) -> bool:
 
 def _cmd_sde_density(inv: _Invocation) -> bool:
     """Evaluate the absolute-continuity criteria of a preset jump SDE."""
-    cfg = inv.config
-    model = cfg.model()
-    sde = sde_preset(cfg[("sde", "preset")])
-    batch = inv.batch(model)
+    sde = sde_preset(inv.config[("sde", "preset")])
+    batch = inv.batch()
     crit = density_criteria(sde, batch)
     d = crit.terminal.shape[1]
     header = (
@@ -519,12 +517,15 @@ def _cmd_sde_density(inv: _Invocation) -> bool:
         + [f"x_{k + 1}" for k in range(d)]
         + ["det_gamma", "min_eigenvalue", "criterion"]
     )
-    rows = [
-        (batch.first_index + i, int(crit.counts[i]))
-        + tuple(crit.terminal[i])
-        + (crit.per_path_det[i], crit.per_path_min_eig[i], bool(crit.per_path_flag[i]))
-        for i in range(crit.n_paths)
-    ]
+    columns = (
+        batch.first_index + np.arange(crit.n_paths),
+        crit.counts,
+        *crit.terminal.T,
+        crit.per_path_det,
+        crit.per_path_min_eig,
+        np.where(crit.per_path_flag, "true", "false"),
+    )
+    rows = _Rows(crit.n_paths, lambda lo, hi: [c[lo:hi] for c in columns])
     comments = [
         ("preset", crit.label),
         ("kind", crit.kind),
@@ -574,27 +575,14 @@ def _build_payoff(cfg: RunConfig) -> Payoff:
     return Payoff.smooth(fn, derivative, label="smooth")
 
 
-def _greeks_row(label: str, payoff: Payoff, est: GreekEstimate) -> tuple:
-    return (
-        label,
-        payoff.label,
-        est.n_paths,
-        est.mean,
-        est.std_error,
-        est.effective_sample_size,
-        est.excluded,
-    )
-
-
 def _cmd_greeks(inv: _Invocation) -> bool:
     """Estimate delta by Malliavin weights, finite differences and pathwise."""
     cfg = inv.config
-    model = cfg.model()
     asset = AssetModel(
         x0=cfg[("greeks", "x0")],
         r=cfg[("greeks", "r")],
         sigma=cfg[("greeks", "sigma")],
-        hawkes=model,
+        hawkes=inv.model,
     )
     payoff = _build_payoff(cfg)
     n = cfg.n_paths
@@ -611,37 +599,27 @@ def _cmd_greeks(inv: _Invocation) -> bool:
     if bump == 0.0:
         bump = 0.01 * asset.x0 if payoff.kind == "digital" else 1e-4 * asset.x0
 
-    # disjoint path-index ranges keep the estimators independent, so the
-    # combined standard error of any pairwise difference is the hypotenuse.
-    mal_batch = inv.batch(model, n_paths=n, first_index=0)
-    pw_batch = inv.batch(model, n_paths=n, first_index=n)
-    fd_batch = inv.batch(model, n_paths=fd_n, first_index=2 * n)
-
-    mal = malliavin_delta(asset, payoff, mal_batch)
-    fd = fd_delta(asset, payoff, fd_batch, bump=bump)
+    # disjoint path-index ranges, [0, n) Malliavin, [n, 2n) pathwise and
+    # [2n, 2n + fd_n) FD, keep the estimators independent, so the combined
+    # standard error of any pairwise difference is the hypotenuse.  The
+    # pathwise range is simulated only for a payoff with a derivative.
+    mal = malliavin_delta(asset, payoff, inv.batch(n_paths=n))
+    fd = fd_delta(asset, payoff, inv.batch(n_paths=fd_n, first_index=2 * n), bump=bump)
     estimates = [("malliavin", mal), ("fd", fd)]
-    rows = [
-        _greeks_row("malliavin", payoff, mal),
-        _greeks_row("fd", payoff, fd),
-    ]
     if payoff.differentiable:
-        pw = pathwise_delta(asset, payoff, pw_batch)
+        pw = pathwise_delta(asset, payoff, inv.batch(n_paths=n, first_index=n))
         estimates.append(("pathwise", pw))
-        rows.append(_greeks_row("pathwise", payoff, pw))
-    else:
+    rows = [
+        (label, payoff.label, est.n_paths, est.mean, est.std_error,
+         est.effective_sample_size, est.excluded)
+        for label, est in estimates
+    ]
+    if not payoff.differentiable:
         # the estimator is undefined for a payoff without a derivative; the
         # row stays so the file always carries all three estimators.
         rows.append(("pathwise", payoff.label, 0, None, None, None, None))
 
-    header = (
-        "estimator",
-        "payoff",
-        "n_paths",
-        "mean",
-        "std_error",
-        "ESS",
-        "excluded_paths",
-    )
+    header = ("estimator", "payoff", "n_paths", "mean", "std_error", "ESS", "excluded_paths")
     comments = [
         ("payoff", payoff.label),
         ("bump", bump),
@@ -657,17 +635,14 @@ def _cmd_greeks(inv: _Invocation) -> bool:
             f"greeks {label}: mean={est.mean:.6g} se={est.std_error:.3g} "
             f"n={est.n_paths} ess={est.effective_sample_size:.1f} excluded={est.excluded}"
         )
-    for i in range(len(estimates)):
-        for k in range(i + 1, len(estimates)):
-            la, ea = estimates[i]
-            lb, eb = estimates[k]
-            tol = 3.0 * math.hypot(ea.std_error, eb.std_error)
-            ok = abs(ea.mean - eb.mean) <= tol
-            all_ok = all_ok and ok
-            print(
-                f"{'PASS' if ok else 'FAIL'} greeks {la} vs {lb}: "
-                f"|diff|={abs(ea.mean - eb.mean):.4g} tol={tol:.4g}"
-            )
+    for (la, ea), (lb, eb) in itertools.combinations(estimates, 2):
+        tol = 3.0 * math.hypot(ea.std_error, eb.std_error)
+        ok = abs(ea.mean - eb.mean) <= tol
+        all_ok = all_ok and ok
+        print(
+            f"{'PASS' if ok else 'FAIL'} greeks {la} vs {lb}: "
+            f"|diff|={abs(ea.mean - eb.mean):.4g} tol={tol:.4g}"
+        )
     return all_ok
 
 
@@ -687,30 +662,29 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)  # the options every command takes
-    common.add_argument("--config", metavar="<path>", help="INI config file")
-    common.add_argument("--seed", type=int, metavar="<u64>", help="override run.seed")
-    common.add_argument("--paths", type=int, metavar="<n>", help="override run.paths")
-    common.add_argument("--out", metavar="<dir>", default=".", help="output directory")
-    common.add_argument(
+    parser = argparse.ArgumentParser(
+        prog="hawkmal",
+        description="Hawkes-process simulation, jump-time calculus checks, and Greeks.",
+        epilog="commands:\n" + "".join(f"  {k:<16}{fn.__doc__}\n" for k, fn in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see the list below")
+    parser.add_argument("--config", metavar="<path>", help="INI config file")
+    parser.add_argument("--seed", type=int, metavar="<u64>", help="override run.seed")
+    parser.add_argument("--paths", type=int, metavar="<n>", help="override run.paths")
+    parser.add_argument("--out", metavar="<dir>", default=".", help="output directory")
+    parser.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit the generated-at header line from CSV outputs",
     )
-    common.add_argument(
+    parser.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="<n>",
         help="accepted for compatibility and ignored (must be >= 1)",
     )
-    parser = argparse.ArgumentParser(
-        prog="hawkmal",
-        description="Hawkes-process simulation, jump-time calculus checks, and Greeks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, fn in _COMMANDS.items():
-        sub.add_parser(name, help=fn.__doc__, parents=[common])
     return parser
 
 
@@ -729,8 +703,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.no_timestamp
             else datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         )
-        inv = _Invocation(config=config, out_dir=args.out, timestamp=timestamp)
         print(f"digest {config.digest}")
+        inv = _Invocation(config, config.model(), args.out, timestamp)
         passed = _COMMANDS[args.command](inv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -70,8 +70,9 @@ class KernelSpec:
     sup_deriv: float
     alpha: Optional[float] = None
     beta: Optional[float] = None
-    # Decreasing kernels make the thinning envelope exact; custom kernels
-    # without this promise rely on the per-proposal envelope guard.
+    # Decreasing kernels make the thinning envelope exact; without this
+    # promise `simulate._check_simulable` refuses a custom kernel with
+    # AssumptionError (exit 3 on the command line).
     nonincreasing: bool = False
 
     @staticmethod

@@ -144,6 +144,35 @@ def test_every_coercion_error_exits_2_before_any_work(tmp_path, capsys, text, me
     assert not list(out.glob("*.csv"))
 
 
+def test_readme_example_config_loads_as_the_defaults(tmp_path):
+    # the README's ini block carries inline `;` comments; every value in it
+    # is a default, so it digests as the empty config does
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block)
+    assert load_config(str(ini)).digest == load_config(None).digest
+    ini.write_text("[run]\npaths = 30    # hash comments too\n")
+    assert load_config(str(ini)).n_paths == 30
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\npaths = 3\nalpha = 0.9\n",  # would be dropped
+        "[DEFAULT]\npaths = 3\nalpha = 0.9\n[run]\nhorizon = 2\n",  # would leak into [run]
+    ],
+)
+def test_default_section_keys_exit_2(tmp_path, capsys, text):
+    ini = tmp_path / "default.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(ini), "--out", str(out)) == 2
+    assert "config error: [DEFAULT] paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_overrides_take_the_file_bounds():
     with pytest.raises(ConfigError, match="--paths 1: must be >= 2"):
         load_config(None, paths=1)
@@ -162,6 +191,17 @@ def test_help_describes_every_command(capsys):
     for name, fn in _COMMANDS.items():
         assert fn.__doc__ and "\n" not in fn.__doc__.strip(), name
         assert name + "".join(fn.__doc__.split()) in text, name
+
+
+def test_every_command_help_lists_every_command(capsys):
+    from hawkmal.cli import _COMMANDS
+
+    for name in _COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(name, "--help")
+        assert exc.value.code == 0, name
+        text = capsys.readouterr().out
+        assert all(other in text for other in _COMMANDS), name
 
 
 def run_tanh_density_check(tmp_path, horizon, paths):
@@ -408,7 +448,8 @@ def test_simulate_paths_known_bytes(tmp_path):
     for timestamp, digest in expected.items():
         out = tmp_path / str(timestamp is None)
         out.mkdir()
-        inv = _Invocation(config=load_config(str(ini)), out_dir=str(out), timestamp=timestamp)
+        cfg = load_config(str(ini))
+        inv = _Invocation(config=cfg, model=cfg.model(), out_dir=str(out), timestamp=timestamp)
         assert _cmd_simulate(inv)
         data = (out / "simulate_paths.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -447,23 +488,27 @@ def test_write_csv_bytes_match_cell_text(tmp_path_factory, rows):
     ints=st.lists(st.integers(-2**62, 2**62), max_size=40),
     floats=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
     unsigned=st.booleans(),
+    flags=st.lists(st.booleans(), max_size=40),
 )
-def test_write_csv_rows_slices_match_cell_text(tmp_path_factory, ints, floats, unsigned):
+def test_write_csv_rows_slices_match_cell_text(tmp_path_factory, ints, floats, unsigned, flags):
     # a `_Rows` table writes its slices by column dtype; the file must read
-    # as if each cell went through `_cell`, at any slice boundary
-    n = min(len(ints), len(floats))
+    # as if each cell went through `_cell`, at any slice boundary, a
+    # "true"/"false" string column as a column of bools
+    n = min(len(ints), len(floats), len(flags))
     a = np.array(ints[:n], dtype=np.int64)
     b = np.abs(a).astype(np.uint64) if unsigned else a
     c = np.array(floats[:n], dtype=float)
-    dump = _Rows(n, lambda lo, hi: [a[lo:hi], b[lo:hi], c[lo:hi]])
+    f = np.array(flags[:n], dtype=bool)
+    text = np.where(f, "true", "false")
+    dump = _Rows(n, lambda lo, hi: [a[lo:hi], b[lo:hi], c[lo:hi], text[lo:hi]])
     out = tmp_path_factory.mktemp("rows")
-    with mock.patch("hawkmal.cli._BLOCK_ELEMS", 7):  # slices of 2 rows
-        path = _write_csv(str(out), "t.csv", "abc", ("x", "y", "z"), dump, None)
+    with mock.patch("hawkmal.cli._BLOCK_ELEMS", 9):  # slices of 2 rows
+        path = _write_csv(str(out), "t.csv", "abc", ("x", "y", "z", "w"), dump, None)
     ref = io.StringIO(newline="")
     ref.write("# digest=abc\n")
     writer = csv.writer(ref, lineterminator="\n")
-    writer.writerow(("x", "y", "z"))
-    writer.writerows([_cell(v) for v in row] for row in zip(a, b, c))
+    writer.writerow(("x", "y", "z", "w"))
+    writer.writerows([_cell(v) for v in row] for row in zip(a, b, c, f))
     with open(path, newline="") as fh:
         assert fh.read() == ref.getvalue()
     assert len(dump) == n
@@ -471,23 +516,25 @@ def test_write_csv_rows_slices_match_cell_text(tmp_path_factory, ints, floats, u
 
 def test_every_command_parses_the_shared_options():
     # the six shared options are declared once; every command takes them,
-    # with the same defaults
+    # with the same defaults, before or after the command name
     from hawkmal.cli import _COMMANDS
 
     parser = _build_parser()
+    options = [
+        "--config", "c.ini", "--seed", "7", "--paths", "9", "--out", "o",
+        "--no-timestamp", "--workers", "3",
+    ]
     for name in _COMMANDS:
         args = parser.parse_args([name])
         assert (args.config, args.seed, args.paths, args.out, args.no_timestamp, args.workers) == (
             None, None, None, ".", False, 1
         ), name
-        args = parser.parse_args([
-            name, "--config", "c.ini", "--seed", "7", "--paths", "9", "--out", "o",
-            "--no-timestamp", "--workers", "3",
-        ])
-        assert (args.command, args.config, args.seed, args.paths, args.out) == (
-            name, "c.ini", 7, 9, "o"
-        )
-        assert (args.no_timestamp, args.workers) == (True, 3)
+        for argv in ([name] + options, options + [name]):
+            args = parser.parse_args(argv)
+            assert (args.command, args.config, args.seed, args.paths, args.out) == (
+                name, "c.ini", 7, 9, "o"
+            )
+            assert (args.no_timestamp, args.workers) == (True, 3)
 
 
 def test_simulate_zero_jump_batch_writes_header_only(tmp_path):
@@ -642,6 +689,29 @@ def test_sde_density_linear_known_bytes(tmp_path, preset, digest):
     out = tmp_path / "out"
     assert run_cli(
         "sde-density", "--config", str(ini), "--paths", "300", "--seed", "61",
+        "--out", str(out), "--no-timestamp",
+    ) == 0
+    data = (out / "sde_density_paths.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "preset, digest",
+    [
+        ("linear-scalar", "3e102160ce21e1cb981895adaa2017126cd91c0aaba6fa770ce885029992acd0"),
+        ("cos-sin", "3eced7b1f40e6e8d34c58fb0e81bb682a0001a35d28d4b44c25420951f1cd5aa"),
+        ("linear-d2", "b178eff36cff5f0f47ba9fc4b6afc710da18a519846bb21f7449e9d25bf58bc9"),
+    ],
+)
+def test_sde_density_paths_known_bytes_every_preset(tmp_path, preset, digest):
+    # sha256 of sde_density_paths.csv, recorded when its rows were written as
+    # tuples through csv.writer: the slice writer must give the same bytes,
+    # the criterion cells as true/false
+    ini = tmp_path / "sde.ini"
+    ini.write_text(f"[sde]\npreset = {preset}\n")
+    out = tmp_path / "out"
+    assert run_cli(
+        "sde-density", "--config", str(ini), "--paths", "300", "--seed", "11",
         "--out", str(out), "--no-timestamp",
     ) == 0
     data = (out / "sde_density_paths.csv").read_bytes()
