@@ -52,7 +52,6 @@ from .experiments import (
 from .greeks import (
     AssetModel,
     Payoff,
-    UnsupportedModelError,
     fd_delta,
     malliavin_delta,
     pathwise_delta,
@@ -440,7 +439,7 @@ def _cmd_density_check(inv: _Invocation) -> bool:
 
     # closure of the one-jump density: integrate k_1 against an independent
     # quadrature of the normalization constant.
-    z1, _ = normalization_constant(model, T, 1, method="quadrature")
+    z1, _ = normalization_constant(model, T, 1)
     grid = np.linspace(0.0, T, 8193)
     vals = np.exp(log_kappa_rows(model, T, grid.reshape(-1, 1))) / z1
     mass = _simpson(vals, grid)
@@ -709,7 +708,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (AssumptionError, UnsupportedModelError) as exc:
+    except AssumptionError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

@@ -6,7 +6,10 @@ On {N_T = n} the jump instants (T_1..T_n) have unnormalized density
     kappa(t) = 1_{0 < t_1 < ... < t_n <= T}
                prod_i lambda*(t_i; t_1..t_{i-1}) * exp(-int_0^T lambda*)
 
-and the conditional density is k_n = kappa / P(N_T = n).
+and the conditional density is k_n = kappa / P(N_T = n).  For n <= 3 the
+normalization P(N_T = n) is the chained Gauss-Legendre rule on the simplex,
+for any gamma; for larger n, whose rule would need 64^n nodes, it is the
+share of counted paths with N_T = n.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ _NEG_INF = float("-inf")
 _GL64 = np.polynomial.legendre.leggauss(64)
 DEFAULT_NORMALIZATION_PATHS = 200_000
 DEFAULT_NORMALIZATION_SEED = 951
+_QUADRATURE_MAX_N = 3  # the chained rule has 64^n nodes
 
 
 class NormalizationError(RuntimeError):
@@ -140,39 +144,21 @@ def count_distribution(
     return _count_histogram(key, float(T), int(n_mc), int(master_seed))
 
 
-def normalization_constant(
-    model: HawkesModel,
-    T: float,
-    n: int,
-    method: str = "mc",
-    n_mc: int = DEFAULT_NORMALIZATION_PATHS,
-    master_seed: int = DEFAULT_NORMALIZATION_SEED,
-) -> Tuple[float, float]:
-    """Estimate Z_n = P(N_T = n); returns (value, standard error).
+def normalization_constant(model: HawkesModel, T: float, n: int) -> Tuple[float, float]:
+    """Z_n = P(N_T = n) as (value, standard error).
 
-    method="mc" counts simulated paths; method="quadrature" integrates
-    kappa over the ordered simplex with tensorized Gauss-Legendre nodes
-    (order 64 per axis), available for n <= 3.
+    For n <= 3 the chained Gauss-Legendre rule (order 64 per axis) integrates
+    kappa over the ordered simplex, for any gamma, with standard error 0.
+    The rule has 64^n nodes, so for larger n Z_n is the share of paths with
+    N_T = n in `count_distribution`, with its binomial standard error.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if method == "mc":
-        hist = count_distribution(model, T, n_mc, master_seed)
-        hits = float(hist[n]) if n < hist.size else 0.0
-        p = hits / n_mc
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / n_mc)
-        return p, se
-    if method == "quadrature":
-        if n > 3:
-            raise NormalizationError(
-                "simplex quadrature is only tensorized up to n=3; use method='mc'"
-            )
-        if not model.nonlinearity.is_linear() and n > 2:
-            raise NormalizationError(
-                "nonlinear-gamma quadrature normalization supported for n<=2 only"
-            )
+    if n <= _QUADRATURE_MAX_N:
         return _quadrature_mass(_ModelKey(model.digest_key(), model), float(T), int(n)), 0.0
-    raise ValueError(f"unknown normalization method {method!r}")
+    hist = count_distribution(model, T)
+    p = float(hist[n]) / DEFAULT_NORMALIZATION_PATHS if n < hist.size else 0.0
+    return p, math.sqrt(p * (1.0 - p) / DEFAULT_NORMALIZATION_PATHS)
 
 
 def _chained_rule(lo, hi, n: int):
@@ -208,15 +194,7 @@ def _simplex_quadrature_mass(model: HawkesModel, T: float, n: int) -> float:
 # conditional density and its bound
 # ---------------------------------------------------------------------------
 
-def conditional_density_kn(
-    model: HawkesModel,
-    T: float,
-    n: int,
-    times,
-    method: str = "mc",
-    n_mc: int = DEFAULT_NORMALIZATION_PATHS,
-    master_seed: int = DEFAULT_NORMALIZATION_SEED,
-) -> float:
+def conditional_density_kn(model: HawkesModel, T: float, n: int, times) -> float:
     """k_n(times) = kappa(times) / Z_n on the simplex, 0 off it.
 
     Refuses when the normalization estimate is smaller than 10x its own
@@ -225,7 +203,7 @@ def conditional_density_kn(
     t = np.asarray(times, dtype=float).ravel()
     if t.size != n:
         raise ValueError(f"expected {n} times, got {t.size}")
-    z, se = normalization_constant(model, T, n, method, n_mc, master_seed)
+    z, se = normalization_constant(model, T, n)
     if z <= 0.0 or z < 10.0 * se:
         raise NormalizationError(
             f"Z_{n} = {z:.3g} (se {se:.3g}) is too uncertain to normalize with"
@@ -239,11 +217,10 @@ def conditional_density_bound(
     T: float,
     n: int,
     z: Optional[float] = None,
-    **norm_kwargs,
 ) -> float:
     """Uniform bound (lambda^T + n a ||mu||_inf)^n / P(N_T = n) for k_n."""
     if z is None:
-        z, se = normalization_constant(model, T, n, **norm_kwargs)
+        z, se = normalization_constant(model, T, n)
         if z <= 0.0 or z < 10.0 * se:
             raise NormalizationError(f"Z_{n} too uncertain for the bound")
     lam_top = model.baseline.sup_upper(T)

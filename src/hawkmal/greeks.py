@@ -32,8 +32,8 @@ _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
 
 
-class UnsupportedModelError(ValueError):
-    """The estimator is derived for a linear nonlinearity only."""
+class UnsupportedModelError(AssumptionError):
+    """The estimator is derived for a linear nonlinearity only (exit 3)."""
 
 
 # ---- model and payoffs ----

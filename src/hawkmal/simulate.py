@@ -296,20 +296,20 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
     live lanes to their columns of the drawn block.
 
     S is the excitation at the last proposal, plus mu(0) if it was accepted.
-    Exponential (and null) kernels are Markov: S decays by exp(-beta dt).
-    Any other kernel sums mu over `hist`, each live path's accepted jumps
-    padded with +inf.  Its width stays a power of two of at least 8, so that
-    numpy's pairwise row sum adds the real lags in the same order at every
-    width: a path's bytes then do not depend on its chunk's longest path.
+    The exponential kernel is Markov: S decays by exp(-beta dt).  Any other
+    kernel, a null one too, sums mu over `hist`, each live path's accepted
+    jumps padded with +inf.  Its width stays a power of two of at least 8,
+    so that numpy's pairwise row sum adds the real lags in the same order at
+    every width: a path's bytes then do not depend on its chunk's longest
+    path.
     `filled` counts each live path's accepted jumps, which gives each jump
     its ordinal within its path.
     """
     base = model.baseline
     gam = model.nonlinearity
     k = model.kernel
-    jump = float(k.mu(0.0))  # a null custom kernel has no alpha
-    beta = float(k.beta) if k.beta is not None else 1.0
-    markov = k.family == "exponential" or k.is_null()
+    jump = float(k.mu(0.0))  # a custom kernel has no alpha
+    markov = k.family == "exponential"
     keys = _seed_keys(seed)
 
     rows = np.arange(n)
@@ -351,7 +351,7 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
                 break
 
         if markov:
-            S_prop = S * np.exp(-beta * (t_prop - t))
+            S_prop = S * np.exp(-k.beta * (t_prop - t))
         else:
             S_prop = strict_lags(k.mu, hist, t_prop).sum(axis=-1)
         lam_star = base.value(t_prop) + gam.value(S_prop)

@@ -197,7 +197,7 @@ def test_04_mean_intensity(model):
 
 def test_05_density(model):
     with _verdict(5, "k1 mass = 1 to 1e-6; conditioned T1 KS at 1e4 samples; k_n bound on simplex") as v:
-        z1, _ = normalization_constant(model, T, 1, method="quadrature")
+        z1, _ = normalization_constant(model, T, 1)
         grid = np.linspace(0.0, T, 8193)
         k1 = np.exp(log_kappa_rows(model, T, grid.reshape(-1, 1))) / z1
         mass = float(integrate.simpson(k1, x=grid))
@@ -210,7 +210,7 @@ def test_05_density(model):
 
         rng = np.random.default_rng(SEED + 55)
         for n in (1, 2, 3):
-            zn, _ = normalization_constant(model, T, n, method="quadrature")
+            zn, _ = normalization_constant(model, T, n)
             bound = conditional_density_bound(model, T, n, z=zn)
             pts = np.sort(rng.uniform(0.0, T, size=(1000, n)), axis=1)
             dens = np.exp(log_kappa_rows(model, T, pts)) / zn

@@ -54,6 +54,23 @@ def poisson_model(lam=1.0):
     )
 
 
+def tanh_model(cap):
+    return HawkesModel(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
+        nonlinearity=NonlinearitySpec.saturating_tanh(cap=cap),
+    )
+
+
+def counted_share(model, T, n):
+    """(share, binomial se) of paths with N_T = n in `count_distribution`:
+    the Monte Carlo oracle of the normalization rule."""
+    hist = count_distribution(model, T)
+    n_mc = int(hist.sum())
+    p = float(hist[n]) / n_mc if n < hist.size else 0.0
+    return p, math.sqrt(p * (1.0 - p) / n_mc)
+
+
 @pytest.fixture(scope="module")
 def hawkes_batch():
     return simulate_batch(
@@ -185,18 +202,20 @@ def test_quadrature_normalization_poisson_exact():
     # P(N_T = n) for Poisson(5) in closed form
     model = poisson_model()
     for n in (1, 2, 3):
-        z, se = normalization_constant(model, 5.0, n, method="quadrature")
+        z, se = normalization_constant(model, 5.0, n)
         assert se == 0.0
         expected = math.exp(-5.0) * 5.0**n / math.factorial(n)
         assert z == pytest.approx(expected, rel=1e-10)
 
 
 def test_mc_and_quadrature_normalizations_agree():
-    model = reference_model()
-    for n in (1, 2, 3):
-        z_mc, se = normalization_constant(model, 5.0, n, method="mc")
-        z_q, _ = normalization_constant(model, 5.0, n, method="quadrature")
-        assert abs(z_mc - z_q) <= 4.0 * se, f"n={n}: mc {z_mc} vs quad {z_q}"
+    # n <= 3 takes the chained rule, for any gamma, against the count
+    for name, model in (("linear", reference_model()), ("tanh", tanh_model(2.0))):
+        for n in (1, 2, 3):
+            z_mc, se = counted_share(model, 5.0, n)
+            z_q, se_q = normalization_constant(model, 5.0, n)
+            assert se_q == 0.0
+            assert abs(z_mc - z_q) <= 4.0 * se, f"{name} n={n}: mc {z_mc} vs quad {z_q}"
 
 
 def test_normalization_monotone_sum():
@@ -205,13 +224,10 @@ def test_normalization_monotone_sum():
     n_mc = hist.sum()
     total = 0.0
     for n in range(1, 11):
-        z, se = normalization_constant(model, 5.0, n, method="mc")
+        z, se = counted_share(model, 5.0, n)
         total += z
         assert total <= 1.0 + 3.0 * se
-    zq = sum(
-        normalization_constant(model, 5.0, n, method="quadrature")[0]
-        for n in (1, 2, 3)
-    )
+    zq = sum(normalization_constant(model, 5.0, n)[0] for n in (1, 2, 3))
     assert zq <= 1.0
     assert n_mc == 200_000
 
@@ -223,15 +239,15 @@ def test_normalization_caches_are_bounded_and_keyed_by_digest():
     cached.cache_clear()
     horizons = [1.0 + 0.01 * k for k in range(density._CACHE_SIZE + 1)]
     for T in horizons:
-        normalization_constant(reference_model(), T, 1, method="quadrature")
+        normalization_constant(reference_model(), T, 1)
     info = cached.cache_info()
     assert info.maxsize == density._CACHE_SIZE
     assert (info.currsize, info.misses, info.hits) == (density._CACHE_SIZE, len(horizons), 0)
-    normalization_constant(reference_model(), horizons[-1], 1, method="quadrature")
+    normalization_constant(reference_model(), horizons[-1], 1)
     assert cached.cache_info().hits == 1
-    normalization_constant(reference_model(), horizons[0], 1, method="quadrature")
+    normalization_constant(reference_model(), horizons[0], 1)
     assert cached.cache_info().misses == len(horizons) + 1
-    normalization_constant(reference_model(alpha=0.4), horizons[0], 1, method="quadrature")
+    normalization_constant(reference_model(alpha=0.4), horizons[0], 1)
     assert cached.cache_info().misses == len(horizons) + 2
 
     counts = density._count_histogram
@@ -247,18 +263,20 @@ def test_normalization_refusals():
     # far tail: too few (or zero) hits
     with pytest.raises(NormalizationError):
         conditional_density_kn(model, 5.0, 60, np.linspace(0.05, 4.95, 60))
-    with pytest.raises(NormalizationError):
-        normalization_constant(model, 5.0, 4, method="quadrature")
+    # past the chained rule's n, Z_n is the counted share, bit for bit
+    z4, se4 = normalization_constant(model, 5.0, 4)
+    assert (z4, se4) == counted_share(model, 5.0, 4)
+    assert z4 > 10.0 * se4 > 0.0
 
 
 # ---------------------------------------------------------- conditional k_n
 
 def test_poisson_k1_is_uniform():
     model = poisson_model()
-    val = conditional_density_kn(model, 5.0, 1, [2.0], method="quadrature")
+    val = conditional_density_kn(model, 5.0, 1, [2.0])
     assert val == pytest.approx(0.2, rel=1e-10)
     # off-simplex point has zero conditional density
-    assert conditional_density_kn(model, 5.0, 1, [6.0], method="quadrature") == 0.0
+    assert conditional_density_kn(model, 5.0, 1, [6.0]) == 0.0
 
 
 def test_k1_integrates_to_one():
@@ -267,12 +285,12 @@ def test_k1_integrates_to_one():
     grid = np.linspace(1e-9, 5.0, 4097)
     vals = np.array(
         [
-            conditional_density_kn(model, 5.0, 1, [t], method="quadrature")
+            conditional_density_kn(model, 5.0, 1, [t])
             for t in grid[:: 16]
         ]
     )
     # scalar calls are for the API contract; the dense pass uses the row form
-    z, _ = normalization_constant(model, 5.0, 1, method="quadrature")
+    z, _ = normalization_constant(model, 5.0, 1)
     dense = np.exp(log_kappa_rows(model, 5.0, grid[:, None])) / z
     np.testing.assert_allclose(dense[::16], vals, rtol=1e-12)
     assert simpson(dense, x=grid) == pytest.approx(1.0, abs=1e-6)
@@ -280,8 +298,8 @@ def test_k1_integrates_to_one():
 
 def test_mc_normalized_k1_close_to_quadrature():
     model = reference_model()
-    a = conditional_density_kn(model, 5.0, 1, [2.0], method="mc")
-    b = conditional_density_kn(model, 5.0, 1, [2.0], method="quadrature")
+    a = math.exp(log_kappa(model, 5.0, [2.0])) / counted_share(model, 5.0, 1)[0]
+    b = conditional_density_kn(model, 5.0, 1, [2.0])
     assert a == pytest.approx(b, rel=0.05)
 
 
@@ -290,7 +308,7 @@ def test_kn_uniform_bound_on_simplex_points():
     T = 5.0
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
-        z, _ = normalization_constant(model, T, n, method="quadrature")
+        z, _ = normalization_constant(model, T, n)
         bound = conditional_density_bound(model, T, n, z=z)
         pts = np.sort(rng.uniform(0.0, T, size=(1000, n)), axis=1)
         dens = np.exp(log_kappa_rows(model, T, pts)) / z
@@ -338,18 +356,11 @@ def test_fit_refuses_thin_conditioning(hawkes_batch):
 
 def test_digest_key_separates_tanh_caps():
     # the cap is part of the model: two caps must not share cached constants
-    def tanh_model(cap):
-        return HawkesModel(
-            baseline=BaselineSpec.constant(1.0),
-            kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
-            nonlinearity=NonlinearitySpec.saturating_tanh(cap=cap),
-        )
-
     small, large = tanh_model(0.05), tanh_model(5.0)
     assert small.digest_key() != large.digest_key()
     assert tanh_model(5.0).digest_key() == large.digest_key()
-    z_small, _ = normalization_constant(small, 2.0, 1, method="quadrature")
-    z_large, _ = normalization_constant(large, 2.0, 1, method="quadrature")
+    z_small, _ = normalization_constant(small, 2.0, 1)
+    z_large, _ = normalization_constant(large, 2.0, 1)
     from hawkmal.density import _simplex_quadrature_mass
 
     assert z_large == _simplex_quadrature_mass(large, 2.0, 1)
@@ -377,8 +388,8 @@ def test_digest_key_separates_custom_kernel_shapes():
     m1, m2 = custom_exp_model(0.5, 1.0), custom_exp_model(1.0, 2.0)
     assert m1.digest_key() != m2.digest_key()
     assert custom_exp_model(1.0, 2.0).digest_key() == m2.digest_key()
-    z1, _ = normalization_constant(m1, 5.0, 1, method="quadrature")
-    z2, _ = normalization_constant(m2, 5.0, 1, method="quadrature")
+    z1, _ = normalization_constant(m1, 5.0, 1)
+    z2, _ = normalization_constant(m2, 5.0, 1)
     assert z1 == _simplex_quadrature_mass(m1, 5.0, 1)
     assert z2 == _simplex_quadrature_mass(m2, 5.0, 1)
     assert z2 != pytest.approx(z1, rel=1e-2)
