@@ -71,8 +71,10 @@ class JumpSde:
     scalar or an array of the leading shape.  `drift` and `jump` return
     (..., d); `drift_jac` and `jump_jac` return (..., d, d), or a constant
     (d, d) Jacobian, which the batch engines broadcast; `jump_dt` is the
-    partial of g in t.  Optional extras: exact linear coefficients, and
-    user-supplied bounds for the Wronskian certificate
+    partial of g in t.  The RK4 engine passes views of buffers that it
+    reuses at every stage: a callable must not keep `t` or `x` past its
+    return, nor write to them.  Optional extras: exact linear coefficients,
+    and user-supplied bounds for the Wronskian certificate
     |W(f,g)| > 0.5 * sup|f''| * (sup|g|)^2.
     """
 
@@ -218,19 +220,34 @@ def sde_preset(name: str) -> JumpSde:
 
 # ---- deterministic flow ----
 
-def _rk4_step(rhs, t, h, y: tuple) -> tuple:
-    """One classical RK4 step of y' = rhs(t, y) for a tuple of arrays; `t`
-    and `h` may be per-path arrays that broadcast against them."""
-    half = 0.5 * h
-    t_half = t + half
-    k1 = rhs(t, y)
-    k2 = rhs(t_half, tuple(a + half * k for a, k in zip(y, k1)))
-    k3 = rhs(t_half, tuple(a + half * k for a, k in zip(y, k2)))
-    k4 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k3)))
-    return tuple(
-        a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    )
+def _rk4_step(rhs, t, h, y: np.ndarray, work: tuple) -> None:
+    """One classical RK4 step of y' = rhs(t, y), in place: rhs(t, y, out)
+    writes the derivative into `out`.  `t` and `h` are per-path arrays that
+    broadcast against y; `work` is (k1, k2, k3, k4, z, times), the four
+    stages and the stage input z of y's shape, and three rows of t's shape
+    for the stage times.  Stage inputs are y + half k_i, and the update is
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), each product and sum rounded as
+    the out-of-place expressions round it."""
+    k1, k2, k3, k4, z, (half, t_half, t_end) = work
+    np.multiply(h, 0.5, out=half)
+    np.add(t, half, out=t_half)
+    np.add(t, h, out=t_end)
+    rhs(t, y, k1)
+    for k_in, k_out in ((k1, k2), (k2, k3)):
+        np.multiply(k_in, half, out=z)
+        np.add(y, z, out=z)
+        rhs(t_half, z, k_out)
+    np.multiply(k3, h, out=z)
+    np.add(y, z, out=z)
+    rhs(t_end, z, k4)
+    np.multiply(k2, 2.0, out=k2)
+    np.add(k1, k2, out=k1)
+    np.multiply(k3, 2.0, out=k3)
+    np.add(k1, k3, out=k1)
+    np.add(k1, k4, out=k1)
+    np.divide(h, 6.0, out=half)  # the half step is spent: its row takes h / 6
+    np.multiply(k1, half, out=k1)
+    np.add(y, k1, out=y)
 
 
 def _segment_steps(span, horizon: float) -> np.ndarray:
@@ -514,6 +531,12 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     the v_i and the bridge factor, and the result is (terminal (P, d),
     vectors, factor, scale), as `_linear_batch` gives it.  For d = 1 the
     products are elementwise: a (P, 1, 1) matmul costs several multiplies.
+
+    The step runs in place (`_rk4_step`): the stage buffers, the (P, d) and
+    (P, d, d) views of each and the step times are made once per call, so
+    an iteration makes no state-shaped array.  A flow that blows up raises
+    RuntimeError, with numpy's overflow and invalid-value warnings held
+    back, as in `_linear_batch`.
     """
     d = sde.dim
     T = batch.horizon
@@ -537,15 +560,18 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     e_K = np.zeros(P, dtype=np.int64)  # the power of two of every path's K
     F = np.empty((batch.flat_times.size, d, d))
     phi = np.empty((batch.flat_times.size, d))
+    t = np.empty(P)
+    work = tuple(np.empty_like(y) for _ in range(5)) + (np.empty((3, P)),)
+    # the (P, d) state and (P, d, d) tangent views of every state-shaped
+    # buffer, bound once: rhs looks them up by the buffer it is handed
+    views = {id(b): (b[xs].T, b[Ks].T.reshape(P, d, d)) for b in (y,) + work[:5]}
+    product = np.multiply if d == 1 else np.matmul
 
-    def rhs(t, ys):
-        (y,) = ys
-        x = y[xs].T
-        out = np.empty_like(y)
-        out[xs] = sde.drift(t, x).T
-        K = y[Ks].T.reshape(-1, d, d)
-        out[Ks] = _matmul(sde.drift_jac(t, x), K).reshape(-1, d * d).T
-        return (out,)
+    def rhs(t, y, out):
+        x, K = views[id(y)]
+        out_x, out_K = views[id(out)]
+        out_x[...] = sde.drift(t, x)
+        product(sde.drift_jac(t, x), K, out=out_K)
 
     def close(idx):
         """Segment ends of paths `idx`, which all have h = 0 (finished paths
@@ -589,26 +615,31 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     # a path that ends a segment waits with h = 0, as finished paths do, for
     # the next pass over segment ends
     ended = [np.flatnonzero(n == 0)]
+    K_rows = y[Ks].T
     it = 0
-    while True:
-        if it % _RESCALE_EVERY == 0:
-            _rescale(y[Ks].T, e_K)
-        if it % _CLOSE_EVERY == 0:
-            idx = np.concatenate(ended)
-            ended = []
-            while idx.size:
-                idx = close(idx)
-            if (seg > last).all():
-                break
-        (y,) = _rk4_step(rhs, t0 + k * h, h, (y,))
-        k += 1
-        idx = np.flatnonzero(k == n)
-        n[idx] = -1
-        h[idx] = 0.0
-        ended.append(idx)
-        it += 1
-    x = y[xs].T.copy()
-    vectors, factor, scale = _backward_vectors(batch, E, e_seg, F, phi)
+    # a flow that blows up raises below, not numpy's warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if it % _RESCALE_EVERY == 0:
+                _rescale(K_rows, e_K)
+            if it % _CLOSE_EVERY == 0:
+                idx = np.concatenate(ended)
+                ended = []
+                while idx.size:
+                    idx = close(idx)
+                if (seg > last).all():
+                    break
+            np.multiply(k, h, out=t)
+            np.add(t0, t, out=t)
+            _rk4_step(rhs, t, h, y, work)
+            k += 1
+            idx = np.flatnonzero(k == n)
+            n[idx] = -1
+            h[idx] = 0.0
+            ended.append(idx)
+            it += 1
+        x = y[xs].T.copy()
+        vectors, factor, scale = _backward_vectors(batch, E, e_seg, F, phi)
     if not all(np.all(np.isfinite(a)) for a in (x, vectors, factor)):
         raise RuntimeError("batch flow integration produced non-finite state")
     return x, vectors, factor, scale

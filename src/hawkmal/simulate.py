@@ -131,12 +131,6 @@ def _philox_rounds(c0, c1, c2, c3, keys, words=4):
     return w0, p1, w2, p0
 
 
-def _philox4x32(c0, c1, c2, c3, k0, k1):
-    """Philox-4x32-10 of the counter (c0, c1, c2, c3) under the key (k0, k1),
-    integers below 2**32; returns the four output words as uint64 arrays."""
-    return _philox_rounds(c0, c1, c2, c3, _round_keys(int(k0), int(k1)))
-
-
 def _unit_doubles(w0, w1):
     """Doubles in (0,1) from Philox output words 0-1."""
     bits = (w0 << _S32) | w1

@@ -3,8 +3,10 @@
 An independent algorithm for the tests to check the batch engines against:
 they carry the tangent K_t = K_{0->t} and its inverse K_tilde_t forward
 along one path, take K_{T_i->T} = K_T K_tilde_{T_i}, and sum the dense xi
-Gram Gamma[X_T] = sum_{ij} v_i v_j^T xi(T_i, T_j).  `solve_flow` adds a
-step-halving (Richardson) error estimate to the RK4 flow.  The library's
+Gram Gamma[X_T] = sum_{ij} v_i v_j^T xi(T_i, T_j).  They step with their
+own RK4 on tuples of arrays, `_rk4_step`, in the arithmetic order of the
+library's in-place stepper.  `solve_flow` adds a step-halving
+(Richardson) error estimate to the RK4 flow.  The library's
 engines instead carry only x forward, form the tangent products backward
 and never invert one, and factor Gamma through the Brownian bridge.
 
@@ -27,7 +29,6 @@ from hawkmal.sde import (
     _linear_propagators,
     _phi,
     _rk4_batch,
-    _rk4_step,
     _segment_steps,
 )
 from hawkmal.simulate import HawkesPath, PathBatch
@@ -85,6 +86,21 @@ class TangentReport:
 
 
 # ---- deterministic flow ----
+
+def _rk4_step(rhs, t: float, h: float, y: tuple) -> tuple:
+    """One classical RK4 step of y' = rhs(t, y) for a tuple of arrays, in
+    the arithmetic order of the library's in-place `sde._rk4_step`."""
+    half = 0.5 * h
+    t_half = t + half
+    k1 = rhs(t, y)
+    k2 = rhs(t_half, tuple(a + half * k for a, k in zip(y, k1)))
+    k3 = rhs(t_half, tuple(a + half * k for a, k in zip(y, k2)))
+    k4 = rhs(t + h, tuple(a + h * k for a, k in zip(y, k3)))
+    return tuple(
+        a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+
 
 def _rk4_run(rhs, s: float, span: float, y: tuple, n: int) -> tuple:
     """n equal RK4 steps over [s, s + span], at t = s + k h."""

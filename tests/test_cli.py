@@ -4,6 +4,7 @@ and byte-identical output across worker counts."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -376,18 +377,21 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
 
 def test_blown_up_linear_flow_exit_code(tmp_path, monkeypatch, capsys):
     # dX = 200 X dt overflows on [0, 5]: a refusal (exit 3), not a pass, and
-    # without numpy's overflow warnings ahead of the refusal
+    # without numpy's overflow warnings ahead of the refusal, on the exact
+    # engine and on the RK4 engine (the same callables without `linear`)
     import hawkmal.cli
     from hawkmal.sde import JumpSde
 
     blown = JumpSde.linear_scalar(a=200.0, b=0.1, alpha=0.3, beta=0.2, x0=1.0)
-    monkeypatch.setattr(hawkmal.cli, "sde_preset", lambda name: blown)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run_cli("sde-density", "--paths", "50", "--out", str(tmp_path))
-    assert code == 3
-    assert "non-finite state" in capsys.readouterr().err
-    assert not (tmp_path / "sde_density_paths.csv").exists()
+    for engine, sde in (("exact", blown), ("rk4", dataclasses.replace(blown, linear=None))):
+        monkeypatch.setattr(hawkmal.cli, "sde_preset", lambda name: sde)
+        out = tmp_path / engine
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("sde-density", "--paths", "50", "--out", str(out))
+        assert code == 3, engine
+        assert "non-finite state" in capsys.readouterr().err
+        assert not (out / "sde_density_paths.csv").exists()
 
 
 def test_contracting_linear_flow_reports_its_criterion(tmp_path, monkeypatch):

@@ -675,14 +675,21 @@ def test_batch_engines_give_each_path_its_one_path_bits(system, paths):
 
 
 def test_cos_sin_sweep_known_answer():
-    """sha256 of the RK4 engine's bytes on a fixed batch.  The terminal
-    states are those of the d = 1 sweep this engine replaced; the bridge
-    factor is formed by `_backward_vectors` with the v_i.  (numpy's
+    """sha256 of the RK4 engine's bytes on a fixed batch.  On cos-sin the
+    terminal states are those of the d = 1 sweep this engine replaced; the
+    bridge factor is formed by `_backward_vectors` with the v_i.
+    `coupled_d2` takes the matmul route of the tangent, and
+    `time_dependent_scalar` a drift that reads the stage times.  (numpy's
     vectorized cos/sin may round differently on other CPU families.)"""
     batch = simulate_batch(reference_model(), T=5.0, master_seed=2024, n_paths=200)
-    terminal, _, factor, _ = _rk4_batch(JumpSde.cos_sin(x0=0.0), batch)
-    digest = hashlib.sha256(terminal.tobytes() + factor.tobytes()).hexdigest()
-    assert digest == "f82c23fedf4757653ef925b03955339725f3bd7415ada3cc248efab0f28512e7"
+    for sde, want in (
+        (JumpSde.cos_sin(x0=0.0), "f82c23fedf4757653ef925b03955339725f3bd7415ada3cc248efab0f28512e7"),
+        (coupled_d2(), "fbe853b47fba2331f6164f88c34c47d4aea52df3571bb2702e5b6ad3a50ad171"),
+        (time_dependent_scalar(0.3), "370d40d7f8dbf5510282ce45ac30e1623b5973e419864326d54a8c4162792b45"),
+    ):
+        terminal, _, factor, _ = _rk4_batch(sde, batch)
+        digest = hashlib.sha256(terminal.tobytes() + factor.tobytes()).hexdigest()
+        assert digest == want, sde.label
 
 
 def _sha256_of(*values):
@@ -835,14 +842,19 @@ def test_expm_stack_zero_spans_and_empty_stack():
 
 def test_linear_engines_raise_on_a_blown_up_flow():
     """exp(200 t) overflows on [0, 5].  Both exact engines must raise, as the
-    RK4 sweeps do: nan Gammas used to pass, since nan <= 0 is False."""
+    RK4 engine does on the same callables without `linear`: nan Gammas used
+    to pass, since nan <= 0 is False.  No engine may warn on the way: under
+    `-W error` the warning would be raised in place of the refusal."""
     sde = JumpSde.linear_scalar(a=200.0, b=0.1, alpha=0.3, beta=0.2, x0=1.0)
+    twin = dataclasses.replace(sde, linear=None)
     batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=50)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="non-finite state"):
-            density_criteria(sde, batch)
-        with pytest.raises(RuntimeError, match="non-finite state"):
-            _linear_sensitivity(sde, batch.path(0))
+    for system, one_path in ((sde, _linear_sensitivity), (twin, grad_and_gamma_XT)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="non-finite state"):
+                density_criteria(system, batch)
+            with pytest.raises(RuntimeError, match="non-finite state"):
+                one_path(system, batch.path(0))
 
 
 def contracting_closed_forms(batch, a, alpha, T):

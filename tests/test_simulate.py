@@ -47,7 +47,8 @@ from hawkmal.simulate import (
     PathBatch,
     _BLOCK_ELEMS,
     RngStream,
-    _philox4x32,
+    _philox_rounds,
+    _round_keys,
     _row_blocks,
     _seed_keys,
     _segment_quad,
@@ -136,7 +137,8 @@ def linear_model(kernel, lam=1.0):
 
 def _run_kat(ctr, key):
     c = [np.array([w], dtype=np.uint32) for w in ctr]
-    out = _philox4x32(c[0], c[1], c[2], c[3], np.uint32(key[0]), np.uint32(key[1]))
+    # Philox-4x32-10 of the counter under the key: the four output words
+    out = _philox_rounds(c[0], c[1], c[2], c[3], _round_keys(key[0], key[1]))
     return tuple(int(w[0]) for w in out)
 
 
