@@ -15,9 +15,13 @@ byte-identical files.  ``--workers`` is accepted for compatibility and
 ignored: it never enters the digest and never changes an output byte.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-config or command line (an ``--out`` that cannot be created among them),
-3 a model or estimator assumption was violated, 4 an internal error (an
-invariant of the program failed, or any other exception).
+config or command line (`ConfigError`; an ``--out`` that cannot be created
+among them), 3 a model or estimator assumption was violated
+(`AssumptionError`: a refused estimate, a flow that blows up, a setting
+outside a formula's domain; `NormalizationError` among them), 4 an
+internal error (`InternalError`, or any other exception, printed with its
+traceback).  Only the program's own error classes pick codes 2 and 3: a
+ValueError or RuntimeError raised by Python or numpy is a fault, exit 4.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ _SCHEMA: Dict[Tuple[str, str], tuple] = {
     ("greeks", "fd_paths"): ("int", 0),  # 0 -> per-payoff default; else >= 2
     ("sde", "preset"): ("choice", "linear-scalar", ("linear-scalar", "cos-sin", "linear-d2")),
     ("experiment", "grid_points"): ("posint", 32),
-    ("experiment", "volterra_steps"): ("posint", 2048),
+    ("experiment", "volterra_steps"): ("posint", 2048, 2),  # the trapezoid rule needs two steps
     ("experiment", "eps"): ("floats", (0.1, 0.01, 0.001)),
     ("experiment", "direction"): ("choice", "default", ("default", "cosine", "sine")),
 }
@@ -714,12 +718,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except RuntimeError as exc:  # NormalizationError among them
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # a crash is not a failed check (exit 1)
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

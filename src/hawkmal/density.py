@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import HawkesModel, _row_sums
+from .model import AssumptionError, HawkesModel, _row_sums
 from .simulate import (
     PathBatch,
     _excitation_compensator,
@@ -49,7 +49,7 @@ DEFAULT_NORMALIZATION_SEED = 951
 _QUADRATURE_MAX_N = 3  # the chained rule has 64^n nodes
 
 
-class NormalizationError(RuntimeError):
+class NormalizationError(AssumptionError):
     """Normalization constant too noisy (or not computable) for safe use."""
 
 

@@ -23,7 +23,7 @@ from .malliavin import (
     product_smooth,
     z_eps_batch,
 )
-from .model import HawkesModel, _row_sums, strict_lags
+from .model import AssumptionError, HawkesModel, _row_sums
 from .simulate import PathBatch, _path_blocks
 
 _Z_THRESHOLD = 3.0
@@ -121,7 +121,7 @@ def volterra_mean_intensity(model: HawkesModel, T: float, n_steps: int):
     mu = np.asarray(model.kernel.mu(s), dtype=float)
     denom = 1.0 - h * mu[0] / 2.0
     if denom <= 0.0:
-        raise ValueError("grid too coarse for the product trapezoidal rule")
+        raise AssumptionError("grid too coarse for the product trapezoidal rule")
     g = np.empty(n_steps + 1)
     g[0] = lam[0]
     for k in range(1, n_steps + 1):
@@ -142,7 +142,7 @@ def mean_intensity_batch(model: HawkesModel, batch: PathBatch, grid) -> np.ndarr
         times, _ = padded_jumps(block)
         for i, s in enumerate(grid):
             # padding equals the horizon, so it never counts
-            exc = _row_sums(strict_lags(model.kernel.mu, times, s))
+            exc = model.excitation(times, s)
             out[i, idx] = base[i] + np.asarray(model.nonlinearity.value(exc), dtype=float)
     return out
 

@@ -53,9 +53,9 @@ class AssetModel:
 
     def __post_init__(self):
         if self.x0 <= 0.0:
-            raise ValueError("x0 must be positive")
+            raise AssumptionError("x0 must be positive")
         if self.sigma <= -1.0:
-            raise ValueError("sigma must be greater than -1")
+            raise AssumptionError("sigma must be greater than -1")
 
     def _require_linear(self):
         if not self.hawkes.nonlinearity.is_linear():
@@ -293,7 +293,7 @@ def malliavin_delta(
     degenerate = positive & (np.abs(D) < floor)
     n_excluded = int(degenerate.sum())
     if n_excluded > _MAX_EXCLUDED_FRACTION * batch.n_paths:
-        raise RuntimeError(
+        raise AssumptionError(
             f"{n_excluded} of {batch.n_paths} paths have |D| below the "
             f"floor {floor:.3e}; refusing the estimate"
         )

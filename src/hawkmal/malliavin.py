@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .density import _cumulative_trapezoid, _log_kappa_parts
-from .model import HawkesModel, _row_sums
+from .model import AssumptionError, HawkesModel, _row_sums
 from .simulate import (
     HawkesPath,
     PathBatch,
@@ -575,7 +575,7 @@ def z_eps_batch(
         raise ValueError(f"eps must be positive, got {eps}")
     if m.bounded:
         if eps * m.sup_m >= 1.0 / 3.0:
-            raise ValueError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")
+            raise AssumptionError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")
         m_val, m_hat = m.m, m.m_hat
     else:
         m_val, m_hat = _truncated_direction(m, eps)

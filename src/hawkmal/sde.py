@@ -34,7 +34,7 @@ import numpy as np
 
 from .malliavin import MalliavinGradient, _bridge_coefficients
 from .model import AssumptionError
-from .simulate import HawkesPath, PathBatch
+from .simulate import HawkesPath, PathBatch, _path_blocks
 
 _STEP_FRACTION = 1e-3     # h <= 1e-3 * horizon
 _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
@@ -402,7 +402,7 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
     vectors, factor, scale), the last three as `_backward_vectors` gives them.
 
     A flow that overflows (say a large positive eigenvalue of A over a long
-    span) raises RuntimeError, as the RK4 engine does, rather than report
+    span) raises AssumptionError, as the RK4 engine does, rather than report
     nan Gammas or numpy's overflow warnings: overflowing propagators are
     refused before the ordinal loop, and the final check catches a state
     or vector that overflows over many finite ones.
@@ -421,7 +421,7 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
     with np.errstate(over="ignore", invalid="ignore"):
         E, c = _linear_propagators(lin, span, d)
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(c))):
-        raise RuntimeError("linear flow propagators overflow: non-finite state")
+        raise AssumptionError("linear flow propagators overflow: non-finite state")
     tangent, e_seg = E.copy(), np.zeros(span.size, dtype=np.int64)
     far, _ = _far_slices(E)
     tangent[far], e_seg[far] = _expm_scaled(lin.A * span[far, None, None])
@@ -439,7 +439,7 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
             batch, tangent, e_seg, np.broadcast_to(J, phi.shape + (d,)), phi
         )
     if not all(np.all(np.isfinite(a)) for a in (x, vectors, factor)):
-        raise RuntimeError("batch flow integration produced non-finite state")
+        raise AssumptionError("batch flow integration produced non-finite state")
     return x, vectors, factor, scale
 
 
@@ -535,7 +535,7 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     The step runs in place (`_rk4_step`): the stage buffers, the (P, d) and
     (P, d, d) views of each and the step times are made once per call, so
     an iteration makes no state-shaped array.  A flow that blows up raises
-    RuntimeError, with numpy's overflow and invalid-value warnings held
+    AssumptionError, with numpy's overflow and invalid-value warnings held
     back, as in `_linear_batch`.
     """
     d = sde.dim
@@ -641,7 +641,7 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
         x = y[xs].T.copy()
         vectors, factor, scale = _backward_vectors(batch, E, e_seg, F, phi)
     if not all(np.all(np.isfinite(a)) for a in (x, vectors, factor)):
-        raise RuntimeError("batch flow integration produced non-finite state")
+        raise AssumptionError("batch flow integration produced non-finite state")
     return x, vectors, factor, scale
 
 
@@ -684,13 +684,19 @@ def density_criteria(sde: JumpSde, batch: PathBatch) -> DensityCriteria:
     needs; `min_jumps` reports that threshold.  Linear systems, d = 1
     included, take the exact batched engine; every other system takes the
     lockstep RK4 engine.  det, the smallest eigenvalue and the rank come
-    from the singular values of each path's block of W (`_spectrum`).
+    from the singular values of each path's block of W (`_spectrum`).  Both
+    run on each of the batch's `_path_blocks`, as a path's results have the
+    same bits in any batch, so memory stays bounded at any path count.
     """
     counts = batch.counts()
     d = sde.dim
     engine = _linear_batch if sde.linear is not None else _rk4_batch
-    terminal, _, factor, scale = engine(sde, batch)
-    dets, min_eigs, ranks = _spectrum(batch, factor, scale, d)
+    terminal = np.empty((batch.n_paths, d))
+    dets, min_eigs = np.empty((2, batch.n_paths))
+    ranks = np.empty(batch.n_paths, dtype=np.int64)
+    for idx, block in _path_blocks(batch):
+        terminal[idx], _, factor, scale = engine(sde, block)
+        dets[idx], min_eigs[idx], ranks[idx] = _spectrum(block, factor, scale, d)
     cond = counts >= d
     flags = cond & (ranks == d)
     n_cond = int(cond.sum())

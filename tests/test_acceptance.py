@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import hawkmal.cli
+import hawkmal.simulate
 from hawkmal.cli import main as cli_main
 from hawkmal.density import (
     conditional_density_bound,
@@ -435,10 +437,11 @@ def test_12_greeks_triangle(model):
         assert v.elapsed < 300.0
 
 
-# ---- 13: command-line determinism across worker counts ----
+# ---- 13: command-line determinism across chunk widths and block budgets ----
 
-def test_13_cli_determinism(tmp_path):
-    with _verdict(13, "every command: workers 1 vs 8 give byte-identical CSV (timestamp off)") as v:
+def test_13_cli_determinism(tmp_path, monkeypatch):
+    label = "every command: chunk 7 and block 4096 give the defaults' CSV bytes (timestamp off)"
+    with _verdict(13, label) as v:
         ini = tmp_path / "acceptance.ini"
         ini.write_text(
             "[density]\nmax_n = 1\nmin_conditioned = 20\n"
@@ -454,22 +457,33 @@ def test_13_cli_determinism(tmp_path):
             "sde-density",
             "greeks",
         )
+        # the reproducibility contract: (seed, first_index, n_paths) fixes
+        # every output byte, whatever the thinning's chunk width and the
+        # padded passes' block budget (the slice writer's too)
+        small = (
+            (hawkmal.simulate, "_CHUNK", 7),
+            (hawkmal.simulate, "_BLOCK_ELEMS", 4096),
+            (hawkmal.cli, "_BLOCK_ELEMS", 4096),
+        )
+        settings = {"default": (), "small": small}
         for command in commands:
             outputs = {}
-            for workers in ("1", "8"):
-                out = tmp_path / f"{command}-w{workers}"
-                code = cli_main([
-                    command,
-                    "--config", str(ini),
-                    "--paths", "3000",
-                    "--seed", str(SEED + 13),
-                    "--out", str(out),
-                    "--no-timestamp",
-                    "--workers", workers,
-                ])
-                assert code == 0, f"{command} exited {code}"
-                outputs[workers] = {
+            for name, patches in settings.items():
+                out = tmp_path / f"{command}-{name}"
+                with monkeypatch.context() as mp:
+                    for module, attr, value in patches:
+                        mp.setattr(module, attr, value)
+                    code = cli_main([
+                        command,
+                        "--config", str(ini),
+                        "--paths", "3000",
+                        "--seed", str(SEED + 13),
+                        "--out", str(out),
+                        "--no-timestamp",
+                    ])
+                assert code == 0, f"{command} exited {code} ({name})"
+                outputs[name] = {
                     p.name: p.read_bytes() for p in sorted(out.iterdir())
                 }
-            assert outputs["1"], f"{command} wrote nothing"
-            assert outputs["1"] == outputs["8"], f"{command} varies with workers"
+            assert outputs["default"], f"{command} wrote nothing"
+            assert outputs["default"] == outputs["small"], f"{command} varies with the chunking"

@@ -128,6 +128,7 @@ def test_valid_config_digests_are_pinned(tmp_path):
         ("[experiment]\ngrid_points = 0\n", "must be >= 1"),
         ("[run]\npaths = 1\n", r"\[run\] paths = '1': must be >= 2"),
         ("[density]\nmax_n = 3\n", r"\[density\] max_n = '3': must be <= 2"),
+        ("[experiment]\nvolterra_steps = 1\n", r"\[experiment\] volterra_steps = '1': must be >= 2"),
         ("[run]\nseed = 0x10000000000000000\n", "unsigned 64-bit integer"),
         ("[model]\nbeta = -1\n", "must be positive"),
         ("[model]\nalpha = nan\n", "must be finite"),
@@ -299,6 +300,74 @@ def test_unexpected_exception_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hawkmal.cli, "simulate_batch", crash)
     assert run_cli("simulate", "--paths", "10", "--out", str(tmp_path)) == 4
     assert "internal error: IndexError: index 3 is out of bounds" in capsys.readouterr().err
+
+
+def _broadcast_fault():
+    return np.ones(2) + np.ones(3)
+
+
+def _raise(exc):
+    def fault():
+        raise exc
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_broadcast_fault, "ValueError: operands could not be broadcast together"),
+        (_raise(RuntimeError("stray state")), "RuntimeError: stray state"),
+        (_raise(NotImplementedError("no route")), "NotImplementedError: no route"),
+    ],
+    ids=["ValueError", "RuntimeError", "NotImplementedError"],
+)
+def test_python_error_classes_from_a_fault_exit_4(tmp_path, monkeypatch, capsys, fault, message):
+    # ValueError and RuntimeError are Python's classes, not the program's:
+    # raised by a fault, they are an internal error, not a config error
+    # (exit 2) or a refusal (exit 3)
+    import hawkmal.cli
+
+    monkeypatch.setattr(hawkmal.cli, "compensator_batch", lambda *args, **kwargs: fault())
+    assert run_cli("simulate", "--paths", "10", "--out", str(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert f"internal error: {message}" in err
+    assert "Traceback" in err
+
+
+def test_linalg_error_in_sde_density_exits_4(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError: a failed SVD is a fault, not a
+    # config error
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert run_cli("sde-density", "--paths", "50", "--out", str(tmp_path)) == 4
+    assert "internal error: LinAlgError: SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("greeks", "[greeks]\nsigma = -2\n", "sigma must be greater than -1"),
+        ("unit-mass", "[experiment]\neps = 0.5\n", r"eps \* sup\|m\| = 0.5 must stay below 1/3"),
+        (
+            "mean-intensity",
+            "[model]\nalpha = 0.9\n[experiment]\nvolterra_steps = 2\n",
+            "grid too coarse for the product trapezoidal rule",
+        ),
+    ],
+    ids=["sigma", "eps", "coarse-grid"],
+)
+def test_settings_outside_a_formula_domain_exit_3(tmp_path, capsys, command, text, message):
+    # schema-valid settings on which a formula is undefined: an assumption
+    # of the model or estimator (exit 3), as an unstable alpha is
+    ini = tmp_path / "domain.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(ini), "--paths", "20", "--out", str(out)) == 3
+    assert re.search("assumption violation: " + message, capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
 
 
 def test_out_that_cannot_be_created_exit_code(tmp_path, capsys):

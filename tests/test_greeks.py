@@ -22,6 +22,7 @@ from hawkmal.greeks import (
 )
 from hawkmal.malliavin import CameronMartinFunction
 from hawkmal.model import (
+    AssumptionError,
     BaselineSpec,
     HawkesModel,
     KernelSpec,
@@ -358,7 +359,7 @@ def test_small_denominator_excluded(asset):
 
 
 def test_too_many_exclusions_refused(asset):
-    with pytest.raises(RuntimeError, match="refusing"):
+    with pytest.raises(AssumptionError, match="refusing"):
         malliavin_delta(asset, Payoff.constant(), endpoint_batch(10, 1))
 
 
