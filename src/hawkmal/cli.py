@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .density import (
+    NormalizationError,
     _simpson,
     density_vs_empirical,
     log_kappa_rows,
@@ -443,7 +444,9 @@ def _cmd_density_check(inv: _Invocation) -> bool:
 
     # closure of the one-jump density: integrate k_1 against an independent
     # quadrature of the normalization constant.
-    z1, _ = normalization_constant(model, T, 1)
+    z1, se = normalization_constant(model, T, 1)
+    if not z1 > 0.0:  # Z_1 underflows when Lambda_T is in the thousands
+        raise NormalizationError(f"Z_1 = {z1:.3g} (se {se:.3g}) is too uncertain to normalize with")
     grid = np.linspace(0.0, T, 8193)
     vals = np.exp(log_kappa_rows(model, T, grid.reshape(-1, 1))) / z1
     mass = _simpson(vals, grid)

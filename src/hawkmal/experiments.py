@@ -19,12 +19,11 @@ from .malliavin import (
     compose_smooth,
     divergence_m_batch,
     grad_smooth,  # noqa: F401  bench/layers.py traces experiments.grad_smooth
-    padded_jumps,
     product_smooth,
     z_eps_batch,
 )
 from .model import AssumptionError, HawkesModel, _row_sums
-from .simulate import PathBatch, _path_blocks
+from .simulate import PathBatch, _path_blocks, padded_jumps
 
 _Z_THRESHOLD = 3.0
 _VOLTERRA_STEPS = 2048

@@ -227,15 +227,12 @@ def _one_jump_boundary_term(asset: AssetModel, payoff: Payoff, T: float) -> floa
     where k is the one-jump path density and S the matching terminal
     price.  The flux is independent of m, needs only payoff values (no
     derivative), and vanishes on every stratum with two or more jumps,
-    where the field does vanish on the boundary.
+    where the field does vanish on the boundary.  `malliavin_delta` has
+    refused a kernel with mu(0) or mu(T) not > 0.
     """
     model = asset.hawkes
     mu0 = float(model.kernel.mu(np.float64(0.0)))
     muT = float(model.kernel.mu(np.float64(T)))
-    if mu0 <= 0.0 or muT <= 0.0:
-        raise AssumptionError(
-            "the weighted estimator needs a kernel that stays positive on [0, T]"
-        )
     base_int = float(np.asarray(model.baseline.integral(T), dtype=float))
     lam_start = float(np.asarray(model.baseline.value(np.float64(0.0)), dtype=float))
     lam_end = float(np.asarray(model.baseline.value(np.float64(T)), dtype=float))
@@ -267,6 +264,8 @@ def malliavin_delta(
     Paths where the denominator
     D = sum mu(T-T_i) m_hat(T_i) falls below 1e-12 * sup|mu| * T are
     excluded and counted; more than 1% exclusions aborts the estimate.
+    A kernel with mu(0) or mu(T) not > 0, where the flux is undefined, is
+    refused before any work.
     """
     asset._require_linear()
     if asset.sigma == 0.0:
@@ -278,6 +277,10 @@ def malliavin_delta(
     counts = batch.counts()
     if not batch.flat_times.size:
         raise AssumptionError("batch contains no jumps; the weight is undefined")
+    if not (model.kernel.mu(np.float64(0.0)) > 0.0 and model.kernel.mu(np.float64(T)) > 0.0):
+        raise AssumptionError(
+            "the weighted estimator needs a kernel that stays positive on [0, T]"
+        )
     delta_m, D, s2, s3 = np.empty((4, batch.n_paths))
     for idx, block in _path_blocks(batch):
         times, mask, psi, g1, g2, m_at, mh_at = weight_arrays(model, block, m)

@@ -49,7 +49,6 @@ __all__ = [
     "jump_count",
     "compose_smooth",
     "product_smooth",
-    "padded_jumps",
     "weight_arrays",
     "divergence_m_batch",
     "z_eps_batch",

@@ -459,8 +459,9 @@ def _backward_vectors(
     adjoints", Risk 2006): B = E_n, v_i = -B phi_i, then B <- B F_i E_i,
     vectorized over the paths with a jump at each step back.  No inverse is
     taken, and B carries its power of two (`_rescale`), so a flow that
-    contracts past the double range keeps its v_i; every other path keeps
-    scale 0 and every bit.
+    contracts past the double range keeps its v_i.  Every path takes this
+    one walk; on a path whose powers stay 0, each ldexp is by 0 and exact,
+    so it keeps scale 0 and every bit of the unscaled products.
 
     The same walk forms W = L^T V, where Xi = L L^T is the Brownian-bridge
     factor of the xi kernel (`malliavin._bridge_coefficients`):
@@ -483,27 +484,21 @@ def _backward_vectors(
     u, e_u = np.zeros((counts.size, phi.shape[1])), np.zeros(counts.size, dtype=np.int64)
     v, e_v = np.empty(phi.shape), np.empty(t.size, dtype=np.int64)
     w, e_w = np.empty(phi.shape), np.empty(t.size, dtype=np.int64)
-    scaled = bool(e_seg.any())  # any power of two in play; else ldexp by 0 is skipped
     for r in range(int(counts.max(initial=0))):
         idx = np.flatnonzero(counts > r)
         flat = batch.offsets[idx + 1] - 1 - r
         v[flat], e_v[flat] = -_matvec(B[idx], phi[flat]), e_B[idx]
         if r == 0:
             u[idx], e_u[idx] = v[flat], e_B[idx]
-        elif scaled:
+        else:
             top = np.maximum(e_u[idx], e_B[idx])
             u[idx] = _ldexp(v[flat], e_B[idx] - top) + a[flat + 1, None] * _ldexp(u[idx], e_u[idx] - top)
             e_u[idx] = top
-        else:
-            u[idx] = v[flat] + a[flat + 1, None] * u[idx]
         w[flat], e_w[flat] = root_c[flat, None] * u[idx], e_u[idx]
         more, back = idx[counts[idx] > r + 1], flat[counts[idx] > r + 1]
         B_more, e_more = _matmul(B[more], step_back[back]), e_B[more] + e_seg[seg[back]]
         _rescale(B_more, e_more)
-        scaled = scaled or bool(e_more.any())
         B[more], e_B[more] = B_more, e_more
-    if not scaled:
-        return v, w, e_u
     shift = e_u[path_of_jump]
     return _ldexp(v, e_v - shift), _ldexp(w, e_w - shift), e_u
 

@@ -167,9 +167,6 @@ class RngStream:
         self.draw_counter += n
         return _uniforms_at(_seed_keys(self.master_seed), idx, ctr)
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
 
 # ---------------------------------------------------------------------------
 # path containers
@@ -481,16 +478,19 @@ def _segment_quad(f, a, b):
     """Integrals of f over the segments [a_s, b_s], shaped (S,) + vshape.
 
     f(seg, u) gets the segment index of each panel and nodes u shaped
-    (panels, order), never more panels than segments given.  A panel's
-    32-node value is accepted when the 16- and 8-node values agree with it
-    to _QUAD_TOL in every component; failing panels are halved.  A segment's
-    result has the same bits alone and in any batch, as long as f gives a
-    panel's nodes the same bits in any call: each panel's value is its own
-    (`_gauss_rule`), and a segment adds its accepted panels in the order of
-    its own refinement, as the queue is first in, first out.  A half must also
-    meet a quarter of its parent's disagreement: the error falls at least
-    fourfold per halving on the C^0 integrands the model allows, so one
-    chance agreement of the orders at a kink does not end the refinement.
+    (panels, order), at most _BLOCK_ELEMS // 32 panels a call (at least one;
+    _BLOCK_ELEMS is read at the call), and never more than segments given,
+    so a caller's block of segments bounds f's temporaries as well.  A
+    panel's 32-node value is accepted when the 16- and 8-node values agree
+    with it to _QUAD_TOL in every component; failing panels are halved.  A
+    segment's result has the same bits alone and in any batch, whatever the
+    panels a call takes, as long as f gives a panel's nodes the same bits in
+    any call: each panel's value is its own (`_gauss_rule`), and a segment
+    adds its accepted panels in the order of its own refinement, as the
+    queue is first in, first out.  A half must also meet a quarter of its
+    parent's disagreement: the error falls at least fourfold per halving on
+    the C^0 integrands the model allows, so one chance agreement of the
+    orders at a kink does not end the refinement.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -499,8 +499,9 @@ def _segment_quad(f, a, b):
     q = np.stack([a[seg], b[seg], np.zeros(seg.size)], axis=1)  # lo, hi, inherited bound
     # a call on no panels gives vshape even when every segment is empty
     out = np.zeros((a.size,) + _gauss_rule(f, seg[:0], q[:0, 0], q[:0, 1]).shape[1:])
+    most = max(1, min(a.size, _BLOCK_ELEMS // _GL32[0].size))
     while seg.size:
-        s, (l, h, bound), n = seg[:a.size], q[:a.size].T, min(seg.size, a.size)
+        s, (l, h, bound), n = seg[:most], q[:most].T, min(seg.size, most)
         fine = _gauss_rule(f, s, l, h, _GL32)
         coarse = np.stack([_gauss_rule(f, s, l, h, rule) for rule in (_GL16, _GL8)])
         err = np.abs(fine - coarse).reshape(2, n, -1).max(axis=(0, 2))
@@ -669,10 +670,12 @@ def _excitation_compensator(
 
     a scalar integral for `_segment_quad`, whose tolerance thus holds in the
     compensator's units; small caps still refine there, as tanh's poles lie
-    near the real axis.  alpha = 0 gives empty segments.  Any other kernel
-    integrates gamma(excitation) on `_history_segments`.  A segment's
-    integral has the same bits in any block (`_segment_quad`), and each row
-    adds its segments in order (`_row_sums`)."""
+    near the real axis.  One call takes every cell of the rows, as
+    `_segment_quad` skips the empty segments (padded slots, alpha = 0) and
+    bounds its own calls.  Any other kernel integrates gamma(excitation) on
+    `_history_segments`.  A segment's integral has the same bits in any
+    block (`_segment_quad`), and each row adds its segments in order
+    (`_row_sums`)."""
     gam = model.nonlinearity.value
     if model.nonlinearity.is_linear():
         return _row_sums(strict_lags(model.kernel.mu_hat, rows, t))
@@ -683,18 +686,7 @@ def _excitation_compensator(
         return out
     beta = float(model.kernel.beta)
     top, decay = _markov_segments(model, rows, t, S)
-    bottom = (top * decay).ravel()
-    top = top.ravel()
-    live = np.nonzero(top > bottom)[0]
-    vals = np.zeros(top.size)
-
-    def f(seg, y):
-        return gam(y) / (beta * y)
-
-    step = max(1, _BLOCK_ELEMS // _GL32[0].size)
-    for s in range(0, live.size, step):
-        idx = live[s:s + step]
-        vals[idx] = _segment_quad(f, bottom[idx], top[idx])
+    vals = _segment_quad(lambda seg, y: gam(y) / (beta * y), (top * decay).ravel(), top.ravel())
     return _row_sums(vals.reshape(rows.shape))
 
 

@@ -282,6 +282,18 @@ def test_malliavin_delta_without_jumps_exit_code(tmp_path, capsys):
     assert "assumption violation: batch contains no jumps" in capsys.readouterr().err
 
 
+def test_unnormalizable_one_jump_density_exit_code(tmp_path, capsys):
+    # lambda0 = 200 puts Lambda_T over 1000, so Z_1 underflows to 0: the
+    # k_1 closure refuses before it divides by Z_1, warnings as errors too
+    ini = tmp_path / "busy.ini"
+    ini.write_text("[model]\nlambda0 = 200\n")
+    argv = ("density-check", "--config", str(ini), "--paths", "20", "--out", str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 3
+    assert "assumption violation: Z_1 = 0 " in capsys.readouterr().err
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     import hawkmal.simulate
 

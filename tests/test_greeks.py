@@ -4,6 +4,7 @@ plumbing (deterministic reductions, exclusion diagnostics)."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,22 @@ def test_small_denominator_excluded(asset):
 def test_too_many_exclusions_refused(asset):
     with pytest.raises(AssumptionError, match="refusing"):
         malliavin_delta(asset, Payoff.constant(), endpoint_batch(10, 1))
+
+
+def test_vanishing_kernel_refused_before_the_weight():
+    # alpha = 0: mu, and so D, vanish on [0, T], and the floor on |D| is 0,
+    # so no path is excluded; the refusal comes before any division by D
+    model = HawkesModel(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=0.0, beta=1.0),
+        nonlinearity=NonlinearitySpec.linear(),
+    )
+    asset = AssetModel(x0=100.0, r=0.05, sigma=0.3, hawkes=model)
+    batch = simulate_batch(model, T=5.0, master_seed=3, n_paths=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssumptionError, match="stays positive on"):
+            malliavin_delta(asset, Payoff.digital(100.0), batch)
 
 
 def test_greek_estimate_record(asset, batch):

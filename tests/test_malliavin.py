@@ -23,7 +23,6 @@ from hawkmal.malliavin import (
     divergence_predictable,
     grad_smooth,
     jump_count,
-    padded_jumps,
     product_smooth,
     weight_arrays,
     weight_terms,
@@ -43,6 +42,7 @@ from hawkmal.simulate import (
     PathBatch,
     _excitation_recurrences,
     compensator,
+    padded_jumps,
     simulate_batch,
 )
 from test_simulate import exp_as_custom, power_law_kernel, quad_gamma2

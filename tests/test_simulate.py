@@ -807,25 +807,37 @@ def test_gamma2_nonlinear_matches_quad(times, beta, ratio, cap):
         min_size=1, max_size=40,
     ),
     vector=st.booleans(),
+    kinked=st.booleans(),
     data=st.data(),
 )
-def test_segment_quad_gives_each_segment_its_own_bits(segs, vector, data):
+def test_segment_quad_gives_each_segment_its_own_bits(segs, vector, kinked, data):
     # the integral of a segment has the same bits alone and inside any
-    # batch, whichever segments share its calls and refinement rounds
+    # batch, whichever segments share its calls and refinement rounds, and
+    # at any number of panels a call (_BLOCK_ELEMS 1 and 37 give one)
     a, b, cap = (np.array(v) for v in zip(*segs))
+    kink = a + 0.3 * (b - a)
+    mu = c1_kernel().mu  # C^1 at 0.8, the end of its support
 
-    def integrand(caps):
+    def integrand(rows):
         def f(seg, y):  # the Markov compensator's tanh integrand, one cap a segment
-            c = caps[seg][:, None]
-            val = c * np.tanh(y / c) / y
+            s = rows[seg][:, None]
+            val = cap[s] * np.tanh(y / cap[s]) / y
+            if kinked:  # plus a custom kernel's kink inside each segment, which refines
+                val = val + mu(y - kink[s] + 0.8)
             return np.stack([val, val * y], axis=-1) if vector else val
         return f
 
-    whole = _segment_quad(integrand(cap), a, b)
+    every = np.arange(a.size)
+    whole = _segment_quad(integrand(every), a, b)
     for i in range(a.size):
-        np.testing.assert_array_equal(_segment_quad(integrand(cap[[i]]), a[[i]], b[[i]])[0], whole[i])
+        np.testing.assert_array_equal(_segment_quad(integrand(every[[i]]), a[[i]], b[[i]])[0], whole[i])
     pick = np.array(data.draw(st.permutations(range(a.size))))[: data.draw(st.integers(1, a.size))]
-    np.testing.assert_array_equal(_segment_quad(integrand(cap[pick]), a[pick], b[pick]), whole[pick])
+    np.testing.assert_array_equal(_segment_quad(integrand(pick), a[pick], b[pick]), whole[pick])
+    for elems in (1, 37, 2**40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hawkmal.simulate, "_BLOCK_ELEMS", elems)
+            got = _segment_quad(integrand(every), a, b)
+        np.testing.assert_array_equal(got, whole, err_msg=f"at _BLOCK_ELEMS = {elems}")
 
 
 def c1_kernel(a=0.6, c=0.8):
