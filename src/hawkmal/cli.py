@@ -42,8 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .density import (
-    NormalizationError,
     _simpson,
+    _usable,
     density_vs_empirical,
     log_kappa_rows,
     normalization_constant,
@@ -444,9 +444,8 @@ def _cmd_density_check(inv: _Invocation) -> bool:
 
     # closure of the one-jump density: integrate k_1 against an independent
     # quadrature of the normalization constant.
-    z1, se = normalization_constant(model, T, 1)
-    if not z1 > 0.0:  # Z_1 underflows when Lambda_T is in the thousands
-        raise NormalizationError(f"Z_1 = {z1:.3g} (se {se:.3g}) is too uncertain to normalize with")
+    # Z_1 underflows to 0 when Lambda_T is in the thousands
+    z1 = _usable(1, *normalization_constant(model, T, 1))
     grid = np.linspace(0.0, T, 8193)
     vals = np.exp(log_kappa_rows(model, T, grid.reshape(-1, 1))) / z1
     mass = _simpson(vals, grid)
@@ -456,7 +455,7 @@ def _cmd_density_check(inv: _Invocation) -> bool:
 
     for n in range(1, inv.config[("density", "max_n")] + 1):
         for fit in density_vs_empirical(
-            model, T, n, batch, min_conditioned=inv.config[("density", "min_conditioned")]
+            model, n, batch, min_conditioned=inv.config[("density", "min_conditioned")]
         ):
             rows.append((fit.n, fit.test_name, fit.statistic, fit.p_value, fit.samples))
             flags.append(fit.p_value >= _KS_LEVEL)

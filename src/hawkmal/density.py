@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -124,8 +124,9 @@ class _ModelKey:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _count_histogram(key: _ModelKey, T: float, n_mc: int, master_seed: int) -> np.ndarray:
-    return np.bincount(simulate_batch(key.model, T, master_seed, n_mc).counts())
+def _count_histogram(key: _ModelKey, T: float) -> np.ndarray:
+    batch = simulate_batch(key.model, T, DEFAULT_NORMALIZATION_SEED, DEFAULT_NORMALIZATION_PATHS)
+    return np.bincount(batch.counts())
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -133,15 +134,10 @@ def _quadrature_mass(key: _ModelKey, T: float, n: int) -> float:
     return _simplex_quadrature_mass(key.model, T, n)
 
 
-def count_distribution(
-    model: HawkesModel,
-    T: float,
-    n_mc: int = DEFAULT_NORMALIZATION_PATHS,
-    master_seed: int = DEFAULT_NORMALIZATION_SEED,
-) -> np.ndarray:
-    """Histogram of N_T over n_mc simulated paths (cached per model/T)."""
-    key = _ModelKey(model.digest_key(), model)
-    return _count_histogram(key, float(T), int(n_mc), int(master_seed))
+def count_distribution(model: HawkesModel, T: float) -> np.ndarray:
+    """Histogram of N_T over the DEFAULT_NORMALIZATION_PATHS paths simulated
+    at seed DEFAULT_NORMALIZATION_SEED, cached per model and T."""
+    return _count_histogram(_ModelKey(model.digest_key(), model), float(T))
 
 
 def normalization_constant(model: HawkesModel, T: float, n: int) -> Tuple[float, float]:
@@ -194,35 +190,27 @@ def _simplex_quadrature_mass(model: HawkesModel, T: float, n: int) -> float:
 # conditional density and its bound
 # ---------------------------------------------------------------------------
 
-def conditional_density_kn(model: HawkesModel, T: float, n: int, times) -> float:
-    """k_n(times) = kappa(times) / Z_n on the simplex, 0 off it.
+def _usable(n: int, z: float, se: float) -> float:
+    """Z_n, refused unless positive and at least 10x its own standard error:
+    a ratio to it would otherwise be dominated by noise (or not a number)."""
+    if not (z > 0.0 and z >= 10.0 * se):
+        raise NormalizationError(f"Z_{n} = {z:.3g} (se {se:.3g}) is too uncertain to normalize with")
+    return z
 
-    Refuses when the normalization estimate is smaller than 10x its own
-    standard error (the ratio would be dominated by noise).
-    """
+
+def conditional_density_kn(model: HawkesModel, T: float, times) -> float:
+    """k_n(times) = kappa(times) / Z_n with n = len(times), on the simplex;
+    0 off it.  Refuses a Z_n that `_usable` refuses."""
     t = np.asarray(times, dtype=float).ravel()
-    if t.size != n:
-        raise ValueError(f"expected {n} times, got {t.size}")
-    z, se = normalization_constant(model, T, n)
-    if z <= 0.0 or z < 10.0 * se:
-        raise NormalizationError(
-            f"Z_{n} = {z:.3g} (se {se:.3g}) is too uncertain to normalize with"
-        )
+    z = _usable(t.size, *normalization_constant(model, T, t.size))
     lk = log_kappa(model, T, t)
     return 0.0 if lk == _NEG_INF else math.exp(lk) / z
 
 
-def conditional_density_bound(
-    model: HawkesModel,
-    T: float,
-    n: int,
-    z: Optional[float] = None,
-) -> float:
-    """Uniform bound (lambda^T + n a ||mu||_inf)^n / P(N_T = n) for k_n."""
-    if z is None:
-        z, se = normalization_constant(model, T, n)
-        if z <= 0.0 or z < 10.0 * se:
-            raise NormalizationError(f"Z_{n} too uncertain for the bound")
+def conditional_density_bound(model: HawkesModel, T: float, n: int) -> float:
+    """Uniform bound (lambda^T + n a ||mu||_inf)^n / Z_n for k_n, with Z_n
+    from `normalization_constant`.  Refuses a Z_n that `_usable` refuses."""
+    z = _usable(n, *normalization_constant(model, T, n))
     lam_top = model.baseline.sup_upper(T)
     a = model.nonlinearity.lipschitz
     return (lam_top + n * a * model.kernel.sup_norm) ** n / z
@@ -369,19 +357,16 @@ def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
 
 def density_vs_empirical(
     model: HawkesModel,
-    T: float,
     n: int,
     batch: PathBatch,
     min_conditioned: int = 1000,
 ) -> List[GoodnessOfFit]:
-    """KS tests of conditioned empirical jump times against the k_n
-    marginals obtained by quadrature.  Supports n = 1 and n = 2; for the
-    conditional CDF the normalization cancels (cumulative over total mass).
-    """
+    """KS tests of the jump times of the batch's paths with N_T = n against
+    the k_n marginals obtained by quadrature up to the batch's horizon.
+    Supports n = 1 and n = 2; for the conditional CDF the normalization
+    cancels (cumulative over total mass)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if abs(batch.horizon - T) > 1e-12:
-        raise ValueError("batch horizon does not match T")
     counts = batch.counts()
     sel = np.nonzero(counts == n)[0]
     m = int(sel.size)
@@ -397,7 +382,7 @@ def density_vs_empirical(
     out = []
     for coord in range(n):
         samples = batch.flat_times[batch.offsets[sel] + coord]
-        grid, cdf = _marginal_cdf(model, T, n, coord)
+        grid, cdf = _marginal_cdf(model, batch.horizon, n, coord)
         stat, p = _ks_two_sided(samples, lambda v: np.interp(v, grid, cdf))
         name = "ks_T1" if n == 1 else f"ks_T{coord + 1}_of_{n}"
         out.append(GoodnessOfFit(n, name, stat, p, m))

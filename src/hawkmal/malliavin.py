@@ -463,6 +463,13 @@ def z_eps(model: HawkesModel, path: HawkesPath, m: CameronMartinFunction, eps: f
     return float(z_eps_batch(model, PathBatch.of(path), m, eps)[0])
 
 
+def _check_horizon(m: CameronMartinFunction, T: float) -> None:
+    """Refuse a direction built for another horizon: m_hat need not vanish at
+    T, so on [0, T] it leaves H and every weight built on it is wrong."""
+    if abs(m.horizon - T) > 1e-12:
+        raise ValueError(f"direction horizon {m.horizon:g} does not match the batch horizon {T:g}")
+
+
 def _truncated_direction(m: CameronMartinFunction, eps: float):
     """Clamp an unbounded direction at +-1/(3 eps), re-center so it stays in
     H, and rebuild the antiderivative on a dense grid."""
@@ -519,14 +526,18 @@ def weight_arrays(model: HawkesModel, batch: PathBatch, m):
     gamma1, gamma2, m_at, m_hat_at) as padded (n_paths, K) arrays whose
     padded slots hold the horizon (mask them out).  `m` is a
     CameronMartinFunction or a (value, antiderivative) pair of callables,
-    such as a StepProcess's (value, integral_to).
+    such as a StepProcess's (value, integral_to); a CameronMartinFunction
+    must have the batch's horizon.
 
     The excitation sums and Gamma2 come from the excitation engine
     (`_excitation_sums`, `_excitation_gamma2`), which picks each one's route.
     """
-    val_fn, anti_fn = (m.m, m.m_hat) if isinstance(m, CameronMartinFunction) else m
-    gam = model.nonlinearity
     T = batch.horizon
+    if isinstance(m, CameronMartinFunction):
+        _check_horizon(m, T)
+        m = (m.m, m.m_hat)
+    val_fn, anti_fn = m
+    gam = model.nonlinearity
     times, mask = padded_jumps(batch)
     if times.shape[1] == 0:
         empty = np.zeros_like(times)
@@ -568,10 +579,11 @@ def z_eps_batch(
     batch.  log kappa of the shifted and of the unshifted jumps comes from
     one stacked (2B, K) block of each of the `_path_blocks` through the
     density's `_log_kappa_parts`; the baseline integral is left out, as it
-    cancels in the ratio.
+    cancels in the ratio.  m must have the batch's horizon.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    _check_horizon(m, batch.horizon)
     if m.bounded:
         if eps * m.sup_m >= 1.0 / 3.0:
             raise AssumptionError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")

@@ -716,11 +716,12 @@ def _spectrum(batch: PathBatch, factor: np.ndarray, scale: np.ndarray, d: int) -
     """(det, smallest eigenvalue, rank) of every path's Gamma = 4^scale W^T W.
     The singular values s_1 >= ... >= s_d of the path's (n, d) block of W
     give det = 4^(d scale) prod s_k^2 and the smallest eigenvalue
-    4^scale s_d^2, rounded to doubles (0.0 below 2^-1074), and the rank, the
-    number of s_k above s_1 max(n, d) eps (`np.linalg.matrix_rank`'s
-    tolerance).  Below d jumps the missing s_k are 0, so det and the
-    smallest eigenvalue are exactly 0.  Grouping paths by jump count gives
-    each its own block's bits."""
+    4^scale s_d^2, rounded to doubles (0.0 below 2^-1074, inf above the
+    largest double, with no overflow warning), and the rank, the number of
+    s_k above s_1 max(n, d) eps (`np.linalg.matrix_rank`'s tolerance).
+    Below d jumps the missing s_k are 0, so det and the smallest eigenvalue
+    are exactly 0.  Grouping paths by jump count gives each its own block's
+    bits."""
     counts = batch.counts()
     sigma = np.zeros((counts.size, d))
     for n in np.unique(counts[counts > 0]):
@@ -729,8 +730,9 @@ def _spectrum(batch: PathBatch, factor: np.ndarray, scale: np.ndarray, d: int) -
         sigma[paths, :min(n, d)] = np.linalg.svd(factor[rows], compute_uv=False)
     tol = sigma[:, 0] * np.maximum(counts, d) * np.finfo(float).eps
     ranks = np.sum(sigma > tol[:, None], axis=1)
-    dets = np.ldexp(np.prod(sigma**2, axis=1), 2 * d * scale)
-    return dets, np.ldexp(sigma[:, -1] ** 2, 2 * scale), ranks
+    with np.errstate(over="ignore"):  # inf is the double rounding above the range
+        dets = np.ldexp(np.prod(sigma**2, axis=1), 2 * d * scale)
+        return dets, np.ldexp(sigma[:, -1] ** 2, 2 * scale), ranks
 
 
 # ---- one path ----
@@ -772,8 +774,9 @@ def _one_path(sde: JumpSde, path: HawkesPath, engine) -> SensitivityReport:
     batch = PathBatch.of(path)
     terminal, v, w, scale = engine(sde, batch)
     dets, min_eigs, _ = _spectrum(batch, w, scale, sde.dim)
+    with np.errstate(over="ignore"):  # as in `_spectrum`
+        vectors, gamma = np.ldexp(v, scale[0]), np.ldexp(w.T @ w, 2 * scale[0])
     return SensitivityReport(
-        jump_times=path.jump_times, horizon=path.horizon, vectors=np.ldexp(v, scale[0]),
-        gamma=np.ldexp(w.T @ w, 2 * scale[0]), det=float(dets[0]), min_eig=float(min_eigs[0]),
-        terminal=terminal[0],
+        jump_times=path.jump_times, horizon=path.horizon, vectors=vectors, gamma=gamma,
+        det=float(dets[0]), min_eig=float(min_eigs[0]), terminal=terminal[0],
     )

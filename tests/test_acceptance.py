@@ -206,14 +206,14 @@ def test_05_density(model):
         assert abs(mass - 1.0) <= 1e-6, f"k1 mass deviates by {mass - 1.0:.2e}"
 
         big = simulate_batch(model, T, SEED + 5, 500_000, n_workers=4)
-        fit = density_vs_empirical(model, T, 1, big, min_conditioned=10_000)[0]
+        fit = density_vs_empirical(model, 1, big, min_conditioned=10_000)[0]
         assert fit.samples >= 10_000
         assert fit.p_value >= 0.01, f"KS p={fit.p_value:.4f}"
 
         rng = np.random.default_rng(SEED + 55)
         for n in (1, 2, 3):
             zn, _ = normalization_constant(model, T, n)
-            bound = conditional_density_bound(model, T, n, z=zn)
+            bound = conditional_density_bound(model, T, n)
             pts = np.sort(rng.uniform(0.0, T, size=(1000, n)), axis=1)
             dens = np.exp(log_kappa_rows(model, T, pts)) / zn
             worst = float(dens.max())

@@ -252,8 +252,8 @@ def test_normalization_caches_are_bounded_and_keyed_by_digest():
 
     counts = density._count_histogram
     counts.cache_clear()
-    first = count_distribution(reference_model(), 1.0, n_mc=50, master_seed=3)
-    again = count_distribution(reference_model(), 1.0, n_mc=50, master_seed=3)
+    first = count_distribution(reference_model(), 1.0)
+    again = count_distribution(reference_model(), 1.0)
     assert again is first
     assert counts.cache_info().maxsize == density._CACHE_SIZE
 
@@ -262,7 +262,10 @@ def test_normalization_refusals():
     model = reference_model()
     # far tail: too few (or zero) hits
     with pytest.raises(NormalizationError):
-        conditional_density_kn(model, 5.0, 60, np.linspace(0.05, 4.95, 60))
+        conditional_density_kn(model, 5.0, np.linspace(0.05, 4.95, 60))
+    # the bound fetches Z_n itself and refuses it by the same gate
+    with pytest.raises(NormalizationError, match=r"^Z_60 = 0 \(se 0\) is too uncertain to normalize with$"):
+        conditional_density_bound(model, 5.0, 60)
     # past the chained rule's n, Z_n is the counted share, bit for bit
     z4, se4 = normalization_constant(model, 5.0, 4)
     assert (z4, se4) == counted_share(model, 5.0, 4)
@@ -273,10 +276,10 @@ def test_normalization_refusals():
 
 def test_poisson_k1_is_uniform():
     model = poisson_model()
-    val = conditional_density_kn(model, 5.0, 1, [2.0])
+    val = conditional_density_kn(model, 5.0, [2.0])
     assert val == pytest.approx(0.2, rel=1e-10)
     # off-simplex point has zero conditional density
-    assert conditional_density_kn(model, 5.0, 1, [6.0]) == 0.0
+    assert conditional_density_kn(model, 5.0, [6.0]) == 0.0
 
 
 def test_k1_integrates_to_one():
@@ -285,7 +288,7 @@ def test_k1_integrates_to_one():
     grid = np.linspace(1e-9, 5.0, 4097)
     vals = np.array(
         [
-            conditional_density_kn(model, 5.0, 1, [t])
+            conditional_density_kn(model, 5.0, [t])
             for t in grid[:: 16]
         ]
     )
@@ -299,7 +302,7 @@ def test_k1_integrates_to_one():
 def test_mc_normalized_k1_close_to_quadrature():
     model = reference_model()
     a = math.exp(log_kappa(model, 5.0, [2.0])) / counted_share(model, 5.0, 1)[0]
-    b = conditional_density_kn(model, 5.0, 1, [2.0])
+    b = conditional_density_kn(model, 5.0, [2.0])
     assert a == pytest.approx(b, rel=0.05)
 
 
@@ -309,7 +312,7 @@ def test_kn_uniform_bound_on_simplex_points():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         z, _ = normalization_constant(model, T, n)
-        bound = conditional_density_bound(model, T, n, z=z)
+        bound = conditional_density_bound(model, T, n)
         pts = np.sort(rng.uniform(0.0, T, size=(1000, n)), axis=1)
         dens = np.exp(log_kappa_rows(model, T, pts)) / z
         assert np.all(dens <= bound * (1.0 + 1e-12)), f"bound violated at n={n}"
@@ -320,20 +323,20 @@ def test_kn_uniform_bound_on_simplex_points():
 # ------------------------------------------------------------ fit reports
 
 def test_poisson_conditioned_ks(poisson_batch):
-    reports = density_vs_empirical(poisson_model(), 5.0, 1, poisson_batch)
+    reports = density_vs_empirical(poisson_model(), 1, poisson_batch)
     (rep,) = reports
     assert rep.samples >= 1000
     assert rep.p_value > 0.01, f"KS p={rep.p_value:.4g}"
 
 
 def test_hawkes_conditioned_ks_n1(hawkes_batch):
-    (rep,) = density_vs_empirical(reference_model(), 5.0, 1, hawkes_batch)
+    (rep,) = density_vs_empirical(reference_model(), 1, hawkes_batch)
     assert rep.p_value > 0.01, f"KS p={rep.p_value:.4g}"
     assert rep.test_name == "ks_T1"
 
 
 def test_hawkes_conditioned_ks_n2(hawkes_batch):
-    reports = density_vs_empirical(reference_model(), 5.0, 2, hawkes_batch)
+    reports = density_vs_empirical(reference_model(), 2, hawkes_batch)
     assert len(reports) == 2
     for rep in reports:
         assert rep.samples >= 1000
@@ -343,15 +346,15 @@ def test_hawkes_conditioned_ks_n2(hawkes_batch):
 def test_wrong_model_rejected(hawkes_batch):
     # negative control: halving alpha must be detectably wrong
     wrong = reference_model(alpha=0.25)
-    (rep,) = density_vs_empirical(wrong, 5.0, 1, hawkes_batch)
+    (rep,) = density_vs_empirical(wrong, 1, hawkes_batch)
     assert rep.p_value < 0.01, f"negative control passed: p={rep.p_value:.4g}"
 
 
 def test_fit_refuses_thin_conditioning(hawkes_batch):
     with pytest.raises(NormalizationError, match="need at least"):
-        density_vs_empirical(reference_model(), 5.0, 25, hawkes_batch)
+        density_vs_empirical(reference_model(), 25, hawkes_batch)
     with pytest.raises(NormalizationError, match="n <= 2"):
-        density_vs_empirical(reference_model(), 5.0, 5, hawkes_batch)
+        density_vs_empirical(reference_model(), 5, hawkes_batch)
 
 
 def test_digest_key_separates_tanh_caps():

@@ -580,6 +580,22 @@ def test_divergence_predictable_guards():
         divergence_predictable(model, path, short)
 
 
+def test_direction_for_another_horizon_refused():
+    # m_hat of a T = 4 direction does not vanish at 5: used on a T = 5 batch
+    # it leaves H, and ibp, unit mass and the delta weight come out wrong
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=50)
+    short = CameronMartinFunction.default(4.0)
+    with pytest.raises(ValueError, match="horizon 4 does not match the batch horizon 5"):
+        weight_arrays(reference_model(), batch, short)
+    with pytest.raises(ValueError, match="horizon 4 does not match the batch horizon 5"):
+        divergence_m_batch(reference_model(), batch, short)
+    with pytest.raises(ValueError, match="horizon 4 does not match the batch horizon 5"):
+        z_eps_batch(reference_model(), batch, short, 0.1)
+    # within 1e-12 of the batch horizon the direction is the batch's own
+    close = CameronMartinFunction.default(5.0 + 1e-13)
+    assert np.all(np.isfinite(z_eps_batch(reference_model(), batch, close, 0.1)))
+
+
 # ------------------------------------------------------- Z^eps
 
 def test_z_eps_poisson_product_form():

@@ -857,6 +857,29 @@ def test_linear_engines_raise_on_a_blown_up_flow():
                 one_path(system, batch.path(0))
 
 
+def test_spectrum_above_the_double_range_is_inf_without_a_warning():
+    """lambda0 = 200 gives about 1 500 jumps a path, and det Gamma and its
+    smallest eigenvalue lie above the largest double on `linear-scalar`.
+    inf is their double rounding, as 0.0 is below 2^-1074: both the batch
+    criteria and the one-path view report it, and neither warns, so
+    `sde-density` under `-W error` does not fail on a valid config."""
+    busy = HawkesModel(
+        BaselineSpec.constant(200.0), KernelSpec.exponential(alpha=0.5, beta=1.0),
+        NonlinearitySpec.linear(),
+    )
+    batch = simulate_batch(busy, T=5.0, master_seed=7, n_paths=3)
+    sde = sde_preset("linear-scalar")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        crit = density_criteria(sde, batch)
+        rep = grad_and_gamma_XT(sde, batch.path(0))
+    np.testing.assert_array_equal(crit.per_path_det, np.full(3, np.inf))
+    np.testing.assert_array_equal(crit.per_path_min_eig, np.full(3, np.inf))
+    assert crit.passed
+    assert rep.det == rep.min_eig == rep.gamma[0, 0] == np.inf
+    assert np.all(np.isfinite(rep.vectors))
+
+
 def contracting_closed_forms(batch, a, alpha, T):
     """log |v_i / phi| of every jump of dX = (a X + b) dt + (alpha X- + beta)
     dN, in flat order, exactly, a (T - T_i) + (n - 1 - i) log(1 + alpha),
