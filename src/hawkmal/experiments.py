@@ -60,7 +60,7 @@ def _row(label: str, estimate: float, reference: float, se: float) -> ReportRow:
     if se > 0.0:
         z = (estimate - reference) / se
     else:
-        z = 0.0 if estimate == reference else math.inf
+        z = 0.0 if estimate == reference else math.copysign(math.inf, estimate - reference)
     return ReportRow(
         label=label,
         estimate=float(estimate),

@@ -38,7 +38,6 @@ from .simulate import HawkesPath, PathBatch, _path_blocks
 
 _STEP_FRACTION = 1e-3     # h <= 1e-3 * horizon
 _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
-_DET_FLOOR = 1e-12
 _SCALE_RANGE = 500        # products leaving [2^-500, 2^500] carry a power of two
 _CLOSE_EVERY = 4          # RK4 engine: iterations between segment-end passes
 _RESCALE_EVERY = 16       # RK4 engine: iterations between checks of K's scale
@@ -162,7 +161,9 @@ class JumpSde:
         x0: np.ndarray,
         label: str = "linear",
     ) -> "JumpSde":
-        """dX = (AX + b) dt + (MX- + beta) dN in dimension d."""
+        """dX = (AX + b) dt + (MX- + beta) dN in dimension d.  I + M may be
+        singular: no engine inverts the jump map, and the criterion needs
+        only det Gamma > 0."""
         A = np.asarray(A, dtype=float)
         M = np.asarray(M, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -170,8 +171,6 @@ class JumpSde:
         d = A.shape[0]
         if A.shape != (d, d) or M.shape != (d, d):
             raise ValueError("A and M must be square with matching shape")
-        if abs(np.linalg.det(np.eye(d) + M)) < _DET_FLOOR:
-            raise AssumptionError("det(I + M) must be nonzero")
         return JumpSde(
             dim=d,
             x0=np.asarray(x0, dtype=float),
@@ -413,8 +412,6 @@ def _linear_batch(sde: JumpSde, batch: PathBatch):
     counts = batch.counts()
     n_max = int(counts.max()) if P else 0
     J = np.eye(d) + lin.M
-    if abs(float(np.linalg.det(J))) < _DET_FLOOR:
-        raise AssumptionError("det(I + M) vanished in the linear jump map")
     phi0, comm = _linear_phi(lin)
     seg_offsets, starts, ends = _segments(batch)
     span = ends - starts
@@ -519,7 +516,8 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
     every _CLOSE_EVERY iterations, since on a large batch some path ends a
     segment at almost every iteration.  There the path stores E_s and
     restarts K from I, and if a jump ends the segment, it stores
-    F_i = I + grad g and phi_i and takes x <- x + g.  Waiting moves no bit
+    F_i = I + grad g, singular or not, as nothing inverts it, and phi_i and
+    takes x <- x + g.  Waiting moves no bit
     of a path.  Every _RESCALE_EVERY iterations a K outside [2^-500, 2^500)
     moves its scale to a power of two (`_rescale`); an RK4 step multiplies
     a stable real mode by at least 0.27.  `_backward_vectors` then forms
@@ -585,15 +583,9 @@ def _rk4_batch(sde: JumpSde, batch: PathBatch):
             xj = y[xs, jump].T
             gval = np.asarray(sde.jump(tj, xj), dtype=float)
             grad = sde.jump_jac(tj, xj)
-            factor = eye + grad
-            det = factor[..., 0, 0] if d == 1 else np.linalg.det(factor)
-            if (np.abs(det) < _DET_FLOOR).any():
-                raise AssumptionError(
-                    "det(I + grad_x g) vanished at a jump in the batch"
-                )
             # segment s of path p ends jump s - p (flat_times order)
             flat = sj - jump
-            F[flat] = factor
+            F[flat] = eye + grad
             phi[flat] = _phi(sde, tj, xj, gval, grad)
             y[xs, jump] = (xj + gval).T
         s += 1
@@ -721,18 +713,35 @@ def _spectrum(batch: PathBatch, factor: np.ndarray, scale: np.ndarray, d: int) -
     s_k above s_1 max(n, d) eps (`np.linalg.matrix_rank`'s tolerance).
     Below d jumps the missing s_k are 0, so det and the smallest eigenvalue
     are exactly 0.  Grouping paths by jump count gives each its own block's
-    bits."""
+    bits.
+
+    The rank does not depend on the units of the state: scaling a column of
+    W by c > 0 scales det Gamma by c^2.  So a block of n >= d rows whose
+    rank falls short of d is read again with each column divided by its
+    largest |entry| (a zero column stays as it is), as when the components'
+    scales are 1e43 apart and s_d is under s_1 eps."""
     counts = batch.counts()
     sigma = np.zeros((counts.size, d))
+    ranks = np.zeros(counts.size, dtype=np.int64)
     for n in np.unique(counts[counts > 0]):
         paths = np.flatnonzero(counts == n)
-        rows = batch.offsets[paths][:, None] + np.arange(n)
-        sigma[paths, :min(n, d)] = np.linalg.svd(factor[rows], compute_uv=False)
-    tol = sigma[:, 0] * np.maximum(counts, d) * np.finfo(float).eps
-    ranks = np.sum(sigma > tol[:, None], axis=1)
+        block = factor[batch.offsets[paths][:, None] + np.arange(n)]
+        sigma[paths, :min(n, d)] = s = np.linalg.svd(block, compute_uv=False)
+        ranks[paths] = rank = _rank(s, n, d)
+        short = np.flatnonzero((rank < d) & (n >= d))
+        if short.size:
+            top = np.abs(block[short]).max(axis=1, keepdims=True)
+            equilibrated = block[short] / np.where(top > 0.0, top, 1.0)
+            ranks[paths[short]] = _rank(np.linalg.svd(equilibrated, compute_uv=False), n, d)
     with np.errstate(over="ignore"):  # inf is the double rounding above the range
         dets = np.ldexp(np.prod(sigma**2, axis=1), 2 * d * scale)
         return dets, np.ldexp(sigma[:, -1] ** 2, 2 * scale), ranks
+
+
+def _rank(s: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The number of singular values in each row of s (descending) above
+    s_1 max(n, d) eps."""
+    return np.sum(s > s[:, :1] * max(n, d) * np.finfo(float).eps, axis=1)
 
 
 # ---- one path ----

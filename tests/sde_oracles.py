@@ -10,6 +10,10 @@ library's in-place stepper.  `solve_flow` adds a step-halving
 engines instead carry only x forward, form the tangent products backward
 and never invert one, and factor Gamma through the Brownian bridge.
 
+`composition_sensitivity` inverts nothing: it takes Gamma from central
+differences of the flow composition in the jump times, for paths whose
+jump map is singular, where K_tilde does not exist.
+
 Inverting tangents limits these solvers: a flow that contracts hard makes
 K_tilde overflow or the solve singular, and their dense det is some 1e-11
 off a 60-digit value on `linear-d2`.  Compare with them where they hold.
@@ -23,7 +27,6 @@ import numpy as np
 from hawkmal.malliavin import MalliavinGradient, xi_kernel
 from hawkmal.model import AssumptionError
 from hawkmal.sde import (
-    _DET_FLOOR,
     JumpSde,
     _linear_phi,
     _linear_propagators,
@@ -34,6 +37,7 @@ from hawkmal.sde import (
 from hawkmal.simulate import HawkesPath, PathBatch
 
 _PRODUCT_RESET = 1e-10    # renormalize K_tilde when |K K~ - I| exceeds this
+_DET_FLOOR = 1e-12        # K_tilde inverts every jump factor: refuse |det| below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +148,47 @@ def _apply_jump(sde: JumpSde, t: float, x: np.ndarray) -> tuple:
             "the jump map is not invertible"
         )
     return x + np.atleast_1d(np.asarray(sde.jump(t, x), dtype=float)), grad, det
+
+
+def flow_composition(sde: JumpSde, times: np.ndarray, T: float, steps: np.ndarray) -> np.ndarray:
+    """X_T of the jump times `times` by composing RK4 flows, `steps[k]`
+    steps over jump-free segment k, with the jump maps x <- x + g(t, x),
+    which it neither inverts nor checks."""
+    starts = np.concatenate([[0.0], times])
+    ends = np.concatenate([times, [T]])
+    rhs = lambda t, y: (np.asarray(sde.drift(t, y[0]), dtype=float),)
+    x = sde.x0.copy()
+    for k, (s, e) in enumerate(zip(starts, ends)):
+        if steps[k]:
+            (x,) = _rk4_run(rhs, s, e - s, (x,), int(steps[k]))
+        if k < times.size:
+            x = x + np.asarray(sde.jump(e, x), dtype=float)
+    return x
+
+
+def composition_sensitivity(sde: JumpSde, path: HawkesPath) -> tuple:
+    """(X_T, Gamma[X_T]) of one path with no tangent and no inverse, for
+    singular jump maps: v_i = dX_T/dT_i by central differences of
+    `flow_composition` at a step of a quarter of T_i's distance to its
+    nearer neighbour (0 and T at the ends), at most 1e-5 T, with every
+    segment's step count held at the engines' schedule for the path
+    (`_segment_steps`), so the composition is smooth in T_i; then
+    Gamma = sum_ij v_i v_j^T xi(T_i, T_j).  A jump at T has xi(T, .) = 0, so
+    its v_i is left at 0."""
+    T = path.horizon
+    t = path.jump_times
+    bounds = np.concatenate([[0.0], t, [T]])
+    steps = _segment_steps(np.diff(bounds), T)
+    room = np.minimum(0.25 * np.minimum(t - bounds[:-2], bounds[2:] - t), 1e-5 * T)
+    v = np.zeros((t.size, sde.dim))
+    for i in np.flatnonzero(room > 0.0):
+        up, down = t.copy(), t.copy()
+        up[i] += room[i]
+        down[i] -= room[i]
+        rise = flow_composition(sde, up, T, steps) - flow_composition(sde, down, T, steps)
+        v[i] = rise / (up[i] - down[i])
+    gamma = v.T @ xi_kernel(T, t[:, None], t) @ v
+    return flow_composition(sde, t, T, steps), gamma
 
 
 def solve_path(sde: JumpSde, path: HawkesPath) -> PathSolution:

@@ -758,6 +758,24 @@ def test_sde_density_linear_d2_rank_comments(tmp_path):
     assert int(comments["n_conditioned"]) == sum(int(r[1]) >= 2 for r in rows)
 
 
+def test_sde_density_rank_does_not_depend_on_units(tmp_path):
+    # at lambda0 = 40 under tanh, linear-d2 reaches x_1 ~ 1e76 and x_2 ~ 1e119:
+    # the columns of W are some 1e43 apart, so s_2 falls under s_1 eps, and
+    # the rank read off W as it is was 1 on all 50 paths (exit 1)
+    ini = tmp_path / "sde.ini"
+    ini.write_text("[model]\nlambda0 = 40\nnonlinearity = tanh\n[sde]\npreset = linear-d2\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(
+            "sde-density", "--config", str(ini), "--paths", "50", "--seed", "53",
+            "--out", str(out), "--no-timestamp",
+        ) == 0
+    comments, _, rows = read_csv(out / "sde_density_paths.csv")
+    assert comments["min_rank"] == "2" and comments["n_nonpositive"] == "0"
+    assert len(rows) == 50 and all(r[-1] == "true" for r in rows)
+
+
 @pytest.mark.parametrize(
     "preset, digest",
     [

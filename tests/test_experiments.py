@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hawkmal.experiments import (
     ExperimentReport,
     _ibp_differences,
+    _row,
     ibp_check,
     inputs_digest,
     mean_intensity_batch,
@@ -120,6 +121,17 @@ def test_mean_intensity_check_passes(model, batch):
     assert all(abs(r.z) <= 3.0 for r in report.rows)
     diag = dict(report.diagnostics)
     assert 0.0 < diag["volterra_bound"] < 1e-6
+
+
+def test_zero_spread_row_has_the_sign_of_its_error(model):
+    # at T = 0.001 one of 300 paths jumps: up to its jump every intensity is
+    # exactly 1, with se 0, below the Volterra mean; such a row fails at -inf
+    report = mean_intensity_check(model, simulate_batch(model, T=0.001, master_seed=201, n_paths=300))
+    flat = [r for r in report.rows if r.std_error == 0.0]
+    assert len(flat) == 19
+    assert all(r.estimate < r.reference and r.z == -math.inf and not r.passed for r in flat)
+    assert _row("above", 2.0, 1.0, 0.0).z == math.inf
+    assert _row("equal", 1.0, 1.0, 0.0).z == 0.0
 
 
 # ---- unit mass ----

@@ -39,6 +39,7 @@ from hawkmal.sde import (
 from hawkmal.simulate import HawkesPath, simulate_batch
 from sde_oracles import (
     batch_of,
+    composition_sensitivity,
     jump_time_fd,
     linear_tangent_sensitivity,
     phi_jump_sensitivity,
@@ -159,9 +160,23 @@ def test_flow_composition_matches_euler(short_batch):
         )
 
 
-def test_singular_jump_map_rejected():
-    with pytest.raises(AssumptionError, match="nonzero"):
-        JumpSde.linear_scalar(a=0.1, b=0.0, alpha=-1.0, beta=0.0, x0=1.0)
+def test_singular_jump_map_matches_closed_form():
+    # alpha = -1: every jump maps x to beta, and no engine inverts the map.
+    # After the last jump, X_T = e^{a tau} beta + (b/a)(e^{a tau} - 1) with
+    # tau = T - T_n, and every earlier jump moves nothing, so
+    # Gamma = ((a beta + b) e^{a tau})^2 xi(T_n, T_n)
+    a, b, beta, T = 0.1, 0.3, 0.2, 5.0
+    sde = JumpSde.linear_scalar(a=a, b=b, alpha=-1.0, beta=beta, x0=1.0)
+    batch = simulate_batch(reference_model(), T=T, master_seed=7, n_paths=200)
+    crit = density_criteria(sde, batch)
+    assert (batch.counts() > 0).all()
+    t_n = batch.flat_times[batch.offsets[1:] - 1]
+    grow = np.exp(a * (T - t_n))
+    np.testing.assert_allclose(crit.terminal[:, 0], grow * beta + b / a * np.expm1(a * (T - t_n)), rtol=1e-12)
+    gamma = ((a * beta + b) * grow) ** 2 * xi_kernel(T, t_n, t_n)
+    np.testing.assert_allclose(crit.per_path_det, gamma, rtol=1e-12)
+    assert crit.passed
+    # the per-path oracle takes K~, which needs the jump map's inverse
     shrink = JumpSde.scalar(
         f=lambda t, x: 0.0 * x,
         f_x=lambda t, x: 0.0 * x,
@@ -465,7 +480,11 @@ _SWEEP_T = 1.0
 _TINY = np.finfo(float).tiny  # subnormal results are rounding noise
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# fixed draws: with random ones this test's time varied several-fold
+@settings(
+    max_examples=10, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(
     paths=st.lists(jump_sets(_SWEEP_T, 8), min_size=1, max_size=2),
     near_T=st.floats(1e-4, 1e-2),
@@ -475,7 +494,8 @@ _TINY = np.finfo(float).tiny  # subnormal results are rounding noise
 )
 # a subnormal first span, whose span / 16 underflows to 0
 @example(paths=[[5e-324]], near_T=1e-3, outlier=[], x0=0.0, timed=False)
-# x + sin x carries x0 = 1 to pi, where 1 + cos x vanishes: both engines refuse
+# x + sin x carries x0 = 1 to pi, where 1 + cos x vanishes: the K/K~ oracle
+# refuses the outlier, whose jump map is singular there
 @example(
     paths=[[]], near_T=1e-3, outlier=[5.4e-240, 1.9e-55, 6.5e-27, 5.2e-16, 1e-6],
     x0=1.0, timed=False,
@@ -494,20 +514,20 @@ def test_time_major_sweep_matches_per_path(paths, near_T, outlier, x0, timed):
     paths = paths + [[], [T - near_T], outlier]
     batch = batch_of(paths, T)
     sde = time_dependent_scalar(x0) if timed else JumpSde.cos_sin(x0=x0)
-    reps = []
-    for path in batch:
-        try:
-            reps.append(tangent_sensitivity(sde, path))
-        except AssumptionError:
-            reps.append(None)
-    if any(rep is None for rep in reps):
-        # a path's jump map is not invertible: the sweep refuses the batch
-        with pytest.raises(AssumptionError):
-            _rk4_batch(sde, batch)
-        return
     terminal, _, factor, _ = _rk4_batch(sde, batch)
     gamma = factor_gram(batch, factor)
-    for i, (path, rep) in enumerate(zip(batch, reps)):
+    for i, path in enumerate(batch):
+        try:
+            rep = tangent_sensitivity(sde, path)
+        except AssumptionError:
+            # the jump map is singular on this path, so K~ does not exist;
+            # the engine inverts nothing and must match the flow composition
+            # and its central differences in the jump times, which round to
+            # about eps |X_T| / step: 1e-8 of Gamma at the example's 2.5e-7
+            x_T, fd_gamma = composition_sensitivity(sde, path)
+            assert terminal[i, 0] == pytest.approx(x_T[0], rel=1e-9, abs=1e-12)
+            assert gamma[i, 0, 0] == pytest.approx(fd_gamma[0, 0], rel=1e-6, abs=_TINY)
+            continue
         assert terminal[i, 0] == pytest.approx(rep.terminal[0], rel=1e-9, abs=1e-12)
         scale = gram_scale(rep.vectors, path.jump_times)
         assert gamma[i, 0, 0] == pytest.approx(
@@ -637,7 +657,11 @@ _ENGINE_SYSTEMS = {
 }
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# fixed draws: with random ones this test's time varied several-fold
+@settings(
+    max_examples=12, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(
     system=st.sampled_from(sorted(_ENGINE_SYSTEMS)),
     paths=st.lists(jump_sets(_SWEEP_T, 6), min_size=1, max_size=3),
@@ -857,17 +881,22 @@ def test_linear_engines_raise_on_a_blown_up_flow():
                 one_path(system, batch.path(0))
 
 
+def busy_batch():
+    """3 paths (seed 7) of the reference model at lambda0 = 200, T = 5."""
+    busy = HawkesModel(
+        BaselineSpec.constant(200.0), KernelSpec.exponential(alpha=0.5, beta=1.0),
+        NonlinearitySpec.linear(),
+    )
+    return simulate_batch(busy, T=5.0, master_seed=7, n_paths=3)
+
+
 def test_spectrum_above_the_double_range_is_inf_without_a_warning():
     """lambda0 = 200 gives about 1 500 jumps a path, and det Gamma and its
     smallest eigenvalue lie above the largest double on `linear-scalar`.
     inf is their double rounding, as 0.0 is below 2^-1074: both the batch
     criteria and the one-path view report it, and neither warns, so
     `sde-density` under `-W error` does not fail on a valid config."""
-    busy = HawkesModel(
-        BaselineSpec.constant(200.0), KernelSpec.exponential(alpha=0.5, beta=1.0),
-        NonlinearitySpec.linear(),
-    )
-    batch = simulate_batch(busy, T=5.0, master_seed=7, n_paths=3)
+    batch = busy_batch()
     sde = sde_preset("linear-scalar")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -878,6 +907,32 @@ def test_spectrum_above_the_double_range_is_inf_without_a_warning():
     assert crit.passed
     assert rep.det == rep.min_eig == rep.gamma[0, 0] == np.inf
     assert np.all(np.isfinite(rep.vectors))
+
+
+def test_a_singular_jump_factor_refuses_no_path():
+    """x -> x + sin x has an attracting fixed point at pi, where its
+    derivative 1 + cos x vanishes, and at lambda0 = 200 (about 1 500 jumps a
+    path) a jump factor of these 3 cos-sin paths falls under 1e-12.  No
+    tangent is inverted, so every path reports det Gamma and its criterion,
+    with no warning, and the one-path view gives the same bits."""
+    batch = busy_batch()
+    cos_sin = JumpSde.cos_sin(x0=0.0)
+    factors = []
+
+    def jump_jac(t, x):
+        grad = cos_sin.jump_jac(t, x)
+        factors.append(np.abs(1.0 + grad).min())
+        return grad
+
+    sde = dataclasses.replace(cos_sin, jump_jac=jump_jac)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        crit = density_criteria(sde, batch)
+        rep = grad_and_gamma_XT(cos_sin, batch.path(1))
+    assert min(factors) < 1e-12
+    assert crit.passed
+    assert np.all(np.isfinite(crit.per_path_det)) and np.all(crit.per_path_det > 0.0)
+    assert rep.det == crit.per_path_det[1]
 
 
 def contracting_closed_forms(batch, a, alpha, T):
