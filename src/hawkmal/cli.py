@@ -49,6 +49,7 @@ from .density import (
     normalization_constant,
 )
 from .experiments import (
+    _Z_THRESHOLD,
     ExperimentReport,
     ibp_check,
     mean_intensity_check,
@@ -641,7 +642,7 @@ def _cmd_greeks(inv: _Invocation) -> bool:
             f"n={est.n_paths} ess={est.effective_sample_size:.1f} excluded={est.excluded}"
         )
     for (la, ea), (lb, eb) in itertools.combinations(estimates, 2):
-        tol = 3.0 * math.hypot(ea.std_error, eb.std_error)
+        tol = _Z_THRESHOLD * math.hypot(ea.std_error, eb.std_error)
         ok = abs(ea.mean - eb.mean) <= tol
         all_ok = all_ok and ok
         print(

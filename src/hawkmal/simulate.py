@@ -17,8 +17,8 @@ arrays are then compressed to the paths whose candidate fell inside [0, T].
 One `_uniforms_at` call, the routine `RngStream` draws through, gives u1
 and u2 for all live paths at once, for one round while many paths are live
 and for a block of rounds once few are, so a narrow tail pays Philox's
-fixed cost once per block.  Exponential (and null) kernels carry the
-excitation as one Markov sum; any other kernel sums mu over a padded
+fixed cost once per block.  The exponential kernel carries the excitation
+as one Markov sum; any other kernel, a null one too, sums mu over a padded
 history of each live path's jumps.
 """
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "HawkesPath",
     "RngStream",
     "PathBatch",
-    "simulate_path",
     "simulate_batch",
     "compensator",
     "compensator_batch",
@@ -88,16 +87,16 @@ def _seed_keys(master_seed: int):
     return _round_keys(seed & 0xFFFFFFFF, seed >> 32)
 
 
-def _philox_rounds(c0, c1, c2, c3, keys, words=4):
-    """Ten Philox rounds under precomputed round keys; returns the first
-    `words` output words (4, or 2 for words 0-1) as uint64 arrays of the
+def _philox_rounds(c0, c1, c2, c3, keys):
+    """Ten Philox rounds under precomputed round keys; returns output words
+    0-1, the only ones the package draws from, as uint64 arrays of the
     counter words' broadcast shape.
 
     The counter words are unsigned arrays holding values below 2**32.  A
     product of two 32-bit words fits in uint64, so the rounds run in uint64
     with no dtype conversion: the high half is ``p >> 32`` and the low half
     ``p & 0xFFFFFFFF``.  Words 0-1 come from the last round's product of c2
-    alone, so with words=2 that round skips the product of c0.
+    alone, so that round skips the product of c0.
     """
     for r, (k0, k1) in enumerate(keys[:-1]):
         p0 = c0 * _M0
@@ -115,20 +114,13 @@ def _philox_rounds(c0, c1, c2, c3, keys, words=4):
         p1 &= _U32
         p0 &= _U32
         c1, c3 = p1, p0
-    k0, k1 = keys[-1]
+    k0 = keys[-1][0]
     p1 = c2 * _M1
     w0 = p1 >> _S32
     w0 ^= c1
     w0 ^= k0
     p1 &= _U32
-    if words == 2:
-        return w0, p1
-    p0 = c0 * _M0
-    w2 = p0 >> _S32
-    w2 ^= c3
-    w2 ^= k1
-    p0 &= _U32
-    return w0, p1, w2, p0
+    return w0, p1
 
 
 def _unit_doubles(w0, w1):
@@ -144,7 +136,7 @@ def _uniforms_at(keys, path_index: np.ndarray, draw: np.ndarray) -> np.ndarray:
     (`_seed_keys`).  Every draw of the package goes through here."""
     pi = np.asarray(path_index, dtype=np.uint64)
     dc = np.asarray(draw, dtype=np.uint64)
-    w0, w1 = _philox_rounds(dc & _U32, dc >> _S32, pi & _U32, pi >> _S32, keys, words=2)
+    w0, w1 = _philox_rounds(dc & _U32, dc >> _S32, pi & _U32, pi >> _S32, keys)
     return _unit_doubles(w0, w1)
 
 
@@ -268,15 +260,15 @@ def _check_simulable(model: HawkesModel) -> None:
         )
 
 
-def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
+def _simulate_chunk(model, T, seed, first, n):
     """Lockstep thinning of the paths [first, first + n), for any kernel.
 
-    Returns the chunk's (offsets, flat_times) and the draw counter one past
-    the last u1 of its longest-running path.  The state arrays hold the live
-    paths only and are compressed each round.  Every live path proposes once
-    a round, so all of them share one draw counter: a round's u1 and u2 sit
-    at counters (ctr, ctr+1), and a path that leaves discards its u2.  A
-    path's draws thus depend on its index alone, not on the chunk it runs in.
+    Returns the chunk's (offsets, flat_times).  The state arrays hold the
+    live paths only and are compressed each round.  Every live path proposes
+    once a round, so all of them share the draw counters: round r (from 1)
+    draws u1 and u2 at counters 2r - 2 and 2r - 1, and a path that leaves
+    discards its u2.  A path's draws thus depend on its index alone, not on
+    the chunk it runs in.
 
     A draw is a pure function of (seed, path, counter), so drawing ahead
     moves no bit.  When its drawn rounds run out, the chunk draws the next R
@@ -310,7 +302,6 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
     filled = np.zeros(n, dtype=np.int64)
     if not markov:
         hist = np.full((n, 8), np.inf)
-    ctr = int(start_ctr)
     u, used, lane = np.empty((0, n)), 0, None  # the drawn block, its rows consumed
     rows_acc: List[np.ndarray] = []
     ords_acc: List[np.ndarray] = []
@@ -323,11 +314,10 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
             raise InternalError("thinning failed to terminate")
         if used == u.shape[0]:
             R = max(1, min(rounds, _CHUNK // rows.size))
-            draws = np.arange(2 * R, dtype=np.uint64)[:, None] + np.uint64(ctr)
+            draws = np.arange(2 * rounds - 2, 2 * (rounds + R) - 2, dtype=np.uint64)[:, None]
             u, used, lane = _uniforms_at(keys, pidx[rows], draws), 0, None
         u1, u2 = u[used:used + 2] if lane is None else u[used:used + 2, lane]
         used += 2
-        ctr += 2
 
         lam_bar = base.sup_on(t, T) + gam.value(S)
         t_prop = t - np.log(u1) / lam_bar
@@ -363,7 +353,7 @@ def _simulate_chunk(model, T, seed, first, n, start_ctr=0):
                 hist[lanes, col] = t_prop[lanes]
         S, t = S_prop, t_prop
 
-    return _assemble(rows_acc, ords_acc, times_acc, n), ctr - 1
+    return _assemble(rows_acc, ords_acc, times_acc, n)
 
 
 def _assemble(rows_acc, ords_acc, times_acc, n):
@@ -386,18 +376,6 @@ def _assemble(rows_acc, ords_acc, times_acc, n):
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
-
-def simulate_path(model: HawkesModel, T: float, stream: RngStream) -> HawkesPath:
-    """One path by thinning; consumes draws from (and advances) `stream`."""
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    _check_simulable(model)
-    (_, tms), ctr = _simulate_chunk(
-        model, T, stream.master_seed, stream.path_index, 1, start_ctr=stream.draw_counter
-    )
-    stream.draw_counter = ctr
-    return HawkesPath(tms, T)
-
 
 def simulate_batch(
     model: HawkesModel,
@@ -424,7 +402,7 @@ def simulate_batch(
     _check_simulable(model)
 
     results = [
-        _simulate_chunk(model, T, master_seed, first_index + s, min(_CHUNK, n_paths - s))[0]
+        _simulate_chunk(model, T, master_seed, first_index + s, min(_CHUNK, n_paths - s))
         for s in range(0, n_paths, _CHUNK)
     ]
 

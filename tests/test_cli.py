@@ -1,5 +1,6 @@
 """Command-line runner: config parsing, digests, CSV artifacts, exit codes,
-and byte-identical output across worker counts."""
+byte-identical output across worker counts, and outputs that agree with
+themselves over edge values of the config schema."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawkmal.cli import (
@@ -1034,3 +1035,91 @@ def test_timestamp_header_is_suppressible(tmp_path):
     assert with_ts[1].startswith("# generated=")
     assert not any(line.startswith("# generated=") for line in without)
     assert [with_ts[0], *with_ts[2:]] == without
+
+
+# ---- outputs that agree with themselves over the config schema ----
+
+# edge values of the schema's model, run and experiment keys: rates near 0,
+# alpha at and past the stability bound, stiff and slow kernels, horizons
+# from 1e-3 to 30
+_EDGE_SETTINGS = {
+    ("model", "lambda0"): ("-1", "0", "1e-6", "0.5", "1", "5", "40"),
+    ("model", "alpha"): ("-0.5", "0", "0.5", "0.95", "1", "3"),
+    ("model", "beta"): ("1e-3", "0.1", "1", "100"),
+    ("model", "nonlinearity"): ("linear", "tanh"),
+    ("run", "horizon"): ("1e-3", "0.3", "5", "30"),
+    ("sde", "preset"): ("linear-scalar", "cos-sin", "linear-d2"),
+    ("experiment", "eps"): ("0.1, 0.01, 0.001", "0.3", "0.5", "1e-9"),
+    ("greeks", "payoff"): ("smooth", "digital", "constant", "capped-linear"),
+}
+_COMMAND_NAMES = (
+    "simulate", "greeks", "ibp-check", "unit-mass", "mean-intensity", "density-check",
+    "sde-density",
+)
+_Z_REPORTS = ("ibp_report.csv", "unit_mass_report.csv", "mean_intensity_report.csv")
+
+
+@st.composite
+def _edge_settings(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_EDGE_SETTINGS)), max_size=4, unique=True))
+    return {key: draw(st.sampled_from(_EDGE_SETTINGS[key])) for key in keys}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(_COMMAND_NAMES),
+    edges=_edge_settings(),
+    paths=st.sampled_from((2, 50)),
+    seed=st.integers(0, 1000),
+)
+@example(command="mean-intensity", edges={("run", "horizon"): "0.001"}, paths=300, seed=201)
+@example(
+    command="sde-density",
+    edges={("model", "lambda0"): "40", ("model", "nonlinearity"): "tanh",
+           ("sde", "preset"): "linear-d2"},
+    paths=50,
+    seed=53,
+)
+def test_outputs_agree_with_themselves_over_the_schema(
+    tmp_path_factory, command, edges, paths, seed
+):
+    # a run on edge values of the schema ends in a verdict or a refusal
+    # (exit 0 to 3) under warnings as errors, and what it writes agrees with
+    # itself: a report's pass cell is |z| <= 3 with z of the sign of
+    # estimate - reference, and each file's counts match its rows
+    out = tmp_path_factory.mktemp("schema")
+    ini = out / "run.ini"
+    sections = sorted({section for section, _ in edges})
+    ini.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in edges.items() if s == section)
+        for section in sections
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(command, "--config", str(ini), "--paths", str(paths), "--seed", str(seed),
+                       "--out", str(out), "--no-timestamp")
+    assert code in (0, 1, 2, 3)
+
+    for name in _Z_REPORTS:
+        if (out / name).exists():
+            _, header, rows = read_csv(out / name)
+            assert header[-1] == "pass"
+            for row in rows:
+                estimate, reference, z = float(row[2]), float(row[3]), float(row[5])
+                assert row[6] == ("true" if abs(z) <= 3.0 else "false"), row
+                assert np.sign(z) == np.sign(estimate - reference), row
+    if (out / "sde_density_paths.csv").exists():
+        comments, _, rows = read_csv(out / "sde_density_paths.csv")
+        assert len(rows) == paths
+        conditioned = [int(r[1]) >= int(comments["min_jumps"]) for r in rows]
+        failed = sum(c and r[-1] == "false" for c, r in zip(conditioned, rows))
+        assert int(comments["n_conditioned"]) == sum(conditioned)
+        assert int(comments["n_nonpositive"]) == failed
+        assert comments["passed"] == ("true" if any(conditioned) and not failed else "false")
+        assert not any(r[-1] == "true" for c, r in zip(conditioned, rows) if not c)
+    if (out / "simulate_summary.csv").exists():
+        _, header, (summary,) = read_csv(out / "simulate_summary.csv")
+        summary = dict(zip(header, summary))
+        _, _, rows = read_csv(out / "simulate_paths.csv")
+        assert len(rows) == round(float(summary["mean_count"]) * int(summary["n_paths"]))
+        assert max((int(r[1]) for r in rows), default=0) == int(summary["max_count"])
