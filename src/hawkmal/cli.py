@@ -536,7 +536,7 @@ def _cmd_sde_density(inv: _Invocation) -> bool:
         ("preset", crit.label),
         ("kind", crit.kind),
         ("n_conditioned", crit.n_conditioned),
-        ("min_jumps", crit.min_jumps),
+        ("min_jumps", d),
         ("n_nonpositive", crit.n_nonpositive),
         ("passed", crit.passed),
     ]
@@ -546,7 +546,7 @@ def _cmd_sde_density(inv: _Invocation) -> bool:
             comments.append(("wronskian_margin", crit.wronskian_margin))
     else:
         comments.append(("min_rank", crit.min_rank))
-        comments.append(("rank_target", crit.rank_target))
+        comments.append(("rank_target", d))
     inv.write("sde_density_paths.csv", header, rows, comments=comments)
     verdict = "PASS" if crit.passed else "FAIL"
     print(

@@ -232,15 +232,12 @@ def _ibp_differences(
     Each functional is evaluated once on the padded (B, K) jump-time block
     of each of the batch's `_path_blocks` (the block form of
     SmoothFunctional), and <DF, m> = -sum_j dF/dt_j m_hat(T_j) is a masked
-    `_row_sums`.  Raises ValueError for an entry without exact partials,
-    one whose `supports` rejects a jump count of the batch, or one that
-    breaks the block contract.
+    `_row_sums`.  Raises ValueError for an entry whose `supports` rejects a
+    jump count of the batch, or one that breaks the block contract.
     """
     T = batch.horizon
     counts = np.unique(batch.counts()).tolist()
     for label, functional in catalog:
-        if functional.partials is None:
-            raise ValueError(f"ibp_check needs exact partials; F={label} has none")
         rejected = [n for n in counts if not functional.supports(n)]
         if rejected:
             raise ValueError(f"F={label} does not support N_T = {rejected[0]}")
@@ -269,7 +266,7 @@ def ibp_check(
     catalog=None,
 ) -> ExperimentReport:
     """Paired z-scores of E[D_m F - F delta(m)] = 0 per catalog entry; every
-    entry needs exact partials in the block form (see `_ibp_differences`)."""
+    entry takes the block form (see `_ibp_differences`)."""
     if m is None:
         m = CameronMartinFunction.default(batch.horizon)
     if catalog is None:

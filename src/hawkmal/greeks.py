@@ -52,9 +52,9 @@ class AssetModel:
     hawkes: HawkesModel
 
     def __post_init__(self):
-        if self.x0 <= 0.0:
+        if not self.x0 > 0.0:
             raise AssumptionError("x0 must be positive")
-        if self.sigma <= -1.0:
+        if not self.sigma > -1.0:
             raise AssumptionError("sigma must be greater than -1")
 
     def _require_linear(self):
@@ -340,9 +340,9 @@ def fd_delta(
     """
     if bump is None:
         bump = 1e-4 * asset.x0
-    if bump <= 0.0:
+    if not bump > 0.0:
         raise ValueError("bump must be positive")
-    if bump >= asset.x0:
+    if not bump < asset.x0:
         raise ValueError(f"bump {bump!r} must stay below x0 = {asset.x0!r}")
     prices, _ = terminal_price_batch(asset, batch)
     up = payoff.value(prices * (1.0 + bump / asset.x0))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,22 +62,21 @@ __all__ = [
 @dataclass(frozen=True)
 class CameronMartinFunction:
     """A direction m on [0,T] with int_0^T m = 0, plus its antiderivative
-    m_hat(t) = int_0^t m and sup bounds.  Build through the factories;
-    they validate the zero-integral invariant."""
+    m_hat(t) = int_0^t m and the bound sup|m| (inf when unbounded).  Build
+    through the factories; they validate the zero-integral invariant."""
 
     horizon: float
     m: Callable[[np.ndarray], np.ndarray]
     m_hat: Callable[[np.ndarray], np.ndarray]
     sup_m: float
-    sup_m_hat: float
 
     def __post_init__(self):
         T = self.horizon
-        if T <= 0:
-            raise ValueError(f"horizon must be positive, got {T}")
+        if not 0.0 < T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {T}")
         h0 = float(self.m_hat(np.float64(0.0)))
         hT = float(self.m_hat(np.float64(T)))
-        if abs(h0) > 1e-12 or abs(hT) > 1e-10:
+        if not (abs(h0) <= 1e-12 and abs(hT) <= 1e-10):
             raise ValueError(
                 f"m_hat must vanish at 0 and T (got {h0:.3g}, {hT:.3g}); "
                 "the direction must integrate to zero"
@@ -96,7 +95,6 @@ class CameronMartinFunction:
             m_hat=lambda t: np.asarray(t, dtype=float)
             * (1.0 - np.asarray(t, dtype=float) / T),
             sup_m=1.0,
-            sup_m_hat=T / 4.0,
         )
 
     @staticmethod
@@ -111,7 +109,6 @@ class CameronMartinFunction:
             m=lambda t: amp * np.cos(w * np.asarray(t, dtype=float)),
             m_hat=lambda t: (amp / w) * np.sin(w * np.asarray(t, dtype=float)),
             sup_m=amp,
-            sup_m_hat=amp / w,
         )
 
     @staticmethod
@@ -126,7 +123,6 @@ class CameronMartinFunction:
             m=lambda t: amp * np.sin(w * np.asarray(t, dtype=float)),
             m_hat=lambda t: (amp / w) * (1.0 - np.cos(w * np.asarray(t, dtype=float))),
             sup_m=amp,
-            sup_m_hat=2.0 * amp / w,
         )
 
     @staticmethod
@@ -135,19 +131,16 @@ class CameronMartinFunction:
         m: Callable,
         m_hat: Callable,
         sup_m: float,
-        sup_m_hat: float,
+        *,
         check_quadrature: bool = True,
     ) -> "CameronMartinFunction":
         """Custom direction; verifies int_0^T m = 0 by composite quadrature
         (skip the quadrature for non-smooth m whose m_hat is exact)."""
-        cm = CameronMartinFunction(
-            horizon=float(T), m=m, m_hat=m_hat, sup_m=float(sup_m),
-            sup_m_hat=float(sup_m_hat),
-        )
+        cm = CameronMartinFunction(horizon=float(T), m=m, m_hat=m_hat, sup_m=float(sup_m))
         if check_quadrature:
             edges = np.linspace(0.0, T, 17)  # the segment engine's rule on 16 panels
             total = float(_gauss_rule(lambda _, u: m(u), None, edges[:-1], edges[1:]).sum())
-            if abs(total) > 1e-10:
+            if not abs(total) <= 1e-10:
                 raise ValueError(
                     f"int_0^T m = {total:.3g} exceeds the 1e-10 tolerance"
                 )
@@ -160,12 +153,11 @@ class CameronMartinFunction:
 
 @dataclass(frozen=True)
 class SmoothFunctional:
-    """F = f_n(T_1..T_n): a value map plus (optionally) exact partials.
+    """F = f_n(T_1..T_n): a value map plus its exact partials.
 
     ``value(times, T)`` and ``partials(times, T)`` receive the realized jump
     times; `supports` restricts the jump counts the functional is defined
-    for.  Without exact partials, grad_smooth falls back to central
-    differences and flags the result.
+    for.
 
     Block contract: `times` is either one path's 1-D jump times, giving a
     float and partials shaped like `times`, or a padded (P, K) block (one
@@ -178,7 +170,7 @@ class SmoothFunctional:
     """
 
     value: Callable[[np.ndarray, float], float]
-    partials: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    partials: Callable[[np.ndarray, float], np.ndarray]
     supports: Callable[[int], bool] = lambda n: True
 
 
@@ -220,8 +212,6 @@ def jump_count() -> SmoothFunctional:
 def compose_smooth(phi, phi_prime, F: SmoothFunctional) -> SmoothFunctional:
     """phi(F) with chain-rule partials phi'(F) * dF/dt_j; phi and phi_prime
     must act elementwise on arrays for the block form."""
-    if F.partials is None:
-        raise ValueError("compose_smooth needs exact partials on the inner F")
     return SmoothFunctional(
         value=lambda times, T: phi(F.value(times, T)),
         partials=lambda times, T: _trailing(phi_prime(F.value(times, T)))
@@ -232,8 +222,6 @@ def compose_smooth(phi, phi_prime, F: SmoothFunctional) -> SmoothFunctional:
 
 def product_smooth(F: SmoothFunctional, G: SmoothFunctional) -> SmoothFunctional:
     """F*G with product-rule partials."""
-    if F.partials is None or G.partials is None:
-        raise ValueError("product_smooth needs exact partials on both factors")
     return SmoothFunctional(
         value=lambda times, T: F.value(times, T) * G.value(times, T),
         partials=lambda times, T: F.partials(times, T) * _trailing(G.value(times, T))
@@ -250,7 +238,6 @@ class MalliavinGradient:
     jump_times: np.ndarray
     partials: np.ndarray
     horizon: float
-    fd_fallback: bool = False
 
     def evaluate(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -268,26 +255,15 @@ class MalliavinGradient:
 
 
 def grad_smooth(F: SmoothFunctional, path: HawkesPath) -> MalliavinGradient:
-    """Gradient of F at the realized path; exact partials when provided,
-    otherwise central differences (step 1e-6 * max(1,|t_i|)), flagged."""
+    """Gradient of F at the realized path, from its exact partials."""
     t = path.jump_times
     n = t.size
     if not F.supports(n):
         raise ValueError(f"functional does not support N_T = {n}")
-    if F.partials is not None:
-        p = np.asarray(F.partials(t, path.horizon), dtype=float)
-        if p.shape != (n,):
-            raise ValueError(f"partials returned shape {p.shape}, expected ({n},)")
-        return MalliavinGradient(t, p, path.horizon)
-    p = np.empty(n)
-    for i in range(n):
-        h = 1e-6 * max(1.0, abs(float(t[i])))
-        up = t.copy()
-        dn = t.copy()
-        up[i] += h
-        dn[i] -= h
-        p[i] = (F.value(up, path.horizon) - F.value(dn, path.horizon)) / (2.0 * h)
-    return MalliavinGradient(t, p, path.horizon, fd_fallback=True)
+    p = np.asarray(F.partials(t, path.horizon), dtype=float)
+    if p.shape != (n,):
+        raise ValueError(f"partials returned shape {p.shape}, expected ({n},)")
+    return MalliavinGradient(t, p, path.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +394,7 @@ class StepProcess:
         v = np.asarray(self.values, dtype=float)
         if k.ndim != 1 or v.ndim != 1 or k.size != v.size + 1:
             raise ValueError("need len(knots) == len(values) + 1")
-        if k[0] != 0.0 or np.any(np.diff(k) <= 0):
+        if not (k[0] == 0.0 and np.all(np.diff(k) > 0)):
             raise ValueError("knots must start at 0 and increase strictly")
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
@@ -446,10 +422,10 @@ class StepProcess:
 def divergence_predictable(model: HawkesModel, path: HawkesPath, u: StepProcess) -> float:
     """delta(u) for a predictable step process with int_0^T u = 0:
     sum_j [psi(u,T_j) + u_hat(T_j)(Gamma1+Gamma2)(T_j) + u(T_j)]."""
-    if abs(u.horizon - path.horizon) > 1e-12:
+    if not abs(u.horizon - path.horizon) <= 1e-12:
         raise ValueError("step process horizon does not match the path")
     tot = u.total()
-    if abs(tot) > 1e-9:
+    if not abs(tot) <= 1e-9:
         raise ValueError(f"int_0^T u = {tot:.3g} violates the zero-mean contract")
     return float(divergence_m_batch(model, PathBatch.of(path), (u.value, u.integral_to))[0])
 
@@ -466,7 +442,7 @@ def z_eps(model: HawkesModel, path: HawkesPath, m: CameronMartinFunction, eps: f
 def _check_horizon(m: CameronMartinFunction, T: float) -> None:
     """Refuse a direction built for another horizon: m_hat need not vanish at
     T, so on [0, T] it leaves H and every weight built on it is wrong."""
-    if abs(m.horizon - T) > 1e-12:
+    if not abs(m.horizon - T) <= 1e-12:
         raise ValueError(f"direction horizon {m.horizon:g} does not match the batch horizon {T:g}")
 
 
@@ -581,11 +557,11 @@ def z_eps_batch(
     density's `_log_kappa_parts`; the baseline integral is left out, as it
     cancels in the ratio.  m must have the batch's horizon.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     _check_horizon(m, batch.horizon)
     if m.bounded:
-        if eps * m.sup_m >= 1.0 / 3.0:
+        if not eps * m.sup_m < 1.0 / 3.0:
             raise AssumptionError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")
         m_val, m_hat = m.m, m.m_hat
     else:

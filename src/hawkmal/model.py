@@ -16,7 +16,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -311,11 +311,8 @@ class HawkesModel:
     baseline: BaselineSpec
     kernel: KernelSpec
     nonlinearity: NonlinearitySpec
-    stability_margin: float = field(init=False)
 
     def __post_init__(self):
-        margin = self.nonlinearity.lipschitz * self.kernel.l1_norm
-        object.__setattr__(self, "stability_margin", margin)
         report = validate_assumptions(self)
         if not report.all_pass():
             raise AssumptionError(
@@ -323,7 +320,8 @@ class HawkesModel:
                 f"baseline_positive={report.baseline_positive}, "
                 f"kernel_ok={report.kernel_ok}, "
                 f"gamma_zero={report.gamma_zero_at_zero}, "
-                f"stable={report.stable} (a*||mu||_1 = {margin:.6g})"
+                f"stable={report.stable} "
+                f"(a*||mu||_1 = {self.nonlinearity.lipschitz * self.kernel.l1_norm:.6g})"
             )
 
     def excitation(self, jump_times: np.ndarray, s) -> np.ndarray:

@@ -640,16 +640,16 @@ class DensityCriteria:
 
     Every system reports, per path, det Gamma[X_T], its smallest eigenvalue
     and the rank of the bridge factor W (Gamma = W^T W), from the singular
-    values of W; the criterion is rank d on {N_T >= min_jumps}.
+    values of W; the criterion is rank d on {N_T >= d}.
     `min_gamma` is the smallest eigenvalue there.  Scalar systems add the
-    analytic Wronskian certificate when bounds were supplied.
+    margin of the analytic Wronskian certificate, which holds where it is
+    positive, when bounds were supplied.
     """
 
     label: str
     kind: str
     n_paths: int
     n_conditioned: int
-    min_jumps: int
     counts: np.ndarray
     terminal: np.ndarray        # (P, d)
     per_path_det: np.ndarray
@@ -658,9 +658,7 @@ class DensityCriteria:
     min_gamma: float
     n_nonpositive: int          # conditioned paths that fail the criterion
     wronskian_margin: Optional[float]
-    wronskian_certified: Optional[bool]
     min_rank: Optional[int]
-    rank_target: Optional[int]
     passed: bool
 
 
@@ -668,12 +666,12 @@ def density_criteria(sde: JumpSde, batch: PathBatch) -> DensityCriteria:
     """Evaluate the non-degeneracy criterion over a simulated batch.
 
     The criterion conditions on N_T >= d, the jumps the spanning argument
-    needs; `min_jumps` reports that threshold.  Linear systems, d = 1
-    included, take the exact batched engine; every other system takes the
-    lockstep RK4 engine.  det, the smallest eigenvalue and the rank come
-    from the singular values of each path's block of W (`_spectrum`).  Both
-    run on each of the batch's `_path_blocks`, as a path's results have the
-    same bits in any batch, so memory stays bounded at any path count.
+    needs.  Linear systems, d = 1 included, take the exact batched engine;
+    every other system takes the lockstep RK4 engine.  det, the smallest
+    eigenvalue and the rank come from the singular values of each path's
+    block of W (`_spectrum`).  Both run on each of the batch's
+    `_path_blocks`, as a path's results have the same bits in any batch, so
+    memory stays bounded at any path count.
     """
     counts = batch.counts()
     d = sde.dim
@@ -687,19 +685,17 @@ def density_criteria(sde: JumpSde, batch: PathBatch) -> DensityCriteria:
     cond = counts >= d
     flags = cond & (ranks == d)
     n_cond = int(cond.sum())
-    margin = certified = None
+    margin = None
     if d == 1 and None not in (sde.wronskian_inf, sde.f_second_sup, sde.g_sup):
         margin = sde.wronskian_inf - 0.5 * sde.f_second_sup * sde.g_sup**2
-        certified = margin > 0.0
     return DensityCriteria(
         label=sde.label,
         kind="scalar" if d == 1 else "linear-ddim" if sde.linear is not None else "general-ddim",
-        n_paths=batch.n_paths, n_conditioned=n_cond, min_jumps=d, counts=counts, terminal=terminal,
+        n_paths=batch.n_paths, n_conditioned=n_cond, counts=counts, terminal=terminal,
         per_path_det=dets, per_path_min_eig=min_eigs, per_path_flag=flags,
         min_gamma=float(min_eigs[cond].min()) if n_cond else math.nan,
         n_nonpositive=n_cond - int(flags.sum()),
-        wronskian_margin=margin, wronskian_certified=certified,
-        min_rank=int(ranks[cond].min()) if n_cond else None, rank_target=d,
+        wronskian_margin=margin, min_rank=int(ranks[cond].min()) if n_cond else None,
         passed=n_cond > 0 and bool(flags[cond].all()),
     )
 

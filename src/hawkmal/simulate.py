@@ -23,6 +23,7 @@ history of each live path's jumps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -172,9 +173,11 @@ class HawkesPath:
     horizon: float
 
     def __post_init__(self):
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         t = np.asarray(self.jump_times, dtype=float).ravel()
         if t.size:
-            if t[0] <= 0.0 or t[-1] > self.horizon or np.any(np.diff(t) <= 0.0):
+            if not (t[0] > 0.0 and t[-1] <= self.horizon and np.all(np.diff(t) > 0.0)):
                 raise ValueError(
                     "jump times must be strictly increasing in (0, T]"
                 )
@@ -395,8 +398,10 @@ def simulate_batch(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
+    if not 0 <= first_index <= 2**64 - n_paths:
+        raise ValueError(f"path indices [{first_index}, {first_index} + {n_paths}) leave [0, 2^64)")
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     _check_simulable(model)

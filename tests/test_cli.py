@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -1080,13 +1081,24 @@ def _edge_settings(draw):
     paths=50,
     seed=53,
 )
+# a greeks comparison that reads FAIL, a KS row under 0.01, and a passing
+# density-check with n = 2 rows: the draws alone reach none of them
+@example(command="greeks", edges={("greeks", "payoff"): "smooth"}, paths=50, seed=7)
+@example(
+    command="density-check",
+    edges={("density", "max_n"): "1", ("run", "horizon"): "0.3"},
+    paths=1000,
+    seed=2,
+)
+@example(command="density-check", edges={("density", "min_conditioned"): "20"}, paths=1000, seed=2)
 def test_outputs_agree_with_themselves_over_the_schema(
     tmp_path_factory, command, edges, paths, seed
 ):
     # a run on edge values of the schema ends in a verdict or a refusal
     # (exit 0 to 3) under warnings as errors, and what it writes agrees with
     # itself: a report's pass cell is |z| <= 3 with z of the sign of
-    # estimate - reference, and each file's counts match its rows
+    # estimate - reference, each file's counts match its rows, and a file
+    # that carries a verdict exits 1 exactly when its rows fail
     out = tmp_path_factory.mktemp("schema")
     ini = out / "run.ini"
     sections = sorted({section for section, _ in edges})
@@ -1094,11 +1106,13 @@ def test_outputs_agree_with_themselves_over_the_schema(
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in edges.items() if s == section)
         for section in sections
     ))
-    with warnings.catch_warnings():
+    stdout = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(stdout):
         warnings.simplefilter("error")
         code = run_cli(command, "--config", str(ini), "--paths", str(paths), "--seed", str(seed),
                        "--out", str(out), "--no-timestamp")
     assert code in (0, 1, 2, 3)
+    printed = stdout.getvalue().splitlines()
 
     for name in _Z_REPORTS:
         if (out / name).exists():
@@ -1123,3 +1137,26 @@ def test_outputs_agree_with_themselves_over_the_schema(
         _, _, rows = read_csv(out / "simulate_paths.csv")
         assert len(rows) == round(float(summary["mean_count"]) * int(summary["n_paths"]))
         assert max((int(r[1]) for r in rows), default=0) == int(summary["max_count"])
+    if (out / "greeks.csv").exists():
+        _, header, rows = read_csv(out / "greeks.csv")
+        assert [r[0] for r in rows] == ["malliavin", "fd", "pathwise"]
+        cells = [dict(zip(header, r)) for r in rows]
+        no_derivative = edges.get(("greeks", "payoff"), "digital") == "digital"
+        assert (cells[2]["mean"] == "") == no_derivative
+        if no_derivative:
+            assert cells[2]["n_paths"] == "0"
+            assert all(cells[2][k] == "" for k in header[3:])
+        for cell in cells[: 2 if no_derivative else 3]:
+            assert float(cell["ESS"]) <= int(cell["n_paths"]) * (1.0 + 1e-9), cell
+        assert int(cells[0]["n_paths"]) + int(cells[0]["excluded_paths"]) == paths
+        comparisons = [line for line in printed if " vs " in line]
+        assert len(comparisons) == (1 if no_derivative else 3)
+        assert (code == 1) == any(line.startswith("FAIL") for line in comparisons)
+    if (out / "density_report.csv").exists():
+        _, _, rows = read_csv(out / "density_report.csv")
+        (mass_row,) = [r for r in rows if r[1] == "k1_mass_minus_one"]
+        ks_rows = [r for r in rows if r is not mass_row]
+        for row in ks_rows:
+            assert 0.0 <= float(row[2]) <= 1.0 and 0.0 <= float(row[3]) <= 1.0, row
+        failed = abs(float(mass_row[2])) > 1e-6 or any(float(r[3]) < 0.01 for r in ks_rows)
+        assert code == (1 if failed else 0)

@@ -255,9 +255,6 @@ def test_jump_count_refuses_a_block():
 
 def test_ibp_check_refuses_unusable_entries(model):
     batch = batch_of([[], [0.5], [0.25, 1.0]])
-    no_partials = SmoothFunctional(value=lambda times, T: np.ones(times.shape[:-1])[()])
-    with pytest.raises(ValueError, match="exact partials"):
-        ibp_check(model, batch, catalog=[("fd", no_partials)])
     needs_a_jump = SmoothFunctional(
         value=capped_jump_time(1).value,
         partials=capped_jump_time(1).partials,

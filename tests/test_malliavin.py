@@ -37,6 +37,7 @@ from hawkmal.model import (
     NonlinearitySpec,
 )
 from hawkmal.density import log_kappa_rows
+from hawkmal.greeks import AssetModel, Payoff, fd_delta
 from hawkmal.simulate import (
     HawkesPath,
     PathBatch,
@@ -119,7 +120,7 @@ def test_default_direction_shape():
     assert float(m.m(np.float64(4.0))) == pytest.approx(-1.0)
     interior = m.m_hat(np.linspace(0.5, 3.5, 13))
     assert np.all(interior > 0.0)
-    assert m.sup_m == 1.0 and m.sup_m_hat == 1.0
+    assert m.sup_m == 1.0
 
 
 def test_custom_direction_validation():
@@ -130,7 +131,6 @@ def test_custom_direction_validation():
             m=lambda t: np.ones_like(np.asarray(t, dtype=float)),
             m_hat=lambda t: np.asarray(t, dtype=float),
             sup_m=1.0,
-            sup_m_hat=T,
         )
     ok = CameronMartinFunction.from_callables(
         T,
@@ -138,9 +138,10 @@ def test_custom_direction_validation():
         m_hat=lambda t: 0.5 * np.asarray(t, dtype=float) ** 2
         - np.asarray(t, dtype=float),
         sup_m=1.0,
-        sup_m_hat=0.5,
     )
     assert ok.bounded
+    with pytest.raises(TypeError):  # check_quadrature is keyword-only
+        CameronMartinFunction.from_callables(T, ok.m, ok.m_hat, 1.0, False)
 
 
 # ------------------------------------------------------- xi kernel
@@ -200,7 +201,8 @@ def test_gradient_integrates_to_zero():
 
 def test_compensator_functional_fd_oracle():
     # Lambda_T as a smooth functional of the jump times (linear case):
-    # exact partials -mu(T - t_i) against the central-difference fallback
+    # exact partials -mu(T - t_i) against central differences
+    # (step 1e-6 * max(1, |t_i|))
     model = reference_model()
     T = 5.0
 
@@ -211,15 +213,17 @@ def test_compensator_functional_fd_oracle():
         value=lam_value,
         partials=lambda times, T: -0.5 * np.exp(-(T - times)),
     )
-    fd = SmoothFunctional(value=lam_value)
     path = HawkesPath(np.array([0.8, 2.1, 3.9]), horizon=T)
     assert lam_value(path.jump_times, T) == pytest.approx(
         compensator(model, path), rel=1e-12
     )
-    ge = grad_smooth(exact, path)
-    gf = grad_smooth(fd, path)
-    assert not ge.fd_fallback and gf.fd_fallback
-    np.testing.assert_allclose(gf.partials, ge.partials, rtol=1e-4)
+    t = path.jump_times
+    fd = np.empty(t.size)
+    for i in range(t.size):
+        h = 1e-6 * max(1.0, abs(t[i]))
+        step = h * (np.arange(t.size) == i)
+        fd[i] = (lam_value(t + step, T) - lam_value(t - step, T)) / (2.0 * h)
+    np.testing.assert_allclose(fd, grad_smooth(exact, path).partials, rtol=1e-4)
 
 
 def test_grad_smooth_unsupported_count():
@@ -557,7 +561,7 @@ def test_divergence_predictable_matches_deterministic():
     )
     assert u.total() == pytest.approx(0.0, abs=1e-15)
     m_from_u = CameronMartinFunction.from_callables(
-        T, m=u.value, m_hat=u.integral_to, sup_m=1.0, sup_m_hat=1.0,
+        T, m=u.value, m_hat=u.integral_to, sup_m=1.0,
         check_quadrature=False,  # step function: the antiderivative is exact
     )
     batch = simulate_batch(model, T, master_seed=31, n_paths=50)
@@ -617,6 +621,50 @@ def test_z_eps_validation():
         z_eps(model, path, m, 0.0)
     with pytest.raises(ValueError, match="1/3"):
         z_eps(model, path, m, 0.4)  # sup|m| = 1
+
+
+def _asset(x0=100.0, sigma=0.3):
+    return AssetModel(x0=x0, r=0.0, sigma=sigma, hawkes=reference_model())
+
+
+def _small_batch():
+    return simulate_batch(reference_model(), 5.0, master_seed=3, n_paths=4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: simulate_batch(reference_model(), math.nan, 1, 2),
+        lambda: simulate_batch(reference_model(), math.inf, 1, 2),
+        lambda: simulate_batch(reference_model(), 1.0, 1, 2, first_index=-1),
+        lambda: simulate_batch(reference_model(), 1.0, 1, 2, first_index=2**64 - 1),
+        lambda: CameronMartinFunction.default(math.nan),
+        lambda: CameronMartinFunction.default(math.inf),
+        lambda: z_eps_batch(
+            reference_model(), _small_batch(), CameronMartinFunction.default(5.0), math.nan
+        ),
+        lambda: fd_delta(_asset(), Payoff.digital(100.0), _small_batch(), bump=math.nan),
+        lambda: _asset(x0=math.nan),
+        lambda: _asset(sigma=math.nan),
+        lambda: HawkesPath(np.empty(0), horizon=math.nan),
+        lambda: StepProcess(knots=np.array([0.0, math.nan]), values=np.array([0.0])),
+    ],
+    ids=[
+        "horizon-nan", "horizon-inf", "first-index-negative", "indices-past-2^64",
+        "direction-nan", "direction-inf", "eps-nan", "bump-nan", "x0-nan",
+        "sigma-nan", "path-horizon-nan", "knot-nan",
+    ],
+)
+def test_non_finite_and_out_of_range_inputs_refused(build):
+    # each check is stated as the negation of its accepting condition, so
+    # NaN fails it; a refusal is immediate (no simulation runs first)
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_last_path_indices_accepted():
+    batch = simulate_batch(reference_model(), 1.0, 1, 2, first_index=2**64 - 2)
+    assert batch.n_paths == 2 and batch.first_index == 2**64 - 2
 
 
 def test_z_eps_empty_path_is_one():
@@ -687,7 +735,6 @@ def test_z_eps_unbounded_direction_truncated():
         m_hat=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float))
         - c * np.asarray(t, dtype=float),
         sup_m=math.inf,
-        sup_m_hat=2.0 * math.sqrt(T) * 0.25,
         check_quadrature=False,  # integrable singularity defeats panel quadrature
     )
     assert not m.bounded

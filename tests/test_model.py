@@ -30,7 +30,6 @@ def reference_model():
 
 def test_reference_model_margin():
     model = reference_model()
-    assert model.stability_margin == pytest.approx(0.5)
     report = validate_assumptions(model)
     assert report.all_pass()
     assert report.margin == pytest.approx(0.5)
@@ -211,7 +210,7 @@ def test_custom_kernel_roundtrip():
         kernel=k,
         nonlinearity=NonlinearitySpec.linear(),
     )
-    assert model.stability_margin == pytest.approx(0.3)
+    assert validate_assumptions(model).margin == pytest.approx(0.7)
     assert kernel_tail_mass(model, 0.5) == pytest.approx(0.3 - 0.6 * (0.5 - 0.125))
 
 
