@@ -25,8 +25,8 @@ from .simulate import (
     PathBatch,
     _excitation_gamma2,
     _excitation_sums,
-    _gauss_rule,
     _path_blocks,
+    _segment_quad,
     padded_jumps,
 )
 
@@ -35,14 +35,12 @@ __all__ = [
     "SmoothFunctional",
     "MalliavinGradient",
     "WeightTerms",
-    "StepProcess",
     "xi_kernel",
     "condition2_slack",
     "grad_smooth",
     "carre_du_champ",
     "weight_terms",
     "divergence_m",
-    "divergence_predictable",
     "z_eps",
     "basis_projection_check",
     "capped_jump_time",
@@ -62,8 +60,9 @@ __all__ = [
 @dataclass(frozen=True)
 class CameronMartinFunction:
     """A direction m on [0,T] with int_0^T m = 0, plus its antiderivative
-    m_hat(t) = int_0^t m and the bound sup|m| (inf when unbounded).  Build
-    through the factories; they validate the zero-integral invariant."""
+    m_hat(t) = int_0^t m and the bound sup|m| (inf when unbounded).  The
+    constructor checks the horizon, sup|m| and that m_hat vanishes at 0 and
+    T; `from_callables` also integrates m."""
 
     horizon: float
     m: Callable[[np.ndarray], np.ndarray]
@@ -71,11 +70,11 @@ class CameronMartinFunction:
     sup_m: float
 
     def __post_init__(self):
-        T = self.horizon
-        if not 0.0 < T < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {T}")
+        _check_positive_finite(self.horizon)
+        if not self.sup_m >= 0.0:
+            raise ValueError(f"sup_m must be a nonnegative bound or inf, got {self.sup_m}")
         h0 = float(self.m_hat(np.float64(0.0)))
-        hT = float(self.m_hat(np.float64(T)))
+        hT = float(self.m_hat(np.float64(self.horizon)))
         if not (abs(h0) <= 1e-12 and abs(hT) <= 1e-10):
             raise ValueError(
                 f"m_hat must vanish at 0 and T (got {h0:.3g}, {hT:.3g}); "
@@ -100,51 +99,77 @@ class CameronMartinFunction:
     @staticmethod
     def cosine(T: float, k: int = 1) -> "CameronMartinFunction":
         """Normalized sqrt(2/T) cos(2 pi k t / T)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        amp = math.sqrt(2.0 / T)
-        w = 2.0 * math.pi * k / T
-        return CameronMartinFunction(
-            horizon=float(T),
-            m=lambda t: amp * np.cos(w * np.asarray(t, dtype=float)),
-            m_hat=lambda t: (amp / w) * np.sin(w * np.asarray(t, dtype=float)),
-            sup_m=amp,
-        )
+        return CameronMartinFunction._fourier(T, k, np.cos, np.sin)
 
     @staticmethod
     def sine(T: float, k: int = 1) -> "CameronMartinFunction":
         """Normalized sqrt(2/T) sin(2 pi k t / T)."""
-        if k < 1:
+        return CameronMartinFunction._fourier(T, k, np.sin, lambda x: 1.0 - np.cos(x))
+
+    @staticmethod
+    def _fourier(T, k, wave, anti) -> "CameronMartinFunction":
+        """sqrt(2/T) wave(w t) with m_hat = (sqrt(2/T) / w) anti(w t), w = 2 pi k / T."""
+        _check_positive_finite(T)
+        if not k >= 1:
             raise ValueError("k must be >= 1")
         amp = math.sqrt(2.0 / T)
         w = 2.0 * math.pi * k / T
         return CameronMartinFunction(
             horizon=float(T),
-            m=lambda t: amp * np.sin(w * np.asarray(t, dtype=float)),
-            m_hat=lambda t: (amp / w) * (1.0 - np.cos(w * np.asarray(t, dtype=float))),
+            m=lambda t: amp * wave(w * np.asarray(t, dtype=float)),
+            m_hat=lambda t: (amp / w) * anti(w * np.asarray(t, dtype=float)),
             sup_m=amp,
         )
 
     @staticmethod
+    def step(knots, values) -> "CameronMartinFunction":
+        """Left-continuous step function on [0, knots[-1]]: value values[i]
+        on (knots[i], knots[i+1]], with the exact, piecewise linear m_hat.
+        A random step is a valid direction when it is predictable
+        (measurable with respect to strictly earlier jumps); that is the
+        caller's contract."""
+        k = np.asarray(knots, dtype=float)
+        v = np.asarray(values, dtype=float)
+        if k.ndim != 1 or v.ndim != 1 or k.size != v.size + 1:
+            raise ValueError("need len(knots) == len(values) + 1")
+        if not (k[0] == 0.0 and np.all(np.diff(k) > 0)):
+            raise ValueError("knots must start at 0 and increase strictly")
+        cum = np.concatenate([[0.0], np.cumsum(v * np.diff(k))])
+
+        def interval(t):
+            return np.clip(np.searchsorted(k, t, side="left"), 1, v.size) - 1
+
+        def value(t):
+            return v[interval(np.asarray(t, dtype=float))]
+
+        def m_hat(t):
+            t = np.asarray(t, dtype=float)
+            i = interval(t)
+            return cum[i] + v[i] * (t - k[i])
+
+        return CameronMartinFunction(
+            horizon=float(k[-1]), m=value, m_hat=m_hat, sup_m=float(np.max(np.abs(v), initial=0.0))
+        )
+
+    @staticmethod
     def from_callables(
-        T: float,
-        m: Callable,
-        m_hat: Callable,
-        sup_m: float,
-        *,
-        check_quadrature: bool = True,
+        T: float, m: Callable, m_hat: Callable, sup_m: float
     ) -> "CameronMartinFunction":
-        """Custom direction; verifies int_0^T m = 0 by composite quadrature
-        (skip the quadrature for non-smooth m whose m_hat is exact)."""
+        """Custom direction; also checks int_0^T m = 0 by the segment
+        engine's adaptive quadrature (`_segment_quad`).  A direction that
+        quadrature cannot resolve, but whose m_hat is exact, is built with
+        the constructor."""
         cm = CameronMartinFunction(horizon=float(T), m=m, m_hat=m_hat, sup_m=float(sup_m))
-        if check_quadrature:
-            edges = np.linspace(0.0, T, 17)  # the segment engine's rule on 16 panels
-            total = float(_gauss_rule(lambda _, u: m(u), None, edges[:-1], edges[1:]).sum())
-            if not abs(total) <= 1e-10:
-                raise ValueError(
-                    f"int_0^T m = {total:.3g} exceeds the 1e-10 tolerance"
-                )
+        total = float(_segment_quad(lambda _, u: m(u), np.zeros(1), np.full(1, cm.horizon))[0])
+        if not abs(total) <= 1e-10:
+            raise ValueError(f"int_0^T m = {total:.3g} exceeds the 1e-10 tolerance")
         return cm
+
+
+def _check_positive_finite(T: float) -> None:
+    """Refuse a horizon outside (0, inf); NaN fails the test as well."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,60 +402,6 @@ def divergence_m(model: HawkesModel, path: HawkesPath, m: CameronMartinFunction)
 
 
 # ---------------------------------------------------------------------------
-# predictable step directions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StepProcess:
-    """Left-continuous step function on [0,T]: value ``values[i]`` on the
-    interval (knots[i], knots[i+1]].  Predictability (measurability with
-    respect to strictly earlier jumps) is the caller's contract."""
-
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.knots, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if k.ndim != 1 or v.ndim != 1 or k.size != v.size + 1:
-            raise ValueError("need len(knots) == len(values) + 1")
-        if not (k[0] == 0.0 and np.all(np.diff(k) > 0)):
-            raise ValueError("knots must start at 0 and increase strictly")
-        object.__setattr__(self, "knots", k)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.knots[-1])
-
-    def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.knots, t, side="left"), 1, self.values.size)
-        return self.values[idx - 1]
-
-    def integral_to(self, t) -> np.ndarray:
-        """u_hat(t) = int_0^t u, piecewise linear."""
-        t = np.asarray(t, dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(self.values * np.diff(self.knots))])
-        idx = np.clip(np.searchsorted(self.knots, t, side="left"), 1, self.values.size)
-        return cum[idx - 1] + self.values[idx - 1] * (t - self.knots[idx - 1])
-
-    def total(self) -> float:
-        return float(np.sum(self.values * np.diff(self.knots)))
-
-
-def divergence_predictable(model: HawkesModel, path: HawkesPath, u: StepProcess) -> float:
-    """delta(u) for a predictable step process with int_0^T u = 0:
-    sum_j [psi(u,T_j) + u_hat(T_j)(Gamma1+Gamma2)(T_j) + u(T_j)]."""
-    if not abs(u.horizon - path.horizon) <= 1e-12:
-        raise ValueError("step process horizon does not match the path")
-    tot = u.total()
-    if not abs(tot) <= 1e-9:
-        raise ValueError(f"int_0^T u = {tot:.3g} violates the zero-mean contract")
-    return float(divergence_m_batch(model, PathBatch.of(path), (u.value, u.integral_to))[0])
-
-
-# ---------------------------------------------------------------------------
 # change of measure Z^eps
 # ---------------------------------------------------------------------------
 
@@ -446,7 +417,7 @@ def _check_horizon(m: CameronMartinFunction, T: float) -> None:
         raise ValueError(f"direction horizon {m.horizon:g} does not match the batch horizon {T:g}")
 
 
-def _truncated_direction(m: CameronMartinFunction, eps: float):
+def _truncated_direction(m: CameronMartinFunction, eps: float) -> CameronMartinFunction:
     """Clamp an unbounded direction at +-1/(3 eps), re-center so it stays in
     H, and rebuild the antiderivative on a dense grid."""
     cap = 1.0 / (3.0 * eps)
@@ -463,7 +434,7 @@ def _truncated_direction(m: CameronMartinFunction, eps: float):
         t = np.asarray(t, dtype=float)
         return np.interp(t, grid, cum) - shift * t
 
-    return m_val, m_hat
+    return CameronMartinFunction(T, m_val, m_hat, sup_m=cap + abs(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -496,31 +467,26 @@ def basis_projection_check(gradient: MalliavinGradient, K: int) -> float:
 # the block engine: every model, on the padded (P, K) block
 # ---------------------------------------------------------------------------
 
-def weight_arrays(model: HawkesModel, batch: PathBatch, m):
+def weight_arrays(model: HawkesModel, batch: PathBatch, m: CameronMartinFunction):
     """psi, Gamma1, Gamma2 and the direction samples at every jump of a
     batch, for any kernel and nonlinearity: returns (times, mask, psi,
     gamma1, gamma2, m_at, m_hat_at) as padded (n_paths, K) arrays whose
-    padded slots hold the horizon (mask them out).  `m` is a
-    CameronMartinFunction or a (value, antiderivative) pair of callables,
-    such as a StepProcess's (value, integral_to); a CameronMartinFunction
-    must have the batch's horizon.
+    padded slots hold the horizon (mask them out).  m must have the
+    batch's horizon.
 
     The excitation sums and Gamma2 come from the excitation engine
     (`_excitation_sums`, `_excitation_gamma2`), which picks each one's route.
     """
     T = batch.horizon
-    if isinstance(m, CameronMartinFunction):
-        _check_horizon(m, T)
-        m = (m.m, m.m_hat)
-    val_fn, anti_fn = m
+    _check_horizon(m, T)
     gam = model.nonlinearity
     times, mask = padded_jumps(batch)
     if times.shape[1] == 0:
         empty = np.zeros_like(times)
         return times, mask, empty, empty, empty, empty, empty
 
-    m_hat_at = np.asarray(anti_fn(times), dtype=float)
-    m_at = np.asarray(val_fn(times), dtype=float)
+    m_hat_at = np.asarray(m.m_hat(times), dtype=float)
+    m_at = np.asarray(m.m(times), dtype=float)
     S, cross = _excitation_sums(model, times, batch.counts(), m_hat_at)
     lam_star = model.baseline.value(times) + gam.value(S)
     psi = (m_hat_at * model.baseline.derivative(times) + gam.derivative(S) * cross) / lam_star
@@ -535,9 +501,9 @@ def _divergence_rows(mask, psi, gamma1, gamma2, m_at, m_hat_at) -> np.ndarray:
     return _row_sums(psi + m_hat_at * (gamma1 + gamma2) + m_at, mask)
 
 
-def divergence_m_batch(model: HawkesModel, batch: PathBatch, m) -> np.ndarray:
+def divergence_m_batch(model: HawkesModel, batch: PathBatch, m: CameronMartinFunction) -> np.ndarray:
     """delta(m) for every path of a batch, from the `weight_arrays` of its
-    `_path_blocks` (`m` as there)."""
+    `_path_blocks`."""
     out = np.empty(batch.n_paths)
     for idx, block in _path_blocks(batch):
         out[idx] = _divergence_rows(*weight_arrays(model, block, m)[1:])
@@ -560,22 +526,20 @@ def z_eps_batch(
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     _check_horizon(m, batch.horizon)
-    if m.bounded:
-        if not eps * m.sup_m < 1.0 / 3.0:
-            raise AssumptionError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")
-        m_val, m_hat = m.m, m.m_hat
-    else:
-        m_val, m_hat = _truncated_direction(m, eps)
+    if not m.bounded:
+        m = _truncated_direction(m, eps)
+    elif not eps * m.sup_m < 1.0 / 3.0:
+        raise AssumptionError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")
 
     T = batch.horizon
     out = np.empty(batch.n_paths)
     for idx, block in _path_blocks(batch, lambda K: 2 * K):
         times, mask = padded_jumps(block)
-        shifted = np.where(mask, times + eps * np.asarray(m_hat(times), dtype=float), T)
+        shifted = np.where(mask, times + eps * np.asarray(m.m_hat(times), dtype=float), T)
         log_prod, exc = _log_kappa_parts(
             model, np.concatenate([shifted, times]), np.tile(block.counts(), 2), T
         )
         log_kappa = log_prod - exc
-        log_jac = _row_sums(np.log1p(eps * np.asarray(m_val(times), dtype=float)), mask)
+        log_jac = _row_sums(np.log1p(eps * np.asarray(m.m(times), dtype=float)), mask)
         out[idx] = np.exp(log_kappa[:idx.size] - log_kappa[idx.size:] + log_jac)
     return out

@@ -12,7 +12,6 @@ from hawkmal.malliavin import (
     CameronMartinFunction,
     MalliavinGradient,
     SmoothFunctional,
-    StepProcess,
     basis_projection_check,
     capped_jump_time,
     carre_du_champ,
@@ -20,7 +19,6 @@ from hawkmal.malliavin import (
     condition2_slack,
     divergence_m,
     divergence_m_batch,
-    divergence_predictable,
     grad_smooth,
     jump_count,
     product_smooth,
@@ -37,6 +35,7 @@ from hawkmal.model import (
     NonlinearitySpec,
 )
 from hawkmal.density import log_kappa_rows
+from hawkmal.experiments import ibp_check, unit_mass_check
 from hawkmal.greeks import AssetModel, Payoff, fd_delta
 from hawkmal.simulate import (
     HawkesPath,
@@ -140,8 +139,41 @@ def test_custom_direction_validation():
         sup_m=1.0,
     )
     assert ok.bounded
-    with pytest.raises(TypeError):  # check_quadrature is keyword-only
-        CameronMartinFunction.from_callables(T, ok.m, ok.m_hat, 1.0, False)
+    with pytest.raises(ValueError, match="1e-10"):
+        # m_hat vanishes at 0 and T, but it is not the antiderivative of m:
+        # only the quadrature of m sees that
+        CameronMartinFunction.from_callables(
+            T,
+            m=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            m_hat=CameronMartinFunction.default(T).m_hat,
+            sup_m=1.0,
+        )
+
+
+def _kinked_m_hat(t):
+    # antiderivative of |t - 2| - 1.3
+    t = np.asarray(t, dtype=float)
+    return np.where(t < 2.0, 2.0 * t - 0.5 * t * t, 2.0 + 0.5 * (t - 2.0) ** 2) - 1.3 * t
+
+
+@pytest.mark.parametrize(
+    "m, m_hat, sup_m",
+    [
+        (lambda t: np.abs(np.asarray(t, dtype=float) - 2.0) - 1.3, _kinked_m_hat, 1.7),
+        (
+            lambda t: 1.0 / np.sqrt(np.asarray(t, dtype=float)) - 2.0 / math.sqrt(5.0),
+            lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float))
+            - 2.0 / math.sqrt(5.0) * np.asarray(t, dtype=float),
+            math.inf,
+        ),
+    ],
+    ids=["kinked", "inverse-sqrt"],
+)
+def test_from_callables_resolves_kinks_and_singularities(m, m_hat, sup_m):
+    # the adaptive segment quadrature integrates a kink and an integrable
+    # singularity at 0 to within the 1e-10 tolerance
+    d = CameronMartinFunction.from_callables(5.0, m=m, m_hat=m_hat, sup_m=sup_m)
+    assert d.sup_m == sup_m
 
 
 # ------------------------------------------------------- xi kernel
@@ -538,50 +570,68 @@ def test_duality_with_random_factor(big_batch):
     assert abs(diff.mean()) <= 3.0 * se, f"mean {diff.mean():.4g}, se {se:.4g}"
 
 
-# ------------------------------------------------------- predictable steps
+# ------------------------------------------------------- step directions
 
-def test_step_process_evaluation():
-    u = StepProcess(knots=np.array([0.0, 1.0, 3.0]), values=np.array([2.0, -1.0]))
-    assert u.total() == pytest.approx(0.0)
-    assert float(u.value(1.0)) == 2.0  # left-continuous at the knot
-    assert float(u.value(1.0 + 1e-12)) == -1.0
-    assert float(u.integral_to(1.0)) == pytest.approx(2.0)
-    assert float(u.integral_to(2.0)) == pytest.approx(1.0)
-    assert float(u.integral_to(3.0)) == pytest.approx(0.0)
+def test_step_direction_evaluation():
+    u = CameronMartinFunction.step(knots=[0.0, 1.0, 3.0], values=[2.0, -1.0])
+    assert u.horizon == 3.0 and u.sup_m == 2.0
+    assert float(u.m(1.0)) == 2.0  # left-continuous at the knot
+    assert float(u.m(1.0 + 1e-12)) == -1.0
+    assert float(u.m_hat(1.0)) == pytest.approx(2.0)
+    assert float(u.m_hat(2.0)) == pytest.approx(1.0)
+    assert float(u.m_hat(3.0)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        StepProcess(knots=np.array([0.5, 1.0]), values=np.array([1.0]))
+        CameronMartinFunction.step(knots=[0.5, 1.0], values=[1.0])
+    with pytest.raises(ValueError):
+        CameronMartinFunction.step(knots=[0.0, 2.0, 1.0], values=[1.0, -1.0])
+    with pytest.raises(ValueError):
+        CameronMartinFunction.step(knots=[0.0, 1.0], values=[1.0, -1.0])
 
 
-def test_divergence_predictable_matches_deterministic():
+def test_step_direction_divergence_ignores_redundant_knots():
+    # a knot inside a constant stretch leaves m and m_hat as they were, so
+    # the divergence of both representations agrees on every path
     model = reference_model()
     T = 5.0
-    u = StepProcess(
-        knots=np.array([0.0, 1.0, 3.0, 5.0]),
-        values=np.array([1.0, -0.75, 0.25]),
-    )
-    assert u.total() == pytest.approx(0.0, abs=1e-15)
-    m_from_u = CameronMartinFunction.from_callables(
-        T, m=u.value, m_hat=u.integral_to, sup_m=1.0,
-        check_quadrature=False,  # step function: the antiderivative is exact
-    )
+    u = CameronMartinFunction.step([0.0, 1.0, 3.0, 5.0], [1.0, -0.75, 0.25])
+    split = CameronMartinFunction.step([0.0, 1.0, 2.0, 3.0, 5.0], [1.0, -0.75, -0.75, 0.25])
     batch = simulate_batch(model, T, master_seed=31, n_paths=50)
     for path in batch:
-        a = divergence_predictable(model, path, u)
-        b = divergence_m(model, path, m_from_u)
+        a = divergence_m(model, path, u)
+        b = divergence_m(model, path, split)
         assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
+    np.testing.assert_array_equal(
+        divergence_m_batch(model, batch, u), [divergence_m(model, p, u) for p in batch]
+    )
 
 
-def test_divergence_predictable_guards():
+def test_step_direction_guards():
     model = reference_model()
     path = HawkesPath(np.array([1.0]), horizon=5.0)
-    bad = StepProcess(knots=np.array([0.0, 5.0]), values=np.array([0.1]))
-    with pytest.raises(ValueError, match="zero-mean"):
-        divergence_predictable(model, path, bad)
-    zero = StepProcess(knots=np.array([0.0, 5.0]), values=np.array([0.0]))
-    assert divergence_predictable(model, path, zero) == 0.0
-    short = StepProcess(knots=np.array([0.0, 4.0]), values=np.array([0.0]))
+    with pytest.raises(ValueError, match="must integrate to zero"):
+        CameronMartinFunction.step([0.0, 5.0], [0.1])
+    zero = CameronMartinFunction.step([0.0, 5.0], [0.0])
+    assert divergence_m(model, path, zero) == 0.0
+    short = CameronMartinFunction.step([0.0, 4.0], [0.0])
     with pytest.raises(ValueError, match="horizon"):
-        divergence_predictable(model, path, short)
+        divergence_m(model, path, short)
+
+
+@pytest.mark.parametrize("gamma", ["linear", "tanh"])
+def test_step_direction_unit_mass_and_ibp(gamma):
+    # a step direction runs through both z-score checks like any other
+    model = HawkesModel(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
+        nonlinearity=(
+            NonlinearitySpec.linear() if gamma == "linear" else NonlinearitySpec.saturating_tanh(cap=3.0)
+        ),
+    )
+    seed = {"linear": 41, "tanh": 42}[gamma]
+    batch = simulate_batch(model, 5.0, master_seed=seed, n_paths=20_000)
+    u = CameronMartinFunction.step([0.0, 1.0, 3.0, 5.0], [1.0, -0.75, 0.25])
+    assert unit_mass_check(model, batch, u).passed
+    assert ibp_check(model, batch, u).passed
 
 
 def test_direction_for_another_horizon_refused():
@@ -647,12 +697,21 @@ def _small_batch():
         lambda: _asset(x0=math.nan),
         lambda: _asset(sigma=math.nan),
         lambda: HawkesPath(np.empty(0), horizon=math.nan),
-        lambda: StepProcess(knots=np.array([0.0, math.nan]), values=np.array([0.0])),
+        lambda: CameronMartinFunction.step(knots=[0.0, math.nan], values=[0.0]),
+        lambda: CameronMartinFunction(
+            5.0, CameronMartinFunction.default(5.0).m, CameronMartinFunction.default(5.0).m_hat, math.nan
+        ),
+        lambda: CameronMartinFunction(
+            5.0, CameronMartinFunction.default(5.0).m, CameronMartinFunction.default(5.0).m_hat, -1.0
+        ),
+        lambda: CameronMartinFunction.cosine(0.0),
+        lambda: CameronMartinFunction.sine(-1.0),
     ],
     ids=[
         "horizon-nan", "horizon-inf", "first-index-negative", "indices-past-2^64",
         "direction-nan", "direction-inf", "eps-nan", "bump-nan", "x0-nan",
-        "sigma-nan", "path-horizon-nan", "knot-nan",
+        "sigma-nan", "path-horizon-nan", "knot-nan", "sup-m-nan", "sup-m-negative",
+        "cosine-horizon-zero", "sine-horizon-negative",
     ],
 )
 def test_non_finite_and_out_of_range_inputs_refused(build):
@@ -735,7 +794,6 @@ def test_z_eps_unbounded_direction_truncated():
         m_hat=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float))
         - c * np.asarray(t, dtype=float),
         sup_m=math.inf,
-        check_quadrature=False,  # integrable singularity defeats panel quadrature
     )
     assert not m.bounded
     model = reference_model()
