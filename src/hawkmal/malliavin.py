@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import _cumulative_trapezoid, _log_kappa_parts
+from .density import _log_kappa_parts
 from .model import AssumptionError, HawkesModel, _row_sums
 from .simulate import (
     HawkesPath,
@@ -419,16 +419,24 @@ def _check_horizon(m: CameronMartinFunction, T: float) -> None:
 
 def _truncated_direction(m: CameronMartinFunction, eps: float) -> CameronMartinFunction:
     """Clamp an unbounded direction at +-1/(3 eps), re-center so it stays in
-    H, and rebuild the antiderivative on a dense grid."""
+    H, and rebuild the antiderivative on a dense grid: the clamped m is
+    integrated over each grid panel by the segment engine's adaptive
+    quadrature (`_segment_quad`), which resolves the clamp's kinks and
+    evaluates m only inside the panels, and m_hat interpolates the running
+    sums."""
     cap = 1.0 / (3.0 * eps)
     T = m.horizon
     grid = np.linspace(0.0, T, 8193)
-    clipped = np.clip(np.asarray(m.m(grid), dtype=float), -cap, cap)
-    cum = _cumulative_trapezoid(clipped, grid)
+
+    def clipped(t):
+        return np.clip(np.asarray(m.m(t), dtype=float), -cap, cap)
+
+    panels = _segment_quad(lambda _, u: clipped(u), grid[:-1], grid[1:])
+    cum = np.concatenate(([0.0], np.cumsum(panels)))
     shift = cum[-1] / T
 
     def m_val(t):
-        return np.clip(np.asarray(m.m(t), dtype=float), -cap, cap) - shift
+        return clipped(t) - shift
 
     def m_hat(t):
         t = np.asarray(t, dtype=float)

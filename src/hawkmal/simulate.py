@@ -434,7 +434,8 @@ _QUAD_TOL = 1e-10          # accepted |32-node - 16-node| and |32 - 8| per panel
 _QUAD_MAX_PANELS = 1 << 14  # most panels one segment may be split into
 # Elements of the largest temporary of one block, for every padded pass: the
 # (segments, nodes, lags) quadratures and each estimator's count-sorted path
-# blocks (`_path_blocks`), so a pass costs each path its own jump count and
+# blocks (`_path_blocks`; the SDE engines' `sde._segment_blocks` count summed
+# segments instead), so a pass costs each path its own jump count and
 # its memory stays bounded whatever the batch's longest path.  At 128 KB a
 # block keeps peak memory flat (2 MB blocks added 5 MB of peak RSS), and it
 # is the fastest width measured: `z_eps_batch` at three eps over 5 000

@@ -803,6 +803,9 @@ def test_z_eps_unbounded_direction_truncated():
     gaps = [abs(z - 1.0) for z in zs]
     assert gaps[-1] < gaps[0]
     assert gaps[-1] < 1e-3
+    # each grid panel of the clamped m is integrated adaptively, so the
+    # clamp leaves no bias that outlives eps
+    assert abs(z_eps(model, path, m, 1e-8) - 1.0) <= 1e-8
 
 
 # ------------------------------------------------------- basis projection

@@ -5,6 +5,7 @@ against the per-path K/K~ solvers of `sde_oracles`."""
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from hawkmal.model import (
     KernelSpec,
     NonlinearitySpec,
 )
+import hawkmal.sde
 from hawkmal.sde import (
     JumpSde,
     _backward_vectors,
@@ -28,11 +30,13 @@ from hawkmal.sde import (
     grad_and_gamma_XT,
     sde_preset,
     _THETA13,
+    _expm_scaled,
     _expm_stack,
     _linear_batch,
     _linear_propagators,
     _linear_sensitivity,
     _rk4_batch,
+    _segment_blocks,
     _segment_steps,
     _segments,
 )
@@ -860,6 +864,130 @@ def test_expm_stack_zero_spans_and_empty_stack():
         E, c = _linear_propagators(lin, 0.0, d)
         np.testing.assert_array_equal(E, np.eye(d))
         np.testing.assert_array_equal(c, np.zeros(d))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expm_scaled_gives_each_matrix_its_bits_alone(n, monkeypatch):
+    # runs of k = 7 matrices: each stack straddles its run boundaries, and
+    # scalings from 1e-3 to 1e3 mix the squaring rounds inside each run
+    monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 28 * n * n)
+    k = hawkmal.sde._expm_run(n)
+    assert k == 7
+    rng = np.random.default_rng(35 + n)
+    for size in (0, 1, k - 1, k, k + 1, 3 * k + 5):
+        X = rng.standard_normal((size, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (size, 1, 1))
+        X[::5] *= -1.0
+        if size:
+            X[0] = 0.0
+        R, e = _expm_scaled(X)
+        assert R.shape == X.shape and e.shape == (size,)
+        if size > k:
+            assert np.unique(squarings(X[:k])).size > 1
+        for j in range(size):
+            alone_R, alone_e = _expm_scaled(X[j])
+            np.testing.assert_array_equal(R[j], alone_R, err_msg=f"size {size}, matrix {j}")
+            assert e[j] == alone_e
+        # leading dimensions: the same matrices, the same bits
+        if size == 3 * k + 5:
+            R2, e2 = _expm_scaled(X[:3 * k + 3].reshape(3, k + 1, n, n))
+            assert R2.shape == (3, k + 1, n, n) and e2.shape == (3, k + 1)
+            np.testing.assert_array_equal(R2.reshape(-1, n, n), R[:3 * k + 3])
+            np.testing.assert_array_equal(e2.ravel(), e[:3 * k + 3])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expm_scaled_default_runs_match_one_run(n, monkeypatch):
+    # at the default run of k slices, a stack of 3 k + 5 matrices has the
+    # bits of one run over the whole stack
+    k = hawkmal.sde._expm_run(n)
+    rng = np.random.default_rng(77 + n)
+    X = rng.standard_normal((3 * k + 5, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3 * k + 5, 1, 1))
+    R, e = _expm_scaled(X)
+    monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 4 * X.size)
+    assert hawkmal.sde._expm_run(n) == X.shape[0]
+    whole_R, whole_e = _expm_scaled(X)
+    np.testing.assert_array_equal(R, whole_R)
+    np.testing.assert_array_equal(e, whole_e)
+
+
+def test_density_criteria_sweeps_a_reference_batch_whole(monkeypatch):
+    # seed 77, 500 reference paths: the longest has 35 jumps and the batch
+    # 4 908 segments, so padded blocks cut it in two (468 + 32 paths) and
+    # summed-segment blocks keep it whole: one RK4 sweep
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=77, n_paths=500)
+    assert batch.counts().max() == 35
+    sweeps = []
+
+    def counted(sde, block):
+        sweeps.append(block.n_paths)
+        return _rk4_batch(sde, block)
+
+    monkeypatch.setattr(hawkmal.sde, "_rk4_batch", counted)
+    density_criteria(sde_preset("cos-sin"), batch)
+    assert sweeps == [500]
+    # the exact engine forms its augmented exponentials a run at a time
+    tracemalloc.start()
+    try:
+        density_criteria(sde_preset("linear-d2"), batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, peak
+
+
+def assert_segment_blocks(batch, most):
+    """Every path once, longest first, in blocks of at most `most` summed
+    segments, or of one path that has more."""
+    counts = batch.counts()
+    blocks = list(_segment_blocks(batch))
+    order = np.concatenate([idx for idx, _ in blocks])
+    np.testing.assert_array_equal(np.sort(order), np.arange(batch.n_paths))
+    assert np.all(np.diff(counts[order]) <= 0)
+    for idx, block in blocks:
+        segments = int(np.sum(counts[idx] + 1))
+        assert segments <= most or idx.size == 1
+        np.testing.assert_array_equal(block.counts(), counts[idx])
+    # each block is as full as the next path allows
+    for (idx, _), (nxt, _) in zip(blocks, blocks[1:]):
+        assert np.sum(counts[idx] + 1) + counts[nxt[0]] + 1 > most
+    return blocks
+
+
+def assert_same_criteria(got, want):
+    for field in ("terminal", "per_path_det", "per_path_min_eig", "per_path_flag"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
+def test_segment_blocks_bound_jump_free_batches(monkeypatch):
+    # 40 000 paths at T = 1e-3 are nearly all jump-free: counting a segment
+    # a path keeps them in blocks of at most _BLOCK_ELEMS, and each path
+    # keeps its bits; the RK4 sweep (a thousand steps a path) runs on the
+    # first 2 000 of them in blocks of 700 segments
+    batch = simulate_batch(reference_model(), T=1e-3, master_seed=35, n_paths=40_000)
+    assert batch.counts().sum() < 100
+    assert len(assert_segment_blocks(batch, hawkmal.sde._BLOCK_ELEMS)) >= 3
+    short = batch.take(np.arange(2_000))
+    cases = [(sde_preset("linear-d2"), batch, hawkmal.sde._BLOCK_ELEMS), (sde_preset("cos-sin"), short, 700)]
+    for sde, paths, most in cases:
+        monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", most)
+        assert len(assert_segment_blocks(paths, most)) >= 3
+        blocked = density_criteria(sde, paths)
+        monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 1 << 20)
+        assert len(list(_segment_blocks(paths))) == 1
+        assert_same_criteria(blocked, density_criteria(sde, paths))
+
+
+def test_segment_blocks_put_a_long_path_alone(monkeypatch):
+    # with blocks of 8 segments a 12-jump path is a block of its own, and
+    # every path has the bits it has in one whole block
+    paths = [[0.1 * j for j in range(1, 13)], [], [0.5], [0.2, 0.4, 0.6], [], [1.5, 1.7], [0.9]]
+    batch = batch_of(paths, 2.0)
+    whole = [density_criteria(sde, batch) for sde in (sde_preset("cos-sin"), sde_preset("linear-d2"))]
+    monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 8)
+    blocks = assert_segment_blocks(batch, 8)
+    assert [idx.tolist() for idx, _ in blocks] == [[0], [3, 5], [2, 6, 1, 4]]
+    for sde, want in zip((sde_preset("cos-sin"), sde_preset("linear-d2")), whole):
+        assert_same_criteria(density_criteria(sde, batch), want)
 
 
 def test_linear_engines_raise_on_a_blown_up_flow():
