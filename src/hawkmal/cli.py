@@ -72,6 +72,7 @@ from .model import (
     KernelSpec,
     NonlinearitySpec,
 )
+from ._numtext import column_text
 from .sde import density_criteria, sde_preset
 from .simulate import _BLOCK_ELEMS, compensator_batch, simulate_batch
 
@@ -79,6 +80,12 @@ DEFAULT_SEED = 12345
 _KS_LEVEL = 0.01
 _MASS_TOLERANCE = 1e-6
 _WEIGHT_DUMP_PATHS = 200
+# `_Rows` forms the text of a slice this long or longer in numpy.  Its fixed
+# cost, 0.2-0.5 ms a column (2 vCPU), is repaid from about 500 rows on the
+# three-column jump dump and from about 1 000 on the tables of six to eight
+# columns, whose full slices (2 048 to 2 730 rows) then take about 0.5-0.7
+# of the time `repr` takes
+_NUMPY_TEXT_ROWS = 1000
 
 
 class ConfigError(ValueError):
@@ -319,7 +326,10 @@ class _Rows:
     """Table rows made a slice at a time, for `_write_csv`: columns(lo, hi)
     gives the integer, float or string column arrays of rows [lo, hi).  So
     a per-path or per-jump table holds Python objects for the slice being
-    written only, not for every row of the batch."""
+    written only, not for every row of the batch.  Every cell is written as
+    `_cell` writes it, ``str`` of an int and ``repr`` of a float: a slice of
+    at least _NUMPY_TEXT_ROWS rows forms that text in numpy
+    (`_numtext.column_text`), a shorter one through the Python objects."""
 
     # a cell's text by its column's dtype kind, as `_cell` gives it
     _FORMAT = {"i": "{}", "u": "{}", "f": "{!r}", "U": "{}"}
@@ -332,12 +342,20 @@ class _Rows:
         return self.n_rows
 
     def text(self, lo: int, hi: int) -> str:
-        """The CSV lines of rows [lo, hi): the cells are plain Python ints
-        and floats, which need no quoting, and strings, which are written
-        unquoted, so a string column holds no comma, quote or newline."""
+        """The CSV lines of rows [lo, hi): ints and floats need no quoting,
+        and strings are written unquoted, so a string column holds ASCII
+        with no comma, quote or newline."""
         columns = self.columns(lo, min(hi, self.n_rows))
-        fmt = ",".join(self._FORMAT[c.dtype.kind] for c in columns) + "\n"
-        return "".join(map(fmt.format, *(c.tolist() for c in columns)))
+        rows = len(columns[0])
+        if rows < _NUMPY_TEXT_ROWS:
+            fmt = ",".join(self._FORMAT[c.dtype.kind] for c in columns) + "\n"
+            return "".join(map(fmt.format, *(c.tolist() for c in columns)))
+        # a cell per column of `lines`, its characters down from the top and
+        # NUL after them, a separator after each cell; read row by row
+        sep = np.full((1, rows), ord(","), dtype=np.uint8)
+        lines = np.concatenate([part for c in columns for part in (column_text(c), sep)])
+        lines[-1] = ord("\n")
+        return lines.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 _REPORT_HEADER = ("experiment", "parameter_digest", "estimate", "reference", "std_error", "z", "pass")

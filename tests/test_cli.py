@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hawkmal._numtext import column_text
 from hawkmal.cli import (
     ConfigError,
     _cell,
@@ -542,6 +543,30 @@ def test_simulate_paths_known_bytes(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "command, ini, paths, name, digest",
+    [
+        ("simulate", "[run]\nseed = 4242\nhorizon = 3.0\n", "2000", "simulate_paths.csv",
+         "36d3b1ffc3be91614c015b7e293d16196eb422cc13bceea43a3cd19936eb9b53"),
+        # its det_gamma column has cells in exponent notation
+        ("sde-density", "[run]\nseed = 11\n[sde]\npreset = linear-d2\n", "3000",
+         "sde_density_paths.csv",
+         "cc4df34b97a5380bbb0e2abefbc3a9918f50bab3102d95b04bcf06ecd4869f1e"),
+    ],
+)
+def test_numpy_text_known_bytes(tmp_path, command, ini, paths, name, digest):
+    # sha256 of dumps whose slices are long enough to take the numpy text,
+    # recorded when every cell went through repr
+    (tmp_path / "run.ini").write_text(ini)
+    with mock.patch("hawkmal.cli.column_text", wraps=column_text) as numpy_text:
+        assert run_cli(
+            command, "--config", str(tmp_path / "run.ini"), "--paths", paths,
+            "--out", str(tmp_path), "--no-timestamp",
+        ) == 0
+    assert numpy_text.called
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 _CELLS = st.one_of(
     st.integers(-2**70, 2**70),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -579,8 +604,9 @@ def test_write_csv_bytes_match_cell_text(tmp_path_factory, rows):
 )
 def test_write_csv_rows_slices_match_cell_text(tmp_path_factory, ints, floats, unsigned, flags):
     # a `_Rows` table writes its slices by column dtype; the file must read
-    # as if each cell went through `_cell`, at any slice boundary, a
-    # "true"/"false" string column as a column of bools
+    # as if each cell went through `_cell`, at any slice boundary and by
+    # either route (a full slice of 2 rows in numpy, a last row of 1 through
+    # repr), a "true"/"false" string column as a column of bools
     n = min(len(ints), len(floats), len(flags))
     a = np.array(ints[:n], dtype=np.int64)
     b = np.abs(a).astype(np.uint64) if unsigned else a
@@ -589,7 +615,7 @@ def test_write_csv_rows_slices_match_cell_text(tmp_path_factory, ints, floats, u
     text = np.where(f, "true", "false")
     dump = _Rows(n, lambda lo, hi: [a[lo:hi], b[lo:hi], c[lo:hi], text[lo:hi]])
     out = tmp_path_factory.mktemp("rows")
-    with mock.patch("hawkmal.cli._BLOCK_ELEMS", 9):  # slices of 2 rows
+    with mock.patch("hawkmal.cli._BLOCK_ELEMS", 9), mock.patch("hawkmal.cli._NUMPY_TEXT_ROWS", 2):
         path = _write_csv(str(out), "t.csv", "abc", ("x", "y", "z", "w"), dump, None)
     ref = io.StringIO(newline="")
     ref.write("# digest=abc\n")
