@@ -517,7 +517,7 @@ def _cmd_ibp_check(inv: _Invocation) -> bool:
     report = ibp_check(model, batch, m=m)
     passed = _report(inv, "ibp_report.csv", report)
 
-    head = batch.take(np.arange(min(_WEIGHT_DUMP_PATHS, batch.n_paths)))
+    head = batch.take(slice(0, _WEIGHT_DUMP_PATHS))
     times, mask, *terms = weight_arrays(model, head, m)
     rows, ordinal = np.nonzero(mask)  # row-major: by path, then by jump
     columns = (head.first_index + rows, ordinal + 1, *(c[mask] for c in (times, *terms)))

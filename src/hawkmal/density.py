@@ -22,6 +22,7 @@ import numpy as np
 
 from .model import AssumptionError, HawkesModel, _row_sums
 from .simulate import (
+    _BLOCK_ELEMS,
     PathBatch,
     _excitation_compensator,
     _excitation_sums,
@@ -339,16 +340,25 @@ def _ks_two_sided(samples: np.ndarray, cdf) -> Tuple[float, float]:
 def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
     """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T]: the other
     jump time integrated out by the chained rule, the grid by trapezoids,
-    the normalization cancelling in the ratio to the total mass."""
+    the normalization cancelling in the ratio to the total mass.
+
+    The grid points go in blocks whose rows, 64^(n-1) rows of n times a
+    point, hold _BLOCK_ELEMS times (128 points for n = 2): each row's log
+    kappa and each point's sum over its nodes are its own, so the density
+    has the same bits in any block."""
     grid = np.linspace(0.0, T, 8193 if n == 1 else 1025)
     ev = grid.copy()
     ev[0] = 0.5 * grid[1]  # kappa is defined for t > 0; continuous limit at 0
-    lo, hi = (0.0, ev) if coord else (ev, T)  # the other jump lies before or after
-    nodes, weights = _chained_rule(lo, hi, n - 1)
-    fixed = np.broadcast_to(ev.reshape((-1,) + (1,) * n), nodes.shape[:-1] + (1,))
-    rows = np.concatenate([nodes, fixed] if coord else [fixed, nodes], axis=-1)
-    vals = np.exp(log_kappa_rows(model, T, rows.reshape(-1, n))).reshape(weights.shape)
-    dens = (weights * vals).reshape(ev.size, -1).sum(axis=1)
+    dens = np.empty(ev.size)
+    step = max(1, _BLOCK_ELEMS // (n * _GL64[0].size ** (n - 1)))
+    for a in range(0, ev.size, step):
+        pts = ev[a:a + step]
+        lo, hi = (0.0, pts) if coord else (pts, T)  # the other jump lies before or after
+        nodes, weights = _chained_rule(lo, hi, n - 1)
+        fixed = np.broadcast_to(pts.reshape((-1,) + (1,) * n), nodes.shape[:-1] + (1,))
+        rows = np.concatenate([nodes, fixed] if coord else [fixed, nodes], axis=-1)
+        vals = np.exp(log_kappa_rows(model, T, rows.reshape(-1, n))).reshape(weights.shape)
+        dens[a:a + step] = (weights * vals).reshape(pts.size, -1).sum(axis=1)
     cdf = _cumulative_trapezoid(dens, grid)
     if cdf[-1] <= 0.0:
         raise NormalizationError("degenerate marginal: zero total mass")

@@ -118,16 +118,22 @@ def volterra_mean_intensity(model: HawkesModel, T: float, n_steps: int):
     s = np.linspace(0.0, T, n_steps + 1)
     lam = np.asarray(model.baseline.value(s), dtype=float)
     mu = np.asarray(model.kernel.mu(s), dtype=float)
-    denom = 1.0 - h * mu[0] / 2.0
+    denom = 1.0 - h * float(mu[0]) / 2.0
     if denom <= 0.0:
         raise AssumptionError("grid too coarse for the product trapezoidal rule")
     g = np.empty(n_steps + 1)
     g[0] = lam[0]
+    # rev[n - j] = mu[j]: the convolution's mu[k-1], ..., mu[1] are the
+    # contiguous rev[n - k + 1:n], which np.dot takes with no copy; the
+    # recurrence runs in Python floats, the same IEEE arithmetic as numpy's
+    # scalars at a fraction of their cost
+    rev = mu[::-1].copy()
+    mu_f, lam_f, g0 = mu.tolist(), lam.tolist(), float(g[0])
     for k in range(1, n_steps + 1):
-        conv = 0.5 * mu[k] * g[0]
+        conv = 0.5 * mu_f[k] * g0
         if k > 1:
-            conv += float(np.dot(mu[k - 1:0:-1], g[1:k]))
-        g[k] = (lam[k] + h * conv) / denom
+            conv += float(np.dot(rev[n_steps - k + 1:n_steps], g[1:k]))
+        g[k] = (lam_f[k] + h * conv) / denom
     return s, g
 
 

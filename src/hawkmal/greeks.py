@@ -26,7 +26,7 @@ import numpy as np
 from .malliavin import CameronMartinFunction, _divergence_rows, weight_arrays
 from .malliavin import divergence_m_batch  # noqa: F401  bench/layers.py traces greeks.divergence_m_batch
 from .model import AssumptionError, HawkesModel, _row_sums
-from .simulate import HawkesPath, PathBatch, _path_blocks, compensator_batch
+from .simulate import _BLOCK_ELEMS, HawkesPath, PathBatch, _path_blocks, compensator_batch
 
 _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -344,27 +344,44 @@ def fd_delta(
         raise ValueError("bump must be positive")
     if not bump < asset.x0:
         raise ValueError(f"bump {bump!r} must stay below x0 = {asset.x0!r}")
-    prices, _ = terminal_price_batch(asset, batch)
-    up = payoff.value(prices * (1.0 + bump / asset.x0))
-    dn = payoff.value(prices * (1.0 - bump / asset.x0))
-    return _plain_estimate("fd", asset, payoff, batch, (up - dn) / (2.0 * bump))
+
+    def values(prices, _):
+        up = payoff.value(prices * (1.0 + bump / asset.x0))
+        dn = payoff.value(prices * (1.0 - bump / asset.x0))
+        return (up - dn) / (2.0 * bump)
+
+    return _plain_estimate("fd", asset, payoff, batch, values)
 
 
 def pathwise_delta(asset: AssetModel, payoff: Payoff, batch: PathBatch) -> GreekEstimate:
     """E[1_{N_T>0} f'(S_T) S_T / x0], valid for differentiable payoffs."""
     if not payoff.differentiable:
         raise ValueError("pathwise estimator needs a payoff derivative")
-    prices, dprices = terminal_price_batch(asset, batch)
-    values = np.asarray(payoff.derivative(prices), dtype=float) * dprices
+
+    def values(prices, dprices):
+        return np.asarray(payoff.derivative(prices), dtype=float) * dprices
+
     return _plain_estimate("pathwise", asset, payoff, batch, values)
 
 
 def _plain_estimate(
     estimator: str, asset: AssetModel, payoff: Payoff, batch: PathBatch, values
 ) -> GreekEstimate:
-    """The plain-sample estimate of per-path `values`, each counted on
-    {N_T > 0} only: the tail of `fd_delta` and `pathwise_delta`."""
-    mean, se, ess = mc_estimate(np.where(batch.counts() > 0, values, 0.0))
+    """The plain-sample estimate of the per-path values(S_T, dS_T/dx0), each
+    counted on {N_T > 0} only: the tail of `fd_delta` and `pathwise_delta`.
+
+    The terminal prices and values run over contiguous blocks of
+    _BLOCK_ELEMS paths (`PathBatch.take` of a slice, which copies no jump
+    time), into one path-length vector: the pass holds the batch once, that
+    vector, and one block's working set.  A path's S_T, hence its value, has
+    the same bits in any block, so the estimate does too."""
+    sample = np.empty(batch.n_paths)
+    for lo in range(0, batch.n_paths, _BLOCK_ELEMS):
+        block = batch.take(slice(lo, lo + _BLOCK_ELEMS))
+        out = sample[lo:lo + block.n_paths]
+        out[:] = values(*terminal_price_batch(asset, block))
+        out[block.counts() == 0] = 0.0
+    mean, se, ess = mc_estimate(sample)
     return GreekEstimate(
         estimator=estimator,
         mean=mean,

@@ -223,7 +223,19 @@ class PathBatch:
     def take(self, idx) -> "PathBatch":
         """The paths at positions `idx` of this batch, in that order, as a
         batch of their own.  Its first_index is that of the first path taken,
-        so a cut index range keeps its path indices."""
+        so a cut index range keeps its path indices.  A slice (of step 1)
+        takes its contiguous paths with no copy of their jump times: the
+        block's flat_times is a view of this batch's."""
+        if isinstance(idx, slice):
+            lo, hi, step = idx.indices(self.n_paths)
+            if step != 1:
+                raise ValueError(f"a slice of paths needs step 1, got {step}")
+            hi = max(lo, hi)
+            a, b = self.offsets[lo], self.offsets[hi]
+            return PathBatch(
+                self.horizon, self.master_seed, self.first_index + lo,
+                self.offsets[lo:hi + 1] - a, self.flat_times[a:b],
+            )
         idx = np.asarray(idx, dtype=np.int64)
         counts = self.counts()[idx]
         offsets = np.zeros(idx.size + 1, dtype=np.int64)
@@ -266,12 +278,14 @@ def _check_simulable(model: HawkesModel) -> None:
 def _simulate_chunk(model, T, seed, first, n):
     """Lockstep thinning of the paths [first, first + n), for any kernel.
 
-    Returns the chunk's (offsets, flat_times).  The state arrays hold the
-    live paths only and are compressed each round.  Every live path proposes
-    once a round, so all of them share the draw counters: round r (from 1)
-    draws u1 and u2 at counters 2r - 2 and 2r - 1, and a path that leaves
-    discards its u2.  A path's draws thus depend on its index alone, not on
-    the chunk it runs in.
+    Returns the accepted jumps as per-round lists (rows, times), for
+    `_assemble`: the rows, 0..n-1 within the chunk, of the paths that
+    accepted a candidate in that round, and the candidates' times.  The
+    state arrays hold the live paths only and are compressed each round.
+    Every live path proposes once a round, so all of them share the draw
+    counters: round r (from 1) draws u1 and u2 at counters 2r - 2 and
+    2r - 1, and a path that leaves discards its u2.  A path's draws thus
+    depend on its index alone, not on the chunk it runs in.
 
     A draw is a pure function of (seed, path, counter), so drawing ahead
     moves no bit.  When its drawn rounds run out, the chunk draws the next R
@@ -287,9 +301,7 @@ def _simulate_chunk(model, T, seed, first, n):
     jumps padded with +inf.  Its width stays a power of two of at least 8,
     so that numpy's pairwise row sum adds the real lags in the same order at
     every width: a path's bytes then do not depend on its chunk's longest
-    path.
-    `filled` counts each live path's accepted jumps, which gives each jump
-    its ordinal within its path.
+    path; `filled` counts each live path's jumps in `hist`.
     """
     base = model.baseline
     gam = model.nonlinearity
@@ -302,12 +314,11 @@ def _simulate_chunk(model, T, seed, first, n):
     pidx = np.arange(first, first + n, dtype=np.uint64)
     t = np.zeros(n)
     S = np.zeros(n)
-    filled = np.zeros(n, dtype=np.int64)
     if not markov:
         hist = np.full((n, 8), np.inf)
+        filled = np.zeros(n, dtype=np.int64)
     u, used, lane = np.empty((0, n)), 0, None  # the drawn block, its rows consumed
     rows_acc: List[np.ndarray] = []
-    ords_acc: List[np.ndarray] = []
     times_acc: List[np.ndarray] = []
 
     rounds = 0
@@ -326,11 +337,11 @@ def _simulate_chunk(model, T, seed, first, n):
         t_prop = t - np.log(u1) / lam_bar
         keep = ~(t_prop > T)
         if not keep.all():
-            rows, filled = rows[keep], filled[keep]
+            rows = rows[keep]
             t, S, t_prop, lam_bar, u2 = t[keep], S[keep], t_prop[keep], lam_bar[keep], u2[keep]
             lane = np.flatnonzero(keep) if lane is None else lane[keep]
             if not markov:
-                hist = hist[keep]
+                hist, filled = hist[keep], filled[keep]
             if not rows.size:
                 break
 
@@ -344,36 +355,39 @@ def _simulate_chunk(model, T, seed, first, n):
         accept = u2 * lam_bar <= lam_star
         if accept.any():
             lanes = np.flatnonzero(accept)
-            col = filled[lanes]
             rows_acc.append(rows[lanes])
-            ords_acc.append(col)
             times_acc.append(t_prop[lanes])
             S_prop[lanes] += jump
-            filled[lanes] = col + 1
             if not markov:
+                col = filled[lanes]
+                filled[lanes] = col + 1
                 if col.max() == hist.shape[1]:
                     hist = np.concatenate([hist, np.full_like(hist, np.inf)], axis=1)
                 hist[lanes, col] = t_prop[lanes]
         S, t = S_prop, t_prop
 
-    return _assemble(rows_acc, ords_acc, times_acc, n)
+    return rows_acc, times_acc
 
 
-def _assemble(rows_acc, ords_acc, times_acc, n):
-    """Per-round (rows, ordinals, times) of accepted jumps -> CSR (offsets,
-    flat_times): each time goes to its row's offset plus its ordinal within
-    the row.  A row accepts at most once a round, and its ordinals grow
-    round by round, so its last ordinal + 1 is its count.  Round by round,
-    no temporary is larger than one round's jumps."""
-    counts = np.zeros(n, dtype=np.int64)
-    for rows, ords in zip(rows_acc, ords_acc):
-        counts[rows] = ords + 1
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    tms = np.empty(offsets[-1])
-    for rows, ords, times in zip(rows_acc, ords_acc, times_acc):
-        tms[offsets[rows] + ords] = times
-    return offsets, tms
+def _assemble(offsets, flat, rows_acc, times_acc):
+    """Lays a chunk's per-round (rows, times) of accepted jumps out in CSR
+    form, in place: `offsets` is the chunk's n + 1 slots of its batch's
+    offsets, the first one set, and `flat` the batch's jump times so far,
+    grown in place (a realloc) by the chunk's jumps, so the batch's times
+    exist once; no view of `flat` may be alive.  A row accepts at most once
+    a round: counting its rounds counts its jumps, and a running slot per
+    row, bumped round by round, puts each time after the row's earlier
+    ones."""
+    slot = np.zeros(offsets.size - 1, dtype=np.int64)
+    for rows in rows_acc:
+        slot[rows] += 1
+    np.cumsum(slot, out=offsets[1:])
+    offsets[1:] += offsets[0]
+    slot[:] = offsets[:-1]
+    flat.resize(int(offsets[-1]), refcheck=False)
+    for rows, times in zip(rows_acc, times_acc):
+        flat[slot[rows]] = times
+        slot[rows] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +406,11 @@ def simulate_batch(
 
     Bit-identical output for fixed (master_seed, first_index, n_paths): each
     path owns its RNG substream, and the paths are simulated in fixed-width
-    chunks by path index, which bound the lockstep arrays' memory.
+    chunks by path index, which bound the lockstep arrays' memory.  Each
+    chunk's offsets go straight into the batch's, and its jump times onto
+    the end of one array grown in place, so peak memory is the batch plus
+    one chunk's working set (its lockstep arrays and 16 bytes a jump of
+    per-round rows and times), not twice the batch.
     `n_workers` is accepted for compatibility and ignored; threads only
     slowed the GIL-bound chunks down.
     """
@@ -406,14 +424,14 @@ def simulate_batch(
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     _check_simulable(model)
 
-    results = [
-        _simulate_chunk(model, T, master_seed, first_index + s, min(_CHUNK, n_paths - s))
-        for s in range(0, n_paths, _CHUNK)
-    ]
-
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(off) for off, _ in results]), out=offsets[1:])
-    flat = np.concatenate([tms for _, tms in results])
+    flat = np.empty(0)
+    for s in range(0, n_paths, _CHUNK):
+        n = min(_CHUNK, n_paths - s)
+        # the chunk's rounds live only through this call, not into the next chunk's
+        _assemble(
+            offsets[s:s + n + 1], flat, *_simulate_chunk(model, T, master_seed, first_index + s, n)
+        )
     return PathBatch(
         horizon=float(T),
         master_seed=int(master_seed),

@@ -3,6 +3,7 @@ sentinels, normalization routes, the k_n bound, conditioned KS tests, and
 the numpy Simpson rule and Kolmogorov distribution against scipy and
 mpmath."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hawkmal.density import (
     normalization_constant,
     _cumulative_trapezoid,
     _kolmogorov_sf,
+    _marginal_cdf,
     _ks_two_sided,
     _simpson,
 )
@@ -341,6 +343,33 @@ def test_hawkes_conditioned_ks_n2(hawkes_batch):
     for rep in reports:
         assert rep.samples >= 1000
         assert rep.p_value > 0.01, f"{rep.test_name} p={rep.p_value:.4g}"
+
+
+def test_marginal_cdf_blocks_move_no_bit(monkeypatch):
+    # grid points in blocks of 37 (1 025 = 27 x 37 + 26) and of one give
+    # the CDF of one block, on the closed-form compensator and on tanh's
+    # segment quadrature
+    for model in (reference_model(), tanh_model(2.0)):
+        for n, coord in ((1, 0), (2, 0), (2, 1)):
+            monkeypatch.setattr(density, "_BLOCK_ELEMS", 1 << 40)
+            grid, want = _marginal_cdf(model, 5.0, n, coord)
+            elems = 37 * n * 64 ** (n - 1)
+            monkeypatch.setattr(density, "_BLOCK_ELEMS", elems)
+            got_grid, got = _marginal_cdf(model, 5.0, n, coord)
+            assert got_grid.tobytes() == grid.tobytes()
+            assert got.tobytes() == want.tobytes(), (n, coord)
+
+
+def test_marginal_cdf_memory_is_bounded():
+    # the n = 2 rule over all 1 025 grid points at once took 4.7 MB
+    for coord in (0, 1):
+        tracemalloc.start()
+        try:
+            _marginal_cdf(reference_model(), 5.0, 2, coord)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"coordinate {coord} peaked at {peak / 2**20:.2f} MB"
 
 
 def test_wrong_model_rejected(hawkes_batch):

@@ -4,6 +4,7 @@ plumbing (deterministic reductions, exclusion diagnostics)."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,6 +323,26 @@ def test_one_jump_stratum_exactness(model, asset):
     restitution = _one_jump_boundary_term(asset, payoff, T)
     assert weighted + restitution == pytest.approx(pathwise, abs=1e-9)
     assert abs(weighted - pathwise) > 100.0 * abs(pathwise)  # the flux is not small
+
+
+def test_fd_and_pathwise_hold_a_few_path_vectors(asset, model):
+    # contiguous blocks of paths: over the batch, a pass holds its sample
+    # vector and `mc_estimate`'s two temporaries, plus one block's working
+    # set; over the whole batch at once it held five to seven vectors
+    big = simulate_batch(model, T=5.0, master_seed=17, n_paths=80_000)
+    bound = 3 * 8 * big.n_paths + (1 << 20)
+    passes = {
+        "fd_delta": lambda: fd_delta(asset, Payoff.digital(100.0), big, bump=1.0),
+        "pathwise_delta": lambda: pathwise_delta(asset, smooth_payoff(asset.x0), big),
+    }
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{name} peaked at {peak / 2**20:.2f} MB"
 
 
 def test_pathwise_needs_derivative(asset, batch):

@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+import hawkmal.greeks
 import hawkmal.simulate
 from hawkmal.density import _log_kappa_parts, log_kappa, log_kappa_rows
 from hawkmal.experiments import _ibp_differences, mean_intensity_batch, smooth_catalog
 from hawkmal.greeks import (
     AssetModel,
     Payoff,
+    fd_delta,
     malliavin_delta,
+    pathwise_delta,
     terminal_price,
     terminal_price_batch,
 )
@@ -220,6 +223,24 @@ def test_batch_csr_roundtrip():
     assert total == batch.flat_times.size
 
 
+def test_take_of_a_slice_is_a_view_of_the_same_paths():
+    # a slice takes what take(np.arange(...)) takes, with its jump times a
+    # view of the batch's, not a copy
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=11, n_paths=50, first_index=9)
+    for lo, hi in ((0, 50), (7, 23), (49, 50), (10, 10), (40, 99)):
+        view, copy = batch.take(slice(lo, hi)), batch.take(np.arange(lo, min(hi, 50)))
+        assert view.n_paths == copy.n_paths
+        assert view.offsets.tobytes() == copy.offsets.tobytes()
+        assert view.flat_times.tobytes() == copy.flat_times.tobytes()
+        assert (view.horizon, view.master_seed) == (batch.horizon, batch.master_seed)
+        if view.n_paths:
+            assert view.first_index == copy.first_index == 9 + lo
+        if view.flat_times.size:
+            assert np.shares_memory(view.flat_times, batch.flat_times)
+    with pytest.raises(ValueError, match="step 1"):
+        batch.take(slice(0, 50, 2))
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_batch_matches_single_paths():
@@ -346,6 +367,20 @@ def test_draw_ahead_depth_moves_no_bit(name, first, n, seed):
         seen.add((batch.offsets.tobytes(), batch.flat_times.tobytes(),
                   path.jump_times.tobytes()))
     assert len(seen) == 1
+
+
+def test_uneven_chunks_lay_out_the_same_batch():
+    # 2 000 paths in chunks of 333 (six and a two-path tail), 1 000 and
+    # 1 999 (a one-path tail): each chunk's offsets and times go into the
+    # batch's arrays in place, with the bytes of one default-width chunk
+    for model in (reference_model(), reference_tanh_model(),
+                  linear_model(triangular_kernel(), lam=2.0)):
+        want = simulate_batch(model, 5.0, 29, 2000, first_index=3)
+        for width in (333, 1000, 1999):
+            with mock.patch.object(hawkmal.simulate, "_CHUNK", width):
+                got = simulate_batch(model, 5.0, 29, 2000, first_index=3)
+            assert got.offsets.tobytes() == want.offsets.tobytes(), width
+            assert got.flat_times.tobytes() == want.flat_times.tobytes(), width
 
 
 def test_at_most_one_philox_call_per_lockstep_round(monkeypatch):
@@ -1027,8 +1062,14 @@ def blocked_results(model, batch):
         "compensator at T/2": compensator_batch(model, batch, 0.5 * T),
         "log_kappa_rows": log_kappa_rows(model, T, times[batch.counts() >= 2, :2]),
     }
+    asset = AssetModel(100.0, 0.05, 0.3, model)
+    for name, est in (
+        ("fd_delta", fd_delta(asset, Payoff.digital(100.0), batch, bump=1.0)),
+        ("pathwise_delta", pathwise_delta(asset, Payoff.capped_linear(90.0, 110.0), batch)),
+    ):
+        out[name] = np.array([est.mean, est.std_error, est.effective_sample_size])
     if model.nonlinearity.is_linear():
-        est = malliavin_delta(AssetModel(100.0, 0.05, 0.3, model), Payoff.digital(100.0), batch)
+        est = malliavin_delta(asset, Payoff.digital(100.0), batch)
         out["malliavin_delta"] = np.array([
             est.mean, est.std_error, est.effective_sample_size, est.excluded,
             est.min_abs_denominator,
@@ -1042,13 +1083,15 @@ def blocked_results(model, batch):
 @example(kind="custom", seed=31, n=60)
 def test_blocked_routines_give_the_same_bits_at_any_block_size(kind, seed, n):
     # one row a block, odd blocks, the default and the whole batch in one
-    # block: every per-path result, and so every estimate, keeps its bits
+    # block: every per-path result, and so every estimate, keeps its bits;
+    # the FD and pathwise deltas take contiguous blocks of as many paths
     model = contract_model(kind)
     batch = simulate_batch(model, 5.0, seed, n)
     want = blocked_results(model, batch)
     for elems in (1, 37, 2**40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hawkmal.simulate, "_BLOCK_ELEMS", elems)
+            mp.setattr(hawkmal.greeks, "_BLOCK_ELEMS", elems)
             got = blocked_results(model, batch)
         for key, rows in want.items():
             np.testing.assert_array_equal(got[key], rows, err_msg=f"{key} at {elems}")
@@ -1090,6 +1133,25 @@ def test_outlier_path_keeps_memory_bounded():
         finally:
             tracemalloc.stop()
         assert peak < _OUTLIER_BUDGET, f"{name} peaked at {peak / 2**20:.1f} MB"
+
+
+# tracemalloc peak allowed to `simulate_batch` beyond its output: one
+# chunk's working set, whatever the batch size.  It reads about 3 MB on
+# reference paths; a second copy of the jump times, as a concatenation of
+# the chunks' results made, would add the 5.6 MB of an 80 000-path batch.
+_CHUNK_WORKING_SET = 4 << 20
+
+
+def test_simulate_batch_holds_its_batch_once():
+    for n in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(reference_model(), 5.0, 7, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess = peak - batch.offsets.nbytes - batch.flat_times.nbytes
+        assert excess < _CHUNK_WORKING_SET, f"{n} paths: {excess / 2**20:.2f} MB over the batch"
 
 
 def check_markov_route(paths, alpha, beta, cap):
