@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .model import AssumptionError, HawkesModel, _row_sums
+from .model import AssumptionError, HawkesModel, _ModelKey, _read_only, _row_sums
 from .simulate import (
     _BLOCK_ELEMS,
     PathBatch,
     _excitation_compensator,
     _excitation_sums,
-    _row_blocks,
     simulate_batch,
 )
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator
@@ -80,17 +79,20 @@ def log_kappa(model: HawkesModel, T: float, times) -> float:
 
 def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray:
     """Vectorized log kappa over rows of sorted, strictly increasing times
-    inside (0, T], in `_row_blocks` of bounded size.  No simplex check is
-    performed here."""
+    inside (0, T], in contiguous slices of _BLOCK_ELEMS times: every row
+    has the same width, so no sort by jump count is needed.  No simplex
+    check is performed here."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be (n_points, n) shaped")
-    counts = np.full(rows.shape[0], rows.shape[1])
+    P, n = rows.shape
+    counts = np.full(P, n)
     base = float(model.baseline.integral(np.float64(T)))
-    out = np.empty(rows.shape[0])
-    for idx, _ in _row_blocks(counts, lambda K: K):
-        log_prod, exc = _log_kappa_parts(model, rows[idx], counts[idx], T)
-        out[idx] = log_prod - (base + exc)
+    out = np.empty(P)
+    step = max(1, _BLOCK_ELEMS // max(n, 1))
+    for a in range(0, P, step):
+        log_prod, exc = _log_kappa_parts(model, rows[a:a + step], counts[a:a + step], T)
+        out[a:a + step] = log_prod - (base + exc)
     return out
 
 
@@ -111,23 +113,16 @@ def _log_kappa_parts(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
 # ---------------------------------------------------------------------------
 
 # Entries each normalization cache keeps, least recently used dropped first:
-# far above the one or two (model, T) keys a run uses.
+# far above the one or two (model, T) keys a run uses.  An entry is a float
+# or a histogram of N_T over 200 000 paths, 8 bytes a count up to the
+# largest (a few hundred bytes on the reference model).
 _CACHE_SIZE = 64
-
-
-@dataclass(frozen=True)
-class _ModelKey:
-    """A model that caches compare and hash by its digest key alone, so
-    equal models built apart share entries."""
-
-    digest: tuple
-    model: HawkesModel = field(compare=False)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _count_histogram(key: _ModelKey, T: float) -> np.ndarray:
     batch = simulate_batch(key.model, T, DEFAULT_NORMALIZATION_SEED, DEFAULT_NORMALIZATION_PATHS)
-    return np.bincount(batch.counts())
+    return _read_only(np.bincount(batch.counts()))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -137,8 +132,9 @@ def _quadrature_mass(key: _ModelKey, T: float, n: int) -> float:
 
 def count_distribution(model: HawkesModel, T: float) -> np.ndarray:
     """Histogram of N_T over the DEFAULT_NORMALIZATION_PATHS paths simulated
-    at seed DEFAULT_NORMALIZATION_SEED, cached per model and T."""
-    return _count_histogram(_ModelKey(model.digest_key(), model), float(T))
+    at seed DEFAULT_NORMALIZATION_SEED, cached per model and T and handed
+    out read-only."""
+    return _count_histogram(_ModelKey.of(model), float(T))
 
 
 def normalization_constant(model: HawkesModel, T: float, n: int) -> Tuple[float, float]:
@@ -152,7 +148,7 @@ def normalization_constant(model: HawkesModel, T: float, n: int) -> Tuple[float,
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n <= _QUADRATURE_MAX_N:
-        return _quadrature_mass(_ModelKey(model.digest_key(), model), float(T), int(n)), 0.0
+        return _quadrature_mass(_ModelKey.of(model), float(T), int(n)), 0.0
     hist = count_distribution(model, T)
     p = float(hist[n]) / DEFAULT_NORMALIZATION_PATHS if n < hist.size else 0.0
     return p, math.sqrt(p * (1.0 - p) / DEFAULT_NORMALIZATION_PATHS)
@@ -365,6 +361,19 @@ def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
     return grid, cdf / cdf[-1]
 
 
+# Entries the marginal cache keeps, least recently used dropped first: a
+# density-check fills three, (n, coord) = (1, 0), (2, 0) and (2, 1), for its
+# (model, T).  An entry is a grid and its CDF, 2 x 8 193 doubles (131 KB) at
+# n = 1 and 2 x 1 025 (16 KB) at n = 2, so the cache holds at most 1.05 MB.
+_MARGINAL_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_MARGINAL_CACHE_SIZE)
+def _cached_marginal_cdf(key: _ModelKey, T: float, n: int, coord: int):
+    """`_marginal_cdf` per (model, T, n, coord), its arrays read-only."""
+    return _read_only(*_marginal_cdf(key.model, T, n, coord))
+
+
 def density_vs_empirical(
     model: HawkesModel,
     n: int,
@@ -372,9 +381,10 @@ def density_vs_empirical(
     min_conditioned: int = 1000,
 ) -> List[GoodnessOfFit]:
     """KS tests of the jump times of the batch's paths with N_T = n against
-    the k_n marginals obtained by quadrature up to the batch's horizon.
-    Supports n = 1 and n = 2; for the conditional CDF the normalization
-    cancels (cumulative over total mass)."""
+    the k_n marginals obtained by quadrature up to the batch's horizon,
+    cached per (model, horizon, n, coordinate).  Supports n = 1 and n = 2;
+    for the conditional CDF the normalization cancels (cumulative over
+    total mass)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     counts = batch.counts()
@@ -389,10 +399,11 @@ def density_vs_empirical(
             "marginal quadrature is implemented for n <= 2; higher orders need "
             "multi-dimensional integration"
         )
+    key = _ModelKey.of(model)
     out = []
     for coord in range(n):
         samples = batch.flat_times[batch.offsets[sel] + coord]
-        grid, cdf = _marginal_cdf(model, batch.horizon, n, coord)
+        grid, cdf = _cached_marginal_cdf(key, float(batch.horizon), n, coord)
         stat, p = _ks_two_sided(samples, lambda v: np.interp(v, grid, cdf))
         name = "ks_T1" if n == 1 else f"ks_T{coord + 1}_of_{n}"
         out.append(GoodnessOfFit(n, name, stat, p, m))

@@ -4,6 +4,7 @@ whose statistics pass at |z| <= 3 and which is reproducible bit-exactly
 from (inputs digest, master seed)."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .malliavin import (
     product_smooth,
     z_eps_batch,
 )
-from .model import AssumptionError, HawkesModel, _row_sums
+from .model import AssumptionError, HawkesModel, _ModelKey, _read_only, _row_sums
 from .simulate import PathBatch, _path_blocks, padded_jumps
 
 _Z_THRESHOLD = 3.0
@@ -101,15 +102,32 @@ def _direction_key(m: CameronMartinFunction) -> tuple:
 
 # ---- mean intensity via the Volterra equation ----
 
+# Entries the Volterra cache keeps, least recently used dropped first: a
+# mean-intensity check fills two, at n_steps and 2 n_steps, for its
+# (model, T).  An entry is a grid and g, 16 (n_steps + 1) bytes (98 KB for
+# the two of the default 2 048 steps).
+_VOLTERRA_CACHE_SIZE = 8
+
+
 def volterra_mean_intensity(model: HawkesModel, T: float, n_steps: int):
     """Solve g(s) = lambda_s + int_0^s mu(s-t) g(t) dt on a uniform grid.
 
     Product trapezoidal rule:
     g_k = [lambda_k + h(mu_k g_0 / 2 + sum_{j=1}^{k-1} mu_{k-j} g_j)]
           / (1 - h mu_0 / 2).
-    Returns (grid, g).  The mean conditional intensity solves this equation
-    for linear models only.
+    Returns (grid, g), cached per (model, T, n_steps) and read-only.  The
+    mean conditional intensity solves this equation for linear models only.
     """
+    return _cached_volterra(_ModelKey.of(model), float(T), n_steps)
+
+
+@functools.lru_cache(maxsize=_VOLTERRA_CACHE_SIZE)
+def _cached_volterra(key: _ModelKey, T: float, n_steps: int):
+    return _read_only(*_volterra_solve(key.model, T, n_steps))
+
+
+def _volterra_solve(model: HawkesModel, T: float, n_steps: int):
+    """The uncached `volterra_mean_intensity`."""
     if not model.nonlinearity.is_linear():
         raise UnsupportedModelError("the mean-intensity equation needs linear gamma")
     if n_steps < 2:
@@ -198,12 +216,13 @@ def unit_mass_check(
     m: Optional[CameronMartinFunction] = None,
     eps_values: Sequence[float] = (1e-1, 1e-2, 1e-3),
 ) -> ExperimentReport:
-    """E[Z^eps] = 1 for each eps, at 3 standard errors."""
+    """E[Z^eps] = 1 for each eps, at 3 standard errors; one `z_eps_batch`
+    walk of the batch serves every eps."""
     if m is None:
         m = CameronMartinFunction.default(batch.horizon)
     rows = []
-    for eps in eps_values:
-        z_vals = z_eps_batch(model, batch, m, float(eps))
+    z_rows = z_eps_batch(model, batch, m, [float(eps) for eps in eps_values])
+    for eps, z_vals in zip(eps_values, z_rows):
         mean, se, _ = mc_estimate(z_vals)
         rows.append(_row(f"eps={eps:g}", mean, 1.0, se))
     digest = _batch_digest(

@@ -518,36 +518,52 @@ def divergence_m_batch(model: HawkesModel, batch: PathBatch, m: CameronMartinFun
     return out
 
 
-def z_eps_batch(
-    model: HawkesModel, batch: PathBatch, m: CameronMartinFunction, eps: float
-) -> np.ndarray:
+def z_eps_batch(model: HawkesModel, batch: PathBatch, m: CameronMartinFunction, eps) -> np.ndarray:
     """Z^eps for every path: the density ratio under the time shift
-    Phi_eps(u) = u + eps m_hat(u), times prod_i (1 + eps m(T_i)).
+    Phi_eps(u) = u + eps m_hat(u), times prod_i (1 + eps m(T_i)).  eps is
+    one value, giving (n_paths,), or a sequence of E values, giving
+    (E, n_paths) whose rows have the bits of one-value calls.
 
     Bounded m requires eps sup|m| < 1/3 (no truncation needed); an
     unbounded direction is clamped at +-1/(3 eps) and re-centered, once per
-    batch.  log kappa of the shifted and of the unshifted jumps comes from
-    one stacked (2B, K) block of each of the `_path_blocks` through the
-    density's `_log_kappa_parts`; the baseline integral is left out, as it
-    cancels in the ratio.  m must have the batch's horizon.
+    eps and batch.  log kappa of the E shifted copies and of the unshifted
+    jumps comes from one stacked ((E+1)B, K) block of each of the
+    `_path_blocks` through the density's `_log_kappa_parts`, so every eps
+    shares the unshifted rows, and a bounded m's samples at the jumps; the
+    baseline integral is left out, as it cancels in the ratio.  m must have
+    the batch's horizon.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    _check_horizon(m, batch.horizon)
-    if not m.bounded:
-        m = _truncated_direction(m, eps)
-    elif not eps * m.sup_m < 1.0 / 3.0:
-        raise AssumptionError(f"eps * sup|m| = {eps * m.sup_m:.3g} must stay below 1/3")
+    eps_values = [float(e) for e in np.atleast_1d(eps)]
+    directions = []
+    for e in eps_values:
+        if not 0.0 < e < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {e}")
+        _check_horizon(m, batch.horizon)
+        if not m.bounded:
+            directions.append(_truncated_direction(m, e))
+        elif not e * m.sup_m < 1.0 / 3.0:
+            raise AssumptionError(f"eps * sup|m| = {e * m.sup_m:.3g} must stay below 1/3")
+        else:
+            directions.append(m)
 
     T = batch.horizon
-    out = np.empty(batch.n_paths)
-    for idx, block in _path_blocks(batch, lambda K: 2 * K):
+    E = len(eps_values)
+    distinct = {id(d): d for d in directions}  # a bounded m is every eps's direction
+    out = np.empty((E, batch.n_paths))
+    for idx, block in _path_blocks(batch, lambda K: (E + 1) * K):
         times, mask = padded_jumps(block)
-        shifted = np.where(mask, times + eps * np.asarray(m.m_hat(times), dtype=float), T)
+        at = {
+            key: (np.asarray(d.m_hat(times), dtype=float), np.asarray(d.m(times), dtype=float))
+            for key, d in distinct.items()
+        }
+        shifted = [
+            np.where(mask, times + e * at[id(d)][0], T) for e, d in zip(eps_values, directions)
+        ]
         log_prod, exc = _log_kappa_parts(
-            model, np.concatenate([shifted, times]), np.tile(block.counts(), 2), T
+            model, np.concatenate(shifted + [times]), np.tile(block.counts(), E + 1), T
         )
-        log_kappa = log_prod - exc
-        log_jac = _row_sums(np.log1p(eps * np.asarray(m.m(times), dtype=float)), mask)
-        out[idx] = np.exp(log_kappa[:idx.size] - log_kappa[idx.size:] + log_jac)
-    return out
+        log_kappa = (log_prod - exc).reshape(E + 1, idx.size)
+        for row, e, d, lk in zip(out, eps_values, directions, log_kappa):
+            log_jac = _row_sums(np.log1p(e * at[id(d)][1]), mask)
+            row[idx] = np.exp(lk - log_kappa[E] + log_jac)
+    return out if np.ndim(eps) else out[0]

@@ -16,7 +16,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -330,10 +330,11 @@ class HawkesModel:
         return _row_sums(strict_lags(self.kernel.mu, jump_times, s))
 
     def digest_key(self) -> tuple:
-        """Hashable identity for caches (normalization constants etc.) and
-        report digests; it ends with the nonlinearity's parameters (none
-        for the linear family) and, for a custom kernel, with mu and mu_hat
-        sampled on a fixed probe grid."""
+        """Hashable identity for report digests; it ends with the
+        nonlinearity's parameters (none for the linear family) and, for a
+        custom kernel, with mu and mu_hat sampled on a fixed probe grid.
+        Caches key a model by `_ModelKey`, which adds a custom kernel's
+        callables."""
         key = (
             self.baseline.family,
             self.baseline.params,
@@ -352,6 +353,33 @@ class HawkesModel:
                 for v in np.asarray(fn(_KERNEL_PROBE), dtype=float)
             )
         return key
+
+
+@dataclass(frozen=True)
+class _ModelKey:
+    """A model as the key of every cache of (model, ...) results: compared
+    and hashed by `identity` alone, so equal models built apart share
+    entries.  The identity is the digest key and, for a custom kernel, the
+    kernel itself, callables included: two custom kernels can agree on the
+    probe grid and differ elsewhere."""
+
+    identity: tuple
+    model: HawkesModel = field(compare=False)
+
+    @staticmethod
+    def of(model: HawkesModel) -> "_ModelKey":
+        identity = model.digest_key()
+        if model.kernel.family == "custom":
+            identity += (model.kernel,)
+        return _ModelKey(identity, model)
+
+
+def _read_only(*arrays: np.ndarray):
+    """The arrays, marked read-only in place, so a cache can hand them out:
+    a caller that writes to one raises instead of changing the entry."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 def validate_assumptions(model: HawkesModel) -> ValidationReport:

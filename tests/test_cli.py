@@ -723,6 +723,38 @@ def test_mean_intensity_report(tmp_path):
     assert 0.0 < float(comments["volterra_bound"]) < 1e-4
 
 
+def test_cached_references_write_the_same_files_cold_and_warm(tmp_path):
+    # density-check's KS marginals and mean-intensity's Volterra solutions
+    # are cached per (model, T): the run that fills the cache and the run
+    # that reads it write the same bytes
+    from hawkmal import density, experiments
+
+    ini = tmp_path / "cache.ini"
+    ini.write_text(
+        "[density]\nmax_n = 2\nmin_conditioned = 5\n"
+        "[experiment]\ngrid_points = 4\nvolterra_steps = 128\n"
+    )
+    # each command's cache and the entries one run fills: three marginals, two solutions
+    caches = {
+        "density-check": (density._cached_marginal_cdf, 3),
+        "mean-intensity": (experiments._cached_volterra, 2),
+    }
+    for command, (cache, entries) in caches.items():
+        cache.cache_clear()
+        runs = []
+        for where in ("cold", "warm"):
+            out = tmp_path / command / where
+            code = run_cli(
+                command, "--config", str(ini), "--paths", "500", "--seed", "83",
+                "--out", str(out), "--no-timestamp",
+            )
+            runs.append((code, _artifact_bytes(out)))
+        assert runs[0][1], f"{command} wrote no CSV artifacts"
+        assert runs[0] == runs[1], f"{command} wrote other files from its cache"
+        info = cache.cache_info()
+        assert info.hits == info.misses == entries
+
+
 def test_unit_mass_and_ibp_reports(tmp_path):
     out = tmp_path / "out"
     assert run_cli(

@@ -34,6 +34,7 @@ from hawkmal.model import (
     HawkesModel,
     KernelSpec,
     NonlinearitySpec,
+    _ModelKey,
     intensity,
 )
 from hawkmal.simulate import HawkesPath, compensator, simulate_batch
@@ -260,6 +261,80 @@ def test_normalization_caches_are_bounded_and_keyed_by_digest():
     assert counts.cache_info().maxsize == density._CACHE_SIZE
 
 
+def test_marginal_cache_is_bounded_and_keyed_by_model_and_horizon():
+    # the KS marginals are cached per (model, T, n, coord), at most
+    # _MARGINAL_CACHE_SIZE of them
+    cached = density._cached_marginal_cdf
+    assert density._CACHE_SIZE == 64 and density._MARGINAL_CACHE_SIZE == 8
+    assert cached.cache_info().maxsize == density._MARGINAL_CACHE_SIZE
+    cached.cache_clear()
+    key = _ModelKey.of(reference_model())
+    horizons = [1.0 + 0.01 * k for k in range(density._MARGINAL_CACHE_SIZE + 1)]
+    for T in horizons:
+        grid, cdf = cached(key, T, 2, 0)
+        want_grid, want = _marginal_cdf(reference_model(), T, 2, 0)
+        assert grid.tobytes() == want_grid.tobytes() and cdf.tobytes() == want.tobytes()
+    info = cached.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (density._MARGINAL_CACHE_SIZE, len(horizons), 0)
+    assert cached(_ModelKey.of(reference_model()), horizons[-1], 2, 0)[1] is cdf
+    assert cached.cache_info().hits == 1
+
+
+def test_cached_arrays_are_read_only():
+    # a caller that writes to a cached array raises, and the entry keeps
+    # its values: the histogram behind Z_n for n > 3 and the KS marginals
+    model = reference_model()
+    hist = count_distribution(model, 1.0)
+    before = normalization_constant(model, 1.0, 4)
+    assert before[0] > 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        hist[4] = 0
+    assert normalization_constant(model, 1.0, 4) == before
+    for array in density._cached_marginal_cdf(_ModelKey.of(model), 5.0, 1, 0):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def custom_wiggle_model(amp):
+    """0.5 e^{-t} + amp sin(16 pi t) 1{t < 2}, as a custom kernel: the
+    wiggle and its antiderivative vanish at every probe lag, multiples of
+    1/8, so every amp has the digest key of amp = 0."""
+    w = 16.0 * math.pi
+
+    def mu(t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 * np.exp(-t) + amp * np.where(t < 2.0, np.sin(w * t), 0.0)
+
+    def mu_prime(t):
+        t = np.asarray(t, dtype=float)
+        return -0.5 * np.exp(-t) + amp * np.where(t < 2.0, w * np.cos(w * t), 0.0)
+
+    def mu_hat(t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 * -np.expm1(-t) + amp * np.where(t < 2.0, (1.0 - np.cos(w * t)) / w, 0.0)
+
+    kernel = KernelSpec.custom(
+        mu, mu_prime, mu_hat, l1_norm=0.5, sup_norm=0.501, sup_deriv=0.5 + 1e-3 * w, nonincreasing=True
+    )
+    return HawkesModel(BaselineSpec.constant(1.0), kernel, NonlinearitySpec.linear())
+
+
+def test_cache_keys_tell_apart_custom_kernels_that_agree_on_the_probe():
+    # the report digest cannot tell the two kernels apart; the cache key
+    # holds the kernel's callables, so neither model reads the other's Z_1
+    from hawkmal.density import _simplex_quadrature_mass
+
+    m1, m2 = custom_wiggle_model(0.0), custom_wiggle_model(1e-3)
+    assert m1.digest_key() == m2.digest_key()
+    assert _ModelKey.of(m1) != _ModelKey.of(m2)
+    assert _ModelKey.of(m1) == _ModelKey.of(m1)
+    z1, _ = normalization_constant(m1, 5.0, 1)
+    z2, _ = normalization_constant(m2, 5.0, 1)
+    assert z1 == _simplex_quadrature_mass(m1, 5.0, 1)
+    assert z2 == _simplex_quadrature_mass(m2, 5.0, 1)
+    assert z1 != z2
+
+
 def test_normalization_refusals():
     model = reference_model()
     # far tail: too few (or zero) hits
@@ -348,7 +423,8 @@ def test_hawkes_conditioned_ks_n2(hawkes_batch):
 def test_marginal_cdf_blocks_move_no_bit(monkeypatch):
     # grid points in blocks of 37 (1 025 = 27 x 37 + 26) and of one give
     # the CDF of one block, on the closed-form compensator and on tanh's
-    # segment quadrature
+    # segment quadrature; `_marginal_cdf` is the uncached routine, so each
+    # call computes
     for model in (reference_model(), tanh_model(2.0)):
         for n, coord in ((1, 0), (2, 0), (2, 1)):
             monkeypatch.setattr(density, "_BLOCK_ELEMS", 1 << 40)
@@ -361,7 +437,8 @@ def test_marginal_cdf_blocks_move_no_bit(monkeypatch):
 
 
 def test_marginal_cdf_memory_is_bounded():
-    # the n = 2 rule over all 1 025 grid points at once took 4.7 MB
+    # the n = 2 rule over all 1 025 grid points at once took 4.7 MB; the
+    # uncached routine runs it every call
     for coord in (0, 1):
         tracemalloc.start()
         try:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hawkmal import experiments
 from hawkmal.experiments import (
     ExperimentReport,
     _ibp_differences,
@@ -58,12 +59,20 @@ def batch(model):
 
 # ---- Volterra solver ----
 
+@pytest.fixture
+def cold_volterra():
+    """A Volterra test solves the equation, not reads an earlier solution."""
+    experiments._cached_volterra.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_volterra")
 def test_volterra_matches_closed_form(model):
     s, g = volterra_mean_intensity(model, T=5.0, n_steps=4096)
     exact = 2.0 - np.exp(-0.5 * s)
     assert np.max(np.abs(g - exact)) <= 1e-6
 
 
+@pytest.mark.usefixtures("cold_volterra")
 def test_volterra_poisson_reduces_to_baseline():
     poisson = HawkesModel(
         baseline=BaselineSpec.constant(1.0),
@@ -74,6 +83,7 @@ def test_volterra_poisson_reduces_to_baseline():
     assert np.array_equal(g, np.ones_like(s))
 
 
+@pytest.mark.usefixtures("cold_volterra")
 def test_volterra_expected_count(model):
     # E[N_T] = int_0^T g; trapezoid on the fine grid
     s, g = volterra_mean_intensity(model, T=5.0, n_steps=8192)
@@ -81,6 +91,7 @@ def test_volterra_expected_count(model):
     assert count == pytest.approx(10.0 - 2.0 * (1.0 - math.exp(-2.5)), abs=1e-6)
 
 
+@pytest.mark.usefixtures("cold_volterra")
 def test_volterra_order_two_convergence(model):
     _, g1 = volterra_mean_intensity(model, T=5.0, n_steps=1024)
     _, g2 = volterra_mean_intensity(model, T=5.0, n_steps=2048)
@@ -91,6 +102,7 @@ def test_volterra_order_two_convergence(model):
     assert bound / (next_diff / 3.0) == pytest.approx(4.0, rel=0.15)
 
 
+@pytest.mark.usefixtures("cold_volterra")
 def test_volterra_rejects_nonlinear():
     bent = HawkesModel(
         baseline=BaselineSpec.constant(1.0),
@@ -99,6 +111,33 @@ def test_volterra_rejects_nonlinear():
     )
     with pytest.raises(UnsupportedModelError, match="linear"):
         volterra_mean_intensity(bent, T=5.0, n_steps=64)
+
+
+def test_volterra_cache_is_bounded_read_only_and_keyed_by_model(model):
+    # solutions are cached per (model, T, n_steps), at most
+    # _VOLTERRA_CACHE_SIZE of them, and handed out read-only
+    cached = experiments._cached_volterra
+    assert experiments._VOLTERRA_CACHE_SIZE == 8
+    assert cached.cache_info().maxsize == experiments._VOLTERRA_CACHE_SIZE
+    cached.cache_clear()
+    steps = [64 + k for k in range(experiments._VOLTERRA_CACHE_SIZE + 1)]
+    for n_steps in steps:
+        s, g = volterra_mean_intensity(model, 5.0, n_steps)
+        want_s, want = experiments._volterra_solve(model, 5.0, n_steps)
+        assert s.tobytes() == want_s.tobytes() and g.tobytes() == want.tobytes()
+    info = cached.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (experiments._VOLTERRA_CACHE_SIZE, len(steps), 0)
+    again = volterra_mean_intensity(
+        HawkesModel(BaselineSpec.constant(1.0), KernelSpec.exponential(0.5, 1.0), NonlinearitySpec.linear()),
+        5.0,
+        steps[-1],
+    )
+    assert again[1] is g and cached.cache_info().hits == 1
+    for array in again:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    other = HawkesModel(BaselineSpec.constant(1.0), KernelSpec.exponential(0.4, 1.0), NonlinearitySpec.linear())
+    assert not np.array_equal(volterra_mean_intensity(other, 5.0, steps[-1])[1], g)
 
 
 # ---- MC mean intensity ----

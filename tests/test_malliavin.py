@@ -808,6 +808,30 @@ def test_z_eps_unbounded_direction_truncated():
     assert abs(z_eps(model, path, m, 1e-8) - 1.0) <= 1e-8
 
 
+def test_z_eps_batch_over_many_eps_is_its_one_eps_calls():
+    # one walk serves a sequence of eps, and each row has the bits of its
+    # own call: on linear gamma and on tanh, for a bounded direction and for
+    # an unbounded one, which each eps clamps at its own 1/(3 eps)
+    T = 5.0
+    c = 2.0 / math.sqrt(T)
+    unbounded = CameronMartinFunction.from_callables(
+        T,
+        m=lambda t: 1.0 / np.sqrt(np.maximum(np.asarray(t, dtype=float), 1e-300)) - c,
+        m_hat=lambda t: 2.0 * np.sqrt(np.asarray(t, dtype=float))
+        - c * np.asarray(t, dtype=float),
+        sup_m=math.inf,
+    )
+    eps = (1e-1, 1e-2, 1e-3)
+    for cap in (None, 2.0):
+        model = engine_model(KernelSpec.exponential(alpha=0.5, beta=1.0), cap)
+        batch = simulate_batch(model, T, master_seed=61, n_paths=2000)
+        for m in (CameronMartinFunction.default(T), unbounded):
+            many = z_eps_batch(model, batch, m, eps)
+            assert many.shape == (len(eps), batch.n_paths)
+            for row, e in zip(many, eps):
+                assert row.tobytes() == z_eps_batch(model, batch, m, e).tobytes(), (cap, m.bounded, e)
+
+
 # ------------------------------------------------------- basis projection
 
 def fourier_tail_energy(T, t1, K):
