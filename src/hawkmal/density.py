@@ -13,14 +13,13 @@ share of counted paths with N_T = n.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .model import AssumptionError, HawkesModel, _ModelKey, _read_only, _row_sums
+from .model import AssumptionError, HawkesModel, _reference_cache, _row_sums
 from .simulate import (
     _BLOCK_ELEMS,
     PathBatch,
@@ -119,22 +118,13 @@ def _log_kappa_parts(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
 _CACHE_SIZE = 64
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _count_histogram(key: _ModelKey, T: float) -> np.ndarray:
-    batch = simulate_batch(key.model, T, DEFAULT_NORMALIZATION_SEED, DEFAULT_NORMALIZATION_PATHS)
-    return _read_only(np.bincount(batch.counts()))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _quadrature_mass(key: _ModelKey, T: float, n: int) -> float:
-    return _simplex_quadrature_mass(key.model, T, n)
-
-
+@_reference_cache(_CACHE_SIZE)
 def count_distribution(model: HawkesModel, T: float) -> np.ndarray:
     """Histogram of N_T over the DEFAULT_NORMALIZATION_PATHS paths simulated
     at seed DEFAULT_NORMALIZATION_SEED, cached per model and T and handed
     out read-only."""
-    return _count_histogram(_ModelKey.of(model), float(T))
+    batch = simulate_batch(model, float(T), DEFAULT_NORMALIZATION_SEED, DEFAULT_NORMALIZATION_PATHS)
+    return np.bincount(batch.counts())
 
 
 def normalization_constant(model: HawkesModel, T: float, n: int) -> Tuple[float, float]:
@@ -148,7 +138,7 @@ def normalization_constant(model: HawkesModel, T: float, n: int) -> Tuple[float,
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n <= _QUADRATURE_MAX_N:
-        return _quadrature_mass(_ModelKey.of(model), float(T), int(n)), 0.0
+        return _simplex_quadrature_mass(model, float(T), int(n)), 0.0
     hist = count_distribution(model, T)
     p = float(hist[n]) / DEFAULT_NORMALIZATION_PATHS if n < hist.size else 0.0
     return p, math.sqrt(p * (1.0 - p) / DEFAULT_NORMALIZATION_PATHS)
@@ -176,8 +166,10 @@ def _chained_rule(lo, hi, n: int):
     return np.stack(nodes, axis=-1) if nodes else np.empty(shape + (0,)), weights
 
 
+@_reference_cache(_CACHE_SIZE)
 def _simplex_quadrature_mass(model: HawkesModel, T: float, n: int) -> float:
-    """int over 0 < t_1 < ... < t_n <= T of kappa, by the chained rule."""
+    """int over 0 < t_1 < ... < t_n <= T of kappa, by the chained rule,
+    cached per (model, T, n)."""
     nodes, weights = _chained_rule(0.0, T, n)
     vals = np.exp(log_kappa_rows(model, T, nodes.reshape(-1, n))).reshape(weights.shape)
     return float(np.sum(weights * vals))
@@ -333,10 +325,19 @@ def _ks_two_sided(samples: np.ndarray, cdf) -> Tuple[float, float]:
     return D, _kolmogorov_sf(n, D)
 
 
+# Entries the marginal cache keeps, least recently used dropped first: a
+# density-check fills three, (n, coord) = (1, 0), (2, 0) and (2, 1), for its
+# (model, T).  An entry is a grid and its CDF, 2 x 8 193 doubles (131 KB) at
+# n = 1 and 2 x 1 025 (16 KB) at n = 2, so the cache holds at most 1.05 MB.
+_MARGINAL_CACHE_SIZE = 8
+
+
+@_reference_cache(_MARGINAL_CACHE_SIZE)
 def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
-    """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T]: the other
-    jump time integrated out by the chained rule, the grid by trapezoids,
-    the normalization cancelling in the ratio to the total mass.
+    """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T], cached per
+    (model, T, n, coord): the other jump time integrated out by the chained
+    rule, the grid by trapezoids, the normalization cancelling in the ratio
+    to the total mass.
 
     The grid points go in blocks whose rows, 64^(n-1) rows of n times a
     point, hold _BLOCK_ELEMS times (128 points for n = 2): each row's log
@@ -361,19 +362,6 @@ def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
     return grid, cdf / cdf[-1]
 
 
-# Entries the marginal cache keeps, least recently used dropped first: a
-# density-check fills three, (n, coord) = (1, 0), (2, 0) and (2, 1), for its
-# (model, T).  An entry is a grid and its CDF, 2 x 8 193 doubles (131 KB) at
-# n = 1 and 2 x 1 025 (16 KB) at n = 2, so the cache holds at most 1.05 MB.
-_MARGINAL_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_MARGINAL_CACHE_SIZE)
-def _cached_marginal_cdf(key: _ModelKey, T: float, n: int, coord: int):
-    """`_marginal_cdf` per (model, T, n, coord), its arrays read-only."""
-    return _read_only(*_marginal_cdf(key.model, T, n, coord))
-
-
 def density_vs_empirical(
     model: HawkesModel,
     n: int,
@@ -387,6 +375,8 @@ def density_vs_empirical(
     total mass)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if min_conditioned < 1:
+        raise ValueError(f"min_conditioned must be >= 1, got {min_conditioned}")
     counts = batch.counts()
     sel = np.nonzero(counts == n)[0]
     m = int(sel.size)
@@ -399,11 +389,10 @@ def density_vs_empirical(
             "marginal quadrature is implemented for n <= 2; higher orders need "
             "multi-dimensional integration"
         )
-    key = _ModelKey.of(model)
     out = []
     for coord in range(n):
         samples = batch.flat_times[batch.offsets[sel] + coord]
-        grid, cdf = _cached_marginal_cdf(key, float(batch.horizon), n, coord)
+        grid, cdf = _marginal_cdf(model, float(batch.horizon), n, coord)
         stat, p = _ks_two_sided(samples, lambda v: np.interp(v, grid, cdf))
         name = "ks_T1" if n == 1 else f"ks_T{coord + 1}_of_{n}"
         out.append(GoodnessOfFit(n, name, stat, p, m))

@@ -4,7 +4,6 @@ whose statistics pass at |z| <= 3 and which is reproducible bit-exactly
 from (inputs digest, master seed)."""
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from .malliavin import (
     product_smooth,
     z_eps_batch,
 )
-from .model import AssumptionError, HawkesModel, _ModelKey, _read_only, _row_sums
+from .model import AssumptionError, HawkesModel, _reference_cache, _row_sums
 from .simulate import PathBatch, _path_blocks, padded_jumps
 
 _Z_THRESHOLD = 3.0
@@ -73,7 +72,11 @@ def _row(label: str, estimate: float, reference: float, se: float) -> ReportRow:
 
 
 def _finish(name: str, digest: str, rows, diagnostics=()) -> ExperimentReport:
+    """The report of `rows`; refuses an empty row set, which would pass
+    having checked nothing."""
     rows = tuple(rows)
+    if not rows:
+        raise ValueError(f"{name}: no rows to check")
     return ExperimentReport(
         name=name,
         digest=digest,
@@ -109,6 +112,7 @@ def _direction_key(m: CameronMartinFunction) -> tuple:
 _VOLTERRA_CACHE_SIZE = 8
 
 
+@_reference_cache(_VOLTERRA_CACHE_SIZE)
 def volterra_mean_intensity(model: HawkesModel, T: float, n_steps: int):
     """Solve g(s) = lambda_s + int_0^s mu(s-t) g(t) dt on a uniform grid.
 
@@ -118,16 +122,6 @@ def volterra_mean_intensity(model: HawkesModel, T: float, n_steps: int):
     Returns (grid, g), cached per (model, T, n_steps) and read-only.  The
     mean conditional intensity solves this equation for linear models only.
     """
-    return _cached_volterra(_ModelKey.of(model), float(T), n_steps)
-
-
-@functools.lru_cache(maxsize=_VOLTERRA_CACHE_SIZE)
-def _cached_volterra(key: _ModelKey, T: float, n_steps: int):
-    return _read_only(*_volterra_solve(key.model, T, n_steps))
-
-
-def _volterra_solve(model: HawkesModel, T: float, n_steps: int):
-    """The uncached `volterra_mean_intensity`."""
     if not model.nonlinearity.is_linear():
         raise UnsupportedModelError("the mean-intensity equation needs linear gamma")
     if n_steps < 2:
@@ -185,6 +179,8 @@ def mean_intensity_check(
     if grid is None:
         grid = np.linspace(0.0, T, 33)[1:]
     grid = np.asarray(grid, dtype=float)
+    if not np.all((grid >= 0.0) & (grid <= T)):
+        raise ValueError(f"grid points must lie in [0, T] = [0, {T:g}]; the reference stops at T")
     s_coarse, g_coarse = volterra_mean_intensity(model, T, n_steps)
     s_fine, g_fine = volterra_mean_intensity(model, T, 2 * n_steps)
     bound = float(np.max(np.abs(g_fine[::2] - g_coarse))) / 3.0

@@ -15,6 +15,7 @@ across threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -333,8 +334,8 @@ class HawkesModel:
         """Hashable identity for report digests; it ends with the
         nonlinearity's parameters (none for the linear family) and, for a
         custom kernel, with mu and mu_hat sampled on a fixed probe grid.
-        Caches key a model by `_ModelKey`, which adds a custom kernel's
-        callables."""
+        `_reference_cache` keys a model by this key and, for a custom
+        kernel, the kernel's callables."""
         key = (
             self.baseline.family,
             self.baseline.params,
@@ -357,29 +358,42 @@ class HawkesModel:
 
 @dataclass(frozen=True)
 class _ModelKey:
-    """A model as the key of every cache of (model, ...) results: compared
-    and hashed by `identity` alone, so equal models built apart share
-    entries.  The identity is the digest key and, for a custom kernel, the
-    kernel itself, callables included: two custom kernels can agree on the
-    probe grid and differ elsewhere."""
+    """A model as `_reference_cache` keys it: compared and hashed by
+    `identity` alone, so equal models built apart share entries."""
 
     identity: tuple
     model: HawkesModel = field(compare=False)
 
-    @staticmethod
-    def of(model: HawkesModel) -> "_ModelKey":
-        identity = model.digest_key()
-        if model.kernel.family == "custom":
-            identity += (model.kernel,)
-        return _ModelKey(identity, model)
 
+def _reference_cache(maxsize: int):
+    """Cache fn(model, *args, **kwargs), a reference free of any seed, in an
+    lru_cache of `maxsize` entries, least recently used dropped first.  The
+    model is keyed by its digest key and, for a custom kernel, the kernel
+    itself with its callables, which can differ off the digest's probe grid.
+    Every array returned, alone or in a tuple, is read-only.  The result has
+    `cache_info` and `cache_clear`, and `__wrapped__` is fn, uncached."""
 
-def _read_only(*arrays: np.ndarray):
-    """The arrays, marked read-only in place, so a cache can hand them out:
-    a caller that writes to one raises instead of changing the entry."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays if len(arrays) > 1 else arrays[0]
+    def decorate(fn):
+        @functools.lru_cache(maxsize=maxsize)
+        def cached(key: _ModelKey, *args, **kwargs):
+            value = fn(key.model, *args, **kwargs)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            return value
+
+        @functools.wraps(fn)
+        def reference(model: HawkesModel, *args, **kwargs):
+            identity = model.digest_key()
+            if model.kernel.family == "custom":
+                identity += (model.kernel,)
+            return cached(_ModelKey(identity, model), *args, **kwargs)
+
+        reference.cache_info = cached.cache_info
+        reference.cache_clear = cached.cache_clear
+        return reference
+
+    return decorate
 
 
 def validate_assumptions(model: HawkesModel) -> ValidationReport:

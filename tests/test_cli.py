@@ -736,8 +736,8 @@ def test_cached_references_write_the_same_files_cold_and_warm(tmp_path):
     )
     # each command's cache and the entries one run fills: three marginals, two solutions
     caches = {
-        "density-check": (density._cached_marginal_cdf, 3),
-        "mean-intensity": (experiments._cached_volterra, 2),
+        "density-check": (density._marginal_cdf, 3),
+        "mean-intensity": (experiments.volterra_mean_intensity, 2),
     }
     for command, (cache, entries) in caches.items():
         cache.cache_clear()

@@ -34,7 +34,6 @@ from hawkmal.model import (
     HawkesModel,
     KernelSpec,
     NonlinearitySpec,
-    _ModelKey,
     intensity,
 )
 from hawkmal.simulate import HawkesPath, compensator, simulate_batch
@@ -238,7 +237,7 @@ def test_normalization_monotone_sum():
 def test_normalization_caches_are_bounded_and_keyed_by_digest():
     # one more key than the cache holds evicts the least recently used one;
     # an equal model built apart is the same key
-    cached = density._quadrature_mass
+    cached = density._simplex_quadrature_mass
     cached.cache_clear()
     horizons = [1.0 + 0.01 * k for k in range(density._CACHE_SIZE + 1)]
     for T in horizons:
@@ -253,7 +252,7 @@ def test_normalization_caches_are_bounded_and_keyed_by_digest():
     normalization_constant(reference_model(alpha=0.4), horizons[0], 1)
     assert cached.cache_info().misses == len(horizons) + 2
 
-    counts = density._count_histogram
+    counts = count_distribution
     counts.cache_clear()
     first = count_distribution(reference_model(), 1.0)
     again = count_distribution(reference_model(), 1.0)
@@ -264,20 +263,23 @@ def test_normalization_caches_are_bounded_and_keyed_by_digest():
 def test_marginal_cache_is_bounded_and_keyed_by_model_and_horizon():
     # the KS marginals are cached per (model, T, n, coord), at most
     # _MARGINAL_CACHE_SIZE of them
-    cached = density._cached_marginal_cdf
+    cached = _marginal_cdf
     assert density._CACHE_SIZE == 64 and density._MARGINAL_CACHE_SIZE == 8
     assert cached.cache_info().maxsize == density._MARGINAL_CACHE_SIZE
     cached.cache_clear()
-    key = _ModelKey.of(reference_model())
+    model = reference_model()
     horizons = [1.0 + 0.01 * k for k in range(density._MARGINAL_CACHE_SIZE + 1)]
     for T in horizons:
-        grid, cdf = cached(key, T, 2, 0)
-        want_grid, want = _marginal_cdf(reference_model(), T, 2, 0)
+        grid, cdf = cached(model, T, 2, 0)
+        want_grid, want = cached.__wrapped__(reference_model(), T, 2, 0)
         assert grid.tobytes() == want_grid.tobytes() and cdf.tobytes() == want.tobytes()
     info = cached.cache_info()
     assert (info.currsize, info.misses, info.hits) == (density._MARGINAL_CACHE_SIZE, len(horizons), 0)
-    assert cached(_ModelKey.of(reference_model()), horizons[-1], 2, 0)[1] is cdf
+    assert cached(reference_model(), horizons[-1], 2, 0)[1] is cdf
     assert cached.cache_info().hits == 1
+    # the least recently used key, the first horizon, was dropped
+    cached(model, horizons[0], 2, 0)
+    assert cached.cache_info().misses == len(horizons) + 1
 
 
 def test_cached_arrays_are_read_only():
@@ -290,7 +292,7 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         hist[4] = 0
     assert normalization_constant(model, 1.0, 4) == before
-    for array in density._cached_marginal_cdf(_ModelKey.of(model), 5.0, 1, 0):
+    for array in _marginal_cdf(model, 5.0, 1, 0):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -326,12 +328,15 @@ def test_cache_keys_tell_apart_custom_kernels_that_agree_on_the_probe():
 
     m1, m2 = custom_wiggle_model(0.0), custom_wiggle_model(1e-3)
     assert m1.digest_key() == m2.digest_key()
-    assert _ModelKey.of(m1) != _ModelKey.of(m2)
-    assert _ModelKey.of(m1) == _ModelKey.of(m1)
+    _simplex_quadrature_mass.cache_clear()
     z1, _ = normalization_constant(m1, 5.0, 1)
     z2, _ = normalization_constant(m2, 5.0, 1)
-    assert z1 == _simplex_quadrature_mass(m1, 5.0, 1)
-    assert z2 == _simplex_quadrature_mass(m2, 5.0, 1)
+    info = _simplex_quadrature_mass.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+    assert normalization_constant(m1, 5.0, 1) == (z1, 0.0)
+    assert _simplex_quadrature_mass.cache_info().hits == 1
+    assert z1 == _simplex_quadrature_mass.__wrapped__(m1, 5.0, 1)
+    assert z2 == _simplex_quadrature_mass.__wrapped__(m2, 5.0, 1)
     assert z1 != z2
 
 
@@ -423,15 +428,16 @@ def test_hawkes_conditioned_ks_n2(hawkes_batch):
 def test_marginal_cdf_blocks_move_no_bit(monkeypatch):
     # grid points in blocks of 37 (1 025 = 27 x 37 + 26) and of one give
     # the CDF of one block, on the closed-form compensator and on tanh's
-    # segment quadrature; `_marginal_cdf` is the uncached routine, so each
+    # segment quadrature; `__wrapped__` is the uncached routine, so each
     # call computes
+    uncached = _marginal_cdf.__wrapped__
     for model in (reference_model(), tanh_model(2.0)):
         for n, coord in ((1, 0), (2, 0), (2, 1)):
             monkeypatch.setattr(density, "_BLOCK_ELEMS", 1 << 40)
-            grid, want = _marginal_cdf(model, 5.0, n, coord)
+            grid, want = uncached(model, 5.0, n, coord)
             elems = 37 * n * 64 ** (n - 1)
             monkeypatch.setattr(density, "_BLOCK_ELEMS", elems)
-            got_grid, got = _marginal_cdf(model, 5.0, n, coord)
+            got_grid, got = uncached(model, 5.0, n, coord)
             assert got_grid.tobytes() == grid.tobytes()
             assert got.tobytes() == want.tobytes(), (n, coord)
 
@@ -442,7 +448,7 @@ def test_marginal_cdf_memory_is_bounded():
     for coord in (0, 1):
         tracemalloc.start()
         try:
-            _marginal_cdf(reference_model(), 5.0, 2, coord)
+            _marginal_cdf.__wrapped__(reference_model(), 5.0, 2, coord)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,8 +478,8 @@ def test_digest_key_separates_tanh_caps():
     z_large, _ = normalization_constant(large, 2.0, 1)
     from hawkmal.density import _simplex_quadrature_mass
 
-    assert z_large == _simplex_quadrature_mass(large, 2.0, 1)
-    assert z_small == _simplex_quadrature_mass(small, 2.0, 1)
+    assert z_large == _simplex_quadrature_mass.__wrapped__(large, 2.0, 1)
+    assert z_small == _simplex_quadrature_mass.__wrapped__(small, 2.0, 1)
     assert z_large != pytest.approx(z_small, rel=1e-3)
 
 
@@ -499,8 +505,8 @@ def test_digest_key_separates_custom_kernel_shapes():
     assert custom_exp_model(1.0, 2.0).digest_key() == m2.digest_key()
     z1, _ = normalization_constant(m1, 5.0, 1)
     z2, _ = normalization_constant(m2, 5.0, 1)
-    assert z1 == _simplex_quadrature_mass(m1, 5.0, 1)
-    assert z2 == _simplex_quadrature_mass(m2, 5.0, 1)
+    assert z1 == _simplex_quadrature_mass.__wrapped__(m1, 5.0, 1)
+    assert z2 == _simplex_quadrature_mass.__wrapped__(m2, 5.0, 1)
     assert z2 != pytest.approx(z1, rel=1e-2)
     # exponential keys keep their parent-commit form
     exp_key = HawkesModel(

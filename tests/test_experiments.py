@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkmal import experiments
+from hawkmal.density import density_vs_empirical
 from hawkmal.experiments import (
     ExperimentReport,
     _ibp_differences,
@@ -62,7 +63,7 @@ def batch(model):
 @pytest.fixture
 def cold_volterra():
     """A Volterra test solves the equation, not reads an earlier solution."""
-    experiments._cached_volterra.cache_clear()
+    volterra_mean_intensity.cache_clear()
 
 
 @pytest.mark.usefixtures("cold_volterra")
@@ -113,17 +114,37 @@ def test_volterra_rejects_nonlinear():
         volterra_mean_intensity(bent, T=5.0, n_steps=64)
 
 
+def test_checks_refuse_input_that_checks_nothing(model):
+    # an empty row set would pass having checked nothing; past T the
+    # reference would be np.interp's clamp of g at T; and min_conditioned = 0
+    # admits a KS test of no samples
+    small = simulate_batch(model, T=5.0, master_seed=17, n_paths=200)
+    for refused in (
+        lambda: unit_mass_check(model, small, eps_values=()),
+        lambda: ibp_check(model, small, catalog=()),
+        lambda: mean_intensity_check(model, small, grid=[]),
+    ):
+        with pytest.raises(ValueError, match="no rows to check"):
+            refused()
+    for grid in ([7.0], [-0.5, 1.0], [math.nan]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, T\]"):
+            mean_intensity_check(model, small, grid=grid)
+    assert len(mean_intensity_check(model, small, grid=[0.0, 5.0]).rows) == 2
+    with pytest.raises(ValueError, match="min_conditioned must be >= 1"):
+        density_vs_empirical(model, 1, small, min_conditioned=0)
+
+
 def test_volterra_cache_is_bounded_read_only_and_keyed_by_model(model):
     # solutions are cached per (model, T, n_steps), at most
     # _VOLTERRA_CACHE_SIZE of them, and handed out read-only
-    cached = experiments._cached_volterra
+    cached = volterra_mean_intensity
     assert experiments._VOLTERRA_CACHE_SIZE == 8
     assert cached.cache_info().maxsize == experiments._VOLTERRA_CACHE_SIZE
     cached.cache_clear()
     steps = [64 + k for k in range(experiments._VOLTERRA_CACHE_SIZE + 1)]
     for n_steps in steps:
         s, g = volterra_mean_intensity(model, 5.0, n_steps)
-        want_s, want = experiments._volterra_solve(model, 5.0, n_steps)
+        want_s, want = volterra_mean_intensity.__wrapped__(model, 5.0, n_steps)
         assert s.tobytes() == want_s.tobytes() and g.tobytes() == want.tobytes()
     info = cached.cache_info()
     assert (info.currsize, info.misses, info.hits) == (experiments._VOLTERRA_CACHE_SIZE, len(steps), 0)

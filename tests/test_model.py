@@ -1,6 +1,9 @@
 """Model-layer checks: assumption validation, intensity conventions,
-kernel identities, tail mass."""
+kernel identities, tail mass, and the bound of every cache."""
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -248,3 +251,28 @@ def test_strict_lags_matches_double_loop(times, points, n_ties):
     np.testing.assert_allclose(
         reference_model().excitation(t, s), brute.sum(axis=1), rtol=1e-12, atol=0.0
     )
+
+
+def test_every_cache_is_bounded():
+    # every cache in the package, the CLI's module included, holds a fixed
+    # number of entries: an unbounded one would grow with each new key
+    import hawkmal
+
+    names = [info.name for info in pkgutil.iter_modules(hawkmal.__path__)]
+    assert "cli" in names
+    caches = {}
+    for name in names:
+        module = importlib.import_module(f"hawkmal.{name}")
+        for owner in [module] + [c for _, c in inspect.getmembers(module, inspect.isclass)]:
+            for obj in vars(owner).values():
+                if hasattr(obj, "cache_info"):
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    unbounded = sorted(name for name, size in caches.items() if size is None)
+    assert not unbounded, f"unbounded caches: {unbounded}"
+    assert {
+        "hawkmal.density.count_distribution",
+        "hawkmal.density._simplex_quadrature_mass",
+        "hawkmal.density._marginal_cdf",
+        "hawkmal.experiments.volterra_mean_intensity",
+        "hawkmal.malliavin._truncated_direction",
+    } <= set(caches)
