@@ -30,7 +30,7 @@ _NO_DOT = 1 << 10  # a dot position past any cell
 _EXPONENTS = np.array([b"e%+03d" % e for e in range(-324, 309)], dtype="S5")
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _powers_of_ten():
     """32-bit limbs (high to low) of g(k) = ceil(10^k 2^(127 - floor(log2
     10^k))) for k in [_K_LO, _K_HI]: each power of ten normalised to 128

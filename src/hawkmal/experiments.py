@@ -86,6 +86,13 @@ def _finish(name: str, digest: str, rows, diagnostics=()) -> ExperimentReport:
     )
 
 
+def _refuse_empty(name: str, what: str, items) -> None:
+    """Refuse an empty `what` before any work: the check would pass having
+    checked nothing (`_finish` refuses an empty row set as well)."""
+    if len(items) == 0:
+        raise ValueError(f"{name}: no rows to check, {what} is empty")
+
+
 def _batch_digest(model: HawkesModel, batch: PathBatch, **extra) -> str:
     return inputs_digest(
         model=model.digest_key(),
@@ -179,6 +186,7 @@ def mean_intensity_check(
     if grid is None:
         grid = np.linspace(0.0, T, 33)[1:]
     grid = np.asarray(grid, dtype=float)
+    _refuse_empty("mean-intensity", "grid", grid)
     if not np.all((grid >= 0.0) & (grid <= T)):
         raise ValueError(f"grid points must lie in [0, T] = [0, {T:g}]; the reference stops at T")
     s_coarse, g_coarse = volterra_mean_intensity(model, T, n_steps)
@@ -214,6 +222,7 @@ def unit_mass_check(
 ) -> ExperimentReport:
     """E[Z^eps] = 1 for each eps, at 3 standard errors; one `z_eps_batch`
     walk of the batch serves every eps."""
+    _refuse_empty("unit-mass", "eps_values", eps_values)
     if m is None:
         m = CameronMartinFunction.default(batch.horizon)
     rows = []
@@ -292,6 +301,7 @@ def ibp_check(
         m = CameronMartinFunction.default(batch.horizon)
     if catalog is None:
         catalog = smooth_catalog()
+    _refuse_empty("ibp", "catalog", catalog)
     rows = []
     for (label, _), diffs in zip(catalog, _ibp_differences(model, batch, m, catalog)):
         mean, se, _ = mc_estimate(diffs)

@@ -12,7 +12,6 @@ Gamma[F, G] = <DF, DG> = sum_{ij} p_i q_j xi(T_i, T_j).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -418,22 +417,13 @@ def _check_horizon(m: CameronMartinFunction, T: float) -> None:
         raise ValueError(f"direction horizon {m.horizon:g} does not match the batch horizon {T:g}")
 
 
-# Entries the truncation cache keeps, least recently used dropped first: a
-# unit-mass check fills one per eps (three by default) for its direction.  An
-# entry holds a grid and its running sums, 2 x 8 193 doubles (131 KB), so the
-# cache holds at most 1.05 MB.
-_TRUNCATION_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_TRUNCATION_CACHE_SIZE)
 def _truncated_direction(m: CameronMartinFunction, eps: float) -> CameronMartinFunction:
     """Clamp an unbounded direction at +-1/(3 eps), re-center so it stays in
     H, and rebuild the antiderivative on a dense grid: the clamped m is
     integrated over each grid panel by the segment engine's adaptive
     quadrature (`_segment_quad`), which resolves the clamp's kinks and
     evaluates m only inside the panels, and m_hat interpolates the running
-    sums.  Cached per (m, eps), m hashed by its fields (its callables by
-    identity), with the grid and the sums read-only."""
+    sums."""
     cap = 1.0 / (3.0 * eps)
     T = m.horizon
     grid = np.linspace(0.0, T, 8193)
@@ -443,7 +433,6 @@ def _truncated_direction(m: CameronMartinFunction, eps: float) -> CameronMartinF
 
     panels = _segment_quad(lambda _, u: clipped(u), grid[:-1], grid[1:])
     cum = np.concatenate(([0.0], np.cumsum(panels)))
-    grid.flags.writeable = cum.flags.writeable = False
     shift = cum[-1] / T
 
     def m_val(t):
@@ -537,12 +526,12 @@ def z_eps_batch(model: HawkesModel, batch: PathBatch, m: CameronMartinFunction, 
 
     Bounded m requires eps sup|m| < 1/3 (no truncation needed); an
     unbounded direction is clamped at +-1/(3 eps) and re-centered, once per
-    (m, eps) in a process (`_truncated_direction`).  log kappa of the E
-    shifted copies and of the unshifted jumps comes from one stacked
-    ((E+1)B, K) block of each of the `_path_blocks` through the density's
-    `_log_kappa_parts`, so every eps shares the unshifted rows, and a
-    bounded m's samples at the jumps; the baseline integral is left out, as
-    it cancels in the ratio.  m must have the batch's horizon.
+    eps and batch.  log kappa of the E shifted copies and of the unshifted
+    jumps comes from one stacked ((E+1)B, K) block of each of the
+    `_path_blocks` through the density's `_log_kappa_parts`, so every eps
+    shares the unshifted rows, and a bounded m's samples at the jumps; the
+    baseline integral is left out, as it cancels in the ratio.  m must have
+    the batch's horizon.
     """
     eps_values = [float(e) for e in np.atleast_1d(eps)]
     directions = []

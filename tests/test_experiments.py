@@ -114,21 +114,32 @@ def test_volterra_rejects_nonlinear():
         volterra_mean_intensity(bent, T=5.0, n_steps=64)
 
 
-def test_checks_refuse_input_that_checks_nothing(model):
+def test_checks_refuse_input_that_checks_nothing(model, monkeypatch):
     # an empty row set would pass having checked nothing; past T the
     # reference would be np.interp's clamp of g at T; and min_conditioned = 0
-    # admits a KS test of no samples
+    # admits a KS test of no samples.  Each refusal comes before any solve
+    # or walk of the batch.
     small = simulate_batch(model, T=5.0, master_seed=17, n_paths=200)
-    for refused in (
-        lambda: unit_mass_check(model, small, eps_values=()),
-        lambda: ibp_check(model, small, catalog=()),
-        lambda: mean_intensity_check(model, small, grid=[]),
-    ):
-        with pytest.raises(ValueError, match="no rows to check"):
-            refused()
-    for grid in ([7.0], [-0.5, 1.0], [math.nan]):
-        with pytest.raises(ValueError, match=r"must lie in \[0, T\]"):
-            mean_intensity_check(model, small, grid=grid)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the check worked before refusing")
+
+    with monkeypatch.context() as patch:
+        for name in ("z_eps_batch", "_ibp_differences", "volterra_mean_intensity",
+                     "mean_intensity_batch"):
+            patch.setattr(experiments, name, no_work)
+        for refused in (
+            lambda: unit_mass_check(model, small, eps_values=()),
+            lambda: ibp_check(model, small, catalog=()),
+            lambda: mean_intensity_check(model, small, grid=[]),
+        ):
+            with pytest.raises(ValueError, match="no rows to check"):
+                refused()
+        for grid in ([7.0], [-0.5, 1.0], [math.nan]):
+            with pytest.raises(ValueError, match=r"must lie in \[0, T\]"):
+                mean_intensity_check(model, small, grid=grid)
+    with pytest.raises(ValueError, match="no rows to check"):
+        experiments._finish("unit-mass", "digest", [])
     assert len(mean_intensity_check(model, small, grid=[0.0, 5.0]).rows) == 2
     with pytest.raises(ValueError, match="min_conditioned must be >= 1"):
         density_vs_empirical(model, 1, small, min_conditioned=0)
@@ -159,6 +170,26 @@ def test_volterra_cache_is_bounded_read_only_and_keyed_by_model(model):
             array[0] = 0.0
     other = HawkesModel(BaselineSpec.constant(1.0), KernelSpec.exponential(0.4, 1.0), NonlinearitySpec.linear())
     assert not np.array_equal(volterra_mean_intensity(other, 5.0, steps[-1])[1], g)
+
+
+def test_reference_cache_keys_one_entry_per_call_whatever_its_form(model):
+    # positional and keyword forms of one call, and a numpy T (scalar or
+    # 0-d array), are one reference: one miss, then hits on the same arrays
+    volterra_mean_intensity.cache_clear()
+    first = volterra_mean_intensity(model, 5.0, 64)
+    for call in (
+        lambda: volterra_mean_intensity(model, T=5.0, n_steps=64),
+        lambda: volterra_mean_intensity(model, 5.0, n_steps=64),
+        lambda: volterra_mean_intensity(model=model, n_steps=64, T=5.0),
+        lambda: volterra_mean_intensity(model, np.float64(5.0), np.int64(64)),
+        lambda: volterra_mean_intensity(model, np.array(5.0), 64),
+    ):
+        again = call()
+        assert again[0] is first[0] and again[1] is first[1]
+    info = volterra_mean_intensity.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 5)
+    with pytest.raises(TypeError):
+        volterra_mean_intensity(model, 5.0, 64, 3)
 
 
 # ---- MC mean intensity ----

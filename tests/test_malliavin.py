@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkmal import malliavin
 from hawkmal.malliavin import (
     CameronMartinFunction,
     MalliavinGradient,
@@ -829,39 +828,6 @@ def test_z_eps_batch_over_many_eps_is_its_one_eps_calls():
             assert many.shape == (len(eps), batch.n_paths)
             for row, e in zip(many, eps):
                 assert row.tobytes() == z_eps_batch(model, batch, m, e).tobytes(), (cap, m.bounded, e)
-
-
-def test_truncated_direction_is_cached_per_direction_and_eps():
-    # an unbounded direction's clamp depends on (m, eps) alone: a repeated
-    # call reads it from a bounded cache, with the bits of a cold call, and
-    # its grid and running sums are read-only
-    T = 5.0
-    m = inv_sqrt_direction(T)
-    model = reference_model()
-    batch = simulate_batch(model, T, master_seed=29, n_paths=300)
-    cache = malliavin._truncated_direction
-    assert cache.cache_info().maxsize == malliavin._TRUNCATION_CACHE_SIZE == 8
-    cache.cache_clear()
-    first = z_eps_batch(model, batch, m, (1e-1, 1e-2))
-    info = cache.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 0)
-    assert z_eps_batch(model, batch, m, (1e-1, 1e-2)).tobytes() == first.tobytes()
-    info = cache.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
-    # a bounded direction is never clamped
-    z_eps_batch(model, batch, CameronMartinFunction.default(T), 1e-2)
-    assert cache.cache_info().currsize == 2
-    cache.cache_clear()
-    assert z_eps_batch(model, batch, m, (1e-1, 1e-2)).tobytes() == first.tobytes()
-    arrays = [
-        cell.cell_contents
-        for cell in cache(m, 1e-2).m_hat.__closure__
-        if isinstance(cell.cell_contents, np.ndarray)
-    ]
-    assert len(arrays) == 2
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
 
 
 # ------------------------------------------------------- basis projection
