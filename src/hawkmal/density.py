@@ -168,8 +168,7 @@ def _chained_rule(lo, hi, n: int):
 
 @_reference_cache(_CACHE_SIZE)
 def _simplex_quadrature_mass(model: HawkesModel, T: float, n: int) -> float:
-    """int over 0 < t_1 < ... < t_n <= T of kappa, by the chained rule,
-    cached per (model, T, n)."""
+    """int over 0 < t_1 < ... < t_n <= T of kappa, by the chained rule; cached."""
     nodes, weights = _chained_rule(0.0, T, n)
     vals = np.exp(log_kappa_rows(model, T, nodes.reshape(-1, n))).reshape(weights.shape)
     return float(np.sum(weights * vals))
@@ -334,10 +333,9 @@ _MARGINAL_CACHE_SIZE = 8
 
 @_reference_cache(_MARGINAL_CACHE_SIZE)
 def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
-    """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T], cached per
-    (model, T, n, coord): the other jump time integrated out by the chained
-    rule, the grid by trapezoids, the normalization cancelling in the ratio
-    to the total mass.
+    """CDF of T_{coord+1} under k_n (n <= 2) on a grid of [0, T], cached:
+    the other jump time integrated out by the chained rule, the grid by
+    trapezoids, the normalization cancelling in the ratio to the total mass.
 
     The grid points go in blocks whose rows, 64^(n-1) rows of n times a
     point, hold _BLOCK_ELEMS times (128 points for n = 2): each row's log

@@ -366,24 +366,15 @@ class _ModelKey:
     model: HawkesModel = field(compare=False)
 
 
-def _plain(value):
-    """A numpy scalar or 0-d array as the Python scalar it holds; any other
-    value as it is."""
-    if isinstance(value, (np.ndarray, np.generic)) and np.ndim(value) == 0:
-        return value.item()
-    return value
-
-
 def _reference_cache(maxsize: int):
     """Cache fn(model, *args, **kwargs), a reference free of any seed, in an
     lru_cache of `maxsize` entries, least recently used dropped first.  The
     model is keyed by its digest key and, for a custom kernel, the kernel
-    itself with its callables, which can differ off the digest's probe grid.
-    The other arguments are keyed as bound to fn's signature, defaults
-    filled in, so positional and keyword forms of a call share one entry,
-    and a numpy scalar or 0-d array keys as the Python scalar it holds,
-    which is what fn receives.  Every array returned, alone or in a tuple,
-    is read-only.  The result has `cache_info` and `cache_clear`, and
+    itself with its callables, which can differ off the digest's probe grid;
+    the rest of the call as bound to fn's signature, defaults filled in and
+    a numpy scalar made the Python scalar it holds, so every form of a call
+    shares one entry.  Every array returned, alone or in a tuple, is
+    read-only.  `cache_info` and `cache_clear` are lru_cache's, and
     `__wrapped__` is fn, uncached."""
 
     def decorate(fn):
@@ -401,12 +392,10 @@ def _reference_cache(maxsize: int):
         def reference(model: HawkesModel, *args, **kwargs):
             call = signature.bind(model, *args, **kwargs)
             call.apply_defaults()
-            identity = model.digest_key()
-            if model.kernel.family == "custom":
-                identity += (model.kernel,)
-            args = [_plain(a) for a in call.args[1:]]
-            kwargs = {name: _plain(a) for name, a in call.kwargs.items()}
-            return cached(_ModelKey(identity, model), *args, **kwargs)
+            custom = (model.kernel,) if model.kernel.family == "custom" else ()
+            args = (a.item() if isinstance(a, (np.ndarray, np.generic)) and a.ndim == 0 else a
+                    for a in call.args[1:])
+            return cached(_ModelKey(model.digest_key() + custom, model), *args, **call.kwargs)
 
         reference.cache_info = cached.cache_info
         reference.cache_clear = cached.cache_clear
