@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -366,16 +366,39 @@ class _ModelKey:
     model: HawkesModel = field(compare=False)
 
 
+# Bytes of arrays one cache entry may hold: a value over it is handed out
+# read-only but not kept, so each cache holds at most maxsize * 2 MiB.
+_CACHE_ENTRY_BYTES = 2 << 20
+
+
+class _Unkept(Exception):
+    """Carries its one argument, a value not to keep, past
+    `functools.lru_cache`, which keeps no call that raises."""
+
+
+def _arrays(value) -> list:
+    """The numpy arrays of a value: itself, the items of a tuple or the
+    fields of a dataclass such as a `PathBatch`."""
+    if isinstance(value, tuple):
+        items = value
+    elif is_dataclass(value):
+        items = [getattr(value, f.name) for f in fields(value)]
+    else:
+        items = (value,)
+    return [a for a in items if isinstance(a, np.ndarray)]
+
+
 def _reference_cache(maxsize: int):
-    """Cache fn(model, *args, **kwargs), a reference free of any seed, in an
-    lru_cache of `maxsize` entries, least recently used dropped first.  The
-    model is keyed by its digest key and, for a custom kernel, the kernel
-    itself with its callables, which can differ off the digest's probe grid;
-    the rest of the call as bound to fn's signature, defaults filled in and
-    a numpy scalar made the Python scalar it holds, so every form of a call
-    shares one entry.  Every array returned, alone or in a tuple, is
-    read-only.  `cache_info` and `cache_clear` are lru_cache's, and
-    `__wrapped__` is fn, uncached."""
+    """Cache fn(model, *args, **kwargs), a pure function of its arguments,
+    in an lru_cache of `maxsize` entries, least recently used dropped first.
+    The model is keyed by its digest key and, for a custom kernel, the
+    kernel itself with its callables, which can differ off the digest's
+    probe grid; the rest of the call as bound to fn's signature, defaults
+    filled in and a numpy scalar made the Python scalar it holds, so every
+    form of a call shares one entry.  Every array returned, alone, in a
+    tuple or as a dataclass field, is read-only; a value whose arrays hold
+    more than _CACHE_ENTRY_BYTES is returned but not kept.  `cache_info`
+    and `cache_clear` are lru_cache's, and `__wrapped__` is fn, uncached."""
 
     def decorate(fn):
         signature = inspect.signature(fn)
@@ -383,9 +406,11 @@ def _reference_cache(maxsize: int):
         @functools.lru_cache(maxsize=maxsize)
         def cached(key: _ModelKey, *args, **kwargs):
             value = fn(key.model, *args, **kwargs)
-            for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
+            arrays = _arrays(value)
+            for a in arrays:
+                a.flags.writeable = False
+            if sum(a.nbytes for a in arrays) > _CACHE_ENTRY_BYTES:
+                raise _Unkept(value)
             return value
 
         @functools.wraps(fn)
@@ -395,7 +420,10 @@ def _reference_cache(maxsize: int):
             custom = (model.kernel,) if model.kernel.family == "custom" else ()
             args = (a.item() if isinstance(a, (np.ndarray, np.generic)) and a.ndim == 0 else a
                     for a in call.args[1:])
-            return cached(_ModelKey(model.digest_key() + custom, model), *args, **call.kwargs)
+            try:
+                return cached(_ModelKey(model.digest_key() + custom, model), *args, **call.kwargs)
+            except _Unkept as unkept:
+                return unkept.args[0]
 
         reference.cache_info = cached.cache_info
         reference.cache_clear = cached.cache_clear

@@ -29,7 +29,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .model import AssumptionError, HawkesModel, InternalError, _row_sums, strict_lags
+from .model import AssumptionError, HawkesModel, InternalError, _reference_cache, _row_sums, strict_lags
 
 __all__ = [
     "HawkesPath",
@@ -198,7 +198,9 @@ class PathBatch:
 
     ``flat_times[offsets[i]:offsets[i+1]]`` are the jump times of path
     ``first_index + i``.  Reproducible bit-exactly from
-    (master_seed, index range, model, T).
+    (master_seed, index range, model, T).  Both arrays are read-only views,
+    so a batch, which `simulate_batch` may hand out again, and every block
+    taken from it keep their bytes.
     """
 
     horizon: float
@@ -206,6 +208,12 @@ class PathBatch:
     first_index: int
     offsets: np.ndarray   # (n_paths + 1,) int64
     flat_times: np.ndarray
+
+    def __post_init__(self):
+        for name in ("offsets", "flat_times"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n_paths(self) -> int:
@@ -225,7 +233,8 @@ class PathBatch:
         batch of their own.  Its first_index is that of the first path taken,
         so a cut index range keeps its path indices.  A slice (of step 1)
         takes its contiguous paths with no copy of their jump times: the
-        block's flat_times is a view of this batch's."""
+        block's flat_times is a view of this batch's.  A position outside
+        [0, n_paths) raises IndexError."""
         if isinstance(idx, slice):
             lo, hi, step = idx.indices(self.n_paths)
             if step != 1:
@@ -237,6 +246,8 @@ class PathBatch:
                 self.offsets[lo:hi + 1] - a, self.flat_times[a:b],
             )
         idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n_paths):
+            raise IndexError(f"path positions must lie in [0, {self.n_paths})")
         counts = self.counts()[idx]
         offsets = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -247,6 +258,8 @@ class PathBatch:
         return PathBatch(self.horizon, self.master_seed, first, offsets, flat)
 
     def path(self, i: int) -> HawkesPath:
+        if not 0 <= i < self.n_paths:
+            raise IndexError(f"path position {i} outside [0, {self.n_paths})")
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         return HawkesPath(self.flat_times[lo:hi], self.horizon)
 
@@ -394,6 +407,8 @@ def _assemble(offsets, flat, rows_acc, times_acc):
 # public API
 # ---------------------------------------------------------------------------
 
+# One entry: the commands and estimators of a run read one batch at a time.
+@_reference_cache(1)
 def simulate_batch(
     model: HawkesModel,
     T: float,
@@ -413,6 +428,11 @@ def simulate_batch(
     per-round rows and times), not twice the batch.
     `n_workers` is accepted for compatibility and ignored; threads only
     slowed the GIL-bound chunks down.
+
+    A pure function of its arguments, so the last batch of at most
+    model._CACHE_ENTRY_BYTES (some 28 000 reference paths at T = 5) is
+    kept, and a repeat call returns it with its bits; `__wrapped__` always
+    simulates.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")

@@ -470,6 +470,8 @@ def test_13_cli_determinism(tmp_path, monkeypatch):
             outputs = {}
             for name, patches in settings.items():
                 out = tmp_path / f"{command}-{name}"
+                # each run thins its own batch, not the one the last run kept
+                simulate_batch.cache_clear()
                 with monkeypatch.context() as mp:
                     for module, attr, value in patches:
                         mp.setattr(module, attr, value)

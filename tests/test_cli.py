@@ -301,6 +301,7 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     import hawkmal.simulate
 
     monkeypatch.setattr(hawkmal.simulate, "_MAX_ROUNDS", 0)
+    hawkmal.simulate.simulate_batch.cache_clear()  # thin, not read a kept batch
     assert run_cli("simulate", "--paths", "10", "--out", str(tmp_path)) == 4
     assert "internal error: thinning failed to terminate" in capsys.readouterr().err
 
@@ -724,16 +725,25 @@ def test_mean_intensity_report(tmp_path):
 
 
 def test_cached_references_write_the_same_files_cold_and_warm(tmp_path):
-    # density-check's KS marginals and mean-intensity's Volterra solutions
-    # are cached per (model, T): the run that fills the cache and the run
+    # density-check's KS marginals, mean-intensity's Volterra solutions and
+    # the simulated batch are cached: the run that fills a cache and the run
     # that reads it write the same bytes
-    from hawkmal import density, experiments
+    from hawkmal import density, experiments, simulate
 
     ini = tmp_path / "cache.ini"
     ini.write_text(
         "[density]\nmax_n = 2\nmin_conditioned = 5\n"
         "[experiment]\ngrid_points = 4\nvolterra_steps = 128\n"
     )
+
+    def run(command, where):
+        out = tmp_path / command / where
+        code = run_cli(
+            command, "--config", str(ini), "--paths", "500", "--seed", "83",
+            "--out", str(out), "--no-timestamp",
+        )
+        return code, _artifact_bytes(out)
+
     # each command's cache and the entries one run fills: three marginals, two solutions
     caches = {
         "density-check": (density._marginal_cdf, 3),
@@ -741,18 +751,26 @@ def test_cached_references_write_the_same_files_cold_and_warm(tmp_path):
     }
     for command, (cache, entries) in caches.items():
         cache.cache_clear()
-        runs = []
-        for where in ("cold", "warm"):
-            out = tmp_path / command / where
-            code = run_cli(
-                command, "--config", str(ini), "--paths", "500", "--seed", "83",
-                "--out", str(out), "--no-timestamp",
-            )
-            runs.append((code, _artifact_bytes(out)))
+        runs = [run(command, where) for where in ("cold", "warm")]
         assert runs[0][1], f"{command} wrote no CSV artifacts"
         assert runs[0] == runs[1], f"{command} wrote other files from its cache"
         info = cache.cache_info()
         assert info.hits == info.misses == entries
+
+    # simulate, ibp-check and density-check read one batch: run in one
+    # process, the first simulates it and the others read it from the cache,
+    # and each writes the bytes of a fresh run
+    shared = ("simulate", "ibp-check", "density-check")
+    fresh = {}
+    for command in shared:
+        simulate.simulate_batch.cache_clear()
+        fresh[command] = run(command, "fresh")
+        assert fresh[command][1], f"{command} wrote no CSV artifacts"
+    simulate.simulate_batch.cache_clear()
+    for command in shared:
+        assert run(command, "shared") == fresh[command], f"{command} wrote other files from a kept batch"
+    info = simulate.simulate_batch.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(shared) - 1, 1)
 
 
 def test_unit_mass_and_ibp_reports(tmp_path):

@@ -275,4 +275,5 @@ def test_every_cache_is_bounded():
         "hawkmal.density._simplex_quadrature_mass",
         "hawkmal.density._marginal_cdf",
         "hawkmal.experiments.volterra_mean_intensity",
+        "hawkmal.simulate.simulate_batch",
     } <= set(caches)

@@ -15,6 +15,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 import hawkmal.greeks
+import hawkmal.model
 import hawkmal.simulate
 from hawkmal.density import _log_kappa_parts, log_kappa, log_kappa_rows
 from hawkmal.experiments import _ibp_differences, mean_intensity_batch, smooth_catalog
@@ -241,6 +242,70 @@ def test_take_of_a_slice_is_a_view_of_the_same_paths():
         batch.take(slice(0, 50, 2))
 
 
+def test_path_and_take_refuse_positions_outside_the_batch():
+    # counts [10, 5, 5, 5]: path(-1) once read an empty path, path(-2) path
+    # 3, take([-2]) path 3's times with first_index -2, and take([-1])
+    # failed inside numpy
+    times = [np.linspace(0.25, 4.75, 10)] + [np.linspace(0.5, 4.5, 5) + 0.1 * k for k in (1, 2, 3)]
+    batch = PathBatch(5.0, 1, 0, np.array([0, 10, 15, 20, 25]), np.concatenate(times))
+    for i in range(4):
+        assert batch.path(i).jump_times.tobytes() == times[i].tobytes()
+    kept = batch.take([3, 0])
+    assert (kept.first_index, kept.counts().tolist()) == (3, [5, 10])
+    for i in (-1, -2, -4, -5, 4, 5):
+        with pytest.raises(IndexError):
+            batch.path(i)
+    for idx in ([-1], [-2], [0, -4], [4], [1, 4]):
+        with pytest.raises(IndexError):
+            batch.take(idx)
+    assert batch.take([]).n_paths == 0
+
+
+def test_a_batch_and_its_blocks_are_read_only():
+    # a write to a batch, simulated or built from writable arrays, or to any
+    # block taken from it raises: before, a write to a slice's block changed
+    # its batch
+    simulated = simulate_batch(reference_model(), 5.0, 13, 40)
+    built = PathBatch(5.0, 13, 0, simulated.offsets.copy(), simulated.flat_times.copy())
+    for batch in (simulated, built):
+        before = (batch.offsets.tobytes(), batch.flat_times.tobytes())
+        for part in (batch, batch.take(slice(3, 9)), batch.take([5, 2])):
+            for array in (part.offsets, part.flat_times):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[-1] = 0
+        assert (batch.offsets.tobytes(), batch.flat_times.tobytes()) == before
+
+
+def test_simulate_batch_cache_keys_every_form_of_a_call_and_keeps_no_large_batch():
+    # one entry serves a call made positionally, by keyword, with numpy
+    # scalars or with a model built apart, with the bits of a fresh thinning;
+    # a batch over model._CACHE_ENTRY_BYTES comes back read-only, unkept
+    model = reference_model()
+    simulate_batch.cache_clear()
+    batch = simulate_batch(model, 5.0, 11, 300, first_index=4)
+    for call in (
+        lambda: simulate_batch(model, 5.0, 11, 300, 1, 4),
+        lambda: simulate_batch(model=model, T=5.0, master_seed=11, n_paths=300, first_index=4),
+        lambda: simulate_batch(model, np.float64(5.0), np.int64(11), np.int64(300), first_index=4),
+        lambda: simulate_batch(reference_model(), 5.0, np.uint64(11), 300, first_index=np.int64(4)),
+    ):
+        assert call() is batch
+    info = simulate_batch.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+    fresh = simulate_batch.__wrapped__(model, 5.0, 11, 300, first_index=4)
+    assert (fresh.offsets.tobytes(), fresh.flat_times.tobytes()) == (
+        batch.offsets.tobytes(), batch.flat_times.tobytes()
+    )
+
+    large = simulate_batch(model, 5.0, 11, 50_000)
+    assert large.offsets.nbytes + large.flat_times.nbytes > hawkmal.model._CACHE_ENTRY_BYTES
+    assert not (large.offsets.flags.writeable or large.flat_times.flags.writeable)
+    assert simulate_batch.cache_info().currsize == 1
+    assert simulate_batch(model, 5.0, 11, 300, first_index=4) is batch
+    info = simulate_batch.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 2, 5)
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_batch_matches_single_paths():
@@ -322,21 +387,22 @@ SPLIT_MODELS = {
 def test_batch_equals_its_split_at_any_chunk_width(name, first, n, cut, seed):
     # substream independence: paths [first, first + n) are the same bytes
     # whether simulated together, as two adjacent batches or one by one, at
-    # any width
+    # any width; every call thins, none reads the cache
     model = SPLIT_MODELS[name]
     split = min(n - 1, max(1, int(cut * n)))
-    ref = simulate_batch(model, 5.0, seed, n, first_index=first)
+    thin = simulate_batch.__wrapped__
+    ref = thin(model, 5.0, seed, n, first_index=first)
     for width in (1, 7, hawkmal.simulate._CHUNK):
         with mock.patch.object(hawkmal.simulate, "_CHUNK", width):
-            whole = simulate_batch(model, 5.0, seed, n, first_index=first)
-            a = simulate_batch(model, 5.0, seed, split, first_index=first)
-            b = simulate_batch(model, 5.0, seed, n - split, first_index=first + split)
+            whole = thin(model, 5.0, seed, n, first_index=first)
+            a = thin(model, 5.0, seed, split, first_index=first)
+            b = thin(model, 5.0, seed, n - split, first_index=first + split)
         assert (whole.offsets.tobytes(), whole.flat_times.tobytes()) == (
             ref.offsets.tobytes(), ref.flat_times.tobytes()
         )
         assert _joined(a, b) == (ref.offsets.tobytes(), ref.flat_times.tobytes())
     for i in range(n):
-        solo = simulate_batch(model, 5.0, seed, 1, first_index=first + i).path(0)
+        solo = thin(model, 5.0, seed, 1, first_index=first + i).path(0)
         assert solo.jump_times.tobytes() == ref.path(i).jump_times.tobytes()
 
 
@@ -358,12 +424,14 @@ def test_draw_ahead_depth_moves_no_bit(name, first, n, seed):
     # the draw-ahead depth R = min(rounds, _CHUNK // live) changes with the
     # chunk width; at width 1 every round draws its own round alone.  The
     # batch bytes and a one-path batch's bytes must not change with it.
+    # Every call thins, none reads the cache.
     model = DEPTH_MODELS[name]
+    thin = simulate_batch.__wrapped__
     seen = set()
     for width in (1, 37, hawkmal.simulate._CHUNK, 2**20):
         with mock.patch.object(hawkmal.simulate, "_CHUNK", width):
-            batch = simulate_batch(model, 5.0, seed, n, first_index=first)
-            path = simulate_batch(model, 5.0, seed, 1, first_index=first).path(0)
+            batch = thin(model, 5.0, seed, n, first_index=first)
+            path = thin(model, 5.0, seed, 1, first_index=first).path(0)
         seen.add((batch.offsets.tobytes(), batch.flat_times.tobytes(),
                   path.jump_times.tobytes()))
     assert len(seen) == 1
@@ -372,13 +440,15 @@ def test_draw_ahead_depth_moves_no_bit(name, first, n, seed):
 def test_uneven_chunks_lay_out_the_same_batch():
     # 2 000 paths in chunks of 333 (six and a two-path tail), 1 000 and
     # 1 999 (a one-path tail): each chunk's offsets and times go into the
-    # batch's arrays in place, with the bytes of one default-width chunk
+    # batch's arrays in place, with the bytes of one default-width chunk;
+    # every call thins, none reads the cache
+    thin = simulate_batch.__wrapped__
     for model in (reference_model(), reference_tanh_model(),
                   linear_model(triangular_kernel(), lam=2.0)):
-        want = simulate_batch(model, 5.0, 29, 2000, first_index=3)
+        want = thin(model, 5.0, 29, 2000, first_index=3)
         for width in (333, 1000, 1999):
             with mock.patch.object(hawkmal.simulate, "_CHUNK", width):
-                got = simulate_batch(model, 5.0, 29, 2000, first_index=3)
+                got = thin(model, 5.0, 29, 2000, first_index=3)
             assert got.offsets.tobytes() == want.offsets.tobytes(), width
             assert got.flat_times.tobytes() == want.flat_times.tobytes(), width
 
@@ -410,7 +480,7 @@ def test_at_most_one_philox_call_per_lockstep_round(monkeypatch):
 
         monkeypatch.setattr(BaselineSpec, "sup_on", counted_sup_on)
         monkeypatch.setattr(hawkmal.simulate, "_philox_rounds", counted_philox)
-        batch = simulate_batch(linear_model(kernel), T=5.0, master_seed=8, n_paths=n_paths)
+        batch = simulate_batch.__wrapped__(linear_model(kernel), T=5.0, master_seed=8, n_paths=n_paths)
         assert batch.n_paths == n_paths
         draws = [i for i, e in enumerate(events) if e[0] == "draw"]
         assert draws and draws[0] == 0
@@ -1143,10 +1213,11 @@ _CHUNK_WORKING_SET = 4 << 20
 
 
 def test_simulate_batch_holds_its_batch_once():
+    # the uncached routine: a batch the cache kept would allocate nothing
     for n in (20_000, 80_000):
         tracemalloc.start()
         try:
-            batch = simulate_batch(reference_model(), 5.0, 7, n)
+            batch = simulate_batch.__wrapped__(reference_model(), 5.0, 7, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
