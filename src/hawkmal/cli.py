@@ -200,24 +200,18 @@ class RunConfig:
     # ---- model assembly -------------------------------------------------
 
     def model(self) -> HawkesModel:
-        v = self.values
-        family = v[("model", "baseline")]
-        if family == "constant":
-            baseline = BaselineSpec.constant(v[("model", "lambda0")])
-        elif family == "affine":
-            baseline = BaselineSpec.affine(
-                v[("model", "lambda0")], v[("model", "slope")], self.horizon
-            )
-        else:
-            baseline = BaselineSpec.sinusoidal(
-                v[("model", "lambda0")], v[("model", "amplitude")], v[("model", "period")]
-            )
-        kernel = KernelSpec.exponential(v[("model", "alpha")], v[("model", "beta")])
-        if v[("model", "nonlinearity")] == "linear":
-            nonlinearity = NonlinearitySpec.linear()
-        else:
-            nonlinearity = NonlinearitySpec.saturating_tanh(v[("model", "cap")])
-        return HawkesModel(baseline=baseline, kernel=kernel, nonlinearity=nonlinearity)
+        m = {key: value for (section, key), value in self.values.items() if section == "model"}
+        params = {
+            "constant": (m["lambda0"],),
+            "affine": (m["lambda0"], m["slope"], self.horizon),
+            "sinusoidal": (m["lambda0"], m["amplitude"], m["period"]),
+        }[m["baseline"]]
+        linear = m["nonlinearity"] == "linear"
+        return HawkesModel(
+            BaselineSpec(m["baseline"], params),
+            KernelSpec.exponential(m["alpha"], m["beta"]),
+            NonlinearitySpec.linear() if linear else NonlinearitySpec.saturating_tanh(m["cap"]),
+        )
 
     def direction(self) -> CameronMartinFunction:
         name = self.values[("experiment", "direction")]

@@ -10,15 +10,17 @@ bounded derivative; mu >= 0, C^1 with bounded derivative and finite L1
 norm; gamma nonnegative, C^1 with bounded derivative a = sup|gamma'| and
 gamma(0) = 0; and the stability margin a*||mu||_1 < 1.
 
-All spec objects here are immutable after construction and safe to share
-across threads.
+Each spec is a frozen dataclass of its family and parameters (and a
+custom kernel's functions), whence every method, so a model's own
+equality and hash are its identity.  All spec objects here are immutable
+after construction and safe to share across threads.
 """
 from __future__ import annotations
 
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,79 +52,94 @@ class InternalError(RuntimeError):
     model, the config or the data."""
 
 
+def _set_params(spec, kind: str, arity: dict) -> None:
+    """Store a spec's `params` as a tuple of floats, or refuse the spec with
+    AssumptionError if `arity` has no such family or another params count."""
+    family, params = spec.family, spec.params
+    if family not in arity:
+        raise AssumptionError(f"unknown {kind} family {family!r}")
+    if len(params) != arity[family]:
+        raise AssumptionError(f"{family} {kind} takes {arity[family]} parameters, got {len(params)}")
+    object.__setattr__(spec, "params", tuple(float(v) for v in params))
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Excitation kernel mu on [0, inf).
-
-    Use :meth:`exponential` or :meth:`custom`; the constructor is not meant
-    to be called directly.  ``mu_hat`` is the antiderivative of mu from 0,
-    so that the linear-case compensator stays in closed form.
-    """
+    """Excitation kernel mu on [0, inf).  An exponential kernel is its
+    `params` (alpha, beta), whence mu, mu_prime, the norms and ``mu_hat``,
+    the antiderivative from 0 that keeps the linear-case compensator in
+    closed form.  A custom kernel carries (mu, mu_prime, mu_hat) in
+    `functions`, compared as objects, and (l1_norm, sup_norm, sup_deriv) in
+    `params`.  The constructor runs the factories' checks."""
 
     family: str
-    mu: Callable[[np.ndarray], np.ndarray]
-    mu_prime: Callable[[np.ndarray], np.ndarray]
-    mu_hat: Callable[[np.ndarray], np.ndarray]
-    l1_norm: float
-    sup_norm: float
-    sup_deriv: float
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    # Decreasing kernels make the thinning envelope exact; without this
-    # promise `simulate._check_simulable` refuses a custom kernel with
-    # AssumptionError (exit 3 on the command line).
+    params: tuple
+    # Decreasing kernels make the thinning envelope exact; without this promise
+    # `simulate._check_simulable` refuses a kernel (exit 3 on the command line).
     nonincreasing: bool = False
+    functions: tuple = ()
+
+    def __post_init__(self):
+        _set_params(self, "kernel", {"exponential": 2, "custom": 3})
+        if self.family == "custom":
+            if min(self.params) < 0:
+                raise AssumptionError("kernel norms must be nonnegative")
+            if len(self.functions) != 3:
+                raise AssumptionError("a custom kernel takes (mu, mu_prime, mu_hat)")
+        elif self.alpha < 0:
+            raise AssumptionError(f"exponential kernel needs alpha >= 0, got {self.alpha}")
+        elif self.beta <= 0:
+            raise AssumptionError(f"exponential kernel needs beta > 0, got {self.beta}")
+        elif self.functions:
+            raise AssumptionError("an exponential kernel takes no functions")
 
     @staticmethod
     def exponential(alpha: float, beta: float) -> "KernelSpec":
         """mu(t) = alpha * exp(-beta t); alpha >= 0, beta > 0."""
-        if alpha < 0:
-            raise AssumptionError(f"exponential kernel needs alpha >= 0, got {alpha}")
-        if beta <= 0:
-            raise AssumptionError(f"exponential kernel needs beta > 0, got {beta}")
-        a, b = float(alpha), float(beta)
-        return KernelSpec(
-            family="exponential",
-            mu=lambda t: a * np.exp(-b * np.asarray(t, dtype=float)),
-            mu_prime=lambda t: -a * b * np.exp(-b * np.asarray(t, dtype=float)),
-            mu_hat=lambda t: (a / b) * (-np.expm1(-b * np.asarray(t, dtype=float))),
-            l1_norm=a / b,
-            sup_norm=a,
-            sup_deriv=a * b,
-            alpha=a,
-            beta=b,
-            nonincreasing=True,
-        )
+        return KernelSpec("exponential", (alpha, beta), nonincreasing=True)
 
     @staticmethod
-    def custom(
-        mu: Callable,
-        mu_prime: Callable,
-        mu_hat: Callable,
-        l1_norm: float,
-        sup_norm: float,
-        sup_deriv: float,
-        nonincreasing: bool = False,
-    ) -> "KernelSpec":
+    def custom(mu: Callable, mu_prime: Callable, mu_hat: Callable, l1_norm: float,
+               sup_norm: float, sup_deriv: float, nonincreasing: bool = False) -> "KernelSpec":
         """Custom kernel; the antiderivative and norms must be supplied
         explicitly (no auto-integration -- closed forms keep the linear-case
         compensator exact)."""
-        if l1_norm < 0 or sup_norm < 0 or sup_deriv < 0:
-            raise AssumptionError("kernel norms must be nonnegative")
-        return KernelSpec(
-            family="custom",
-            mu=mu,
-            mu_prime=mu_prime,
-            mu_hat=mu_hat,
-            l1_norm=float(l1_norm),
-            sup_norm=float(sup_norm),
-            sup_deriv=float(sup_deriv),
-            nonincreasing=nonincreasing,
-        )
+        return KernelSpec("custom", (l1_norm, sup_norm, sup_deriv), nonincreasing, (mu, mu_prime, mu_hat))
+
+    def _norms(self) -> tuple:
+        """(l1_norm, sup_norm, sup_deriv), as supplied or from (alpha, beta)."""
+        if self.family == "custom":
+            return self.params
+        alpha, beta = self.params
+        return alpha / beta, alpha, alpha * beta
+
+    alpha = property(lambda self: None if self.family == "custom" else self.params[0])
+    beta = property(lambda self: None if self.family == "custom" else self.params[1])
+    l1_norm = property(lambda self: self._norms()[0])
+    sup_norm = property(lambda self: self._norms()[1])
+    sup_deriv = property(lambda self: self._norms()[2])
+
+    def mu(self, t):
+        if self.family == "custom":
+            return self.functions[0](t)
+        alpha, beta = self.params
+        return alpha * np.exp(-beta * np.asarray(t, dtype=float))
+
+    def mu_prime(self, t):
+        if self.family == "custom":
+            return self.functions[1](t)
+        alpha, beta = self.params
+        return -alpha * beta * np.exp(-beta * np.asarray(t, dtype=float))
+
+    def mu_hat(self, t):
+        if self.family == "custom":
+            return self.functions[2](t)
+        alpha, beta = self.params
+        return (alpha / beta) * (-np.expm1(-beta * np.asarray(t, dtype=float)))
 
     def is_null(self) -> bool:
         """True when mu is identically zero (Poisson reduction)."""
@@ -135,97 +152,103 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """Deterministic baseline intensity lambda_t on [0, T]."""
+    """Deterministic baseline intensity lambda_t on [0, T]: its family and
+    `params`, constant (lam,), affine (lam0, slope, horizon) or sinusoidal
+    (lam0, amp, period).  The constructor runs the factories' checks."""
 
     family: str
-    value: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    integral: Callable[[np.ndarray], np.ndarray]  # int_0^t lambda_s ds
-    lower_bound: float  # lambda_* over [0, horizon]
-    params: tuple = ()
+    params: tuple
+
+    def __post_init__(self):
+        _set_params(self, "baseline", {"constant": 1, "affine": 3, "sinusoidal": 3})
+        if self.family == "sinusoidal" and self.params[2] <= 0:
+            raise AssumptionError("sinusoidal baseline needs period > 0")
+        lo = self.lower_bound
+        if self.family == "constant" and lo <= 0:
+            raise AssumptionError(f"constant baseline must be positive, got {lo}")
+        if self.family == "affine" and lo <= 0:
+            raise AssumptionError(f"affine baseline dips to {lo} on [0, {self.params[2]}]; must stay > 0")
+        if self.family == "sinusoidal" and lo <= 0:
+            raise AssumptionError(f"sinusoidal baseline lower bound {lo} must be positive")
 
     @staticmethod
     def constant(lam: float) -> "BaselineSpec":
-        lam = float(lam)
-        if lam <= 0:
-            raise AssumptionError(f"constant baseline must be positive, got {lam}")
-        return BaselineSpec(
-            family="constant",
-            value=lambda t: np.full_like(np.asarray(t, dtype=float), lam),
-            derivative=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            integral=lambda t: lam * np.asarray(t, dtype=float),
-            lower_bound=lam,
-            params=(lam,),
-        )
+        return BaselineSpec("constant", (lam,))
 
     @staticmethod
     def affine(lam0: float, slope: float, horizon: float) -> "BaselineSpec":
         """lambda_t = lam0 + slope * t; must stay positive on [0, horizon]."""
-        lam0, slope, horizon = float(lam0), float(slope), float(horizon)
-        lo = min(lam0, lam0 + slope * horizon)
-        if lo <= 0:
-            raise AssumptionError(
-                f"affine baseline dips to {lo} on [0, {horizon}]; must stay > 0"
-            )
-        return BaselineSpec(
-            family="affine",
-            value=lambda t: lam0 + slope * np.asarray(t, dtype=float),
-            derivative=lambda t: np.full_like(np.asarray(t, dtype=float), slope),
-            integral=lambda t: (lam0 + 0.5 * slope * np.asarray(t, dtype=float))
-            * np.asarray(t, dtype=float),
-            lower_bound=lo,
-            params=(lam0, slope, horizon),
-        )
+        return BaselineSpec("affine", (lam0, slope, horizon))
 
     @staticmethod
     def sinusoidal(lam0: float, amp: float, period: float) -> "BaselineSpec":
         """lambda_t = lam0 + amp * sin(2 pi t / period)."""
-        lam0, amp, period = float(lam0), float(amp), float(period)
-        if period <= 0:
-            raise AssumptionError("sinusoidal baseline needs period > 0")
-        lo = lam0 - abs(amp)
-        if lo <= 0:
-            raise AssumptionError(
-                f"sinusoidal baseline lower bound {lo} must be positive"
-            )
+        return BaselineSpec("sinusoidal", (lam0, amp, period))
+
+    @property
+    def lower_bound(self) -> float:
+        """lambda_*: the inf of lambda_t, over [0, horizon] if affine."""
+        p = self.params
+        if self.family == "constant":
+            return p[0]
+        if self.family == "affine":
+            return min(p[0], p[0] + p[1] * p[2])
+        return p[0] - abs(p[1])
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.family == "constant":
+            return np.full_like(t, self.params[0])
+        if self.family == "affine":
+            lam0, slope, _ = self.params
+            return lam0 + slope * t
+        lam0, amp, period = self.params
         w = 2.0 * math.pi / period
-        return BaselineSpec(
-            family="sinusoidal",
-            value=lambda t: lam0 + amp * np.sin(w * np.asarray(t, dtype=float)),
-            derivative=lambda t: amp * w * np.cos(w * np.asarray(t, dtype=float)),
-            integral=lambda t: lam0 * np.asarray(t, dtype=float)
-            + (amp / w) * (1.0 - np.cos(w * np.asarray(t, dtype=float))),
-            lower_bound=lo,
-            params=(lam0, amp, period),
-        )
+        return lam0 + amp * np.sin(w * t)
+
+    def derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.family == "constant":
+            return np.zeros_like(t)
+        if self.family == "affine":
+            return np.full_like(t, self.params[1])
+        _, amp, period = self.params
+        w = 2.0 * math.pi / period
+        return amp * w * np.cos(w * t)
+
+    def integral(self, t):
+        """int_0^t lambda_s ds."""
+        t = np.asarray(t, dtype=float)
+        if self.family == "constant":
+            return self.params[0] * t
+        if self.family == "affine":
+            lam0, slope, _ = self.params
+            return (lam0 + 0.5 * slope * t) * t
+        lam0, amp, period = self.params
+        w = 2.0 * math.pi / period
+        return lam0 * t + (amp / w) * (1.0 - np.cos(w * t))
 
     def sup_on(self, a, b) -> np.ndarray:
-        """Exact sup of lambda_t over [a, b] per family (vectorized in a).
-
-        Used by the thinning envelope; must be a true upper bound.
-        """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        """Exact sup of lambda_t over [a, b] per family (vectorized in a):
+        the thinning envelope needs a true upper bound."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if self.family == "constant":
             return np.broadcast_to(np.float64(self.params[0]), a.shape).copy()
         if self.family == "affine":
-            slope = self.params[1]
-            end = b if slope >= 0 else a
+            end = b if self.params[1] >= 0 else a
             return np.asarray(self.value(end), dtype=float)
-        if self.family == "sinusoidal":
-            # lam0 + amp sin(w t) peaks at the crest lam0 + |amp| on an
-            # interval that spans a period or holds a crest phase, and at the
-            # larger end value otherwise
-            lam0, amp, period = self.params
-            w = 2.0 * math.pi / period
-            # phase (w t - pi/2) mod 2pi == 0 marks a crest of +amp (trough for amp<0)
-            crest_phase = (math.pi / 2.0) if amp >= 0 else (3.0 * math.pi / 2.0)
-            k_lo = np.ceil((w * a - crest_phase) / (2.0 * math.pi))
-            t_crest = (crest_phase + 2.0 * math.pi * k_lo) / w
-            inside = (t_crest >= a) & (t_crest <= b)
-            ends = np.maximum(self.value(a), self.value(b))
-            return np.where(((b - a) >= period) | inside, lam0 + abs(amp), ends)
-        raise NotImplementedError(self.family)
+        # sinusoidal: lam0 + amp sin(w t) peaks at the crest lam0 + |amp| on
+        # an interval that spans a period or holds a crest phase, and at the
+        # larger end value otherwise
+        lam0, amp, period = self.params
+        w = 2.0 * math.pi / period
+        # phase (w t - pi/2) mod 2pi == 0 marks a crest of +amp (trough for amp<0)
+        crest_phase = (math.pi / 2.0) if amp >= 0 else (3.0 * math.pi / 2.0)
+        k_lo = np.ceil((w * a - crest_phase) / (2.0 * math.pi))
+        t_crest = (crest_phase + 2.0 * math.pi * k_lo) / w
+        inside = (t_crest >= a) & (t_crest <= b)
+        ends = np.maximum(self.value(a), self.value(b))
+        return np.where(((b - a) >= period) | inside, lam0 + abs(amp), ends)
 
     def sup_upper(self, horizon: float) -> float:
         """lambda^T = sup_{[0,T]} lambda_t, the exact family maximum
@@ -239,49 +262,46 @@ class BaselineSpec:
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """gamma wrapping the excitation sum; gamma(0) = 0, nondecreasing.
-
-    Both built-in families have Lipschitz constant a = 1.  Monotonicity is
-    required by the thinning simulator's envelope argument (not by the
-    underlying assumptions).
-    """
+    """gamma wrapping the excitation sum: linear, gamma(x) = x, or
+    saturating_tanh, gamma(x) = c tanh(x / c) with `params` (c,).  Both are
+    nondecreasing, which the thinning envelope needs, with gamma(0) = 0 and
+    Lipschitz constant a = 1.  The constructor runs the factories' checks."""
 
     family: str
-    value: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-    monotone: bool = True
     params: tuple = ()
+
+    lipschitz = 1.0  # a = sup|gamma'|, the same for both families
+
+    def __post_init__(self):
+        _set_params(self, "nonlinearity", {"linear": 0, "saturating_tanh": 1})
+        if self.family == "saturating_tanh" and self.params[0] <= 0:
+            raise AssumptionError(f"saturating cap must be positive, got {self.params[0]}")
 
     @staticmethod
     def linear() -> "NonlinearitySpec":
-        return NonlinearitySpec(
-            family="linear",
-            value=lambda x: np.asarray(x, dtype=float),
-            derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            lipschitz=1.0,
-        )
+        return NonlinearitySpec("linear")
 
     @staticmethod
     def saturating_tanh(cap: float) -> "NonlinearitySpec":
         """gamma(x) = c * tanh(x / c); saturates at c, gamma'(0) = 1."""
-        cap = float(cap)
-        if cap <= 0:
-            raise AssumptionError(f"saturating cap must be positive, got {cap}")
+        return NonlinearitySpec("saturating_tanh", (cap,))
 
-        def derivative(x):
-            # cosh^2 overflows to inf past |x / c| ~ 355, where sech^2 has
-            # underflowed to 0 anyway: 1/inf gives that 0, without a warning
-            with np.errstate(over="ignore"):
-                return 1.0 / np.cosh(np.asarray(x, dtype=float) / cap) ** 2
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.is_linear():
+            return x
+        (cap,) = self.params
+        return cap * np.tanh(x / cap)
 
-        return NonlinearitySpec(
-            family="saturating_tanh",
-            value=lambda x: cap * np.tanh(np.asarray(x, dtype=float) / cap),
-            derivative=derivative,
-            lipschitz=1.0,
-            params=(cap,),
-        )
+    def derivative(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.is_linear():
+            return np.ones_like(x)
+        (cap,) = self.params
+        # cosh^2 overflows to inf past |x / c| ~ 355, where sech^2 has
+        # underflowed to 0 anyway: 1/inf gives that 0, without a warning
+        with np.errstate(over="ignore"):
+            return 1.0 / np.cosh(x / cap) ** 2
 
     def is_linear(self) -> bool:
         return self.family == "linear"
@@ -332,11 +352,10 @@ class HawkesModel:
         return _row_sums(strict_lags(self.kernel.mu, jump_times, s))
 
     def digest_key(self) -> tuple:
-        """Hashable identity for report digests; it ends with the
-        nonlinearity's parameters (none for the linear family) and, for a
-        custom kernel, with mu and mu_hat sampled on a fixed probe grid.
-        `_reference_cache` keys a model by this key and, for a custom
-        kernel, the kernel's callables."""
+        """The model as report digests (the CSV `parameter_digest` column)
+        hash it; it ends with the nonlinearity's parameters and, for a custom
+        kernel, mu and mu_hat sampled on a fixed probe grid.  It leaves out
+        `nonincreasing`, so the model itself, not this key, is its identity."""
         key = (
             self.baseline.family,
             self.baseline.params,
@@ -355,15 +374,6 @@ class HawkesModel:
                 for v in np.asarray(fn(_KERNEL_PROBE), dtype=float)
             )
         return key
-
-
-@dataclass(frozen=True)
-class _ModelKey:
-    """A model as `_reference_cache` keys it: compared and hashed by
-    `identity` alone, so equal models built apart share entries."""
-
-    identity: tuple
-    model: HawkesModel = field(compare=False)
 
 
 # Bytes of arrays one cache entry may hold: a value over it is handed out
@@ -391,21 +401,21 @@ def _arrays(value) -> list:
 def _reference_cache(maxsize: int):
     """Cache fn(model, *args, **kwargs), a pure function of its arguments,
     in an lru_cache of `maxsize` entries, least recently used dropped first.
-    The model is keyed by its digest key and, for a custom kernel, the
-    kernel itself with its callables, which can differ off the digest's
-    probe grid; the rest of the call as bound to fn's signature, defaults
-    filled in and a numpy scalar made the Python scalar it holds, so every
-    form of a call shares one entry.  Every array returned, alone, in a
-    tuple or as a dataclass field, is read-only; a value whose arrays hold
-    more than _CACHE_ENTRY_BYTES is returned but not kept.  `cache_info`
+    The call is keyed as bound to fn's signature, defaults filled in and a
+    numpy scalar made the Python scalar it holds, so every form of a call
+    shares one entry; the model keys by its own equality, so equal models
+    built apart share entries (a custom kernel's functions compare as
+    objects).  Every array returned, alone, in a tuple or as a dataclass
+    field, is read-only; a value whose arrays hold more than
+    _CACHE_ENTRY_BYTES is returned but not kept.  `cache_info`
     and `cache_clear` are lru_cache's, and `__wrapped__` is fn, uncached."""
 
     def decorate(fn):
         signature = inspect.signature(fn)
 
         @functools.lru_cache(maxsize=maxsize)
-        def cached(key: _ModelKey, *args, **kwargs):
-            value = fn(key.model, *args, **kwargs)
+        def cached(*args, **kwargs):
+            value = fn(*args, **kwargs)
             arrays = _arrays(value)
             for a in arrays:
                 a.flags.writeable = False
@@ -414,14 +424,13 @@ def _reference_cache(maxsize: int):
             return value
 
         @functools.wraps(fn)
-        def reference(model: HawkesModel, *args, **kwargs):
-            call = signature.bind(model, *args, **kwargs)
+        def reference(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
             call.apply_defaults()
-            custom = (model.kernel,) if model.kernel.family == "custom" else ()
             args = (a.item() if isinstance(a, (np.ndarray, np.generic)) and a.ndim == 0 else a
-                    for a in call.args[1:])
+                    for a in call.args)
             try:
-                return cached(_ModelKey(model.digest_key() + custom, model), *args, **call.kwargs)
+                return cached(*args, **call.kwargs)
             except _Unkept as unkept:
                 return unkept.args[0]
 

@@ -7,9 +7,9 @@ The proposal envelope between candidates is
 
 where S(t_now) is the excitation sum including any jump at t_now.  This
 dominates the true intensity on (t_now, next jump] whenever mu is
-nonincreasing and gamma is nondecreasing, which the simulator requires.
-A guard raises if a proposal ever exceeds the envelope (symptom of a
-non-monotone custom gamma or a bad baseline bound).
+nonincreasing and gamma is nondecreasing, as both its families are; a kernel
+not promised nonincreasing is refused.  A guard raises if a proposal ever
+exceeds the envelope (symptom of a broken promise or a bad baseline bound).
 
 Every kernel runs in lockstep over fixed-width chunks of paths: each round,
 every live path proposes one candidate from its u1 and u2, and the state
@@ -276,10 +276,6 @@ class PathBatch:
 # ---------------------------------------------------------------------------
 
 def _check_simulable(model: HawkesModel) -> None:
-    if not model.nonlinearity.monotone:
-        raise AssumptionError(
-            "thinning envelope requires a nondecreasing nonlinearity"
-        )
     k = model.kernel
     if not (k.nonincreasing or k.is_null()):
         raise AssumptionError(

@@ -1,9 +1,12 @@
 """Model-layer checks: assumption validation, intensity conventions,
-kernel identities, tail mass, and the bound of every cache."""
+kernel identities, tail mass, the model's identity as every cache keys it,
+and the bound of every cache."""
+import dataclasses
 import importlib
 import inspect
 import math
 import pkgutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,21 +58,48 @@ def test_nonpositive_baseline_rejected():
         BaselineSpec.affine(lam0=1.0, slope=-0.5, horizon=3.0)
     with pytest.raises(AssumptionError):
         BaselineSpec.sinusoidal(lam0=1.0, amp=1.5, period=2.0)
+    # the constructor runs the factories' checks, and so does a replace
+    with pytest.raises(AssumptionError, match="must be positive, got 0.0"):
+        BaselineSpec("constant", (0.0,))
+    with pytest.raises(AssumptionError, match="dips to -0.5 on"):
+        BaselineSpec("affine", (1.0, -0.5, 3.0))
+    with pytest.raises(AssumptionError, match="lower bound -0.5"):
+        BaselineSpec("sinusoidal", (1.0, 1.5, 2.0))
+    with pytest.raises(AssumptionError, match="period > 0"):
+        BaselineSpec("sinusoidal", (1.0, 0.5, 0.0))
+    with pytest.raises(AssumptionError, match="dips to -0.5 on"):
+        dataclasses.replace(BaselineSpec.affine(1.0, -0.1, 3.0), params=(1.0, -0.5, 3.0))
 
 
-def test_gamma_zero_at_zero_enforced():
-    shifted = NonlinearitySpec(
-        family="shifted",
-        value=lambda x: np.asarray(x, dtype=float) + 0.1,
-        derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lipschitz=1.0,
+def test_unknown_family_refused_at_construction():
+    # a spec is its family and parameters, so a family with no built-in
+    # formulas, or parameters it does not take, is no spec
+    with pytest.raises(AssumptionError, match="unknown nonlinearity family 'shifted'"):
+        NonlinearitySpec("shifted")
+    with pytest.raises(AssumptionError, match="unknown baseline family 'quadratic'"):
+        BaselineSpec("quadratic", (1.0, 0.0, 1.0))
+    with pytest.raises(AssumptionError, match="unknown kernel family 'power'"):
+        KernelSpec("power", (0.5, 1.0))
+    with pytest.raises(AssumptionError, match="takes 1 parameters, got 0"):
+        NonlinearitySpec("saturating_tanh")
+    with pytest.raises(AssumptionError, match="cap must be positive"):
+        NonlinearitySpec("saturating_tanh", (0.0,))
+    with pytest.raises(AssumptionError, match="takes 3 parameters, got 1"):
+        BaselineSpec("affine", (1.0,))
+    with pytest.raises(AssumptionError, match="no functions"):
+        KernelSpec("exponential", (0.5, 1.0), True, (np.exp, np.exp, np.exp))
+    with pytest.raises(AssumptionError, match=r"\(mu, mu_prime, mu_hat\)"):
+        KernelSpec("custom", (0.5, 0.5, 0.5))
+    # validate_assumptions still checks gamma(0) = 0, on any object shaped
+    # as a model
+    shifted = SimpleNamespace(value=lambda x: np.asarray(x, dtype=float) + 0.1, lipschitz=1.0)
+    stand_in = SimpleNamespace(
+        baseline=BaselineSpec.constant(1.0),
+        kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
+        nonlinearity=shifted,
     )
-    with pytest.raises(AssumptionError, match="gamma_zero=False"):
-        HawkesModel(
-            baseline=BaselineSpec.constant(1.0),
-            kernel=KernelSpec.exponential(alpha=0.5, beta=1.0),
-            nonlinearity=shifted,
-        )
+    report = validate_assumptions(stand_in)
+    assert not report.gamma_zero_at_zero and not report.all_pass()
 
 
 def test_exponential_kernel_identities():
@@ -277,3 +307,146 @@ def test_every_cache_is_bounded():
         "hawkmal.experiments.volterra_mean_intensity",
         "hawkmal.simulate.simulate_batch",
     } <= set(caches)
+
+
+# (reference, spec, field, value): each field of each spec changed alone, on
+# an exponential and on a custom kernel; `_REFUSED_ALONE` lists the changes
+# the constructor refuses, as a family's parameters fit no other family
+_EXPONENTIAL = HawkesModel(
+    BaselineSpec.affine(1.0, -0.1, 5.0),
+    KernelSpec.exponential(0.5, 1.0),
+    NonlinearitySpec.saturating_tanh(2.0),
+)
+_K = _EXPONENTIAL.kernel
+_CUSTOM = dataclasses.replace(
+    _EXPONENTIAL,
+    kernel=KernelSpec.custom(_K.mu, _K.mu_prime, _K.mu_hat, 0.5, 0.5, 0.5, nonincreasing=True),
+)
+_LONE_CHANGES = (
+    (_EXPONENTIAL, "baseline", "family", "sinusoidal"),
+    (_EXPONENTIAL, "baseline", "params", (1.0, -0.1, 4.0)),
+    (_EXPONENTIAL, "kernel", "family", "custom"),
+    (_EXPONENTIAL, "kernel", "params", (0.5, 2.0)),
+    (_EXPONENTIAL, "kernel", "nonincreasing", False),
+    (_EXPONENTIAL, "kernel", "functions", _CUSTOM.kernel.functions),
+    (_CUSTOM, "kernel", "family", "exponential"),
+    (_CUSTOM, "kernel", "params", (0.5, 0.5, 0.6)),
+    (_CUSTOM, "kernel", "nonincreasing", False),
+    # the same formula in another object is another kernel
+    (_CUSTOM, "kernel", "functions", (_K.mu, _K.mu_prime, lambda t: _K.mu_hat(t))),
+    (_EXPONENTIAL, "nonlinearity", "family", "linear"),
+    (_EXPONENTIAL, "nonlinearity", "params", (3.0,)),
+)
+_REFUSED_ALONE = {
+    ("exponential", "kernel", "family"),
+    ("exponential", "kernel", "functions"),
+    ("custom", "kernel", "family"),
+    ("exponential", "nonlinearity", "family"),
+}
+
+
+def test_each_spec_field_alone_keys_its_own_cache_entry():
+    from hawkmal.density import _simplex_quadrature_mass as cached
+
+    walked = {(spec, name) for _, spec, name, _ in _LONE_CHANGES}
+    for spec in ("baseline", "kernel", "nonlinearity"):
+        assert {(spec, f.name) for f in dataclasses.fields(getattr(_EXPONENTIAL, spec))} <= walked
+    cached.cache_clear()
+    for reference in (_EXPONENTIAL, _CUSTOM):
+        cached(reference, 2.0, 1)
+    refused = set()
+    for reference, spec, name, value in _LONE_CHANGES:
+        try:
+            changed = dataclasses.replace(getattr(reference, spec), **{name: value})
+        except AssumptionError:
+            refused.add((reference.kernel.family, spec, name))
+            continue
+        variant = dataclasses.replace(reference, **{spec: changed})
+        assert variant != reference, (spec, name)
+        misses = cached.cache_info().misses
+        cached(variant, 2.0, 1)
+        assert cached.cache_info().misses == misses + 1, (spec, name)
+    assert refused == _REFUSED_ALONE
+    hits = cached.cache_info().hits
+    for reference in (_EXPONENTIAL, _CUSTOM):
+        cached(reference, 2.0, 1)
+    assert cached.cache_info().hits == hits + 2
+
+
+def test_a_kernel_not_promised_nonincreasing_reads_no_cached_batch():
+    # `nonincreasing` is outside the report digest; the simulation refuses
+    # the kernel without the promise, and so must every cached call on it
+    from hawkmal.density import count_distribution
+    from hawkmal.simulate import simulate_batch
+
+    reference = reference_model()
+    variant = HawkesModel(
+        reference.baseline,
+        dataclasses.replace(reference.kernel, nonincreasing=False),
+        reference.nonlinearity,
+    )
+    assert variant.digest_key() == reference.digest_key()
+    with pytest.raises(AssumptionError, match="nonincreasing"):
+        simulate_batch.__wrapped__(variant, 5.0, 1, 10)
+    simulate_batch(reference, 5.0, 1, 10)
+    with pytest.raises(AssumptionError, match="nonincreasing"):
+        simulate_batch(variant, 5.0, 1, 10)
+    count_distribution(reference, 0.1)
+    with pytest.raises(AssumptionError, match="nonincreasing"):
+        count_distribution(variant, 0.1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["constant", "affine", "sinusoidal"]),
+    lam0=st.floats(2.5, 3.0),
+    amp=st.floats(-0.4, 0.4),
+    period=st.floats(0.5, 5.0),
+    alpha=st.floats(0.0, 0.45),
+    beta=st.floats(0.5, 2.0),
+    cap=st.one_of(st.none(), st.floats(0.1, 5.0)),
+)
+def test_equal_parameters_built_apart_give_one_model(family, lam0, amp, period, alpha, beta, cap):
+    def build():
+        baseline = {
+            "constant": lambda: BaselineSpec.constant(lam0),
+            "affine": lambda: BaselineSpec.affine(lam0, amp, period),
+            "sinusoidal": lambda: BaselineSpec.sinusoidal(lam0, amp, period),
+        }[family]()
+        gamma = NonlinearitySpec.linear() if cap is None else NonlinearitySpec.saturating_tanh(cap)
+        return HawkesModel(baseline, KernelSpec.exponential(alpha, beta), gamma)
+
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.parametrize(
+    "baseline, gamma, key",
+    [
+        ("constant", None, ("constant", (1.0,), "exponential", 0.5, 1.0, 0.5, "linear", 1.0)),
+        ("constant", 2.0, ("constant", (1.0,), "exponential", 0.5, 1.0, 0.5, "saturating_tanh", 1.0, 2.0)),
+        ("sinusoidal", None, ("sinusoidal", (1.0, 0.5, 2.0), "exponential", 0.5, 1.0, 0.5, "linear", 1.0)),
+        (
+            "sinusoidal",
+            2.0,
+            ("sinusoidal", (1.0, 0.5, 2.0), "exponential", 0.5, 1.0, 0.5, "saturating_tanh", 1.0, 2.0),
+        ),
+        ("affine", None, ("affine", (1.0, -0.1, 5.0), "exponential", 0.5, 1.0, 0.5, "linear", 1.0)),
+        (
+            "affine",
+            2.0,
+            ("affine", (1.0, -0.1, 5.0), "exponential", 0.5, 1.0, 0.5, "saturating_tanh", 1.0, 2.0),
+        ),
+    ],
+)
+def test_report_digest_keys_of_the_built_in_families(baseline, gamma, key):
+    # the CSV `parameter_digest` column hashes these tuples: they must not move
+    spec = {
+        "constant": BaselineSpec.constant(1.0),
+        "sinusoidal": BaselineSpec.sinusoidal(1.0, 0.5, 2.0),
+        "affine": BaselineSpec.affine(1.0, -0.1, 5.0),
+    }[baseline]
+    nonlinearity = NonlinearitySpec.linear() if gamma is None else NonlinearitySpec.saturating_tanh(gamma)
+    model = HawkesModel(spec, KernelSpec.exponential(0.5, 1.0), nonlinearity)
+    assert model.digest_key() == key
