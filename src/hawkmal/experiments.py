@@ -15,14 +15,16 @@ from .greeks import UnsupportedModelError, mc_estimate
 from .malliavin import (
     CameronMartinFunction,
     SmoothFunctional,
+    _divergence_rows,
     capped_jump_time,
     compose_smooth,
-    divergence_m_batch,
+    divergence_m_batch,  # noqa: F401  bench/layers.py traces experiments.divergence_m_batch
     grad_smooth,  # noqa: F401  bench/layers.py traces experiments.grad_smooth
     product_smooth,
+    weight_arrays,
     z_eps_batch,
 )
-from .model import AssumptionError, HawkesModel, _reference_cache, _row_sums
+from .model import AssumptionError, HawkesModel, _reference_cache, _row_sums, strict_lags
 from .simulate import PathBatch, _path_blocks, padded_jumps
 
 _Z_THRESHOLD = 3.0
@@ -158,15 +160,23 @@ def volterra_mean_intensity(model: HawkesModel, T: float, n_steps: int):
 
 def mean_intensity_batch(model: HawkesModel, batch: PathBatch, grid) -> np.ndarray:
     """Per-path lambda*(s) at each grid point, shape (n_grid, n_paths), over
-    the batch's `_path_blocks`."""
+    the batch's `_path_blocks`.
+
+    Each grid point adds its excitation terms along the contiguous
+    jump-ordinal rows of the block's (K, B) transpose, in jump order from
+    0.0 as `model.excitation` adds a row, and stops after the last ordinal
+    with any jump before s: the rows' minima are nondecreasing, so every
+    later term is an exact 0 (padding equals the horizon, so it never
+    counts)."""
     grid = np.asarray(grid, dtype=float)
     base = [float(model.baseline.value(np.float64(s))) for s in grid]
     out = np.empty((grid.size, batch.n_paths))
     for idx, block in _path_blocks(batch):
-        times, _ = padded_jumps(block)
+        tt = np.ascontiguousarray(padded_jumps(block)[0].T)
+        earliest = tt.min(axis=1)
         for i, s in enumerate(grid):
-            # padding equals the horizon, so it never counts
-            exc = model.excitation(times, s)
+            rows = tt[:np.searchsorted(earliest, s)]
+            exc = _row_sums(strict_lags(model.kernel.mu, rows, s).T)
             out[i, idx] = base[i] + np.asarray(model.nonlinearity.value(exc), dtype=float)
     return out
 
@@ -259,11 +269,13 @@ def _ibp_differences(
 ) -> np.ndarray:
     """<DF, m> - F delta(m) per catalog entry and path, shaped (entries, P).
 
-    Each functional is evaluated once on the padded (B, K) jump-time block
-    of each of the batch's `_path_blocks` (the block form of
-    SmoothFunctional), and <DF, m> = -sum_j dF/dt_j m_hat(T_j) is a masked
-    `_row_sums`.  Raises ValueError for an entry whose `supports` rejects a
-    jump count of the batch, or one that breaks the block contract.
+    One walk over the batch's `_path_blocks`: each block's `weight_arrays`
+    give delta(m) (`_divergence_rows`) and m_hat at the jumps, each
+    functional is evaluated once on the padded (B, K) jump-time block (the
+    block form of SmoothFunctional), and <DF, m> = -sum_j dF/dt_j m_hat(T_j)
+    is a masked `_row_sums`.  Raises ValueError for an entry whose
+    `supports` rejects a jump count of the batch, or one that breaks the
+    block contract.
     """
     T = batch.horizon
     counts = np.unique(batch.counts()).tolist()
@@ -271,12 +283,11 @@ def _ibp_differences(
         rejected = [n for n in counts if not functional.supports(n)]
         if rejected:
             raise ValueError(f"F={label} does not support N_T = {rejected[0]}")
-    delta = divergence_m_batch(model, batch, m)
     out = np.empty((len(catalog), batch.n_paths))
     for idx, block in _path_blocks(batch):
-        times, mask = padded_jumps(block)
+        times, mask, *terms = weight_arrays(model, block, m)
+        delta, m_hat = _divergence_rows(mask, *terms), terms[-1]
         B, K = times.shape
-        m_hat = m.m_hat(times)
         for row, (label, functional) in zip(out, catalog):
             values = np.asarray(functional.value(times, T), dtype=float)
             partials = np.asarray(functional.partials(times, T), dtype=float)
@@ -285,7 +296,7 @@ def _ibp_differences(
                     f"F={label} gave values {values.shape} and partials {partials.shape} "
                     f"on a ({B}, {K}) block; expected ({B},) and ({B}, {K})"
                 )
-            row[idx] = -_row_sums(partials * m_hat, mask) - values * delta[idx]
+            row[idx] = -_row_sums(partials * m_hat, mask) - values * delta
     return out
 
 

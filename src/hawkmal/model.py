@@ -354,8 +354,11 @@ class HawkesModel:
     def digest_key(self) -> tuple:
         """The model as report digests (the CSV `parameter_digest` column)
         hash it; it ends with the nonlinearity's parameters and, for a custom
-        kernel, mu and mu_hat sampled on a fixed probe grid.  It leaves out
-        `nonincreasing`, so the model itself, not this key, is its identity."""
+        kernel, mu and mu_hat sampled on a fixed probe grid and its
+        `nonincreasing` promise.  The built-in families keep their keys (an
+        exponential kernel is nonincreasing by construction), and a custom
+        kernel's functions are known only by their samples, so the model
+        itself, not this key, is its identity."""
         key = (
             self.baseline.family,
             self.baseline.params,
@@ -372,7 +375,7 @@ class HawkesModel:
                 float(v)
                 for fn in (self.kernel.mu, self.kernel.mu_hat)
                 for v in np.asarray(fn(_KERNEL_PROBE), dtype=float)
-            )
+            ) + (self.kernel.nonincreasing,)
         return key
 
 

@@ -468,8 +468,9 @@ _QUAD_TOL = 1e-10          # accepted |32-node - 16-node| and |32 - 8| per panel
 _QUAD_MAX_PANELS = 1 << 14  # most panels one segment may be split into
 # Elements of the largest temporary of one block, for every padded pass: the
 # (segments, nodes, lags) quadratures and each estimator's count-sorted path
-# blocks (`_path_blocks`; the SDE engines' `sde._segment_blocks` count summed
-# segments instead), so a pass costs each path its own jump count and
+# blocks (`_path_blocks`; the linear compensator's `_flat_blocks` count
+# jumps of consecutive paths, and the SDE engines' `sde._segment_blocks`
+# summed segments, instead), so a pass costs each path its own jump count and
 # its memory stays bounded whatever the batch's longest path.  At 128 KB a
 # block keeps peak memory flat (2 MB blocks added 5 MB of peak RSS), and it
 # is the fastest width measured: `z_eps_batch` at three eps over 5 000
@@ -762,16 +763,43 @@ def compensator(model: HawkesModel, path: HawkesPath, t: Optional[float] = None)
     return float(compensator_batch(model, PathBatch.of(path), t)[0])
 
 
+def _flat_blocks(batch: PathBatch) -> Iterator[Tuple[int, int]]:
+    """(lo, hi) over runs of whole consecutive paths [lo, hi) holding at
+    most _BLOCK_ELEMS jumps and _BLOCK_ELEMS paths; a path with more jumps
+    is a block alone."""
+    offsets = batch.offsets
+    lo = 0
+    while lo < batch.n_paths:
+        hi = int(np.searchsorted(offsets, offsets[lo] + _BLOCK_ELEMS, side="right")) - 1
+        hi = min(max(hi, lo + 1), lo + _BLOCK_ELEMS)
+        yield lo, hi
+        lo = hi
+
+
 def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] = None) -> np.ndarray:
     """Lambda_t = int_0^t lambda*(s) ds for every path of a batch; a jump at
     0 acts as the limit of jumps at 0+.  Each path sums its own terms in
     order, so its bits do not depend on the other paths of the batch: a
-    path has the same Lambda_t alone (`compensator`) and in any batch.  The
-    paths go through `_path_blocks`, and each padded block through
-    `_excitation_compensator`, the Lambda of the jump-time density too."""
+    path has the same Lambda_t alone (`compensator`) and in any batch.
+
+    Linear gamma sums each path's closed-form terms mu_hat(t - T_i) straight
+    from the flat jump times, over the `_flat_blocks` of whole paths: one
+    `np.bincount` a block adds a path's terms in jump order from 0.0, as
+    `_row_sums` adds its padded row in `_excitation_compensator`, so the
+    bits are those of the jump-time density's Lambda.  Nonlinear gamma
+    needs the excitation's segments: the paths go through `_path_blocks`,
+    and each padded block through `_excitation_compensator`."""
     t = _window_time(t, batch.horizon)
     base = float(model.baseline.integral(np.float64(t)))
     out = np.empty(batch.n_paths)
+    if model.nonlinearity.is_linear():
+        counts = batch.counts()
+        for lo, hi in _flat_blocks(batch):
+            path = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            times = batch.flat_times[batch.offsets[lo]:batch.offsets[hi]]
+            terms = strict_lags(model.kernel.mu_hat, times, t)
+            out[lo:hi] = base + np.bincount(path, weights=terms, minlength=hi - lo)
+        return out
     for idx, block in _path_blocks(batch):
         out[idx] = base + _excitation_compensator(model, padded_jumps(block)[0], t)
     return out

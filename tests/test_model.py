@@ -373,9 +373,26 @@ def test_each_spec_field_alone_keys_its_own_cache_entry():
     assert cached.cache_info().hits == hits + 2
 
 
+def test_a_custom_kernel_promise_is_in_its_report_digest():
+    # two custom kernels that differ only in `nonincreasing` get their own
+    # report digests (the CSV `parameter_digest`); the samples of mu and
+    # mu_hat come first, and the promise ends the key
+    from hawkmal.experiments import ibp_check
+    from hawkmal.simulate import PathBatch
+
+    unpromised = dataclasses.replace(
+        _CUSTOM, kernel=dataclasses.replace(_CUSTOM.kernel, nonincreasing=False)
+    )
+    assert _CUSTOM.digest_key()[:-1] == unpromised.digest_key()[:-1]
+    assert (_CUSTOM.digest_key()[-1], unpromised.digest_key()[-1]) == (True, False)
+    batch = PathBatch(5.0, 0, 0, np.array([0, 2, 2, 3]), np.array([0.5, 2.0, 4.0]))
+    assert ibp_check(_CUSTOM, batch).digest != ibp_check(unpromised, batch).digest
+
+
 def test_a_kernel_not_promised_nonincreasing_reads_no_cached_batch():
-    # `nonincreasing` is outside the report digest; the simulation refuses
-    # the kernel without the promise, and so must every cached call on it
+    # `nonincreasing` is outside the exponential kernel's report digest; the
+    # simulation refuses the kernel without the promise, and so must every
+    # cached call on it
     from hawkmal.density import count_distribution
     from hawkmal.simulate import simulate_batch
 

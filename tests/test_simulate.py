@@ -51,6 +51,9 @@ from hawkmal.simulate import (
     PathBatch,
     _BLOCK_ELEMS,
     RngStream,
+    _excitation_compensator,
+    _flat_blocks,
+    _path_blocks,
     _philox_rounds,
     _round_keys,
     _row_blocks,
@@ -822,6 +825,18 @@ def test_row_blocks_cover_each_row_once_longest_first(counts):
         assert idx.size == 1 or idx.size * K * 32 * K <= _BLOCK_ELEMS
 
 
+def markov_batch(paths):
+    """The paths, arrays of sorted jump times in (0, _QT], as one batch."""
+    counts = [p.size for p in paths]
+    return PathBatch(
+        horizon=_QT,
+        master_seed=0,
+        first_index=0,
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        flat_times=np.concatenate(paths),
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     paths=st.lists(tanh_paths(), min_size=1, max_size=4),
@@ -832,14 +847,7 @@ def test_row_blocks_cover_each_row_once_longest_first(counts):
 )
 def test_compensator_batch_nonlinear_matches_scalar_and_quad(paths, beta, ratio, cap, frac):
     model = tanh_model(ratio * beta, beta, cap)
-    counts = [p.size for p in paths]
-    batch = PathBatch(
-        horizon=_QT,
-        master_seed=0,
-        first_index=0,
-        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
-        flat_times=np.concatenate(paths),
-    )
+    batch = markov_batch(paths)
     t = frac * _QT
     vec = compensator_batch(model, batch, t)
     for i, path in enumerate(batch):
@@ -867,18 +875,83 @@ def test_price_compensator_is_the_density_compensator(paths, custom, linear, bet
         kernel=triangular_kernel() if custom else KernelSpec.exponential(ratio * beta, beta),
         nonlinearity=NonlinearitySpec.linear() if linear else NonlinearitySpec.saturating_tanh(cap),
     )
-    counts = [p.size for p in paths]
-    batch = PathBatch(
-        horizon=_QT,
-        master_seed=0,
-        first_index=0,
-        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
-        flat_times=np.concatenate(paths),
-    )
+    batch = markov_batch(paths)
     times, _ = padded_jumps(batch)
     _, exc = _log_kappa_parts(model, times, batch.counts(), _QT)
     want = float(model.baseline.integral(np.float64(_QT))) + exc
     np.testing.assert_array_equal(compensator_batch(model, batch), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    paths=st.lists(tanh_paths(), max_size=6),
+    custom=st.booleans(),
+    frac=st.sampled_from([1.0, 0.6, 0.25, 0.0]),
+    elems=st.sampled_from([1, 5, 16, 37]),
+)
+def test_linear_compensator_adds_the_flat_terms_as_the_padded_rows(paths, custom, frac, elems):
+    # the flat route of linear gamma (one bincount over each run of whole
+    # paths) equals the padded rows of `_excitation_compensator` bit for bit:
+    # jump-free paths, a jump exactly at t and a path longer than a block
+    # always ride along
+    t = frac * _QT
+    at_t = [np.array([0.5 * t, t])] if t > 0.0 else []
+    longest = np.linspace(_QT / 40, _QT, 40)
+    batch = markov_batch([np.empty(0), *paths, *at_t, longest, np.empty(0)])
+    model = HawkesModel(
+        baseline=BaselineSpec.sinusoidal(lam0=1.5, amp=0.4, period=2.5),
+        kernel=triangular_kernel() if custom else KernelSpec.exponential(0.5, 1.0),
+        nonlinearity=NonlinearitySpec.linear(),
+    )
+    base = float(model.baseline.integral(np.float64(t)))
+    want = np.empty(batch.n_paths)
+    for idx, block in _path_blocks(batch):
+        want[idx] = base + _excitation_compensator(model, padded_jumps(block)[0], t)
+    with mock.patch.object(hawkmal.simulate, "_BLOCK_ELEMS", elems):
+        blocks = list(_flat_blocks(batch))
+        got = compensator_batch(model, batch, t)
+    np.testing.assert_array_equal(got, want)
+    # the blocks are runs of whole consecutive paths, in order, each within
+    # elems jumps and elems paths unless it is one path alone
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == batch.n_paths
+    for lo, hi in blocks:
+        jumps = batch.offsets[hi] - batch.offsets[lo]
+        assert hi - lo == 1 or (jumps <= elems and hi - lo <= elems)
+
+
+def padded_mean_intensity(model, batch, grid):
+    """lambda*(s) from `model.excitation` on each padded block, one grid
+    point at a time: the oracle of `mean_intensity_batch`'s ordinal walk."""
+    out = np.empty((grid.size, batch.n_paths))
+    for idx, block in _path_blocks(batch):
+        times, _ = padded_jumps(block)
+        for i, s in enumerate(grid):
+            exc = model.excitation(times, s)
+            out[i, idx] = float(model.baseline.value(np.float64(s))) + model.nonlinearity.value(exc)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    paths=st.lists(tanh_paths(), max_size=6),
+    kind=st.sampled_from(["exponential", "triangular", "tanh"]),
+    elems=st.sampled_from([5, _BLOCK_ELEMS]),
+)
+def test_mean_intensity_walk_stops_where_every_later_term_is_zero(paths, kind, elems):
+    # at 0, at T and at every jump time (whose own jump must not count) the
+    # ordinal walk equals the whole padded row's excitation bit for bit
+    batch = markov_batch([np.empty(0), *paths, np.array([1.0, _QT])])
+    model = HawkesModel(
+        baseline=BaselineSpec.sinusoidal(lam0=1.5, amp=0.4, period=2.5),
+        kernel=triangular_kernel() if kind == "triangular" else KernelSpec.exponential(0.5, 1.0),
+        nonlinearity=NonlinearitySpec.saturating_tanh(2.0) if kind == "tanh" else NonlinearitySpec.linear(),
+    )
+    grid = np.concatenate([[0.0, _QT], batch.flat_times, np.linspace(0.0, _QT, 7)])
+    with mock.patch.object(hawkmal.simulate, "_BLOCK_ELEMS", elems):
+        got = mean_intensity_batch(model, batch, grid)
+        want = padded_mean_intensity(model, batch, grid)
+    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -996,17 +1069,6 @@ def markov_paths(draw):
     extra = [_QT] if draw(st.booleans()) else []
     times = np.unique(np.array(raw + close + extra, dtype=float))
     return times[times <= _QT]
-
-
-def markov_batch(paths):
-    counts = [p.size for p in paths]
-    return PathBatch(
-        horizon=_QT,
-        master_seed=0,
-        first_index=0,
-        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
-        flat_times=np.concatenate(paths),
-    )
 
 
 @st.composite
