@@ -74,7 +74,7 @@ from .model import (
 )
 from ._numtext import column_text
 from .sde import density_criteria, sde_preset
-from .simulate import _BLOCK_ELEMS, compensator_batch, simulate_batch
+from .simulate import _slices, compensator_batch, simulate_batch
 
 DEFAULT_SEED = 12345
 _KS_LEVEL = 0.01
@@ -308,9 +308,8 @@ def _write_csv(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, _Rows):
-            step = max(1, _BLOCK_ELEMS // len(header))  # rows of one slice
-            for lo in range(0, len(rows), step):
-                fh.write(rows.text(lo, lo + step))
+            for s in _slices(len(rows), len(header)):
+                fh.write(rows.text(s.start, s.stop))
         else:
             writer.writerows([_cell(v) for v in row] for row in rows)
     return path
@@ -339,7 +338,7 @@ class _Rows:
         """The CSV lines of rows [lo, hi): ints and floats need no quoting,
         and strings are written unquoted, so a string column holds ASCII
         with no comma, quote or newline."""
-        columns = self.columns(lo, min(hi, self.n_rows))
+        columns = self.columns(lo, hi)
         rows = len(columns[0])
         if rows < _NUMPY_TEXT_ROWS:
             fmt = ",".join(self._FORMAT[c.dtype.kind] for c in columns) + "\n"

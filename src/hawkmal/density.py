@@ -20,13 +20,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .model import AssumptionError, HawkesModel, _reference_cache, _row_sums
-from .simulate import (
-    _BLOCK_ELEMS,
-    PathBatch,
-    _excitation_compensator,
-    _excitation_sums,
-    simulate_batch,
-)
+from .simulate import PathBatch, _excitation_compensator, _excitation_sums, _slices, simulate_batch
 from .simulate import compensator  # noqa: F401  bench/layers.py traces density.compensator
 
 __all__ = [
@@ -78,8 +72,8 @@ def log_kappa(model: HawkesModel, T: float, times) -> float:
 
 def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray:
     """Vectorized log kappa over rows of sorted, strictly increasing times
-    inside (0, T], in contiguous slices of _BLOCK_ELEMS times: every row
-    has the same width, so no sort by jump count is needed.  No simplex
+    inside (0, T], in contiguous `_slices` of n times a row: every row has
+    the same width, so no sort by jump count is needed.  No simplex
     check is performed here."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -88,10 +82,9 @@ def log_kappa_rows(model: HawkesModel, T: float, rows: np.ndarray) -> np.ndarray
     counts = np.full(P, n)
     base = float(model.baseline.integral(np.float64(T)))
     out = np.empty(P)
-    step = max(1, _BLOCK_ELEMS // max(n, 1))
-    for a in range(0, P, step):
-        log_prod, exc = _log_kappa_parts(model, rows[a:a + step], counts[a:a + step], T)
-        out[a:a + step] = log_prod - (base + exc)
+    for s in _slices(P, n):
+        log_prod, exc = _log_kappa_parts(model, rows[s], counts[s], T)
+        out[s] = log_prod - (base + exc)
     return out
 
 
@@ -337,23 +330,22 @@ def _marginal_cdf(model: HawkesModel, T: float, n: int, coord: int):
     the other jump time integrated out by the chained rule, the grid by
     trapezoids, the normalization cancelling in the ratio to the total mass.
 
-    The grid points go in blocks whose rows, 64^(n-1) rows of n times a
-    point, hold _BLOCK_ELEMS times (128 points for n = 2): each row's log
+    The grid points go in `_slices` of n 64^(n-1) times a point, the times
+    of its 64^(n-1) rows (128 points a slice for n = 2): each row's log
     kappa and each point's sum over its nodes are its own, so the density
     has the same bits in any block."""
     grid = np.linspace(0.0, T, 8193 if n == 1 else 1025)
     ev = grid.copy()
     ev[0] = 0.5 * grid[1]  # kappa is defined for t > 0; continuous limit at 0
     dens = np.empty(ev.size)
-    step = max(1, _BLOCK_ELEMS // (n * _GL64[0].size ** (n - 1)))
-    for a in range(0, ev.size, step):
-        pts = ev[a:a + step]
+    for s in _slices(ev.size, n * _GL64[0].size ** (n - 1)):
+        pts = ev[s]
         lo, hi = (0.0, pts) if coord else (pts, T)  # the other jump lies before or after
         nodes, weights = _chained_rule(lo, hi, n - 1)
         fixed = np.broadcast_to(pts.reshape((-1,) + (1,) * n), nodes.shape[:-1] + (1,))
         rows = np.concatenate([nodes, fixed] if coord else [fixed, nodes], axis=-1)
         vals = np.exp(log_kappa_rows(model, T, rows.reshape(-1, n))).reshape(weights.shape)
-        dens[a:a + step] = (weights * vals).reshape(pts.size, -1).sum(axis=1)
+        dens[s] = (weights * vals).reshape(pts.size, -1).sum(axis=1)
     cdf = _cumulative_trapezoid(dens, grid)
     if cdf[-1] <= 0.0:
         raise NormalizationError("degenerate marginal: zero total mass")

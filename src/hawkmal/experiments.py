@@ -24,7 +24,7 @@ from .malliavin import (
     weight_arrays,
     z_eps_batch,
 )
-from .model import AssumptionError, HawkesModel, _reference_cache, _row_sums, strict_lags
+from .model import AssumptionError, HawkesModel, _reference_cache, _row_sums
 from .simulate import PathBatch, _path_blocks, padded_jumps
 
 _Z_THRESHOLD = 3.0
@@ -176,7 +176,7 @@ def mean_intensity_batch(model: HawkesModel, batch: PathBatch, grid) -> np.ndarr
         earliest = tt.min(axis=1)
         for i, s in enumerate(grid):
             rows = tt[:np.searchsorted(earliest, s)]
-            exc = _row_sums(strict_lags(model.kernel.mu, rows, s).T)
+            exc = model.excitation(rows.T, s)
             out[i, idx] = base[i] + np.asarray(model.nonlinearity.value(exc), dtype=float)
     return out
 

@@ -26,7 +26,7 @@ import numpy as np
 from .malliavin import CameronMartinFunction, _divergence_rows, weight_arrays
 from .malliavin import divergence_m_batch  # noqa: F401  bench/layers.py traces greeks.divergence_m_batch
 from .model import AssumptionError, HawkesModel, _row_sums
-from .simulate import _BLOCK_ELEMS, HawkesPath, PathBatch, _path_blocks, compensator_batch
+from .simulate import HawkesPath, PathBatch, _path_blocks, _slices, compensator_batch
 
 _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -370,17 +370,15 @@ def _plain_estimate(
     """The plain-sample estimate of the per-path values(S_T, dS_T/dx0), each
     counted on {N_T > 0} only: the tail of `fd_delta` and `pathwise_delta`.
 
-    The terminal prices and values run over contiguous blocks of
-    _BLOCK_ELEMS paths (`PathBatch.take` of a slice, which copies no jump
-    time), into one path-length vector: the pass holds the batch once, that
+    The terminal prices and values run over `_slices` of paths, one element
+    a path (`PathBatch.take` of a slice, which copies no jump time), into
+    one path-length vector: the pass holds the batch once, that
     vector, and one block's working set.  A path's S_T, hence its value, has
     the same bits in any block, so the estimate does too."""
     sample = np.empty(batch.n_paths)
-    for lo in range(0, batch.n_paths, _BLOCK_ELEMS):
-        block = batch.take(slice(lo, lo + _BLOCK_ELEMS))
-        out = sample[lo:lo + block.n_paths]
-        out[:] = values(*terminal_price_batch(asset, block))
-        out[block.counts() == 0] = 0.0
+    for s in _slices(batch.n_paths, 1):
+        block = batch.take(s)
+        sample[s] = np.where(block.counts() > 0, values(*terminal_price_batch(asset, block)), 0.0)
     mean, se, ess = mc_estimate(sample)
     return GreekEstimate(
         estimator=estimator,

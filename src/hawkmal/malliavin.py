@@ -531,14 +531,17 @@ def z_eps_batch(model: HawkesModel, batch: PathBatch, m: CameronMartinFunction, 
     `_path_blocks` through the density's `_log_kappa_parts`, so every eps
     shares the unshifted rows, and a bounded m's samples at the jumps; the
     baseline integral is left out, as it cancels in the ratio.  m must have
-    the batch's horizon.
+    the batch's horizon, and eps must not be empty: both are refused before
+    any work.
     """
+    _check_horizon(m, batch.horizon)
     eps_values = [float(e) for e in np.atleast_1d(eps)]
+    if not eps_values:
+        raise ValueError("eps is empty: there is no Z^eps to compute")
     directions = []
     for e in eps_values:
         if not 0.0 < e < math.inf:
             raise ValueError(f"eps must be positive and finite, got {e}")
-        _check_horizon(m, batch.horizon)
         if not m.bounded:
             directions.append(_truncated_direction(m, e))
         elif not e * m.sup_m < 1.0 / 3.0:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .malliavin import MalliavinGradient, _bridge_coefficients
 from .model import AssumptionError
-from .simulate import _BLOCK_ELEMS, HawkesPath, PathBatch
+from .simulate import HawkesPath, PathBatch, _runs, _slices
 
 _STEP_FRACTION = 1e-3     # h <= 1e-3 * horizon
 _MIN_SEGMENT_STEPS = 16   # h <= (t - s) / 16
@@ -329,29 +329,24 @@ def _expm_stack(X) -> np.ndarray:
     return _ldexp(*_expm_scaled(X))
 
 
-def _expm_run(n: int) -> int:
-    """Slices of an (n, n) stack that one `_pade13_scaled` call takes, so
-    each of its dozen temporaries holds a quarter of _BLOCK_ELEMS: runs of
-    _BLOCK_ELEMS elements held 0.7 MB more peak RSS on the `sde-presets`
-    bench (2 vCPU), and runs of 128 to 512 slices at n = 3 read alike."""
-    return max(1, _BLOCK_ELEMS // (4 * n * n))
-
-
 def _expm_scaled(X) -> tuple:
     """(R, e) with exp(X_k) = R_k 2^{e_k} for every slice of a (..., n, n)
-    stack, by Pade-13 scaling and squaring (Higham 2005), one `_expm_run` of
-    slices at a time (`_pade13_scaled`), so its temporaries stay bounded at
-    any stack size.  Each slice's arithmetic is its own, so a slice has the
-    same bits alone and in any stack."""
+    stack, by Pade-13 scaling and squaring (Higham 2005), one run of slices
+    at a time (`_pade13_scaled`), so its temporaries stay bounded at any
+    stack size.  A run is `_slices` of 4 n^2 elements a slice, so each of
+    the call's dozen temporaries holds a quarter of the block budget: runs of
+    the whole budget held 0.7 MB more peak RSS on the `sde-presets` bench
+    (2 vCPU), and runs of 128 to 512 slices at n = 3 read alike.  Each
+    slice's arithmetic is its own, so a slice has the same bits alone and in
+    any stack."""
     X = np.asarray(X, dtype=float)
     shape = X.shape
     n = shape[-1]
     X = X.reshape(-1, n, n)
     R = np.empty(X.shape)
     e = np.empty(X.shape[0], dtype=np.int64)
-    step = _expm_run(n)
-    for lo in range(0, X.shape[0], step):
-        R[lo:lo + step], e[lo:lo + step] = _pade13_scaled(X[lo:lo + step])
+    for s in _slices(X.shape[0], 4 * n * n):
+        R[s], e[s] = _pade13_scaled(X[s])
     return R.reshape(shape), e.reshape(shape[:-2])
 
 
@@ -403,10 +398,9 @@ def _linear_propagators(lin: LinearCoeffs, span, d: int):
     aug[:d, d] = lin.b
     flat = span.reshape(-1)
     E, c = np.empty((flat.size, d, d)), np.empty((flat.size, d))
-    step = _expm_run(d + 1)
-    for lo in range(0, flat.size, step):
-        big = _expm_stack(aug * flat[lo:lo + step, None, None])
-        E[lo:lo + step], c[lo:lo + step] = big[:, :d, :d], big[:, :d, d]
+    for s in _slices(flat.size, 4 * (d + 1) ** 2):
+        big = _expm_stack(aug * flat[s, None, None])
+        E[s], c[s] = big[:, :d, :d], big[:, :d, d]
     return E.reshape(span.shape + (d, d)), c.reshape(span.shape + (d,))
 
 
@@ -700,11 +694,16 @@ def density_criteria(sde: JumpSde, batch: PathBatch) -> DensityCriteria:
     needs.  Linear systems, d = 1 included, take the exact batched engine;
     every other system takes the lockstep RK4 engine.  det, the smallest
     eigenvalue and the rank come from the singular values of each path's
-    block of W (`_spectrum`).  Both run on each of the batch's
-    `_segment_blocks`: count-sorted paths, at most _BLOCK_ELEMS segments
-    summed over a block's paths, which is what the engines hold.  A path's
-    results have the same bits in any batch, so memory stays bounded at any
-    path count, and a 500-path reference batch is one block.
+    block of W (`_spectrum`).  Both run on blocks of the count-sorted
+    paths, longest first: `_runs` sized by a path's segments, its jumps plus
+    one, or a single path that has more.  Both engines hold flat per-segment
+    and per-jump arrays, so a block's segments bound them, and a batch of
+    jump-free paths is bounded too.  A path's results have the same bits in
+    any batch, so memory stays bounded at any path count, and a 500-path
+    reference batch is one block.  A lockstep RK4 sweep runs as long as its
+    block's longest path, so sorting keeps paths of like length together:
+    blocks in batch order took 18.7-19.7 s against 14.8-17.6 s for
+    `cos-sin` at 100 000 reference paths (2 vCPU).
     """
     counts = batch.counts()
     d = sde.dim
@@ -712,7 +711,10 @@ def density_criteria(sde: JumpSde, batch: PathBatch) -> DensityCriteria:
     terminal = np.empty((batch.n_paths, d))
     dets, min_eigs = np.empty((2, batch.n_paths))
     ranks = np.empty(batch.n_paths, dtype=np.int64)
-    for idx, block in _segment_blocks(batch):
+    order = np.argsort(-counts, kind="stable")
+    for s in _runs(counts[order] + 1):
+        idx = order[s]
+        block = batch.take(idx)
         terminal[idx], _, factor, scale = engine(sde, block)
         dets[idx], min_eigs[idx], ranks[idx] = _spectrum(block, factor, scale, d)
     cond = counts >= d
@@ -731,26 +733,6 @@ def density_criteria(sde: JumpSde, batch: PathBatch) -> DensityCriteria:
         wronskian_margin=margin, min_rank=int(ranks[cond].min()) if n_cond else None,
         passed=n_cond > 0 and bool(flags[cond].all()),
     )
-
-
-def _segment_blocks(batch: PathBatch):
-    """(positions, sub-batch) over blocks of the count-sorted paths, longest
-    first, each of at most _BLOCK_ELEMS segments summed over its paths (a
-    path's jumps plus one), or of a single path that has more.  Both engines
-    hold flat per-segment and per-jump arrays, so a block's segments bound
-    them, and a batch of jump-free paths is bounded too.  A lockstep RK4
-    sweep runs as long as its block's longest path, so sorting keeps paths
-    of like length together: blocks in batch order took 18.7-19.7 s against
-    14.8-17.6 s for `cos-sin` at 100 000 reference paths (2 vCPU)."""
-    counts = batch.counts()
-    order = np.argsort(-counts, kind="stable")
-    ends = np.cumsum(counts[order] + 1)
-    lo = 0
-    while lo < order.size:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_ELEMS, side="right")))
-        yield order[lo:hi], batch.take(order[lo:hi])
-        lo = hi
 
 
 def _spectrum(batch: PathBatch, factor: np.ndarray, scale: np.ndarray, d: int) -> tuple:

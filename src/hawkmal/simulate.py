@@ -466,12 +466,12 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
 _QUAD_TOL = 1e-10          # accepted |32-node - 16-node| and |32 - 8| per panel
 _QUAD_MAX_PANELS = 1 << 14  # most panels one segment may be split into
-# Elements of the largest temporary of one block, for every padded pass: the
-# (segments, nodes, lags) quadratures and each estimator's count-sorted path
-# blocks (`_path_blocks`; the linear compensator's `_flat_blocks` count
-# jumps of consecutive paths, and the SDE engines' `sde._segment_blocks`
-# summed segments, instead), so a pass costs each path its own jump count and
-# its memory stays bounded whatever the batch's longest path.  At 128 KB a
+# Elements of the largest temporary of one block, the one budget of every
+# blocked pass, read here alone and at each call: the (segments, nodes,
+# lags) quadratures, the count-sorted padded blocks (`_path_blocks`), runs
+# of consecutive items of varying size (`_runs`) and slices of items of one
+# size (`_slices`).  So a pass costs each path its own jump count and its
+# memory stays bounded whatever the batch's longest path.  At 128 KB a
 # block keeps peak memory flat (2 MB blocks added 5 MB of peak RSS), and it
 # is the fastest width measured: `z_eps_batch` at three eps over 5 000
 # reference paths (2 vCPU, median of 7) took 26/18/41/86 ms at
@@ -560,6 +560,26 @@ def _path_blocks(batch: PathBatch, elems_per_row=lambda K: K):
         yield idx, batch.take(idx)
 
 
+def _runs(sizes) -> Iterator[slice]:
+    """Slices over runs of consecutive items, each run as long as keeps the
+    sum of its items' sizes within _BLOCK_ELEMS; an item larger than that
+    is a run alone."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < ends.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_ELEMS, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _slices(n: int, size: int) -> Iterator[slice]:
+    """Slices over n items of `size` elements each, as many a slice as fit
+    in _BLOCK_ELEMS (at least one): `_runs` of items of one size."""
+    step = max(1, _BLOCK_ELEMS // max(size, 1))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def padded_jumps(batch: PathBatch) -> Tuple[np.ndarray, np.ndarray]:
     """(times, mask) as (n_paths, K) arrays, K = max jump count; padded
     slots hold the horizon value and are masked out."""
@@ -585,17 +605,15 @@ def _excitation_recurrences(times, alpha, beta, anti_vals=None):
     tt = np.ascontiguousarray(times.T)
     decay = np.exp(-beta * np.diff(tt, axis=0))
     S = np.zeros_like(tt)
+    C = None if anti_vals is None else np.zeros_like(tt)
+    at = None if anti_vals is None else np.ascontiguousarray(anti_vals.T)
     for j in range(1, tt.shape[0]):
         np.add(S[j - 1], alpha, out=S[j])
         S[j] *= decay[j - 1]
-    if anti_vals is None:
-        return np.ascontiguousarray(S.T), None
-    at = np.ascontiguousarray(anti_vals.T)
-    C = np.zeros_like(tt)
-    for j in range(1, tt.shape[0]):
-        np.add(C[j - 1], at[j - 1], out=C[j])
-        C[j] *= decay[j - 1]
-    return np.ascontiguousarray(S.T), np.ascontiguousarray(C.T)
+        if C is not None:
+            np.add(C[j - 1], at[j - 1], out=C[j])
+            C[j] *= decay[j - 1]
+    return np.ascontiguousarray(S.T), None if C is None else np.ascontiguousarray(C.T)
 
 
 def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, anti=None):
@@ -606,8 +624,9 @@ def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     cross_j = sum_{i<j} (anti_j - anti_i) mu'(T_j - T_i)    (psi's cross sum)
 
     cross is None when no `anti` is given.  The exponential kernel takes the
-    O(P K) recurrences; any other kernel takes `_row_sums` of `strict_lags`
-    over `_row_blocks`; padded slots then read 0.
+    O(P K) recurrences, S and C in one walk; any other kernel takes
+    `model.excitation` at each row's own jumps over `_row_blocks`; padded
+    slots then read 0.
     """
     kernel = model.kernel
     if kernel.family == "exponential":
@@ -619,7 +638,7 @@ def _excitation_sums(model: HawkesModel, times: np.ndarray, counts: np.ndarray, 
     cross = None if anti is None else np.zeros(times.shape)
     for idx, K in _row_blocks(counts, lambda K: K * K):
         at = times[idx, :K]
-        S[idx, :K] = _row_sums(strict_lags(kernel.mu, at[:, None, :], at))
+        S[idx, :K] = model.excitation(at[:, None, :], at)
         if anti is not None:
             a = anti[idx, :K]
             mup = strict_lags(kernel.mu_prime, at[:, None, :], at)
@@ -654,7 +673,6 @@ def _history_segments(model: HawkesModel, rows: np.ndarray, t: float, integrand)
     K jump times, shaped (panels, 1, K), and exc the excitation at the nodes
     u.  The segment before the first jump is left out, as the excitation is
     0 there; rows with no jump before t get no block."""
-    mu = model.kernel.mu
     for idx, K in _row_blocks((rows < t).sum(axis=1), lambda K: K * _GL32[0].size * K):
         if K == 0:
             break  # the remaining rows have no jumps before t
@@ -664,7 +682,7 @@ def _history_segments(model: HawkesModel, rows: np.ndarray, t: float, integrand)
 
         def f(seg, u):
             jumps = block[seg // K, None, :]
-            return integrand(_row_sums(strict_lags(mu, jumps, u)), jumps, u)
+            return integrand(model.excitation(jumps, u), jumps, u)
 
         quad = _segment_quad(f, cuts.ravel(), ends.ravel())
         yield idx, K, quad.reshape((idx.size, K) + quad.shape[1:])
@@ -763,19 +781,6 @@ def compensator(model: HawkesModel, path: HawkesPath, t: Optional[float] = None)
     return float(compensator_batch(model, PathBatch.of(path), t)[0])
 
 
-def _flat_blocks(batch: PathBatch) -> Iterator[Tuple[int, int]]:
-    """(lo, hi) over runs of whole consecutive paths [lo, hi) holding at
-    most _BLOCK_ELEMS jumps and _BLOCK_ELEMS paths; a path with more jumps
-    is a block alone."""
-    offsets = batch.offsets
-    lo = 0
-    while lo < batch.n_paths:
-        hi = int(np.searchsorted(offsets, offsets[lo] + _BLOCK_ELEMS, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + _BLOCK_ELEMS)
-        yield lo, hi
-        lo = hi
-
-
 def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] = None) -> np.ndarray:
     """Lambda_t = int_0^t lambda*(s) ds for every path of a batch; a jump at
     0 acts as the limit of jumps at 0+.  Each path sums its own terms in
@@ -783,8 +788,9 @@ def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] =
     path has the same Lambda_t alone (`compensator`) and in any batch.
 
     Linear gamma sums each path's closed-form terms mu_hat(t - T_i) straight
-    from the flat jump times, over the `_flat_blocks` of whole paths: one
-    `np.bincount` a block adds a path's terms in jump order from 0.0, as
+    from the flat jump times, over `_runs` of whole consecutive paths, each
+    path sized as its jumps plus one: one `np.bincount` a run adds a path's
+    terms in jump order from 0.0, as
     `_row_sums` adds its padded row in `_excitation_compensator`, so the
     bits are those of the jump-time density's Lambda.  Nonlinear gamma
     needs the excitation's segments: the paths go through `_path_blocks`,
@@ -793,12 +799,11 @@ def compensator_batch(model: HawkesModel, batch: PathBatch, t: Optional[float] =
     base = float(model.baseline.integral(np.float64(t)))
     out = np.empty(batch.n_paths)
     if model.nonlinearity.is_linear():
-        counts = batch.counts()
-        for lo, hi in _flat_blocks(batch):
-            path = np.repeat(np.arange(hi - lo), counts[lo:hi])
-            times = batch.flat_times[batch.offsets[lo]:batch.offsets[hi]]
-            terms = strict_lags(model.kernel.mu_hat, times, t)
-            out[lo:hi] = base + np.bincount(path, weights=terms, minlength=hi - lo)
+        for s in _runs(batch.counts() + 1):
+            block = batch.take(s)
+            path = np.repeat(np.arange(block.n_paths), block.counts())
+            terms = strict_lags(model.kernel.mu_hat, block.flat_times, t)
+            out[s] = base + np.bincount(path, weights=terms, minlength=block.n_paths)
         return out
     for idx, block in _path_blocks(batch):
         out[idx] = base + _excitation_compensator(model, padded_jumps(block)[0], t)

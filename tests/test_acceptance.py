@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-import hawkmal.cli
 import hawkmal.simulate
 from hawkmal.cli import main as cli_main
 from hawkmal.density import (
@@ -440,7 +439,7 @@ def test_12_greeks_triangle(model):
 # ---- 13: command-line determinism across chunk widths and block budgets ----
 
 def test_13_cli_determinism(tmp_path, monkeypatch):
-    label = "every command: chunk 7 and block 4096 give the defaults' CSV bytes (timestamp off)"
+    label = "every command: chunk 7 and block 1000 give the defaults' CSV bytes (timestamp off)"
     with _verdict(13, label) as v:
         ini = tmp_path / "acceptance.ini"
         ini.write_text(
@@ -458,12 +457,12 @@ def test_13_cli_determinism(tmp_path, monkeypatch):
             "greeks",
         )
         # the reproducibility contract: (seed, first_index, n_paths) fixes
-        # every output byte, whatever the thinning's chunk width and the
-        # padded passes' block budget (the slice writer's too)
+        # every output byte, whatever the thinning's chunk width and the one
+        # block budget of every blocked pass; at 1 000 each command cuts more
+        # than one block (greeks' 3 000-path FD range three slices)
         small = (
             (hawkmal.simulate, "_CHUNK", 7),
-            (hawkmal.simulate, "_BLOCK_ELEMS", 4096),
-            (hawkmal.cli, "_BLOCK_ELEMS", 4096),
+            (hawkmal.simulate, "_BLOCK_ELEMS", 1000),
         )
         settings = {"default": (), "small": small}
         for command in commands:

@@ -616,7 +616,7 @@ def test_write_csv_rows_slices_match_cell_text(tmp_path_factory, ints, floats, u
     text = np.where(f, "true", "false")
     dump = _Rows(n, lambda lo, hi: [a[lo:hi], b[lo:hi], c[lo:hi], text[lo:hi]])
     out = tmp_path_factory.mktemp("rows")
-    with mock.patch("hawkmal.cli._BLOCK_ELEMS", 9), mock.patch("hawkmal.cli._NUMPY_TEXT_ROWS", 2):
+    with mock.patch("hawkmal.simulate._BLOCK_ELEMS", 9), mock.patch("hawkmal.cli._NUMPY_TEXT_ROWS", 2):
         path = _write_csv(str(out), "t.csv", "abc", ("x", "y", "z", "w"), dump, None)
     ref = io.StringIO(newline="")
     ref.write("# digest=abc\n")

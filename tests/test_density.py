@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import simpson
 
+import hawkmal.simulate
 from hawkmal import density
 from hawkmal.density import (
     GoodnessOfFit,
@@ -433,10 +434,10 @@ def test_marginal_cdf_blocks_move_no_bit(monkeypatch):
     uncached = _marginal_cdf.__wrapped__
     for model in (reference_model(), tanh_model(2.0)):
         for n, coord in ((1, 0), (2, 0), (2, 1)):
-            monkeypatch.setattr(density, "_BLOCK_ELEMS", 1 << 40)
+            monkeypatch.setattr(hawkmal.simulate, "_BLOCK_ELEMS", 1 << 40)
             grid, want = uncached(model, 5.0, n, coord)
             elems = 37 * n * 64 ** (n - 1)
-            monkeypatch.setattr(density, "_BLOCK_ELEMS", elems)
+            monkeypatch.setattr(hawkmal.simulate, "_BLOCK_ELEMS", elems)
             got_grid, got = uncached(model, 5.0, n, coord)
             assert got_grid.tobytes() == grid.tobytes()
             assert got.tobytes() == want.tobytes(), (n, coord)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hawkmal.malliavin
 from hawkmal.malliavin import (
     CameronMartinFunction,
     MalliavinGradient,
@@ -648,6 +649,22 @@ def test_direction_for_another_horizon_refused():
     # within 1e-12 of the batch horizon the direction is the batch's own
     close = CameronMartinFunction.default(5.0 + 1e-13)
     assert np.all(np.isfinite(z_eps_batch(reference_model(), batch, close, 0.1)))
+
+
+def test_z_eps_batch_refuses_an_empty_eps_and_another_horizon_before_any_work(monkeypatch):
+    # an empty eps has no Z^eps to give: it must not run the batch through
+    # log kappa, and a direction of another horizon is refused even then
+    batch = simulate_batch(reference_model(), T=5.0, master_seed=7, n_paths=50)
+
+    def no_work(*args):
+        raise AssertionError("log kappa ran")
+
+    monkeypatch.setattr(hawkmal.malliavin, "_log_kappa_parts", no_work)
+    for eps in ([], (), np.empty(0)):
+        with pytest.raises(ValueError, match="horizon 4 does not match the batch horizon 5"):
+            z_eps_batch(reference_model(), batch, CameronMartinFunction.default(4.0), eps)
+        with pytest.raises(ValueError, match="eps is empty"):
+            z_eps_batch(reference_model(), batch, CameronMartinFunction.default(5.0), eps)
 
 
 # ------------------------------------------------------- Z^eps

@@ -309,6 +309,22 @@ def test_every_cache_is_bounded():
     } <= set(caches)
 
 
+def test_the_block_budget_is_bound_in_simulate_alone():
+    # every blocked pass reads the one budget in `hawkmal.simulate` at its
+    # call (through `_path_blocks`, `_runs` or `_slices`), so a test that
+    # patches it reaches them all: a copy imported into another module
+    # would keep its value under the patch
+    import hawkmal
+
+    names = [info.name for info in pkgutil.iter_modules(hawkmal.__path__)]
+    assert {"cli", "density", "greeks", "sde", "simulate"} <= set(names)
+    holders = sorted(
+        name for name in names
+        if hasattr(importlib.import_module(f"hawkmal.{name}"), "_BLOCK_ELEMS")
+    )
+    assert holders == ["simulate"]
+
+
 # (reference, spec, field, value): each field of each spec changed alone, on
 # an exponential and on a custom kernel; `_REFUSED_ALONE` lists the changes
 # the constructor refuses, as a family's parameters fit no other family

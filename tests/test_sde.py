@@ -36,10 +36,10 @@ from hawkmal.sde import (
     _linear_propagators,
     _linear_sensitivity,
     _rk4_batch,
-    _segment_blocks,
     _segment_steps,
     _segments,
 )
+import hawkmal.simulate
 from hawkmal.simulate import HawkesPath, simulate_batch
 from sde_oracles import (
     batch_of,
@@ -866,20 +866,37 @@ def test_expm_stack_zero_spans_and_empty_stack():
         np.testing.assert_array_equal(c, np.zeros(d))
 
 
+def pade_runs(monkeypatch):
+    """The list that each later `_pade13_scaled` call appends its stack
+    size to: the runs `_expm_scaled` cuts."""
+    runs = []
+    pade = hawkmal.sde._pade13_scaled
+
+    def counted(X):
+        runs.append(X.shape[0])
+        return pade(X)
+
+    monkeypatch.setattr(hawkmal.sde, "_pade13_scaled", counted)
+    return runs
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_expm_scaled_gives_each_matrix_its_bits_alone(n, monkeypatch):
-    # runs of k = 7 matrices: each stack straddles its run boundaries, and
-    # scalings from 1e-3 to 1e3 mix the squaring rounds inside each run
-    monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 28 * n * n)
-    k = hawkmal.sde._expm_run(n)
-    assert k == 7
+    # runs of k = 7 matrices, 4 n^2 elements each in a budget of 28 n^2:
+    # each stack straddles its run boundaries, and scalings from 1e-3 to 1e3
+    # mix the squaring rounds inside each run
+    monkeypatch.setattr(hawkmal.simulate, "_BLOCK_ELEMS", 28 * n * n)
+    k = 7
+    runs = pade_runs(monkeypatch)
     rng = np.random.default_rng(35 + n)
     for size in (0, 1, k - 1, k, k + 1, 3 * k + 5):
         X = rng.standard_normal((size, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (size, 1, 1))
         X[::5] *= -1.0
         if size:
             X[0] = 0.0
+        runs.clear()
         R, e = _expm_scaled(X)
+        assert runs == [k] * (size // k) + [size % k] * (size % k > 0)
         assert R.shape == X.shape and e.shape == (size,)
         if size > k:
             assert np.unique(squarings(X[:k])).size > 1
@@ -897,15 +914,18 @@ def test_expm_scaled_gives_each_matrix_its_bits_alone(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_expm_scaled_default_runs_match_one_run(n, monkeypatch):
-    # at the default run of k slices, a stack of 3 k + 5 matrices has the
-    # bits of one run over the whole stack
-    k = hawkmal.sde._expm_run(n)
+    # at the default run of k slices (4 n^2 elements a slice), a stack of
+    # 3 k + 5 matrices has the bits of one run over the whole stack
+    k = hawkmal.simulate._BLOCK_ELEMS // (4 * n * n)
+    runs = pade_runs(monkeypatch)
     rng = np.random.default_rng(77 + n)
     X = rng.standard_normal((3 * k + 5, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3 * k + 5, 1, 1))
     R, e = _expm_scaled(X)
-    monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 4 * X.size)
-    assert hawkmal.sde._expm_run(n) == X.shape[0]
+    assert runs == [k, k, k, 5]
+    monkeypatch.setattr(hawkmal.simulate, "_BLOCK_ELEMS", 4 * X.size)
+    runs.clear()
     whole_R, whole_e = _expm_scaled(X)
+    assert runs == [X.shape[0]]
     np.testing.assert_array_equal(R, whole_R)
     np.testing.assert_array_equal(e, whole_e)
 
@@ -935,22 +955,23 @@ def test_density_criteria_sweeps_a_reference_batch_whole(monkeypatch):
     assert peak <= 2.5e6, peak
 
 
-def assert_segment_blocks(batch, most):
-    """Every path once, longest first, in blocks of at most `most` summed
-    segments, or of one path that has more."""
-    counts = batch.counts()
-    blocks = list(_segment_blocks(batch))
-    order = np.concatenate([idx for idx, _ in blocks])
-    np.testing.assert_array_equal(np.sort(order), np.arange(batch.n_paths))
-    assert np.all(np.diff(counts[order]) <= 0)
-    for idx, block in blocks:
-        segments = int(np.sum(counts[idx] + 1))
-        assert segments <= most or idx.size == 1
-        np.testing.assert_array_equal(block.counts(), counts[idx])
-    # each block is as full as the next path allows
-    for (idx, _), (nxt, _) in zip(blocks, blocks[1:]):
-        assert np.sum(counts[idx] + 1) + counts[nxt[0]] + 1 > most
-    return blocks
+def criteria_blocks(monkeypatch, sde, batch):
+    """(density_criteria(sde, batch), the jump counts of each block its
+    engine took, in order); every path once, longest first."""
+    name = "_linear_batch" if sde.linear is not None else "_rk4_batch"
+    engine = getattr(hawkmal.sde, name)
+    blocks = []
+
+    def counted(sde, block):
+        blocks.append(block.counts())
+        return engine(sde, block)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hawkmal.sde, name, counted)
+        got = density_criteria(sde, batch)
+    swept = np.concatenate(blocks)
+    np.testing.assert_array_equal(swept, np.sort(batch.counts())[::-1])
+    return got, blocks
 
 
 def assert_same_criteria(got, want):
@@ -965,16 +986,17 @@ def test_segment_blocks_bound_jump_free_batches(monkeypatch):
     # first 2 000 of them in blocks of 700 segments
     batch = simulate_batch(reference_model(), T=1e-3, master_seed=35, n_paths=40_000)
     assert batch.counts().sum() < 100
-    assert len(assert_segment_blocks(batch, hawkmal.sde._BLOCK_ELEMS)) >= 3
     short = batch.take(np.arange(2_000))
-    cases = [(sde_preset("linear-d2"), batch, hawkmal.sde._BLOCK_ELEMS), (sde_preset("cos-sin"), short, 700)]
+    cases = [(sde_preset("linear-d2"), batch, hawkmal.simulate._BLOCK_ELEMS), (sde_preset("cos-sin"), short, 700)]
     for sde, paths, most in cases:
-        monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", most)
-        assert len(assert_segment_blocks(paths, most)) >= 3
-        blocked = density_criteria(sde, paths)
-        monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 1 << 20)
-        assert len(list(_segment_blocks(paths))) == 1
-        assert_same_criteria(blocked, density_criteria(sde, paths))
+        monkeypatch.setattr(hawkmal.simulate, "_BLOCK_ELEMS", most)
+        blocked, blocks = criteria_blocks(monkeypatch, sde, paths)
+        assert len(blocks) >= 3
+        assert all(np.sum(c + 1) <= most for c in blocks)
+        monkeypatch.setattr(hawkmal.simulate, "_BLOCK_ELEMS", 1 << 20)
+        whole, blocks = criteria_blocks(monkeypatch, sde, paths)
+        assert len(blocks) == 1
+        assert_same_criteria(blocked, whole)
 
 
 def test_segment_blocks_put_a_long_path_alone(monkeypatch):
@@ -983,11 +1005,11 @@ def test_segment_blocks_put_a_long_path_alone(monkeypatch):
     paths = [[0.1 * j for j in range(1, 13)], [], [0.5], [0.2, 0.4, 0.6], [], [1.5, 1.7], [0.9]]
     batch = batch_of(paths, 2.0)
     whole = [density_criteria(sde, batch) for sde in (sde_preset("cos-sin"), sde_preset("linear-d2"))]
-    monkeypatch.setattr(hawkmal.sde, "_BLOCK_ELEMS", 8)
-    blocks = assert_segment_blocks(batch, 8)
-    assert [idx.tolist() for idx, _ in blocks] == [[0], [3, 5], [2, 6, 1, 4]]
+    monkeypatch.setattr(hawkmal.simulate, "_BLOCK_ELEMS", 8)
     for sde, want in zip((sde_preset("cos-sin"), sde_preset("linear-d2")), whole):
-        assert_same_criteria(density_criteria(sde, batch), want)
+        got, blocks = criteria_blocks(monkeypatch, sde, batch)
+        assert [c.tolist() for c in blocks] == [[12], [3, 2], [1, 1, 0, 0]]
+        assert_same_criteria(got, want)
 
 
 def test_linear_engines_raise_on_a_blown_up_flow():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-import hawkmal.greeks
 import hawkmal.model
 import hawkmal.simulate
 from hawkmal.density import _log_kappa_parts, log_kappa, log_kappa_rows
@@ -52,13 +51,14 @@ from hawkmal.simulate import (
     _BLOCK_ELEMS,
     RngStream,
     _excitation_compensator,
-    _flat_blocks,
     _path_blocks,
     _philox_rounds,
     _round_keys,
     _row_blocks,
+    _runs,
     _seed_keys,
     _segment_quad,
+    _slices,
     _uniforms_at,
     compensator,
     compensator_batch,
@@ -825,6 +825,29 @@ def test_row_blocks_cover_each_row_once_longest_first(counts):
         assert idx.size == 1 or idx.size * K * 32 * K <= _BLOCK_ELEMS
 
 
+@given(
+    sizes=st.lists(st.integers(0, 60), max_size=200),
+    size=st.integers(1, 60),
+    elems=st.integers(1, 200),
+)
+def test_runs_and_slices_cover_each_item_once_in_order_within_the_budget(sizes, size, elems):
+    # every item once, in order, in runs of at most elems elements unless a
+    # run is one item alone; a run ends only where the next item would
+    # overflow it.  `_slices` cuts n items of one size as `_runs` does
+    n = len(sizes)
+    with mock.patch.object(hawkmal.simulate, "_BLOCK_ELEMS", elems):
+        runs = list(_runs(np.array(sizes, dtype=np.int64)))
+        slices = list(_slices(n, size))
+        assert slices == list(_runs(np.full(n, size)))
+    for items, cuts in ((np.array(sizes, dtype=np.int64), runs), (np.full(n, size), slices)):
+        bounds = [0] + [c.stop for c in cuts]
+        assert [c.start for c in cuts] == bounds[:-1] and bounds[-1] == n
+        for c, nxt in zip(cuts, cuts[1:] + [None]):
+            total = int(items[c].sum())
+            assert c.stop > c.start and (total <= elems or c.stop - c.start == 1)
+            assert nxt is None or total + items[nxt.start] > elems
+
+
 def markov_batch(paths):
     """The paths, arrays of sorted jump times in (0, _QT], as one batch."""
     counts = [p.size for p in paths]
@@ -908,16 +931,8 @@ def test_linear_compensator_adds_the_flat_terms_as_the_padded_rows(paths, custom
     for idx, block in _path_blocks(batch):
         want[idx] = base + _excitation_compensator(model, padded_jumps(block)[0], t)
     with mock.patch.object(hawkmal.simulate, "_BLOCK_ELEMS", elems):
-        blocks = list(_flat_blocks(batch))
         got = compensator_batch(model, batch, t)
     np.testing.assert_array_equal(got, want)
-    # the blocks are runs of whole consecutive paths, in order, each within
-    # elems jumps and elems paths unless it is one path alone
-    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-    assert blocks[-1][1] == batch.n_paths
-    for lo, hi in blocks:
-        jumps = batch.offsets[hi] - batch.offsets[lo]
-        assert hi - lo == 1 or (jumps <= elems and hi - lo <= elems)
 
 
 def padded_mean_intensity(model, batch, grid):
@@ -1223,7 +1238,6 @@ def test_blocked_routines_give_the_same_bits_at_any_block_size(kind, seed, n):
     for elems in (1, 37, 2**40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hawkmal.simulate, "_BLOCK_ELEMS", elems)
-            mp.setattr(hawkmal.greeks, "_BLOCK_ELEMS", elems)
             got = blocked_results(model, batch)
         for key, rows in want.items():
             np.testing.assert_array_equal(got[key], rows, err_msg=f"{key} at {elems}")
