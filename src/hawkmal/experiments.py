@@ -16,6 +16,7 @@ from .malliavin import (
     CameronMartinFunction,
     SmoothFunctional,
     _divergence_rows,
+    _smooth_blocks,
     capped_jump_time,
     compose_smooth,
     divergence_m_batch,  # noqa: F401  bench/layers.py traces experiments.divergence_m_batch
@@ -249,10 +250,10 @@ def unit_mass_check(
 # ---- integration by parts on the smooth catalog ----
 
 def smooth_catalog() -> Tuple[Tuple[str, SmoothFunctional], ...]:
-    """Functionals with exact gradients used by the duality check; each
-    takes one path's jump times or a padded block (see SmoothFunctional)."""
+    """Functionals with exact gradients used by the duality check, on padded
+    blocks of jump times (see SmoothFunctional)."""
     one = SmoothFunctional(
-        value=lambda times, T: np.ones(times.shape[:-1])[()],
+        value=lambda times, T: np.ones(times.shape[0]),
         partials=lambda times, T: np.zeros(times.shape),
     )
     t1 = capped_jump_time(1)
@@ -269,33 +270,17 @@ def _ibp_differences(
 ) -> np.ndarray:
     """<DF, m> - F delta(m) per catalog entry and path, shaped (entries, P).
 
-    One walk over the batch's `_path_blocks`: each block's `weight_arrays`
-    give delta(m) (`_divergence_rows`) and m_hat at the jumps, each
-    functional is evaluated once on the padded (B, K) jump-time block (the
-    block form of SmoothFunctional), and <DF, m> = -sum_j dF/dt_j m_hat(T_j)
-    is a masked `_row_sums`.  Raises ValueError for an entry whose
-    `supports` rejects a jump count of the batch, or one that breaks the
-    block contract.
+    One walk over the batch's blocks, each catalog entry evaluated once on
+    the padded (B, K) jump-time block (`_smooth_blocks`, which refuses an
+    unsupported jump count before any weight work); each block's
+    `weight_arrays` give delta(m) (`_divergence_rows`) and m_hat at the
+    jumps, and <DF, m> = -sum_j dF/dt_j m_hat(T_j) is a masked `_row_sums`.
     """
-    T = batch.horizon
-    counts = np.unique(batch.counts()).tolist()
-    for label, functional in catalog:
-        rejected = [n for n in counts if not functional.supports(n)]
-        if rejected:
-            raise ValueError(f"F={label} does not support N_T = {rejected[0]}")
     out = np.empty((len(catalog), batch.n_paths))
-    for idx, block in _path_blocks(batch):
-        times, mask, *terms = weight_arrays(model, block, m)
+    for idx, block, rows in _smooth_blocks(batch, catalog):
+        _, mask, *terms = weight_arrays(model, block, m)
         delta, m_hat = _divergence_rows(mask, *terms), terms[-1]
-        B, K = times.shape
-        for row, (label, functional) in zip(out, catalog):
-            values = np.asarray(functional.value(times, T), dtype=float)
-            partials = np.asarray(functional.partials(times, T), dtype=float)
-            if values.shape != (B,) or partials.shape != (B, K):
-                raise ValueError(
-                    f"F={label} gave values {values.shape} and partials {partials.shape} "
-                    f"on a ({B}, {K}) block; expected ({B},) and ({B}, {K})"
-                )
+        for row, (values, partials) in zip(out, rows):
             row[idx] = -_row_sums(partials * m_hat, mask) - values * delta
     return out
 
@@ -306,8 +291,8 @@ def ibp_check(
     m: Optional[CameronMartinFunction] = None,
     catalog=None,
 ) -> ExperimentReport:
-    """Paired z-scores of E[D_m F - F delta(m)] = 0 per catalog entry; every
-    entry takes the block form (see `_ibp_differences`)."""
+    """Paired z-scores of E[D_m F - F delta(m)] = 0 per catalog entry (see
+    `_ibp_differences`)."""
     if m is None:
         m = CameronMartinFunction.default(batch.horizon)
     if catalog is None:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .density import _log_kappa_parts
-from .model import AssumptionError, HawkesModel, _row_sums
+from .model import AssumptionError, HawkesModel, _check_positive_finite, _row_sums
 from .simulate import (
     HawkesPath,
     PathBatch,
@@ -44,7 +44,6 @@ __all__ = [
     "z_eps",
     "basis_projection_check",
     "capped_jump_time",
-    "jump_count",
     "compose_smooth",
     "product_smooth",
     "weight_arrays",
@@ -166,12 +165,6 @@ class CameronMartinFunction:
         return cm
 
 
-def _check_positive_finite(T: float) -> None:
-    """Refuse a horizon outside (0, inf); NaN fails the test as well."""
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-
-
 # ---------------------------------------------------------------------------
 # smooth functionals and gradients
 # ---------------------------------------------------------------------------
@@ -180,28 +173,18 @@ def _check_positive_finite(T: float) -> None:
 class SmoothFunctional:
     """F = f_n(T_1..T_n): a value map plus its exact partials.
 
-    ``value(times, T)`` and ``partials(times, T)`` receive the realized jump
-    times; `supports` restricts the jump counts the functional is defined
-    for.
-
-    Block contract: `times` is either one path's 1-D jump times, giving a
-    float and partials shaped like `times`, or a padded (P, K) block (one
-    path per row, as from `padded_jumps`), giving values (P,) and partials
-    (P, K).  Padded slots hold the horizon T and their partials are
-    ignored.  With that padding T_j ^ T needs no jump count: a missing j-th
-    jump reads as T, and the partial 1{T_j < T} is exact.  The built-in
-    constructors honour both forms, apart from `jump_count`, which is 1-D
-    only (horizon padding hides a jump at T).
+    ``value(times, T)`` and ``partials(times, T)`` receive a padded (P, K)
+    block of jump times, one path per row as from `padded_jumps`, and give
+    values (P,) and partials (P, K); `supports` restricts the jump counts
+    the functional is defined for.  Padded slots hold the horizon T and
+    their partials are ignored.  With that padding T_j ^ T needs no jump
+    count: a missing j-th jump reads as T, and the partial 1{T_j < T} is
+    exact.  One path is the one-row block (`grad_smooth`).
     """
 
-    value: Callable[[np.ndarray, float], float]
+    value: Callable[[np.ndarray, float], np.ndarray]
     partials: Callable[[np.ndarray, float], np.ndarray]
     supports: Callable[[int], bool] = lambda n: True
-
-
-def _trailing(x) -> np.ndarray:
-    """x with a trailing axis, to scale the partials of one path or a block."""
-    return np.asarray(x)[..., None]
 
 
 def capped_jump_time(j: int) -> SmoothFunctional:
@@ -210,37 +193,25 @@ def capped_jump_time(j: int) -> SmoothFunctional:
         raise ValueError("j must be >= 1")
 
     def value(times, T):
-        if times.shape[-1] < j:
-            return np.full(times.shape[:-1], float(T))[()]
-        return times[..., j - 1]
+        if times.shape[1] < j:
+            return np.full(times.shape[0], float(T))
+        return times[:, j - 1]
 
     def partials(times, T):
         p = np.zeros(times.shape)
-        if times.shape[-1] >= j:
-            p[..., j - 1] = times[..., j - 1] < T
+        if times.shape[1] >= j:
+            p[:, j - 1] = times[:, j - 1] < T
         return p
 
     return SmoothFunctional(value=value, partials=partials)
 
 
-def jump_count() -> SmoothFunctional:
-    """N_T; constant in the jump positions, so DF = 0.  1-D jump times only."""
-
-    def value(times, T):
-        if times.ndim != 1:
-            raise ValueError("jump_count needs one path's jump times: padding hides N_T")
-        return float(times.size)
-
-    return SmoothFunctional(value=value, partials=lambda times, T: np.zeros(times.shape))
-
-
 def compose_smooth(phi, phi_prime, F: SmoothFunctional) -> SmoothFunctional:
     """phi(F) with chain-rule partials phi'(F) * dF/dt_j; phi and phi_prime
-    must act elementwise on arrays for the block form."""
+    act elementwise on F's values."""
     return SmoothFunctional(
         value=lambda times, T: phi(F.value(times, T)),
-        partials=lambda times, T: _trailing(phi_prime(F.value(times, T)))
-        * F.partials(times, T),
+        partials=lambda times, T: phi_prime(F.value(times, T))[:, None] * F.partials(times, T),
         supports=F.supports,
     )
 
@@ -249,10 +220,37 @@ def product_smooth(F: SmoothFunctional, G: SmoothFunctional) -> SmoothFunctional
     """F*G with product-rule partials."""
     return SmoothFunctional(
         value=lambda times, T: F.value(times, T) * G.value(times, T),
-        partials=lambda times, T: F.partials(times, T) * _trailing(G.value(times, T))
-        + _trailing(F.value(times, T)) * G.partials(times, T),
+        partials=lambda times, T: F.partials(times, T) * G.value(times, T)[:, None]
+        + F.value(times, T)[:, None] * G.partials(times, T),
         supports=lambda n: F.supports(n) and G.supports(n),
     )
+
+
+def _smooth_blocks(batch: PathBatch, functionals):
+    """(positions, block, rows) over the batch's `_path_blocks`, where rows
+    holds each (label, F) entry's values (B,) and partials (B, K) on the
+    block's padded jump times.  Raises ValueError before the first block
+    for an entry whose `supports` rejects a jump count of the batch, and
+    on a block where an entry gives other shapes."""
+    T = batch.horizon
+    counts = np.unique(batch.counts()).tolist()
+    for label, F in functionals:
+        rejected = [n for n in counts if not F.supports(n)]
+        if rejected:
+            raise ValueError(f"functional {label} does not support N_T = {rejected[0]}")
+    for idx, block in _path_blocks(batch):
+        times, _ = padded_jumps(block)
+        rows = []
+        for label, F in functionals:
+            values = np.asarray(F.value(times, T), dtype=float)
+            partials = np.asarray(F.partials(times, T), dtype=float)
+            if values.shape != times.shape[:1] or partials.shape != times.shape:
+                raise ValueError(
+                    f"functional {label} gave values {values.shape} and partials {partials.shape} "
+                    f"on a {times.shape} block; expected {times.shape[:1]} and {times.shape}"
+                )
+            rows.append((values, partials))
+        yield idx, block, rows
 
 
 @dataclass(frozen=True)
@@ -273,22 +271,16 @@ class MalliavinGradient:
         return shapes @ self.partials
 
     def directional(self, m: CameronMartinFunction) -> float:
-        """<DF, m> = -sum_j partials_j m_hat(T_j)."""
-        if self.jump_times.size == 0:
-            return 0.0
-        return -float(np.dot(self.partials, m.m_hat(self.jump_times)))
+        """<DF, m> = -sum_j partials_j m_hat(T_j), added in jump order as a
+        batch row is (`_row_sums`)."""
+        return -float(_row_sums(self.partials * m.m_hat(self.jump_times)))
 
 
 def grad_smooth(F: SmoothFunctional, path: HawkesPath) -> MalliavinGradient:
-    """Gradient of F at the realized path, from its exact partials."""
-    t = path.jump_times
-    n = t.size
-    if not F.supports(n):
-        raise ValueError(f"functional does not support N_T = {n}")
-    p = np.asarray(F.partials(t, path.horizon), dtype=float)
-    if p.shape != (n,):
-        raise ValueError(f"partials returned shape {p.shape}, expected ({n},)")
-    return MalliavinGradient(t, p, path.horizon)
+    """Gradient of F at the realized path, from its exact partials: row 0 of
+    F on the one-path block (`_smooth_blocks`)."""
+    ((_, _, [(_, partials)]),) = _smooth_blocks(PathBatch.of(path), [("F", F)])
+    return MalliavinGradient(path.jump_times, partials[0], path.horizon)
 
 
 # ---------------------------------------------------------------------------

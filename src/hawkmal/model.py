@@ -52,15 +52,25 @@ class InternalError(RuntimeError):
     model, the config or the data."""
 
 
+def _check_positive_finite(T: float) -> None:
+    """Refuse a horizon outside (0, inf); NaN fails the test as well."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
+
+
 def _set_params(spec, kind: str, arity: dict) -> None:
     """Store a spec's `params` as a tuple of floats, or refuse the spec with
-    AssumptionError if `arity` has no such family or another params count."""
+    AssumptionError if `arity` has no such family, another params count or a
+    parameter that is not finite."""
     family, params = spec.family, spec.params
     if family not in arity:
         raise AssumptionError(f"unknown {kind} family {family!r}")
     if len(params) != arity[family]:
         raise AssumptionError(f"{family} {kind} takes {arity[family]} parameters, got {len(params)}")
-    object.__setattr__(spec, "params", tuple(float(v) for v in params))
+    params = tuple(float(v) for v in params)
+    if not all(map(math.isfinite, params)):
+        raise AssumptionError(f"{family} {kind} parameters must be finite, got {params}")
+    object.__setattr__(spec, "params", params)
 
 
 # ---------------------------------------------------------------------------

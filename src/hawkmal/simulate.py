@@ -23,13 +23,12 @@ history of each live path's jumps.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .model import AssumptionError, HawkesModel, InternalError, _reference_cache, _row_sums, strict_lags
+from .model import AssumptionError, HawkesModel, InternalError, _check_positive_finite, _reference_cache, _row_sums, strict_lags
 
 __all__ = [
     "HawkesPath",
@@ -173,8 +172,7 @@ class HawkesPath:
     horizon: float
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        _check_positive_finite(self.horizon)
         t = np.asarray(self.jump_times, dtype=float).ravel()
         if t.size:
             if not (t[0] > 0.0 and t[-1] <= self.horizon and np.all(np.diff(t) > 0.0)):
@@ -234,7 +232,8 @@ class PathBatch:
         so a cut index range keeps its path indices.  A slice (of step 1)
         takes its contiguous paths with no copy of their jump times: the
         block's flat_times is a view of this batch's.  A position outside
-        [0, n_paths) raises IndexError."""
+        [0, n_paths), or an index array of another kind than integers (a
+        boolean mask, say), raises IndexError."""
         if isinstance(idx, slice):
             lo, hi, step = idx.indices(self.n_paths)
             if step != 1:
@@ -245,7 +244,10 @@ class PathBatch:
                 self.horizon, self.master_seed, self.first_index + lo,
                 self.offsets[lo:hi + 1] - a, self.flat_times[a:b],
             )
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise IndexError(f"path positions must be integers, got {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if idx.size and not (0 <= idx.min() and idx.max() < self.n_paths):
             raise IndexError(f"path positions must lie in [0, {self.n_paths})")
         counts = self.counts()[idx]
@@ -432,8 +434,7 @@ def simulate_batch(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
+    _check_positive_finite(T)
     if not 0 <= first_index <= 2**64 - n_paths:
         raise ValueError(f"path indices [{first_index}, {first_index} + {n_paths}) leave [0, 2^64)")
     if n_workers < 1:

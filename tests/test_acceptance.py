@@ -299,10 +299,11 @@ def test_09_gradient_oracles(model):
                     continue
                 g = grad_smooth(F, path)
                 for i in range(n):
-                    up, dn = path.jump_times.copy(), path.jump_times.copy()
-                    up[i] += h
-                    dn[i] -= h
-                    fd = (F.value(up, T) - F.value(dn, T)) / (2.0 * h)
+                    # one path is the one-row block of jump times
+                    up, dn = path.jump_times[None, :].copy(), path.jump_times[None, :].copy()
+                    up[0, i] += h
+                    dn[0, i] -= h
+                    fd = (F.value(up, T)[0] - F.value(dn, T)[0]) / (2.0 * h)
                     assert g.partials[i] == pytest.approx(fd, rel=1e-4, abs=1e-9), (
                         f"{label}, jump {i}"
                     )

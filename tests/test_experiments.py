@@ -31,7 +31,6 @@ from hawkmal.malliavin import (
     compose_smooth,
     divergence_m_batch,
     grad_smooth,
-    jump_count,
     product_smooth,
 )
 from hawkmal.model import (
@@ -41,7 +40,7 @@ from hawkmal.model import (
     NonlinearitySpec,
     intensity,
 )
-from hawkmal.simulate import PathBatch, padded_jumps, simulate_batch
+from hawkmal.simulate import PathBatch, simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -248,13 +247,12 @@ def test_ibp_check_passes(model, batch):
 
 def test_catalog_values():
     entries = dict(smooth_catalog())
-    times = np.array([0.5, 1.25])
-    assert entries["1"].value(times, 5.0) == 1.0
-    assert entries["T1"].value(times, 5.0) == 0.5
-    assert entries["exp(-T1)"].value(times, 5.0) == pytest.approx(math.exp(-0.5))
-    assert entries["T1*T2"].value(times, 5.0) == pytest.approx(0.625)
-    # one jump: T2 caps at the horizon
-    assert entries["T1*T2"].value(np.array([0.5]), 5.0) == pytest.approx(2.5)
+    # a padded block: the second path has one jump, so T2 caps at the horizon
+    times = np.array([[0.5, 1.25], [0.5, 5.0]])
+    np.testing.assert_array_equal(entries["1"].value(times, 5.0), [1.0, 1.0])
+    np.testing.assert_array_equal(entries["T1"].value(times, 5.0), [0.5, 0.5])
+    np.testing.assert_allclose(entries["exp(-T1)"].value(times, 5.0), [math.exp(-0.5)] * 2)
+    np.testing.assert_allclose(entries["T1*T2"].value(times, 5.0), [0.625, 2.5])
 
 
 # ---- the batched IBP pass against the per-path gradients ----
@@ -292,7 +290,6 @@ def hand_batches(draw):
 def block_functionals():
     t1, t2 = capped_jump_time(1), capped_jump_time(2)
     return [
-        ("T1", t1),
         ("T2", t2),
         ("T3", capped_jump_time(3)),
         ("exp(-T2)", compose_smooth(lambda x: np.exp(-x), lambda x: -np.exp(-x), t2)),
@@ -311,48 +308,32 @@ _DIRECTIONS = (CameronMartinFunction.default(_T), CameronMartinFunction.cosine(_
 @settings(max_examples=60, deadline=None)
 @given(batch=hand_batches(), m=st.sampled_from(_DIRECTIONS))
 def test_ibp_differences_match_grad_smooth_loop(model, batch, m):
-    catalog = smooth_catalog()
+    # each path's row of a batch block has the bits of its one-path block
+    catalog = block_functionals()
     got = _ibp_differences(model, batch, m, catalog)
     delta = divergence_m_batch(model, batch, m)
     for (label, F), row in zip(catalog, got):
         for i, path in enumerate(batch):
             d_m = grad_smooth(F, path).directional(m)
-            f_delta = F.value(path.jump_times, _T) * delta[i]
-            # rtol 1e-13 on the size of the two terms, absolute floor 1e-15
-            tol = 1e-13 * max(abs(d_m), abs(f_delta)) + 1e-15
-            assert abs(row[i] - (d_m - f_delta)) <= tol, (label, i)
+            f_delta = F.value(path.jump_times[None, :], _T)[0] * delta[i]
+            # both add -dF/dt_j m_hat(T_j) in jump order: the same bits
+            assert row[i] == d_m - f_delta, (label, i)
 
 
-@settings(max_examples=60, deadline=None)
-@given(batch=hand_batches())
-def test_block_form_rows_match_one_path(batch):
-    times, mask = padded_jumps(batch)
-    for label, F in block_functionals():
-        values = F.value(times, _T)
-        partials = F.partials(times, _T)
-        assert values.shape == (batch.n_paths,) and partials.shape == times.shape, label
-        for i, path in enumerate(batch):
-            n = path.count
-            assert values[i] == F.value(path.jump_times, _T), (label, i)
-            np.testing.assert_array_equal(partials[i, :n], F.partials(path.jump_times, _T))
-
-
-def test_jump_count_refuses_a_block():
-    batch = batch_of([[0.5], [0.25, 1.0]])
-    assert jump_count().value(batch.path(1).jump_times, _T) == 2.0
-    with pytest.raises(ValueError, match="padding"):
-        jump_count().value(padded_jumps(batch)[0], _T)
-
-
-def test_ibp_check_refuses_unusable_entries(model):
+def test_ibp_check_refuses_unusable_entries(model, monkeypatch):
     batch = batch_of([[], [0.5], [0.25, 1.0]])
     needs_a_jump = SmoothFunctional(
         value=capped_jump_time(1).value,
         partials=capped_jump_time(1).partials,
         supports=lambda n: n >= 1,
     )
-    with pytest.raises(ValueError, match="N_T = 0"):
-        ibp_check(model, batch, catalog=[("T1", needs_a_jump)])
+    # one path a block, longest first: the jump-free path is the last block,
+    # and the refusal still comes before any weight work
+    monkeypatch.setattr("hawkmal.simulate._BLOCK_ELEMS", 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "weight_arrays", lambda *args: pytest.fail("weight work ran"))
+        with pytest.raises(ValueError, match="N_T = 0"):
+            ibp_check(model, batch, catalog=[("T1", needs_a_jump)])
     scalar_only = SmoothFunctional(
         value=lambda times, T: 1.0, partials=lambda times, T: np.zeros(times.shape)
     )

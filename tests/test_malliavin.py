@@ -21,7 +21,6 @@ from hawkmal.malliavin import (
     divergence_m,
     divergence_m_batch,
     grad_smooth,
-    jump_count,
     product_smooth,
     weight_arrays,
     weight_terms,
@@ -213,8 +212,13 @@ def test_gradient_of_first_jump_time():
 
 
 def test_gradient_of_count_is_zero():
+    # a functional constant in the jump positions, as N_T is, has DF = 0
+    constant = SmoothFunctional(
+        value=lambda times, T: np.full(times.shape[0], 3.0),
+        partials=lambda times, T: np.zeros(times.shape),
+    )
     path = HawkesPath(np.array([1.0, 2.0, 4.4]), horizon=5.0)
-    g = grad_smooth(jump_count(), path)
+    g = grad_smooth(constant, path)
     np.testing.assert_array_equal(g.partials, np.zeros(3))
     assert carre_du_champ(g, g) == 0.0
     assert basis_projection_check(g, 64) == 0.0
@@ -240,31 +244,28 @@ def test_compensator_functional_fd_oracle():
     T = 5.0
 
     def lam_value(times, T):
-        return float(T + np.sum(0.5 * (1.0 - np.exp(-(T - times)))))
+        # a padded slot at T adds 0.5 (1 - e^0) = 0
+        return T + np.sum(0.5 * (1.0 - np.exp(-(T - times))), axis=1)
 
     exact = SmoothFunctional(
         value=lam_value,
         partials=lambda times, T: -0.5 * np.exp(-(T - times)),
     )
     path = HawkesPath(np.array([0.8, 2.1, 3.9]), horizon=T)
-    assert lam_value(path.jump_times, T) == pytest.approx(
-        compensator(model, path), rel=1e-12
-    )
-    t = path.jump_times
-    fd = np.empty(t.size)
-    for i in range(t.size):
-        h = 1e-6 * max(1.0, abs(t[i]))
-        step = h * (np.arange(t.size) == i)
-        fd[i] = (lam_value(t + step, T) - lam_value(t - step, T)) / (2.0 * h)
+    t = path.jump_times[None, :]  # the one-path block
+    assert lam_value(t, T)[0] == pytest.approx(compensator(model, path), rel=1e-12)
+    n = path.count
+    fd = np.empty(n)
+    for i in range(n):
+        h = 1e-6 * max(1.0, abs(t[0, i]))
+        step = h * (np.arange(n) == i)
+        fd[i] = (lam_value(t + step, T)[0] - lam_value(t - step, T)[0]) / (2.0 * h)
     np.testing.assert_allclose(fd, grad_smooth(exact, path).partials, rtol=1e-4)
 
 
 def test_grad_smooth_unsupported_count():
-    F = SmoothFunctional(
-        value=lambda times, T: float(times[1]),
-        partials=lambda times, T: np.eye(times.size)[1],
-        supports=lambda n: n >= 2,
-    )
+    t2 = capped_jump_time(2)
+    F = SmoothFunctional(value=t2.value, partials=t2.partials, supports=lambda n: n >= 2)
     with pytest.raises(ValueError, match="does not support"):
         grad_smooth(F, HawkesPath(np.array([1.0]), horizon=5.0))
 
@@ -275,7 +276,7 @@ def test_chain_rule_machine_precision():
     G = compose_smooth(np.tanh, lambda v: 1.0 / np.cosh(v) ** 2, F)
     gF = grad_smooth(F, path)
     gG = grad_smooth(G, path)
-    Fval = F.value(path.jump_times, 5.0)
+    Fval = F.value(path.jump_times[None, :], 5.0)[0]
     np.testing.assert_allclose(
         gG.partials, gF.partials / np.cosh(Fval) ** 2, rtol=1e-14, atol=0.0
     )
@@ -329,7 +330,7 @@ def test_gram_matrix_positive_semidefinite(big_batch):
         capped_jump_time(2),
         product_smooth(capped_jump_time(1), capped_jump_time(2)),
         compose_smooth(
-            lambda v: math.exp(-v), lambda v: -math.exp(-v), capped_jump_time(1)
+            lambda v: np.exp(-v), lambda v: -np.exp(-v), capped_jump_time(1)
         ),
     ]
     for i in range(40):

@@ -102,6 +102,25 @@ def test_unknown_family_refused_at_construction():
     assert not report.gamma_zero_at_zero and not report.all_pass()
 
 
+def test_non_finite_parameters_refused_at_construction():
+    # each of these once built a model, whose thinning then ran to its
+    # round cap and raised InternalError, a fault class, for a bad input
+    nan, inf = math.nan, math.inf
+    custom = (np.exp, np.exp, np.exp)
+    for build in (
+        lambda: BaselineSpec.affine(1.0, nan, 5.0),
+        lambda: BaselineSpec.sinusoidal(1.0, 0.5, nan),
+        lambda: BaselineSpec.constant(inf),
+        lambda: KernelSpec.exponential(0.5, inf),
+        lambda: KernelSpec.custom(*custom, l1_norm=nan, sup_norm=0.5, sup_deriv=0.5),
+        lambda: KernelSpec.custom(*custom, l1_norm=0.5, sup_norm=inf, sup_deriv=0.5),
+        lambda: KernelSpec.custom(*custom, l1_norm=0.5, sup_norm=0.5, sup_deriv=nan),
+        lambda: NonlinearitySpec.saturating_tanh(inf),
+    ):
+        with pytest.raises(AssumptionError, match="must be finite"):
+            build()
+
+
 def test_exponential_kernel_identities():
     k = KernelSpec.exponential(alpha=0.5, beta=2.0)
     t = np.linspace(0.0, 10.0, 101)

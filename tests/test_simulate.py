@@ -264,6 +264,18 @@ def test_path_and_take_refuse_positions_outside_the_batch():
     assert batch.take([]).n_paths == 0
 
 
+def test_take_refuses_an_index_array_that_is_not_integers():
+    # counts [10, 5, 5, 5]: a boolean mask once took paths [0, 1, 0, 1], its
+    # bools read as positions, and [1.7, 2.2] paths 1 and 2
+    times = [np.linspace(0.25, 4.75, 10)] + [np.linspace(0.5, 4.5, 5) + 0.1 * k for k in (1, 2, 3)]
+    batch = PathBatch(5.0, 1, 0, np.array([0, 10, 15, 20, 25]), np.concatenate(times))
+    for idx in (np.array([False, True, False, True]), np.array([1.7, 2.2]), [1.0], np.array([2.0])):
+        with pytest.raises(IndexError, match="integers"):
+            batch.take(idx)
+    assert batch.take(np.array([1, 3], dtype=np.uint8)).counts().tolist() == [5, 5]
+    assert batch.take([]).n_paths == batch.take(np.array([], dtype=bool)).n_paths == 0
+
+
 def test_a_batch_and_its_blocks_are_read_only():
     # a write to a batch, simulated or built from writable arrays, or to any
     # block taken from it raises: before, a write to a slice's block changed
