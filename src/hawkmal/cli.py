@@ -7,8 +7,10 @@ reads one INI-style config file (``key = value`` inside named blocks, with
 refused), merges the command-line overrides (``--seed``, ``--paths``)
 into it, builds its model once, and stamps a 12-hex digest of the
 resulting effective settings into the first header line of every CSV
-written.  Every table whose rows grow with paths or jumps is written a
-slice of rows at a time (`_Rows`).  A second
+written.  In one process the parser is built once and each config text
+is parsed once, while the file is read on every call.  Every table whose
+rows grow with paths or jumps is written a slice of rows at a time
+(`_Rows`).  A second
 ``# generated=...`` line carries the wall clock and is suppressed by
 ``--no-timestamp``, so a rerun with the same config and seed produces
 byte-identical files.  ``--workers`` is accepted for compatibility and
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import itertools
 import math
@@ -37,7 +40,8 @@ import sys
 import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -234,27 +238,45 @@ class RunConfig:
         return self.values[("run", "paths")]
 
 
+# A process that repeats `main` (the bench, the tests, a library session)
+# reads a few config files over and over: up to seven in a bench cycle
+@functools.lru_cache(maxsize=16)
+def _file_settings(text: str, path: str) -> Mapping[Tuple[str, str], str]:
+    """The raw (section, key) -> string settings of a config file's text,
+    `path` naming it in every message.  lru_cache keeps no call that
+    raises, so a refused file is refused on every call."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    try:
+        parser.read_string(text, source=path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}")
+    for key in parser.defaults():  # it would leak into every section
+        raise ConfigError(f"[DEFAULT] {key}: every setting belongs to a named section")
+    raw: Dict[Tuple[str, str], str] = {}
+    for section in parser.sections():
+        for key, value in parser.items(section):
+            if (section, key) not in _SCHEMA:
+                raise ConfigError(f"[{section}] {key}: unknown setting")
+            raw[(section, key)] = value
+    return MappingProxyType(raw)  # every caller shares it
+
+
 def load_config(
     path: Optional[str], seed: Optional[int] = None, paths: Optional[int] = None
 ) -> RunConfig:
-    """Parse the INI file (if any), apply overrides, fill defaults, digest."""
-    raw: Dict[Tuple[str, str], str] = {}
+    """Read the INI file (if any), apply overrides, fill defaults, digest.
+    The file is read on every call, so an edit is seen; its text is parsed
+    once a process (`_file_settings`)."""
+    raw: Mapping[Tuple[str, str], str] = {}
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
         try:
-            with open(path, "r") as fh:
-                parser.read_file(fh)
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}")
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path!r}: {exc}")
-        for key in parser.defaults():  # it would leak into every section
-            raise ConfigError(f"[DEFAULT] {key}: every setting belongs to a named section")
-        for section in parser.sections():
-            for key, value in parser.items(section):
-                if (section, key) not in _SCHEMA:
-                    raise ConfigError(f"[{section}] {key}: unknown setting")
-                raw[(section, key)] = value
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}")
+        raw = _file_settings(text, path)
     values: Dict[Tuple[str, str], object] = {}
     for sec_key, spec in _SCHEMA.items():
         if sec_key in raw:
@@ -678,6 +700,7 @@ _COMMANDS = {
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on first use; `parse_args` leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hawkmal",

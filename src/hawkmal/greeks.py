@@ -18,6 +18,7 @@ estimators of d/dx0 E[1_{N_T>0} f(S_T)]:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,6 +31,11 @@ from .simulate import HawkesPath, PathBatch, _path_blocks, _slices, compensator_
 
 _DENOMINATOR_FLOOR_SCALE = 1e-12  # floor = scale * sup|mu| * T
 _MAX_EXCLUDED_FRACTION = 0.01
+# math.exp overflows a double past this exponent, and no further
+_MAX_EXPONENT = math.log(sys.float_info.max)
+# a sample with sum|v| at most this has finite sum v^2, sum (v - mean)^2
+# and (sum|v|)^2
+_MAX_ABS_SUM = math.sqrt(sys.float_info.max) / 2.0
 
 
 class UnsupportedModelError(AssumptionError):
@@ -166,14 +172,32 @@ def terminal_price(asset: AssetModel, path: HawkesPath):
 def terminal_price_batch(asset: AssetModel, batch: PathBatch):
     """(S_T, dS_T/dx0) for every path of a batch; the derivative is exactly
     S_T / x0 per path.  The closed form holds for any gamma, as Lambda_T is
-    the compensator."""
+    the compensator.  A price that overflows a double is refused."""
     lam = compensator_batch(asset.hawkes, batch)
     counts = batch.counts()
-    unit = (
-        np.exp(asset.r * batch.horizon - asset.sigma * lam)
-        * (1.0 + asset.sigma) ** counts
-    )
-    return asset.x0 * unit, unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = (
+            np.exp(asset.r * batch.horizon - asset.sigma * lam)
+            * (1.0 + asset.sigma) ** counts
+        )
+        prices = asset.x0 * unit
+    _require_finite(prices)  # x0 > 0, so a finite price has a finite unit
+    return prices, unit
+
+
+def _growth(exponent: float) -> float:
+    """exp(exponent), a factor of a closed-form price, refused before it
+    is formed where it overflows a double."""
+    if not exponent <= _MAX_EXPONENT:
+        raise AssumptionError(f"the price growth exp({exponent!r}) overflows a double")
+    return math.exp(exponent)
+
+
+def _require_finite(prices) -> None:
+    if not np.all(np.isfinite(prices)):
+        raise AssumptionError(
+            "a terminal price x0 exp(rT - sigma Lambda_T) (1 + sigma)^N_T overflows a double"
+        )
 
 
 # ---- estimator plumbing ----
@@ -187,16 +211,24 @@ def mc_estimate(values):
     has its path's own bits in any batch; only this sum across paths still
     depends on n, whose pairwise tree groups them by position.
     ESS = (sum|v|)^2 / sum(v^2), the usual weight-concentration measure.
+    A sample whose sum|v| exceeds sqrt(DBL_MAX)/2, where those squares could
+    overflow, is refused (AssumptionError); a NaN sample is not.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("mc_estimate needs a one-dimensional sample, n >= 2")
     n = values.size
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf, refused
+        abs_sum = float(np.sum(np.abs(values)))
+    if abs_sum > _MAX_ABS_SUM:
+        raise AssumptionError(
+            f"a sample with sum|v| = {abs_sum!r}: its squares overflow a double"
+        )
     mean = float(np.sum(values)) / n
     var = float(np.sum((values - mean) ** 2)) / (n - 1)
     se = math.sqrt(var / n)
     sq = float(np.sum(values**2))
-    ess = float(np.sum(np.abs(values))) ** 2 / sq if sq > 0.0 else float(n)
+    ess = abs_sum**2 / sq if sq > 0.0 else float(n)
     return mean, se, ess
 
 
@@ -205,7 +237,8 @@ def _zero_jump_term(asset: AssetModel, payoff: Payoff, T: float) -> Optional[flo
     branch: P(N_T = 0) = exp(-int_0^T lambda_s ds).  None when f is not
     differentiable at the deterministic price."""
     base_int = float(np.asarray(asset.hawkes.baseline.integral(T), dtype=float))
-    s0 = asset.x0 * math.exp(asset.r * T - asset.sigma * base_int)
+    s0 = asset.x0 * _growth(asset.r * T - asset.sigma * base_int)
+    _require_finite(s0)
     fprime = payoff.derivative_at(s0)
     if fprime is None:
         return None
@@ -239,9 +272,10 @@ def _one_jump_boundary_term(asset: AssetModel, payoff: Payoff, T: float) -> floa
     tail = float(model.kernel.mu_hat(np.float64(T)))
     k_early = lam_start * math.exp(-(base_int + tail))  # jump just after 0
     k_late = lam_end * math.exp(-base_int)              # jump just before T
-    growth = math.exp(asset.r * T) * (1.0 + asset.sigma)
-    s_early = asset.x0 * growth * math.exp(-asset.sigma * (base_int + tail))
-    s_late = asset.x0 * growth * math.exp(-asset.sigma * base_int)
+    growth = _growth(asset.r * T) * (1.0 + asset.sigma)
+    s_early = asset.x0 * growth * _growth(-asset.sigma * (base_int + tail))
+    s_late = asset.x0 * growth * _growth(-asset.sigma * base_int)
+    _require_finite((s_early, s_late))
     f_early = float(payoff.value(s_early))
     f_late = float(payoff.value(s_late))
     scale = asset.sigma * asset.x0

@@ -186,6 +186,46 @@ def test_overrides_take_the_file_bounds():
     assert load_config(None, paths=2).n_paths == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(b"[run]\nhorizon = 5.0\n# caf\xe9\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(ini), "--paths", "10", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config file {str(ini)!r} is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_one_text_under_two_paths_gives_the_same_settings(tmp_path):
+    text = "[model]\nalpha = 0.25\n[run]\npaths = 40  ; a comment\n"
+    a, b = tmp_path / "a.ini", tmp_path / "b.ini"
+    a.write_text(text)
+    b.write_text(text)
+    assert load_config(str(a)) == load_config(str(b)) == load_config(str(a))
+    assert load_config(str(a)).values[("model", "alpha")] == 0.25
+    assert load_config(str(a), seed=5) == load_config(str(b), seed=5) != load_config(str(a))
+
+
+def test_a_refused_config_is_refused_on_every_call(tmp_path):
+    # a refusal is never cached: each call raises it again, naming its file
+    refusals = {
+        "paths = 3\n": "malformed config file .*: File contains no section headers",
+        "[run]\nwarp = 9\n": r"\[run\] warp: unknown setting",
+        "[DEFAULT]\npaths = 3\n": r"\[DEFAULT\] paths",
+        "[run]\npaths = 3\n[run]\npaths = 4\n": "malformed config file .*: While reading from",
+    }
+    for text, message in refusals.items():
+        for name in ("a.ini", "b.ini"):
+            ini = tmp_path / name
+            ini.write_text(text)
+            for _ in range(2):
+                with pytest.raises(ConfigError, match=message) as exc:
+                    load_config(str(ini))
+                if "malformed" in message:
+                    assert repr(str(ini)) in str(exc.value)
+
+
 def test_help_describes_every_command(capsys):
     from hawkmal.cli import _COMMANDS
 
@@ -372,8 +412,18 @@ def test_linalg_error_in_sde_density_exits_4(tmp_path, monkeypatch, capsys):
             "[model]\nalpha = 0.9\n[experiment]\nvolterra_steps = 2\n",
             "grid too coarse for the product trapezoidal rule",
         ),
+        # exp(r T) past the largest double, and samples whose squares
+        # overflow: delta weights near 1/x0, and ibp terms that carry a
+        # baseline's slope, near 1/period
+        ("greeks", "[greeks]\nr = 1e3\n", r"a terminal price .* overflows a double"),
+        ("greeks", "[greeks]\nx0 = 1e-300\n", r"a sample with sum\|v\| = .*: its squares overflow"),
+        (
+            "ibp-check",
+            "[model]\nbaseline = sinusoidal\namplitude = 0.5\nperiod = 1e-300\n",
+            r"a sample with sum\|v\| = .*: its squares overflow",
+        ),
     ],
-    ids=["sigma", "eps", "coarse-grid"],
+    ids=["sigma", "eps", "coarse-grid", "price-growth", "tiny-x0", "tiny-period"],
 )
 def test_settings_outside_a_formula_domain_exit_3(tmp_path, capsys, command, text, message):
     # schema-valid settings on which a formula is undefined: an assumption
@@ -649,6 +699,44 @@ def test_every_command_parses_the_shared_options():
                 name, "c.ini", 7, 9, "o"
             )
             assert (args.no_timestamp, args.workers) == (True, 3)
+
+
+def test_a_config_rewritten_between_two_calls_is_read_again(tmp_path):
+    # the file is read on every call: the second call takes the second text
+    ini = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    for paths in (20, 30):
+        ini.write_text(f"[run]\npaths = {paths}\n")
+        assert run_cli("simulate", "--config", str(ini), "--out", str(out), "--no-timestamp") == 0
+        comments, _, rows = read_csv(out / "simulate_summary.csv")
+        assert comments["digest"] == load_config(None, paths=paths).digest
+        assert rows[0][0] == str(paths)
+
+
+def test_help_then_a_call_writes_the_bytes_of_the_call_alone(tmp_path, capsys):
+    # the parser built once serves every later call: printing help leaves
+    # it as a fresh interpreter's parser is
+    ini = tmp_path / "small.ini"
+    ini.write_text("[model]\nalpha = 0.25\n")
+
+    def argv(where):
+        return [
+            "--config", str(ini), "--paths", "50", "--seed", "83",
+            "--out", str(tmp_path / where), "--no-timestamp", "ibp-check",
+        ]
+
+    script = f"import sys\nfrom hawkmal.cli import main\nsys.exit(main({argv('alone')!r}))"
+    alone = subprocess.run(
+        [sys.executable, "-c", script], env=_hawkmal_env(), capture_output=True, text=True
+    )
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert run_cli(*argv("after-help")) == alone.returncode
+    assert capsys.readouterr().out == alone.stdout
+    after = _artifact_bytes(tmp_path / "after-help")
+    assert after and after == _artifact_bytes(tmp_path / "alone")
 
 
 def test_simulate_zero_jump_batch_writes_header_only(tmp_path):

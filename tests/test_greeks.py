@@ -4,6 +4,7 @@ plumbing (deterministic reductions, exclusion diagnostics)."""
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -15,6 +16,8 @@ from hawkmal.greeks import (
     GreekEstimate,
     Payoff,
     UnsupportedModelError,
+    _one_jump_boundary_term,
+    _zero_jump_term,
     fd_delta,
     malliavin_delta,
     mc_estimate,
@@ -184,6 +187,71 @@ def test_mc_estimate_validation():
         mc_estimate([1.0])
     with pytest.raises(ValueError, match="one-dimensional"):
         mc_estimate(np.ones((4, 2)))
+
+
+def _plain_mc_estimate(values):
+    # the three reductions with no refusal: the reference for every sample
+    # `mc_estimate` takes
+    n = values.size
+    mean = float(np.sum(values)) / n
+    var = float(np.sum((values - mean) ** 2)) / (n - 1)
+    sq = float(np.sum(values**2))
+    ess = float(np.sum(np.abs(values))) ** 2 / sq if sq > 0.0 else float(n)
+    return mean, math.sqrt(var / n), ess
+
+
+def test_mc_estimate_refuses_a_sample_whose_squares_overflow():
+    # sum|v| above sqrt(DBL_MAX)/2 is refused before any square is formed;
+    # every other sample, NaN ones too, keeps the bits of the plain reductions
+    bound = math.sqrt(sys.float_info.max) / 2.0
+    rng = np.random.default_rng(45)
+    kept = [
+        rng.standard_normal(1001),
+        rng.standard_normal(64) * 1e150,
+        np.array([bound / 2.0, -bound / 2.0]),
+        np.array([bound, 0.0, -0.0]),
+        np.array([1.0, np.nan, 2.0]),
+    ]
+    refused = [
+        np.array([bound, 1e140]),
+        np.array([1e300, 1.0]),
+        np.array([1e308, 1e308]),
+        np.array([np.inf, 1.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in kept:
+            assert np.array(mc_estimate(values)).tobytes() == np.array(
+                _plain_mc_estimate(values)
+            ).tobytes()
+        for values in refused:
+            with pytest.raises(AssumptionError, match="its squares overflow a double"):
+                mc_estimate(values)
+
+
+@pytest.mark.parametrize(
+    "x0, r", [(100.0, 1e3), (1e300, 5.0)], ids=["exp-overflows", "price-overflows"]
+)
+def test_a_price_past_the_largest_double_is_refused(model, x0, r):
+    # exp(r T) past the largest double is refused before exp is taken, and a
+    # price x0 exp(...) that rounds to inf once formed: in the batch prices,
+    # in both analytic terms and so in every estimator, with no numpy warning
+    asset = AssetModel(x0=x0, r=r, sigma=0.3, hawkes=model)
+    batch = simulate_batch(model, T=5.0, master_seed=3, n_paths=60)
+    digital, smooth = Payoff.digital(100.0), smooth_payoff(100.0)
+    calls = [
+        lambda: terminal_price_batch(asset, batch),
+        lambda: _zero_jump_term(asset, smooth, 5.0),
+        lambda: _one_jump_boundary_term(asset, digital, 5.0),
+        lambda: malliavin_delta(asset, digital, batch),
+        lambda: fd_delta(asset, digital, batch),
+        lambda: pathwise_delta(asset, smooth, batch),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(AssumptionError, match="overflows a double"):
+                call()
 
 
 # ---- finite differences ----

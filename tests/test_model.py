@@ -320,6 +320,7 @@ def test_every_cache_is_bounded():
     unbounded = sorted(name for name, size in caches.items() if size is None)
     assert not unbounded, f"unbounded caches: {unbounded}"
     assert {
+        "hawkmal.cli._file_settings",
         "hawkmal.density.count_distribution",
         "hawkmal.density._simplex_quadrature_mass",
         "hawkmal.density._marginal_cdf",
